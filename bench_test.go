@@ -317,17 +317,6 @@ func BenchmarkEngineReferenceSolve(b *testing.B) {
 
 // ------------------------------------------- Component micro-benchmarks
 
-func BenchmarkQueueInsertCoalesce(b *testing.B) {
-	q := coreTestQueue()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.InsertForBench(uint32(i)&1023, 0.5)
-	}
-}
-
-// coreTestQueue exposes a queue through the core package's bench hook.
-func coreTestQueue() *core.BenchQueue { return core.NewBenchQueue(1024, 64, 8) }
-
 func BenchmarkDRAMStream(b *testing.B) {
 	m := mem.New(mem.DefaultConfig())
 	done := 0

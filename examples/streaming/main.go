@@ -92,9 +92,7 @@ func main() {
 
 		// Verify the served answer against a from-scratch solve on a
 		// locally maintained copy of the mutated graph.
-		for _, e := range added {
-			edges = append(edges, graphpulse.Edge{Src: e.Src, Dst: e.Dst, Weight: e.Weight})
-		}
+		edges = append(edges, added...)
 		local, err := graphpulse.NewGraph(g.NumVertices(), edges, true)
 		if err != nil {
 			log.Fatal(err)

@@ -19,10 +19,12 @@ const (
 	churnSeed   = 1
 )
 
-// runChurn measures streaming re-convergence: a stream.Replayer carries
-// one (algorithm, graph) pair through seeded insert/delete/expire epochs,
-// timing the warm continuation each epoch against a cold solve of the
-// same post-mutation graph. Like the scaling experiment these are host
+// runChurn measures streaming re-convergence: a stream.Replayer (the
+// serving tier's stream.Graph + stream.Restart) carries one (algorithm,
+// graph) pair through seeded insert/delete/expire epochs, timing the
+// warm continuation each epoch against a cold solve of the same
+// post-mutation graph. The mode column is the wire vocabulary
+// warm|cone|cold. Like the scaling experiment these are host
 // wall-clock timings — absolute numbers vary by machine; the reproduction
 // target is warm staying at or under cold, with the gap widest for
 // seeded insert-only epochs and narrowest when a large deletion cone
@@ -120,7 +122,7 @@ func runChurn(opt Options, _ *Sweep) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintf(opt.Out, "totals: warm %.3f ms vs cold %.3f ms (seed starts %d, cone starts %d, replays %d)\n",
+	fmt.Fprintf(opt.Out, "totals: warm %.3f ms vs cold %.3f ms (modes: warm %d, cone %d, cold %d)\n",
 		warmTotal*1e3, coldTotal*1e3, r.SeedStarts, r.ConeStarts, r.Replays)
 	return nil
 }

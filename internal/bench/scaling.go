@@ -29,8 +29,8 @@ func scalingWorkerCounts() []int {
 // plus any other registry engines selected with Options.Engines. Unlike the
 // cycle-level experiments these are host timings (like Figure 10's Ligra
 // column), so absolute numbers vary by machine; the reproduction target is
-// the speedup curve's shape on a multi-core host. CI enforces the ≥-parity
-// gate on a WG-class graph through the GRAPHPULSE_SCALING_SMOKE test.
+// the speedup curve's shape on a multi-core host. The tracked number is
+// psolve.wn_vs_serial_x in perf/.
 func runScaling(opt Options, _ *Sweep) error {
 	selected := opt.Engines
 	if len(selected) == 0 {

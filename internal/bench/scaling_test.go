@@ -2,13 +2,10 @@ package bench
 
 import (
 	"bytes"
-	"os"
-	"runtime"
 	"strings"
 	"testing"
 
 	"graphpulse/internal/engines"
-	"graphpulse/internal/graph/gen"
 )
 
 // TestScalingExperimentRenders runs the scaling experiment on the tiny tier
@@ -43,50 +40,5 @@ func TestScalingRejectsUnknownEngine(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), engines.NamesList()) {
 		t.Errorf("error %q does not list the registry names %q", err, engines.NamesList())
-	}
-}
-
-// TestScalingSmoke is the CI speedup gate: on a multi-core runner the
-// parallel solver at 8 workers must not be slower than the serial solver on
-// a WG-class graph. Host-timed and meaningless on a single-CPU box (where
-// parallel overhead is pure slowdown), so it only runs when
-// GRAPHPULSE_SCALING_SMOKE=1 is exported — the CI workflow sets it on the
-// dedicated scaling job.
-func TestScalingSmoke(t *testing.T) {
-	if os.Getenv("GRAPHPULSE_SCALING_SMOKE") != "1" {
-		t.Skip("set GRAPHPULSE_SCALING_SMOKE=1 to run the host-timed scaling gate")
-	}
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-
-	opt := Options{Tier: gen.Tiny, Out: new(bytes.Buffer)}
-	ws, err := Workloads(Options{Tier: gen.Tiny, Datasets: []string{"WG"}, Algorithms: []string{"pr"}, Out: opt.Out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := ws[0]
-
-	serial, err := timeEngine(opt, w, engines.Solve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, res, err := timePSolve(opt, w, 8, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("serial %.4fs, psolve[w=8] %.4fs (%.2fx), cut=%d xshard=%d",
-		serial, par, serial/par, res.CutEdges, res.CrossShardDeltas)
-	if par > serial {
-		t.Errorf("psolve[w=8] %.4fs slower than serial %.4fs on %s/%s",
-			par, serial, w.Dataset.Abbrev, w.AlgName)
-	}
-	if res.Workers != 8 {
-		t.Errorf("psolve used %d workers, want 8", res.Workers)
-	}
-	// Sanity: the parallel run agrees with serial within the conformance
-	// band — covered exactly by the conformance matrix; here just require it
-	// converged to the full vertex set.
-	if len(res.Values) != w.Graph.NumVertices() {
-		t.Errorf("psolve returned %d values, want %d", len(res.Values), w.Graph.NumVertices())
 	}
 }

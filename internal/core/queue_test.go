@@ -354,3 +354,11 @@ func TestQueueMappingsSpreadDifferently(t *testing.T) {
 		t.Errorf("bin-row-col spread 64 vertices over %d bins, want 1", len(binsBRC))
 	}
 }
+
+func BenchmarkQueueInsertCoalesce(b *testing.B) {
+	q := newCoalescingQueue(1024, 64, 8, false, sum)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.insert(Event{Target: uint32(i) & 1023, Delta: 0.5})
+	}
+}

@@ -10,7 +10,7 @@
 // Like the simulator fault injector, every rate-based decision is a pure
 // function of (Config.Seed, fault point, call sequence number): each
 // point keeps its own counter and hashes (seed, point, counter) through a
-// splitmix64 finalizer. Two runs with the same seed and the same request
+// splitmix64 finalizer (internal/seeded, shared with it). Two runs with the same seed and the same request
 // sequence inject the identical fault log — the chaos-smoke CI stage and
 // the determinism test rely on it. Partitions are not rate-based; they
 // are flipped explicitly (Partition/Heal) by tests and the router's
@@ -31,6 +31,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"graphpulse/internal/seeded"
 )
 
 // Config holds the injection rates. The zero value injects nothing (but
@@ -69,48 +71,28 @@ func (c Config) Validate() error {
 // spec returns the zero Config.
 func ParseSpec(spec string) (Config, error) {
 	var c Config
-	if strings.TrimSpace(spec) == "" {
-		return c, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return c, fmt.Errorf("chaos: spec term %q is not key=value", part)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		switch key {
-		case "seed":
-			s, err := strconv.ParseUint(val, 0, 64)
-			if err != nil {
-				return c, fmt.Errorf("chaos: bad seed %q: %v", val, err)
-			}
-			c.Seed = s
-		case "delay-ms":
+	err := seeded.ParseSpec("chaos", spec, &c.Seed, func(key, val string) error {
+		if key == "delay-ms" {
 			ms, err := strconv.ParseFloat(val, 64)
 			if err != nil || ms < 0 {
-				return c, fmt.Errorf("chaos: bad delay-ms %q", val)
+				return fmt.Errorf("chaos: bad delay-ms %q", val)
 			}
 			c.Delay = time.Duration(ms * float64(time.Millisecond))
-		case "drop", "delay", "truncate":
-			r, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return c, fmt.Errorf("chaos: bad %s rate %q: %v", key, val, err)
-			}
-			switch key {
-			case "drop":
-				c.DropRate = r
-			case "delay":
-				c.DelayRate = r
-			case "truncate":
-				c.TruncateRate = r
-			}
-		default:
-			return c, fmt.Errorf("chaos: unknown spec key %q", key)
+			return nil
 		}
+		field := map[string]*float64{"drop": &c.DropRate, "delay": &c.DelayRate, "truncate": &c.TruncateRate}[key]
+		if field == nil {
+			return fmt.Errorf("chaos: unknown spec key %q", key)
+		}
+		r, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			return fmt.Errorf("chaos: bad %s rate %q: %v", key, val, err)
+		}
+		*field = r
+		return nil
+	})
+	if err != nil {
+		return c, err
 	}
 	return c, c.Validate()
 }
@@ -162,7 +144,7 @@ type Proxy struct {
 	next http.RoundTripper
 
 	mu    sync.Mutex
-	seq   [numPoints]uint64
+	draws seeded.Stream
 	part  map[string]bool
 	log   []Event
 	evSeq uint64
@@ -178,7 +160,7 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.Delay <= 0 {
 		cfg.Delay = 25 * time.Millisecond
 	}
-	return &Proxy{cfg: cfg, part: make(map[string]bool)}, nil
+	return &Proxy{cfg: cfg, draws: seeded.New(cfg.Seed, int(numPoints)), part: make(map[string]bool)}, nil
 }
 
 // Wrap returns a copy of c whose transport routes through the proxy. A
@@ -291,13 +273,6 @@ func (p *Proxy) EventCount() uint64 {
 	return p.evSeq
 }
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // decide reports whether the next opportunity at point pt faults,
 // advancing pt's deterministic stream.
 func (p *Proxy) decide(pt point) bool {
@@ -314,11 +289,8 @@ func (p *Proxy) decide(pt point) bool {
 		return false
 	}
 	p.mu.Lock()
-	u := splitmix64(p.cfg.Seed ^ uint64(pt)<<56 ^ p.seq[pt])
-	p.seq[pt]++
-	p.mu.Unlock()
-	// 53 high bits → uniform float64 in [0,1).
-	return float64(u>>11)/(1<<53) < rate
+	defer p.mu.Unlock()
+	return p.draws.Uniform(int(pt)) < rate
 }
 
 // record logs one injected fault and reports it to the sink.

@@ -32,6 +32,8 @@
 // onto the paper's multi-chip scheme and states where the analogy breaks.
 package dserve
 
+import "graphpulse/internal/stream"
+
 // RegisterRequest is the body of POST /internal/register: a worker
 // announcing (or re-announcing, as a heartbeat) its advertised base URL
 // and the graphs it hosts.
@@ -76,10 +78,10 @@ type DrainRequest struct {
 // at when it shipped them — the repairing replica compares against it to
 // decide whether the replay actually converged.
 type WALTailResponse struct {
-	Graph   string      `json:"graph"`
-	Epoch   uint64      `json:"epoch"`
-	Digest  string      `json:"digest"`
-	Records []WALRecord `json:"records"`
+	Graph   string          `json:"graph"`
+	Epoch   uint64          `json:"epoch"`
+	Digest  string          `json:"digest"`
+	Records []stream.Change `json:"records"`
 }
 
 // RepairRequest is the body of POST /internal/repair: the router asking

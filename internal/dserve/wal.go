@@ -10,15 +10,13 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
-	"graphpulse/internal/graph"
-	"graphpulse/internal/serve"
+	"graphpulse/internal/stream"
 )
 
 // The durable mutation WAL: one directory per graph holding JSON-lines
-// segments of epoch-tagged mutation records. A worker appends (and
-// fsyncs) every applied mutation epoch before the serve layer
+// segments of epoch-tagged mutation records (stream.Change). A worker
+// appends (and fsyncs) every applied mutation epoch before the serve layer
 // acknowledges it, so a crash between snapshot ticks loses nothing — on
 // restart the worker replays the log tail past its last snapshot
 // (Worker.ReplayWAL), and the anti-entropy loop ships a laggard replica
@@ -37,59 +35,6 @@ var ErrWALTruncated = errors.New("dserve: wal does not cover requested suffix")
 // transfer is cheaper than replaying the log, so the tail is reported as
 // truncated.
 const maxWALTail = 65536
-
-// WALRecord is the on-disk and wire form of one mutation epoch.
-type WALRecord struct {
-	Epoch uint64 `json:"epoch"`
-	// TS is the mutation's ingest timestamp in Unix nanoseconds; replay
-	// re-applies edges with it so sliding-window expiry stays coherent.
-	TS      int64            `json:"ts"`
-	Added   []serve.EdgeJSON `json:"added,omitempty"`
-	Removed []serve.EdgeJSON `json:"removed,omitempty"`
-}
-
-// walRecordOf converts a serve-layer mutation record to its wire form.
-func walRecordOf(rec serve.MutationRecord) WALRecord {
-	return WALRecord{
-		Epoch:   rec.Epoch,
-		TS:      rec.Time.UnixNano(),
-		Added:   edgesToJSON(rec.Added),
-		Removed: edgesToJSON(rec.Removed),
-	}
-}
-
-// mutationRecord converts back for replay into the named graph.
-func (r WALRecord) mutationRecord(graphName string) serve.MutationRecord {
-	return serve.MutationRecord{
-		Graph:   graphName,
-		Epoch:   r.Epoch,
-		Time:    timeFromUnixNano(r.TS),
-		Added:   edgesFromJSONWire(r.Added),
-		Removed: edgesFromJSONWire(r.Removed),
-	}
-}
-
-func edgesToJSON(edges []graph.Edge) []serve.EdgeJSON {
-	if len(edges) == 0 {
-		return nil
-	}
-	out := make([]serve.EdgeJSON, len(edges))
-	for i, e := range edges {
-		out[i] = serve.EdgeJSON{Src: e.Src, Dst: e.Dst, Weight: e.Weight}
-	}
-	return out
-}
-
-func edgesFromJSONWire(edges []serve.EdgeJSON) []graph.Edge {
-	if len(edges) == 0 {
-		return nil
-	}
-	out := make([]graph.Edge, len(edges))
-	for i, e := range edges {
-		out[i] = graph.Edge{Src: e.Src, Dst: e.Dst, Weight: e.Weight}
-	}
-	return out
-}
 
 // walSegment is one on-disk segment and the epoch range it holds.
 type walSegment struct {
@@ -185,7 +130,7 @@ func openWAL(dir string, segBytes int64) (*WAL, error) {
 // strictly increasing (continuing from prevEpoch). It returns the decoded
 // records, the byte offset of the first bad line (== file size when the
 // whole segment is good), and whether a torn/corrupt tail was found.
-func scanSegment(path string, prevEpoch uint64) (recs []WALRecord, goodBytes int64, torn bool, err error) {
+func scanSegment(path string, prevEpoch uint64) (recs []stream.Change, goodBytes int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, false, err
@@ -200,7 +145,7 @@ func scanSegment(path string, prevEpoch uint64) (recs []WALRecord, goodBytes int
 		if err != nil && err != io.EOF {
 			return nil, 0, false, err
 		}
-		var rec WALRecord
+		var rec stream.Change
 		bad := err == io.EOF || // final line without newline: cut mid-write
 			json.Unmarshal(line, &rec) != nil ||
 			rec.Epoch <= prevEpoch
@@ -218,7 +163,7 @@ func scanSegment(path string, prevEpoch uint64) (recs []WALRecord, goodBytes int
 // epoch is skipped (appended=false) — that makes the mutation hook safe
 // to re-fire during replay. rotated reports that a new segment was
 // started with a previous one retained.
-func (w *WAL) Append(rec WALRecord) (appended, rotated bool, err error) {
+func (w *WAL) Append(rec stream.Change) (appended, rotated bool, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if rec.Epoch <= w.lastEpoch {
@@ -277,7 +222,7 @@ func (w *WAL) TailDropped() int {
 // suffix the log cannot produce — truncated coverage, an epoch hole, or
 // more than maxWALTail records — fails with ErrWALTruncated, telling the
 // caller to ship a snapshot instead.
-func (w *WAL) TailAfter(after uint64) ([]WALRecord, error) {
+func (w *WAL) TailAfter(after uint64) ([]stream.Change, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if after >= w.lastEpoch {
@@ -291,7 +236,7 @@ func (w *WAL) TailAfter(after uint64) ([]WALRecord, error) {
 		return nil, fmt.Errorf("%w: suffix of %d records exceeds cap %d",
 			ErrWALTruncated, w.lastEpoch-after, maxWALTail)
 	}
-	var out []WALRecord
+	var out []stream.Change
 	expect := after + 1
 	for _, seg := range w.segs {
 		if seg.last < expect {
@@ -356,13 +301,4 @@ func (w *WAL) Close() error {
 	err := w.f.Close()
 	w.f = nil
 	return err
-}
-
-// timeFromUnixNano keeps the conversion in one place and tolerant of the
-// zero value (a zero TS replays as the zero time, i.e. a permanent edge).
-func timeFromUnixNano(ns int64) time.Time {
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns)
 }

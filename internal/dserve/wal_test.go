@@ -4,18 +4,20 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
-	"graphpulse/internal/serve"
+	"graphpulse/internal/graph"
+	"graphpulse/internal/stream"
 )
 
 // walRec builds a small test record at the given epoch.
-func walRec(epoch uint64) WALRecord {
-	return WALRecord{
+func walRec(epoch uint64) stream.Change {
+	return stream.Change{
 		Epoch: epoch,
-		TS:    time.Date(2026, 1, 1, 0, 0, 0, int(epoch), time.UTC).UnixNano(),
-		Added: []serve.EdgeJSON{{Src: uint32(epoch), Dst: uint32(epoch + 1), Weight: 0.5}},
+		At:    time.Date(2026, 1, 1, 0, 0, 0, int(epoch), time.UTC).UnixNano(),
+		Added: []graph.Edge{{Src: uint32(epoch), Dst: uint32(epoch + 1), Weight: 0.5}},
 	}
 }
 
@@ -194,5 +196,52 @@ func TestWALTailCap(t *testing.T) {
 	w := &WAL{lastEpoch: maxWALTail + 2, segs: []walSegment{{first: 1, last: maxWALTail + 2}}}
 	if _, err := w.TailAfter(0); !errors.Is(err, ErrWALTruncated) {
 		t.Fatalf("oversized tail err = %v, want ErrWALTruncated", err)
+	}
+}
+
+// TestWALFormatUnchanged pins the on-disk record shape: a literal segment
+// line written before stream.Change became the WAL record decodes to the
+// expected change, and appending that change to a fresh log writes the
+// same bytes back.
+func TestWALFormatUnchanged(t *testing.T) {
+	const line = `{"epoch":3,"ts":1767225600000000007,"added":[{"src":1,"dst":2,"weight":0.5}],"removed":[{"src":4,"dst":5}]}` + "\n"
+	dir := t.TempDir()
+	seg := filepath.Join(dir, "00000000000000000003.wal")
+	if err := os.WriteFile(seg, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := openWAL(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	recs, err := w.TailAfter(2)
+	if err != nil || len(recs) != 1 || w.TailDropped() != 0 {
+		t.Fatalf("TailAfter(2) = (%v, %v), dropped %d; want the one literal record", recs, err, w.TailDropped())
+	}
+	want := stream.Change{
+		Epoch:   3,
+		At:      1767225600000000007,
+		Added:   []graph.Edge{{Src: 1, Dst: 2, Weight: 0.5}},
+		Removed: []graph.Edge{{Src: 4, Dst: 5}},
+	}
+	if !reflect.DeepEqual(recs[0], want) {
+		t.Fatalf("decoded %+v, want %+v", recs[0], want)
+	}
+
+	w2, err := openWAL(t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if _, _, err := w2.Append(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(w2.dir, filepath.Base(seg)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != line {
+		t.Fatalf("re-encoded segment:\n%swant:\n%s", got, line)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"graphpulse/internal/atomicio"
 	"graphpulse/internal/dserve/chaos"
 	"graphpulse/internal/serve"
+	"graphpulse/internal/stream"
 )
 
 // WorkerConfig describes a Worker wrapping one serve.Server.
@@ -151,15 +152,15 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 // to the graph's WAL before the mutation is acknowledged. Re-fired hooks
 // during replay deduplicate inside Append (epoch at or below the last
 // logged is skipped).
-func (wk *Worker) onMutation(rec serve.MutationRecord) {
-	w := wk.wals[rec.Graph]
+func (wk *Worker) onMutation(graph string, ch stream.Change) {
+	w := wk.wals[graph]
 	if w == nil {
 		return
 	}
-	appended, rotated, err := w.Append(walRecordOf(rec))
+	appended, rotated, err := w.Append(ch)
 	if err != nil {
 		wk.srv.Metrics().Add("wal_append_errors", 1)
-		wk.logf("dserve: worker: wal append of %q epoch %d: %v", rec.Graph, rec.Epoch, err)
+		wk.logf("dserve: worker: wal append of %q epoch %d: %v", graph, ch.Epoch, err)
 		return
 	}
 	if rotated {
@@ -194,16 +195,11 @@ func (wk *Worker) ReplayWAL() {
 			wk.logf("dserve: worker: wal replay of %q past epoch %d: %v", name, epoch, err)
 			continue
 		}
-		for _, rec := range recs {
-			applied, err := wk.srv.ApplyReplay(rec.mutationRecord(name))
-			if err != nil {
-				wk.srv.Metrics().Add("wal_replay_errors", 1)
-				wk.logf("dserve: worker: wal replay of %q epoch %d: %v", name, rec.Epoch, err)
-				break
-			}
-			if applied {
-				wk.srv.Metrics().Add("wal_replayed_batches", 1)
-			}
+		replayed, err := wk.replayTail(name, recs)
+		wk.srv.Metrics().Add("wal_replayed_batches", int64(replayed))
+		if err != nil {
+			wk.srv.Metrics().Add("wal_replay_errors", 1)
+			wk.logf("dserve: worker: wal replay of %q: %v", name, err)
 		}
 		if cur, err := wk.srv.GraphEpoch(name); err == nil && cur > epoch {
 			wk.logf("dserve: worker: wal replay advanced %q from epoch %d to %d", name, epoch, cur)
@@ -354,14 +350,14 @@ func (wk *Worker) repairFrom(ctx context.Context, graphName, peer string) (Repai
 	return RepairResponse{Graph: graphName, Mode: "snapshot", Epoch: epoch}, nil
 }
 
-// replayTail applies fetched WAL records in order, stopping at the first
-// failure.
-func (wk *Worker) replayTail(graphName string, recs []WALRecord) (int, error) {
+// replayTail applies WAL records in order, stopping at the first failure,
+// and returns how many advanced the graph.
+func (wk *Worker) replayTail(graphName string, recs []stream.Change) (int, error) {
 	replayed := 0
 	for _, rec := range recs {
-		applied, err := wk.srv.ApplyReplay(rec.mutationRecord(graphName))
+		applied, err := wk.srv.ApplyReplay(graphName, rec)
 		if err != nil {
-			return replayed, err
+			return replayed, fmt.Errorf("epoch %d: %w", rec.Epoch, err)
 		}
 		if applied {
 			replayed++

@@ -20,11 +20,12 @@ import (
 type VertexID = uint32
 
 // Edge is a single directed edge with an optional weight. Unweighted graphs
-// carry weight 1.
+// carry weight 1. The JSON form is the serving tier's wire and
+// write-ahead-log edge shape.
 type Edge struct {
-	Src    VertexID
-	Dst    VertexID
-	Weight float32
+	Src    VertexID `json:"src"`
+	Dst    VertexID `json:"dst"`
+	Weight float32  `json:"weight,omitempty"`
 }
 
 // CSR is an immutable directed graph in Compressed Sparse Row form.

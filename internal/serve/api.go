@@ -117,12 +117,9 @@ type QueryResponse struct {
 	Values      []VertexValue `json:"values,omitempty"`
 }
 
-// EdgeJSON is one directed edge in a mutation batch.
-type EdgeJSON struct {
-	Src    uint32  `json:"src"`
-	Dst    uint32  `json:"dst"`
-	Weight float32 `json:"weight,omitempty"`
-}
+// EdgeJSON is one directed edge in a mutation batch
+// ({"src","dst","weight"}).
+type EdgeJSON = graph.Edge
 
 // MutateRequest is the /v1/mutate body: a batch of edges to insert into
 // and/or delete from a resident graph, applied as one epoch (inserts

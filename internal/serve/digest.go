@@ -5,32 +5,17 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"time"
 
-	"graphpulse/internal/graph"
+	"graphpulse/internal/stream"
 )
 
-// MutationRecord is the durable form of one applied mutation epoch: the
-// exact edges added and removed when the named graph moved to Epoch. It
-// is what the distributed tier's write-ahead log persists and what
-// ApplyReplay consumes — Added is the post-deduplication applied batch
-// and Removed the edges actually deleted (user deletes and window
-// expirations alike), so replaying the record against the epoch-1 state
-// reproduces the epoch state exactly.
-type MutationRecord struct {
-	Graph   string
-	Epoch   uint64
-	Time    time.Time
-	Added   []graph.Edge
-	Removed []graph.Edge
-}
-
-// MutationHook observes every applied mutation epoch. It is invoked
-// synchronously while the graph's write lock is held — after the new
-// epoch is built but before the mutation is acknowledged — so a durable
-// hook (a WAL append + fsync) guarantees no acknowledged epoch is ever
-// lost. The hook must be fast and must not call back into the Server.
-type MutationHook func(MutationRecord)
+// MutationHook observes every applied mutation epoch of the named graph.
+// It is invoked synchronously while the graph's write lock is held —
+// after the new epoch is built but before the mutation is acknowledged —
+// so a durable hook (a WAL append + fsync) guarantees no acknowledged
+// epoch is ever lost. The hook must be fast and must not call back into
+// the Server.
+type MutationHook func(graph string, ch stream.Change)
 
 // SetMutationHook installs fn on every resident graph. Call it once,
 // before serving traffic. A nil fn removes the hook.
@@ -42,25 +27,24 @@ func (s *Server) SetMutationHook(fn MutationHook) {
 	}
 }
 
-// ErrReplayGap is returned by ApplyReplay when a record does not extend
-// the resident epoch by exactly one — the log has a hole (typically a
-// snapshot adoption jumped the epoch past the log's coverage), so replay
-// must stop and defer to anti-entropy repair.
-var ErrReplayGap = fmt.Errorf("serve: replay record does not extend resident epoch")
-
-// ApplyReplay applies one logged mutation record: a record at or below
-// the resident epoch is skipped (applied=false, already incorporated), a
-// record at exactly epoch+1 is applied, anything else fails with
-// ErrReplayGap. Replayed batches go through the same rebuild path as live
-// mutations, so the mutation history (and with it warm-start coverage)
-// is reconstructed and the installed MutationHook fires again — hooks
-// that append to a WAL must deduplicate by epoch.
-func (s *Server) ApplyReplay(rec MutationRecord) (bool, error) {
-	rg, ok := s.graphs[rec.Graph]
+// ApplyReplay applies one logged change to the named graph
+// (stream.Graph.ApplyExact): at or below the resident epoch it is skipped
+// (applied=false), at exactly epoch+1 it is applied, anything else fails
+// with stream.ErrEpochGap. Replayed changes go through the same path as
+// live mutations, so the mutation history (and with it warm-start
+// coverage) is reconstructed and the installed MutationHook fires again —
+// hooks that append to a WAL must deduplicate by epoch.
+func (s *Server) ApplyReplay(graph string, ch stream.Change) (applied bool, err error) {
+	rg, ok := s.graphs[graph]
 	if !ok {
-		return false, fmt.Errorf("serve: unknown graph %q", rec.Graph)
+		return false, fmt.Errorf("serve: unknown graph %q", graph)
 	}
-	return rg.applyReplay(rec)
+	err = rg.write(func(sg *stream.Graph) (stream.Change, error) {
+		out, err := sg.ApplyExact(ch)
+		applied = out.Epoch != 0
+		return out, err
+	})
+	return applied, err
 }
 
 // DigestInfo is one graph's consistent (epoch, state digest) pair — the

@@ -105,41 +105,21 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty edge batch")
 		return
 	}
-	out, err := rg.applyBatch(edgesFromJSON(req.Edges), edgesFromJSON(req.Deletes), s.now())
+	out, err := rg.applyBatch(req.Edges, req.Deletes, s.now())
 	if err != nil {
 		s.metrics.Add("mutate_errors", 1)
 		writeError(w, http.StatusBadRequest, "mutate rejected: %v", err)
 		return
 	}
 	s.recordMutateOutcome(out)
-	writeJSON(w, http.StatusOK, MutateResponse{
-		Graph:       req.Graph,
-		Epoch:       out.epoch,
-		Added:       out.applied,
-		Skipped:     out.skipped,
-		Deleted:     out.deleted,
-		Missed:      out.missed,
-		NumVertices: out.g.NumVertices(),
-		NumEdges:    out.g.NumEdges(),
-	})
+	writeJSON(w, http.StatusOK, out)
 }
 
-func edgesFromJSON(in []EdgeJSON) []graph.Edge {
-	if len(in) == 0 {
-		return nil
-	}
-	out := make([]graph.Edge, len(in))
-	for i, e := range in {
-		out[i] = graph.Edge{Src: e.Src, Dst: e.Dst, Weight: e.Weight}
-	}
-	return out
-}
-
-func (s *Server) recordMutateOutcome(out mutateOutcome) {
-	s.metrics.Add("mutate_edges_added", int64(out.applied))
-	s.metrics.Add("mutate_dedup_skipped", int64(out.skipped))
-	s.metrics.Add("mutate_delete_edges", int64(out.deleted))
-	s.metrics.Add("mutate_delete_missed", int64(out.missed))
+func (s *Server) recordMutateOutcome(out MutateResponse) {
+	s.metrics.Add("mutate_edges_added", int64(out.Added))
+	s.metrics.Add("mutate_dedup_skipped", int64(out.Skipped))
+	s.metrics.Add("mutate_delete_edges", int64(out.Deleted))
+	s.metrics.Add("mutate_delete_missed", int64(out.Missed))
 }
 
 // handleStream is the bulk-ingestion endpoint: a chunked NDJSON stream of
@@ -184,10 +164,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.recordMutateOutcome(out)
 		s.metrics.Add("stream_batches", 1)
 		resp.Batches++
-		resp.Added += out.applied
-		resp.Skipped += out.skipped
-		resp.Deleted += out.deleted
-		resp.Missed += out.missed
+		resp.Added += out.Added
+		resp.Skipped += out.Skipped
+		resp.Deleted += out.Deleted
+		resp.Missed += out.Missed
 		ins, dels = ins[:0], dels[:0]
 		return nil
 	}
@@ -374,39 +354,31 @@ func (s *Server) joinOrLead(series string, epoch uint64, rg *residentGraph, g gr
 	return f, true, nil
 }
 
-// compute runs one query computation: pick a warm start if a prior
-// epoch's fixed point is cached and the mutation history still covers the
-// gap — correction seeding for insert-only gaps ("warm"), dependency-cone
-// re-initialization when deletions are involved ("cone", degrading to a
-// cold replay past Config.MaxConeFraction) — then execute on the chosen
+// modeCounter names the counter each restart mode bumps.
+var modeCounter = map[stream.Mode]string{
+	stream.Warm: "query_warm_starts",
+	stream.Cone: "stream_cone_starts",
+	stream.Cold: "query_cold_solves",
+}
+
+// compute runs one query computation: when a prior epoch's fixed point is
+// cached and the mutation history still covers the gap, stream.Restart
+// picks the warm start (it runs here on immutable snapshots, outside the
+// graph's write lock); otherwise solve cold. Then execute on the chosen
 // engine under ctx.
 func (s *Server) compute(ctx context.Context, rg *residentGraph, g graph.Adjacency, epoch uint64, alg algorithms.Algorithm, series, engine string) (*cachedResult, error) {
 	if s.testComputeStall != nil {
 		s.testComputeStall(ctx)
 	}
 	start := time.Now()
-	mode := "cold"
-	runAlg := alg
-	if prior, priorEpoch, ok := s.cache.latestBefore(series, epoch); ok {
-		if base, added, removed, ok := rg.warmPath(priorEpoch, epoch); ok {
-			if len(removed) == 0 {
-				if seeder, ok := alg.(algorithms.InsertionSeeder); ok {
-					state := append([]float64(nil), prior.Values...)
-					seeds := seeder.SeedInsertions(base, added, state)
-					runAlg = algorithms.WarmStart(alg, state, seeds)
-					mode = "warm"
-				}
-			} else if csr, isCSR := g.(*graph.CSR); isCSR {
-				// warmPath only succeeds for mutable residents, whose view
-				// is always a *CSR; out-of-core stores never reach here.
-				if plan, err := stream.PlanRestart(alg, csr, added, removed, prior.Values, s.cfg.MaxConeFraction); err == nil {
-					if plan.Replay {
-						s.metrics.Add("stream_replay_fallbacks", 1)
-					} else {
-						runAlg = algorithms.WarmStart(alg, plan.State, plan.Seeds)
-						mode = "cone"
-					}
-				}
+	mode := stream.Cold
+	// Only mutable residents have a history, and their view is a *CSR.
+	csr, mutable := g.(*graph.CSR)
+	if prior, priorEpoch, ok := s.cache.latestBefore(series, epoch); ok && mutable {
+		if base, added, removed, ok := rg.since(priorEpoch, epoch); ok {
+			alg, mode = stream.Restart(alg, base, csr, added, removed, prior.Values, s.cfg.MaxConeFraction)
+			if mode == stream.Cold && len(removed) > 0 {
+				s.metrics.Add("stream_replay_fallbacks", 1)
 			}
 		}
 	}
@@ -415,25 +387,18 @@ func (s *Server) compute(ctx context.Context, rg *residentGraph, g graph.Adjacen
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	res, err := eng.SolveCtx(ctx, g, runAlg)
+	res, err := eng.SolveCtx(ctx, g, alg)
 	if err != nil {
 		return nil, err
 	}
 	values, activations := res.Values, res.Activations
 	elapsed := time.Since(start)
 	s.metrics.Observe("compute_latency_us", elapsed.Microseconds())
-	switch mode {
-	case "warm":
-		s.metrics.Add("query_warm_starts", 1)
-	case "cone":
-		s.metrics.Add("stream_cone_starts", 1)
-	default:
-		s.metrics.Add("query_cold_solves", 1)
-	}
+	s.metrics.Add(modeCounter[mode], 1)
 	return &cachedResult{
 		Values:      values,
 		Epoch:       epoch,
-		Mode:        mode,
+		Mode:        string(mode),
 		Activations: activations,
 		ComputeSecs: elapsed.Seconds(),
 	}, nil

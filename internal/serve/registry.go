@@ -98,48 +98,21 @@ func loadSource(spec GraphSpec, cache *gen.Cache) (*graph.CSR, error) {
 	return graph.ReadEdgeList(br, 0)
 }
 
-// mutation records one applied edge-set change: the graph it was applied
-// to (epoch-1), the edges it added, and the edges it removed (user
-// deletes and window expirations alike). The bounded per-graph history of
-// these is what lets a query warm-start from a fixed point converged
-// several epochs ago.
-type mutation struct {
-	epoch   uint64 // epoch after applying the batch
-	base    *graph.CSR
-	added   []graph.Edge
-	removed []graph.Edge
-}
-
-// mutateOutcome reports one applied batch: the resulting version and the
-// per-edge accounting /v1/mutate and /v1/stream answer with.
-type mutateOutcome struct {
-	epoch   uint64
-	g       *graph.CSR
-	applied int // edges inserted (after in-batch deduplication)
-	skipped int // in-batch duplicate insertions dropped
-	deleted int // live edges removed by delete ops
-	missed  int // delete ops that matched no live edge
-}
-
-// residentGraph is one registry entry: the current immutable CSR, its
-// epoch, the timestamped live-edge log behind it, and a bounded mutation
-// history. Snapshots are consistent (graph, epoch) pairs; mutations
-// serialize on the write lock.
+// residentGraph is one registry entry: a stream.Graph (log, CSR, epoch,
+// mutation history) behind a lock, or a read-only out-of-core store.
+// Snapshots are consistent (graph, epoch) pairs; mutations serialize on
+// the write lock.
 type residentGraph struct {
-	name    string
-	histMax int
-	window  time.Duration
+	name   string
+	window time.Duration
 
-	// store is set instead of g for out-of-core graphpack residents: a
+	// store is set instead of sg for out-of-core graphpack residents: a
 	// lazily-decoded read-only slice store pinned at epoch 0. Exactly one of
-	// store and g is non-nil.
+	// store and sg is non-nil.
 	store *ooc.Store
 
-	mu      sync.RWMutex
-	g       *graph.CSR
-	epoch   uint64
-	history []mutation
-	log     *stream.Log
+	mu sync.RWMutex
+	sg *stream.Graph
 	// hook, when non-nil, observes every applied mutation epoch while the
 	// write lock is held (see Server.SetMutationHook) — the durability
 	// point the distributed tier's WAL appends at.
@@ -180,7 +153,7 @@ func loadResident(spec GraphSpec, cache *gen.Cache, histMax int) (*residentGraph
 			st.Close()
 			return nil, fmt.Errorf("serve: graph %q is empty", spec.Name)
 		}
-		return &residentGraph{name: spec.Name, histMax: histMax, store: st}, nil
+		return &residentGraph{name: spec.Name, store: st}, nil
 	}
 	g, err := loadSource(spec, cache)
 	if err != nil {
@@ -193,11 +166,9 @@ func loadResident(spec GraphSpec, cache *gen.Cache, histMax int) (*residentGraph
 		return nil, fmt.Errorf("serve: graph %q has a negative window", spec.Name)
 	}
 	return &residentGraph{
-		name:    spec.Name,
-		histMax: histMax,
-		window:  spec.Window,
-		g:       g,
-		log:     stream.NewLog(g.Edges()),
+		name:   spec.Name,
+		window: spec.Window,
+		sg:     stream.NewGraph(g, histMax),
 	}, nil
 }
 
@@ -207,7 +178,10 @@ func loadResident(spec GraphSpec, cache *gen.Cache, histMax int) (*residentGraph
 func (r *residentGraph) snapshot() (*graph.CSR, uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.g, r.epoch
+	if r.sg == nil {
+		return nil, 0
+	}
+	return r.sg.CSR(), r.sg.Epoch()
 }
 
 // view returns the graph to compute on and its epoch: the out-of-core store
@@ -228,15 +202,10 @@ func (r *residentGraph) readOnlyErr() error {
 
 // info summarizes the entry for /v1/graphs.
 func (r *residentGraph) info() GraphInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var g graph.Adjacency = r.g
-	if r.store != nil {
-		g = r.store
-	}
+	g, epoch := r.view()
 	return GraphInfo{
 		Name:        r.name,
-		Epoch:       r.epoch,
+		Epoch:       epoch,
 		NumVertices: g.NumVertices(),
 		NumEdges:    g.NumEdges(),
 		Weighted:    g.Weighted(),
@@ -244,184 +213,51 @@ func (r *residentGraph) info() GraphInfo {
 	}
 }
 
-// applyBatch applies one mutation epoch: insert ins (deduplicated within
-// the batch, timestamped now), then delete every live edge matching a
-// (Src, Dst) pair in dels — so a batch that inserts and deletes the same
-// edge nets to a delete. The vertex set is fixed: edges referencing
-// unknown vertices reject the whole batch. A batch with no effect
-// (all-duplicate inserts, all-miss deletes) returns the current version
-// unchanged without burning an epoch.
-func (r *residentGraph) applyBatch(ins, dels []graph.Edge, now time.Time) (mutateOutcome, error) {
+// write runs one epoch-advancing stream.Graph call under the write lock
+// and fires the mutation hook with the Change it returns — the single
+// point every such path (live batch, window expiry, logged-record replay,
+// snapshot adoption) goes through. Out-of-core residents reject.
+func (r *residentGraph) write(fn func(*stream.Graph) (stream.Change, error)) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.g == nil {
-		return mutateOutcome{}, r.readOnlyErr()
+	if r.sg == nil {
+		return r.readOnlyErr()
 	}
-	n := r.g.NumVertices()
-	for _, e := range ins {
-		if int(e.Src) >= n || int(e.Dst) >= n {
-			return mutateOutcome{}, fmt.Errorf("edge %d->%d outside vertex set (n=%d)", e.Src, e.Dst, n)
-		}
+	ch, err := fn(r.sg)
+	if err == nil && ch.Epoch != 0 && r.hook != nil {
+		r.hook(r.name, ch)
 	}
-	for _, e := range dels {
-		if int(e.Src) >= n || int(e.Dst) >= n {
-			return mutateOutcome{}, fmt.Errorf("delete %d->%d outside vertex set (n=%d)", e.Src, e.Dst, n)
-		}
-	}
-	applied, skipped := dedupEdges(stream.NormalizeWeights(ins, r.g.Weighted()))
-	r.log.Append(applied, now)
-	removed, missed := r.log.Remove(dels)
-	out := mutateOutcome{
-		applied: len(applied),
-		skipped: skipped,
-		deleted: len(removed),
-		missed:  missed,
-	}
-	if len(applied) == 0 && len(removed) == 0 {
-		out.epoch, out.g = r.epoch, r.g
-		return out, nil
-	}
-	if err := r.rebuildLocked(applied, removed, now); err != nil {
-		return mutateOutcome{}, err
-	}
-	out.epoch, out.g = r.epoch, r.g
-	return out, nil
+	return err
 }
 
-// expire ages out timestamped edges older than the graph's window and
-// returns how many were removed (0 when the graph is not windowed or
-// nothing aged out).
-func (r *residentGraph) expire(now time.Time) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.window <= 0 || r.g == nil {
-		return 0, nil
-	}
-	removed := r.log.Expire(now, r.window)
-	if len(removed) == 0 {
-		return 0, nil
-	}
-	if err := r.rebuildLocked(nil, removed, now); err != nil {
-		return 0, err
-	}
-	return len(removed), nil
-}
-
-// rebuildLocked materializes the log into a fresh CSR, bumps the epoch,
-// records the (added, removed) change in the bounded history, and fires
-// the mutation hook — the single point every epoch-advancing path (live
-// mutation, window expiry, WAL replay) goes through. Callers hold the
-// write lock and have already updated the log.
-func (r *residentGraph) rebuildLocked(added, removed []graph.Edge, at time.Time) error {
-	ng, err := graph.FromEdges(r.g.NumVertices(), r.log.Edges(), r.g.Weighted())
-	if err != nil {
-		return err
-	}
-	added = append([]graph.Edge(nil), added...)
-	removed = append([]graph.Edge(nil), removed...)
-	r.history = append(r.history, mutation{
-		epoch:   r.epoch + 1,
-		base:    r.g,
-		added:   added,
-		removed: removed,
+// applyBatch applies one mutation epoch (stream.Graph.Apply) at time now
+// and reports the resulting version with the per-edge accounting.
+func (r *residentGraph) applyBatch(ins, dels []graph.Edge, now time.Time) (out MutateResponse, err error) {
+	err = r.write(func(sg *stream.Graph) (stream.Change, error) {
+		ch, skipped, missed, err := sg.Apply(ins, dels, now)
+		out = MutateResponse{
+			Graph:       r.name,
+			Epoch:       sg.Epoch(),
+			Added:       len(ch.Added),
+			Skipped:     skipped,
+			Deleted:     len(ch.Removed),
+			Missed:      missed,
+			NumVertices: sg.CSR().NumVertices(),
+			NumEdges:    sg.CSR().NumEdges(),
+		}
+		return ch, err
 	})
-	if len(r.history) > r.histMax {
-		r.history = r.history[len(r.history)-r.histMax:]
-	}
-	r.g = ng
-	r.epoch++
-	if r.hook != nil {
-		r.hook(MutationRecord{
-			Graph:   r.name,
-			Epoch:   r.epoch,
-			Time:    at,
-			Added:   added,
-			Removed: removed,
-		})
-	}
-	return nil
+	return out, err
 }
 
-// applyReplay applies one logged mutation record (see Server.ApplyReplay):
-// skip at-or-below the resident epoch, apply at exactly epoch+1, fail on a
-// gap. Replay uses exact-multiset removal (stream.Log.RemoveExact) rather
-// than the endpoint-matching removal of live deletes: the record already
-// names the edges that were removed, and removing by endpoint could take
-// out extra edges that share endpoints with an expired one.
-func (r *residentGraph) applyReplay(rec MutationRecord) (bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.g == nil {
-		return false, r.readOnlyErr()
-	}
-	if rec.Epoch <= r.epoch {
-		return false, nil
-	}
-	if rec.Epoch != r.epoch+1 {
-		return false, fmt.Errorf("%w: record epoch %d, resident epoch %d",
-			ErrReplayGap, rec.Epoch, r.epoch)
-	}
-	n := r.g.NumVertices()
-	for _, e := range rec.Added {
-		if int(e.Src) >= n || int(e.Dst) >= n {
-			return false, fmt.Errorf("serve: replay edge %d->%d outside vertex set (n=%d)", e.Src, e.Dst, n)
-		}
-	}
-	r.log.Append(stream.NormalizeWeights(rec.Added, r.g.Weighted()), rec.Time)
-	r.log.RemoveExact(rec.Removed)
-	if err := r.rebuildLocked(rec.Added, rec.Removed, rec.Time); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// dedupEdges drops exact (Src, Dst, Weight) duplicates within one insert
-// batch, returning the edges to apply and how many were skipped.
-// Re-inserting an edge that is already live in the graph is legitimate
-// (multigraphs are supported); silently double-applying the same edge
-// from one request was not.
-func dedupEdges(ins []graph.Edge) ([]graph.Edge, int) {
-	if len(ins) == 0 {
-		return nil, 0
-	}
-	seen := make(map[graph.Edge]bool, len(ins))
-	applied := make([]graph.Edge, 0, len(ins))
-	for _, e := range ins {
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
-		applied = append(applied, e)
-	}
-	return applied, len(ins) - len(applied)
-}
-
-// warmPath returns what is needed to warm-start from a fixed point
-// converged at fromEpoch up to toEpoch: the graph as it stood at
-// fromEpoch and every edge added and removed since, in order. It fails
-// (ok=false) when the history no longer reaches back that far or when
-// toEpoch is not the current epoch (the snapshot raced past a newer
+// since is stream.Graph.Since pinned to a snapshot: it also fails when
+// toEpoch is no longer the current epoch (the snapshot raced past a newer
 // mutation — the caller cold-solves instead).
-func (r *residentGraph) warmPath(fromEpoch, toEpoch uint64) (base *graph.CSR, added, removed []graph.Edge, ok bool) {
+func (r *residentGraph) since(fromEpoch, toEpoch uint64) (base *graph.CSR, added, removed []graph.Edge, ok bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if fromEpoch >= toEpoch || toEpoch != r.epoch {
+	if r.sg == nil || r.sg.Epoch() != toEpoch {
 		return nil, nil, nil, false
 	}
-	start := -1
-	for i, m := range r.history {
-		if m.epoch == fromEpoch+1 {
-			start = i
-			break
-		}
-	}
-	if start < 0 {
-		return nil, nil, nil, false
-	}
-	base = r.history[start].base
-	for _, m := range r.history[start:] {
-		added = append(added, m.added...)
-		removed = append(removed, m.removed...)
-	}
-	return base, added, removed, true
+	return r.sg.Since(fromEpoch)
 }

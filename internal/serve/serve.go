@@ -267,7 +267,12 @@ func (s *Server) sweepWindows(now time.Time) {
 		if rg.window <= 0 {
 			continue
 		}
-		n, err := rg.expire(now)
+		n := 0
+		err := rg.write(func(sg *stream.Graph) (stream.Change, error) {
+			ch, err := sg.Expire(now, rg.window)
+			n = len(ch.Removed)
+			return ch, err
+		})
 		if err != nil {
 			s.metrics.Add("stream_errors", 1)
 			s.logf("serve: window expiry on %q: %v", name, err)

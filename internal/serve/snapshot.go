@@ -56,7 +56,7 @@ type SnapshotSeries struct {
 // ErrSnapshotStale is returned by ImportSnapshot when the snapshot's epoch
 // is older than the resident graph's — the local state is already newer,
 // so adopting the snapshot would rewind it.
-var ErrSnapshotStale = fmt.Errorf("serve: snapshot is older than resident state")
+var ErrSnapshotStale = stream.ErrStale
 
 // ExportSnapshot captures the named resident graph's current edge set,
 // epoch, and every result cached at that epoch.
@@ -130,8 +130,11 @@ func (s *Server) ImportSnapshot(snap *Snapshot) error {
 				ss.Key, len(ss.ValuesBits), snap.NumVertices)
 		}
 	}
-	if err := rg.restore(snap.NumVertices, snap.Weighted, edges, snap.Epoch); err != nil {
-		return err
+	err := rg.write(func(sg *stream.Graph) (stream.Change, error) {
+		return stream.Change{}, sg.Reset(snap.NumVertices, snap.Weighted, edges, snap.Epoch)
+	})
+	if err != nil {
+		return fmt.Errorf("serve: graph %q: %w", snap.Graph, err)
 	}
 	for _, ss := range snap.Series {
 		values := make([]float64, len(ss.ValuesBits))
@@ -146,37 +149,6 @@ func (s *Server) ImportSnapshot(snap *Snapshot) error {
 			ComputeSecs: ss.ComputeSecs,
 		})
 	}
-	return nil
-}
-
-// restore replaces the resident state with a snapshotted edge set at the
-// given epoch. It rejects shape mismatches and rewinds (epoch below the
-// current one).
-func (r *residentGraph) restore(numVertices int, weighted bool, edges []graph.Edge, epoch uint64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.g == nil {
-		return r.readOnlyErr()
-	}
-	if numVertices != r.g.NumVertices() {
-		return fmt.Errorf("serve: snapshot has %d vertices, resident graph %q has %d",
-			numVertices, r.name, r.g.NumVertices())
-	}
-	if weighted != r.g.Weighted() {
-		return fmt.Errorf("serve: snapshot weight mode %v, resident graph %q is %v",
-			weighted, r.name, r.g.Weighted())
-	}
-	if epoch < r.epoch {
-		return fmt.Errorf("%w: snapshot epoch %d, resident epoch %d", ErrSnapshotStale, epoch, r.epoch)
-	}
-	ng, err := graph.FromEdges(numVertices, edges, weighted)
-	if err != nil {
-		return fmt.Errorf("serve: rebuild from snapshot: %w", err)
-	}
-	r.g = ng
-	r.epoch = epoch
-	r.history = nil
-	r.log = stream.NewLog(edges)
 	return nil
 }
 

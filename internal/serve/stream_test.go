@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/conformance"
 	"graphpulse/internal/graph"
+	"graphpulse/internal/stream"
 )
 
 // sparseGraph is a 200-vertex graph with a known, tiny edge set, so
@@ -327,7 +329,8 @@ func TestWindowExpiry(t *testing.T) {
 		c.WindowTick = time.Hour // keep the background ticker out of the test
 	})
 	rg := s.graphs["g"]
-	base := rg.g.NumEdges()
+	g0, _ := rg.snapshot()
+	base := g0.NumEdges()
 	t0 := time.Unix(1_000_000, 0)
 
 	ins := []graph.Edge{{Src: 0, Dst: 50, Weight: 1}, {Src: 1, Dst: 51, Weight: 1}}
@@ -377,5 +380,86 @@ func TestWindowExpiry(t *testing.T) {
 	resp.Body.Close()
 	if len(infos) != 1 || infos[0].WindowSecs != 60 {
 		t.Fatalf("inventory window: %+v, want window_secs=60", infos)
+	}
+}
+
+// TestQueryModeIsStreamRestart drives insert / delete / expire epochs
+// through /v1/mutate and the window sweep, querying across gaps of one,
+// two and (past the history) three epochs, and checks the HTTP mode is
+// exactly what stream.Restart decides for the same change on a mirror
+// stream.Graph — the serving path and the harness path are one function.
+func TestQueryModeIsStreamRestart(t *testing.T) {
+	const histMax = 2
+	s, ts := newTestServer(t, func(c *Config) {
+		c.Graphs[0].Graph = sparseGraph(t)
+		c.Graphs[0].Window = time.Minute
+		c.WindowTick = time.Hour // keep the background ticker out of the test
+		c.MutationHistory = histMax
+	})
+	mirror := stream.NewGraph(sparseGraph(t), histMax)
+	mk := func() algorithms.Algorithm { return algorithms.NewSSSP(10) }
+	root := uint32(10)
+
+	mutate := func(ins, dels []graph.Edge) {
+		t.Helper()
+		code, body, _ := postJSON(t, ts.URL+"/v1/mutate", MutateRequest{Graph: "g", Edges: ins, Deletes: dels})
+		if code != http.StatusOK {
+			t.Fatalf("mutate: HTTP %d: %s", code, body)
+		}
+		if _, _, _, err := mirror.Apply(ins, dels, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// query checks one /v1/query against the mirror: the mode Restart picks
+	// for the gap since the previous query, and the cold oracle's values.
+	prevEpoch, prevState := uint64(0), []float64(nil)
+	seen := map[stream.Mode]bool{}
+	query := func(label string) {
+		t.Helper()
+		want := stream.Cold
+		if base, added, removed, ok := mirror.Since(prevEpoch); ok && prevState != nil {
+			_, want = stream.Restart(mk(), base, mirror.CSR(), added, removed, prevState, s.cfg.MaxConeFraction)
+		}
+		resp := doQuery(t, ts.URL, QueryRequest{Graph: "g", Algorithm: "sssp", Root: &root})
+		if resp.Epoch != mirror.Epoch() {
+			t.Fatalf("%s: served epoch %d, mirror epoch %d", label, resp.Epoch, mirror.Epoch())
+		}
+		if resp.Mode != string(want) {
+			t.Errorf("%s: HTTP mode %q, stream.Restart says %q", label, resp.Mode, want)
+		}
+		seen[want] = true
+		prevEpoch, prevState = mirror.Epoch(), algorithms.Solve(mirror.CSR(), mk()).Values
+		sum := 0.0
+		for _, v := range prevState {
+			if !math.IsInf(v, 0) {
+				sum += v
+			}
+		}
+		if resp.Sum != sum {
+			t.Errorf("%s: sum %g, cold oracle %g", label, resp.Sum, sum)
+		}
+	}
+
+	query("base")
+	mutate([]graph.Edge{{Src: 12, Dst: 13, Weight: 1}}, nil)
+	query("gap 1, insert-only")
+	mutate([]graph.Edge{{Src: 13, Dst: 14, Weight: 1}}, nil)
+	mutate(nil, []graph.Edge{{Src: 12, Dst: 13}})
+	query("gap 2, insert then delete")
+	mutate([]graph.Edge{{Src: 10, Dst: 20, Weight: 1}}, nil)
+	mutate([]graph.Edge{{Src: 20, Dst: 21, Weight: 1}}, nil)
+	mutate([]graph.Edge{{Src: 21, Dst: 22, Weight: 1}}, nil)
+	query("gap 3, past the history")
+	far := time.Now().Add(time.Hour)
+	s.sweepWindows(far)
+	if ch, err := mirror.Expire(far, time.Minute); err != nil || len(ch.Removed) != 4 {
+		t.Fatalf("mirror expiry removed %d edges (err %v), want the 4 live inserts", len(ch.Removed), err)
+	}
+	query("gap 1, window expiry")
+
+	for _, m := range []stream.Mode{stream.Warm, stream.Cone, stream.Cold} {
+		if !seen[m] {
+			t.Errorf("script never exercised mode %q", m)
+		}
 	}
 }

@@ -17,7 +17,8 @@
 //
 // Faults are a pure function of (Config.Seed, interposition point, call
 // sequence number): each Point keeps its own call counter, and every
-// decision hashes (seed, point, counter) through a splitmix64 finalizer.
+// decision hashes (seed, point, counter) through a splitmix64 finalizer
+// (internal/seeded, the stream the serving-tier chaos proxy shares).
 // Because the simulators are themselves deterministic, the k-th decision at
 // a point happens at the same cycle in every run, so two runs with the same
 // seed and rates are bit-identical — including which events are dropped and
@@ -35,6 +36,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"graphpulse/internal/seeded"
 )
 
 // Point identifies one interposition point. Each point draws from its own
@@ -163,66 +166,35 @@ var specKeys = []string{"drop", "dup", "reorder", "bitflip", "dram", "spill", "l
 // zero Config.
 func ParseSpec(spec string) (Config, error) {
 	var c Config
-	if strings.TrimSpace(spec) == "" {
-		return c, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return c, fmt.Errorf("fault: spec term %q is not key=value", part)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		switch key {
-		case "seed":
-			s, err := strconv.ParseUint(val, 0, 64)
-			if err != nil {
-				return c, fmt.Errorf("fault: bad seed %q: %v", val, err)
-			}
-			c.Seed = s
-			continue
-		case "degrade":
+	err := seeded.ParseSpec("fault", spec, &c.Seed, func(key, val string) error {
+		if key == "degrade" {
 			d, err := strconv.ParseUint(val, 0, 64)
 			if err != nil {
-				return c, fmt.Errorf("fault: bad degrade factor %q: %v", val, err)
+				return fmt.Errorf("fault: bad degrade factor %q: %v", val, err)
 			}
 			c.DegradeFactor = d
-			continue
+			return nil
+		}
+		field := map[string]*float64{
+			"drop": &c.DropRate, "dup": &c.DuplicateRate, "reorder": &c.ReorderRate,
+			"bitflip": &c.BitFlipRate, "dram": &c.DRAMFaultRate, "spill": &c.SpillLossRate,
+			"linkkill": &c.LinkKillRate, "linkdegrade": &c.LinkDegradeRate,
+		}[key]
+		if field == nil {
+			return fmt.Errorf("fault: unknown spec key %q (want %s, seed, degrade)",
+				key, strings.Join(specKeys, ", "))
 		}
 		r, err := strconv.ParseFloat(val, 64)
 		if err != nil {
-			return c, fmt.Errorf("fault: bad rate %q for %q: %v", val, key, err)
+			return fmt.Errorf("fault: bad rate %q for %q: %v", val, key, err)
 		}
-		switch key {
-		case "drop":
-			c.DropRate = r
-		case "dup":
-			c.DuplicateRate = r
-		case "reorder":
-			c.ReorderRate = r
-		case "bitflip":
-			c.BitFlipRate = r
-		case "dram":
-			c.DRAMFaultRate = r
-		case "spill":
-			c.SpillLossRate = r
-		case "linkkill":
-			c.LinkKillRate = r
-		case "linkdegrade":
-			c.LinkDegradeRate = r
-		default:
-			return c, fmt.Errorf("fault: unknown spec key %q (want %s, seed, degrade)",
-				key, strings.Join(specKeys, ", "))
-		}
-	}
-	if err := c.Validate(); err != nil {
+		*field = r
+		return nil
+	})
+	if err != nil {
 		return c, err
 	}
-	return c, nil
+	return c, c.Validate()
 }
 
 // Injector draws deterministic fault decisions. The nil *Injector is the
@@ -230,7 +202,7 @@ func ParseSpec(spec string) (Config, error) {
 type Injector struct {
 	cfg    Config
 	rates  [numPoints]float64
-	seq    [numPoints]uint64
+	draws  seeded.Stream
 	counts [numPoints]int64
 }
 
@@ -244,26 +216,7 @@ func New(cfg Config) *Injector {
 	if !cfg.Enabled() {
 		return nil
 	}
-	return &Injector{cfg: cfg, rates: cfg.rates()}
-}
-
-// splitmix64 is the SplitMix64 finalizer: a bijective avalanche over uint64,
-// the standard seed-expansion hash (Steele et al., "Fast Splittable
-// Pseudorandom Number Generators").
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// draw returns the next uniform value in [0,1) for point p, advancing p's
-// stream.
-func (in *Injector) draw(p Point) float64 {
-	u := splitmix64(in.cfg.Seed ^ uint64(p)<<56 ^ in.seq[p])
-	in.seq[p]++
-	// 53 high bits → uniform float64 in [0,1).
-	return float64(u>>11) / (1 << 53)
+	return &Injector{cfg: cfg, rates: cfg.rates(), draws: seeded.New(cfg.Seed, int(numPoints))}
 }
 
 // Decide reports whether the next opportunity at point p faults. Nil-safe;
@@ -272,7 +225,7 @@ func (in *Injector) Decide(p Point) bool {
 	if in == nil || in.rates[p] == 0 {
 		return false
 	}
-	if in.draw(p) >= in.rates[p] {
+	if in.draws.Uniform(int(p)) >= in.rates[p] {
 		return false
 	}
 	in.counts[p]++
@@ -286,14 +239,7 @@ func (in *Injector) Pick(p Point, n int) int {
 	if in == nil || n <= 1 {
 		return 0
 	}
-	return int(splitmix64(in.cfg.Seed^uint64(p)<<56^0xa5a5a5a5<<8^in.next(p)) % uint64(n))
-}
-
-// next advances and returns point p's sequence counter.
-func (in *Injector) next(p Point) uint64 {
-	s := in.seq[p]
-	in.seq[p]++
-	return s
+	return int(seeded.Mix(in.cfg.Seed^uint64(p)<<56^0xa5a5a5a5<<8^in.draws.Next(int(p))) % uint64(n))
 }
 
 // CorruptFloat flips one of the low 52 (mantissa) bits of v, modeling a
@@ -307,7 +253,7 @@ func (in *Injector) CorruptFloat(v float64) float64 {
 	if in == nil {
 		return v
 	}
-	bit := uint(in.next(PointVertexBitFlip) % 52)
+	bit := uint(in.draws.Next(int(PointVertexBitFlip)) % 52)
 	if math.IsInf(v, 0) || math.IsNaN(v) {
 		return v
 	}

@@ -136,13 +136,13 @@ func (l *Log) Edges() []graph.Edge {
 	return out
 }
 
-// NormalizeWeights reconciles an insertion batch with the graph's weight
+// normalizeWeights reconciles an insertion batch with the graph's weight
 // mode: materializing an unweighted CSR drops edge weights (every edge
 // costs 1), so warm-start seeding must see weight 1 too, or the seeded
 // corrections diverge from the graph the solver actually runs on. Returns
 // batch unchanged for weighted graphs; otherwise a copy with unit
 // weights.
-func NormalizeWeights(batch []graph.Edge, weighted bool) []graph.Edge {
+func normalizeWeights(batch []graph.Edge, weighted bool) []graph.Edge {
 	if weighted || len(batch) == 0 {
 		return batch
 	}

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"testing"
-	"time"
 
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/graph"
@@ -158,62 +157,5 @@ func TestPlanRestartRejectsBadInput(t *testing.T) {
 	if _, err := PlanRestart(algorithms.NewSSSP(0), g, nil,
 		[]graph.Edge{{Src: 9, Dst: 0}}, make([]float64, 3), 0); err == nil {
 		t.Fatal("out-of-range edge accepted")
-	}
-}
-
-func TestReplayerSequenceMatchesColdOracle(t *testing.T) {
-	base := mustGraph(t, 8, []graph.Edge{
-		{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 2},
-		{Src: 0, Dst: 3, Weight: 4}, {Src: 3, Dst: 4, Weight: 1},
-	})
-	mk := func() algorithms.Algorithm { return algorithms.NewSSSP(0) }
-	solve := func(g *graph.CSR, alg algorithms.Algorithm) ([]float64, error) {
-		return algorithms.Solve(g, alg).Values, nil
-	}
-	r := NewReplayer(base, mk, solve, 0.9)
-
-	steps := []struct {
-		name string
-		run  func() error
-	}{
-		{"insert shortcut", func() error {
-			return r.Apply([]graph.Edge{{Src: 2, Dst: 4, Weight: 0.5}}, nil, time.Unix(1, 0))
-		}},
-		{"delete shortcut", func() error {
-			return r.Apply(nil, []graph.Edge{{Src: 2, Dst: 4}}, time.Unix(2, 0))
-		}},
-		{"insert two, delete base edge", func() error {
-			return r.Apply(
-				[]graph.Edge{{Src: 4, Dst: 5, Weight: 1}, {Src: 5, Dst: 6, Weight: 1}},
-				[]graph.Edge{{Src: 0, Dst: 3}}, time.Unix(3, 0))
-		}},
-	}
-	for _, step := range steps {
-		if err := step.run(); err != nil {
-			t.Fatalf("%s: %v", step.name, err)
-		}
-		got, err := r.State()
-		if err != nil {
-			t.Fatal(err)
-		}
-		exactMatch(t, step.name, got, algorithms.Solve(r.Graph(), mk()).Values)
-	}
-
-	// Window expiry: the timestamped inserts age out, the base edges stay.
-	n, err := r.Expire(time.Unix(100, 0), 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("expired %d edges, want the 2 surviving timestamped inserts", n)
-	}
-	got, err := r.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactMatch(t, "after expiry", got, algorithms.Solve(r.Graph(), mk()).Values)
-	if r.ConeStarts == 0 || r.SeedStarts == 0 {
-		t.Fatalf("mode counters: seed=%d cone=%d replay=%d — expected both warm paths exercised",
-			r.SeedStarts, r.ConeStarts, r.Replays)
 	}
 }

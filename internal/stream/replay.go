@@ -13,12 +13,11 @@ import (
 type SolveFunc func(g *graph.CSR, alg algorithms.Algorithm) ([]float64, error)
 
 // Replayer drives one (algorithm, engine) pair through a mutation
-// sequence the way the serving tier does: after every epoch it holds the
-// warm-continued state, chosen per mutation the same way serve's compute
-// path chooses it — insertion seeding when the epoch only added edges,
-// the deletion cone when anything was removed, full replay when the cone
-// is too large. Differential tests compare State() against a cold solve
-// of Graph() after every epoch.
+// sequence on the serving tier's own state machine: a Graph applies each
+// batch, and the state converged at the previous epoch is carried forward
+// by Since + Restart, exactly as a query after a mutation is. Differential
+// tests compare State() against a cold solve of Graph() after every
+// epoch.
 //
 // A Replayer is single-writer and not concurrency-safe.
 type Replayer struct {
@@ -26,62 +25,53 @@ type Replayer struct {
 	solve       SolveFunc
 	maxConeFrac float64
 
-	log      *Log
-	g        *graph.CSR
-	weighted bool
-	state    []float64
+	g     *Graph
+	state []float64
 
-	// Epoch counts applied mutations (0 = the base graph).
+	// Epoch is the graph epoch State() is converged at (0 = the base
+	// graph).
 	Epoch uint64
-	// SeedStarts, ConeStarts, Replays count how each epoch re-converged;
-	// LastMode names the most recent choice ("cold", "seed", "cone",
-	// "replay").
+	// SeedStarts, ConeStarts, Replays count the epochs re-converged by
+	// insertion seeding, by the deletion cone, and from scratch; LastMode
+	// names the most recent choice.
 	SeedStarts, ConeStarts, Replays int
-	LastMode                        string
+	LastMode                        Mode
 }
 
 // NewReplayer builds a Replayer over base. maxConeFrac ≤ 0 selects
 // DefaultMaxConeFraction. The base edges are permanent: window expiry
 // never removes them (user deletes do).
 func NewReplayer(base *graph.CSR, mk func() algorithms.Algorithm, solve SolveFunc, maxConeFrac float64) *Replayer {
-	return &Replayer{
-		mk:          mk,
-		solve:       solve,
-		maxConeFrac: maxConeFrac,
-		log:         NewLog(base.Edges()),
-		g:           base,
-		weighted:    base.Weighted(),
-	}
+	return &Replayer{mk: mk, solve: solve, maxConeFrac: maxConeFrac, g: NewGraph(base, 1)}
 }
 
 // Graph returns the current materialized graph.
-func (r *Replayer) Graph() *graph.CSR { return r.g }
+func (r *Replayer) Graph() *graph.CSR { return r.g.CSR() }
 
 // State returns the converged per-vertex values for the current epoch,
 // cold-solving lazily on first use. Callers must not modify the slice.
 func (r *Replayer) State() ([]float64, error) {
 	if r.state == nil {
-		vals, err := r.solve(r.g, r.mk())
+		vals, err := r.solve(r.g.CSR(), r.mk())
 		if err != nil {
 			return nil, err
 		}
-		r.state = vals
-		r.LastMode = "cold"
+		r.state, r.LastMode = vals, Cold
 	}
 	return r.state, nil
 }
 
-// Apply ingests one mutation epoch: insert ins (timestamped at), then
-// delete every live edge matching a (Src, Dst) pair in dels, rebuild the
-// graph, and re-converge through the warm path.
+// Apply ingests one mutation epoch (see Graph.Apply) and re-converges. A
+// rejected batch changes nothing; a batch with no effect burns no epoch.
 func (r *Replayer) Apply(ins, dels []graph.Edge, at time.Time) error {
 	if _, err := r.State(); err != nil {
 		return err
 	}
-	ins = NormalizeWeights(ins, r.weighted)
-	r.log.Append(ins, at)
-	removed, _ := r.log.Remove(dels)
-	return r.reconverge(ins, removed)
+	ch, _, _, err := r.g.Apply(ins, dels, at)
+	if err != nil {
+		return err
+	}
+	return r.reconverge(ch)
 }
 
 // Expire removes every timestamped edge older than horizon at time now
@@ -91,52 +81,35 @@ func (r *Replayer) Expire(now time.Time, horizon time.Duration) (int, error) {
 	if _, err := r.State(); err != nil {
 		return 0, err
 	}
-	removed := r.log.Expire(now, horizon)
-	if len(removed) == 0 {
-		return 0, nil
+	ch, err := r.g.Expire(now, horizon)
+	if err != nil {
+		return 0, err
 	}
-	return len(removed), r.reconverge(nil, removed)
+	return len(ch.Removed), r.reconverge(ch)
 }
 
-// reconverge rebuilds the graph from the log and warm-continues the state
-// across the (added, removed) change.
-func (r *Replayer) reconverge(added, removed []graph.Edge) error {
-	old := r.g
-	ng, err := graph.FromEdges(old.NumVertices(), r.log.Edges(), r.weighted)
+// reconverge carries the state from r.Epoch to the graph's epoch after
+// ch (the zero Change: nothing to do).
+func (r *Replayer) reconverge(ch Change) error {
+	if ch.Epoch == 0 {
+		return nil
+	}
+	alg, mode := r.mk(), Cold
+	if base, added, removed, ok := r.g.Since(r.Epoch); ok {
+		alg, mode = Restart(alg, base, r.g.CSR(), added, removed, r.state, r.maxConeFrac)
+	}
+	vals, err := r.solve(r.g.CSR(), alg)
 	if err != nil {
 		return err
 	}
-	alg := r.mk()
-	var runAlg algorithms.Algorithm
-	if len(removed) == 0 {
-		if seeder, ok := alg.(algorithms.InsertionSeeder); ok {
-			warm := append([]float64(nil), r.state...)
-			seeds := seeder.SeedInsertions(old, added, warm)
-			runAlg = algorithms.WarmStart(alg, warm, seeds)
-			r.SeedStarts++
-			r.LastMode = "seed"
-		}
+	r.state, r.Epoch, r.LastMode = vals, ch.Epoch, mode
+	switch mode {
+	case Warm:
+		r.SeedStarts++
+	case Cone:
+		r.ConeStarts++
+	default:
+		r.Replays++
 	}
-	if runAlg == nil {
-		plan, err := PlanRestart(alg, ng, added, removed, r.state, r.maxConeFrac)
-		if err != nil {
-			return err
-		}
-		if plan.Replay {
-			runAlg = alg
-			r.Replays++
-			r.LastMode = "replay"
-		} else {
-			runAlg = algorithms.WarmStart(alg, plan.State, plan.Seeds)
-			r.ConeStarts++
-			r.LastMode = "cone"
-		}
-	}
-	vals, err := r.solve(ng, runAlg)
-	if err != nil {
-		return err
-	}
-	r.g, r.state = ng, vals
-	r.Epoch++
 	return nil
 }

@@ -17,16 +17,25 @@
 // cone covers most of the graph the selective restart buys nothing, so
 // the plan degrades to a full replay (cold solve) instead.
 //
-// The three pieces:
+// The pieces:
 //
-//   - PlanRestart — the cone planner: (algorithm, new graph, added,
-//     removed, converged state) → warm state + seed events, or a replay
-//     decision.
-//   - Log — a timestamped edge log implementing the sliding-window graph
-//     mode: edges carry ingest times and expire by age; expirations feed
-//     the same deletion path.
-//   - Replayer — a single-writer harness that drives one (algorithm,
-//     engine) pair through a mutation sequence the way an online server
-//     would, exposing the warm state after every epoch so differential
-//     tests can hold it against a cold-solve oracle.
+//   - Graph — the versioned mutable graph: Log + current CSR + epoch +
+//     bounded change history. Apply (validate → normalise weights →
+//     in-batch de-dup → append/remove → rebuild), Expire, ApplyExact
+//     (logged-record replay) and Reset (snapshot adoption) are the only
+//     ways its epoch moves; each returns the Change record that mutation
+//     hooks, the write-ahead log and replica repair carry unchanged.
+//     Since(epoch) hands back what changed after an older epoch.
+//   - Restart — the one warm-restart decision: insertion seeding, the
+//     PlanRestart cone, or a cold solve. PlanRestart is the cone planner
+//     under it: (algorithm, new graph, added, removed, converged state) →
+//     warm state + seed events, or a replay decision.
+//   - Log — the timestamped edge log implementing the sliding-window
+//     graph mode: edges carry ingest times and expire by age; expirations
+//     feed the same deletion path.
+//   - Replayer — a Graph, the last converged state and a solve function:
+//     it drives one (algorithm, engine) pair through a mutation sequence
+//     with exactly the Since + Restart calls a serving-tier query makes,
+//     so differential tests can hold every epoch against a cold-solve
+//     oracle.
 package stream
