@@ -14,7 +14,9 @@
 // size), solves the conformance algorithms on the store with the serial and
 // parallel engines, compares against the in-RAM solve, and requires at
 // least one slice eviction — proving the result came through the swapping
-// path. It exits non-zero on any divergence, so CI can gate on it.
+// path. It prints the store counters each engine spent (`solve: …`,
+// `psolve: …`) and their total, and exits non-zero on any divergence, so CI
+// can gate on both.
 package main
 
 import (
@@ -156,7 +158,15 @@ func selfCheck(path string, budget int64, frac float64) error {
 		return err
 	}
 	defer st.Close()
-	st.ResetCounters()
+
+	// Cumulative store counters per engine: the store is reset before each
+	// solve, so neither engine's traffic is charged to the other.
+	var solveC, psolveC ooc.Counters
+	spend := func(engine *ooc.Counters) {
+		addTraffic(engine, st.Counters())
+		st.ResetCounters()
+	}
+	st.ResetCounters() // drop Open's verification pass
 
 	root := conformance.BestRoot(csr)
 	for _, c := range conformance.Algorithms() {
@@ -171,6 +181,7 @@ func selfCheck(path string, budget int64, frac float64) error {
 		want := algorithms.Solve(csr, mk())
 		tol := conformance.Tolerance(mk(), csr)
 		got := algorithms.Solve(st, mk())
+		spend(&solveC)
 		if err := conformance.CompareValues("ooc solve/"+c.Name, got.Values, want.Values, tol); err != nil {
 			return err
 		}
@@ -178,12 +189,22 @@ func selfCheck(path string, budget int64, frac float64) error {
 		if err != nil {
 			return err
 		}
+		spend(&psolveC)
 		if err := conformance.CompareValues("ooc psolve/"+c.Name, pres.Values, want.Values, tol); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "check %-20s ok (solve + psolve match in-RAM within %.2g)\n", c.Name, tol)
 	}
-	c := st.Counters()
+	for _, e := range []struct {
+		name string
+		c    ooc.Counters
+	}{{"solve", solveC}, {"psolve", psolveC}} {
+		fmt.Fprintf(os.Stderr, "%s: ooc_slice_decodes=%d ooc_slice_evictions=%d ooc_hits=%d ooc_decoded_bytes=%d\n",
+			e.name, e.c.Decodes, e.c.Evictions, e.c.Hits, e.c.DecodedBytes)
+	}
+	c := st.Counters() // traffic is zero after the last reset; the residency gauges survive it
+	addTraffic(&c, solveC)
+	addTraffic(&c, psolveC)
 	fmt.Fprintf(os.Stderr, "ooc_slice_decodes=%d ooc_slice_evictions=%d ooc_hits=%d ooc_resident_bytes=%d ooc_resident_slices=%d ooc_decoded_bytes=%d\n",
 		c.Decodes, c.Evictions, c.Hits, c.ResidentBytes, c.ResidentSlices, c.DecodedBytes)
 	if budget < decodedBytes(csr) && c.Evictions == 0 {
@@ -193,6 +214,15 @@ func selfCheck(path string, budget int64, frac float64) error {
 	fmt.Fprintf(os.Stderr, "self-check passed: budget %d bytes (%.0f%% of %d decoded)\n",
 		budget, 100*float64(budget)/float64(decodedBytes(csr)), decodedBytes(csr))
 	return nil
+}
+
+// addTraffic adds c's cumulative counters (not the residency gauges) to
+// total.
+func addTraffic(total *ooc.Counters, c ooc.Counters) {
+	total.Decodes += c.Decodes
+	total.Evictions += c.Evictions
+	total.Hits += c.Hits
+	total.DecodedBytes += c.DecodedBytes
 }
 
 func fail(err error) {

@@ -24,10 +24,12 @@ type SolveResult struct {
 const ctxPollInterval = 1024
 
 // Solve runs alg to convergence with a sequential vertex-coalescing
-// worklist — the software embodiment of Algorithm 1 from the paper with a
-// FIFO queue and per-vertex coalescing. It is exact (not approximate) given
-// the algorithm's algebraic laws, and serves as the golden model that every
-// engine (accelerator, Ligra-style, Graphicionado-style) is tested against.
+// worklist — the software embodiment of Algorithm 1 from the paper with
+// per-vertex coalescing and a Worklist queue: a FIFO for in-RAM graphs, a
+// slice-by-slice sweep (Section IV-F) for out-of-core stores. It is exact
+// (not approximate) given the algorithm's algebraic laws, and serves as the
+// golden model that every engine (accelerator, Ligra-style,
+// Graphicionado-style) is tested against.
 func Solve(g graph.Adjacency, alg Algorithm) *SolveResult {
 	res, _ := SolveCtx(nil, g, alg)
 	return res
@@ -52,29 +54,19 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg Algorithm) (*SolveResu
 		state[v] = alg.InitState(graph.VertexID(v))
 		acc[v] = id
 	}
-	// Fixed-capacity ring FIFO: inList guarantees each vertex occupies at
-	// most one slot, so n slots suffice. (A `worklist = worklist[1:]` pop
-	// would pin the consumed prefix of the backing array for the whole solve
-	// and force append to grow a fresh array once the tail passes cap.)
-	ring := make([]graph.VertexID, n)
-	head, count := 0, 0
+	wl := NewWorklist(g, 0, graph.VertexID(n))
 	push := func(v graph.VertexID, d Value) {
 		acc[v] = alg.Reduce(acc[v], d)
 		if !inList[v] {
 			inList[v] = true
-			tail := head + count
-			if tail >= n {
-				tail -= n
-			}
-			ring[tail] = v
-			count++
+			wl.Push(v)
 		}
 	}
 	for _, ev := range alg.InitialEvents(g) {
 		push(ev.Vertex, ev.Delta)
 	}
 	res := &SolveResult{}
-	for count > 0 {
+	for wl.Len() > 0 {
 		if ctx != nil && res.Activations%ctxPollInterval == 0 {
 			select {
 			case <-ctx.Done():
@@ -82,11 +74,7 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg Algorithm) (*SolveResu
 			default:
 			}
 		}
-		v := ring[head]
-		if head++; head == n {
-			head = 0
-		}
-		count--
+		v := wl.Pop()
 		inList[v] = false
 		delta := acc[v]
 		acc[v] = id
@@ -97,9 +85,9 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg Algorithm) (*SolveResu
 		if !alg.Changed(old, next) {
 			continue
 		}
-		deg := g.OutDegree(v)
-		weights := g.NeighborWeights(v)
-		for i, d := range g.Neighbors(v) {
+		dst, weights := g.Row(v)
+		deg := len(dst)
+		for i, d := range dst {
 			w := float32(1)
 			if weights != nil {
 				w = weights[i]

@@ -80,6 +80,16 @@ func (g *CSR) NeighborWeights(v VertexID) []float32 {
 	return g.Weight[g.RowPtr[v]:g.RowPtr[v+1]]
 }
 
+// Row returns the out-neighbors of v and the weights parallel to them (nil
+// for unweighted graphs) in one call. Callers must not modify either slice.
+func (g *CSR) Row(v VertexID) (dst []VertexID, wt []float32) {
+	lo, hi := g.RowPtr[v], g.RowPtr[v+1]
+	if g.Weight == nil {
+		return g.Dst[lo:hi], nil
+	}
+	return g.Dst[lo:hi], g.Weight[lo:hi]
+}
+
 // EdgeWeight returns the weight of the i-th edge (index into Dst). For
 // unweighted graphs it returns 1.
 func (g *CSR) EdgeWeight(i uint64) float32 {
@@ -104,9 +114,9 @@ func (g *CSR) EdgeDst(i uint64) VertexID { return g.Dst[i] }
 // out-of-core slice store (internal/graph/ooc) satisfies it by decoding
 // compressed slices on demand.
 //
-// Neighbors and NeighborWeights return slices the caller must not modify;
-// for out-of-core stores they remain valid after the backing slice is
-// evicted (eviction drops the store's reference, the garbage collector
+// Row, Neighbors and NeighborWeights return slices the caller must not
+// modify; for out-of-core stores they remain valid after the backing slice
+// is evicted (eviction drops the store's reference, the garbage collector
 // reclaims the buffer once callers are done).
 type Adjacency interface {
 	// NumVertices returns the vertex count.
@@ -122,6 +132,10 @@ type Adjacency interface {
 	// NeighborWeights returns the weights parallel to Neighbors(v), nil for
 	// unweighted graphs.
 	NeighborWeights(v VertexID) []float32
+	// Row returns Neighbors(v) and NeighborWeights(v) in one lookup; the
+	// out-degree is len(dst). The native solvers read each activated
+	// vertex's row through this call alone.
+	Row(v VertexID) (dst []VertexID, wt []float32)
 	// EdgeOffset returns the global index of the first out-edge of v.
 	EdgeOffset(v VertexID) uint64
 	// EdgeDst returns the destination of the edge at global index i.
@@ -134,6 +148,35 @@ type Adjacency interface {
 }
 
 var _ Adjacency = (*CSR)(nil)
+
+// Sliced is implemented by graph stores whose layout has its own slice
+// boundaries (the out-of-core graphpack store): k+1 vertex ids [0 … n], one
+// residency unit per gap. The native solvers schedule their worklists by
+// these slices and the parallel solver aligns its shards to them.
+type Sliced interface {
+	SliceBoundaries() []VertexID
+}
+
+// SliceBoundaries returns g's slice boundaries when g is Sliced and the
+// list is usable — starts at 0, ends at NumVertices, strictly increasing —
+// and nil otherwise, in which case callers treat g as a single slice.
+func SliceBoundaries(g Adjacency) []VertexID {
+	sl, ok := g.(Sliced)
+	if !ok {
+		return nil
+	}
+	bounds := sl.SliceBoundaries()
+	k := len(bounds) - 1
+	if k < 1 || bounds[0] != 0 || int(bounds[k]) != g.NumVertices() {
+		return nil
+	}
+	for i := 0; i < k; i++ {
+		if bounds[i] >= bounds[i+1] {
+			return nil
+		}
+	}
+	return bounds
+}
 
 // TransposeOf builds the reverse graph of any Adjacency as an in-RAM CSR.
 // (*CSR).Transpose is the specialization; pull-direction engines handed an

@@ -113,6 +113,9 @@ func TestWeightedEdges(t *testing.T) {
 	if w := g.NeighborWeights(0); len(w) != 1 || w[0] != 0.5 {
 		t.Errorf("NeighborWeights(0) = %v", w)
 	}
+	if dst, w := g.Row(1); !reflect.DeepEqual(dst, []VertexID{2}) || !reflect.DeepEqual(w, []float32{2.5}) {
+		t.Errorf("Row(1) = %v, %v", dst, w)
+	}
 }
 
 func TestUnweightedWeightIsOne(t *testing.T) {
@@ -125,6 +128,9 @@ func TestUnweightedWeightIsOne(t *testing.T) {
 	}
 	if g.NeighborWeights(0) != nil {
 		t.Error("NeighborWeights should be nil for unweighted graph")
+	}
+	if dst, w := g.Row(0); !reflect.DeepEqual(dst, g.Neighbors(0)) || w != nil {
+		t.Errorf("Row(0) = %v, %v, want Neighbors(0) and nil weights", dst, w)
 	}
 }
 

@@ -8,6 +8,13 @@
 // engine and the serving tier can run directly off a graph ~10× larger than
 // memory: at any instant only the resident slice set is decoded.
 //
+// The Store is also a graph.Sliced: the native solvers (algorithms.SolveCtx,
+// psolve) order their worklists by its slice boundaries and sweep them
+// cyclically, so a budgeted store decodes each slice once per sweep instead
+// of once per activation, and they read each activated vertex's row with one
+// Row call — one slice search and one residency touch, which every
+// vertex-indexed accessor shares.
+//
 // Container layout (all integers little-endian):
 //
 //	header    8-byte magic "GPKPACK1", uint32 flags (bit0 = weighted),

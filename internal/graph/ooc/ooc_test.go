@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"graphpulse/internal/algorithms"
+	"graphpulse/internal/conformance"
 	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/gen"
 )
@@ -85,6 +87,10 @@ func TestStoreMatchesCSR(t *testing.T) {
 						t.Fatalf("level %d: NeighborWeights(%d)[%d]", level, v, j)
 					}
 				}
+				rd, rw := s.Row(id)
+				if !slices.Equal(rd, gn) || !slices.Equal(rw, gw) || (rw == nil) != (gw == nil) {
+					t.Fatalf("level %d: Row(%d) = %v, %v, want %v, %v", level, v, rd, rw, gn, gw)
+				}
 			}
 			for i := 0; i < g.NumEdges(); i += 7 {
 				e := uint64(i)
@@ -137,23 +143,73 @@ func TestBudgetEviction(t *testing.T) {
 	if c.Decodes == 0 || c.Hits == 0 {
 		t.Fatalf("sweep counters: %+v", c)
 	}
+	// Every row read is one residency touch: a hit or a decode, never both
+	// and never more than one.
+	s.ResetCounters()
+	for v := 0; v < g.NumVertices(); v++ {
+		s.Row(graph.VertexID(v))
+	}
+	if c = s.Counters(); c.Hits+c.Decodes != int64(g.NumVertices()) {
+		t.Fatalf("%d row reads counted %d hits + %d decodes", g.NumVertices(), c.Hits, c.Decodes)
+	}
 }
 
+// algCase returns the named conformance algorithm case.
+func algCase(t *testing.T, name string) conformance.AlgCase {
+	t.Helper()
+	c, err := conformance.AlgCaseByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// A store slices the worklist, so its schedule differs from the in-RAM
+// one: monotone results are schedule-independent and must match exactly,
+// sum-based ones within the repository tolerance (conformance/tolerance.go).
 func TestSolveOnStoreMatches(t *testing.T) {
 	g := testGraph(t, true)
 	s := pack(t, g, WriteOptions{Slices: 16}, decodedBytes(g)/4)
-	want := algorithms.Solve(g, algorithms.NewPageRankDelta())
-	got := algorithms.Solve(s, algorithms.NewPageRankDelta())
-	if len(want.Values) != len(got.Values) {
-		t.Fatal("length mismatch")
-	}
-	for v := range want.Values {
-		if want.Values[v] != got.Values[v] {
-			t.Fatalf("value[%d] = %g, want %g", v, got.Values[v], want.Values[v])
+	root := conformance.BestRoot(g)
+	for _, name := range []string{"pagerank-delta", "sssp", "connected-components"} {
+		mk := algCase(t, name).New
+		want := algorithms.Solve(g, mk(root))
+		got := algorithms.Solve(s, mk(root))
+		if err := conformance.CompareValues("store vs in-RAM "+name, got.Values, want.Values, conformance.Tolerance(mk(root), g)); err != nil {
+			t.Error(err)
 		}
 	}
 	if c := s.Counters(); c.Evictions == 0 {
 		t.Fatalf("solve at quarter budget produced no evictions: %+v", c)
+	}
+}
+
+// The solver sweeps a budgeted store slice by slice: decodes stay near
+// slices × sweeps instead of one per activation (a return to FIFO thrash
+// fails the first bound), and the slice order does not inflate the work (a
+// drain-the-slice-to-quiescence schedule fails the second).
+func TestSolveSweepsStoreBySlice(t *testing.T) {
+	g, err := gen.RMAT(gen.RMATParams{
+		A: 0.57, B: 0.19, C: 0.19, D: 0.05, Scale: 12, EdgeFactor: 8, Weighted: true, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := pack(t, g, WriteOptions{Slices: 16}, decodedBytes(g)/4)
+	root := conformance.BestRoot(g)
+	for _, name := range []string{"pagerank-delta", "sssp", "bfs", "connected-components"} {
+		mk := algCase(t, name).New
+		inRAM := algorithms.Solve(g, mk(root))
+		s.ResetCounters()
+		got := algorithms.Solve(s, mk(root))
+		c := s.Counters()
+		t.Logf("%s: %d activations, %d decodes, emitted %d (in-RAM %d)", name, got.Activations, c.Decodes, got.Emitted, inRAM.Emitted)
+		if c.Decodes > got.Activations/20 {
+			t.Errorf("%s: %d slice decodes for %d activations, want at most 1 per 20", name, c.Decodes, got.Activations)
+		}
+		if float64(got.Emitted) > 1.25*float64(inRAM.Emitted) {
+			t.Errorf("%s: store solve propagated %d edges, in-RAM %d: more than 1.25x", name, got.Emitted, inRAM.Emitted)
+		}
 	}
 }
 

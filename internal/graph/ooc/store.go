@@ -56,7 +56,8 @@ type Counters struct {
 	Decodes int64
 	// Evictions counts budget-driven slice drops (`ooc_slice_evictions`).
 	Evictions int64
-	// Hits counts accesses served by an already-resident slice (`ooc_hits`).
+	// Hits counts row and edge reads served by an already-resident slice
+	// (`ooc_hits`): one per Row (or per-field accessor) call.
 	Hits int64
 	// ResidentBytes is the decoded bytes currently charged against the
 	// budget (`ooc_resident_bytes`).
@@ -193,8 +194,9 @@ func (s *Store) Level() int { return int(s.hdr.level) }
 func (s *Store) NumSlices() int { return len(s.dir) }
 
 // SliceBoundaries returns the k+1 vertex boundaries of the container's
-// slices ([0 … n]). The parallel solver aligns worker shards to them
-// (psolve.Sliced) so each worker mostly touches its own resident slices.
+// slices ([0 … n]), making the store a graph.Sliced: the native solvers
+// sweep their worklists slice by slice and the parallel solver aligns
+// worker shards to them, so each residency unit is visited once per sweep.
 func (s *Store) SliceBoundaries() []graph.VertexID { return s.bounds }
 
 // segment returns the raw bytes of slice i's segment.
@@ -309,41 +311,54 @@ func (s *Store) NumEdges() int { return int(s.hdr.m) }
 // Weighted reports whether the container carries edge weights.
 func (s *Store) Weighted() bool { return s.hdr.weighted() }
 
-// OutDegree returns the out-degree of v.
-func (s *Store) OutDegree(v graph.VertexID) int {
-	i := s.sliceOf(v)
-	d := s.mustLoad(i)
+// row is the one vertex-indexed lookup every accessor below shares: one
+// slice search and one residency touch, returning v's slice index, the
+// slice's decoded data and v's edge range [lo, hi) inside it.
+func (s *Store) row(v graph.VertexID) (i int, d *sliceData, lo, hi uint64) {
+	i = s.sliceOf(v)
+	d = s.mustLoad(i)
 	off := int(v - graph.VertexID(s.dir[i].lo))
-	return int(d.rowPtr[off+1] - d.rowPtr[off])
+	return i, d, d.rowPtr[off], d.rowPtr[off+1]
 }
 
-// Neighbors returns the out-neighbors of v. The slice aliases the resident
-// decode buffer and must not be modified; it stays valid after eviction
+// Row returns the out-neighbors of v and their weights (nil for unweighted
+// containers) from a single residency touch. The slices alias the resident
+// decode buffer and must not be modified; they stay valid after eviction
 // (eviction drops the store's reference, not the caller's).
+func (s *Store) Row(v graph.VertexID) (dst []graph.VertexID, wt []float32) {
+	_, d, lo, hi := s.row(v)
+	if !s.hdr.weighted() {
+		return d.dst[lo:hi], nil
+	}
+	return d.dst[lo:hi], d.wt[lo:hi]
+}
+
+// OutDegree returns the out-degree of v.
+func (s *Store) OutDegree(v graph.VertexID) int {
+	_, _, lo, hi := s.row(v)
+	return int(hi - lo)
+}
+
+// Neighbors returns the out-neighbors of v. Same aliasing rules as Row.
 func (s *Store) Neighbors(v graph.VertexID) []graph.VertexID {
-	i := s.sliceOf(v)
-	d := s.mustLoad(i)
-	off := int(v - graph.VertexID(s.dir[i].lo))
-	return d.dst[d.rowPtr[off]:d.rowPtr[off+1]]
+	dst, _ := s.Row(v)
+	return dst
 }
 
 // NeighborWeights returns the out-edge weights of v, nil for unweighted
-// containers. Same aliasing rules as Neighbors.
+// containers (without touching the slice). Same aliasing rules as Row.
 func (s *Store) NeighborWeights(v graph.VertexID) []float32 {
 	if !s.hdr.weighted() {
 		return nil
 	}
-	i := s.sliceOf(v)
-	d := s.mustLoad(i)
-	off := int(v - graph.VertexID(s.dir[i].lo))
-	return d.wt[d.rowPtr[off]:d.rowPtr[off+1]]
+	_, wt := s.Row(v)
+	return wt
 }
 
 // EdgeOffset returns the global index of the first out-edge of v.
 func (s *Store) EdgeOffset(v graph.VertexID) uint64 {
-	i := s.sliceOf(v)
-	d := s.mustLoad(i)
-	return s.dir[i].firstEdge + d.rowPtr[int(v-graph.VertexID(s.dir[i].lo))]
+	i, _, lo, _ := s.row(v)
+	return s.dir[i].firstEdge + lo
 }
 
 // EdgeDst returns the destination of the i-th edge.

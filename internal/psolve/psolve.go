@@ -3,14 +3,18 @@
 // model mapped onto host threads instead of simulated hardware queues.
 //
 // The vertex set is split into contiguous shards via internal/graph/partition
-// (one shard per worker, boundaries refined to reduce the edge cut). Each
-// worker owns its shard's state and runs a private coalescing worklist — a
-// fixed-capacity ring buffer plus a per-vertex accumulator, exactly the
-// in-place event coalescing of paper Section IV-B, but per shard. Deltas for
-// vertices owned by another worker are coalesced into a dense per-worker
-// remote accumulator (one slot per vertex, reduced in place, with a dirty
-// list per destination shard) and exchanged in batches over channels — the
-// software analogue of the accelerator's inter-queue event routing.
+// (one shard per worker, boundaries refined to reduce the edge cut; aligned
+// to the store's slices when the graph is a graph.Sliced out-of-core store).
+// Each worker owns its shard's state and runs a private coalescing worklist —
+// the serial solver's algorithms.Worklist over the shard plus a per-vertex
+// accumulator, exactly the in-place event coalescing of paper Section IV-B,
+// but per shard; on a sliced store the worklist sweeps the shard's slices one
+// at a time (Section IV-F) and each activation reads its row with one
+// Adjacency.Row call. Deltas for vertices owned by another worker are
+// coalesced into a dense per-worker remote accumulator (one slot per vertex,
+// reduced in place, with a dirty list per destination shard) and exchanged in
+// batches over channels — the software analogue of the accelerator's
+// inter-queue event routing.
 //
 // Termination is the paper's global check (Section IV-C) in software: a
 // single atomic counter tracks every undelivered unit of work — queued
@@ -183,12 +187,12 @@ type worker struct {
 	idx    int
 	lo, hi graph.VertexID
 
-	// ring is a fixed-capacity FIFO over the shard: inList guarantees each
-	// owned vertex occupies at most one slot, so hi-lo slots suffice.
-	ring        []graph.VertexID
-	head, count int
-	inList      []bool
-	acc         []float64
+	// wl queues the shard's activated vertices (slice-ordered when the
+	// graph is a sliced store); inList guarantees each owned vertex is
+	// queued at most once.
+	wl     *algorithms.Worklist
+	inList []bool
+	acc    []float64
 
 	inbox chan batch
 	// Remote-delta coalescing store: racc accumulates deltas headed to
@@ -213,14 +217,6 @@ type worker struct {
 func Solve(g graph.Adjacency, alg algorithms.Algorithm, cfg Config) *Result {
 	res, _ := SolveCtx(nil, g, alg, cfg)
 	return res
-}
-
-// Sliced is implemented by graph stores whose on-disk layout has its own
-// slice boundaries (the out-of-core graphpack store). The solver aligns
-// worker shards to these boundaries so each worker's working set maps onto
-// whole resident slices instead of straddling them.
-type Sliced interface {
-	SliceBoundaries() []graph.VertexID
 }
 
 // SolveCtx runs alg to convergence across cfg.Workers shards. When ctx is
@@ -271,7 +267,7 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm, 
 			idx:    i,
 			lo:     sl.Lo,
 			hi:     sl.Hi,
-			ring:   make([]graph.VertexID, size),
+			wl:     algorithms.NewWorklist(g, sl.Lo, sl.Hi),
 			inList: make([]bool, size),
 			acc:    make([]float64, size),
 			inbox:  make(chan batch, 4*w),
@@ -339,14 +335,12 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm, 
 }
 
 // shard builds the worker partitioning for g: aligned to the store's own
-// slice boundaries when g is an out-of-core Sliced store (so each worker's
-// shard maps onto whole resident slices), a refined contiguous split
-// otherwise.
+// slice boundaries when g is an out-of-core graph.Sliced store (so each
+// worker's shard maps onto whole resident slices), a refined contiguous
+// split otherwise.
 func shard(g graph.Adjacency, cfg Config) (*partition.Partitioning, error) {
-	if sl, ok := g.(Sliced); ok {
-		if p := alignedPartitioning(g, sl.SliceBoundaries(), cfg.Workers); p != nil {
-			return p, nil
-		}
+	if bounds := graph.SliceBoundaries(g); bounds != nil {
+		return alignedPartitioning(g, bounds, cfg.Workers), nil
 	}
 	part, err := partition.Split(g, cfg.Workers, cfg.RefinePasses)
 	if err != nil {
@@ -357,20 +351,10 @@ func shard(g graph.Adjacency, cfg Config) (*partition.Partitioning, error) {
 
 // alignedPartitioning groups consecutive store slices into up to workers
 // contiguous shards. Store slices are already vertex-balanced (they come from
-// partition.Split at pack time), so grouping by index stays balanced. Returns
-// nil when the boundary list is unusable and the caller should fall back to a
-// fresh split.
+// partition.Split at pack time), so grouping by index stays balanced. bounds
+// must be a usable list (graph.SliceBoundaries).
 func alignedPartitioning(g graph.Adjacency, bounds []graph.VertexID, workers int) *partition.Partitioning {
-	n := g.NumVertices()
 	k := len(bounds) - 1
-	if k < 1 || bounds[0] != 0 || int(bounds[k]) != n {
-		return nil
-	}
-	for i := 0; i < k; i++ {
-		if bounds[i] >= bounds[i+1] {
-			return nil
-		}
-	}
 	if workers > k {
 		workers = k
 	}
@@ -486,12 +470,7 @@ func (w *worker) pushLocal(s *solver, v graph.VertexID, d float64) {
 	w.acc[off] = s.alg.Reduce(w.acc[off], d)
 	if !w.inList[off] {
 		w.inList[off] = true
-		tail := w.head + w.count
-		if tail >= len(w.ring) {
-			tail -= len(w.ring)
-		}
-		w.ring[tail] = v
-		w.count++
+		w.wl.Push(v)
 		s.outstanding.Add(1)
 	}
 }
@@ -564,27 +543,16 @@ func (w *worker) flushAll(s *solver) bool {
 	return true
 }
 
-// pop removes the next vertex from the ring worklist.
-func (w *worker) pop() graph.VertexID {
-	v := w.ring[w.head]
-	w.head++
-	if w.head == len(w.ring) {
-		w.head = 0
-	}
-	w.count--
-	return v
-}
-
 // processChunk pops and activates up to processChunk owned vertices,
 // propagating along out-edges: local destinations go straight back into the
-// ring, remote ones into the outbound coalescing maps. Returns false when
+// worklist, remote ones into the outbound coalescing maps. Returns false when
 // the fleet is stopping.
 func (w *worker) processChunk(s *solver) bool {
-	for i := 0; i < processChunk && w.count > 0; i++ {
+	for i := 0; i < processChunk && w.wl.Len() > 0; i++ {
 		if w.activations%ctxPollInterval == 0 && s.canceled(w) {
 			return false
 		}
-		v := w.pop()
+		v := w.wl.Pop()
 		off := v - w.lo
 		w.inList[off] = false
 		d := w.acc[off]
@@ -604,23 +572,20 @@ func (w *worker) processChunk(s *solver) bool {
 		}
 		s.state[v] = next
 		w.acc[off] = s.id
-		{
-			deg := s.g.OutDegree(v)
-			weights := s.g.NeighborWeights(v)
-			for j, dst := range s.g.Neighbors(v) {
-				wt := float32(1)
-				if weights != nil {
-					wt = weights[j]
-				}
-				out := s.alg.Propagate(d, algorithms.EdgeContext{
-					Src: v, Dst: dst, Weight: wt, SrcOutDegree: deg,
-				})
-				w.emitted++
-				if dst >= w.lo && dst < w.hi {
-					w.pushLocal(s, dst, out)
-				} else {
-					w.bufferRemote(s, s.part.SliceOf(dst), dst, out)
-				}
+		row, weights := s.g.Row(v)
+		for j, dst := range row {
+			wt := float32(1)
+			if weights != nil {
+				wt = weights[j]
+			}
+			out := s.alg.Propagate(d, algorithms.EdgeContext{
+				Src: v, Dst: dst, Weight: wt, SrcOutDegree: len(row),
+			})
+			w.emitted++
+			if dst >= w.lo && dst < w.hi {
+				w.pushLocal(s, dst, out)
+			} else {
+				w.bufferRemote(s, s.part.SliceOf(dst), dst, out)
 			}
 		}
 		s.finish(1)
@@ -651,7 +616,7 @@ func (w *worker) run(s *solver) {
 			}
 			break
 		}
-		if w.count > 0 {
+		if w.wl.Len() > 0 {
 			if !w.processChunk(s) {
 				return
 			}
@@ -667,7 +632,7 @@ func (w *worker) run(s *solver) {
 			w.rounds++
 			worked = false
 		}
-		if w.count > 0 {
+		if w.wl.Len() > 0 {
 			// send() integrated inbound batches while flushing.
 			continue
 		}
