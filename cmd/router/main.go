@@ -41,7 +41,7 @@ func main() {
 		probeInt  = flag.Duration("probe-interval", time.Second, "health-probe period for healthy workers")
 		probeTO   = flag.Duration("probe-timeout", 2*time.Second, "per-probe timeout")
 		failAfter = flag.Int("fail-after", 2, "consecutive failures before a worker is ejected")
-		retries   = flag.Int("retry-budget", 2, "extra replicas a failed read is retried on")
+		retries   = flag.Int("retry-budget", 2, "extra replicas a failed read is retried on (0 disables retries)")
 		backoff   = flag.Duration("backoff", 500*time.Millisecond, "base re-probe backoff for ejected workers")
 		backoffMx = flag.Duration("backoff-max", 15*time.Second, "cap on the ejected-worker re-probe backoff")
 		drain     = flag.Duration("drain", 10*time.Second, "shutdown drain budget for in-flight requests")
@@ -70,10 +70,6 @@ func main() {
 		}
 		logger.Printf("chaos fault injection enabled: %s", *chaosSpec)
 	}
-	aeInterval := *aeEvery
-	if aeInterval == 0 {
-		aeInterval = -1 // flag 0 means "off"; config 0 means "default"
-	}
 	rt, err := dserve.NewRouter(dserve.RouterConfig{
 		Workers:             seeds,
 		Replication:         *repl,
@@ -81,12 +77,12 @@ func main() {
 		ProbeInterval:       *probeInt,
 		ProbeTimeout:        *probeTO,
 		FailAfter:           *failAfter,
-		RetryBudget:         *retries,
+		RetryBudget:         offAtZero(*retries),
 		BackoffBase:         *backoff,
 		BackoffMax:          *backoffMx,
 		FanoutConcurrency:   *fanout,
 		Seed:                *seed,
-		AntiEntropyInterval: aeInterval,
+		AntiEntropyInterval: offAtZero(*aeEvery),
 		Chaos:               proxy,
 		Logf:                logger.Printf,
 	})
@@ -110,4 +106,13 @@ func main() {
 		logger.Printf("drain incomplete: %v", err)
 		os.Exit(1)
 	}
+}
+
+// offAtZero maps a flag whose 0 means "off" onto the RouterConfig field
+// whose 0 means "use the default" and whose negative values mean "none".
+func offAtZero[T int | time.Duration](v T) T {
+	if v == 0 {
+		return -1
+	}
+	return v
 }

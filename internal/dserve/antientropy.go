@@ -1,15 +1,9 @@
 package dserve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"net/url"
-	"sort"
-	"strings"
 	"time"
 
 	"graphpulse/internal/serve"
@@ -32,38 +26,13 @@ func (rt *Router) antiEntropyLoop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-rt.stop:
+		case <-rt.ctx.Done():
 			return
 		case <-tick.C:
 		}
-		rt.antiEntropyPass()
-	}
-}
-
-// hostedGraphs is the union of every registered worker's graph set.
-// Seed workers that never registered are skipped — the router cannot
-// enumerate their graphs until their first registration.
-func (rt *Router) hostedGraphs() []string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	set := map[string]bool{}
-	for _, w := range rt.workers {
-		for g := range w.graphs {
-			set[g] = true
+		for _, g := range rt.members.hostedGraphs() {
+			rt.antiEntropyCheck(g)
 		}
-	}
-	names := make([]string, 0, len(set))
-	for g := range set {
-		names = append(names, g)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// antiEntropyPass runs one divergence check over every hosted graph.
-func (rt *Router) antiEntropyPass() {
-	for _, g := range rt.hostedGraphs() {
-		rt.antiEntropyCheck(g)
 	}
 }
 
@@ -79,7 +48,7 @@ type replicaDigest struct {
 // the most advanced is the highest epoch, ties broken by ring order —
 // deterministic, so concurrent repairs all pull from the same donor.
 func (rt *Router) antiEntropyCheck(graphName string) {
-	_, healthy := rt.replicaSet(graphName)
+	_, healthy := rt.members.replicas(graphName)
 	if len(healthy) < 2 {
 		return
 	}
@@ -105,21 +74,18 @@ func (rt *Router) antiEntropyCheck(graphName string) {
 	}
 	diverged := false
 	for _, d := range digs {
-		if d.info.Epoch != best.info.Epoch || d.info.Digest != best.info.Digest {
-			diverged = true
-			break
-		}
-	}
-	if !diverged {
-		return
-	}
-	rt.metrics.Add("antientropy_divergence", 1)
-	for _, d := range digs {
-		if d.url == best.url ||
-			(d.info.Epoch == best.info.Epoch && d.info.Digest == best.info.Digest) {
+		if d.info.Epoch == best.info.Epoch && d.info.Digest == best.info.Digest {
 			continue
 		}
-		if err := rt.requestRepair(d.url, graphName, best.url); err != nil {
+		if !diverged {
+			diverged = true
+			rt.metrics.Add("antientropy_divergence", 1)
+		}
+		// The laggard may be shipping a whole snapshot, so only the client's
+		// own timeout and the router's lifetime bound the repair call.
+		err := callJSON(rt.ctx, rt.cfg.Client, http.MethodPost, d.url+"/internal/repair",
+			RepairRequest{Graph: graphName, Peer: best.url}, nil, 4096)
+		if err != nil {
 			rt.metrics.Add("antientropy_errors", 1)
 			rt.logf("dserve: router: anti-entropy repair of %q on %s from %s: %v",
 				graphName, d.url, best.url, err)
@@ -132,45 +98,10 @@ func (rt *Router) antiEntropyCheck(graphName string) {
 }
 
 // fetchDigest asks one worker for one graph's (epoch, digest) pair.
-func (rt *Router) fetchDigest(worker, graphName string) (serve.DigestInfo, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+func (rt *Router) fetchDigest(worker, graphName string) (info serve.DigestInfo, err error) {
+	ctx, cancel := context.WithTimeout(rt.ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		worker+"/internal/digest?graph="+url.QueryEscape(graphName), nil)
-	if err != nil {
-		return serve.DigestInfo{}, err
-	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		return serve.DigestInfo{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return serve.DigestInfo{}, fmt.Errorf("digest status %d", resp.StatusCode)
-	}
-	var info serve.DigestInfo
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&info); err != nil {
-		return serve.DigestInfo{}, err
-	}
-	return info, nil
-}
-
-// requestRepair asks the laggard to pull the missing suffix from donor.
-func (rt *Router) requestRepair(laggard, graphName, donor string) error {
-	body, err := json.Marshal(RepairRequest{Graph: graphName, Peer: donor})
-	if err != nil {
-		return err
-	}
-	resp, err := rt.cfg.Client.Post(laggard+"/internal/repair", "application/json",
-		bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("repair status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
-	return nil
+	err = callJSON(ctx, rt.cfg.Client, http.MethodGet,
+		worker+"/internal/digest?graph="+url.QueryEscape(graphName), nil, &info, 1<<20)
+	return info, err
 }

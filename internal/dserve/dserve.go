@@ -23,8 +23,10 @@
 //     restarted router relearns the fleet from its workers — the router
 //     holds no durable state), periodically persists serve.Snapshot
 //     images via internal/atomicio, serves them to peers on
-//     GET /internal/snapshot, and at startup restores the newest local or
-//     peer snapshot instead of cold re-solving.
+//     GET /internal/snapshot, and recovers by one ladder instead of cold
+//     re-solving: local snapshot, local WAL tail, then — from a peer, on
+//     rejoin or when the router's anti-entropy loop asks — WAL suffix,
+//     and a peer snapshot only when the suffix cannot close the gap.
 //
 // The router speaks the same /v1/* API as a single worker, so cmd/loadgen
 // and any serve client work against it unchanged. OPERATIONS.md is the
@@ -32,7 +34,54 @@
 // onto the paper's multi-chip scheme and states where the analogy breaks.
 package dserve
 
-import "graphpulse/internal/stream"
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
+
+	"graphpulse/internal/stream"
+)
+
+// callJSON is the one peer call of the tier (router→worker, worker→router,
+// worker→worker; the router's client-facing proxy path has its own
+// forward): send method url with in as a JSON body (nil = no body), and
+// decode at most respCap bytes of a 200 answer into out (nil = discard
+// it). Any other status is an error carrying the trimmed response body.
+func callJSON(ctx context.Context, client *http.Client, method, url string, in, out any, respCap int64) error {
+	var body io.Reader
+	if in != nil {
+		buf, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(buf)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
+	if err != nil {
+		return err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096)) // best-effort detail for the error text
+		return fmt.Errorf("%s %s: status %d: %s", method, url, resp.StatusCode, strings.TrimSpace(string(msg)))
+	}
+	if out == nil {
+		_, err = io.Copy(io.Discard, io.LimitReader(resp.Body, respCap))
+		return err
+	}
+	return json.NewDecoder(io.LimitReader(resp.Body, respCap)).Decode(out)
+}
 
 // RegisterRequest is the body of POST /internal/register: a worker
 // announcing (or re-announcing, as a heartbeat) its advertised base URL
@@ -43,8 +92,8 @@ type RegisterRequest struct {
 }
 
 // RegisterResponse acknowledges a registration. Peers maps each of the
-// worker's graphs to the *other* currently-healthy workers hosting it —
-// the snapshot sources a rejoining worker warm-starts from.
+// worker's graphs to the *other* currently-live workers hosting it —
+// the donors a rejoining worker catches up from.
 type RegisterResponse struct {
 	Peers map[string][]string `json:"peers,omitempty"`
 }
@@ -94,7 +143,8 @@ type RepairRequest struct {
 }
 
 // RepairResponse reports how a repair converged: Mode "wal" (suffix
-// replayed), "snapshot" (full transfer), and the epoch reached.
+// replayed; Replayed 0 when the replica was already at or ahead of the
+// donor), "snapshot" (full transfer), and the epoch reached.
 type RepairResponse struct {
 	Graph    string `json:"graph"`
 	Mode     string `json:"mode"`

@@ -54,9 +54,9 @@ var workerCounters = []string{
 	"worker_snapshot_saves",        // snapshots persisted to the snapshot directory
 	"worker_snapshot_save_errors",  // snapshot persists that failed
 	"worker_snapshot_served",       // GET /internal/snapshot fetches answered to peers
-	"worker_snapshot_restores",     // snapshots adopted (local file or peer fetch)
+	"worker_snapshot_restores",     // snapshots adopted (local file or the repair ladder's peer fetch)
 	"worker_snapshot_stale",        // snapshots skipped as older than resident state
-	"worker_snapshot_fetch_errors", // peer snapshot fetches that failed
+	"worker_snapshot_fetch_errors", // the repair ladder's peer snapshot fetches that failed
 
 	// Durable mutation WAL (see wal.go).
 	"wal_appends",            // mutation epochs durably appended (fsynced)
@@ -67,7 +67,8 @@ var workerCounters = []string{
 	"wal_replay_errors",      // replay stops: gap, hole, or corrupt record
 	"wal_tail_dropped",       // torn tail pieces dropped when opening the log
 
-	// Anti-entropy, worker side (see worker.go repair path).
+	// The repair ladder, worker side (worker.go repairFrom): run for the
+	// router's anti-entropy loop and for the worker's own rejoin catch-up.
 	"antientropy_digests_served",     // GET /internal/digest answers
 	"antientropy_wal_served",         // GET /internal/wal suffixes shipped to peers
 	"antientropy_wal_gone",           // suffix requests answered 410 (truncated or no wal)

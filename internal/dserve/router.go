@@ -7,11 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,7 +54,7 @@ type RouterConfig struct {
 	// attempts) eject a worker (default 2).
 	FailAfter int
 	// RetryBudget is how many additional replicas a read is retried on
-	// after a failed attempt (default 2).
+	// after a failed attempt (default 2). Negative disables retries.
 	RetryBudget int
 	// BackoffBase and BackoffMax bound the ejected-worker re-probe
 	// backoff: base, 2×base, 4×base, … capped at max (defaults 500ms, 15s).
@@ -130,22 +128,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	return c
 }
 
-// workerEntry is the router's live view of one worker.
-type workerEntry struct {
-	url      string
-	graphs   map[string]bool // nil = unregistered seed, assumed to host everything
-	healthy  bool
-	draining bool
-	fails    int
-	backoff  time.Duration
-	nextDue  time.Time
-	lastErr  string
-}
-
-func (w *workerEntry) hosts(graph string) bool {
-	return w.graphs == nil || w.graphs[graph]
-}
-
 // Router is the stateless front of the distributed serving tier: it owns
 // no graph state, only the (rebuildable) worker table, and proxies the
 // /v1/* API onto consistent-hash replica sets with health-checked
@@ -154,17 +136,17 @@ func (w *workerEntry) hosts(graph string) bool {
 type Router struct {
 	cfg     RouterConfig
 	metrics *serve.Metrics
+	members *membership
 
-	mu       sync.Mutex
-	ring     *Ring
-	workers  map[string]*workerEntry
+	mu       sync.Mutex             // guards graphMus
 	graphMus map[string]*sync.Mutex // per-graph write-fan-out serialization
-	rng      *rand.Rand             // seeded; guarded by mu (backoff jitter)
 
-	rr   atomic.Uint64 // read-rotation cursor
-	stop chan struct{}
-	once sync.Once
-	wg   sync.WaitGroup
+	rr atomic.Uint64 // read-rotation cursor
+	// ctx is the router's lifetime: the background loops and every peer
+	// call they make (probe, digest, repair) end when Shutdown cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	srvMu   sync.Mutex
 	httpSrv *http.Server
@@ -177,20 +159,18 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt := &Router{
 		cfg:      cfg,
 		metrics:  serve.NewMetricsCatalog(routerCounters, routerHistograms),
-		ring:     NewRing(cfg.VirtualNodes),
-		workers:  make(map[string]*workerEntry),
 		graphMus: make(map[string]*sync.Mutex),
-		rng:      rand.New(rand.NewSource(int64(cfg.Seed))),
-		stop:     make(chan struct{}),
 	}
+	rt.members = newMembership(cfg, rt.metrics, rt.logf)
 	cfg.Chaos.SetSink(rt.metrics.Add)
 	for _, raw := range cfg.Workers {
 		u, err := normalizeWorkerURL(raw)
 		if err != nil {
 			return nil, fmt.Errorf("dserve: bad worker %q: %w", raw, err)
 		}
-		rt.addWorkerLocked(u, nil)
+		rt.members.add(u, nil)
 	}
+	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	rt.wg.Add(1)
 	go rt.probeLoop()
 	if cfg.AntiEntropyInterval > 0 {
@@ -217,210 +197,39 @@ func normalizeWorkerURL(raw string) (string, error) {
 	return strings.TrimRight(u.Scheme+"://"+u.Host+u.Path, "/"), nil
 }
 
-// addWorkerLocked inserts or updates a worker. Callers hold rt.mu or are
-// in single-threaded construction.
-func (rt *Router) addWorkerLocked(u string, graphs []string) *workerEntry {
-	w, ok := rt.workers[u]
-	if !ok {
-		w = &workerEntry{url: u, healthy: true}
-		rt.workers[u] = w
-		rt.ring.Add(u)
-	}
-	if graphs != nil {
-		set := make(map[string]bool, len(graphs))
-		for _, g := range graphs {
-			set[g] = true
-		}
-		w.graphs = set
-	}
-	return w
-}
-
 // Metrics returns the router's live metrics.
 func (rt *Router) Metrics() *serve.Metrics { return rt.metrics }
 
 // Workers reports the router's current view of the fleet, sorted by URL.
-func (rt *Router) Workers() []WorkerInfo {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make([]WorkerInfo, 0, len(rt.workers))
-	for _, w := range rt.workers {
-		info := WorkerInfo{
-			URL: w.url, Healthy: w.healthy, Draining: w.draining,
-			Fails: w.fails, LastErr: w.lastErr,
-		}
-		if w.graphs != nil {
-			for g := range w.graphs {
-				info.Graphs = append(info.Graphs, g)
-			}
-			sort.Strings(info.Graphs)
-		}
-		out = append(out, info)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
-	return out
-}
-
-// replicaSet returns the graph's replica set in ring order (stable under
-// health changes) and the healthy, non-draining subset of it.
-func (rt *Router) replicaSet(graph string) (all, healthy []string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for _, u := range rt.ring.Lookup(graph, 0) {
-		w := rt.workers[u]
-		if w == nil || !w.hosts(graph) {
-			continue
-		}
-		all = append(all, u)
-		if len(all) >= rt.cfg.Replication {
-			break
-		}
-	}
-	for _, u := range all {
-		if w := rt.workers[u]; w != nil && w.healthy && !w.draining {
-			healthy = append(healthy, u)
-		}
-	}
-	return all, healthy
-}
-
-// markFailed records a request-path failure against a worker, ejecting it
-// once it reaches FailAfter consecutive failures.
-func (rt *Router) markFailed(u string, err string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	w, ok := rt.workers[u]
-	if !ok {
-		return
-	}
-	w.fails++
-	w.lastErr = err
-	if w.healthy && w.fails >= rt.cfg.FailAfter {
-		w.healthy = false
-		w.backoff = rt.cfg.BackoffBase
-		w.nextDue = time.Now().Add(rt.jitteredLocked(w.backoff))
-		rt.metrics.Add("router_worker_ejected", 1)
-		rt.logf("dserve: router: ejected worker %s after %d failures (%s)", u, w.fails, err)
-	}
-}
-
-// jitteredLocked spreads a backoff by up to 25% of itself, drawn from the
-// router's seeded RNG — ejected workers sharing one outage re-probe
-// staggered instead of in lockstep, and the same Seed reproduces the
-// same schedule. Callers hold rt.mu.
-func (rt *Router) jitteredLocked(d time.Duration) time.Duration {
-	if d <= 0 {
-		return d
-	}
-	return d + time.Duration(rt.rng.Int63n(int64(d)/4+1))
-}
-
-// markHealthy records a success (probe or registration heartbeat),
-// readmitting an ejected worker.
-func (rt *Router) markHealthy(u string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	w, ok := rt.workers[u]
-	if !ok {
-		return
-	}
-	if !w.healthy {
-		rt.metrics.Add("router_worker_readmitted", 1)
-		rt.logf("dserve: router: readmitted worker %s", u)
-	}
-	w.healthy = true
-	w.fails = 0
-	w.backoff = 0
-	w.lastErr = ""
-	w.nextDue = time.Now().Add(rt.cfg.ProbeInterval)
-}
+func (rt *Router) Workers() []WorkerInfo { return rt.members.snapshot() }
 
 // probeLoop drives the health prober: healthy workers on ProbeInterval,
 // ejected ones on their exponential backoff.
 func (rt *Router) probeLoop() {
 	defer rt.wg.Done()
-	tick := time.NewTicker(minDuration(rt.cfg.ProbeInterval/2, 250*time.Millisecond))
+	tick := time.NewTicker(max(1, min(rt.cfg.ProbeInterval/2, 250*time.Millisecond))) // a ticker period must be positive
 	defer tick.Stop()
 	for {
 		select {
-		case <-rt.stop:
+		case <-rt.ctx.Done():
 			return
 		case <-tick.C:
 		}
-		now := time.Now()
-		rt.mu.Lock()
-		var due []string
-		for u, w := range rt.workers {
-			if !w.nextDue.After(now) {
-				due = append(due, u)
-			}
-		}
-		rt.mu.Unlock()
-		for _, u := range due {
+		for _, u := range rt.members.due(time.Now()) {
 			rt.probeOne(u)
 		}
 	}
 }
 
-func minDuration(a, b time.Duration) time.Duration {
-	if a > 0 && a < b {
-		return a
-	}
-	return b
-}
-
 // probeOne health-checks one worker and updates its state.
 func (rt *Router) probeOne(u string) {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(rt.ctx, rt.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u+"/healthz", nil)
-	if err != nil {
-		rt.recordProbeFailure(u, err.Error())
+	if err := callJSON(ctx, rt.cfg.Client, http.MethodGet, u+"/healthz", nil, nil, 4096); err != nil {
+		rt.members.fail(u, err, true, time.Now())
 		return
 	}
-	resp, err := rt.cfg.Client.Do(req)
-	if err != nil {
-		rt.recordProbeFailure(u, err.Error())
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		rt.recordProbeFailure(u, fmt.Sprintf("healthz status %d", resp.StatusCode))
-		return
-	}
-	rt.markHealthy(u)
-}
-
-// recordProbeFailure advances a worker's failure state: healthy workers
-// count toward ejection, ejected ones double their re-probe backoff.
-func (rt *Router) recordProbeFailure(u, errStr string) {
-	rt.metrics.Add("router_probe_failures", 1)
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	w, ok := rt.workers[u]
-	if !ok {
-		return
-	}
-	w.fails++
-	w.lastErr = errStr
-	switch {
-	case w.healthy && w.fails >= rt.cfg.FailAfter:
-		w.healthy = false
-		w.backoff = rt.cfg.BackoffBase
-		rt.metrics.Add("router_worker_ejected", 1)
-		rt.logf("dserve: router: ejected worker %s after %d failed probes (%s)", u, w.fails, errStr)
-	case !w.healthy:
-		w.backoff *= 2
-		if w.backoff > rt.cfg.BackoffMax {
-			w.backoff = rt.cfg.BackoffMax
-		}
-	}
-	if w.healthy {
-		w.nextDue = time.Now().Add(rt.cfg.ProbeInterval)
-	} else {
-		w.nextDue = time.Now().Add(rt.jitteredLocked(w.backoff))
-	}
+	rt.members.ok(u, time.Now())
 }
 
 func (rt *Router) logf(format string, args ...any) {
@@ -477,7 +286,8 @@ func (rt *Router) Start(addr string) (net.Addr, error) {
 }
 
 // Shutdown stops the listener (draining in-flight requests, bounded by
-// ctx) and the health prober.
+// ctx), then cancels the background loops and whatever peer call they
+// are parked in, and waits for them to exit.
 func (rt *Router) Shutdown(ctx context.Context) error {
 	var err error
 	rt.srvMu.Lock()
@@ -486,7 +296,7 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 	if srv != nil {
 		err = srv.Shutdown(ctx)
 	}
-	rt.once.Do(func() { close(rt.stop) })
+	rt.cancel()
 	rt.wg.Wait()
 	return err
 }
@@ -589,7 +399,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad query body: %v", err)
 		return
 	}
-	_, healthy := rt.replicaSet(graph)
+	_, healthy := rt.members.replicas(graph)
 	if len(healthy) == 0 {
 		rt.metrics.Add("router_no_replica", 1)
 		w.Header().Set("Retry-After", "1")
@@ -613,18 +423,18 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		rt.metrics.Add("router_proxy_errors", 1)
-		rt.markFailed(target, attemptError(last))
+		rt.members.fail(target, attemptError(last), false, time.Now())
 	}
 	rt.metrics.Add("router_exhausted", 1)
 	writeError(w, http.StatusBadGateway, "all %d attempted replicas failed for graph %q: %s",
 		attempts, graph, attemptError(last))
 }
 
-func attemptError(a attempt) string {
+func attemptError(a attempt) error {
 	if a.err != nil {
-		return a.err.Error()
+		return a.err
 	}
-	return fmt.Sprintf("upstream status %d", a.status)
+	return fmt.Errorf("upstream status %d", a.status)
 }
 
 // graphMu returns the per-graph write-serialization lock.
@@ -650,7 +460,7 @@ func (rt *Router) graphMu(graph string) *sync.Mutex {
 // everywhere answer 502. Replicas that missed an applied write heal via
 // the anti-entropy loop's WAL-suffix or snapshot repair.
 func (rt *Router) fanoutWrite(w http.ResponseWriter, graph, pathAndQuery, contentType string, body []byte) {
-	all, _ := rt.replicaSet(graph)
+	all, _ := rt.members.replicas(graph)
 	if len(all) == 0 {
 		rt.metrics.Add("router_no_replica", 1)
 		w.Header().Set("Retry-After", "1")
@@ -686,7 +496,7 @@ func (rt *Router) fanoutWrite(w http.ResponseWriter, graph, pathAndQuery, conten
 			if firstOK == nil {
 				firstOK = &results[i]
 			}
-			rt.markHealthy(all[i])
+			rt.members.ok(all[i], time.Now())
 		case a.err == nil && a.status < 500:
 			if firstReject == nil {
 				firstReject = &results[i]
@@ -694,7 +504,7 @@ func (rt *Router) fanoutWrite(w http.ResponseWriter, graph, pathAndQuery, conten
 		default:
 			lastFail = a
 			rt.metrics.Add("router_proxy_errors", 1)
-			rt.markFailed(all[i], attemptError(a))
+			rt.members.fail(all[i], attemptError(a), false, time.Now())
 		}
 	}
 	switch {
@@ -756,29 +566,12 @@ func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
 // per graph name, keeping the highest epoch seen (replicas briefly
 // diverge while a mutation fans out).
 func (rt *Router) handleGraphs(w http.ResponseWriter, r *http.Request) {
-	rt.mu.Lock()
-	var healthy []string
-	for u, we := range rt.workers {
-		if we.healthy && !we.draining {
-			healthy = append(healthy, u)
-		}
-	}
-	rt.mu.Unlock()
-	sort.Strings(healthy)
 	merged := make(map[string]serve.GraphInfo)
-	for _, u := range healthy {
-		resp, err := rt.cfg.Client.Get(u + "/v1/graphs")
-		if err != nil {
-			rt.metrics.Add("router_proxy_errors", 1)
-			rt.markFailed(u, err.Error())
-			continue
-		}
+	for _, u := range rt.members.live() {
 		var infos []serve.GraphInfo
-		err = json.NewDecoder(io.LimitReader(resp.Body, maxProxyRespBody)).Decode(&infos)
-		resp.Body.Close()
-		if err != nil {
+		if err := callJSON(rt.ctx, rt.cfg.Client, http.MethodGet, u+"/v1/graphs", nil, &infos, maxProxyRespBody); err != nil {
 			rt.metrics.Add("router_proxy_errors", 1)
-			rt.markFailed(u, err.Error())
+			rt.members.fail(u, err, false, time.Now())
 			continue
 		}
 		for _, in := range infos {
@@ -787,21 +580,16 @@ func (rt *Router) handleGraphs(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	names := make([]string, 0, len(merged))
-	for n := range merged {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]serve.GraphInfo, 0, len(names))
-	for _, n := range names {
+	out := make([]serve.GraphInfo, 0, len(merged))
+	for _, n := range sortedKeys(merged) {
 		out = append(out, merged[n])
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 // handleRegister admits a worker announcing itself (or heartbeating). The
-// response lists, per registered graph, the other healthy workers hosting
-// it — the rejoiner's snapshot sources.
+// response lists, per registered graph, the other live workers hosting
+// it — the rejoiner's catch-up donors.
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
@@ -818,29 +606,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.metrics.Add("router_registrations", 1)
-	rt.mu.Lock()
-	we := rt.addWorkerLocked(u, req.Graphs)
-	if !we.healthy {
-		rt.metrics.Add("router_worker_readmitted", 1)
-	}
-	we.healthy = true
-	we.draining = false
-	we.fails = 0
-	we.backoff = 0
-	we.lastErr = ""
-	we.nextDue = time.Now().Add(rt.cfg.ProbeInterval)
-	resp := RegisterResponse{Peers: make(map[string][]string, len(req.Graphs))}
-	for _, g := range req.Graphs {
-		var peers []string
-		for pu, pw := range rt.workers {
-			if pu != u && pw.healthy && !pw.draining && pw.hosts(g) {
-				peers = append(peers, pu)
-			}
-		}
-		sort.Strings(peers)
-		resp.Peers[g] = peers
-	}
-	rt.mu.Unlock()
+	resp := RegisterResponse{Peers: rt.members.register(u, req.Graphs, time.Now())}
 	rt.logf("dserve: router: registered worker %s (graphs %v)", u, req.Graphs)
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -908,13 +674,7 @@ func (rt *Router) handleDrain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad worker url %q: %v", req.URL, err)
 		return
 	}
-	rt.mu.Lock()
-	we, ok := rt.workers[u]
-	if ok {
-		we.draining = !req.Undrain
-	}
-	rt.mu.Unlock()
-	if !ok {
+	if !rt.members.drain(u, !req.Undrain) {
 		writeError(w, http.StatusNotFound, "unknown worker %q", u)
 		return
 	}

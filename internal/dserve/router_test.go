@@ -393,13 +393,11 @@ func TestRouterFanoutConcurrent(t *testing.T) {
 // Seed draws the same schedule, and every draw stays in [d, 1.25d].
 func TestRouterJitterDeterminism(t *testing.T) {
 	draw := func(seed uint64) []time.Duration {
-		rt, _ := newTestRouter(t, RouterConfig{Seed: seed})
+		m := newMembership(RouterConfig{Seed: seed}.withDefaults(), nil, nil)
 		out := make([]time.Duration, 32)
-		rt.mu.Lock()
 		for i := range out {
-			out[i] = rt.jitteredLocked(time.Second)
+			out[i] = m.jittered(time.Second)
 		}
-		rt.mu.Unlock()
 		return out
 	}
 	a, b := draw(7), draw(7)
@@ -450,5 +448,116 @@ func TestRouterStreamFanout(t *testing.T) {
 		if epoch == 0 {
 			t.Errorf("worker %d epoch still 0 after stream fan-out", i)
 		}
+	}
+}
+
+// TestRouterRetryBudgetNone pins the negative RetryBudget (cmd/router
+// -retry-budget 0): a failed read is answered 502 at once, never re-sent.
+func TestRouterRetryBudgetNone(t *testing.T) {
+	_, live := newServeNode(t)
+	flaky := flakyWorker(t)
+	rt, rts := newTestRouter(t, RouterConfig{
+		Workers:     []string{live.URL, flaky.URL},
+		Replication: 2,
+		RetryBudget: -1,
+		FailAfter:   100,
+	})
+	codes := map[int]int{}
+	for i := 0; i < 4; i++ {
+		_, code := queryVia(t, rts.URL)
+		codes[code]++
+	}
+	if codes[http.StatusOK] != 2 || codes[http.StatusBadGateway] != 2 {
+		t.Fatalf("answers by status = %v, want the rotation's 2 live hits and 2 unretried 502s", codes)
+	}
+	if got := rt.Metrics().Counter("router_retries"); got != 0 {
+		t.Fatalf("router_retries = %d with retries off", got)
+	}
+}
+
+// TestRouterGraphsUpstreamStatus: a worker answering /v1/graphs non-200 —
+// even with a decodable body — is a failed peer call, not an inventory.
+func TestRouterGraphsUpstreamStatus(t *testing.T) {
+	_, live := newServeNode(t)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
+	mux.HandleFunc("GET /v1/graphs", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusInternalServerError, []serve.GraphInfo{{Name: "ghost", Epoch: 9}})
+	})
+	sick := httptest.NewServer(mux)
+	t.Cleanup(sick.Close)
+	rt, rts := newTestRouter(t, RouterConfig{Workers: []string{live.URL, sick.URL}, FailAfter: 1})
+
+	resp, err := http.Get(rts.URL + "/v1/graphs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var infos []serve.GraphInfo
+	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 1 || infos[0].Name != "g" {
+		t.Fatalf("merged inventory = %+v, want only the healthy worker's g", infos)
+	}
+	if got := rt.Metrics().Counter("router_proxy_errors"); got != 1 {
+		t.Errorf("router_proxy_errors = %d, want 1", got)
+	}
+	if got := rt.Metrics().Counter("router_worker_ejected"); got != 1 {
+		t.Errorf("router_worker_ejected = %d, want 1 (FailAfter 1: the 500 must count as a failure)", got)
+	}
+}
+
+// TestRouterShutdownCancelsParkedRepair: Shutdown must not wait out the
+// client timeout (none here) of a repair request parked on a stalled
+// worker — the anti-entropy loop's peer calls die with the router.
+func TestRouterShutdownCancelsParkedRepair(t *testing.T) {
+	parked := make(chan struct{})
+	peer := func(epoch uint64, stall bool) *httptest.Server {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
+		mux.HandleFunc("GET /internal/digest", func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusOK, serve.DigestInfo{Graph: "g", Epoch: epoch, Digest: fmt.Sprint(epoch)})
+		})
+		mux.HandleFunc("POST /internal/repair", func(w http.ResponseWriter, r *http.Request) {
+			if stall {
+				close(parked)
+				io.Copy(io.Discard, r.Body) // the server notices a hang-up only past the body
+				<-r.Context().Done()
+			}
+		})
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	donor, laggard := peer(2, false), peer(1, true)
+	rt, err := NewRouter(RouterConfig{
+		Replication:         2,
+		AntiEntropyInterval: 10 * time.Millisecond,
+		Client:              &http.Client{}, // no timeout: only cancellation can end the call
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range []*httptest.Server{donor, laggard} {
+		rt.members.register(ts.URL, []string{"g"}, time.Now())
+	}
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("anti-entropy never asked the laggard to repair")
+	}
+	done := make(chan error, 1)
+	go func() { done <- rt.Shutdown(context.Background()) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown still waiting on the parked repair after 5s")
+	}
+	if got := rt.Metrics().Counter("antientropy_repairs"); got != 0 {
+		t.Errorf("antientropy_repairs = %d for a repair that never answered", got)
 	}
 }

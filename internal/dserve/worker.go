@@ -1,7 +1,6 @@
 package dserve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -12,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"graphpulse/internal/atomicio"
@@ -26,7 +24,7 @@ type WorkerConfig struct {
 	// Server is the wrapped single-process serving instance. Required.
 	Server *serve.Server
 	// RouterURL is the router's base URL. Empty runs the worker standalone:
-	// no registration, no peer sync, but local snapshot persist/restore
+	// no registration, no peer catch-up, but local snapshot persist/restore
 	// still works.
 	RouterURL string
 	// Advertise is the base URL peers and the router reach this worker at
@@ -53,11 +51,11 @@ type WorkerConfig struct {
 	// signal after an ejection.
 	Heartbeat time.Duration
 	// Client overrides the HTTP client used for registration and peer
-	// snapshot fetches (default: 30s timeout).
+	// catch-up (default: 30s timeout).
 	Client *http.Client
 	// Chaos, when non-nil, wraps the worker's outbound HTTP client —
-	// registration heartbeats, peer snapshot fetches, and anti-entropy
-	// WAL-tail repair traffic — with the seeded deterministic fault proxy
+	// registration heartbeats and the repair ladder's digest, WAL-suffix
+	// and snapshot fetches — with the seeded deterministic fault proxy
 	// (internal/dserve/chaos), the same interposition the router applies
 	// to its proxy client. CI and tests only.
 	Chaos *chaos.Proxy
@@ -105,8 +103,9 @@ func (c WorkerConfig) withDefaults() (WorkerConfig, error) {
 }
 
 // Worker wraps a serve.Server with the distributed-tier duties:
-// registration heartbeats, snapshot persistence, the peer snapshot
-// endpoint, and warm restart from the newest local or peer snapshot.
+// registration heartbeats, snapshot persistence, the mutation WAL, the
+// peer endpoints, and the recovery ladder (RestoreLocal, ReplayWAL,
+// repairFrom).
 type Worker struct {
 	cfg  WorkerConfig
 	srv  *serve.Server
@@ -310,43 +309,57 @@ func (wk *Worker) handleRepair(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// repairFrom catches one graph up from a donor peer: replay the donor's
-// WAL suffix past the local epoch when it covers the gap and converges
-// to the donor's digest; otherwise adopt the donor's full snapshot. This
-// is the no-restart heal path — a replica that missed a fan-out write
+// repairFrom is the peer half of the recovery ladder (local snapshot →
+// local WAL tail → peer WAL suffix → peer snapshot) and the only way a
+// replica catches up from a peer, whoever noticed the gap: the router's
+// anti-entropy loop (POST /internal/repair) or the worker itself on
+// rejoin (Run). A replica at or ahead of the donor fetches nothing;
+// otherwise it replays the donor's WAL suffix past the local epoch when
+// that covers the gap and converges to the donor's digest, and adopts the
+// donor's full snapshot when it does not. Either way the replica
 // resynchronizes in place, keeping its cache and serving throughout.
 func (wk *Worker) repairFrom(ctx context.Context, graphName, peer string) (RepairResponse, error) {
-	cur, err := wk.srv.GraphEpoch(graphName)
+	local, err := wk.srv.StateDigest(graphName)
 	if err != nil {
 		wk.srv.Metrics().Add("antientropy_repair_errors", 1)
 		return RepairResponse{}, err
 	}
-	if tail, err := wk.fetchPeerWAL(ctx, peer, graphName, cur); err == nil {
-		replayed, replayErr := wk.replayTail(graphName, tail.Records)
-		if replayErr == nil {
-			if local, err := wk.srv.StateDigest(graphName); err == nil &&
-				(local.Epoch > tail.Epoch ||
-					(local.Epoch == tail.Epoch && local.Digest == tail.Digest)) {
+	query := "?graph=" + url.QueryEscape(graphName)
+	var donor serve.DigestInfo
+	if err := callJSON(ctx, wk.cfg.Client, http.MethodGet, peer+"/internal/digest"+query, nil, &donor, 1<<20); err != nil {
+		wk.srv.Metrics().Add("antientropy_repair_errors", 1)
+		return RepairResponse{}, fmt.Errorf("repair of %q: %w", graphName, err)
+	}
+	if local.Epoch > donor.Epoch || local == donor {
+		wk.logf("dserve: worker: %q at epoch %d needs nothing from %s (epoch %d)", graphName, local.Epoch, peer, donor.Epoch)
+		return RepairResponse{Graph: graphName, Mode: "wal", Epoch: local.Epoch}, nil
+	}
+	var tail WALTailResponse
+	walURL := fmt.Sprintf("%s/internal/wal%s&after=%d", peer, query, local.Epoch)
+	if callJSON(ctx, wk.cfg.Client, http.MethodGet, walURL, nil, &tail, maxProxyRespBody) == nil {
+		if replayed, err := wk.replayTail(graphName, tail.Records); err == nil {
+			if now, err := wk.srv.StateDigest(graphName); err == nil &&
+				(now.Epoch > tail.Epoch || (now.Epoch == tail.Epoch && now.Digest == tail.Digest)) {
 				// Converged to (or past — a concurrent fan-out landed here
 				// too) the donor's shipped state.
 				wk.srv.Metrics().Add("antientropy_repairs_applied", 1)
 				wk.logf("dserve: worker: repaired %q to epoch %d via wal suffix from %s (%d batches)",
-					graphName, local.Epoch, peer, replayed)
-				return RepairResponse{Graph: graphName, Mode: "wal", Epoch: local.Epoch, Replayed: replayed}, nil
+					graphName, now.Epoch, peer, replayed)
+				return RepairResponse{Graph: graphName, Mode: "wal", Epoch: now.Epoch, Replayed: replayed}, nil
 			}
 		}
 	}
-	// WAL suffix unavailable, incomplete, or it did not converge: full
-	// snapshot transfer.
-	snap, err := wk.fetchPeerSnapshot(ctx, peer, graphName)
-	if err != nil {
+	// WAL suffix unavailable (410: truncated or no WAL), incomplete, or it
+	// did not converge: full snapshot transfer.
+	var snap Snapshot
+	if err := callJSON(ctx, wk.cfg.Client, http.MethodGet, peer+"/internal/snapshot"+query, nil, &snap, maxProxyRespBody); err != nil {
+		wk.srv.Metrics().Add("worker_snapshot_fetch_errors", 1)
 		wk.srv.Metrics().Add("antientropy_repair_errors", 1)
-		return RepairResponse{}, fmt.Errorf("repair of %q: wal suffix unusable and snapshot fetch from %s failed: %v",
-			graphName, peer, err)
+		return RepairResponse{}, fmt.Errorf("repair of %q: wal suffix unusable and snapshot fetch failed: %w", graphName, err)
 	}
-	wk.adoptSnapshot(snap, "repair peer "+peer)
+	wk.adoptSnapshot(&snap, "repair peer "+peer)
 	wk.srv.Metrics().Add("antientropy_snapshot_fallbacks", 1)
-	epoch, _ := wk.srv.GraphEpoch(graphName)
+	epoch, _ := wk.srv.GraphEpoch(graphName) // the graph resolved above
 	return RepairResponse{Graph: graphName, Mode: "snapshot", Epoch: epoch}, nil
 }
 
@@ -364,30 +377,6 @@ func (wk *Worker) replayTail(graphName string, recs []stream.Change) (int, error
 		}
 	}
 	return replayed, nil
-}
-
-// fetchPeerWAL pulls a graph's WAL suffix after the given epoch from a
-// peer. A 410 means the peer cannot produce it (truncated or no WAL).
-func (wk *Worker) fetchPeerWAL(ctx context.Context, peer, graph string, after uint64) (*WALTailResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/internal/wal?graph=%s&after=%d", peer, url.QueryEscape(graph), after), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wk.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("peer %s wal: status %d", peer, resp.StatusCode)
-	}
-	var tail WALTailResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxProxyRespBody)).Decode(&tail); err != nil {
-		return nil, err
-	}
-	return &tail, nil
 }
 
 // handleSnapshot serves the current snapshot of ?graph=name to a peer.
@@ -529,81 +518,35 @@ func (wk *Worker) adoptSnapshot(snap *Snapshot, source string) bool {
 // returns the acknowledged peer map.
 func (wk *Worker) register(ctx context.Context) (map[string][]string, error) {
 	wk.srv.Metrics().Add("worker_register_attempts", 1)
-	body, err := json.Marshal(RegisterRequest{URL: wk.cfg.Advertise, Graphs: wk.srv.GraphNames()})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		wk.cfg.RouterURL+"/internal/register", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := wk.cfg.Client.Do(req)
-	if err != nil {
-		wk.srv.Metrics().Add("worker_register_errors", 1)
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		wk.srv.Metrics().Add("worker_register_errors", 1)
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("register: status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
 	var ack RegisterResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ack); err != nil {
+	err := callJSON(ctx, wk.cfg.Client, http.MethodPost, wk.cfg.RouterURL+"/internal/register",
+		RegisterRequest{URL: wk.cfg.Advertise, Graphs: wk.srv.GraphNames()}, &ack, 1<<20)
+	if err != nil {
 		wk.srv.Metrics().Add("worker_register_errors", 1)
-		return nil, err
+		return nil, fmt.Errorf("register: %w", err)
 	}
 	wk.srv.Metrics().Add("worker_registered", 1)
 	return ack.Peers, nil
 }
 
-// fetchPeerSnapshot pulls one graph's snapshot from a peer worker.
-func (wk *Worker) fetchPeerSnapshot(ctx context.Context, peer, graph string) (*Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		peer+"/internal/snapshot?graph="+url.QueryEscape(graph), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wk.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("peer %s: status %d", peer, resp.StatusCode)
-	}
-	var snap Snapshot
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxProxyRespBody)).Decode(&snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
-}
-
-// syncFromPeers fetches each graph's snapshot from the first responsive
-// peer and adopts it if newer than the resident state — how a rejoining
-// worker catches up on the mutations it missed while down, without a
-// cold re-solve.
-func (wk *Worker) syncFromPeers(ctx context.Context, peers map[string][]string) {
+// catchUp runs the repair ladder for every graph against the first
+// responsive registered peer — how a rejoining worker recovers the
+// mutations it missed while down, without a cold re-solve.
+func (wk *Worker) catchUp(ctx context.Context, peers map[string][]string) {
 	for _, graph := range wk.srv.GraphNames() {
 		for _, peer := range peers[graph] {
-			snap, err := wk.fetchPeerSnapshot(ctx, peer, graph)
-			if err != nil {
-				wk.srv.Metrics().Add("worker_snapshot_fetch_errors", 1)
-				wk.logf("dserve: worker: fetch snapshot of %q from %s: %v", graph, peer, err)
-				continue
+			_, err := wk.repairFrom(ctx, graph, peer)
+			if err == nil {
+				break // one responsive peer per graph is enough
 			}
-			wk.adoptSnapshot(snap, "peer "+peer)
-			break // one responsive peer per graph is enough
+			wk.logf("dserve: worker: rejoin catch-up of %q from %s: %v", graph, peer, err)
 		}
 	}
 }
 
 // Run drives the worker's background duties until ctx is canceled:
-// register with the router (retrying until it answers), warm-sync each
-// graph from a registered peer, then heartbeat and persist snapshots on
+// register with the router (retrying until it answers), catch each graph
+// up from a registered peer, then heartbeat and persist snapshots on
 // their tickers. On shutdown it persists a final snapshot set so the
 // next start restores the freshest state. Run returns when ctx is done.
 func (wk *Worker) Run(ctx context.Context) {
@@ -612,7 +555,7 @@ func (wk *Worker) Run(ctx context.Context) {
 		if ctx.Err() != nil {
 			return
 		}
-		wk.syncFromPeers(ctx, peers)
+		wk.catchUp(ctx, peers)
 	}
 	heartbeat := time.NewTicker(wk.cfg.Heartbeat)
 	defer heartbeat.Stop()

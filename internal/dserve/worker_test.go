@@ -117,8 +117,9 @@ func TestWorkerPersistAndRestoreLocal(t *testing.T) {
 
 // TestWorkerPeerSyncThroughRouter runs the full rejoin flow: worker A
 // registers and accumulates state; worker B registers later, learns A is
-// its peer from the registration ack, fetches A's snapshot over
-// /internal/snapshot, and serves A's epoch from cache without re-solving.
+// its peer from the registration ack, runs the catch-up ladder against it
+// (A keeps no WAL, so the ladder ends on A's /internal/snapshot), and
+// serves A's epoch from cache without re-solving.
 func TestWorkerPeerSyncThroughRouter(t *testing.T) {
 	rt, rts := newTestRouter(t, RouterConfig{Replication: 2, ProbeInterval: 50 * time.Millisecond})
 
@@ -234,18 +235,21 @@ func TestWorkerCrashReplayFromWAL(t *testing.T) {
 	}
 }
 
-// TestWorkerPeerSyncStaleRejected pins the stale-snapshot edge: a peer
-// snapshot older than the resident state is rejected (counted, state
-// untouched), even when a concurrent mutation is racing the adoption.
+// TestWorkerPeerSyncStaleRejected pins the stale-peer edge, racing live
+// mutations: the catch-up ladder sees the rejoiner is ahead and downloads
+// nothing, and a stale snapshot that does reach adoption is rejected
+// (counted, state untouched) without disturbing the concurrent write path.
 func TestWorkerPeerSyncStaleRejected(t *testing.T) {
-	_, tsA := newWorkerNode(t, nil) // the stale peer: epoch 1
+	wkA, tsA := newWorkerNode(t, nil) // the stale peer: epoch 1
 	solveAndMutate(t, tsA.URL)
 	wkB, tsB := newWorkerNode(t, nil) // ahead of the peer: epoch 2
 	solveAndMutate(t, tsB.URL)
 	mutateDirect(t, tsB.URL, 9, 173)
+	stale, err := wkA.Server().ExportSnapshot("g")
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Race adoption against live mutations: ImportSnapshot must reject the
-	// stale image without disturbing the concurrent write path.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -253,9 +257,13 @@ func TestWorkerPeerSyncStaleRejected(t *testing.T) {
 			mutateDirect(t, tsB.URL, uint32(10+i), 174)
 		}
 	}()
-	wkB.syncFromPeers(context.Background(), map[string][]string{"g": {tsA.URL}})
+	wkB.catchUp(context.Background(), map[string][]string{"g": {tsA.URL}})
+	wkB.adoptSnapshot(stale, "test")
 	<-done
 
+	if got := wkA.Server().Metrics().Counter("worker_snapshot_served"); got != 0 {
+		t.Fatalf("rejoiner ahead of its peer downloaded %d snapshot(s), want 0", got)
+	}
 	if got := wkB.Server().Metrics().Counter("worker_snapshot_stale"); got != 1 {
 		t.Fatalf("worker_snapshot_stale = %d, want 1", got)
 	}
@@ -264,6 +272,61 @@ func TestWorkerPeerSyncStaleRejected(t *testing.T) {
 	}
 	if epoch, err := wkB.Server().GraphEpoch("g"); err != nil || epoch != 10 {
 		t.Fatalf("epoch after stale sync + 8 concurrent mutations = %d (%v), want 10", epoch, err)
+	}
+}
+
+// TestRejoinCatchUpViaWAL pins the cheap rung of the ladder: a rejoiner
+// whose gap the donor's WAL covers replays the suffix from the first
+// responsive peer and never asks for a snapshot.
+func TestRejoinCatchUpViaWAL(t *testing.T) {
+	wkA, tsA := newWorkerNode(t, func(c *WorkerConfig) { c.WALDir = t.TempDir() })
+	wkB, _ := newWorkerNode(t, func(c *WorkerConfig) { c.WALDir = t.TempDir() })
+	mutateDirect(t, tsA.URL, 3, 170)
+	mutateDirect(t, tsA.URL, 5, 171)
+
+	wkB.catchUp(context.Background(), map[string][]string{"g": {"http://127.0.0.1:1", tsA.URL}})
+
+	if a, b := digestOf(t, wkA), digestOf(t, wkB); a != b {
+		t.Fatalf("digests after rejoin differ: %+v vs %+v", a, b)
+	}
+	mA, mB := wkA.Server().Metrics(), wkB.Server().Metrics()
+	if got := mB.Counter("antientropy_repair_errors"); got != 1 {
+		t.Errorf("antientropy_repair_errors = %d, want 1 (the unreachable first peer)", got)
+	}
+	if mB.Counter("antientropy_repairs_applied") != 1 || mB.Counter("antientropy_snapshot_fallbacks") != 0 {
+		t.Errorf("rejoin did not converge via the wal suffix: applied=%d fallbacks=%d",
+			mB.Counter("antientropy_repairs_applied"), mB.Counter("antientropy_snapshot_fallbacks"))
+	}
+	if mA.Counter("antientropy_wal_served") != 1 || mA.Counter("worker_snapshot_served") != 0 {
+		t.Errorf("donor served wal=%d snapshot=%d, want 1 and 0",
+			mA.Counter("antientropy_wal_served"), mA.Counter("worker_snapshot_served"))
+	}
+}
+
+// TestRejoinAtPeerFetchesNothing: a rejoiner already at its peer's
+// (epoch, digest) — the dserve-smoke restart from a current local
+// snapshot — transfers neither a WAL suffix nor a snapshot.
+func TestRejoinAtPeerFetchesNothing(t *testing.T) {
+	wkA, tsA := newWorkerNode(t, nil)
+	wkB, tsB := newWorkerNode(t, nil)
+	mutateDirect(t, tsA.URL, 3, 170)
+	mutateDirect(t, tsB.URL, 3, 170)
+
+	resp, err := wkB.repairFrom(context.Background(), "g", tsA.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Epoch != 1 || resp.Replayed != 0 {
+		t.Fatalf("repair of a current replica = %+v, want epoch 1 with nothing replayed", resp)
+	}
+	mA, mB := wkA.Server().Metrics(), wkB.Server().Metrics()
+	if mA.Counter("worker_snapshot_served") != 0 || mA.Counter("antientropy_wal_gone") != 0 {
+		t.Errorf("peer was asked for snapshot=%d wal=%d, want 0 and 0",
+			mA.Counter("worker_snapshot_served"), mA.Counter("antientropy_wal_gone"))
+	}
+	if mB.Counter("worker_snapshot_restores") != 0 || mB.Counter("antientropy_repairs_applied") != 0 {
+		t.Errorf("a no-op catch-up counted restores=%d applied=%d",
+			mB.Counter("worker_snapshot_restores"), mB.Counter("antientropy_repairs_applied"))
 	}
 }
 

@@ -12,8 +12,8 @@
 //     metric the build can actually emit — so the troubleshooting table
 //     cannot drift onto renamed or deleted counters.
 //
-// CI runs both (`go run ./internal/sim/telemetry/lintdoc`) and `go test`
-// covers the same checks.
+// CI runs both as this package's tests; `go run
+// ./internal/sim/telemetry/lintdoc` is the same pair for local use.
 package main
 
 import (
