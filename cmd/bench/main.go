@@ -4,7 +4,6 @@
 //
 //	bench [-exp fig10,fig11] [-tier tiny|mini|full] [-datasets LJ,WG] [-algs pr,bfs]
 //	      [-parallel N] [-progress] [-timeout 10m] [-manifest run.json] [-resume]
-//	      [-engines solve,psolve]
 //
 // With no -exp it runs every experiment in paper order. Tier controls
 // workload scale: tiny (seconds, default), mini (minutes), full
@@ -22,65 +21,61 @@
 // are byte-identical to an uninterrupted run. -faults passes an explicit
 // fault spec (see ROADMAP/EXPERIMENTS) to the "faults" experiment.
 //
-// -engines selects which registry engines (internal/engines) the "scaling"
-// experiment times; names are validated against the registry.
-//
 // -telemetry PREFIX makes the timeline experiment export its time series as
 // PREFIX.csv and PREFIX.trace.json (Chrome trace_event; loads in Perfetto —
 // see EXPERIMENTS.md "Time-resolved figures" and METRICS.md).
-// -cpuprofile/-memprofile write Go pprof profiles of the harness itself.
+// -cpuprofile/-memprofile write Go pprof profiles of the harness itself;
+// both are written whether or not the experiments succeed.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
 	"graphpulse/internal/bench"
-	"graphpulse/internal/engines"
 	"graphpulse/internal/graph/gen"
 )
 
 func main() {
-	var (
-		expFlag      = flag.String("exp", "", "comma-separated experiment ids (default: all)")
-		tierFlag     = flag.String("tier", "tiny", "workload scale: tiny|mini|full")
-		datasetFlag  = flag.String("datasets", "", "comma-separated Table IV abbreviations (WG,FB,WK,LJ,TW)")
-		algFlag      = flag.String("algs", "", "comma-separated algorithms (pr,ads,sssp,bfs,cc)")
-		listFlag     = flag.Bool("list", false, "list experiment ids and exit")
-		csvFlag      = flag.String("csv", "", "also write the engine sweep as CSV to this path")
-		parallelFlag = flag.Int("parallel", 0, "simulated-engine sweep workers (0 = GOMAXPROCS; ligra phase is always serial)")
-		progressFlag = flag.Bool("progress", false, "print per-cell completion lines with elapsed time to stderr")
-		telFlag      = flag.String("telemetry", "", "write the timeline experiment's series to PREFIX.csv and PREFIX.trace.json")
-		cpuProfFlag  = flag.String("cpuprofile", "", "write a CPU profile of the harness to this file")
-		memProfFlag  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		timeoutFlag  = flag.Duration("timeout", 0, "wall-clock limit per simulated-engine sweep job (0 = unbounded)")
-		manifestFlag = flag.String("manifest", "", "maintain a resumable run manifest (JSON, rewritten atomically after each sweep job)")
-		resumeFlag   = flag.Bool("resume", false, "restore completed jobs from the -manifest file instead of re-running them")
-		faultsFlag   = flag.String("faults", "", "fault spec for the faults experiment, e.g. drop=1e-4,seed=7 (default: built-in rate sweep)")
-		enginesFlag  = flag.String("engines", "", "comma-separated registry engines for the scaling experiment ("+engines.NamesList()+"; default solve,psolve)")
-	)
-	flag.Parse()
-
-	if *cpuProfFlag != "" {
-		f, err := os.Create(*cpuProfFlag)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer pprof.StopCPUProfile()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+		os.Exit(1)
 	}
+}
+
+// run is main's body, returning instead of exiting so the profile defers
+// execute on a failed sweep too.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("bench", flag.ExitOnError)
+	var (
+		expFlag      = fs.String("exp", "", "comma-separated experiment ids (default: all)")
+		tierFlag     = fs.String("tier", "tiny", "workload scale: tiny|mini|full")
+		datasetFlag  = fs.String("datasets", "", "comma-separated Table IV abbreviations (WG,FB,WK,LJ,TW)")
+		algFlag      = fs.String("algs", "", "comma-separated algorithms (pr,ads,sssp,bfs,cc)")
+		listFlag     = fs.Bool("list", false, "list experiment ids and exit")
+		csvFlag      = fs.String("csv", "", "also write the engine sweep as CSV to this path")
+		parallelFlag = fs.Int("parallel", 0, "simulated-engine sweep workers (0 = GOMAXPROCS; ligra phase is always serial)")
+		progressFlag = fs.Bool("progress", false, "print per-cell completion lines with elapsed time to stderr")
+		telFlag      = fs.String("telemetry", "", "write the timeline experiment's series to PREFIX.csv and PREFIX.trace.json")
+		cpuProfFlag  = fs.String("cpuprofile", "", "write a CPU profile of the harness to this file")
+		memProfFlag  = fs.String("memprofile", "", "write a heap profile to this file at exit")
+		timeoutFlag  = fs.Duration("timeout", 0, "wall-clock limit per simulated-engine sweep job (0 = unbounded)")
+		manifestFlag = fs.String("manifest", "", "maintain a resumable run manifest (JSON, rewritten atomically after each sweep job)")
+		resumeFlag   = fs.Bool("resume", false, "restore completed jobs from the -manifest file instead of re-running them")
+		faultsFlag   = fs.String("faults", "", "fault spec for the faults experiment, e.g. drop=1e-4,seed=7 (default: built-in rate sweep)")
+	)
+	fs.Parse(args) // ExitOnError: like the tier check, exits 2 before anything is deferred
 
 	if *listFlag {
 		for _, e := range bench.Experiments() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Title)
 		}
-		return
+		return nil
 	}
 
 	var tier gen.Tier
@@ -92,15 +87,39 @@ func main() {
 	case "full":
 		tier = gen.Full
 	default:
-		fmt.Fprintf(os.Stderr, "bench: unknown tier %q\n", *tierFlag)
+		fmt.Fprintf(stderr, "bench: unknown tier %q\n", *tierFlag)
 		os.Exit(2)
+	}
+
+	if *cpuProfFlag != "" {
+		f, err := os.Create(*cpuProfFlag)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	if *memProfFlag != "" {
+		defer func() {
+			if perr := writeHeapProfile(*memProfFlag); err == nil {
+				err = perr
+			}
+		}()
 	}
 
 	opt := bench.Options{
 		Tier:          tier,
 		Datasets:      splitList(*datasetFlag),
 		Algorithms:    splitList(*algFlag),
-		Out:           os.Stdout,
+		Out:           stdout,
 		CSVPath:       *csvFlag,
 		Parallel:      *parallelFlag,
 		TelemetryPath: *telFlag,
@@ -108,32 +127,24 @@ func main() {
 		Manifest:      *manifestFlag,
 		Resume:        *resumeFlag,
 		FaultSpec:     *faultsFlag,
-		Engines:       splitList(*enginesFlag),
 	}
 	if *progressFlag {
-		opt.Progress = os.Stderr
+		opt.Progress = stderr
 	}
-	if err := bench.RunExperiments(splitList(*expFlag), opt); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
-	}
-
-	if *memProfFlag != "" {
-		runtime.GC()
-		f, err := os.Create(*memProfFlag)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
-	}
+	return bench.RunExperiments(splitList(*expFlag), opt)
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-	os.Exit(1)
+func writeHeapProfile(path string) error {
+	runtime.GC()
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func splitList(s string) []string {

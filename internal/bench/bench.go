@@ -82,11 +82,6 @@ type Options struct {
 	// "drop=1e-4,seed=7" — see fault.ParseSpec. Empty runs that
 	// experiment's built-in rate sweep.
 	FaultSpec string
-	// Engines selects which registry engines the scaling experiment times
-	// (default: solve and psolve). Names are validated against the engine
-	// registry (internal/engines), so the accepted vocabulary — and the
-	// error listing it — never goes stale.
-	Engines []string
 
 	// fixedLigraSeconds, when >0, replaces the measured host wall time so
 	// tests can assert byte-identical rendered output across runs.

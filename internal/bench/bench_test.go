@@ -2,6 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -23,8 +27,7 @@ func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
 	wantIDs := []string{"table1", "table2", "table3", "table4", "fig4", "fig8",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "table5", "energy", "slicing",
-		"cluster", "ablation", "timeline", "scaling", "scaleout", "faults", "churn",
-		"footprint"}
+		"cluster", "ablation", "timeline", "faults"}
 	if len(exps) != len(wantIDs) {
 		t.Fatalf("registry has %d experiments, want %d", len(exps), len(wantIDs))
 	}
@@ -38,6 +41,32 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if _, err := ExperimentByID("nope"); err == nil {
 		t.Error("unknown id accepted")
+	}
+}
+
+// TestImportBoundary pins the split between this package and perf/: the
+// paper reproducer's non-test files import only the simulated engines and
+// their substrate, never the native-solver, storage or serving tiers whose
+// wall-clock numbers the frozen benchmark driver owns.
+func TestImportBoundary(t *testing.T) {
+	banned := map[string]bool{}
+	for _, pkg := range []string{"psolve", "serve", "dserve", "loadgen", "graph/ooc", "stream"} {
+		banned["graphpulse/internal/"+pkg] = true
+	}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				if path, _ := strconv.Unquote(imp.Path.Value); banned[path] {
+					t.Errorf("%s imports %s", name, path)
+				}
+			}
+		}
 	}
 }
 

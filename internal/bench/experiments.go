@@ -54,11 +54,7 @@ func Experiments() []Experiment {
 		{ID: "cluster", Title: "Multi-accelerator slicing (Section IV-F option b)", Run: runCluster},
 		{ID: "ablation", Title: "Design-choice ablations (coalescing, prefetch, streams)", Run: runAblation},
 		{ID: "timeline", Title: "Time-resolved telemetry (queue occupancy, event rate, DRAM bandwidth)", Run: runTimeline},
-		{ID: "scaling", Title: "Parallel native solver speedup vs worker count", Run: runScaling},
-		{ID: "scaleout", Title: "Distributed serving scale-out vs simulated multi-chip cluster", Run: runScaleout},
 		{ID: "faults", Title: "Fault-injection survival matrix (detection, tolerance, silent corruption)", Run: runFaults},
-		{ID: "churn", Title: "Streaming churn: warm vs cold re-convergence under deletions and expiry", Run: runChurn},
-		{ID: "footprint", Title: "Memory footprint vs throughput (out-of-core compressed store)", Run: runFootprint},
 	}
 }
 

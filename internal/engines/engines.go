@@ -1,7 +1,7 @@
 // Package engines is the repository's engine registry: one canonical list
 // of the ways a delta-accumulative algorithm can be driven to its fixed
-// point, behind a single interface. The serving tier, the bench harness,
-// and the conformance suite all resolve engine names here instead of
+// point, behind a single interface. The serving tier, the conformance suite
+// and the benchmark driver all resolve engine names here instead of
 // maintaining their own switch statements, so adding an engine is one
 // registry entry — not a sweep across layers.
 //
@@ -32,8 +32,8 @@ import (
 )
 
 // Canonical engine names. These strings are the wire/CLI vocabulary:
-// /v1/query's engine field, bench's -engines flag, and loadgen's -engine
-// flag all validate against them through Normalize.
+// /v1/query's engine field and loadgen's -engine flag validate against them
+// through Normalize.
 const (
 	Solve         = "solve"
 	PSolve        = "psolve"
@@ -82,53 +82,24 @@ type Engine interface {
 	SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm) (*algorithms.SolveResult, error)
 }
 
-// Config overrides per-engine tuning for New. Nil fields select each
-// engine's documented default (core.OptimizedConfig, psolve.DefaultConfig,
-// graphicionado.DefaultConfig, ligra.DefaultConfig).
-type Config struct {
-	PSolve        *psolve.Config
-	Accel         *core.Config
-	Graphicionado *graphicionado.Config
-	Ligra         *ligra.Config
-}
-
-// New resolves a registry name to its Engine under cfg. The name must be
+// Lookup resolves a registry name to its Engine. Every engine runs with its
+// documented default tuning (psolve.DefaultConfig, core.OptimizedConfig,
+// graphicionado.DefaultConfig, ligra.DefaultConfig). The name must be
 // canonical (pass user input through Normalize first).
-func New(name string, cfg Config) (Engine, error) {
+func Lookup(name string) (Engine, error) {
 	switch name {
 	case Solve:
 		return solveEngine{}, nil
 	case PSolve:
-		pc := psolve.DefaultConfig()
-		if cfg.PSolve != nil {
-			pc = *cfg.PSolve
-		}
-		return psolveEngine{cfg: pc}, nil
+		return psolveEngine{}, nil
 	case Accel:
-		ac := core.OptimizedConfig()
-		if cfg.Accel != nil {
-			ac = *cfg.Accel
-		}
-		return accelEngine{cfg: ac}, nil
+		return accelEngine{}, nil
 	case Graphicionado:
-		gc := graphicionado.DefaultConfig()
-		if cfg.Graphicionado != nil {
-			gc = *cfg.Graphicionado
-		}
-		return graphicionadoEngine{cfg: gc}, nil
+		return graphicionadoEngine{}, nil
 	case Ligra:
-		lc := ligra.DefaultConfig()
-		if cfg.Ligra != nil {
-			lc = *cfg.Ligra
-		}
-		return ligraEngine{cfg: lc}, nil
+		return ligraEngine{}, nil
 	}
 	return nil, fmt.Errorf("unknown engine %q (want %s)", name, NamesList())
-}
-
-// Lookup resolves a registry name to its Engine with default tuning.
-func Lookup(name string) (Engine, error) {
-	return New(name, Config{})
 }
 
 type solveEngine struct{}
@@ -139,12 +110,12 @@ func (solveEngine) SolveCtx(ctx context.Context, g graph.Adjacency, alg algorith
 	return algorithms.SolveCtx(ctx, g, alg)
 }
 
-type psolveEngine struct{ cfg psolve.Config }
+type psolveEngine struct{}
 
 func (psolveEngine) Name() string { return PSolve }
 
-func (e psolveEngine) SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm) (*algorithms.SolveResult, error) {
-	res, err := psolve.SolveCtx(ctx, g, alg, e.cfg)
+func (psolveEngine) SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm) (*algorithms.SolveResult, error) {
+	res, err := psolve.SolveCtx(ctx, g, alg, psolve.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -155,12 +126,12 @@ func (e psolveEngine) SolveCtx(ctx context.Context, g graph.Adjacency, alg algor
 	}, nil
 }
 
-type accelEngine struct{ cfg core.Config }
+type accelEngine struct{}
 
 func (accelEngine) Name() string { return Accel }
 
-func (e accelEngine) SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm) (*algorithms.SolveResult, error) {
-	a, err := core.New(e.cfg, g, alg)
+func (accelEngine) SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm) (*algorithms.SolveResult, error) {
+	a, err := core.New(core.OptimizedConfig(), g, alg)
 	if err != nil {
 		return nil, err
 	}
@@ -175,12 +146,12 @@ func (e accelEngine) SolveCtx(ctx context.Context, g graph.Adjacency, alg algori
 	}, nil
 }
 
-type graphicionadoEngine struct{ cfg graphicionado.Config }
+type graphicionadoEngine struct{}
 
 func (graphicionadoEngine) Name() string { return Graphicionado }
 
-func (e graphicionadoEngine) SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm) (*algorithms.SolveResult, error) {
-	res, err := graphicionado.RunCtx(ctx, e.cfg, g, alg)
+func (graphicionadoEngine) SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm) (*algorithms.SolveResult, error) {
+	res, err := graphicionado.RunCtx(ctx, graphicionado.DefaultConfig(), g, alg)
 	if err != nil {
 		return nil, err
 	}
@@ -190,12 +161,12 @@ func (e graphicionadoEngine) SolveCtx(ctx context.Context, g graph.Adjacency, al
 	}, nil
 }
 
-type ligraEngine struct{ cfg ligra.Config }
+type ligraEngine struct{}
 
 func (ligraEngine) Name() string { return Ligra }
 
-func (e ligraEngine) SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm) (*algorithms.SolveResult, error) {
-	res, err := ligra.New(e.cfg, g).RunCtx(ctx, alg)
+func (ligraEngine) SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm) (*algorithms.SolveResult, error) {
+	res, err := ligra.New(ligra.DefaultConfig(), g).RunCtx(ctx, alg)
 	if err != nil {
 		return nil, err
 	}

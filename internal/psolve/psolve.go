@@ -66,14 +66,12 @@ type Config struct {
 	// RefinePasses is the number of partition boundary-refinement sweeps
 	// used to reduce the cross-shard edge cut (default 1).
 	RefinePasses int
-	// NoRelabel disables the internal degree-order relabeling pass. By
-	// default (false) the solver relabels in-RAM graphs with
-	// partition.DegreeOrderPermutation before sharding, clustering
-	// well-connected vertices into the same shard to cut the cross-shard
-	// edge fraction; results are reported in the original vertex ids. The
-	// pass is skipped automatically for single-worker runs and for
-	// out-of-core stores (whose on-disk slice layout is already the
-	// locality unit).
+	// NoRelabel is a no-op kept only because the frozen benchmark driver
+	// (perf/wl_parallel.go) sets it: the degree-order relabeling pass it
+	// used to disable measured slower than the cut edges it saved
+	// (psolve.norelabel_vs_relabel_x 0.50–0.77) and is gone, so the solver
+	// always shards the graph it is given. Nothing reads the field; it and
+	// that benchmark row go in the next benchmark-definition change.
 	NoRelabel bool
 }
 
@@ -98,54 +96,38 @@ func (c Config) withDefaults() Config {
 // Result is the outcome of a parallel solve. Values agrees with the serial
 // solver within conformance.Tolerance (exactly, for monotone min/max
 // algorithms); the counters are the solver's observability surface,
-// documented in METRICS.md ("Parallel solver metrics").
+// documented field by field in METRICS.md ("Parallel solver metrics") and
+// read by the psolve.* rows of BENCHMARK.json.
 type Result struct {
 	// Values is the converged vertex state.
 	Values []float64
 	// Activations counts vertex updates performed across all workers
-	// (`psolve_worker_activations` summed).
+	// (WorkerActivations summed).
 	Activations int64
 	// Emitted counts propagated edge deltas across all workers.
 	Emitted int64
-	// Workers is the number of shards actually used (`psolve_workers`).
+	// Workers is the number of shards actually used.
 	Workers int
-	// WorkerActivations is the per-shard activation count
-	// (`psolve_worker_activations`); imbalance here means a skewed
-	// partition.
+	// WorkerActivations is the per-shard activation count; imbalance here
+	// means a skewed partition.
 	WorkerActivations []int64
 	// CrossShardDeltas counts coalesced delta entries delivered between
-	// shards over channels (`psolve_cross_shard_deltas`).
+	// shards over channels.
 	CrossShardDeltas int64
 	// CrossShardCoalesced counts remote deltas merged into an
-	// already-buffered outbound entry instead of travelling on their own
-	// (`psolve_cross_shard_coalesced`) — the software measure of the
-	// paper's in-flight event coalescing across queue boundaries.
+	// already-buffered outbound entry instead of travelling on their own —
+	// the software measure of the paper's in-flight event coalescing across
+	// queue boundaries.
 	CrossShardCoalesced int64
-	// CrossShardBatches counts channel sends (`psolve_cross_shard_batches`).
+	// CrossShardBatches counts channel sends.
 	CrossShardBatches int64
-	// TerminationRounds sums each worker's local-quiescence episodes
-	// (`psolve_termination_rounds`): how often a worker drained its shard
-	// and went idle before new cross-shard work arrived or the global
-	// counter hit zero.
+	// TerminationRounds sums each worker's local-quiescence episodes: how
+	// often a worker drained its shard and went idle before new cross-shard
+	// work arrived or the global counter hit zero.
 	TerminationRounds int64
-	// CutEdges is the partition edge cut (`psolve_cut_edges`): edges whose
-	// endpoints live in different shards, each a potential cross-shard
-	// delta per propagation.
+	// CutEdges is the partition edge cut: edges whose endpoints live in
+	// different shards, each a potential cross-shard delta per propagation.
 	CutEdges int
-}
-
-// MetricNames lists the solver metric names for the METRICS.md staleness
-// linter (lintdoc), mirroring the Result counter fields.
-func MetricNames() []string {
-	return []string{
-		"psolve_workers",
-		"psolve_worker_activations",
-		"psolve_cross_shard_deltas",
-		"psolve_cross_shard_coalesced",
-		"psolve_cross_shard_batches",
-		"psolve_termination_rounds",
-		"psolve_cut_edges",
-	}
 }
 
 // delta is one (vertex, accumulated value) cross-shard message entry.
@@ -168,6 +150,11 @@ type solver struct {
 	id    float64
 
 	workers []*worker
+	// spare recycles the backing arrays of integrated batches: on a skewed
+	// graph a third of the edges cross shards, and a fresh batch per flush
+	// was most of a solve's allocation. Sized to the batches that can be in
+	// flight at once, so a full list only means the rest go to the GC.
+	spare chan batch
 
 	// outstanding counts queued worklist entries + buffered remote-delta
 	// entries + in-flight batch entries. Zero ⇔ global quiescence.
@@ -229,17 +216,6 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm, 
 		return &Result{Values: []float64{}}, nil
 	}
 
-	// Locality pass: relabel in-RAM graphs so BFS-adjacent vertices land in
-	// the same contiguous shard. The algorithm is wrapped to observe original
-	// vertex ids (InitState/Propagate see pre-permutation ids), so results
-	// are exact — only the schedule and shard assignment change; values are
-	// un-permuted before returning.
-	if !cfg.NoRelabel && cfg.Workers > 1 && n > 1 {
-		if csr, ok := g.(*graph.CSR); ok {
-			return solveRelabeled(ctx, csr, alg, cfg)
-		}
-	}
-
 	part, err := shard(g, cfg)
 	if err != nil {
 		return nil, err
@@ -256,6 +232,7 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm, 
 		id:    alg.Identity(),
 		done:  make(chan struct{}),
 		stop:  make(chan struct{}),
+		spare: make(chan batch, 4*w*w),
 	}
 	for v := 0; v < n; v++ {
 		s.state[v] = alg.InitState(graph.VertexID(v))
@@ -366,65 +343,6 @@ func alignedPartitioning(g graph.Adjacency, bounds []graph.VertexID, workers int
 	return p
 }
 
-// solveRelabeled is the degree-order locality pass: relabel the graph with
-// partition.DegreeOrderPermutation, solve on the relabeled graph with a
-// wrapper that presents original vertex ids to the algorithm, and un-permute
-// the converged values. Exact for every algorithm — the wrapped algorithm
-// observes the same ids, weights and out-degrees as an unrelabeled run, so
-// only the shard assignment and schedule change.
-func solveRelabeled(ctx context.Context, g *graph.CSR, alg algorithms.Algorithm, cfg Config) (*Result, error) {
-	perm := partition.DegreeOrderPermutation(g)
-	rg, err := g.Relabel(perm)
-	if err != nil {
-		return nil, fmt.Errorf("psolve: relabel: %w", err)
-	}
-	inv := make([]graph.VertexID, len(perm))
-	for v, p := range perm {
-		inv[p] = graph.VertexID(v)
-	}
-	cfg.NoRelabel = true
-	res, err := SolveCtx(ctx, rg, &relabeledAlg{Algorithm: alg, perm: perm, inv: inv, orig: g}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Relabeled vertex perm[v] holds original vertex v's converged value.
-	vals := make([]float64, len(res.Values))
-	for v := range vals {
-		vals[v] = res.Values[perm[v]]
-	}
-	res.Values = vals
-	return res, nil
-}
-
-// relabeledAlg presents original vertex ids to the wrapped algorithm while
-// the solver runs on the relabeled graph: InitState and Propagate un-map ids,
-// InitialEvents are computed on the original graph and mapped forward.
-// Out-degree is invariant under relabeling, so EdgeContext.SrcOutDegree needs
-// no translation.
-type relabeledAlg struct {
-	algorithms.Algorithm
-	perm, inv []graph.VertexID
-	orig      graph.Adjacency
-}
-
-func (a *relabeledAlg) InitState(v graph.VertexID) algorithms.Value {
-	return a.Algorithm.InitState(a.inv[v])
-}
-
-func (a *relabeledAlg) Propagate(d algorithms.Value, e algorithms.EdgeContext) algorithms.Value {
-	e.Src, e.Dst = a.inv[e.Src], a.inv[e.Dst]
-	return a.Algorithm.Propagate(d, e)
-}
-
-func (a *relabeledAlg) InitialEvents(graph.Adjacency) []algorithms.InitialEvent {
-	evs := a.Algorithm.InitialEvents(a.orig)
-	out := make([]algorithms.InitialEvent, len(evs))
-	for i, ev := range evs {
-		out[i] = algorithms.InitialEvent{Vertex: a.perm[ev.Vertex], Delta: ev.Delta}
-	}
-	return out
-}
-
 // fail records the first error and stops the fleet.
 func (s *solver) fail(err error) {
 	s.failOnce.Do(func() {
@@ -493,11 +411,16 @@ func (w *worker) bufferRemote(s *solver, dst int, v graph.VertexID, d float64) {
 // integrate merges a received batch into the local worklist. Each delivered
 // entry retires one unit of outstanding work (its increment happened at
 // buffer time on the sender); any new worklist entry it causes is counted
-// first by pushLocal.
+// first by pushLocal. The channel send handed b over, so its backing array
+// goes back to the spare list for the next flush of any worker.
 func (w *worker) integrate(s *solver, b batch) {
 	for _, e := range b {
 		w.pushLocal(s, e.v, e.d)
 		s.finish(1)
+	}
+	select {
+	case s.spare <- b[:0]:
+	default:
 	}
 }
 
@@ -526,7 +449,14 @@ func (w *worker) flushAll(s *solver) bool {
 		if len(dirty) == 0 {
 			continue
 		}
-		b := make(batch, 0, len(dirty))
+		var b batch
+		select {
+		case b = <-s.spare:
+		default:
+		}
+		if cap(b) < len(dirty) {
+			b = make(batch, 0, len(dirty))
+		}
 		for _, v := range dirty {
 			b = append(b, delta{v, w.racc[v]})
 			w.racc[v] = s.id

@@ -214,3 +214,30 @@ func TestDeterministicForMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestNoRelabelIsInert pins Config.NoRelabel as a no-op: with the relabel
+// pass gone, both settings shard the graph as given, so the edge cut — which
+// depends only on the partition — and the monotone fixed points are identical.
+func TestNoRelabelIsInert(t *testing.T) {
+	g, err := gen.RMAT(gen.RMATParams{
+		A: 0.57, B: 0.19, C: 0.19, D: 0.05,
+		Scale: 8, EdgeFactor: 4, Weighted: true, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := conformance.BestRoot(g)
+	for name, mk := range map[string]func() algorithms.Algorithm{
+		"sssp": func() algorithms.Algorithm { return algorithms.NewSSSP(root) },
+		"cc":   func() algorithms.Algorithm { return algorithms.NewConnectedComponents() },
+	} {
+		def := psolve.Solve(g, mk(), psolve.Config{Workers: 4})
+		off := psolve.Solve(g, mk(), psolve.Config{Workers: 4, NoRelabel: true})
+		if def.CutEdges != off.CutEdges {
+			t.Errorf("%s: CutEdges %d (default) != %d (NoRelabel)", name, def.CutEdges, off.CutEdges)
+		}
+		if err := conformance.CompareValues(name+" default vs NoRelabel", def.Values, off.Values, 0); err != nil {
+			t.Error(err)
+		}
+	}
+}

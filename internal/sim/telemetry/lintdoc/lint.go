@@ -31,7 +31,6 @@ import (
 	"graphpulse/internal/graph/gen"
 	"graphpulse/internal/graph/ooc"
 	"graphpulse/internal/mem"
-	"graphpulse/internal/psolve"
 	"graphpulse/internal/serve"
 	"graphpulse/internal/sim/telemetry"
 )
@@ -108,9 +107,6 @@ func emittedNames() ([]string, error) {
 	// Distributed serving tier: router and worker catalogues.
 	add(dserve.RouterMetricNames()...)
 	add(dserve.WorkerMetricNames()...)
-
-	// Parallel native solver counters.
-	add(psolve.MetricNames()...)
 
 	// Out-of-core graphpack store counters.
 	add(ooc.MetricNames()...)
