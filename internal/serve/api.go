@@ -34,9 +34,12 @@ type QueryRequest struct {
 	// TimeoutMS overrides the server's default per-request deadline,
 	// capped by Config.MaxTimeout.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Top asks for the N highest-valued vertices (default 10, max 1000).
+	// Top asks for the N highest finite values, ties broken by lower
+	// vertex id: 0 (or absent) means 10, a negative value omits the list,
+	// and anything above 1000 is clamped to 1000.
 	Top int `json:"top,omitempty"`
-	// Vertices asks for the values of specific vertices.
+	// Vertices asks for the values of specific vertices, answered in
+	// request order; ids beyond the graph's vertex count are dropped.
 	Vertices []uint32 `json:"vertices,omitempty"`
 }
 
@@ -51,18 +54,25 @@ type VertexValue struct {
 
 // MarshalJSON implements json.Marshaler; see the type comment.
 func (v VertexValue) MarshalJSON() ([]byte, error) {
-	var val string
+	return appendVertexValue(nil, v), nil
+}
+
+// appendVertexValue appends v's wire form, {"vertex":N,"value":X}, to b.
+func appendVertexValue(b []byte, v VertexValue) []byte {
+	b = append(b, `{"vertex":`...)
+	b = strconv.AppendUint(b, uint64(v.Vertex), 10)
+	b = append(b, `,"value":`...)
 	switch {
 	case math.IsInf(v.Value, 1):
-		val = `"Infinity"`
+		b = append(b, `"Infinity"`...)
 	case math.IsInf(v.Value, -1):
-		val = `"-Infinity"`
+		b = append(b, `"-Infinity"`...)
 	case math.IsNaN(v.Value):
-		val = `"NaN"`
+		b = append(b, `"NaN"`...)
 	default:
-		val = strconv.FormatFloat(v.Value, 'g', -1, 64)
+		b = strconv.AppendFloat(b, v.Value, 'g', -1, 64)
 	}
-	return []byte(fmt.Sprintf(`{"vertex":%d,"value":%s}`, v.Vertex, val)), nil
+	return append(b, '}')
 }
 
 // UnmarshalJSON implements json.Unmarshaler; see the type comment.
@@ -92,7 +102,9 @@ func (v *VertexValue) UnmarshalJSON(data []byte) error {
 	return json.Unmarshal(aux.Value, &v.Value)
 }
 
-// QueryResponse is the /v1/query answer.
+// QueryResponse is the /v1/query answer. Sum adds every finite value; Top
+// and Values are the projections QueryRequest.Top and
+// QueryRequest.Vertices ask for, each absent when empty.
 type QueryResponse struct {
 	Graph     string `json:"graph"`
 	Epoch     uint64 `json:"epoch"`
@@ -115,6 +127,97 @@ type QueryResponse struct {
 	Sum         float64       `json:"sum"`
 	Top         []VertexValue `json:"top,omitempty"`
 	Values      []VertexValue `json:"values,omitempty"`
+}
+
+// MarshalJSON implements json.Marshaler with the encoder the handler
+// itself writes responses with, so every producer of a QueryResponse emits
+// the same bytes.
+func (r QueryResponse) MarshalJSON() ([]byte, error) {
+	// Sized so a typical answer is appended without regrowing: ~48 bytes a
+	// pair, 256 for the scalar fields.
+	return appendQueryResponse(make([]byte, 0, 256+48*(len(r.Top)+len(r.Values))), &r)
+}
+
+// appendQueryResponse appends r's wire form to b: the fields in
+// declaration order, `omitempty` ones skipped when empty, exactly what
+// encoding/json produces from the struct tags (a differential test holds
+// the two together) but without reflection or a per-element allocation.
+// Like encoding/json it refuses a non-finite compute_seconds or sum.
+func appendQueryResponse(b []byte, r *QueryResponse) ([]byte, error) {
+	b = appendJSONString(append(b, `{"graph":`...), r.Graph)
+	b = strconv.AppendUint(append(b, `,"epoch":`...), r.Epoch, 10)
+	b = appendJSONString(append(b, `,"algorithm":`...), r.Algorithm)
+	b = appendJSONString(append(b, `,"engine":`...), r.Engine)
+	b = strconv.AppendBool(append(b, `,"cached":`...), r.Cached)
+	b = appendJSONString(append(b, `,"mode":`...), r.Mode)
+	if r.Coalesced {
+		b = append(b, `,"coalesced":true`...)
+	}
+	b = strconv.AppendInt(append(b, `,"num_vertices":`...), int64(r.NumVertices), 10)
+	b = strconv.AppendInt(append(b, `,"num_edges":`...), int64(r.NumEdges), 10)
+	b = strconv.AppendInt(append(b, `,"activations":`...), r.Activations, 10)
+	var err error
+	if b, err = appendJSONFloat(append(b, `,"compute_seconds":`...), r.ComputeSecs); err != nil {
+		return nil, err
+	}
+	if b, err = appendJSONFloat(append(b, `,"sum":`...), r.Sum); err != nil {
+		return nil, err
+	}
+	b = appendVertexValues(b, `,"top":[`, r.Top)
+	b = appendVertexValues(b, `,"values":[`, r.Values)
+	return append(b, '}'), nil
+}
+
+// appendVertexValues appends one `omitempty` VertexValue array, opened by
+// the given `,"name":[` prefix.
+func appendVertexValues(b []byte, open string, vs []VertexValue) []byte {
+	if len(vs) == 0 {
+		return b
+	}
+	b = append(b, open...)
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendVertexValue(b, v)
+	}
+	return append(b, ']')
+}
+
+// appendJSONString appends s as a JSON string. Names made of plain
+// printable ASCII — every engine, mode and algorithm key, and any sane
+// graph name — are copied between quotes; anything encoding/json would
+// escape is handed to encoding/json.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string never fails to marshal
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONFloat appends f the way encoding/json writes a float64: the
+// shortest decimal that round-trips, in exponent form only below 1e-6 or
+// from 1e21 up, the exponent without a leading zero.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return nil, fmt.Errorf("serve: unsupported JSON number %v", f)
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		// e-09 → e-9
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
 }
 
 // EdgeJSON is one directed edge in a mutation batch

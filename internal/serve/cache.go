@@ -3,39 +3,130 @@ package serve
 import (
 	"container/list"
 	"context"
-	"fmt"
+	"math"
 	"strings"
 	"sync"
 )
 
 // cachedResult is one converged computation, published read-only: the
-// Values slice is never written after insertion, so handlers and
-// warm-start seeding may read it concurrently without copying.
+// Values slice and the summary are never written after construction, so
+// handlers and warm-start seeding may read them concurrently without
+// copying.
 type cachedResult struct {
 	Values      []float64
 	Epoch       uint64
-	Mode        string // "cold" or "warm"
+	Mode        string // "cold", "warm" or "cone"
 	Activations int64
 	ComputeSecs float64
+
+	// The summary every answer projects from, reduced once when the result
+	// is built — like a queue bin coalescing at insert, a request never
+	// pays for it again. sum adds the finite values in index order; top
+	// holds the maxTopN best finite (vertex, value) pairs, value
+	// descending, ties by ascending vertex id.
+	sum float64
+	top []VertexValue
+}
+
+// newCachedResult is the only constructor of a cachedResult: it takes
+// ownership of values and reduces the summary in one pass, keeping the
+// best maxTopN pairs in a bounded min-heap (root = worst kept), so no
+// n-sized index is built and nothing n-sized is sorted.
+func newCachedResult(values []float64, epoch uint64, mode string, activations int64, computeSecs float64) *cachedResult {
+	sum := 0.0
+	top := make([]VertexValue, 0, min(len(values), maxTopN))
+	for i, v := range values {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			continue
+		}
+		sum += v
+		vv := VertexValue{Vertex: uint32(i), Value: v}
+		switch {
+		case len(top) < cap(top):
+			top = append(top, vv)
+			if len(top) == cap(top) {
+				heapify(top)
+			}
+		case ranksBefore(vv, top[0]):
+			top[0] = vv
+			siftDown(top, 0)
+		}
+	}
+	if len(top) < cap(top) {
+		heapify(top) // fewer finite values than slots: not a heap yet
+	}
+	// Heapsort in place: the worst kept pair moves to the end each round,
+	// leaving the slice in rank order.
+	for end := len(top) - 1; end > 0; end-- {
+		top[0], top[end] = top[end], top[0]
+		siftDown(top[:end], 0)
+	}
+	return &cachedResult{
+		Values:      values,
+		Epoch:       epoch,
+		Mode:        mode,
+		Activations: activations,
+		ComputeSecs: computeSecs,
+		sum:         sum,
+		top:         top,
+	}
+}
+
+// ranksBefore is the answer order: higher value first, ties by lower
+// vertex id so responses are deterministic.
+func ranksBefore(a, b VertexValue) bool {
+	if a.Value != b.Value {
+		return a.Value > b.Value
+	}
+	return a.Vertex < b.Vertex
+}
+
+func heapify(h []VertexValue) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+}
+
+// siftDown restores the heap below index i. The heap is ordered by
+// ranksBefore with the pair that ranks last at the root, so a parent never
+// ranks before its children.
+func siftDown(h []VertexValue, i int) {
+	item := h[i]
+	for {
+		c := 2*i + 1 // the child that ranks later
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && ranksBefore(h[c], h[r]) {
+			c = r
+		}
+		if !ranksBefore(item, h[c]) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = item
 }
 
 // seriesKey identifies a computation independent of graph version:
-// graph name + engine + canonical algorithm key. The full cache key
-// appends the epoch, so mutations version the cache instead of
-// invalidating it — older entries stay useful as warm-start sources.
+// graph name + engine + canonical algorithm key. The cache key pairs it
+// with the epoch, so mutations version the cache instead of invalidating
+// it — older entries stay useful as warm-start sources.
 func seriesKey(graphName, engine, algKey string) string {
 	return graphName + "|" + engine + "|" + algKey
 }
 
-func fullKey(series string, epoch uint64) string {
-	return fmt.Sprintf("%s@%d", series, epoch)
+// cacheKey names one cached result or in-flight computation: a series at
+// one graph epoch.
+type cacheKey struct {
+	series string
+	epoch  uint64
 }
 
 type lruEntry struct {
-	key    string
-	series string
-	epoch  uint64
-	res    *cachedResult
+	key cacheKey
+	res *cachedResult
 }
 
 // resultCache is a bounded LRU of cachedResults, with a per-series index
@@ -44,7 +135,7 @@ type resultCache struct {
 	mu      sync.Mutex
 	max     int
 	ll      *list.List // front = most recently used
-	entries map[string]*list.Element
+	entries map[cacheKey]*list.Element
 	latest  map[string]uint64 // series → newest epoch with a live entry
 }
 
@@ -52,7 +143,7 @@ func newResultCache(max int) *resultCache {
 	return &resultCache{
 		max:     max,
 		ll:      list.New(),
-		entries: make(map[string]*list.Element),
+		entries: make(map[cacheKey]*list.Element),
 		latest:  make(map[string]uint64),
 	}
 }
@@ -60,7 +151,7 @@ func newResultCache(max int) *resultCache {
 func (c *resultCache) get(series string, epoch uint64) (*cachedResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[fullKey(series, epoch)]
+	el, ok := c.entries[cacheKey{series, epoch}]
 	if !ok {
 		return nil, false
 	}
@@ -71,14 +162,13 @@ func (c *resultCache) get(series string, epoch uint64) (*cachedResult, bool) {
 func (c *resultCache) put(series string, epoch uint64, res *cachedResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := fullKey(series, epoch)
+	key := cacheKey{series, epoch}
 	if el, ok := c.entries[key]; ok {
 		el.Value.(*lruEntry).res = res
 		c.ll.MoveToFront(el)
 		return
 	}
-	el := c.ll.PushFront(&lruEntry{key: key, series: series, epoch: epoch, res: res})
-	c.entries[key] = el
+	c.entries[key] = c.ll.PushFront(&lruEntry{key: key, res: res})
 	if cur, ok := c.latest[series]; !ok || epoch > cur {
 		c.latest[series] = epoch
 	}
@@ -87,10 +177,10 @@ func (c *resultCache) put(series string, epoch uint64, res *cachedResult) {
 		c.ll.Remove(oldest)
 		e := oldest.Value.(*lruEntry)
 		delete(c.entries, e.key)
-		if c.latest[e.series] == e.epoch {
+		if c.latest[e.key.series] == e.key.epoch {
 			// The newest entry for this series just left; warm starts for
 			// it fall back to cold solves until a query repopulates it.
-			delete(c.latest, e.series)
+			delete(c.latest, e.key.series)
 		}
 	}
 }
@@ -120,8 +210,8 @@ func (c *resultCache) exportSeries(prefix string, epoch uint64) map[string]*cach
 	out := make(map[string]*cachedResult)
 	for el := c.ll.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*lruEntry)
-		if e.epoch == epoch && strings.HasPrefix(e.series, prefix) {
-			out[e.series] = e.res
+		if e.key.epoch == epoch && strings.HasPrefix(e.key.series, prefix) {
+			out[e.key.series] = e.res
 		}
 	}
 	return out

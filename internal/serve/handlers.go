@@ -7,10 +7,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/pprof"
-	"sort"
+	"sync"
 	"time"
 
 	"graphpulse/internal/algorithms"
@@ -62,12 +61,39 @@ func (s *Server) Handler() http.Handler {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	buf, err := json.Marshal(v)
 	if err != nil {
-		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
+		writeEncodingFailed(w)
 		return
 	}
+	writeBody(w, code, append(buf, '\n'))
+}
+
+// bodyPool recycles /v1/query response buffers; a buffer goes back only
+// after Write has returned, and Write does not retain it.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeQueryResponse is writeJSON for the hot path: the answer is appended
+// straight into a pooled buffer, newline included, with no reflection and
+// no intermediate copy.
+func writeQueryResponse(w http.ResponseWriter, resp *QueryResponse) {
+	bp := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(bp)
+	buf, err := appendQueryResponse((*bp)[:0], resp)
+	if err != nil {
+		writeEncodingFailed(w)
+		return
+	}
+	*bp = append(buf, '\n')
+	writeBody(w, http.StatusOK, *bp)
+}
+
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(append(buf, '\n'))
+	w.Write(body)
+}
+
+func writeEncodingFailed(w http.ResponseWriter) {
+	http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -273,7 +299,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	series := seriesKey(req.Graph, engine, algKey)
 	if res, ok := s.cache.get(series, epoch); ok {
 		s.metrics.Add("query_cache_hits", 1)
-		writeJSON(w, http.StatusOK, s.buildResponse(&req, g, engine, algKey, res, true, false))
+		writeQueryResponse(w, buildResponse(&req, g, engine, algKey, res, true, false))
 		return
 	}
 	s.metrics.Add("query_cache_misses", 1)
@@ -308,7 +334,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "compute failed: %v", f.err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.buildResponse(&req, g, engine, algKey, f.res, false, !led))
+	writeQueryResponse(w, buildResponse(&req, g, engine, algKey, f.res, false, !led))
 }
 
 // joinOrLead coalesces the caller onto an identical in-flight computation
@@ -317,7 +343,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // this caller started the computation; ErrBusy means admission control
 // rejected it.
 func (s *Server) joinOrLead(series string, epoch uint64, rg *residentGraph, g graph.Adjacency, alg algorithms.Algorithm, engine string) (*flight, bool, error) {
-	key := fullKey(series, epoch)
+	key := cacheKey{series, epoch}
 	s.flightMu.Lock()
 	if f, ok := s.flights[key]; ok {
 		f.join()
@@ -391,22 +417,18 @@ func (s *Server) compute(ctx context.Context, rg *residentGraph, g graph.Adjacen
 	if err != nil {
 		return nil, err
 	}
-	values, activations := res.Values, res.Activations
 	elapsed := time.Since(start)
 	s.metrics.Observe("compute_latency_us", elapsed.Microseconds())
 	s.metrics.Add(modeCounter[mode], 1)
-	return &cachedResult{
-		Values:      values,
-		Epoch:       epoch,
-		Mode:        string(mode),
-		Activations: activations,
-		ComputeSecs: elapsed.Seconds(),
-	}, nil
+	return newCachedResult(res.Values, epoch, string(mode), res.Activations, elapsed.Seconds()), nil
 }
 
 // buildResponse projects a cached result onto the slice of the answer the
-// request asked for.
-func (s *Server) buildResponse(req *QueryRequest, g graph.Adjacency, engine, algKey string, res *cachedResult, fromCache, coalesced bool) *QueryResponse {
+// request asked for. Sum and Top come from the result's summary — Top is a
+// prefix of its ranking (which holds maxTopN pairs, so the prefix is also
+// the clamp), shared, not copied: both are immutable and the response only
+// ever gets encoded — so the cost is O(top + vertices), whatever n is.
+func buildResponse(req *QueryRequest, g graph.Adjacency, engine, algKey string, res *cachedResult, fromCache, coalesced bool) *QueryResponse {
 	mode := res.Mode
 	if fromCache {
 		mode = "cache"
@@ -423,54 +445,22 @@ func (s *Server) buildResponse(req *QueryRequest, g graph.Adjacency, engine, alg
 		NumEdges:    g.NumEdges(),
 		Activations: res.Activations,
 		ComputeSecs: res.ComputeSecs,
+		Sum:         res.sum,
 	}
-	sum := 0.0
-	for _, v := range res.Values {
-		if !math.IsInf(v, 0) && !math.IsNaN(v) {
-			sum += v
-		}
-	}
-	resp.Sum = sum
 	topN := req.Top
 	if topN == 0 {
 		topN = 10
 	}
-	if topN > maxTopN {
-		topN = maxTopN
-	}
 	if topN > 0 {
-		resp.Top = topVertices(res.Values, topN)
+		resp.Top = res.top[:min(topN, len(res.top))]
 	}
-	for _, v := range req.Vertices {
-		if int(v) < len(res.Values) {
-			resp.Values = append(resp.Values, VertexValue{Vertex: v, Value: res.Values[int(v)]})
+	if len(req.Vertices) > 0 {
+		resp.Values = make([]VertexValue, 0, len(req.Vertices))
+		for _, v := range req.Vertices {
+			if int(v) < len(res.Values) {
+				resp.Values = append(resp.Values, VertexValue{Vertex: v, Value: res.Values[int(v)]})
+			}
 		}
 	}
 	return resp
-}
-
-// topVertices returns the n highest finite values, ties broken by vertex
-// id so responses are deterministic.
-func topVertices(values []float64, n int) []VertexValue {
-	idx := make([]int, 0, len(values))
-	for i, v := range values {
-		if !math.IsInf(v, 0) && !math.IsNaN(v) {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		va, vb := values[idx[a]], values[idx[b]]
-		if va != vb {
-			return va > vb
-		}
-		return idx[a] < idx[b]
-	})
-	if len(idx) > n {
-		idx = idx[:n]
-	}
-	out := make([]VertexValue, len(idx))
-	for i, v := range idx {
-		out[i] = VertexValue{Vertex: uint32(v), Value: values[v]}
-	}
-	return out
 }

@@ -172,7 +172,7 @@ type Server struct {
 	now        func() time.Time
 
 	flightMu sync.Mutex
-	flights  map[string]*flight
+	flights  map[cacheKey]*flight
 
 	mu      sync.Mutex
 	httpSrv *http.Server
@@ -197,7 +197,7 @@ func New(cfg Config) (*Server, error) {
 		graphs:    make(map[string]*residentGraph),
 		cache:     newResultCache(cfg.CacheEntries),
 		metrics:   NewMetrics(),
-		flights:   make(map[string]*flight),
+		flights:   make(map[cacheKey]*flight),
 		jobs:      make(chan func(), cfg.QueueDepth),
 		streamSem: make(chan struct{}, cfg.StreamInflight),
 		started:   time.Now(),

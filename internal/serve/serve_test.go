@@ -19,7 +19,7 @@ import (
 )
 
 // testGraph builds the small weighted graph the suite serves.
-func testGraph(t *testing.T) *graph.CSR {
+func testGraph(t testing.TB) *graph.CSR {
 	t.Helper()
 	g, err := gen.ErdosRenyi(200, 900, true, 11)
 	if err != nil {
@@ -31,7 +31,7 @@ func testGraph(t *testing.T) *graph.CSR {
 // newTestServer builds a Server over testGraph with overrides applied and
 // an httptest frontend. The httptest server closes before the pool drains
 // so no handler can hit a closed jobs channel.
-func newTestServer(t *testing.T, mut func(*Config)) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, mut func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := Config{
 		Graphs:         []GraphSpec{{Name: "g", Graph: testGraph(t)}},

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"graphpulse/internal/graph"
@@ -98,6 +99,9 @@ func (s *Server) ExportSnapshot(name string) (*Snapshot, error) {
 		}
 		snap.Series = append(snap.Series, ss)
 	}
+	// The cache hands series over in map order; sort so two exports of one
+	// state are the same bytes and snapshot files can be compared or hashed.
+	sort.Slice(snap.Series, func(i, j int) bool { return snap.Series[i].Key < snap.Series[j].Key })
 	return snap, nil
 }
 
@@ -141,13 +145,8 @@ func (s *Server) ImportSnapshot(snap *Snapshot) error {
 		for i, bits := range ss.ValuesBits {
 			values[i] = math.Float64frombits(bits)
 		}
-		s.cache.put(snap.Graph+"|"+ss.Key, snap.Epoch, &cachedResult{
-			Values:      values,
-			Epoch:       snap.Epoch,
-			Mode:        ss.Mode,
-			Activations: ss.Activations,
-			ComputeSecs: ss.ComputeSecs,
-		})
+		s.cache.put(snap.Graph+"|"+ss.Key, snap.Epoch,
+			newCachedResult(values, snap.Epoch, ss.Mode, ss.Activations, ss.ComputeSecs))
 	}
 	return nil
 }
