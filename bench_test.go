@@ -124,8 +124,8 @@ func BenchmarkFig10Speedup(b *testing.B) {
 		var opt, base, gion float64
 		for _, c := range sw.Cells {
 			opt += c.OptSpeedup()
-			base += c.BaseSpeedup()
-			gion += c.GionSpeedup()
+			base += c.LigraSeconds / c.Base.Seconds
+			gion += c.LigraSeconds / c.Gion.Seconds
 		}
 		n := float64(len(sw.Cells))
 		b.ReportMetric(opt/n, "opt-speedup-x")

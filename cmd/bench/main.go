@@ -37,6 +37,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
+	"graphpulse/internal/algorithms"
 	"graphpulse/internal/bench"
 	"graphpulse/internal/graph/gen"
 )
@@ -54,9 +55,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	var (
 		expFlag      = fs.String("exp", "", "comma-separated experiment ids (default: all)")
-		tierFlag     = fs.String("tier", "tiny", "workload scale: tiny|mini|full")
+		tierFlag     = fs.String("tier", "tiny", "workload scale: "+gen.TierList())
 		datasetFlag  = fs.String("datasets", "", "comma-separated Table IV abbreviations (WG,FB,WK,LJ,TW)")
-		algFlag      = fs.String("algs", "", "comma-separated algorithms (pr,ads,sssp,bfs,cc)")
+		algFlag      = fs.String("algs", "", "comma-separated algorithms of "+algorithms.NamesList()+" (default: "+strings.Join(bench.AlgorithmNames, ",")+")")
 		listFlag     = fs.Bool("list", false, "list experiment ids and exit")
 		csvFlag      = fs.String("csv", "", "also write the engine sweep as CSV to this path")
 		parallelFlag = fs.Int("parallel", 0, "simulated-engine sweep workers (0 = GOMAXPROCS; ligra phase is always serial)")
@@ -78,16 +79,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return nil
 	}
 
-	var tier gen.Tier
-	switch *tierFlag {
-	case "tiny":
-		tier = gen.Tiny
-	case "mini":
-		tier = gen.Mini
-	case "full":
-		tier = gen.Full
-	default:
-		fmt.Fprintf(stderr, "bench: unknown tier %q\n", *tierFlag)
+	tier, err := gen.ParseTier(*tierFlag)
+	if err != nil {
+		fmt.Fprintf(stderr, "bench: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"graphpulse"
+	"graphpulse/internal/graph/gen"
 )
 
 func main() {
@@ -28,7 +29,7 @@ func main() {
 		width    = flag.Int("width", 256, "grid: width")
 		height   = flag.Int("height", 256, "grid: height")
 		dataset  = flag.String("dataset", "LJ", "dataset: Table IV abbreviation")
-		tierName = flag.String("tier", "mini", "dataset: tiny|mini|full")
+		tierName = flag.String("tier", "mini", "dataset: "+gen.TierList())
 		weighted = flag.Bool("weighted", true, "attach edge weights")
 		seed     = flag.Int64("seed", 42, "generator seed")
 		out      = flag.String("o", "", "output path (.bin = binary container, else edge list); default stdout")
@@ -80,20 +81,13 @@ func generate(kind string, scale, ef, n, m, width, height int, dataset, tierName
 	case "grid":
 		return graphpulse.GenerateGrid(width, height, weighted, seed)
 	case "dataset":
-		spec, err := graphpulse.DatasetByAbbrev(strings.ToUpper(dataset))
+		spec, err := graphpulse.DatasetByAbbrev(dataset)
 		if err != nil {
 			return nil, err
 		}
-		var tier graphpulse.Tier
-		switch tierName {
-		case "tiny":
-			tier = graphpulse.Tiny
-		case "mini":
-			tier = graphpulse.Mini
-		case "full":
-			tier = graphpulse.Full
-		default:
-			return nil, fmt.Errorf("unknown tier %q", tierName)
+		tier, err := gen.ParseTier(tierName)
+		if err != nil {
+			return nil, err
 		}
 		return spec.Generate(tier)
 	default:

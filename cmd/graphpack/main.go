@@ -8,8 +8,9 @@
 //	graphpack -o wg.graphpack WG:tiny
 //	graphpack -check -budget-frac 0.25 wg.graphpack
 //
-// Convert mode accepts a text edge list, a binary CSR container, or a
-// Table IV "ABBREV:tier" synthetic stand-in. Check mode opens the container
+// Convert mode accepts any gen.Load source: a text edge list, a binary CSR
+// container, or a Table IV "ABBREV:tier" synthetic stand-in, and writes the
+// container atomically. Check mode opens the container
 // under a residency budget (-budget bytes, or -budget-frac of the decoded
 // size), solves the conformance algorithms on the store with the serial and
 // parallel engines, compares against the in-RAM solve, and requires at
@@ -20,15 +21,13 @@
 package main
 
 import (
-	"bufio"
-	"encoding/binary"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"regexp"
-	"strings"
 
 	"graphpulse/internal/algorithms"
+	"graphpulse/internal/atomicio"
 	"graphpulse/internal/conformance"
 	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/gen"
@@ -36,89 +35,59 @@ import (
 	"graphpulse/internal/psolve"
 )
 
+// options is one invocation: check the container at in, or convert the
+// gen.Load source at in into out.
+type options struct {
+	in, out string
+	write   ooc.WriteOptions
+	check   bool
+	budget  int64
+	frac    float64
+}
+
+func parseFlags(args []string) (options, error) {
+	fs := flag.NewFlagSet("graphpack", flag.ExitOnError)
+	var o options
+	fs.StringVar(&o.out, "o", "", "output container path (convert mode)")
+	fs.IntVar(&o.write.Level, "level", ooc.LevelDelta, "compression level: 0 raw, 1 varint, 2 delta")
+	fs.IntVar(&o.write.Slices, "slices", 16, "slice count (residency granularity)")
+	fs.IntVar(&o.write.Refine, "refine", 1, "partition boundary-refinement passes")
+	fs.BoolVar(&o.check, "check", false, "self-check an existing container instead of converting")
+	fs.Int64Var(&o.budget, "budget", 0, "check: residency budget in bytes (0 = use -budget-frac)")
+	fs.Float64Var(&o.frac, "budget-frac", 0.25, "check: budget as a fraction of the decoded graph size")
+	fs.Parse(args) // ExitOnError
+	if fs.NArg() != 1 {
+		return o, fmt.Errorf("want exactly one input argument, got %d", fs.NArg())
+	}
+	o.in = fs.Arg(0)
+	o.write.RawLevel = o.write.Level == ooc.LevelRaw
+	if !o.check && o.out == "" {
+		return o, fmt.Errorf("convert mode needs -o OUTPUT.graphpack")
+	}
+	return o, nil
+}
+
 func main() {
-	var (
-		out    = flag.String("o", "", "output container path (convert mode)")
-		level  = flag.Int("level", ooc.LevelDelta, "compression level: 0 raw, 1 varint, 2 delta")
-		slices = flag.Int("slices", 16, "slice count (residency granularity)")
-		refine = flag.Int("refine", 1, "partition boundary-refinement passes")
-		check  = flag.Bool("check", false, "self-check an existing container instead of converting")
-		budget = flag.Int64("budget", 0, "check: residency budget in bytes (0 = use -budget-frac)")
-		frac   = flag.Float64("budget-frac", 0.25, "check: budget as a fraction of the decoded graph size")
-	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fail(fmt.Errorf("want exactly one input argument, got %d", flag.NArg()))
-	}
-	arg := flag.Arg(0)
-	if *check {
-		if err := selfCheck(arg, *budget, *frac); err != nil {
-			fail(err)
+	o, err := parseFlags(os.Args[1:])
+	if err == nil {
+		if o.check {
+			err = selfCheck(o.in, o.budget, o.frac)
+		} else {
+			err = convert(o.in, o.out, o.write)
 		}
-		return
 	}
-	if *out == "" {
-		fail(fmt.Errorf("convert mode needs -o OUTPUT.graphpack"))
-	}
-	if err := convert(arg, *out, ooc.WriteOptions{
-		Level: *level, RawLevel: *level == ooc.LevelRaw, Slices: *slices, Refine: *refine,
-	}); err != nil {
+	if err != nil {
 		fail(err)
 	}
 }
 
-var datasetRE = regexp.MustCompile(`^([A-Za-z]{2,3}):(tiny|mini|full)$`)
-
-// loadInput materializes the input argument: a Table IV dataset stand-in or
-// a graph file (binary container detected by magic).
-func loadInput(arg string) (*graph.CSR, error) {
-	if m := datasetRE.FindStringSubmatch(arg); m != nil {
-		ds, err := gen.DatasetByAbbrev(strings.ToUpper(m[1]))
-		if err != nil {
-			return nil, err
-		}
-		var tier gen.Tier
-		switch m[2] {
-		case "tiny":
-			tier = gen.Tiny
-		case "mini":
-			tier = gen.Mini
-		case "full":
-			tier = gen.Full
-		}
-		return ds.Generate(tier)
-	}
-	f, err := os.Open(arg)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	if magic, err := br.Peek(8); err == nil && binary.LittleEndian.Uint64(magic) == 0x47504353 {
-		return graph.ReadBinary(br)
-	}
-	return graph.ReadEdgeList(br, 0)
-}
-
 func convert(in, out string, opt ooc.WriteOptions) error {
-	g, err := loadInput(in)
+	g, err := gen.Load(in, gen.Default)
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := ooc.Write(bw, g, opt); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	// Atomic, so a failed conversion never leaves a partial container.
+	if err := atomicio.WriteFile(out, func(w io.Writer) error { return ooc.Write(w, g, opt) }); err != nil {
 		return err
 	}
 	fi, err := os.Stat(out)

@@ -27,12 +27,9 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -42,7 +39,8 @@ import (
 	"time"
 
 	"graphpulse"
-	"graphpulse/internal/atomicio"
+	"graphpulse/internal/algorithms"
+	"graphpulse/internal/graph"
 )
 
 func main() {
@@ -50,8 +48,8 @@ func main() {
 		graphPath = flag.String("graph", "", "path to an edge-list or binary graph file")
 		rmat      = flag.String("rmat", "", "generate an R-MAT graph, format SCALExEDGEFACTOR (e.g. 16x12)")
 		seed      = flag.Int64("seed", 42, "generator seed")
-		algName   = flag.String("alg", "pr", "algorithm: pr|ads|sssp|bfs|reach|cc|sswp")
-		root      = flag.Uint("root", 0, "root vertex for sssp/bfs/reach/sswp")
+		algName   = flag.String("alg", "pr", "algorithm: "+algorithms.NamesList())
+		root      = flag.Uint("root", 0, "root vertex for rooted algorithms")
 		engine    = flag.String("engine", "accel", "engine: accel|accel-base|ligra|graphicionado|solve")
 		slices    = flag.Int("slices", 1, "force partitioned accelerator execution into N slices")
 		top       = flag.Int("top", 5, "print the N highest-valued vertices")
@@ -155,9 +153,7 @@ func main() {
 			}
 		}
 		if *telPrefix != "" {
-			if err := writeTelemetry(res.Telemetry, *telPrefix, cfg.ClockHz); err != nil {
-				fail(err)
-			}
+			writeTelemetry(res.Telemetry, *telPrefix, cfg.ClockHz)
 		}
 	case "ligra":
 		start := time.Now()
@@ -184,9 +180,7 @@ func main() {
 				res.Cycles, res.Seconds*1e3, res.Iterations, res.MemReads)
 		}
 		if *telPrefix != "" {
-			if err := writeTelemetry(res.Telemetry, *telPrefix, gcfg.ClockHz); err != nil {
-				fail(err)
-			}
+			writeTelemetry(res.Telemetry, *telPrefix, gcfg.ClockHz)
 		}
 	case "solve":
 		start := time.Now()
@@ -218,22 +212,15 @@ func main() {
 	}
 }
 
-// writeTelemetry exports a run's sampled series as PREFIX.csv and
-// PREFIX.trace.json (Chrome trace_event, loadable in Perfetto). Each file
-// is written atomically so an interrupted export never leaves a truncated
-// file behind.
-func writeTelemetry(rec *graphpulse.Telemetry, prefix string, clockHz float64) error {
-	csvPath := prefix + ".csv"
-	if err := atomicio.WriteFile(csvPath, func(w io.Writer) error { return rec.WriteCSV(w) }); err != nil {
-		return err
-	}
-	tracePath := prefix + ".trace.json"
-	if err := atomicio.WriteFile(tracePath, func(w io.Writer) error { return rec.WriteChromeTrace(w, clockHz) }); err != nil {
-		return err
+// writeTelemetry exports a run's sampled series (Recorder.WriteFiles) and
+// reports where they went.
+func writeTelemetry(rec *graphpulse.Telemetry, prefix string, clockHz float64) {
+	csvPath, tracePath, err := rec.WriteFiles(prefix, clockHz)
+	if err != nil {
+		fail(err)
 	}
 	fmt.Printf("telemetry: %d series × %d samples (%d-cycle interval) → %s, %s\n",
 		len(rec.Series()), rec.SampleCount(), rec.Interval(), csvPath, tracePath)
-	return nil
 }
 
 // spillTotal counts a checkpoint's spilled events across slices.
@@ -250,17 +237,7 @@ func loadGraph(path, rmat string, seed int64) (*graphpulse.Graph, error) {
 	case path != "" && rmat != "":
 		return nil, fmt.Errorf("use -graph or -rmat, not both")
 	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		br := bufio.NewReader(f)
-		magic, err := br.Peek(8)
-		if err == nil && len(magic) == 8 && binary.LittleEndian.Uint64(magic) == 0x47504353 {
-			return graphpulse.ReadBinary(br)
-		}
-		return graphpulse.ReadEdgeList(br, 0)
+		return graph.ReadFile(path)
 	case rmat != "":
 		parts := strings.SplitN(rmat, "x", 2)
 		if len(parts) != 2 {
@@ -285,24 +262,7 @@ func makeAlg(name string, root graphpulse.VertexID, g *graphpulse.Graph) (graphp
 	if int(root) >= g.NumVertices() {
 		return nil, fmt.Errorf("root %d out of range (n=%d)", root, g.NumVertices())
 	}
-	switch name {
-	case "pr":
-		return graphpulse.NewPageRankDelta(), nil
-	case "ads":
-		return graphpulse.NewAdsorption(), nil
-	case "sssp":
-		return graphpulse.NewSSSP(root), nil
-	case "bfs":
-		return graphpulse.NewBFS(root), nil
-	case "reach":
-		return graphpulse.NewReach(root), nil
-	case "cc":
-		return graphpulse.NewConnectedComponents(), nil
-	case "sswp":
-		return graphpulse.NewSSWP(root), nil
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", name)
-	}
+	return algorithms.ByName(name, root)
 }
 
 func printTop(values []float64, n int) {

@@ -3,9 +3,11 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"graphpulse"
+	"graphpulse/internal/algorithms"
 )
 
 func TestLoadGraphRMAT(t *testing.T) {
@@ -83,7 +85,10 @@ func TestMakeAlg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"pr", "ads", "sssp", "bfs", "reach", "cc", "sswp"} {
+	n := graphpulse.VertexID(g.NumVertices())
+	// Every registry name works here, relpath included (it used to be
+	// accepted by /v1/query and loadgen but not by this CLI).
+	for _, name := range algorithms.Names() {
 		alg, err := makeAlg(name, 0, g)
 		if err != nil {
 			t.Errorf("makeAlg(%s): %v", name, err)
@@ -92,11 +97,12 @@ func TestMakeAlg(t *testing.T) {
 		if alg.Name() == "" {
 			t.Errorf("makeAlg(%s): empty name", name)
 		}
+		if _, err := makeAlg(name, n, g); err == nil {
+			t.Errorf("makeAlg(%s) accepted root %d on %d vertices", name, n, n)
+		}
 	}
-	if _, err := makeAlg("bogus", 0, g); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-	if _, err := makeAlg("bfs", 1<<20, g); err == nil {
-		t.Error("out-of-range root accepted")
+	_, err = makeAlg("bogus", 0, g)
+	if err == nil || !strings.Contains(err.Error(), algorithms.NamesList()) {
+		t.Errorf("unknown algorithm error = %v, want one listing %s", err, algorithms.NamesList())
 	}
 }

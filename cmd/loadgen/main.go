@@ -21,115 +21,117 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
+	"graphpulse/internal/algorithms"
 	"graphpulse/internal/engines"
 	"graphpulse/internal/loadgen"
 )
 
-func main() {
-	var (
-		url        = flag.String("url", "http://127.0.0.1:8080", "serve base URL")
-		graph      = flag.String("graph", "", "resident graph name to target (required)")
-		alg        = flag.String("alg", "pr", "algorithm: pr|ads|sssp|bfs|reach|cc|sswp|relpath")
-		root       = flag.Uint("root", 0, "root vertex for rooted algorithms")
-		engine     = flag.String("engine", "", "engine registry name: "+engines.NamesList()+" (default solve)")
-		qps        = flag.Float64("qps", 0, "open-loop target arrival rate (0 = closed loop)")
-		conc       = flag.Int("c", 8, "client concurrency")
-		dur        = flag.Duration("d", 5*time.Second, "load duration")
-		mutEv      = flag.Int("mutate-every", 0, "make every Nth request a mutation batch (0 = never)")
-		mutEdge    = flag.Int("mutate-edges", 16, "edges per mutation/deletion batch")
-		delEv      = flag.Int("delete-every", 0, "make every Nth request a deletion batch of previously inserted edges (0 = never)")
-		strEv      = flag.Int("stream-every", 0, "make every Nth request a bulk NDJSON /v1/stream post (0 = never)")
-		strOps     = flag.Int("stream-ops", 64, "ops per stream request")
-		seed       = flag.Int64("seed", 42, "mutation edge seed")
-		csvPath    = flag.String("csv", "", "write the summary as CSV to this file (atomic)")
-		minQPS     = flag.Float64("min-qps", 0, "exit non-zero unless the achieved query rate reaches this")
-		maxErrs    = flag.Int64("max-errors", -1, "exit non-zero when hard failures across all kinds exceed this (-1 = no gate)")
-		minAvail   = flag.Float64("min-availability", 0, "exit non-zero when the non-error fraction across all kinds falls below this (0 = no gate)")
-		verifyWait = flag.Duration("verify-wait", 10*time.Second, "digest convergence budget for -verify-replica")
-		verifyOnly = flag.Bool("verify-only", false, "skip the load phase; only run the -verify-replica divergence check")
-	)
-	var verifyReplicas []string
-	flag.Func("verify-replica", "after the run, verify this replica base URL agrees with the others (repeatable; exits non-zero on divergence)", func(v string) error {
-		verifyReplicas = append(verifyReplicas, v)
+// options is the load description plus the exit-code gates around it.
+type options struct {
+	cfg            loadgen.Config
+	csvPath        string
+	minQPS         float64
+	maxErrs        int64
+	minAvail       float64
+	verifyWait     time.Duration
+	verifyOnly     bool
+	verifyReplicas []string
+}
+
+func parseFlags(args []string) (options, error) {
+	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
+	var o options
+	c := &o.cfg
+	fs.StringVar(&c.BaseURL, "url", "http://127.0.0.1:8080", "serve base URL")
+	fs.StringVar(&c.Graph, "graph", "", "resident graph name to target (required)")
+	fs.StringVar(&c.Algorithm, "alg", "pr", "algorithm: "+algorithms.NamesList())
+	root := fs.Uint("root", 0, "root vertex for rooted algorithms")
+	fs.StringVar(&c.Engine, "engine", "", "engine registry name: "+engines.NamesList()+" (default solve)")
+	fs.Float64Var(&c.QPS, "qps", 0, "open-loop target arrival rate (0 = closed loop)")
+	fs.IntVar(&c.Concurrency, "c", 8, "client concurrency")
+	fs.DurationVar(&c.Duration, "d", 5*time.Second, "load duration")
+	fs.IntVar(&c.MutateEvery, "mutate-every", 0, "make every Nth request a mutation batch (0 = never)")
+	fs.IntVar(&c.MutateEdges, "mutate-edges", 16, "edges per mutation/deletion batch")
+	fs.IntVar(&c.DeleteEvery, "delete-every", 0, "make every Nth request a deletion batch of previously inserted edges (0 = never)")
+	fs.IntVar(&c.StreamEvery, "stream-every", 0, "make every Nth request a bulk NDJSON /v1/stream post (0 = never)")
+	fs.IntVar(&c.StreamOps, "stream-ops", 64, "ops per stream request")
+	fs.Int64Var(&c.Seed, "seed", 42, "mutation edge seed")
+	fs.StringVar(&o.csvPath, "csv", "", "write the summary as CSV to this file (atomic)")
+	fs.Float64Var(&o.minQPS, "min-qps", 0, "exit non-zero unless the achieved query rate reaches this")
+	fs.Int64Var(&o.maxErrs, "max-errors", -1, "exit non-zero when hard failures across all kinds exceed this (-1 = no gate)")
+	fs.Float64Var(&o.minAvail, "min-availability", 0, "exit non-zero when the non-error fraction across all kinds falls below this (0 = no gate)")
+	fs.DurationVar(&o.verifyWait, "verify-wait", 10*time.Second, "digest convergence budget for -verify-replica")
+	fs.BoolVar(&o.verifyOnly, "verify-only", false, "skip the load phase; only run the -verify-replica divergence check")
+	fs.Func("verify-replica", "after the run, verify this replica base URL agrees with the others (repeatable; exits non-zero on divergence)", func(v string) error {
+		o.verifyReplicas = append(o.verifyReplicas, v)
 		return nil
 	})
-	flag.Parse()
-	if *graph == "" {
-		fmt.Fprintln(os.Stderr, "loadgen: -graph is required")
+	fs.Parse(args) // ExitOnError
+	c.Root = uint32(*root)
+	if c.Graph == "" {
+		return o, errors.New("-graph is required")
+	}
+	if o.verifyOnly && len(o.verifyReplicas) == 0 {
+		return o, errors.New("-verify-only needs at least one -verify-replica")
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(2)
 	}
-
-	cfg := loadgen.Config{
-		BaseURL:     *url,
-		Graph:       *graph,
-		Algorithm:   *alg,
-		Root:        uint32(*root),
-		Engine:      *engine,
-		QPS:         *qps,
-		Concurrency: *conc,
-		Duration:    *dur,
-		MutateEvery: *mutEv,
-		MutateEdges: *mutEdge,
-		DeleteEvery: *delEv,
-		StreamEvery: *strEv,
-		StreamOps:   *strOps,
-		Seed:        *seed,
-	}
-
-	if *verifyOnly {
-		runVerify(cfg, verifyReplicas, *verifyWait)
+	if o.verifyOnly {
+		runVerify(o.cfg, o.verifyReplicas, o.verifyWait)
 		return
 	}
 
-	stats, err := loadgen.Run(context.Background(), cfg)
+	stats, err := loadgen.Run(context.Background(), o.cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 	summary := stats.Summarize()
 	summary.WriteText(os.Stdout)
-	if *csvPath != "" {
-		if err := summary.WriteCSVFile(*csvPath); err != nil {
+	if o.csvPath != "" {
+		if err := summary.WriteCSVFile(o.csvPath); err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("summary written to %s\n", *csvPath)
+		fmt.Printf("summary written to %s\n", o.csvPath)
 	}
-	if *minQPS > 0 {
-		if got := summary.AchievedQPS("query"); got < *minQPS {
-			fmt.Fprintf(os.Stderr, "loadgen: achieved %.1f query qps, need ≥ %.1f\n", got, *minQPS)
+	if o.minQPS > 0 {
+		if got := summary.AchievedQPS("query"); got < o.minQPS {
+			fmt.Fprintf(os.Stderr, "loadgen: achieved %.1f query qps, need ≥ %.1f\n", got, o.minQPS)
 			os.Exit(1)
 		}
 	}
-	if *maxErrs >= 0 {
-		if got := summary.TotalErrors(); got > *maxErrs {
-			fmt.Fprintf(os.Stderr, "loadgen: %d hard failures, allowed ≤ %d\n", got, *maxErrs)
+	if o.maxErrs >= 0 {
+		if got := summary.TotalErrors(); got > o.maxErrs {
+			fmt.Fprintf(os.Stderr, "loadgen: %d hard failures, allowed ≤ %d\n", got, o.maxErrs)
 			os.Exit(1)
 		}
 	}
-	if *minAvail > 0 {
-		if got := summary.Availability(); got < *minAvail {
-			fmt.Fprintf(os.Stderr, "loadgen: availability %.4f, need ≥ %.4f\n", got, *minAvail)
+	if o.minAvail > 0 {
+		if got := summary.Availability(); got < o.minAvail {
+			fmt.Fprintf(os.Stderr, "loadgen: availability %.4f, need ≥ %.4f\n", got, o.minAvail)
 			os.Exit(1)
 		}
 	}
-	if len(verifyReplicas) > 0 {
-		runVerify(cfg, verifyReplicas, *verifyWait)
+	if len(o.verifyReplicas) > 0 {
+		runVerify(o.cfg, o.verifyReplicas, o.verifyWait)
 	}
 }
 
-// runVerify runs the post-burst replica divergence check and exits
-// non-zero on any mismatch.
 func runVerify(cfg loadgen.Config, replicas []string, wait time.Duration) {
-	if len(replicas) == 0 {
-		fmt.Fprintln(os.Stderr, "loadgen: -verify-only needs at least one -verify-replica")
-		os.Exit(2)
-	}
 	rep, err := loadgen.VerifyReplicas(context.Background(), cfg, replicas, wait)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen: verify:", err)

@@ -17,9 +17,9 @@
 //
 // With -worker the process joins a distributed serving tier behind
 // cmd/router (OPERATIONS.md): it registers with -router, heartbeats,
-// persists snapshots to -snapshot-dir, and on startup warm-restores from
-// the newest local snapshot, then from a peer via the router — instead of
-// cold re-solving:
+// persists snapshots to -snapshot-dir, and boots in dserve.Worker.Start's
+// order — newest local snapshot, WAL tail, listen, then catch-up from a
+// peer via the router — instead of cold re-solving:
 //
 //	serve -worker -router http://127.0.0.1:8090 -addr 127.0.0.1:8081 \
 //	      -graph wg=WG:tiny -snapshot-dir /var/lib/graphpulse/w1
@@ -32,6 +32,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -46,78 +47,92 @@ import (
 	"graphpulse/internal/serve"
 )
 
-func main() {
-	var (
-		addr    = flag.String("addr", ":8080", "listen address")
-		workers = flag.Int("workers", 0, "compute worker pool size (0 = GOMAXPROCS)")
-		queue   = flag.Int("queue", 64, "admission queue depth; full queue answers 429")
-		cacheN  = flag.Int("cache-entries", 128, "result cache capacity (LRU)")
-		reqTO   = flag.Duration("request-timeout", 5*time.Second, "default per-request deadline")
-		maxTO   = flag.Duration("max-timeout", 60*time.Second, "cap on client-requested deadlines")
-		compTO  = flag.Duration("compute-timeout", 120*time.Second, "bound on one pooled computation")
-		history = flag.Int("history", 8, "mutation batches retained per graph for warm starts")
-		window  = flag.Duration("window", 0, "sliding-window age applied to every -graph (0 = unbounded)")
-		resideB = flag.Int64("resident-bytes", 0, "out-of-core residency budget in bytes applied to every .graphpack -graph (0 = unlimited)")
-		tick    = flag.Duration("window-tick", time.Second, "period of the window expiry ticker")
-		coneMax = flag.Float64("cone-fraction", 0, "deletion-cone size cap as a fraction of vertices before falling back to a full replay (0 = default)")
-		sbatch  = flag.Int("stream-batch", 256, "ops per applied /v1/stream batch")
-		sflight = flag.Int("stream-inflight", 2, "concurrent /v1/stream requests before 429")
-		drain   = flag.Duration("drain", 10*time.Second, "shutdown drain budget for in-flight requests")
-		doPprof = flag.Bool("pprof", true, "mount /debug/pprof")
+// options is everything the command line decides; main only builds the
+// servers it describes and waits for a signal.
+type options struct {
+	addr  string
+	drain time.Duration
+	serve serve.Config
+	// worker is nil outside -worker mode. main fills in its Server, Chaos
+	// (from chaos) and Logf.
+	worker *dserve.WorkerConfig
+	chaos  string
+}
 
-		// Distributed-tier (worker mode) flags; see OPERATIONS.md.
-		asWorker  = flag.Bool("worker", false, "join a distributed tier: register with -router, heartbeat, persist and restore snapshots")
-		routerURL = flag.String("router", "", "router base URL to register with (worker mode)")
-		advertise = flag.String("advertise", "", "base URL the router and peers reach this worker at (default: derived from the bound address)")
-		snapDir   = flag.String("snapshot-dir", "", "directory for per-graph snapshot files (worker mode; empty disables persistence)")
-		snapEvery = flag.Duration("snapshot-every", 30*time.Second, "snapshot persist period (worker mode)")
-		heartbeat = flag.Duration("heartbeat", 5*time.Second, "router re-registration period (worker mode)")
-		walDir    = flag.String("wal-dir", "", "directory for per-graph mutation WALs (worker mode; empty disables the WAL)")
-		walSeg    = flag.Int64("wal-segment-bytes", 0, "WAL segment rotation size in bytes (0 = default 1MiB)")
-		chaosSpec = flag.String("chaos", "", "seeded fault spec for outbound worker HTTP, e.g. drop=0.01,truncate=0.001,seed=7 (worker mode; CI/tests only)")
-	)
-	var specs []serve.GraphSpec
-	flag.Func("graph", "resident graph as name=SOURCE; SOURCE is ABBREV:tier (e.g. WG:tiny) or a graph file (repeatable)", func(v string) error {
+func parseFlags(args []string) (options, error) {
+	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	var o options
+	c := &o.serve
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.Workers, "workers", 0, "compute worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&c.QueueDepth, "queue", 64, "admission queue depth; full queue answers 429")
+	fs.IntVar(&c.CacheEntries, "cache-entries", 128, "result cache capacity (LRU)")
+	fs.DurationVar(&c.DefaultTimeout, "request-timeout", 5*time.Second, "default per-request deadline")
+	fs.DurationVar(&c.MaxTimeout, "max-timeout", 60*time.Second, "cap on client-requested deadlines")
+	fs.DurationVar(&c.ComputeTimeout, "compute-timeout", 120*time.Second, "bound on one pooled computation")
+	fs.IntVar(&c.MutationHistory, "history", 8, "mutation batches retained per graph for warm starts")
+	window := fs.Duration("window", 0, "sliding-window age applied to every -graph (0 = unbounded)")
+	resideB := fs.Int64("resident-bytes", 0, "out-of-core residency budget in bytes applied to every .graphpack -graph (0 = unlimited)")
+	fs.DurationVar(&c.WindowTick, "window-tick", time.Second, "period of the window expiry ticker")
+	fs.Float64Var(&c.MaxConeFraction, "cone-fraction", 0, "deletion-cone size cap as a fraction of vertices before falling back to a full replay (0 = default)")
+	fs.IntVar(&c.StreamBatch, "stream-batch", 256, "ops per applied /v1/stream batch")
+	fs.IntVar(&c.StreamInflight, "stream-inflight", 2, "concurrent /v1/stream requests before 429")
+	fs.DurationVar(&o.drain, "drain", 10*time.Second, "shutdown drain budget for in-flight requests")
+	fs.BoolVar(&c.EnablePprof, "pprof", true, "mount /debug/pprof")
+
+	// Distributed-tier (worker mode) flags; see OPERATIONS.md.
+	var w dserve.WorkerConfig
+	asWorker := fs.Bool("worker", false, "join a distributed tier: register with -router, heartbeat, persist and restore snapshots")
+	fs.StringVar(&w.RouterURL, "router", "", "router base URL to register with (worker mode)")
+	fs.StringVar(&w.Advertise, "advertise", "", "base URL the router and peers reach this worker at (default: derived from the bound address)")
+	fs.StringVar(&w.SnapshotDir, "snapshot-dir", "", "directory for per-graph snapshot files (worker mode; empty disables persistence)")
+	fs.DurationVar(&w.SnapshotEvery, "snapshot-every", 30*time.Second, "snapshot persist period (worker mode)")
+	fs.DurationVar(&w.Heartbeat, "heartbeat", 5*time.Second, "router re-registration period (worker mode)")
+	fs.StringVar(&w.WALDir, "wal-dir", "", "directory for per-graph mutation WALs (worker mode; empty disables the WAL)")
+	fs.Int64Var(&w.WALSegmentBytes, "wal-segment-bytes", 0, "WAL segment rotation size in bytes (0 = default 1MiB)")
+	fs.StringVar(&o.chaos, "chaos", "", "seeded fault spec for outbound worker HTTP, e.g. drop=0.01,truncate=0.001,seed=7 (worker mode; CI/tests only)")
+	fs.Func("graph", "resident graph as name=SOURCE; SOURCE is ABBREV:tier (e.g. WG:tiny) or a graph file (repeatable)", func(v string) error {
 		spec, err := serve.ParseGraphArg(v)
-		if err != nil {
-			return err
+		if err == nil {
+			c.Graphs = append(c.Graphs, spec)
 		}
-		specs = append(specs, spec)
-		return nil
+		return err
 	})
-	flag.Parse()
+	fs.Parse(args) // ExitOnError
 
-	if len(specs) == 0 {
-		fmt.Fprintln(os.Stderr, "serve: at least one -graph name=SOURCE is required (e.g. -graph wg=WG:tiny)")
+	if len(c.Graphs) == 0 {
+		return o, errors.New("at least one -graph name=SOURCE is required (e.g. -graph wg=WG:tiny)")
+	}
+	for i := range c.Graphs {
+		if *window > 0 {
+			c.Graphs[i].Window = *window
+		}
+		if *resideB > 0 {
+			c.Graphs[i].ResidentBytes = *resideB
+		}
+	}
+	if *asWorker {
+		if w.Advertise == "" {
+			adv, err := deriveAdvertise(o.addr)
+			if err != nil {
+				return o, fmt.Errorf("cannot derive -advertise from -addr %q: %v (pass -advertise explicitly)", o.addr, err)
+			}
+			w.Advertise = adv
+		}
+		o.worker = &w
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(2)
 	}
-	if *window > 0 {
-		for i := range specs {
-			specs[i].Window = *window
-		}
-	}
-	if *resideB > 0 {
-		for i := range specs {
-			specs[i].ResidentBytes = *resideB
-		}
-	}
 	logger := log.New(os.Stderr, "", log.LstdFlags)
-	srv, err := serve.New(serve.Config{
-		Graphs:          specs,
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		CacheEntries:    *cacheN,
-		DefaultTimeout:  *reqTO,
-		MaxTimeout:      *maxTO,
-		ComputeTimeout:  *compTO,
-		MutationHistory: *history,
-		MaxConeFraction: *coneMax,
-		WindowTick:      *tick,
-		StreamBatch:     *sbatch,
-		StreamInflight:  *sflight,
-		EnablePprof:     *doPprof,
-		Logf:            logger.Printf,
-	})
+	o.serve.Logf = logger.Printf
+	srv, err := serve.New(o.serve)
 	if err != nil {
 		logger.Fatal(err)
 	}
@@ -125,80 +140,37 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	var (
-		bound      net.Addr
-		workerDone chan struct{}
-		workerStop context.CancelFunc
-	)
-	if *asWorker {
-		adv := *advertise
-		if adv == "" {
-			adv, err = deriveAdvertise(*addr)
-			if err != nil {
-				logger.Fatalf("serve: cannot derive -advertise from -addr %q: %v (pass -advertise explicitly)", *addr, err)
-			}
-		}
-		var proxy *chaos.Proxy
-		if *chaosSpec != "" {
-			ccfg, err := chaos.ParseSpec(*chaosSpec)
+	start, stop, mode := srv.Start, srv.Shutdown, ""
+	if o.worker != nil {
+		o.worker.Server, o.worker.Logf = srv, logger.Printf
+		if o.chaos != "" {
+			ccfg, err := chaos.ParseSpec(o.chaos)
 			if err != nil {
 				logger.Fatal(err)
 			}
-			if proxy, err = chaos.New(ccfg); err != nil {
+			if o.worker.Chaos, err = chaos.New(ccfg); err != nil {
 				logger.Fatal(err)
 			}
-			logger.Printf("chaos proxy on outbound worker HTTP: %s", *chaosSpec)
+			logger.Printf("chaos proxy on outbound worker HTTP: %s", o.chaos)
 		}
-		wk, err := dserve.NewWorker(dserve.WorkerConfig{
-			Server:          srv,
-			RouterURL:       *routerURL,
-			Advertise:       adv,
-			SnapshotDir:     *snapDir,
-			SnapshotEvery:   *snapEvery,
-			Heartbeat:       *heartbeat,
-			WALDir:          *walDir,
-			WALSegmentBytes: *walSeg,
-			Chaos:           proxy,
-			Logf:            logger.Printf,
-		})
+		wk, err := dserve.NewWorker(*o.worker)
 		if err != nil {
 			logger.Fatal(err)
 		}
-		// Restore the last persisted state, then replay the WAL tail past
-		// it — mutations acknowledged after the last snapshot tick — before
-		// accepting traffic.
-		wk.RestoreLocal()
-		wk.ReplayWAL()
-		bound, err = srv.StartWith(*addr, wk.Handler())
-		if err != nil {
-			logger.Fatal(err)
-		}
-		var wctx context.Context
-		wctx, workerStop = context.WithCancel(context.Background())
-		workerDone = make(chan struct{})
-		go func() {
-			defer close(workerDone)
-			wk.Run(wctx)
-		}()
-		logger.Printf("serving (worker mode) on http://%s", bound)
-	} else {
-		bound, err = srv.Start(*addr)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		logger.Printf("serving on http://%s", bound)
+		start, stop, mode = wk.Start, wk.Stop, " (worker mode)"
 	}
+	bound, err := start(o.addr)
+	if err != nil {
+		logger.Fatal(err)
+	}
+	logger.Printf("serving%s on http://%s", mode, bound)
 
 	<-ctx.Done()
 	stopSignals()
-	logger.Printf("signal received, draining (budget %s)", *drain)
-	if workerStop != nil {
-		workerStop() // final snapshot persist happens inside Run
-		<-workerDone
-	}
-	dctx, cancel := context.WithTimeout(context.Background(), *drain)
+	logger.Printf("signal received, draining (budget %s)", o.drain)
+	dctx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
-	if err := srv.Shutdown(dctx); err != nil {
+	if err := stop(dctx); err != nil {
 		logger.Printf("drain incomplete: %v", err)
 		os.Exit(1)
 	}

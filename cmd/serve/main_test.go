@@ -1,0 +1,72 @@
+package main
+
+import (
+	"testing"
+	"time"
+)
+
+// TestParseFlags pins the flag-to-Config mapping — all that is left in this
+// command now that dserve.Worker owns the boot order.
+func TestParseFlags(t *testing.T) {
+	o, err := parseFlags([]string{
+		"-addr", "127.0.0.1:9001", "-graph", "wg=WG:tiny", "-graph", "crawl.el",
+		"-workers", "3", "-queue", "5", "-cache-entries", "7", "-history", "2",
+		"-window", "2m", "-resident-bytes", "4096", "-drain", "3s", "-pprof=false",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := o.serve
+	if o.addr != "127.0.0.1:9001" || o.drain != 3*time.Second || o.worker != nil {
+		t.Errorf("addr %q drain %s worker %v", o.addr, o.drain, o.worker)
+	}
+	if c.Workers != 3 || c.QueueDepth != 5 || c.CacheEntries != 7 || c.MutationHistory != 2 || c.EnablePprof {
+		t.Errorf("serve.Config = %+v", c)
+	}
+	if c.DefaultTimeout != 5*time.Second || c.MaxTimeout != time.Minute || c.StreamBatch != 256 || c.StreamInflight != 2 {
+		t.Errorf("defaults not carried: %+v", c)
+	}
+	if len(c.Graphs) != 2 || c.Graphs[0].Name != "wg" || c.Graphs[0].Source != "WG:tiny" || c.Graphs[1].Name != "crawl.el" {
+		t.Fatalf("graphs = %+v", c.Graphs)
+	}
+	for _, g := range c.Graphs {
+		if g.Window != 2*time.Minute || g.ResidentBytes != 4096 {
+			t.Errorf("graph %q: window %s resident %d, want every -graph to get both", g.Name, g.Window, g.ResidentBytes)
+		}
+	}
+	if _, err := parseFlags(nil); err == nil {
+		t.Error("no -graph accepted")
+	}
+}
+
+func TestParseFlagsWorkerMode(t *testing.T) {
+	o, err := parseFlags([]string{
+		"-worker", "-router", "http://127.0.0.1:8090", "-addr", ":8081", "-graph", "wg=WG:tiny",
+		"-snapshot-dir", "/var/snap", "-snapshot-every", "2s", "-heartbeat", "1s",
+		"-wal-dir", "/var/wal", "-wal-segment-bytes", "4096", "-chaos", "drop=0.1,seed=7",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := o.worker
+	if w == nil {
+		t.Fatal("-worker did not produce a WorkerConfig")
+	}
+	if w.RouterURL != "http://127.0.0.1:8090" || w.SnapshotDir != "/var/snap" || w.WALDir != "/var/wal" ||
+		w.SnapshotEvery != 2*time.Second || w.Heartbeat != time.Second || w.WALSegmentBytes != 4096 {
+		t.Errorf("WorkerConfig = %+v", *w)
+	}
+	if w.Advertise != "http://127.0.0.1:8081" {
+		t.Errorf("advertise = %q, want the wildcard -addr mapped onto loopback", w.Advertise)
+	}
+	if o.chaos != "drop=0.1,seed=7" {
+		t.Errorf("chaos spec = %q", o.chaos)
+	}
+	if o, err := parseFlags([]string{"-worker", "-addr", ":8081", "-advertise", "http://w1:8081", "-graph", "wg=WG:tiny"}); err != nil || o.worker.Advertise != "http://w1:8081" {
+		t.Errorf("explicit -advertise: %+v, %v", o.worker, err)
+	}
+	// A dynamic port cannot be advertised before binding.
+	if _, err := parseFlags([]string{"-worker", "-addr", "127.0.0.1:0", "-graph", "wg=WG:tiny"}); err == nil {
+		t.Error("worker on :0 without -advertise accepted")
+	}
+}

@@ -3,10 +3,13 @@
 // the target only after the write (and an fsync) succeeds. A reader never
 // observes a half-written file, and an interrupted writer leaves the
 // previous version of the target intact — the property the bench sweep's
-// resume manifest, checkpoints, and every CSV/JSON/chart export rely on.
+// resume manifest, checkpoints, worker snapshots, and every CSV/JSON/chart
+// export rely on. WriteJSON and ReadJSON are the one codec of the JSON state
+// files among those.
 package atomicio
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -48,10 +51,26 @@ func WriteFile(path string, write func(w io.Writer) error) (err error) {
 	return nil
 }
 
-// WriteFileBytes atomically replaces path with data.
-func WriteFileBytes(path string, data []byte) error {
+// WriteJSON atomically replaces path with v's JSON encoding, one value and
+// a trailing newline as json.Encoder writes it. A non-empty indent
+// pretty-prints with that string per nesting level.
+func WriteJSON(path string, v any, indent string) error {
 	return WriteFile(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", indent)
+		return enc.Encode(v)
 	})
+}
+
+// ReadJSON decodes the JSON file at path into v. A missing file comes back
+// as the bare os error, so errors.Is(err, os.ErrNotExist) holds.
+func ReadJSON(path string, v any) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("decode %s: %w", path, err)
+	}
+	return nil
 }

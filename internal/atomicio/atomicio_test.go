@@ -8,10 +8,18 @@ import (
 	"testing"
 )
 
+// writeBytes drives WriteFile with a fixed payload.
+func writeBytes(path, data string) error {
+	return WriteFile(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, data)
+		return err
+	})
+}
+
 func TestWriteFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.csv")
-	if err := WriteFileBytes(path, []byte("hello")); err != nil {
+	if err := writeBytes(path, "hello"); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -19,7 +27,7 @@ func TestWriteFile(t *testing.T) {
 		t.Fatalf("read back %q, %v", got, err)
 	}
 	// Overwrite replaces content atomically.
-	if err := WriteFileBytes(path, []byte("world")); err != nil {
+	if err := writeBytes(path, "world"); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = os.ReadFile(path)
@@ -34,7 +42,7 @@ func TestWriteFile(t *testing.T) {
 func TestWriteFileErrorPreservesOld(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.json")
-	if err := WriteFileBytes(path, []byte("v1")); err != nil {
+	if err := writeBytes(path, "v1"); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
@@ -53,7 +61,7 @@ func TestWriteFileErrorPreservesOld(t *testing.T) {
 }
 
 func TestWriteFileBadDir(t *testing.T) {
-	err := WriteFileBytes(filepath.Join(t.TempDir(), "missing", "out"), []byte("x"))
+	err := writeBytes(filepath.Join(t.TempDir(), "missing", "out"), "x")
 	if err == nil {
 		t.Fatal("expected error for missing directory")
 	}
@@ -69,5 +77,45 @@ func assertNoTempFiles(t *testing.T, dir string) {
 		if filepath.Ext(e.Name()) != ".csv" && filepath.Ext(e.Name()) != ".json" {
 			t.Fatalf("leftover temp file %q", e.Name())
 		}
+	}
+}
+
+// TestJSONRoundTrip pins the codec the state files share: compact or
+// indented encoder output with a trailing newline, strict decode, and a
+// missing file surfacing as os.ErrNotExist.
+func TestJSONRoundTrip(t *testing.T) {
+	type doc struct {
+		A int
+		B []string
+	}
+	dir := t.TempDir()
+	want := doc{A: 7, B: []string{"x", "y"}}
+	for _, tc := range []struct{ indent, bytes string }{
+		{"", "{\"A\":7,\"B\":[\"x\",\"y\"]}\n"},
+		{" ", "{\n \"A\": 7,\n \"B\": [\n  \"x\",\n  \"y\"\n ]\n}\n"},
+	} {
+		path := filepath.Join(dir, "doc.json")
+		if err := WriteJSON(path, want, tc.indent); err != nil {
+			t.Fatal(err)
+		}
+		if raw, _ := os.ReadFile(path); string(raw) != tc.bytes {
+			t.Errorf("indent %q wrote %q, want %q", tc.indent, raw, tc.bytes)
+		}
+		var got doc
+		if err := ReadJSON(path, &got); err != nil || got.A != want.A || len(got.B) != 2 {
+			t.Errorf("indent %q read back %+v, %v", tc.indent, got, err)
+		}
+	}
+	assertNoTempFiles(t, dir)
+	var d doc
+	if err := ReadJSON(filepath.Join(dir, "absent.json"), &d); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing file: err = %v, want os.ErrNotExist", err)
+	}
+	bad := filepath.Join(dir, "bad.json")
+	if err := writeBytes(bad, "{\"A\":1} trailing"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadJSON(bad, &d); err == nil {
+		t.Error("trailing garbage decoded")
 	}
 }

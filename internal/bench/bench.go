@@ -17,7 +17,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"text/tabwriter"
 	"time"
@@ -37,7 +36,8 @@ type Options struct {
 	Tier gen.Tier
 	// Datasets filters Table IV workloads by abbreviation (nil = all).
 	Datasets []string
-	// Algorithms filters by short name: pr, ads, sssp, bfs, cc (nil = all).
+	// Algorithms filters by algorithms.Names short name (nil = the five
+	// Figure 10 applications, AlgorithmNames).
 	Algorithms []string
 	// Out receives the rendered tables.
 	Out io.Writer
@@ -108,7 +108,7 @@ func (o Options) workers() int {
 // AlgorithmNames lists the Figure 10 application order.
 var AlgorithmNames = []string{"pr", "ads", "sssp", "bfs", "cc"}
 
-// algorithmTitle maps short names to the paper's figure captions.
+// algorithmTitle maps the Figure 10 applications to the paper's captions.
 var algorithmTitle = map[string]string{
 	"pr":   "PageRank-Delta",
 	"ads":  "Adsorption",
@@ -145,7 +145,7 @@ func datasetFilter(names []string) ([]gen.DatasetSpec, error) {
 	}
 	var out []gen.DatasetSpec
 	for _, n := range names {
-		d, err := gen.DatasetByAbbrev(strings.ToUpper(n))
+		d, err := gen.DatasetByAbbrev(n)
 		if err != nil {
 			return nil, err
 		}
@@ -159,8 +159,8 @@ func algFilter(names []string) ([]string, error) {
 		return AlgorithmNames, nil
 	}
 	for _, n := range names {
-		if algorithmTitle[n] == "" {
-			return nil, fmt.Errorf("bench: unknown algorithm %q (want pr|ads|sssp|bfs|cc)", n)
+		if _, err := algorithms.ByName(n, 0); err != nil {
+			return nil, err
 		}
 	}
 	return names, nil
@@ -263,20 +263,18 @@ func Workloads(opt Options) ([]*Workload, error) {
 			if spec.Abbrev == "TW" {
 				w.sliceInto = 3
 			}
-			switch a {
-			case "pr":
-				w.makeAlg = func() algorithms.Algorithm { return algorithms.NewPageRankDelta() }
-			case "ads":
+			w.makeAlg = func() algorithms.Algorithm {
+				alg, err := algorithms.ByName(a, root)
+				if err != nil {
+					panic(err) // algFilter resolved every name above
+				}
+				return alg
+			}
+			if a == "ads" {
+				// Adsorption is defined on inbound-normalized weights.
 				if w.Graph, err = normalizedGraph(spec, opt.Tier); err != nil {
 					return nil, err
 				}
-				w.makeAlg = func() algorithms.Algorithm { return algorithms.NewAdsorption() }
-			case "sssp":
-				w.makeAlg = func() algorithms.Algorithm { return algorithms.NewSSSP(root) }
-			case "bfs":
-				w.makeAlg = func() algorithms.Algorithm { return algorithms.NewBFS(root) }
-			case "cc":
-				w.makeAlg = func() algorithms.Algorithm { return algorithms.NewConnectedComponents() }
 			}
 			out = append(out, w)
 		}
@@ -353,10 +351,8 @@ func (c *Cell) FailureReason() string {
 	return ""
 }
 
-// Speedups relative to the Ligra wall time on this host.
-func (c *Cell) OptSpeedup() float64  { return c.LigraSeconds / c.Opt.Seconds }
-func (c *Cell) BaseSpeedup() float64 { return c.LigraSeconds / c.Base.Seconds }
-func (c *Cell) GionSpeedup() float64 { return c.LigraSeconds / c.Gion.Seconds }
+// OptSpeedup is relative to the Ligra wall time on this host.
+func (c *Cell) OptSpeedup() float64 { return c.LigraSeconds / c.Opt.Seconds }
 
 // Speedups relative to the modeled 12-core Xeon (host-independent).
 func (c *Cell) OptModelSpeedup() float64  { return c.LigraModelSeconds / c.Opt.Seconds }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"graphpulse/internal/algorithms"
+	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/gen"
 )
 
@@ -100,8 +102,21 @@ func TestWorkloadFilters(t *testing.T) {
 	if _, err := Workloads(Options{Datasets: []string{"XX"}}); err == nil {
 		t.Error("unknown dataset accepted")
 	}
-	if _, err := Workloads(Options{Algorithms: []string{"zz"}}); err == nil {
-		t.Error("unknown algorithm accepted")
+	_, err = Workloads(Options{Algorithms: []string{"zz"}})
+	if err == nil || !strings.Contains(err.Error(), algorithms.NamesList()) {
+		t.Errorf("unknown algorithm error = %v, want one listing %s", err, algorithms.NamesList())
+	}
+	// -algs takes the whole registry vocabulary, not only the five Figure 10
+	// applications; each cell builds the named algorithm.
+	ws, err = Workloads(Options{Tier: gen.Tiny, Datasets: []string{"WG"}, Algorithms: algorithms.Names()})
+	if err != nil || len(ws) != len(algorithms.Names()) {
+		t.Fatalf("registry-wide filter: %d workloads, %v", len(ws), err)
+	}
+	for i, name := range algorithms.Names() {
+		want, _ := algorithms.ByName(name, ws[i].Root)
+		if got := ws[i].NewAlgorithm().Name(); got != want.Name() {
+			t.Errorf("workload %s builds %s, want %s", name, got, want.Name())
+		}
 	}
 }
 
@@ -120,7 +135,7 @@ func TestRunWorkloadProducesAllEngines(t *testing.T) {
 	if cell.LigraSeconds <= 0 {
 		t.Error("no Ligra wall time")
 	}
-	if cell.OptSpeedup() <= 0 || cell.BaseSpeedup() <= 0 || cell.GionSpeedup() <= 0 {
+	if cell.OptSpeedup() <= 0 || cell.BaseModelSpeedup() <= 0 || cell.GionModelSpeedup() <= 0 {
 		t.Error("non-positive speedups")
 	}
 	// All engines agree on the answer.
@@ -205,7 +220,7 @@ func TestBestRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := ws[0]
-	if got := w.Graph.OutDegree(w.Root); got != w.Graph.MaxOutDegree() {
-		t.Errorf("root degree = %d, want max %d", got, w.Graph.MaxOutDegree())
+	if got, want := w.Graph.OutDegree(w.Root), graph.ComputeStats(w.Graph).MaxOutDegree; got != want {
+		t.Errorf("root degree = %d, want max %d", got, want)
 	}
 }

@@ -23,10 +23,8 @@ package bench
 //     produced; delete the manifest to re-measure failed cells.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"reflect"
 	"sync"
@@ -264,23 +262,14 @@ func (mw *manifestWriter) record(c *Cell, engine string) error {
 // flushLocked rewrites the manifest (temp file + rename; caller holds mu or
 // has exclusive access).
 func (mw *manifestWriter) flushLocked() error {
-	return atomicio.WriteFile(mw.path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		return enc.Encode(mw.m)
-	})
+	return atomicio.WriteJSON(mw.path, mw.m, " ")
 }
 
 // ReadManifest loads a sweep manifest written by a previous run.
 func ReadManifest(path string) (*Manifest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
 	m := &Manifest{}
-	if err := json.NewDecoder(f).Decode(m); err != nil {
-		return nil, fmt.Errorf("bench: decode manifest %s: %w", path, err)
+	if err := atomicio.ReadJSON(path, m); err != nil {
+		return nil, fmt.Errorf("bench: manifest: %w", err)
 	}
 	return m, nil
 }

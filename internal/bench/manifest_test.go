@@ -190,3 +190,45 @@ func TestManifestResumeMissingFileStartsFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestReadsParentManifest: a manifest written by the commit before the
+// state-file codec moved into atomicio (literal bytes in testdata) resumes
+// a sweep without re-running a job, and flushing it back reproduces the
+// bytes.
+func TestReadsParentManifest(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "manifest_pr18.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := sweepOptions()
+	opt.Datasets = []string{"WG"}
+	opt.Manifest = filepath.Join(t.TempDir(), "m.json")
+	opt.Resume = true
+	if err := os.WriteFile(opt.Manifest, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ws, err := Workloads(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mw, err := newManifestWriter(ws, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range ws {
+		for _, eng := range EngineNames {
+			if !mw.done(w, eng) {
+				t.Errorf("%s %s not restored from the parent-written manifest", cellKey(w), eng)
+			}
+		}
+	}
+	if got := mw.m.Cells["WG/bfs"].Opt.Cycles; got != 10335 {
+		t.Errorf("restored WG/bfs opt cycles = %d, want 10335", got)
+	}
+	if err := mw.flushLocked(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(opt.Manifest); !bytes.Equal(got, raw) {
+		t.Error("re-flushed manifest differs from the parent-written bytes")
+	}
+}

@@ -2,10 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"os"
 
-	"graphpulse/internal/atomicio"
 	"graphpulse/internal/core"
 	"graphpulse/internal/sim/telemetry"
 )
@@ -67,27 +64,11 @@ func runTimeline(opt Options, _ *Sweep) error {
 	}
 
 	if opt.TelemetryPath != "" {
-		csvPath, tracePath, err := writeTelemetryFiles(rec, opt.TelemetryPath, cfg.ClockHz)
+		csvPath, tracePath, err := rec.WriteFiles(opt.TelemetryPath, cfg.ClockHz)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(opt.Out, "\ntelemetry written: %s, %s\n", csvPath, tracePath)
 	}
 	return nil
-}
-
-// writeTelemetryFiles exports a recorder as <prefix>.csv and
-// <prefix>.trace.json. Each file is written atomically (temp file +
-// rename); if the trace write fails, the already-renamed CSV is removed so
-// the pair stays consistent.
-func writeTelemetryFiles(rec *telemetry.Recorder, prefix string, clockHz float64) (csvPath, tracePath string, err error) {
-	csvPath, tracePath = prefix+".csv", prefix+".trace.json"
-	if err = atomicio.WriteFile(csvPath, func(w io.Writer) error { return rec.WriteCSV(w) }); err != nil {
-		return "", "", err
-	}
-	if err = atomicio.WriteFile(tracePath, func(w io.Writer) error { return rec.WriteChromeTrace(w, clockHz) }); err != nil {
-		os.Remove(csvPath)
-		return "", "", err
-	}
-	return csvPath, tracePath, nil
 }

@@ -3,6 +3,8 @@ package conformance
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -110,6 +112,18 @@ func FuzzGraphIORoundTrip(f *testing.F) {
 		if g, err := graph.ReadEdgeList(bytes.NewReader(data), 0); err == nil {
 			if err := g.Validate(); err != nil {
 				t.Fatalf("ReadEdgeList accepted an invalid graph: %v", err)
+			}
+		}
+		// The same bytes as a file, through the sniffing loader every tool
+		// uses: the torn and corrupt seeds must still be rejected, not
+		// mistaken for the other format.
+		path := filepath.Join(t.TempDir(), "g")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if g, err := graph.ReadFile(path); err == nil {
+			if err := g.Validate(); err != nil {
+				t.Fatalf("ReadFile accepted an invalid graph: %v", err)
 			}
 		}
 		if st, err := ooc.OpenReaderAt(bytes.NewReader(data), int64(len(data)), 0); err == nil {

@@ -625,21 +625,13 @@ func TestEventTrace(t *testing.T) {
 	}
 }
 
-func TestWriteTrace(t *testing.T) {
-	var sb strings.Builder
-	err := WriteTrace(&sb, []TraceEntry{
-		{Cycle: 10, Vertex: 3, Kind: TraceProcess, Delta: 1.5, Aux: 2.5},
-		{Cycle: 11, Vertex: 3, Kind: TraceSpill, Delta: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
+func TestTraceEntryString(t *testing.T) {
+	e := TraceEntry{Cycle: 10, Vertex: 3, Kind: TraceProcess, Delta: 1.5, Aux: 2.5}
+	if got := e.String(); got != "@10 v3 process delta=1.5 aux=2.5" {
+		t.Errorf("unexpected rendering: %q", got)
 	}
-	out := sb.String()
-	if !strings.Contains(out, "@10 v3 process delta=1.5 aux=2.5") {
-		t.Errorf("unexpected rendering:\n%s", out)
-	}
-	if !strings.Contains(out, "spill") {
-		t.Error("missing spill entry")
+	if got := (TraceEntry{Cycle: 11, Vertex: 3, Kind: TraceSpill, Delta: 1}).String(); !strings.Contains(got, "spill") {
+		t.Errorf("missing spill kind: %q", got)
 	}
 }
 

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
-	"os"
 
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/atomicio"
@@ -280,21 +277,14 @@ func NewFromCheckpoint(cfg Config, g graph.Adjacency, alg algorithms.Algorithm, 
 // WriteCheckpoint atomically serializes ck to path (temp file + rename), so
 // a crash mid-write never corrupts the previous checkpoint.
 func WriteCheckpoint(path string, ck *Checkpoint) error {
-	return atomicio.WriteFile(path, func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(ck)
-	})
+	return atomicio.WriteJSON(path, ck, "")
 }
 
 // ReadCheckpoint loads a checkpoint written by WriteCheckpoint.
 func ReadCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
 	ck := &Checkpoint{}
-	if err := json.NewDecoder(f).Decode(ck); err != nil {
-		return nil, fmt.Errorf("core: decode checkpoint %s: %w", path, err)
+	if err := atomicio.ReadJSON(path, ck); err != nil {
+		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
 	return ck, nil
 }

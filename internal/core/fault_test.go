@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -237,6 +240,46 @@ func TestFaultBitFlipSilentCorruption(t *testing.T) {
 	}
 	if res.FaultsInjected["vertex_bit_flip"] == 0 {
 		t.Errorf("no bit flips recorded: %v", res.FaultsInjected)
+	}
+}
+
+// TestReadsParentCheckpoint: a checkpoint file written by the commit before
+// the state-file codec moved into atomicio (literal bytes in testdata: SSSP
+// from vertex 0 on a 6x5 grid, cycle 183 of 991) loads, resumes to the
+// clean fixed point, and writes back byte-identically.
+func TestReadsParentCheckpoint(t *testing.T) {
+	golden := filepath.Join("testdata", "checkpoint_pr18.json")
+	ck, err := ReadCheckpoint(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := gen.Grid2D(6, 5, true, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfigs()[0]
+	clean := run(t, cfg, g, algorithms.NewSSSP(0))
+	ra, err := NewFromCheckpoint(cfg, g, algorithms.NewSSSP(0), ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ra.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Values, clean.Values) {
+		t.Fatal("resume from the parent-written checkpoint missed the fixed point")
+	}
+	out := filepath.Join(t.TempDir(), "ck.json")
+	if err := WriteCheckpoint(out, ck); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := os.ReadFile(golden)
+	if got, _ := os.ReadFile(out); !bytes.Equal(got, want) {
+		t.Error("rewritten checkpoint differs from the parent-written bytes")
+	}
+	if _, err := ReadCheckpoint(filepath.Join(t.TempDir(), "absent.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing checkpoint: err = %v, want os.ErrNotExist", err)
 	}
 }
 

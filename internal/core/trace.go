@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"graphpulse/internal/graph"
 )
@@ -77,14 +76,4 @@ func (t *tracer) record(cycle uint64, v graph.VertexID, kind TraceKind, delta, a
 		return
 	}
 	t.entries = append(t.entries, TraceEntry{Cycle: cycle, Vertex: v, Kind: kind, Delta: delta, Aux: aux})
-}
-
-// WriteTrace renders a result's trace, one entry per line.
-func WriteTrace(w io.Writer, entries []TraceEntry) error {
-	for _, e := range entries {
-		if _, err := fmt.Fprintln(w, e); err != nil {
-			return err
-		}
-	}
-	return nil
 }

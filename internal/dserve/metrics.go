@@ -63,7 +63,7 @@ var workerCounters = []string{
 	"wal_append_errors",      // appends that failed (mutation still acknowledged; divergence risk)
 	"wal_segments_rotated",   // segment rotations at WALSegmentBytes
 	"wal_segments_truncated", // segments retired as covered by a persisted snapshot
-	"wal_replayed_batches",   // logged epochs re-applied at startup (ReplayWAL)
+	"wal_replayed_batches",   // logged epochs re-applied at startup (Worker.Start)
 	"wal_replay_errors",      // replay stops: gap, hole, or corrupt record
 	"wal_tail_dropped",       // torn tail pieces dropped when opening the log
 

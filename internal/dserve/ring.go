@@ -75,16 +75,6 @@ func (r *Ring) Remove(id string) {
 // Len reports the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
-// Members returns the member set, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for id := range r.members {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Lookup returns up to n distinct members owning key, in ring order
 // starting clockwise from the key's hash — the replica set, primary
 // first. n <= 0 or n beyond the member count returns every member.

@@ -34,9 +34,6 @@ func TestRingLookupBasics(t *testing.T) {
 	if r.Len() != 5 {
 		t.Fatalf("len = %d, want 5", r.Len())
 	}
-	if got := len(r.Members()); got != 5 {
-		t.Fatalf("members = %d, want 5", got)
-	}
 
 	// Replica sets are distinct, sized as asked, and stable.
 	for _, key := range ringKeys(50) {

@@ -19,7 +19,7 @@ import (
 // appends (and fsyncs) every applied mutation epoch before the serve layer
 // acknowledges it, so a crash between snapshot ticks loses nothing — on
 // restart the worker replays the log tail past its last snapshot
-// (Worker.ReplayWAL), and the anti-entropy loop ships a laggard replica
+// (Worker.Start), and the anti-entropy loop ships a laggard replica
 // the WAL suffix it missed. Segments rotate at WALSegmentBytes and are
 // truncated once a snapshot covers them (TruncateThrough), bounding
 // retention at roughly one snapshot interval of mutations.

@@ -5,12 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"time"
 
 	"graphpulse/internal/atomicio"
@@ -39,7 +40,7 @@ type WorkerConfig struct {
 	// WALDir enables the durable mutation WAL: one directory per graph
 	// (<dir>/<graph>/, graph name path-escaped) of JSON-lines segments.
 	// Every applied mutation epoch is appended and fsynced before the
-	// mutation is acknowledged; on restart ReplayWAL re-applies the tail
+	// mutation is acknowledged; on restart Start re-applies the tail
 	// past the last snapshot, and the anti-entropy loop ships suffixes to
 	// lagging peers. Empty disables the WAL.
 	WALDir string
@@ -104,12 +105,22 @@ func (c WorkerConfig) withDefaults() (WorkerConfig, error) {
 
 // Worker wraps a serve.Server with the distributed-tier duties:
 // registration heartbeats, snapshot persistence, the mutation WAL, the
-// peer endpoints, and the recovery ladder (RestoreLocal, ReplayWAL,
-// repairFrom).
+// peer endpoints, and the recovery ladder (restoreLocal, replayWAL,
+// repairFrom). Start and Stop own its lifecycle.
 type Worker struct {
 	cfg  WorkerConfig
 	srv  *serve.Server
 	wals map[string]*WAL // per-graph mutation logs; nil when WALDir is unset
+
+	// persisted is the epoch of each graph's snapshot file as this worker
+	// last wrote or read it, so an idle persist tick compares two integers
+	// instead of decoding the file. persistMu serializes persist passes.
+	persistMu sync.Mutex
+	persisted map[string]uint64
+
+	// stop and done belong to the background loop Start launched.
+	stop context.CancelFunc
+	done chan struct{}
 }
 
 // NewWorker builds a Worker around cfg.Server and registers the worker_*
@@ -128,7 +139,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg.Server.Metrics().Register(chaos.CounterNames(), nil)
 		cfg.Chaos.SetSink(cfg.Server.Metrics().Add)
 	}
-	wk := &Worker{cfg: cfg, srv: cfg.Server}
+	wk := &Worker{cfg: cfg, srv: cfg.Server, persisted: make(map[string]uint64)}
 	if cfg.WALDir != "" {
 		wk.wals = make(map[string]*WAL)
 		for _, name := range cfg.Server.GraphNames() {
@@ -170,15 +181,15 @@ func (wk *Worker) onMutation(graph string, ch stream.Change) {
 	}
 }
 
-// ReplayWAL re-applies each graph's logged tail past the resident epoch —
-// call after RestoreLocal, before serving traffic. A restarted worker
+// replayWAL re-applies each graph's logged tail past the resident epoch —
+// Start's second step, after restoreLocal. A restarted worker
 // thereby recovers every mutation acknowledged after its last snapshot:
 // the snapshot seeds the result cache at its epoch, the replayed batches
 // rebuild the mutation history up to the logged epoch, and the first
 // query warm-starts instead of cold-solving. A gap (snapshot newer than
 // the log's coverage, or a hole) stops replay for that graph and counts
 // wal_replay_errors — the anti-entropy loop heals the remainder.
-func (wk *Worker) ReplayWAL() {
+func (wk *Worker) replayWAL() {
 	for _, name := range wk.srv.GraphNames() {
 		w := wk.wals[name]
 		if w == nil {
@@ -313,7 +324,7 @@ func (wk *Worker) handleRepair(w http.ResponseWriter, r *http.Request) {
 // local WAL tail → peer WAL suffix → peer snapshot) and the only way a
 // replica catches up from a peer, whoever noticed the gap: the router's
 // anti-entropy loop (POST /internal/repair) or the worker itself on
-// rejoin (Run). A replica at or ahead of the donor fetches nothing;
+// rejoin (run). A replica at or ahead of the donor fetches nothing;
 // otherwise it replays the donor's WAL suffix past the local epoch when
 // that covers the gap and converges to the donor's digest, and adopts the
 // donor's full snapshot when it does not. Either way the replica
@@ -401,12 +412,15 @@ func (wk *Worker) snapshotPath(graph string) string {
 }
 
 // PersistSnapshots writes every resident graph's snapshot atomically to
-// SnapshotDir. A graph whose on-disk snapshot already matches the
-// resident epoch is skipped. No-op without a SnapshotDir.
+// SnapshotDir. A graph whose snapshot file still exists at the epoch
+// this worker last wrote (or restored) it at is skipped without being
+// read. No-op without a SnapshotDir.
 func (wk *Worker) PersistSnapshots() error {
 	if wk.cfg.SnapshotDir == "" {
 		return nil
 	}
+	wk.persistMu.Lock()
+	defer wk.persistMu.Unlock()
 	if err := os.MkdirAll(wk.cfg.SnapshotDir, 0o755); err != nil {
 		wk.srv.Metrics().Add("worker_snapshot_save_errors", 1)
 		return err
@@ -430,19 +444,19 @@ func (wk *Worker) persistOne(name string) error {
 		return err
 	}
 	path := wk.snapshotPath(name)
-	if onDisk, err := readSnapshotFile(path); err == nil && onDisk.Epoch == epoch {
-		return nil // already current
+	if last, ok := wk.persisted[name]; ok && last == epoch {
+		if _, err := os.Stat(path); err == nil {
+			return nil // already current
+		}
 	}
 	snap, err := wk.srv.ExportSnapshot(name)
 	if err != nil {
 		return err
 	}
-	err = atomicio.WriteFile(path, func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(snap)
-	})
-	if err != nil {
+	if err := atomicio.WriteJSON(path, snap, ""); err != nil {
 		return err
 	}
+	wk.persisted[name] = snap.Epoch
 	wk.srv.Metrics().Add("worker_snapshot_saves", 1)
 	// The persisted snapshot now covers every epoch up to snap.Epoch:
 	// retire the WAL segments it makes redundant.
@@ -456,43 +470,32 @@ func (wk *Worker) persistOne(name string) error {
 	return nil
 }
 
-func readSnapshotFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var snap serve.Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("decode %s: %w", path, err)
-	}
-	return &snap, nil
-}
-
 // Snapshot aliases serve.Snapshot for readers of this package; the type
 // lives in serve so the single-process tier can export/import without
 // importing dserve.
 type Snapshot = serve.Snapshot
 
-// RestoreLocal adopts any on-disk snapshot newer than (or equal to) the
-// resident state, graph by graph. Call it before serving traffic: a
-// restarted worker comes back with its last persisted fixed points
+// restoreLocal adopts any on-disk snapshot newer than (or equal to) the
+// resident state, graph by graph — Start's first step, before any traffic:
+// a restarted worker comes back with its last persisted fixed points
 // instead of cold re-solving. Missing files and stale snapshots are
 // skipped silently (stale ones count worker_snapshot_stale); decode or
 // import failures are logged and skipped — a corrupt snapshot must not
 // block startup.
-func (wk *Worker) RestoreLocal() {
+func (wk *Worker) restoreLocal() {
 	if wk.cfg.SnapshotDir == "" {
 		return
 	}
 	for _, name := range wk.srv.GraphNames() {
-		snap, err := readSnapshotFile(wk.snapshotPath(name))
-		if err != nil {
+		var snap Snapshot
+		if err := atomicio.ReadJSON(wk.snapshotPath(name), &snap); err != nil {
 			if !errors.Is(err, os.ErrNotExist) {
 				wk.logf("dserve: worker: read snapshot of %q: %v", name, err)
 			}
 			continue
 		}
-		wk.adoptSnapshot(snap, "local file")
+		wk.persisted[name] = snap.Epoch
+		wk.adoptSnapshot(&snap, "local file")
 	}
 }
 
@@ -544,12 +547,45 @@ func (wk *Worker) catchUp(ctx context.Context, peers map[string][]string) {
 	}
 }
 
-// Run drives the worker's background duties until ctx is canceled:
+// Start boots the worker in the order recovery needs: adopt the newest
+// local snapshots, replay each WAL tail past them (the mutations
+// acknowledged after the last snapshot tick), only then listen on addr
+// with Handler, and finally launch the background loop — register with
+// the router, catch up from a peer, heartbeat, persist. It returns the
+// bound address. Every Start is paired with one Stop.
+func (wk *Worker) Start(addr string) (net.Addr, error) {
+	wk.restoreLocal()
+	wk.replayWAL()
+	bound, err := wk.srv.StartWith(addr, wk.Handler())
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	wk.stop, wk.done = cancel, make(chan struct{})
+	go func() {
+		defer close(wk.done)
+		wk.run(ctx)
+	}()
+	return bound, nil
+}
+
+// Stop ends the background loop — its last act is a final snapshot persist,
+// so the next Start restores the freshest state — and then drains the
+// server's in-flight requests, bounded by ctx. After a failed Start it only
+// drains.
+func (wk *Worker) Stop(ctx context.Context) error {
+	if wk.stop != nil {
+		wk.stop()
+		<-wk.done
+	}
+	return wk.srv.Shutdown(ctx)
+}
+
+// run drives the worker's background duties until ctx is canceled:
 // register with the router (retrying until it answers), catch each graph
 // up from a registered peer, then heartbeat and persist snapshots on
-// their tickers. On shutdown it persists a final snapshot set so the
-// next start restores the freshest state. Run returns when ctx is done.
-func (wk *Worker) Run(ctx context.Context) {
+// their tickers, and persist once more on the way out.
+func (wk *Worker) run(ctx context.Context) {
 	if wk.cfg.RouterURL != "" {
 		peers := wk.registerUntilAck(ctx)
 		if ctx.Err() != nil {

@@ -8,14 +8,14 @@ import (
 	"testing"
 	"time"
 
+	"graphpulse/internal/atomicio"
 	"graphpulse/internal/graph/gen"
 	"graphpulse/internal/serve"
 )
 
-// newWorkerNode builds a serve.Server over the deterministic test graph,
-// wraps it in a Worker with the given config overrides, and serves the
-// worker handler (including /internal/snapshot) via httptest.
-func newWorkerNode(t *testing.T, mut func(*WorkerConfig)) (*Worker, *httptest.Server) {
+// buildWorker builds a serve.Server over the deterministic test graph and
+// wraps it in a Worker with the given config overrides.
+func buildWorker(t *testing.T, mut func(*WorkerConfig)) *Worker {
 	t.Helper()
 	g, err := gen.ErdosRenyi(200, 900, true, 11)
 	if err != nil {
@@ -36,14 +36,43 @@ func newWorkerNode(t *testing.T, mut func(*WorkerConfig)) (*Worker, *httptest.Se
 	if err != nil {
 		t.Fatal(err)
 	}
+	return wk
+}
+
+// newWorkerNode serves a never-started worker's handler (including the
+// /internal/* peer endpoints) via httptest: no recovery, no background
+// loop — for tests that drive those pieces by hand.
+func newWorkerNode(t *testing.T, mut func(*WorkerConfig)) (*Worker, *httptest.Server) {
+	t.Helper()
+	wk := buildWorker(t, mut)
 	ts := httptest.NewServer(wk.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		s.Shutdown(ctx)
+		wk.Server().Shutdown(ctx)
 	})
 	return wk, ts
+}
+
+// startWorkerNode boots a worker the way cmd/serve does — Worker.Start on
+// a loopback port — and returns its base URL. Cleanup Stops it (final
+// persist, then drain), after the test body has made its assertions.
+func startWorkerNode(t *testing.T, mut func(*WorkerConfig)) (*Worker, string) {
+	t.Helper()
+	wk := buildWorker(t, mut)
+	addr, err := wk.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := wk.Stop(ctx); err != nil {
+			t.Errorf("worker stop: %v", err)
+		}
+	})
+	return wk, "http://" + addr.String()
 }
 
 // solveAndMutate pushes a worker's graph to epoch 1 with a cached pr
@@ -64,7 +93,7 @@ func solveAndMutate(t *testing.T, url string) *serve.QueryResponse {
 }
 
 // TestWorkerPersistAndRestoreLocal pins the warm-restart path: a worker
-// persists its snapshot, a fresh worker pointed at the same directory
+// persists its snapshot, a fresh worker Started on the same directory
 // restores it before serving, and the first query is a cache hit at the
 // persisted epoch — no cold re-solve.
 func TestWorkerPersistAndRestoreLocal(t *testing.T) {
@@ -80,20 +109,12 @@ func TestWorkerPersistAndRestoreLocal(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "g.snap.json")); err != nil {
 		t.Fatalf("snapshot file missing: %v", err)
 	}
-	// A second persist at the same epoch is skipped (file already current).
-	if err := wk1.PersistSnapshots(); err != nil {
-		t.Fatal(err)
-	}
-	if got := wk1.Server().Metrics().Counter("worker_snapshot_saves"); got != 1 {
-		t.Fatalf("unchanged state persisted again (saves=%d)", got)
-	}
 
-	wk2, ts2 := newWorkerNode(t, func(c *WorkerConfig) { c.SnapshotDir = dir })
-	wk2.RestoreLocal()
+	wk2, url2 := startWorkerNode(t, func(c *WorkerConfig) { c.SnapshotDir = dir })
 	if wk2.Server().Metrics().Counter("worker_snapshot_restores") != 1 {
 		t.Fatal("restore not counted")
 	}
-	resp, code := queryVia(t, ts2.URL)
+	resp, code := queryVia(t, url2)
 	if code != 200 || resp == nil {
 		t.Fatalf("query after restore: HTTP %d", code)
 	}
@@ -103,15 +124,103 @@ func TestWorkerPersistAndRestoreLocal(t *testing.T) {
 	if n := wk2.Server().Metrics().Counter("query_cold_solves"); n != 0 {
 		t.Fatalf("restored worker cold-solved %d times, want 0", n)
 	}
-
-	// A corrupt snapshot file must not block startup.
-	wk3, ts3 := newWorkerNode(t, func(c *WorkerConfig) { c.SnapshotDir = t.TempDir() })
-	if err := os.WriteFile(filepath.Join(wk3.cfg.SnapshotDir, "g.snap.json"), []byte("not json"), 0o644); err != nil {
+	// The restore seeded the persisted epoch: the restarted worker's first
+	// tick at that epoch writes nothing.
+	if err := wk2.PersistSnapshots(); err != nil {
 		t.Fatal(err)
 	}
-	wk3.RestoreLocal()
-	if resp, code := queryVia(t, ts3.URL); code != 200 || resp == nil {
+	if got := wk2.Server().Metrics().Counter("worker_snapshot_saves"); got != 0 {
+		t.Fatalf("restored worker re-persisted an unchanged epoch (saves=%d)", got)
+	}
+
+	// A corrupt snapshot file must not block startup.
+	bad := t.TempDir()
+	if err := os.WriteFile(filepath.Join(bad, "g.snap.json"), []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, url3 := startWorkerNode(t, func(c *WorkerConfig) { c.SnapshotDir = bad })
+	if resp, code := queryVia(t, url3); code != 200 || resp == nil {
 		t.Fatalf("query after corrupt-snapshot startup: HTTP %d", code)
+	}
+}
+
+// TestPersistTickReadsNothing pins the idle tick: a persist pass at an
+// unchanged epoch consults the remembered epoch and stats the file, never
+// decoding it (the file is swapped for garbage to prove it), and a
+// snapshot deleted out from under the worker is rewritten on the next tick.
+func TestPersistTickReadsNothing(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "g.snap.json")
+	wk, ts := newWorkerNode(t, func(c *WorkerConfig) { c.SnapshotDir = dir })
+	solveAndMutate(t, ts.URL)
+	saves := func() int64 { return wk.Server().Metrics().Counter("worker_snapshot_saves") }
+	if err := wk.PersistSnapshots(); err != nil || saves() != 1 {
+		t.Fatalf("first tick: err=%v saves=%d, want 1", err, saves())
+	}
+	if err := os.WriteFile(path, []byte("unreadable"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := wk.PersistSnapshots(); err != nil || saves() != 1 {
+		t.Fatalf("idle tick: err=%v saves=%d, want the file left alone", err, saves())
+	}
+	if raw, _ := os.ReadFile(path); string(raw) != "unreadable" {
+		t.Fatal("idle tick rewrote the snapshot file")
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := wk.PersistSnapshots(); err != nil || saves() != 2 {
+		t.Fatalf("tick after delete: err=%v saves=%d, want 2", err, saves())
+	}
+	var snap Snapshot
+	if err := atomicio.ReadJSON(path, &snap); err != nil || snap.Epoch != 1 {
+		t.Fatalf("rewritten snapshot: epoch %d, %v", snap.Epoch, err)
+	}
+}
+
+// TestWorkerStartReadsParentSnapshot: a snapshot file written by the
+// commit before persistence moved onto atomicio.WriteJSON (literal bytes in
+// testdata) restores through Start and answers from cache.
+func TestWorkerStartReadsParentSnapshot(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "snapshot_pr18.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "g.snap.json"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := gen.ErdosRenyi(24, 60, true, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := serve.New(serve.Config{Graphs: []serve.GraphSpec{{Name: "g", Graph: g}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wk, err := NewWorker(WorkerConfig{Server: s, SnapshotDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := wk.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wk.Stop(context.Background())
+	resp, code := queryVia(t, "http://"+addr.String())
+	if code != 200 || resp == nil || !resp.Cached || resp.Epoch != 1 {
+		t.Fatalf("query on parent-written snapshot: HTTP %d %+v, want a cache hit at epoch 1", code, resp)
+	}
+	// Re-persisting the adopted state reproduces the parent's bytes: the
+	// on-disk encoding did not move.
+	if err := os.Remove(filepath.Join(dir, "g.snap.json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := wk.PersistSnapshots(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(filepath.Join(dir, "g.snap.json")); string(got) != string(raw) {
+		t.Errorf("re-persisted snapshot differs from the parent-written bytes:\n got %s\nwant %s", got, raw)
 	}
 }
 
@@ -131,7 +240,7 @@ func TestWorkerPeerSyncThroughRouter(t *testing.T) {
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
 	doneA := make(chan struct{})
-	go func() { defer close(doneA); wkA.Run(ctxA) }()
+	go func() { defer close(doneA); wkA.run(ctxA) }()
 	waitFor(t, "worker A registration", 5*time.Second, func() bool {
 		ws := rt.Workers()
 		return len(ws) == 1 && ws[0].URL == tsA.URL
@@ -146,7 +255,7 @@ func TestWorkerPeerSyncThroughRouter(t *testing.T) {
 	ctxB, cancelB := context.WithCancel(context.Background())
 	defer cancelB()
 	doneB := make(chan struct{})
-	go func() { defer close(doneB); wkB.Run(ctxB) }()
+	go func() { defer close(doneB); wkB.run(ctxB) }()
 
 	waitFor(t, "worker B peer sync", 5*time.Second, func() bool {
 		return wkB.Server().Metrics().Counter("worker_snapshot_restores") >= 1
@@ -169,49 +278,38 @@ func TestWorkerPeerSyncThroughRouter(t *testing.T) {
 	<-doneB
 }
 
-// TestWorkerCrashReplayFromWAL is the durability tentpole test: a worker
-// acknowledges mutations after its last snapshot tick and then dies
-// without warning (no final persist — the kill -9 shape). A fresh worker
-// over the same directories restores the snapshot, replays the WAL tail
-// past it, and serves the full acknowledged epoch with zero cold solves.
+// TestWorkerCrashReplayFromWAL is the durability tentpole test, booted the
+// way production boots: a Started worker acknowledges mutations after its
+// last snapshot tick and is then dropped without Stop (no final persist —
+// the kill -9 shape). A fresh worker Started over the same directories
+// restores the snapshot, replays the WAL tail past it, and serves the full
+// acknowledged epoch with zero cold solves.
 func TestWorkerCrashReplayFromWAL(t *testing.T) {
 	snapDir, walDir := t.TempDir(), t.TempDir()
-	wk1, ts1 := newWorkerNode(t, func(c *WorkerConfig) {
-		c.SnapshotDir = snapDir
-		c.WALDir = walDir
-	})
+	dirs := func(c *WorkerConfig) { c.SnapshotDir, c.WALDir = snapDir, walDir }
+	wk1, url1 := startWorkerNode(t, dirs)
 	// Epoch 1 with a cached fixed point, snapshotted.
-	solveAndMutate(t, ts1.URL)
+	solveAndMutate(t, url1)
 	if err := wk1.PersistSnapshots(); err != nil {
 		t.Fatal(err)
 	}
 	// Two more acknowledged mutations after the snapshot tick; then the
-	// process "dies" — no persist, the WAL is the only durable record.
-	for _, e := range [][2]uint32{{5, 171}, {7, 172}} {
-		code, body := postJSON(t, ts1.URL+"/v1/mutate", serve.MutateRequest{
-			Graph: "g", Edges: []serve.EdgeJSON{{Src: e[0], Dst: e[1], Weight: 0.3}},
-		})
-		if code != 200 {
-			t.Fatalf("post-snapshot mutate: HTTP %d: %s", code, body)
-		}
-	}
+	// process "dies" — wk1 is only Stopped at cleanup, so until then the WAL
+	// is the only durable record of them.
+	mutateDirect(t, url1, 5, 171)
+	mutateDirect(t, url1, 7, 172)
 	if got := wk1.Server().Metrics().Counter("wal_appends"); got != 3 {
 		t.Fatalf("wal_appends = %d, want 3 (every acknowledged epoch logged)", got)
 	}
 
-	wk2, ts2 := newWorkerNode(t, func(c *WorkerConfig) {
-		c.SnapshotDir = snapDir
-		c.WALDir = walDir
-	})
-	wk2.RestoreLocal()
-	wk2.ReplayWAL()
+	wk2, url2 := startWorkerNode(t, dirs)
 	if got := wk2.Server().Metrics().Counter("wal_replayed_batches"); got != 2 {
 		t.Fatalf("wal_replayed_batches = %d, want 2 (the post-snapshot tail)", got)
 	}
 	if epoch, err := wk2.Server().GraphEpoch("g"); err != nil || epoch != 3 {
 		t.Fatalf("restarted epoch = %d (%v), want 3", epoch, err)
 	}
-	resp, code := queryVia(t, ts2.URL)
+	resp, code := queryVia(t, url2)
 	if code != 200 || resp == nil {
 		t.Fatalf("query after crash restart: HTTP %d", code)
 	}
@@ -222,15 +320,7 @@ func TestWorkerCrashReplayFromWAL(t *testing.T) {
 		t.Fatalf("restarted worker cold-solved %d times, want 0 (snapshot + wal replay should warm-start)", n)
 	}
 	// Replayed state and the pre-crash state digest identically.
-	d1, err := wk1.Server().StateDigest("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := wk2.Server().StateDigest("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
+	if d1, d2 := digestOf(t, wk1), digestOf(t, wk2); d1 != d2 {
 		t.Fatalf("post-replay digest %+v differs from pre-crash %+v", d2, d1)
 	}
 }
@@ -356,8 +446,8 @@ func TestWorkerPersistRacingMutation(t *testing.T) {
 	if err := wk.PersistSnapshots(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := readSnapshotFile(filepath.Join(dir, "g.snap.json"))
-	if err != nil {
+	var snap Snapshot
+	if err := atomicio.ReadJSON(filepath.Join(dir, "g.snap.json"), &snap); err != nil {
 		t.Fatal(err)
 	}
 	epoch, err := wk.Server().GraphEpoch("g")

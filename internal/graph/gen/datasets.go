@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"strings"
 
 	"graphpulse/internal/graph"
 )
@@ -23,16 +24,46 @@ const (
 	Full
 )
 
+// tierNames is the tier vocabulary of every -tier flag and "ABBREV:tier"
+// graph source, indexed by Tier.
+var tierNames = [...]string{Tiny: "tiny", Mini: "mini", Full: "full"}
+
+// TierList renders that vocabulary for flag docs and errors
+// ("tiny|mini|full").
+func TierList() string { return strings.Join(tierNames[:], "|") }
+
 func (t Tier) String() string {
-	switch t {
-	case Tiny:
-		return "tiny"
-	case Mini:
-		return "mini"
-	case Full:
-		return "full"
+	if t >= 0 && int(t) < len(tierNames) {
+		return tierNames[t]
 	}
 	return fmt.Sprintf("Tier(%d)", int(t))
+}
+
+// ParseTier is the inverse of Tier.String.
+func ParseTier(name string) (Tier, error) {
+	for t, n := range tierNames {
+		if name == n {
+			return Tier(t), nil
+		}
+	}
+	return 0, fmt.Errorf("gen: unknown tier %q (want %s)", name, TierList())
+}
+
+// Load materializes a graph source string, the one form every tool's graph
+// argument takes: "ABBREV:tier" is a Table IV stand-in (abbreviation in
+// either case, e.g. "WG:tiny", "lj:mini") generated through cache; anything
+// else is a graph file path read by graph.ReadFile.
+func Load(source string, cache *Cache) (*graph.CSR, error) {
+	if abbrev, tierName, ok := strings.Cut(source, ":"); ok {
+		if tier, err := ParseTier(tierName); err == nil {
+			spec, err := DatasetByAbbrev(abbrev)
+			if err != nil {
+				return nil, err
+			}
+			return cache.Generate(spec, tier)
+		}
+	}
+	return graph.ReadFile(source)
 }
 
 // DatasetSpec describes one of the paper's Table IV workloads and the R-MAT
@@ -95,10 +126,11 @@ var Datasets = []DatasetSpec{
 	},
 }
 
-// DatasetByAbbrev returns the spec with the given Table IV abbreviation.
+// DatasetByAbbrev returns the spec with the given Table IV abbreviation,
+// in either case.
 func DatasetByAbbrev(abbrev string) (DatasetSpec, error) {
 	for _, d := range Datasets {
-		if d.Abbrev == abbrev {
+		if strings.EqualFold(d.Abbrev, abbrev) {
 			return d, nil
 		}
 	}

@@ -238,18 +238,6 @@ func Materialize(g Adjacency) *CSR {
 	return out
 }
 
-// MaxOutDegree returns the largest out-degree in the graph (0 for an empty
-// graph).
-func (g *CSR) MaxOutDegree() int {
-	maxDeg := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.OutDegree(VertexID(v)); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	return maxDeg
-}
-
 // Validate checks structural invariants: monotone row pointers, in-range
 // destinations, and weight array parity. It returns a descriptive error for
 // the first violation found.

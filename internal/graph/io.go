@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -200,6 +201,22 @@ func WriteBinary(w io.Writer, g *CSR) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// ReadFile loads a graph file in either on-disk form: the binary container
+// when the file opens with its magic, a text edge list otherwise. It is the
+// one place that sniffs the format, so every tool accepts the same files.
+func ReadFile(path string) (*CSR, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	if magic, err := br.Peek(8); err == nil && binary.LittleEndian.Uint64(magic) == binaryMagic {
+		return ReadBinary(br)
+	}
+	return ReadEdgeList(br, 0)
 }
 
 // Format limits of the binary container. Vertex ids are uint32 on the wire

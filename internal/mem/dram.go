@@ -225,28 +225,12 @@ func (m *Memory) RegisterProbes(r *telemetry.Recorder, component string) {
 	r.Gauge(component, "dram_pending", "requests", func() int64 { return int64(m.Pending()) })
 }
 
-// Transfers returns the total number of off-chip line transfers so far.
-func (m *Memory) Transfers() int64 { return m.reads + m.writes }
-
 // Utilization returns useful bytes / transferred bytes (1 if no traffic).
 func (m *Memory) Utilization() float64 {
 	if m.bytesMoved == 0 {
 		return 1
 	}
 	return float64(m.bytesUse) / float64(m.bytesMoved)
-}
-
-// BusyFraction returns mean data-bus occupancy across channels over the
-// cycles simulated so far.
-func (m *Memory) BusyFraction() float64 {
-	if m.cycle == 0 {
-		return 0
-	}
-	var busy uint64
-	for i := range m.chans {
-		busy += m.chans[i].busyAccum
-	}
-	return float64(busy) / float64(m.cycle*uint64(len(m.chans)))
 }
 
 // channelOf maps a line address to its channel (line-interleaved so
@@ -261,12 +245,6 @@ func (m *Memory) bankOf(addr uint64) int {
 
 func (m *Memory) rowOf(addr uint64) uint64 {
 	return addr / (m.cfg.RowBytes * uint64(m.cfg.BanksPerChannel) * uint64(m.cfg.Channels))
-}
-
-// CanEnqueue reports whether the channel serving addr has queue space.
-func (m *Memory) CanEnqueue(addr uint64) bool {
-	ch := &m.chans[m.channelOf(addr)]
-	return len(ch.queue) < m.cfg.QueueDepth
 }
 
 // Enqueue submits a request. It returns false (and does nothing) when the
@@ -412,6 +390,3 @@ func (m *Memory) complete(f inflight) {
 		f.req.OnComplete()
 	}
 }
-
-// LatencyMean returns the mean request latency in cycles.
-func (m *Memory) LatencyMean() float64 { return m.lat.Mean() }

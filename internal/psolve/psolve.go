@@ -52,6 +52,10 @@ const ctxPollInterval = 1024
 // a channel poll per activation.
 const processChunk = 64
 
+// refinePasses is the number of partition boundary-refinement sweeps used
+// to reduce the cross-shard edge cut.
+const refinePasses = 1
+
 // Config tunes the parallel solver. The zero value of every field selects
 // the documented default.
 type Config struct {
@@ -63,9 +67,6 @@ type Config struct {
 	// batches coalesce more and message less; smaller batches cut the
 	// latency of remote delta delivery.
 	BatchSize int
-	// RefinePasses is the number of partition boundary-refinement sweeps
-	// used to reduce the cross-shard edge cut (default 1).
-	RefinePasses int
 	// NoRelabel is a no-op kept only because the frozen benchmark driver
 	// (perf/wl_parallel.go) sets it: the degree-order relabeling pass it
 	// used to disable measured slower than the cut edges it saved
@@ -77,7 +78,7 @@ type Config struct {
 
 // DefaultConfig returns the documented defaults.
 func DefaultConfig() Config {
-	return Config{Workers: runtime.GOMAXPROCS(0), BatchSize: 256, RefinePasses: 1}
+	return Config{Workers: runtime.GOMAXPROCS(0), BatchSize: 256}
 }
 
 func (c Config) withDefaults() Config {
@@ -86,9 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 256
-	}
-	if c.RefinePasses <= 0 {
-		c.RefinePasses = 1
 	}
 	return c
 }
@@ -319,7 +317,7 @@ func shard(g graph.Adjacency, cfg Config) (*partition.Partitioning, error) {
 	if bounds := graph.SliceBoundaries(g); bounds != nil {
 		return alignedPartitioning(g, bounds, cfg.Workers), nil
 	}
-	part, err := partition.Split(g, cfg.Workers, cfg.RefinePasses)
+	part, err := partition.Split(g, cfg.Workers, refinePasses)
 	if err != nil {
 		return nil, fmt.Errorf("psolve: %w", err)
 	}

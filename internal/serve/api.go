@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"graphpulse/internal/algorithms"
-	"graphpulse/internal/engines"
 	"graphpulse/internal/graph"
 )
 
@@ -16,8 +15,7 @@ import (
 type QueryRequest struct {
 	// Graph names a resident graph.
 	Graph string `json:"graph"`
-	// Algorithm selects the computation:
-	// pr|ads|sssp|bfs|reach|cc|sswp|relpath.
+	// Algorithm selects the computation by its algorithms.Names wire name.
 	Algorithm string `json:"algorithm"`
 	// Root is the source vertex for rooted algorithms (default 0).
 	Root *uint32 `json:"root,omitempty"`
@@ -292,61 +290,43 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// makeAlgorithm builds the algorithm a request names and its canonical
-// cache key (parameters normalized, so equivalent requests share cache
-// entries and coalesce).
+// makeAlgorithm builds the algorithm a request names (algorithms.ByName
+// owns the vocabulary), applies the request's alpha/threshold overrides,
+// and returns its canonical cache key (parameters normalized, so
+// equivalent requests share cache entries and coalesce).
 func makeAlgorithm(req *QueryRequest) (algorithms.Algorithm, string, error) {
 	root := graph.VertexID(0)
 	if req.Root != nil {
 		root = graph.VertexID(*req.Root)
 	}
-	rootedKey := func(name string) string { return fmt.Sprintf("%s(root=%d)", name, root) }
-	switch req.Algorithm {
-	case "pr":
-		a := algorithms.NewPageRankDelta()
-		if req.Alpha != nil {
-			a.Alpha = *req.Alpha
-		}
-		if req.Threshold != nil {
-			a.Threshold = *req.Threshold
-		}
-		if a.Alpha <= 0 || a.Alpha >= 1 || a.Threshold <= 0 {
-			return nil, "", fmt.Errorf("pr needs 0<alpha<1 and threshold>0")
-		}
-		return a, fmt.Sprintf("pr(alpha=%g,threshold=%g)", a.Alpha, a.Threshold), nil
-	case "ads":
-		a := algorithms.NewAdsorption()
-		if req.Alpha != nil {
-			a.Alpha = *req.Alpha
-		}
-		if req.Threshold != nil {
-			a.Threshold = *req.Threshold
-		}
-		if a.Alpha <= 0 || a.Alpha >= 1 || a.Threshold <= 0 {
-			return nil, "", fmt.Errorf("ads needs 0<alpha<1 and threshold>0")
-		}
-		return a, fmt.Sprintf("ads(alpha=%g,threshold=%g)", a.Alpha, a.Threshold), nil
-	case "sssp":
-		return algorithms.NewSSSP(root), rootedKey("sssp"), nil
-	case "bfs":
-		return algorithms.NewBFS(root), rootedKey("bfs"), nil
-	case "reach":
-		return algorithms.NewReach(root), rootedKey("reach"), nil
-	case "cc":
-		return algorithms.NewConnectedComponents(), "cc()", nil
-	case "sswp":
-		return algorithms.NewSSWP(root), rootedKey("sswp"), nil
-	case "relpath":
-		return algorithms.NewReliablePath(root), rootedKey("relpath"), nil
-	case "":
-		return nil, "", fmt.Errorf("missing algorithm")
+	alg, err := algorithms.ByName(req.Algorithm, root)
+	if err != nil {
+		return nil, "", err
 	}
-	return nil, "", fmt.Errorf("unknown algorithm %q (want pr|ads|sssp|bfs|reach|cc|sswp|relpath)", req.Algorithm)
-}
-
-// normalizeEngine validates the engine choice against the engine registry,
-// defaulting to the native solver. The 400-error vocabulary comes from the
-// registry, so it never goes stale against the engine set.
-func normalizeEngine(engine string) (string, error) {
-	return engines.Normalize(engine)
+	var alpha, threshold *float64
+	switch a := alg.(type) {
+	case *algorithms.PageRankDelta:
+		alpha, threshold = &a.Alpha, &a.Threshold
+	case *algorithms.Adsorption:
+		alpha, threshold = &a.Alpha, &a.Threshold
+	default:
+		if algorithms.Rooted(req.Algorithm) {
+			return alg, req.Algorithm + "(root=" + strconv.FormatUint(uint64(root), 10) + ")", nil
+		}
+		return alg, req.Algorithm + "()", nil
+	}
+	if req.Alpha != nil {
+		*alpha = *req.Alpha
+	}
+	if req.Threshold != nil {
+		*threshold = *req.Threshold
+	}
+	if *alpha <= 0 || *alpha >= 1 || *threshold <= 0 {
+		return nil, "", fmt.Errorf("%s needs 0<alpha<1 and threshold>0", req.Algorithm)
+	}
+	// name(alpha=%g,threshold=%g), appended so a cache hit boxes nothing.
+	key := append(make([]byte, 0, 64), req.Algorithm...)
+	key = strconv.AppendFloat(append(key, "(alpha="...), *alpha, 'g', -1, 64)
+	key = strconv.AppendFloat(append(key, ",threshold="...), *threshold, 'g', -1, 64)
+	return alg, string(append(key, ')')), nil
 }

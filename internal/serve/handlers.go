@@ -265,7 +265,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown graph %q", req.Graph)
 		return
 	}
-	engine, err := normalizeEngine(req.Engine)
+	engine, err := engines.Normalize(req.Engine)
 	if err != nil {
 		s.metrics.Add("query_errors", 1)
 		writeError(w, http.StatusBadRequest, "%v", err)

@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
-	"regexp"
 	"strings"
 	"sync"
 	"time"
@@ -22,9 +19,10 @@ import (
 type GraphSpec struct {
 	// Name is the handle queries and mutations address the graph by.
 	Name string
-	// Source is "ABBREV:tier" for a Table IV synthetic stand-in built
-	// through the shared gen cache (e.g. "WG:tiny", "LJ:mini"), or a path
-	// to an edge-list / binary container file.
+	// Source is a gen.Load source string: "ABBREV:tier" for a Table IV
+	// synthetic stand-in built through the shared gen cache (e.g.
+	// "WG:tiny", "LJ:mini"), or a path to an edge-list / binary container
+	// file.
 	Source string
 	// Graph is a pre-built in-memory graph (facade callers pass a
 	// *graphpulse.Graph directly).
@@ -60,42 +58,6 @@ func ParseGraphArg(arg string) (GraphSpec, error) {
 		}
 	}
 	return GraphSpec{Name: name, Source: source}, nil
-}
-
-var datasetSourceRE = regexp.MustCompile(`^([A-Za-z]{2,3}):(tiny|mini|full)$`)
-
-// loadSource materializes a GraphSpec's graph: a memoized dataset
-// stand-in, or a graph file (binary container detected by magic).
-func loadSource(spec GraphSpec, cache *gen.Cache) (*graph.CSR, error) {
-	if spec.Graph != nil {
-		return spec.Graph, nil
-	}
-	if m := datasetSourceRE.FindStringSubmatch(spec.Source); m != nil {
-		ds, err := gen.DatasetByAbbrev(strings.ToUpper(m[1]))
-		if err != nil {
-			return nil, err
-		}
-		var tier gen.Tier
-		switch m[2] {
-		case "tiny":
-			tier = gen.Tiny
-		case "mini":
-			tier = gen.Mini
-		case "full":
-			tier = gen.Full
-		}
-		return cache.Generate(ds, tier)
-	}
-	f, err := os.Open(spec.Source)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	if magic, err := br.Peek(8); err == nil && binary.LittleEndian.Uint64(magic) == 0x47504353 {
-		return graph.ReadBinary(br)
-	}
-	return graph.ReadEdgeList(br, 0)
 }
 
 // residentGraph is one registry entry: a stream.Graph (log, CSR, epoch,
@@ -141,7 +103,7 @@ func loadResident(spec GraphSpec, cache *gen.Cache, histMax int) (*residentGraph
 	if spec.Name == "" {
 		return nil, fmt.Errorf("serve: graph spec needs a name")
 	}
-	if spec.Graph == nil && !datasetSourceRE.MatchString(spec.Source) && isGraphpack(spec.Source) {
+	if spec.Graph == nil && isGraphpack(spec.Source) {
 		if spec.Window > 0 {
 			return nil, fmt.Errorf("serve: graph %q: out-of-core graphs cannot be windowed", spec.Name)
 		}
@@ -155,9 +117,12 @@ func loadResident(spec GraphSpec, cache *gen.Cache, histMax int) (*residentGraph
 		}
 		return &residentGraph{name: spec.Name, store: st}, nil
 	}
-	g, err := loadSource(spec, cache)
-	if err != nil {
-		return nil, err
+	g := spec.Graph
+	if g == nil {
+		var err error
+		if g, err = gen.Load(spec.Source, cache); err != nil {
+			return nil, err
+		}
 	}
 	if g.NumVertices() == 0 {
 		return nil, fmt.Errorf("serve: graph %q is empty", spec.Name)

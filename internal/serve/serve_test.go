@@ -679,3 +679,42 @@ func TestWarmPathWindow(t *testing.T) {
 		t.Errorf("query past history window: mode %q, want cold", r.Mode)
 	}
 }
+
+// TestAlgorithmVocabulary: every algorithms.Names entry resolves through
+// makeAlgorithm to the cache key snapshots persist, a rooted name with a
+// root past the last vertex is a 400, and an unknown name's 400 body
+// enumerates the same vocabulary the CLIs print.
+func TestAlgorithmVocabulary(t *testing.T) {
+	wantKey := map[string]string{
+		"pr": "pr(alpha=0.85,threshold=0.0001)", "ads": "ads(alpha=0.8,threshold=0.0001)",
+		"sssp": "sssp(root=7)", "bfs": "bfs(root=7)", "reach": "reach(root=7)", "cc": "cc()",
+		"sswp": "sswp(root=7)", "relpath": "relpath(root=7)",
+	}
+	s, ts := newTestServer(t, nil)
+	g, _ := s.graphs["g"].snapshot()
+	for _, name := range algorithms.Names() {
+		alg, key, err := makeAlgorithm(&QueryRequest{Algorithm: name, Root: ptr(uint32(7))})
+		if err != nil || alg == nil || key != wantKey[name] {
+			t.Errorf("makeAlgorithm(%s) = %v, key %q, %v; want key %q", name, alg, key, err, wantKey[name])
+		}
+		if !algorithms.Rooted(name) {
+			continue
+		}
+		code, body, _ := postJSON(t, ts.URL+"/v1/query",
+			QueryRequest{Graph: "g", Algorithm: name, Root: ptr(uint32(g.NumVertices()))})
+		if code != http.StatusBadRequest || !strings.Contains(string(body), "out of range") {
+			t.Errorf("%s rooted at n: HTTP %d (%s), want 400 out of range", name, code, body)
+		}
+	}
+	if len(wantKey) != len(algorithms.Names()) {
+		t.Errorf("key table covers %d names, registry has %d", len(wantKey), len(algorithms.Names()))
+	}
+	_, key, err := makeAlgorithm(&QueryRequest{Algorithm: "pr", Alpha: ptr(0.5), Threshold: ptr(1e-7)})
+	if err != nil || key != "pr(alpha=0.5,threshold=1e-07)" {
+		t.Errorf("overridden pr key = %q, %v", key, err)
+	}
+	code, body, _ := postJSON(t, ts.URL+"/v1/query", QueryRequest{Graph: "g", Algorithm: "magic"})
+	if code != http.StatusBadRequest || !strings.Contains(string(body), algorithms.NamesList()) {
+		t.Errorf("unknown algorithm: HTTP %d (%s), want 400 listing %s", code, body, algorithms.NamesList())
+	}
+}

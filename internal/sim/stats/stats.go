@@ -67,9 +67,6 @@ func (s *Set) Histogram(name string, buckets []int64) *Histogram {
 // order (the order Report renders).
 func (s *Set) Names() []string { return append([]string(nil), s.order...) }
 
-// Histograms returns the live histogram map (not a copy); report code only.
-func (s *Set) Histograms() map[string]*Histogram { return s.histograms }
-
 // Report renders every counter and histogram in first-registration order —
 // fully deterministic, including the counter/histogram interleaving (both
 // kinds share one order list; map iteration never decides placement).
@@ -221,9 +218,6 @@ func (t *StageTimer) AddEventCycles(stage string, cycles int64) {
 	t.events[i]++
 }
 
-// Stages returns the display-ordered stage names.
-func (t *StageTimer) Stages() []string { return append([]string(nil), t.names...) }
-
 // Cycles returns total cycles accrued to a stage.
 func (t *StageTimer) Cycles(stage string) int64 { return t.cycles[t.indexOf(stage)] }
 
@@ -243,17 +237,4 @@ func (t *StageTimer) TotalCycles() int64 {
 		s += c
 	}
 	return s
-}
-
-// Fractions returns each stage's share of TotalCycles (empty map if zero).
-func (t *StageTimer) Fractions() map[string]float64 {
-	total := t.TotalCycles()
-	out := make(map[string]float64, len(t.names))
-	if total == 0 {
-		return out
-	}
-	for i, n := range t.names {
-		out[n] = float64(t.cycles[i]) / float64(total)
-	}
-	return out
 }

@@ -89,8 +89,8 @@ func TestSetHistogramReuse(t *testing.T) {
 	if h2.Count() != 1 {
 		t.Error("observations lost on reuse")
 	}
-	if len(s.Histograms()) != 1 {
-		t.Error("Histograms map wrong size")
+	if got := s.Names(); len(got) != 1 || got[0] != "lat" {
+		t.Errorf("Names = %v, want one registration of lat", got)
 	}
 }
 
@@ -109,15 +109,11 @@ func TestStageTimer(t *testing.T) {
 	if got := st.TotalCycles(); got != 40 {
 		t.Errorf("TotalCycles = %d, want 40", got)
 	}
-	fr := st.Fractions()
-	if fr["fetch"] != 0.75 {
-		t.Errorf("fraction fetch = %g, want 0.75", fr["fetch"])
+	if got := st.Cycles("fetch"); got != 30 {
+		t.Errorf("Cycles(fetch) = %d, want 30 of 40", got)
 	}
 	if got := st.Cycles("process"); got != 4 {
 		t.Errorf("Cycles(process) = %d", got)
-	}
-	if stages := st.Stages(); len(stages) != 3 || stages[0] != "fetch" {
-		t.Errorf("Stages = %v", stages)
 	}
 }
 
@@ -129,13 +125,6 @@ func TestStageTimerUnknownStagePanics(t *testing.T) {
 		}
 	}()
 	st.AddCycles("nope", 1)
-}
-
-func TestStageTimerEmptyFractions(t *testing.T) {
-	st := NewStageTimer("a", "b")
-	if fr := st.Fractions(); len(fr) != 0 {
-		t.Errorf("Fractions on empty timer = %v", fr)
-	}
 }
 
 // TestPropertyHistogramConservation: total bucket counts always equal the

@@ -4,8 +4,29 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"io"
+	"os"
 	"strconv"
+
+	"graphpulse/internal/atomicio"
 )
+
+// WriteFiles exports the recorder as prefix.csv (WriteCSV) and
+// prefix.trace.json (WriteChromeTrace at clockHz), the pair every
+// -telemetry flag produces. Each file is written atomically, and a failed
+// trace write removes the CSV already in place, so a caller sees both files
+// or neither.
+func (r *Recorder) WriteFiles(prefix string, clockHz float64) (csvPath, tracePath string, err error) {
+	csvPath, tracePath = prefix+".csv", prefix+".trace.json"
+	if err = atomicio.WriteFile(csvPath, r.WriteCSV); err != nil {
+		return "", "", err
+	}
+	err = atomicio.WriteFile(tracePath, func(w io.Writer) error { return r.WriteChromeTrace(w, clockHz) })
+	if err != nil {
+		os.Remove(csvPath)
+		return "", "", err
+	}
+	return csvPath, tracePath, nil
+}
 
 // WriteCSV writes every series in long form — one row per sample:
 //

@@ -1,4 +1,4 @@
-// Command lintdoc keeps the metric documentation in sync with the metrics
+// Package lintdoc keeps the metric documentation in sync with the metrics
 // the build actually emits. It runs tiny telemetry-enabled simulations of
 // every engine (accelerator, cluster, Graphicionado baseline), collects
 // each registered series name plus the DDR3 stats.Set counter names, the
@@ -12,9 +12,9 @@
 //     metric the build can actually emit — so the troubleshooting table
 //     cannot drift onto renamed or deleted counters.
 //
-// CI runs both as this package's tests; `go run
-// ./internal/sim/telemetry/lintdoc` is the same pair for local use.
-package main
+// Both run as this package's tests, in CI and locally:
+// `go test ./internal/sim/telemetry/lintdoc`.
+package lintdoc
 
 import (
 	"fmt"

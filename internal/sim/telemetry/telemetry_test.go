@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -219,4 +221,37 @@ func TestWriteChromeTrace(t *testing.T) {
 		}
 	}
 	t.Fatal("no queue counter event at ts=2µs")
+}
+
+// TestWriteFilesPairOrNothing: the CSV/trace pair every -telemetry flag
+// writes lands together, and a failed trace write takes the CSV with it —
+// cmd/graphpulse used to leave the orphan behind.
+func TestWriteFilesPairOrNothing(t *testing.T) {
+	r := New(Config{Interval: 5, MaxSamples: 64})
+	r.Gauge("queue", "queue_occupancy", "events", func() int64 { return 3 })
+	r.Tick(0)
+
+	prefix := filepath.Join(t.TempDir(), "run")
+	csvPath, tracePath, err := r.WriteFiles(prefix, 1e9)
+	if err != nil || csvPath != prefix+".csv" || tracePath != prefix+".trace.json" {
+		t.Fatalf("WriteFiles = %q, %q, %v", csvPath, tracePath, err)
+	}
+	for _, p := range []string{csvPath, tracePath} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("%s missing or empty: %v", p, err)
+		}
+	}
+
+	// A directory squatting on the trace path makes its rename fail after
+	// the CSV is already in place.
+	blocked := filepath.Join(t.TempDir(), "run")
+	if err := os.MkdirAll(filepath.Join(blocked+".trace.json", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.WriteFiles(blocked, 1e9); err == nil {
+		t.Fatal("WriteFiles succeeded with the trace path blocked")
+	}
+	if _, err := os.Stat(blocked + ".csv"); !os.IsNotExist(err) {
+		t.Errorf("orphan CSV left behind after a failed trace write (stat err: %v)", err)
+	}
 }
