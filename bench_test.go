@@ -320,11 +320,12 @@ func BenchmarkEngineReferenceSolve(b *testing.B) {
 func BenchmarkDRAMStream(b *testing.B) {
 	m := mem.New(mem.DefaultConfig())
 	done := 0
+	m.OnComplete(func(uint32) { done++ })
 	addr := uint64(0)
 	cycle := uint64(0)
 	b.ResetTimer()
 	for done < b.N {
-		for m.Enqueue(mem.Request{Addr: addr, UsefulBytes: 64, OnComplete: func() { done++ }}) {
+		for m.Enqueue(mem.Request{Addr: addr, UsefulBytes: 64}) {
 			addr += mem.LineBytes
 		}
 		m.Tick(cycle)

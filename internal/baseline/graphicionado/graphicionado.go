@@ -27,7 +27,7 @@ package graphicionado
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/graph"
@@ -143,11 +143,20 @@ type engine struct {
 	touched   []graph.VertexID
 	inTouched []bool
 
-	// Per-phase edge-line readiness, shared by all streams (consecutive
-	// active vertices often share boundary lines). phaseGen invalidates
-	// completions that land after their phase ended.
-	lineState map[uint64]uint8
+	// lineState is the per-phase readiness of every edge line, indexed by
+	// edge-line number and shared by all streams (consecutive active
+	// vertices often share boundary lines). An entry is a phase stamp:
+	// phaseGen<<1 while the line is in flight, phaseGen<<1|1 once it has
+	// landed, anything older means "not fetched this phase". Bumping
+	// phaseGen therefore clears the whole table, and a completion only
+	// marks a line that is in flight in the current phase.
+	lineState []uint64
 	phaseGen  uint64
+
+	// remaining counts the lines of a vertex-record stream still in flight.
+	remaining int
+	// Completion handlers, bound once so a fetch allocates nothing.
+	onEdgeLine, onVertexLine func(tag uint64)
 
 	edgesTraversed int64
 	iterations     int
@@ -187,6 +196,8 @@ func RunCtx(ctx context.Context, cfg Config, g graph.Adjacency, alg algorithms.A
 	e.memory = mem.New(cfg.Memory)
 	e.memory.InjectFaults(fault.New(cfg.Fault))
 	e.fetch = mem.NewFetcher(e.memory)
+	e.onEdgeLine, e.onVertexLine = e.edgeLineDone, e.vertexLineDone
+	e.lineState = make([]uint64, uint64(g.NumEdges())*e.edgeBytes/mem.LineBytes+1)
 	e.sim.Register(e.memory)
 	// The BSP loops drive e.sim.Step() directly, so a recorder registered
 	// here is ticked like any clocked block; registered after the memory so
@@ -262,7 +273,7 @@ func (e *engine) run() error {
 		// The processing phase reads the active (source) vertex property
 		// records alongside the edge stream; sort the list so the stream is
 		// CSR-sequential.
-		sort.Slice(e.active, func(i, j int) bool { return e.active[i] < e.active[j] })
+		slices.Sort(e.active)
 		if err := e.streamVertexRecords(e.active, false); err != nil {
 			return err
 		}
@@ -272,7 +283,7 @@ func (e *engine) run() error {
 		}
 		// Apply phase: read and write back each touched vertex's property
 		// record ("the apply phase streams all touched vertices").
-		sort.Slice(e.touched, func(i, j int) bool { return e.touched[i] < e.touched[j] })
+		slices.Sort(e.touched)
 		if err := e.streamVertexRecords(e.touched, false); err != nil {
 			return err
 		}
@@ -312,7 +323,6 @@ func (e *engine) streamVertexRecords(vs []graph.VertexID, write bool) error {
 	if len(vs) == 0 {
 		return nil
 	}
-	remaining := 0
 	i := 0
 	for i < len(vs) {
 		line := (vertexBase + uint64(vs[i])*vertexRecordBytes) &^ (mem.LineBytes - 1)
@@ -321,11 +331,11 @@ func (e *engine) streamVertexRecords(vs []graph.VertexID, write bool) error {
 			useful += vertexRecordBytes
 			i++
 		}
-		remaining++
-		e.fetch.Fetch(line, mem.LineBytes, useful, write, func() { remaining-- })
+		e.remaining++
+		e.fetch.Fetch(line, mem.LineBytes, useful, write, e.onVertexLine, 0)
 	}
 	start := e.sim.Cycle()
-	for remaining > 0 {
+	for e.remaining > 0 {
 		e.fetch.Pump()
 		e.sim.Step()
 		if e.sim.Cycle()-start > e.cfg.MaxCycles {
@@ -339,18 +349,14 @@ func (e *engine) streamVertexRecords(vs []graph.VertexID, write bool) error {
 	return nil
 }
 
-// Line-state values for lineState.
-const (
-	linePending uint8 = 1
-	lineReady   uint8 = 2
-)
+func (e *engine) vertexLineDone(uint64) { e.remaining-- }
 
 // processingPhase drains the active list through the parallel streams, one
 // edge per stream per cycle when its data has arrived.
 func (e *engine) processingPhase() error {
 	e.nextIdx = 0
 	e.phaseGen++
-	e.lineState = make(map[uint64]uint8)
+	ready := e.phaseGen<<1 | 1
 	for i := range e.streams {
 		e.streams[i].active = false
 	}
@@ -374,8 +380,7 @@ func (e *engine) processingPhase() error {
 			busy = true
 			e.prefetch(s)
 			edge := s.start + uint64(s.idx)
-			line := (edgeBase + edge*e.edgeBytes) &^ (mem.LineBytes - 1)
-			if e.lineState[line] != lineReady {
+			if e.lineState[edge*e.edgeBytes/mem.LineBytes] != ready {
 				continue // waiting for edge data
 			}
 			e.relax(s.v, edge, s.deg)
@@ -403,24 +408,25 @@ func (e *engine) processingPhase() error {
 // Line state is shared across streams, so boundary lines common to
 // consecutive active vertices are fetched once per phase.
 func (e *engine) prefetch(s *stream) {
-	firstLine := (edgeBase + (s.start+uint64(s.idx))*e.edgeBytes) &^ (mem.LineBytes - 1)
-	lastLine := (edgeBase + (s.start+uint64(s.deg)-1)*e.edgeBytes) &^ (mem.LineBytes - 1)
-	for i := 0; i < e.cfg.PrefetchLines; i++ {
-		line := firstLine + uint64(i)*mem.LineBytes
-		if line > lastLine {
-			return
+	first := (s.start + uint64(s.idx)) * e.edgeBytes / mem.LineBytes
+	last := (s.start + uint64(s.deg) - 1) * e.edgeBytes / mem.LineBytes
+	pending := e.phaseGen << 1
+	for idx := first; idx < first+uint64(e.cfg.PrefetchLines) && idx <= last; idx++ {
+		if e.lineState[idx] >= pending {
+			continue // in flight or landed this phase
 		}
-		if e.lineState[line] != 0 {
-			continue
-		}
-		e.lineState[line] = linePending
-		useful := e.edgeLineUseful(line, s.start, s.deg)
-		gen := e.phaseGen
-		e.fetch.Fetch(line, mem.LineBytes, useful, false, func() {
-			if e.phaseGen == gen {
-				e.lineState[line] = lineReady
-			}
-		})
+		e.lineState[idx] = pending
+		line := edgeBase + idx*mem.LineBytes
+		e.fetch.Fetch(line, mem.LineBytes, e.edgeLineUseful(line, s.start, s.deg), false, e.onEdgeLine, idx)
+	}
+}
+
+// edgeLineDone marks edge line idx ready if it is in flight in the current
+// phase. The phase loop exits only with the memory idle, so no completion
+// outlives its phase; the stamp check keeps that a local guarantee.
+func (e *engine) edgeLineDone(idx uint64) {
+	if e.lineState[idx] == e.phaseGen<<1 {
+		e.lineState[idx] |= 1
 	}
 }
 

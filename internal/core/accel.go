@@ -15,20 +15,21 @@ import (
 	"graphpulse/internal/sim/telemetry"
 )
 
-// Figure 13's chronological execution stages.
+// Figure 13's chronological execution stages, as StageTimer indices.
 const (
-	stageVtxMem    = "vtx_mem"
-	stageProcess   = "process"
-	stageGenBuffer = "gen_buffer"
-	stageEdgeMem   = "edge_mem"
-	stageGenerate  = "generate"
+	stageVtxMem = iota
+	stageProcess
+	stageGenBuffer
+	stageEdgeMem
+	stageGenerate
 )
 
-// StageNames lists the Figure 13 stages in chronological order.
-var StageNames = []string{stageVtxMem, stageProcess, stageGenBuffer, stageEdgeMem, stageGenerate}
+// StageNames lists the Figure 13 stages in chronological order (the
+// Result.StageMeans keys).
+var StageNames = []string{"vtx_mem", "process", "gen_buffer", "edge_mem", "generate"}
 
 // newStageTimer builds the Figure 13 stage timer.
-func newStageTimer() *stats.StageTimer { return stats.NewStageTimer(StageNames...) }
+func newStageTimer() *stats.StageTimer { return stats.NewStageTimer(len(StageNames)) }
 
 // Scheduler phases.
 const (
@@ -40,8 +41,12 @@ const (
 	phaseDone
 )
 
+// stageBlock is one drained row bound for one processor. events[next:] are
+// still to dispatch; the buffer is reused by the next row staged in the
+// slot.
 type stageBlock struct {
 	events []Event
+	next   int
 	proc   int
 }
 
@@ -63,6 +68,8 @@ type Accelerator struct {
 	// whose destination lies outside this chip's slice instead of the
 	// spill buffers. It returns false to backpressure the emitting stream.
 	remote func(ev Event) bool
+	// onSpillLine is the swap-in read completion, bound once.
+	onSpillLine func(tag uint64)
 
 	slices   []partition.Slice
 	curSlice int
@@ -77,7 +84,7 @@ type Accelerator struct {
 	drainIdx    int   // position in binOrder
 	binOrder    []int // bin drain order for the current round
 	drainCursor int
-	staging     []*stageBlock
+	staging     []stageBlock // live blocks in drain order; reused slots beyond len
 	rrProc      int
 	globalStop  bool
 
@@ -155,6 +162,7 @@ func New(cfg Config, g graph.Adjacency, alg algorithms.Algorithm) (*Accelerator,
 	a.memory = mem.New(cfg.Memory)
 	a.memory.InjectFaults(a.inj)
 	a.fetch = mem.NewFetcher(a.memory)
+	a.onSpillLine = a.spillLineDone
 	a.engine.Register(a.memory)
 	a.engine.Register(a)
 
@@ -267,9 +275,7 @@ func (a *Accelerator) activateSlice(s int, charged bool) {
 		bytes := uint64(len(a.pendingInserts)) * 16
 		lines := (bytes+mem.LineBytes-1)/mem.LineBytes + lost // + recovery re-reads
 		for l := uint64(0); l < lines; l++ {
-			a.fetch.Fetch(spillBase+a.swapReadAddr, mem.LineBytes, mem.LineBytes, false, func() {
-				a.availInserts += mem.LineBytes / 16
-			})
+			a.fetch.Fetch(spillBase+a.swapReadAddr, mem.LineBytes, mem.LineBytes, false, a.onSpillLine, 0)
 			a.swapReadAddr += mem.LineBytes
 		}
 	}
@@ -277,6 +283,9 @@ func (a *Accelerator) activateSlice(s int, charged bool) {
 	a.snapInserted = 0
 	a.snapCoalesced = 0
 }
+
+// spillLineDone releases the events of one swap-in line for insertion.
+func (a *Accelerator) spillLineDone(uint64) { a.availInserts += mem.LineBytes / 16 }
 
 // edgeAddr returns the simulated byte address of edge record i.
 func (a *Accelerator) edgeAddr(i uint64) uint64 {
@@ -308,11 +317,11 @@ func (a *Accelerator) writebackVertexLine(addr uint64, dirty int) {
 	if useful > mem.LineBytes {
 		useful = mem.LineBytes
 	}
-	a.fetch.Fetch(addr, mem.LineBytes, useful, true, nil)
+	a.fetch.Fetch(addr, mem.LineBytes, useful, true, nil, 0)
 }
 
 // submitGen hands a generation task to the processor's generation unit.
-func (a *Accelerator) submitGen(proc int, t *genTask) bool {
+func (a *Accelerator) submitGen(proc int, t genTask) bool {
 	return a.gens[proc].submit(t)
 }
 
@@ -355,7 +364,7 @@ func (a *Accelerator) emitEdge(t *genTask, idx int) bool {
 	// page with burst-write").
 	a.spillCarry += 16
 	for a.spillCarry >= mem.LineBytes {
-		a.fetch.Fetch(spillBase+a.spillWriteAddr, mem.LineBytes, mem.LineBytes, true, nil)
+		a.fetch.Fetch(spillBase+a.spillWriteAddr, mem.LineBytes, mem.LineBytes, true, nil, 0)
 		a.spillWriteAddr += mem.LineBytes
 		a.spillCarry -= mem.LineBytes
 	}
@@ -384,7 +393,7 @@ func (a *Accelerator) Tick(cycle uint64) {
 	for _, p := range a.procs {
 		// Fully idle processors just accrue idle time; skipping the state
 		// machine keeps the 256-processor baseline fast to simulate.
-		if len(p.input) == 0 && p.pendingGen == nil && p.gen == nil && !p.directIssued {
+		if p.idle() {
 			p.stateHist[procStateIdle]++
 			continue
 		}
@@ -457,9 +466,16 @@ func (a *Accelerator) drainStep() int {
 			a.drainCursor = 0
 			continue
 		}
-		events := a.queue.drainRow(bin, r)
+		n := len(a.staging)
+		if n < cap(a.staging) {
+			a.staging = a.staging[:n+1] // reuse the slot's event buffer
+		} else {
+			a.staging = append(a.staging, stageBlock{})
+		}
+		blk := &a.staging[n]
+		blk.events = a.queue.drainRow(bin, r, blk.events[:0])
+		blk.next, blk.proc = 0, a.rrProc
 		a.drainCursor = r + 1
-		a.staging = append(a.staging, &stageBlock{events: events, proc: a.rrProc})
 		a.rrProc = (a.rrProc + 1) % len(a.procs)
 		return bin
 	}
@@ -472,18 +488,22 @@ func (a *Accelerator) drainStep() int {
 // blocks stay contiguous for the prefetcher.
 func (a *Accelerator) dispatchStep(cycle uint64) {
 	bw := a.cfg.CrossbarPorts
-	kept := a.staging[:0]
-	for _, blk := range a.staging {
+	kept := 0
+	for i := range a.staging {
+		blk := &a.staging[i]
 		p := a.procs[blk.proc]
-		for bw > 0 && len(blk.events) > 0 && p.tryPush(blk.events[0], cycle) {
-			blk.events = blk.events[1:]
+		for bw > 0 && blk.next < len(blk.events) && p.tryPush(blk.events[blk.next], cycle) {
+			blk.next++
 			bw--
 		}
-		if len(blk.events) > 0 {
-			kept = append(kept, blk)
+		if blk.next < len(blk.events) {
+			// Swap rather than copy, so the emptied slot's buffer stays
+			// in the backing array for the next drained row.
+			a.staging[kept], a.staging[i] = a.staging[i], a.staging[kept]
+			kept++
 		}
 	}
-	a.staging = kept
+	a.staging = a.staging[:kept]
 }
 
 // quiescent reports whether all in-flight work has landed back in the queue
@@ -692,8 +712,8 @@ func (a *Accelerator) result() *Result {
 	for _, rs := range a.roundLog {
 		r.EventsCoalesced += rs.Coalesced
 	}
-	for _, s := range StageNames {
-		r.StageMeans[s] = a.stage.MeanCycles(s)
+	for i, s := range StageNames {
+		r.StageMeans[s] = a.stage.MeanCycles(i)
 	}
 	var pc [numProcStates]int64
 	var total int64

@@ -208,13 +208,13 @@ func TestPrefetchReducesVtxMemStage(t *testing.T) {
 	// Paper Figure 13: with prefetching "the average latency for the vertex
 	// memory reads become only few cycles"; without it the full DRAM
 	// latency is exposed.
-	if opt.StageMeans[stageVtxMem] >= base.StageMeans[stageVtxMem] {
+	if opt.StageMeans[StageNames[stageVtxMem]] >= base.StageMeans[StageNames[stageVtxMem]] {
 		t.Errorf("prefetch vtx_mem %.1f not below direct-read %.1f",
-			opt.StageMeans[stageVtxMem], base.StageMeans[stageVtxMem])
+			opt.StageMeans[StageNames[stageVtxMem]], base.StageMeans[StageNames[stageVtxMem]])
 	}
-	if opt.StageMeans[stageVtxMem] > 30 {
+	if opt.StageMeans[StageNames[stageVtxMem]] > 30 {
 		t.Errorf("prefetched vtx_mem stage = %.1f cycles, want few cycles",
-			opt.StageMeans[stageVtxMem])
+			opt.StageMeans[StageNames[stageVtxMem]])
 	}
 }
 

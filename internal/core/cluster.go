@@ -35,7 +35,7 @@ type Cluster struct {
 	slices []partition.Slice
 
 	// egress[i] holds events leaving chip i, waiting for link bandwidth.
-	egress [][]Event
+	egress []sim.FIFO[Event]
 	// inflight[i] holds events traveling to chip i.
 	inflight [][]linkMsg
 
@@ -116,7 +116,7 @@ func NewCluster(cfg ClusterConfig, g graph.Adjacency, alg algorithms.Algorithm) 
 		g:        g,
 		engine:   sim.NewEngine(),
 		slices:   p.Slices,
-		egress:   make([][]Event, len(p.Slices)),
+		egress:   make([]sim.FIFO[Event], len(p.Slices)),
 		inflight: make([][]linkMsg, len(p.Slices)),
 	}
 	// One shared functional state array: each chip only writes its slice.
@@ -184,6 +184,7 @@ func newChip(cfg Config, g graph.Adjacency, alg algorithms.Algorithm, sl partiti
 	a.memory = mem.New(cfg.Memory)
 	a.memory.InjectFaults(a.inj)
 	a.fetch = mem.NewFetcher(a.memory)
+	a.onSpillLine = a.spillLineDone
 	a.slices = []partition.Slice{sl}
 	a.spill = newSpillBuffers(1)
 	a.procs = make([]*processor, cfg.NumProcessors)
@@ -228,10 +229,10 @@ func (cl *Cluster) chipOf(v graph.VertexID) int {
 // remoteFunc builds chip i's egress hook.
 func (cl *Cluster) remoteFunc(i int) func(Event) bool {
 	return func(ev Event) bool {
-		if len(cl.egress[i]) >= cl.cfg.EgressDepth {
+		if cl.egress[i].Len() >= cl.cfg.EgressDepth {
 			return false
 		}
-		cl.egress[i] = append(cl.egress[i], ev)
+		cl.egress[i].Push(ev)
 		return true
 	}
 }
@@ -244,9 +245,8 @@ func (cl *Cluster) Name() string { return "cluster-interconnect" }
 func (cl *Cluster) Tick(cycle uint64) {
 	for i := range cl.egress {
 		moved := 0
-		for moved < cl.cfg.LinkBandwidth && len(cl.egress[i]) > 0 {
-			ev := cl.egress[i][0]
-			cl.egress[i] = cl.egress[i][1:]
+		for moved < cl.cfg.LinkBandwidth && cl.egress[i].Len() > 0 {
+			ev := cl.egress[i].Pop()
 			moved++
 			// Link kill: the event is lost on the wire. No retransmit layer
 			// exists, so the cluster-level conservation audit must catch it.
@@ -296,7 +296,7 @@ func (cl *Cluster) eventImbalance() int64 {
 	var imb int64
 	for i, chip := range cl.chips {
 		imb += chip.eventImbalance()
-		imb -= int64(len(cl.egress[i]) + len(cl.inflight[i]))
+		imb -= int64(cl.egress[i].Len() + len(cl.inflight[i]))
 	}
 	return imb
 }
@@ -343,7 +343,7 @@ func (cl *Cluster) conservationError(cycle uint64, imbalance int64) *Conservatio
 		e.Resident.ProcInputs += rb.ProcInputs
 		e.Resident.Spill += rb.Spill
 		e.Resident.PendingInserts += rb.PendingInserts
-		e.Resident.Egress += int64(len(cl.egress[i]))
+		e.Resident.Egress += int64(cl.egress[i].Len())
 		e.Resident.Inflight += int64(len(cl.inflight[i]))
 		if e.Faults == nil {
 			e.Faults = chip.inj.Snapshot()
@@ -363,7 +363,7 @@ func (cl *Cluster) done() bool {
 		if chip.phase != phaseIdle || chip.queue.population > 0 || !chip.xbar.empty() {
 			return false
 		}
-		if len(cl.egress[i]) > 0 || len(cl.inflight[i]) > 0 {
+		if cl.egress[i].Len() > 0 || len(cl.inflight[i]) > 0 {
 			return false
 		}
 	}

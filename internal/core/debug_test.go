@@ -31,7 +31,7 @@ func TestDebugSmoke(t *testing.T) {
 	if a.phase != phaseDone {
 		for i, p := range a.procs {
 			if !p.idle() {
-				t.Logf("proc %d: input=%d pendingGen=%v gen=%v directIssued=%v", i, len(p.input), p.pendingGen != nil, p.gen != nil, p.directIssued)
+				t.Logf("proc %d: input=%d stalled=%v generating=%v directIssued=%v", i, p.input.Len(), p.stalled, p.generating, p.directIssued)
 			}
 		}
 		t.Fatal("did not terminate")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"graphpulse/internal/mem"
+	"graphpulse/internal/sim"
 )
 
 // edgeCache is the small per-generation-unit cache in front of edge memory
@@ -12,6 +13,8 @@ type edgeCache struct {
 	a     *Accelerator
 	addrs []uint64
 	lines []ecLine
+	// onLine is the fill completion, bound once; its tag is the slot.
+	onLine func(tag uint64)
 }
 
 type ecLine struct {
@@ -20,12 +23,18 @@ type ecLine struct {
 }
 
 func newEdgeCache(a *Accelerator, capLines int) *edgeCache {
-	return &edgeCache{
+	c := &edgeCache{
 		a:     a,
 		addrs: make([]uint64, capLines),
 		lines: make([]ecLine, capLines),
 	}
+	c.onLine = c.lineDone
+	return c
 }
+
+// lineDone marks slot `slot` filled. A pending line is never evicted, so
+// the slot still holds the line that was fetched.
+func (c *edgeCache) lineDone(slot uint64) { c.lines[slot].ready = true }
 
 // slot returns the cache slot holding addr, or nil.
 func (c *edgeCache) slot(addr uint64) *ecLine {
@@ -84,10 +93,7 @@ func (c *edgeCache) ensure(addr, lastLine uint64, n int, t *genTask, needed []ui
 		}
 		c.addrs[victim] = line
 		c.lines[victim] = ecLine{valid: true}
-		l := &c.lines[victim]
-		c.a.fetch.Fetch(line, mem.LineBytes, c.a.edgeLineUseful(line, t), false, func() {
-			l.ready = true
-		})
+		c.a.fetch.Fetch(line, mem.LineBytes, c.a.edgeLineUseful(line, t), false, c.onLine, uint64(victim))
 	}
 }
 
@@ -95,7 +101,8 @@ func (c *edgeCache) ensure(addr, lastLine uint64, n int, t *genTask, needed []ui
 // time, it walks the vertex's edge list emitting one outgoing event per
 // cycle when edge data is available.
 type genStream struct {
-	task *genTask
+	task genTask
+	busy bool // task is live
 	idx  int
 	// ensured is the last edge line the prefetch window was topped up for.
 	ensured uint64
@@ -103,8 +110,8 @@ type genStream struct {
 	// line is eviction-protected while current, so the pointer stays valid.
 	cur     *ecLine
 	curAddr uint64
-	// stallCycles accumulates edge-memory wait for the current task
-	// (Figure 13's "Edge Mem" stage).
+	// memCycles and genCycles accumulate the current task's edge-memory
+	// wait and emitting cycles (Figure 13's "Edge Mem" and "Generate").
 	memCycles int64
 	genCycles int64
 }
@@ -114,7 +121,7 @@ type genStream struct {
 // the same cache but multiple ports in the event delivery crossbar").
 type genUnit struct {
 	a         *Accelerator
-	queue     []*genTask
+	queue     sim.FIFO[genTask]
 	streams   []*genStream
 	cache     *edgeCache
 	stateHist [numGenStates]int64
@@ -132,21 +139,21 @@ func newGenUnit(a *Accelerator) *genUnit {
 
 // submit offers a task to the unit's input buffer; false means full (the
 // processor enters its Stalling state).
-func (u *genUnit) submit(t *genTask) bool {
-	if len(u.queue) >= u.a.cfg.GenQueueDepth {
+func (u *genUnit) submit(t genTask) bool {
+	if u.queue.Len() >= u.a.cfg.GenQueueDepth {
 		return false
 	}
-	u.queue = append(u.queue, t)
+	u.queue.Push(t)
 	return true
 }
 
 // idle reports whether the unit has no queued or in-progress tasks.
 func (u *genUnit) idle() bool {
-	if len(u.queue) > 0 {
+	if u.queue.Len() > 0 {
 		return false
 	}
 	for _, s := range u.streams {
-		if s.task != nil {
+		if s.busy {
 			return false
 		}
 	}
@@ -159,25 +166,24 @@ func (u *genUnit) tick(cycle uint64) {
 	// Lines the streams are currently consuming; protected from eviction.
 	needed := u.needBuf[:0]
 	for _, s := range u.streams {
-		if s.task != nil {
+		if s.busy {
 			needed = append(needed, a.edgeAddr(s.task.edgeStart+uint64(s.idx))&^(mem.LineBytes-1))
 		}
 	}
 	for _, s := range u.streams {
-		if s.task == nil {
-			if len(u.queue) == 0 {
+		if !s.busy {
+			if u.queue.Len() == 0 {
 				u.stateHist[genStateIdle]++
 				continue
 			}
-			s.task = u.queue[0]
-			u.queue = u.queue[1:]
+			s.task, s.busy = u.queue.Pop(), true
 			s.idx = 0
 			s.ensured = ^uint64(0)
 			s.cur, s.curAddr = nil, ^uint64(0)
 			s.memCycles, s.genCycles = 0, 0
 			a.stage.AddEventCycles(stageGenBuffer, int64(cycle-s.task.enqueuedAt))
 		}
-		t := s.task
+		t := &s.task
 		edgeIdx := t.edgeStart + uint64(s.idx)
 		addr := a.edgeAddr(edgeIdx)
 		line := addr &^ (mem.LineBytes - 1)
@@ -212,7 +218,7 @@ func (u *genUnit) tick(cycle uint64) {
 			a.stage.AddEvent(stageEdgeMem)
 			a.stage.AddCycles(stageGenerate, s.genCycles)
 			a.stage.AddEvent(stageGenerate)
-			s.task = nil
+			s.busy = false
 		}
 	}
 	u.needBuf = needed[:0]

@@ -17,9 +17,8 @@ type crossbar struct {
 	depth int
 	queue []Event
 
-	// delivered/stalled are cumulative counters for reports.
-	delivered   int64
-	stallCycles int64
+	// delivered is a cumulative counter for reports.
+	delivered int64
 
 	// inj, when non-nil, injects delivery faults at the queue-insert
 	// boundary; the counters record what it did to this crossbar.
@@ -111,9 +110,6 @@ func (x *crossbar) deliver(q *coalescingQueue, drainingBin int) (coalesced int) 
 		moved++
 	}
 	x.queue = kept
-	if len(x.queue) > 0 {
-		x.stallCycles++
-	}
 	return coalesced
 }
 

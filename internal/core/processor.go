@@ -3,6 +3,7 @@ package core
 import (
 	"graphpulse/internal/graph"
 	"graphpulse/internal/mem"
+	"graphpulse/internal/sim"
 	"graphpulse/internal/sim/fault"
 )
 
@@ -25,7 +26,8 @@ const (
 // genTask is one vertex update handed from a processor to event generation:
 // propagate `delta` along all out-edges of `src`. The degree and edge offset
 // come from the vertex record ("encoded in the vertex data as a hint"), so
-// generation never touches the CSR row-pointer array.
+// generation never touches the CSR row-pointer array. Tasks move by value
+// through the generation queues; none is a heap object.
 type genTask struct {
 	src        graph.VertexID // global id
 	delta      float64
@@ -131,25 +133,31 @@ type processor struct {
 	a  *Accelerator
 	id int
 
-	input     []inEvent
+	input     sim.FIFO[inEvent]
 	scratch   *scratchpad // nil unless cfg.Prefetch
 	stateHist [numProcStates]int64
 
 	// pendingGen holds a completed update waiting for generation-buffer
-	// space (the "Stalling" state of Figure 14).
-	pendingGen *genTask
+	// space (the "Stalling" state of Figure 14) while stalled is set.
+	pendingGen genTask
+	stalled    bool
 
 	// Direct-read state for the non-prefetching path.
 	directIssued bool
 	directReady  bool
 	directAt     uint64
 
-	// In-processor generation state (baseline only).
-	gen         *genTask
+	// In-processor generation state (baseline only); gen is live while
+	// generating is set.
+	gen         genTask
+	generating  bool
 	genIdx      int
 	lineAddr    uint64
 	linePending bool
 	lineReady   bool
+
+	// Fetch completions, bound once: the scratchpad's tag is the slot.
+	onVertexLine, onDirectRead, onGenLine func(tag uint64)
 }
 
 func newProcessor(a *Accelerator, id int) *processor {
@@ -157,7 +165,25 @@ func newProcessor(a *Accelerator, id int) *processor {
 	if a.cfg.Prefetch {
 		p.scratch = newScratchpad(a.cfg.ScratchpadLines)
 	}
+	p.onVertexLine, p.onDirectRead, p.onGenLine = p.vertexLineDone, p.directReadDone, p.genLineDone
 	return p
+}
+
+// vertexLineDone marks scratchpad slot `slot` resident.
+func (p *processor) vertexLineDone(slot uint64) {
+	l := &p.scratch.lines[slot]
+	l.ready = true
+	l.readyAt = p.a.engine.Cycle()
+}
+
+func (p *processor) directReadDone(uint64) {
+	p.directReady = true
+	p.directAt = p.a.engine.Cycle()
+}
+
+func (p *processor) genLineDone(uint64) {
+	p.linePending = false
+	p.lineReady = true
 }
 
 func (p *processor) vertexLine(v graph.VertexID) uint64 {
@@ -170,7 +196,7 @@ func (p *processor) vertexLine(v graph.VertexID) uint64 {
 // can be reserved — backpressure that bounds the lines a block of events
 // may pin.
 func (p *processor) tryPush(ev Event, cycle uint64) bool {
-	if len(p.input) >= p.a.cfg.InputBufferDepth {
+	if p.input.Len() >= p.a.cfg.InputBufferDepth {
 		return false
 	}
 	if p.scratch != nil {
@@ -181,23 +207,19 @@ func (p *processor) tryPush(ev Event, cycle uint64) bool {
 			if idx == -1 {
 				return false
 			}
-			l := &p.scratch.lines[idx]
-			l.refs = 1
-			p.a.fetch.Fetch(line, mem.LineBytes, vertexRecordBytes, false, func() {
-				l.ready = true
-				l.readyAt = p.a.engine.Cycle()
-			})
+			p.scratch.lines[idx].refs = 1
+			p.a.fetch.Fetch(line, mem.LineBytes, vertexRecordBytes, false, p.onVertexLine, uint64(idx))
 		} else {
 			p.scratch.lines[idx].refs++
 		}
 	}
-	p.input = append(p.input, inEvent{ev: ev, headSince: cycle})
+	p.input.Push(inEvent{ev: ev, headSince: cycle})
 	return true
 }
 
 // idle reports full quiescence of the processor.
 func (p *processor) idle() bool {
-	return len(p.input) == 0 && p.pendingGen == nil && p.gen == nil && !p.directIssued
+	return p.input.Len() == 0 && !p.stalled && !p.generating && !p.directIssued
 }
 
 // tick advances the processor one cycle and records its Figure 14 state.
@@ -209,19 +231,19 @@ func (p *processor) tick(cycle uint64) {
 func (p *processor) step(cycle uint64) int {
 	// Baseline in-processor generation has priority: the processor is busy
 	// until the previous event's outputs are generated.
-	if p.gen != nil {
+	if p.generating {
 		return p.generateStep(cycle)
 	}
-	if p.pendingGen != nil {
+	if p.stalled {
 		if !p.a.submitGen(p.id, p.pendingGen) {
 			return procStateStalling
 		}
-		p.pendingGen = nil
+		p.stalled = false
 	}
-	if len(p.input) == 0 {
+	if p.input.Len() == 0 {
 		return procStateIdle
 	}
-	head := &p.input[0]
+	head := p.input.At(0)
 	gv := p.a.globalID(head.ev.Target)
 
 	if p.scratch != nil {
@@ -258,10 +280,7 @@ func (p *processor) step(cycle uint64) int {
 		p.directIssued = true
 		p.directReady = false
 		p.a.fetch.Fetch(vertexBase+uint64(gv)*vertexRecordBytes, vertexRecordBytes,
-			vertexRecordBytes, false, func() {
-				p.directReady = true
-				p.directAt = p.a.engine.Cycle()
-			})
+			vertexRecordBytes, false, p.onDirectRead, 0)
 		return procStateVertexRead
 	}
 	if !p.directReady {
@@ -272,7 +291,7 @@ func (p *processor) step(cycle uint64) int {
 	if p.process(head.ev, gv, cycle) {
 		// Write the updated value straight back: the random 8-byte store
 		// of the unoptimized design.
-		p.a.fetch.Fetch(vertexBase+uint64(gv)*vertexRecordBytes, 8, 8, true, nil)
+		p.a.fetch.Fetch(vertexBase+uint64(gv)*vertexRecordBytes, 8, 8, true, nil, 0)
 	}
 	p.popHead(cycle)
 	return procStateProcess
@@ -302,7 +321,7 @@ func (p *processor) process(ev Event, gv graph.VertexID, cycle uint64) bool {
 	if !a.alg.Changed(old, next) {
 		return true // state write still happened
 	}
-	task := &genTask{
+	task := genTask{
 		src:        gv,
 		delta:      ev.Delta,
 		look:       ev.Lookahead,
@@ -315,10 +334,10 @@ func (p *processor) process(ev Event, gv graph.VertexID, cycle uint64) bool {
 	}
 	if a.cfg.DecoupledGeneration {
 		if !a.submitGen(p.id, task) {
-			p.pendingGen = task
+			p.pendingGen, p.stalled = task, true
 		}
 	} else {
-		p.gen = task
+		p.gen, p.generating = task, true
 		p.genIdx = 0
 		p.lineAddr = 0
 		p.linePending = false
@@ -328,9 +347,9 @@ func (p *processor) process(ev Event, gv graph.VertexID, cycle uint64) bool {
 }
 
 func (p *processor) popHead(cycle uint64) {
-	p.input = p.input[1:]
-	if len(p.input) > 0 {
-		p.input[0].headSince = cycle
+	p.input.Pop()
+	if p.input.Len() > 0 {
+		p.input.At(0).headSince = cycle
 	}
 }
 
@@ -338,7 +357,7 @@ func (p *processor) popHead(cycle uint64) {
 // fetch the edge line, then emit one event per cycle.
 func (p *processor) generateStep(cycle uint64) int {
 	a := p.a
-	t := p.gen
+	t := &p.gen
 	edgeIdx := t.edgeStart + uint64(p.genIdx)
 	addr := a.edgeAddr(edgeIdx)
 	line := addr &^ (mem.LineBytes - 1)
@@ -347,10 +366,7 @@ func (p *processor) generateStep(cycle uint64) int {
 		p.linePending = true
 		p.lineReady = false
 		useful := a.edgeLineUseful(line, t)
-		p.a.fetch.Fetch(line, mem.LineBytes, useful, false, func() {
-			p.linePending = false
-			p.lineReady = true
-		})
+		p.a.fetch.Fetch(line, mem.LineBytes, useful, false, p.onGenLine, 0)
 		a.stage.AddCycles(stageEdgeMem, 1)
 		return procStateVertexRead // memory wait (edge read shares the bar)
 	}
@@ -368,7 +384,7 @@ func (p *processor) generateStep(cycle uint64) int {
 		a.stage.AddEvent(stageEdgeMem)
 		a.stage.AddEvent(stageGenerate)
 		a.stage.AddEventCycles(stageGenBuffer, 0) // no decoupling, no buffer wait
-		p.gen = nil
+		p.generating = false
 	}
 	return procStateProcess
 }

@@ -147,17 +147,16 @@ func (q *coalescingQueue) nextOccupiedRow(bin, cursor int) int {
 	return -1
 }
 
-// drainRow removes and returns all events in one row of one bin (one cycle
-// of removal bandwidth: "a full row is read in each cycle").
-func (q *coalescingQueue) drainRow(bin, row int) []Event {
+// drainRow removes all events in one row of one bin (one cycle of removal
+// bandwidth: "a full row is read in each cycle") and appends them to out.
+func (q *coalescingQueue) drainRow(bin, row int, out []Event) []Event {
 	if q.rowCount[bin*q.rows+row] == 0 {
-		return nil
+		return out
 	}
 	blockStart := row*q.cols*q.bins + bin*q.cols
 	if q.mapping == MapBinRowCol {
 		blockStart = bin*q.rows*q.cols + row*q.cols
 	}
-	out := make([]Event, 0, q.cols)
 	for c := 0; c < q.cols; c++ {
 		slot := blockStart + c
 		if !q.occupied[slot] {
@@ -213,7 +212,7 @@ func (q *coalescingQueue) drainAll() []Event {
 	var out []Event
 	for b := 0; b < q.bins; b++ {
 		for r := q.nextOccupiedRow(b, 0); r != -1; r = q.nextOccupiedRow(b, r) {
-			out = append(out, q.drainRow(b, r)...)
+			out = q.drainRow(b, r, out)
 		}
 	}
 	return out

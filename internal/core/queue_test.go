@@ -38,7 +38,7 @@ func TestQueueInsertAndDrain(t *testing.T) {
 	}
 	bin := q.binOf(5)
 	row := q.rowOf(5)
-	evs := q.drainRow(bin, row)
+	evs := q.drainRow(bin, row, nil)
 	// 5 and 6 share the block (cols=4: block 4..7 in bin 1).
 	if len(evs) != 2 {
 		t.Fatalf("drained %d events, want 2", len(evs))
@@ -59,7 +59,7 @@ func TestQueueCoalescing(t *testing.T) {
 	if q.population != 1 {
 		t.Errorf("population = %d, want 1", q.population)
 	}
-	evs := q.drainRow(q.binOf(9), q.rowOf(9))
+	evs := q.drainRow(q.binOf(9), q.rowOf(9), nil)
 	if len(evs) != 1 || evs[0].Delta != 3 {
 		t.Errorf("drained %+v, want single delta 3", evs)
 	}
@@ -73,7 +73,7 @@ func TestQueueCoalescingMin(t *testing.T) {
 	q.insert(Event{Target: 3, Delta: 7})
 	q.insert(Event{Target: 3, Delta: 4})
 	q.insert(Event{Target: 3, Delta: 9})
-	evs := q.drainRow(q.binOf(3), q.rowOf(3))
+	evs := q.drainRow(q.binOf(3), q.rowOf(3), nil)
 	if len(evs) != 1 || evs[0].Delta != 4 {
 		t.Errorf("drained %+v, want min 4", evs)
 	}
@@ -83,7 +83,7 @@ func TestQueueLookaheadCompounds(t *testing.T) {
 	q := newCoalescingQueue(16, 2, 2, false, sum)
 	q.insert(Event{Target: 1, Delta: 1, Lookahead: 5})
 	q.insert(Event{Target: 1, Delta: 1, Lookahead: 2})
-	evs := q.drainRow(q.binOf(1), q.rowOf(1))
+	evs := q.drainRow(q.binOf(1), q.rowOf(1), nil)
 	if evs[0].Lookahead != 6 { // max(5,2)+1
 		t.Errorf("lookahead = %d, want 6", evs[0].Lookahead)
 	}
@@ -97,7 +97,7 @@ func TestQueueCoalesceDisabledOverflow(t *testing.T) {
 	if q.population != 3 {
 		t.Fatalf("population = %d, want 3 without coalescing", q.population)
 	}
-	evs := q.drainRow(q.binOf(1), q.rowOf(1))
+	evs := q.drainRow(q.binOf(1), q.rowOf(1), nil)
 	if len(evs) != 3 {
 		t.Fatalf("drained %d events, want 3", len(evs))
 	}
@@ -172,7 +172,7 @@ func TestPropertyQueueConservation(t *testing.T) {
 			} else {
 				bin := rng.Intn(4)
 				if r := q.nextOccupiedRow(bin, 0); r != -1 {
-					for _, e := range q.drainRow(bin, r) {
+					for _, e := range q.drainRow(bin, r, nil) {
 						drained += e.Delta
 					}
 				}

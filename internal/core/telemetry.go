@@ -38,7 +38,7 @@ func (a *Accelerator) registerTelemetry(tel *telemetry.Recorder, prefix string) 
 	tel.Gauge(p, "proc_input_buffered", "events", func() int64 {
 		var n int64
 		for _, pr := range a.procs {
-			n += int64(len(pr.input))
+			n += int64(pr.input.Len())
 		}
 		return n
 	})
@@ -48,7 +48,7 @@ func (a *Accelerator) registerTelemetry(tel *telemetry.Recorder, prefix string) 
 	tel.Gauge(g, "gen_tasks_buffered", "tasks", func() int64 {
 		var n int64
 		for _, u := range a.gens {
-			n += int64(len(u.queue))
+			n += int64(u.queue.Len())
 		}
 		return n
 	})
@@ -72,7 +72,7 @@ func (cl *Cluster) registerTelemetry(tel *telemetry.Recorder) {
 	tel.Gauge(ic, "link_egress_buffered", "events", func() int64 {
 		var n int64
 		for i := range cl.egress {
-			n += int64(len(cl.egress[i]))
+			n += int64(cl.egress[i].Len())
 		}
 		return n
 	})

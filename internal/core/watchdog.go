@@ -127,10 +127,10 @@ func (a *Accelerator) residentEvents() ResidentBreakdown {
 		PendingInserts: int64(len(a.pendingInserts)),
 	}
 	for _, blk := range a.staging {
-		rb.Staged += int64(len(blk.events))
+		rb.Staged += int64(len(blk.events) - blk.next)
 	}
 	for _, p := range a.procs {
-		rb.ProcInputs += int64(len(p.input))
+		rb.ProcInputs += int64(p.input.Len())
 	}
 	return rb
 }

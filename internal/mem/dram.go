@@ -22,6 +22,7 @@ package mem
 import (
 	"fmt"
 
+	"graphpulse/internal/sim"
 	"graphpulse/internal/sim/fault"
 	"graphpulse/internal/sim/stats"
 	"graphpulse/internal/sim/telemetry"
@@ -104,12 +105,16 @@ type Request struct {
 	// UsefulBytes is how many of the 64 transferred bytes the issuer will
 	// actually consume (Figure 12's numerator). Clamped to LineBytes.
 	UsefulBytes uint32
-	// OnComplete, if non-nil, runs in the cycle the data transfer finishes.
-	OnComplete func()
+	// Token is handed to the completion handler (see OnComplete) in the
+	// cycle the data transfer finishes. The memory does not interpret it.
+	Token uint32
 }
 
 type inflight struct {
-	req      Request
+	req Request
+	// bank and row are decoded from req.Addr once, at Enqueue.
+	bank     int
+	row      uint64
 	doneAt   uint64
 	enqueued uint64
 	// attempts counts failed tries of this transaction (fault injection);
@@ -134,12 +139,18 @@ type bank struct {
 	busyUntil uint64
 }
 
+// channel is one independent memory channel. queue holds requests waiting
+// for a bank; service holds issued requests in issue order, which is also
+// completion order: every issue finishes at least BurstCycles after the
+// previous issue on the channel (the data bus is serial and a refresh only
+// delays it), and a faulted transfer retries through queue, not service. So
+// completion times on a channel strictly increase and only the head of
+// service can be due.
 type channel struct {
 	queue       []inflight
-	service     []inflight
+	service     sim.FIFO[inflight]
 	banks       []bank
 	busFreeAt   uint64
-	busyAccum   uint64
 	nextRefresh uint64
 }
 
@@ -163,6 +174,8 @@ type Memory struct {
 	// inj, when non-nil, fails transactions at completion time so the
 	// retry-with-backoff path gets exercised (see InjectFaults).
 	inj *fault.Injector
+	// done receives each completed request's Token (nil: none wanted).
+	done func(token uint32)
 }
 
 // New builds a Memory from cfg, panicking on invalid configuration
@@ -210,8 +223,14 @@ func (m *Memory) Stats() *stats.Set {
 // fail at completion with the injector's DRAM fault rate and are retried
 // with exponential backoff. Failed transfers still occupied the bank and
 // bus, so faults cost bandwidth and latency but never lose a request —
-// OnComplete fires exactly once, on the try that succeeds.
+// the completion handler sees each request exactly once, on the try that
+// succeeds.
 func (m *Memory) InjectFaults(inj *fault.Injector) { m.inj = inj }
+
+// OnComplete installs the handler that receives each request's Token in the
+// cycle its transfer finishes. There is one handler per Memory: the Fetcher
+// that issues into it installs its own.
+func (m *Memory) OnComplete(fn func(token uint32)) { m.done = fn }
 
 // RegisterProbes wires this memory's traffic counters into a telemetry
 // Recorder under the given component name (see METRICS.md for the series).
@@ -259,7 +278,9 @@ func (m *Memory) Enqueue(req Request) bool {
 	if req.UsefulBytes > LineBytes {
 		req.UsefulBytes = LineBytes
 	}
-	ch.queue = append(ch.queue, inflight{req: req, enqueued: m.cycle})
+	ch.queue = append(ch.queue, inflight{
+		req: req, bank: m.bankOf(req.Addr), row: m.rowOf(req.Addr), enqueued: m.cycle,
+	})
 	return true
 }
 
@@ -267,7 +288,7 @@ func (m *Memory) Enqueue(req Request) bool {
 func (m *Memory) Pending() int {
 	n := 0
 	for i := range m.chans {
-		n += len(m.chans[i].queue) + len(m.chans[i].service)
+		n += len(m.chans[i].queue) + m.chans[i].service.Len()
 	}
 	return n
 }
@@ -297,33 +318,25 @@ func (m *Memory) Tick(cycle uint64) {
 				m.refreshes++
 			}
 		}
-		// Completions.
-		for i := 0; i < len(ch.service); {
-			if ch.service[i].doneAt <= cycle {
-				fin := ch.service[i]
-				ch.service[i] = ch.service[len(ch.service)-1]
-				ch.service = ch.service[:len(ch.service)-1]
-				// Injected transaction failure: the transfer is discarded at
-				// completion (it already paid its bank and bus time) and the
-				// request requeues after an exponential backoff. The queue-
-				// depth bound is not enforced for retries — the controller
-				// holds its own failed requests rather than dropping them.
-				if fin.attempts < dramMaxAttempts && m.inj.Decide(fault.PointDRAM) {
-					m.faults++
-					m.retries++
-					fin.attempts++
-					fin.notBefore = cycle + dramRetryBackoff<<(fin.attempts-1)
-					fin.doneAt = 0
-					ch.queue = append(ch.queue, fin)
-					continue
-				}
-				m.complete(fin)
+		// Completions: at most the head of the issue-ordered service list
+		// (see channel).
+		for ch.service.Len() > 0 && ch.service.At(0).doneAt <= cycle {
+			fin := ch.service.Pop()
+			// Injected transaction failure: the transfer is discarded at
+			// completion (it already paid its bank and bus time) and the
+			// request requeues after an exponential backoff. The queue-
+			// depth bound is not enforced for retries — the controller
+			// holds its own failed requests rather than dropping them.
+			if fin.attempts < dramMaxAttempts && m.inj.Decide(fault.PointDRAM) {
+				m.faults++
+				m.retries++
+				fin.attempts++
+				fin.notBefore = cycle + dramRetryBackoff<<(fin.attempts-1)
+				fin.doneAt = 0
+				ch.queue = append(ch.queue, fin)
 				continue
 			}
-			i++
-		}
-		if cycle < ch.busFreeAt {
-			ch.busyAccum++
+			m.complete(fin)
 		}
 		if len(ch.queue) == 0 {
 			continue
@@ -331,15 +344,16 @@ func (m *Memory) Tick(cycle uint64) {
 		// Row-hit-first pick: first queued request whose bank is free and
 		// whose row is open; else the oldest request with a free bank.
 		pick := -1
-		for i, f := range ch.queue {
+		for i := range ch.queue {
+			f := &ch.queue[i]
 			if f.notBefore > cycle {
 				continue // backing off after an injected failure
 			}
-			b := &ch.banks[m.bankOf(f.req.Addr)]
+			b := &ch.banks[f.bank]
 			if b.busyUntil > cycle {
 				continue
 			}
-			if b.rowValid && b.openRow == m.rowOf(f.req.Addr) {
+			if b.rowValid && b.openRow == f.row {
 				pick = i
 				break
 			}
@@ -352,8 +366,8 @@ func (m *Memory) Tick(cycle uint64) {
 		}
 		f := ch.queue[pick]
 		ch.queue = append(ch.queue[:pick], ch.queue[pick+1:]...)
-		b := &ch.banks[m.bankOf(f.req.Addr)]
-		row := m.rowOf(f.req.Addr)
+		b := &ch.banks[f.bank]
+		row := f.row
 		var access uint64
 		if b.rowValid && b.openRow == row {
 			access = m.cfg.RowHitCycles
@@ -373,7 +387,7 @@ func (m *Memory) Tick(cycle uint64) {
 		// additionally occupies the bank for the precharge+activate window.
 		b.busyUntil = cycle + (access - m.cfg.RowHitCycles) + m.cfg.BurstCycles
 		f.doneAt = done
-		ch.service = append(ch.service, f)
+		ch.service.Push(f)
 	}
 }
 
@@ -386,7 +400,7 @@ func (m *Memory) complete(f inflight) {
 	m.bytesMoved += LineBytes
 	m.bytesUse += int64(f.req.UsefulBytes)
 	m.lat.Observe(int64(f.doneAt - f.enqueued))
-	if f.req.OnComplete != nil {
-		f.req.OnComplete()
+	if m.done != nil {
+		m.done(f.req.Token)
 	}
 }

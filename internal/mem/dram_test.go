@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"graphpulse/internal/sim"
+	"graphpulse/internal/sim/fault"
 )
 
 func run(t *testing.T, m *Memory, done func() bool, max uint64) *sim.Engine {
@@ -54,7 +55,8 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 func TestSingleReadCompletes(t *testing.T) {
 	m := New(DefaultConfig())
 	done := false
-	if !m.Enqueue(Request{Addr: 0x1000, UsefulBytes: 8, OnComplete: func() { done = true }}) {
+	m.OnComplete(func(uint32) { done = true })
+	if !m.Enqueue(Request{Addr: 0x1000, UsefulBytes: 8}) {
 		t.Fatal("Enqueue refused on empty queue")
 	}
 	run(t, m, func() bool { return done }, 10_000)
@@ -72,7 +74,8 @@ func TestSingleReadCompletes(t *testing.T) {
 func TestWriteCounted(t *testing.T) {
 	m := New(DefaultConfig())
 	done := false
-	m.Enqueue(Request{Addr: 64, Write: true, UsefulBytes: 64, OnComplete: func() { done = true }})
+	m.OnComplete(func(uint32) { done = true })
+	m.Enqueue(Request{Addr: 64, Write: true, UsefulBytes: 64})
 	run(t, m, func() bool { return done }, 10_000)
 	if m.Stats().Counter("writes") != 1 || m.Stats().Counter("reads") != 0 {
 		t.Errorf("reads/writes = %d/%d", m.Stats().Counter("reads"), m.Stats().Counter("writes"))
@@ -82,7 +85,8 @@ func TestWriteCounted(t *testing.T) {
 func TestFirstAccessIsRowMiss(t *testing.T) {
 	m := New(DefaultConfig())
 	done := 0
-	m.Enqueue(Request{Addr: 0, OnComplete: func() { done++ }})
+	m.OnComplete(func(uint32) { done++ })
+	m.Enqueue(Request{Addr: 0})
 	run(t, m, func() bool { return done == 1 }, 10_000)
 	if m.Stats().Counter("row_misses") != 1 || m.Stats().Counter("row_hits") != 0 {
 		t.Errorf("hits/misses = %d/%d, want 0/1",
@@ -95,8 +99,9 @@ func TestSequentialSameRowHits(t *testing.T) {
 	cfg.Channels = 1 // keep the stream on one channel/bank/row
 	m := New(cfg)
 	done := 0
+	m.OnComplete(func(uint32) { done++ })
 	for i := 0; i < 8; i++ {
-		m.Enqueue(Request{Addr: uint64(i * LineBytes), OnComplete: func() { done++ }})
+		m.Enqueue(Request{Addr: uint64(i * LineBytes)})
 	}
 	run(t, m, func() bool { return done == 8 }, 100_000)
 	if m.Stats().Counter("row_misses") != 1 {
@@ -112,10 +117,11 @@ func TestRandomAccessesMostlyMiss(t *testing.T) {
 	cfg.Channels = 1
 	m := New(cfg)
 	done := 0
+	m.OnComplete(func(uint32) { done++ })
 	// Strided far apart: every access opens a new row in the same bank.
 	stride := cfg.RowBytes * uint64(cfg.BanksPerChannel) * 2
 	for i := 0; i < 8; i++ {
-		m.Enqueue(Request{Addr: uint64(i) * stride, OnComplete: func() { done++ }})
+		m.Enqueue(Request{Addr: uint64(i) * stride})
 	}
 	run(t, m, func() bool { return done == 8 }, 100_000)
 	if m.Stats().Counter("row_misses") != 8 {
@@ -128,11 +134,12 @@ func TestSequentialFasterThanRandom(t *testing.T) {
 	seqCfg := DefaultConfig()
 	seq := New(seqCfg)
 	doneSeq := 0
+	seq.OnComplete(func(uint32) { doneSeq++ })
 	e1 := sim.NewEngine()
 	e1.Register(seq)
 	issued := 0
 	for e1.Cycle() < 1_000_000 && doneSeq < n {
-		for issued < n && seq.Enqueue(Request{Addr: uint64(issued * LineBytes), OnComplete: func() { doneSeq++ }}) {
+		for issued < n && seq.Enqueue(Request{Addr: uint64(issued * LineBytes)}) {
 			issued++
 		}
 		e1.Step()
@@ -141,12 +148,13 @@ func TestSequentialFasterThanRandom(t *testing.T) {
 
 	rnd := New(seqCfg)
 	doneRnd := 0
+	rnd.OnComplete(func(uint32) { doneRnd++ })
 	e2 := sim.NewEngine()
 	e2.Register(rnd)
 	stride := seqCfg.RowBytes*uint64(seqCfg.BanksPerChannel)*uint64(seqCfg.Channels) + LineBytes
 	issued = 0
 	for e2.Cycle() < 1_000_000 && doneRnd < n {
-		for issued < n && rnd.Enqueue(Request{Addr: uint64(issued) * stride, OnComplete: func() { doneRnd++ }}) {
+		for issued < n && rnd.Enqueue(Request{Addr: uint64(issued) * stride}) {
 			issued++
 		}
 		e2.Step()
@@ -185,10 +193,11 @@ func TestBandwidthCap(t *testing.T) {
 	e := sim.NewEngine()
 	e.Register(m)
 	doneLines := 0
+	m.OnComplete(func(uint32) { doneLines++ })
 	addr := uint64(0)
 	const total = 500
 	for doneLines < total {
-		for m.Enqueue(Request{Addr: addr % cfg.RowBytes, OnComplete: func() { doneLines++ }}) {
+		for m.Enqueue(Request{Addr: addr % cfg.RowBytes}) {
 			addr += LineBytes
 		}
 		e.Step()
@@ -218,10 +227,11 @@ func TestChannelParallelism(t *testing.T) {
 		e := sim.NewEngine()
 		e.Register(m)
 		done := 0
+		m.OnComplete(func(uint32) { done++ })
 		const total = 400
 		addr := uint64(0)
 		for done < total {
-			for addr < total*LineBytes && m.Enqueue(Request{Addr: addr, OnComplete: func() { done++ }}) {
+			for addr < total*LineBytes && m.Enqueue(Request{Addr: addr}) {
 				addr += LineBytes
 			}
 			e.Step()
@@ -244,8 +254,9 @@ func TestUtilization(t *testing.T) {
 		t.Error("utilization of idle memory != 1")
 	}
 	done := 0
-	m.Enqueue(Request{Addr: 0, UsefulBytes: 16, OnComplete: func() { done++ }})
-	m.Enqueue(Request{Addr: 1 << 20, UsefulBytes: 64, OnComplete: func() { done++ }})
+	m.OnComplete(func(uint32) { done++ })
+	m.Enqueue(Request{Addr: 0, UsefulBytes: 16})
+	m.Enqueue(Request{Addr: 1 << 20, UsefulBytes: 64})
 	run(t, m, func() bool { return done == 2 }, 10_000)
 	want := float64(16+64) / float64(2*LineBytes)
 	if got := m.Utilization(); got != want {
@@ -256,7 +267,8 @@ func TestUtilization(t *testing.T) {
 func TestUsefulBytesClamped(t *testing.T) {
 	m := New(DefaultConfig())
 	done := false
-	m.Enqueue(Request{Addr: 0, UsefulBytes: 500, OnComplete: func() { done = true }})
+	m.OnComplete(func(uint32) { done = true })
+	m.Enqueue(Request{Addr: 0, UsefulBytes: 500})
 	run(t, m, func() bool { return done }, 10_000)
 	if got := m.Stats().Counter("bytes_useful"); got != LineBytes {
 		t.Errorf("bytes_useful = %d, want clamped to %d", got, LineBytes)
@@ -285,10 +297,11 @@ func TestRefreshClosesRowsAndCosts(t *testing.T) {
 	e.Register(m)
 	// Keep a same-row stream going across several refresh windows.
 	done := 0
+	m.OnComplete(func(uint32) { done++ })
 	const total = 150
 	issued := 0
 	for done < total {
-		for issued < total && m.Enqueue(Request{Addr: uint64(issued%8) * LineBytes, OnComplete: func() { done++ }}) {
+		for issued < total && m.Enqueue(Request{Addr: uint64(issued%8) * LineBytes}) {
 			issued++
 		}
 		e.Step()
@@ -312,7 +325,8 @@ func TestRefreshDisabled(t *testing.T) {
 	cfg.RefreshInterval = 0
 	m := New(cfg)
 	done := false
-	m.Enqueue(Request{Addr: 0, OnComplete: func() { done = true }})
+	m.OnComplete(func(uint32) { done = true })
+	m.Enqueue(Request{Addr: 0})
 	run(t, m, func() bool { return done }, 100_000)
 	if m.Stats().Counter("refreshes") != 0 {
 		t.Error("refreshes recorded while disabled")
@@ -326,4 +340,59 @@ func TestRefreshConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("refresh interval without duration accepted")
 	}
+}
+
+// TestCompletionTimesStrictlyIncreasePerChannel pins the invariant that lets
+// each channel's service list be a FIFO checked only at its head: under
+// row-hit reordering, refresh and injected retries, a channel still
+// completes at most one request per cycle, and every request's Token comes
+// back exactly once.
+func TestCompletionTimesStrictlyIncreasePerChannel(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RefreshInterval = 300
+	cfg.RefreshCycles = 40
+	m := New(cfg)
+	m.InjectFaults(fault.New(fault.Config{Seed: 3, DRAMFaultRate: 0.2}))
+	const total = 2000
+	seen := make([]int, total)
+	last := make([]uint64, cfg.Channels)
+	var now uint64
+	completed := 0
+	m.OnComplete(func(tok uint32) {
+		seen[tok]++
+		completed++
+		ch := m.channelOf(tokenAddr(tok, cfg))
+		if last[ch] != 0 && now <= last[ch] {
+			t.Fatalf("channel %d completed twice by cycle %d", ch, now)
+		}
+		last[ch] = now
+	})
+	e := sim.NewEngine()
+	e.Register(m)
+	issued := 0
+	for completed < total {
+		for issued < total && m.Enqueue(Request{Addr: tokenAddr(uint32(issued), cfg), Token: uint32(issued)}) {
+			issued++
+		}
+		now = e.Cycle()
+		e.Step()
+		if e.Cycle() > 1_000_000 {
+			t.Fatal("did not complete")
+		}
+	}
+	for tok, n := range seen {
+		if n != 1 {
+			t.Fatalf("token %d completed %d times", tok, n)
+		}
+	}
+	if m.Stats().Counter("dram_retries") == 0 || m.Stats().Counter("refreshes") == 0 {
+		t.Fatalf("retries %d, refreshes %d: the test must exercise both",
+			m.Stats().Counter("dram_retries"), m.Stats().Counter("refreshes"))
+	}
+}
+
+// tokenAddr spreads request i over channels, banks and a few rows so the
+// row-hit-first pick reorders issue against arrival.
+func tokenAddr(i uint32, cfg Config) uint64 {
+	return uint64(i%97)*LineBytes + uint64(i%5)*cfg.RowBytes*uint64(cfg.BanksPerChannel)*uint64(cfg.Channels)
 }

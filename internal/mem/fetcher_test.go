@@ -9,7 +9,7 @@ import (
 func TestFetcherZeroBytes(t *testing.T) {
 	f := NewFetcher(New(DefaultConfig()))
 	done := false
-	f.Fetch(0, 0, 0, false, func() { done = true })
+	f.Fetch(0, 0, 0, false, func(uint64) { done = true }, 0)
 	if !done {
 		t.Error("zero-byte fetch did not complete immediately")
 	}
@@ -22,7 +22,7 @@ func TestFetcherSingleLine(t *testing.T) {
 	m := New(DefaultConfig())
 	f := NewFetcher(m)
 	done := false
-	f.Fetch(100, 8, 8, false, func() { done = true })
+	f.Fetch(100, 8, 8, false, func(uint64) { done = true }, 0)
 	if f.PendingLines() != 1 {
 		t.Fatalf("PendingLines = %d, want 1", f.PendingLines())
 	}
@@ -44,13 +44,13 @@ func TestFetcherSpansLines(t *testing.T) {
 	m := New(DefaultConfig())
 	f := NewFetcher(m)
 	// 8 bytes starting 4 bytes before a line boundary → 2 lines.
-	f.Fetch(60, 8, 8, false, nil)
+	f.Fetch(60, 8, 8, false, nil, 0)
 	if f.PendingLines() != 2 {
 		t.Errorf("PendingLines = %d, want 2", f.PendingLines())
 	}
 	// 130 bytes from 0 → 3 lines.
 	f2 := NewFetcher(m)
-	f2.Fetch(0, 130, 130, false, nil)
+	f2.Fetch(0, 130, 130, false, nil, 0)
 	if f2.PendingLines() != 3 {
 		t.Errorf("PendingLines = %d, want 3", f2.PendingLines())
 	}
@@ -60,7 +60,7 @@ func TestFetcherCallbackFiresOnceAfterAllLines(t *testing.T) {
 	m := New(DefaultConfig())
 	f := NewFetcher(m)
 	calls := 0
-	f.Fetch(0, 1024, 1024, false, func() { calls++ })
+	f.Fetch(0, 1024, 1024, false, func(uint64) { calls++ }, 0)
 	e := sim.NewEngine()
 	e.Register(m)
 	for calls == 0 {
@@ -87,7 +87,7 @@ func TestFetcherUsefulDistribution(t *testing.T) {
 	f := NewFetcher(m)
 	// 3 lines transferred, only 80 bytes useful: 64 + 16 + 0.
 	done := false
-	f.Fetch(0, 192, 80, false, func() { done = true })
+	f.Fetch(0, 192, 80, false, func(uint64) { done = true }, 0)
 	e := sim.NewEngine()
 	e.Register(m)
 	for !done {
@@ -112,7 +112,7 @@ func TestFetcherBackpressure(t *testing.T) {
 	m := New(cfg)
 	f := NewFetcher(m)
 	done := false
-	f.Fetch(0, 10*LineBytes, 10*LineBytes, false, func() { done = true })
+	f.Fetch(0, 10*LineBytes, 10*LineBytes, false, func(uint64) { done = true }, 0)
 	f.Pump()
 	if f.PendingLines() != 8 { // 2 accepted, 8 staged
 		t.Errorf("PendingLines after first pump = %d, want 8", f.PendingLines())
@@ -139,15 +139,15 @@ func TestFetcherLineStraddleUseful(t *testing.T) {
 	m := New(DefaultConfig())
 	f := NewFetcher(m)
 	done := false
-	f.Fetch(LineBytes-4, 8, 8, false, func() { done = true })
+	f.Fetch(LineBytes-4, 8, 8, false, func(uint64) { done = true }, 0)
 	if f.PendingLines() != 2 {
 		t.Fatalf("PendingLines = %d, want 2", f.PendingLines())
 	}
-	if f.pending[0].useful != 8 || f.pending[1].useful != 0 {
-		t.Errorf("useful split = (%d,%d), want (8,0)", f.pending[0].useful, f.pending[1].useful)
+	if f.pending.At(0).useful != 8 || f.pending.At(1).useful != 0 {
+		t.Errorf("useful split = (%d,%d), want (8,0)", f.pending.At(0).useful, f.pending.At(1).useful)
 	}
-	if f.pending[0].addr != 0 || f.pending[1].addr != LineBytes {
-		t.Errorf("line addrs = (%d,%d), want (0,%d)", f.pending[0].addr, f.pending[1].addr, LineBytes)
+	if f.pending.At(0).addr != 0 || f.pending.At(1).addr != LineBytes {
+		t.Errorf("line addrs = (%d,%d), want (0,%d)", f.pending.At(0).addr, f.pending.At(1).addr, LineBytes)
 	}
 	e := sim.NewEngine()
 	e.Register(m)
@@ -173,7 +173,7 @@ func TestFetcherZeroUseful(t *testing.T) {
 	m := New(DefaultConfig())
 	f := NewFetcher(m)
 	done := false
-	f.Fetch(0, LineBytes, 0, false, func() { done = true })
+	f.Fetch(0, LineBytes, 0, false, func(uint64) { done = true }, 0)
 	e := sim.NewEngine()
 	e.Register(m)
 	for !done {
@@ -209,13 +209,13 @@ func TestFetcherBoundaryAlignment(t *testing.T) {
 	}
 	for _, tc := range cases {
 		f := NewFetcher(New(DefaultConfig()))
-		f.Fetch(tc.addr, tc.bytes, tc.bytes, false, nil)
+		f.Fetch(tc.addr, tc.bytes, tc.bytes, false, nil, 0)
 		if f.PendingLines() != tc.lines {
 			t.Errorf("Fetch(%d,%d): %d lines, want %d", tc.addr, tc.bytes, f.PendingLines(), tc.lines)
 			continue
 		}
-		if f.pending[0].addr != tc.firstLine {
-			t.Errorf("Fetch(%d,%d): first line at %d, want %d", tc.addr, tc.bytes, f.pending[0].addr, tc.firstLine)
+		if f.pending.At(0).addr != tc.firstLine {
+			t.Errorf("Fetch(%d,%d): first line at %d, want %d", tc.addr, tc.bytes, f.pending.At(0).addr, tc.firstLine)
 		}
 	}
 }
@@ -231,9 +231,10 @@ func TestFetcherFIFOAcrossGroupsUnderBackpressure(t *testing.T) {
 	m := New(cfg)
 	f := NewFetcher(m)
 	var order []int
-	f.Fetch(0, 3*LineBytes, 3*LineBytes, false, func() { order = append(order, 0) })
-	f.Fetch(8*LineBytes, LineBytes, LineBytes, false, func() { order = append(order, 1) })
-	f.Fetch(16*LineBytes, 2*LineBytes, 2*LineBytes, true, func() { order = append(order, 2) })
+	record := func(tag uint64) { order = append(order, int(tag)) }
+	f.Fetch(0, 3*LineBytes, 3*LineBytes, false, record, 0)
+	f.Fetch(8*LineBytes, LineBytes, LineBytes, false, record, 1)
+	f.Fetch(16*LineBytes, 2*LineBytes, 2*LineBytes, true, record, 2)
 	e := sim.NewEngine()
 	e.Register(m)
 	for len(order) < 3 {
@@ -260,7 +261,7 @@ func TestFetcherWrite(t *testing.T) {
 	m := New(DefaultConfig())
 	f := NewFetcher(m)
 	done := false
-	f.Fetch(0, 128, 128, true, func() { done = true })
+	f.Fetch(0, 128, 128, true, func(uint64) { done = true }, 0)
 	e := sim.NewEngine()
 	e.Register(m)
 	for !done {
@@ -272,5 +273,38 @@ func TestFetcherWrite(t *testing.T) {
 	}
 	if m.Stats().Counter("writes") != 2 {
 		t.Errorf("writes = %d, want 2", m.Stats().Counter("writes"))
+	}
+}
+
+// TestFetcherRecyclesGroups: completed ranges return their group slot to
+// the free list, so a steady stream of fetches keeps the group table at
+// its in-flight high-water mark and allocates nothing per fetch.
+func TestFetcherRecyclesGroups(t *testing.T) {
+	m := New(DefaultConfig())
+	f := NewFetcher(m)
+	e := sim.NewEngine()
+	e.Register(m)
+	completed := 0
+	var lastTag uint64
+	done := func(tag uint64) { completed++; lastTag = tag }
+	step := func(i int) {
+		f.Fetch(uint64(i)*LineBytes, LineBytes, LineBytes, false, done, uint64(i))
+		for completed <= i {
+			f.Pump()
+			e.Step()
+		}
+	}
+	i := 0
+	for ; i < 100; i++ {
+		step(i)
+	}
+	if len(f.groups) != 1 {
+		t.Errorf("group table holds %d slots for one range in flight at a time, want 1", len(f.groups))
+	}
+	if lastTag != 99 {
+		t.Errorf("completion tag = %d, want 99", lastTag)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { step(i); i++ }); allocs != 0 {
+		t.Errorf("steady-state fetch allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -171,63 +171,50 @@ type Bucket struct {
 	Count      int64
 }
 
-// StageTimer accumulates cycles spent per named pipeline stage. It backs
-// Figure 13 (chronological per-event stage breakdown) and Figure 14
-// (busy/stall fractions).
+// StageTimer accumulates cycles spent per pipeline stage. It backs Figure
+// 13 (chronological per-event stage breakdown) and Figure 14 (busy/stall
+// fractions). Stages are indices the models name with constants, so
+// accounting on the per-event path is an array update, not a name lookup;
+// the models keep the display names beside their constants.
 type StageTimer struct {
-	names  []string
 	cycles []int64
 	events []int64
 }
 
-// NewStageTimer creates a timer with the given stage names in display order.
-func NewStageTimer(names ...string) *StageTimer {
+// NewStageTimer creates a timer for stages 0..stages-1.
+func NewStageTimer(stages int) *StageTimer {
 	return &StageTimer{
-		names:  append([]string(nil), names...),
-		cycles: make([]int64, len(names)),
-		events: make([]int64, len(names)),
+		cycles: make([]int64, stages),
+		events: make([]int64, stages),
 	}
-}
-
-// indexOf returns the stage index or panics: stage names are compile-time
-// constants in the models, so a miss is a programming error.
-func (t *StageTimer) indexOf(name string) int {
-	for i, n := range t.names {
-		if n == name {
-			return i
-		}
-	}
-	panic("stats: unknown stage " + name)
 }
 
 // AddCycles accrues cycles to a stage.
-func (t *StageTimer) AddCycles(stage string, cycles int64) {
-	t.cycles[t.indexOf(stage)] += cycles
+func (t *StageTimer) AddCycles(stage int, cycles int64) {
+	t.cycles[stage] += cycles
 }
 
 // AddEvent counts one event completing a stage (denominator for per-event
 // means).
-func (t *StageTimer) AddEvent(stage string) {
-	t.events[t.indexOf(stage)]++
+func (t *StageTimer) AddEvent(stage int) {
+	t.events[stage]++
 }
 
 // AddEventCycles is AddCycles + AddEvent in one call.
-func (t *StageTimer) AddEventCycles(stage string, cycles int64) {
-	i := t.indexOf(stage)
-	t.cycles[i] += cycles
-	t.events[i]++
+func (t *StageTimer) AddEventCycles(stage int, cycles int64) {
+	t.cycles[stage] += cycles
+	t.events[stage]++
 }
 
 // Cycles returns total cycles accrued to a stage.
-func (t *StageTimer) Cycles(stage string) int64 { return t.cycles[t.indexOf(stage)] }
+func (t *StageTimer) Cycles(stage int) int64 { return t.cycles[stage] }
 
 // MeanCycles returns mean cycles per event for a stage (0 if no events).
-func (t *StageTimer) MeanCycles(stage string) float64 {
-	i := t.indexOf(stage)
-	if t.events[i] == 0 {
+func (t *StageTimer) MeanCycles(stage int) float64 {
+	if t.events[stage] == 0 {
 		return 0
 	}
-	return float64(t.cycles[i]) / float64(t.events[i])
+	return float64(t.cycles[stage]) / float64(t.events[stage])
 }
 
 // TotalCycles sums cycles across all stages.

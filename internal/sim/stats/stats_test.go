@@ -95,36 +95,41 @@ func TestSetHistogramReuse(t *testing.T) {
 }
 
 func TestStageTimer(t *testing.T) {
-	st := NewStageTimer("fetch", "process", "emit")
-	st.AddEventCycles("fetch", 10)
-	st.AddEventCycles("fetch", 20)
-	st.AddEventCycles("process", 4)
-	st.AddCycles("emit", 6)
-	if got := st.MeanCycles("fetch"); got != 15 {
+	const (
+		fetch = iota
+		process
+		emit
+	)
+	st := NewStageTimer(3)
+	st.AddEventCycles(fetch, 10)
+	st.AddEventCycles(fetch, 20)
+	st.AddEventCycles(process, 4)
+	st.AddCycles(emit, 6)
+	if got := st.MeanCycles(fetch); got != 15 {
 		t.Errorf("MeanCycles(fetch) = %g, want 15", got)
 	}
-	if got := st.MeanCycles("emit"); got != 0 {
+	if got := st.MeanCycles(emit); got != 0 {
 		t.Errorf("MeanCycles(emit) with no events = %g, want 0", got)
 	}
 	if got := st.TotalCycles(); got != 40 {
 		t.Errorf("TotalCycles = %d, want 40", got)
 	}
-	if got := st.Cycles("fetch"); got != 30 {
+	if got := st.Cycles(fetch); got != 30 {
 		t.Errorf("Cycles(fetch) = %d, want 30 of 40", got)
 	}
-	if got := st.Cycles("process"); got != 4 {
+	if got := st.Cycles(process); got != 4 {
 		t.Errorf("Cycles(process) = %d", got)
 	}
 }
 
 func TestStageTimerUnknownStagePanics(t *testing.T) {
-	st := NewStageTimer("a")
+	st := NewStageTimer(1)
 	defer func() {
 		if recover() == nil {
 			t.Error("unknown stage did not panic")
 		}
 	}()
-	st.AddCycles("nope", 1)
+	st.AddCycles(1, 1)
 }
 
 // TestPropertyHistogramConservation: total bucket counts always equal the
