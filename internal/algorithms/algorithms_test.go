@@ -400,3 +400,35 @@ func TestIncrementalReliablePath(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveDispatch: every algorithm of the ByName table runs its
+// specialised loop, bare and behind a warm start (nested or not); an
+// algorithm outside the table runs the reference loop.
+func TestSolveDispatch(t *testing.T) {
+	g, err := gen.Chain(8, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type other struct{ Algorithm }
+	runs := func(alg Algorithm) bool {
+		var s solver
+		s.init(nil, g, alg)
+		return s.specialised(alg)
+	}
+	for _, name := range Names() {
+		alg, err := ByName(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := Solve(g, alg).Values
+		warm := WarmStart(alg, state, nil)
+		for _, a := range []Algorithm{alg, warm, WarmStart(warm, state, nil)} {
+			if !runs(a) {
+				t.Errorf("%s (%T): solved by the reference loop", name, a)
+			}
+		}
+		if runs(other{alg}) {
+			t.Errorf("%s: an algorithm outside the table took a specialised loop", name)
+		}
+	}
+}

@@ -86,21 +86,30 @@ func (c *ConnectedComponents) SeedInsertions(old *graph.CSR, added []graph.Edge,
 // the contributions, seeding these exact first-order differences and
 // cascading through the ordinary propagate/reduce machinery converges to
 // the exact new fixed point (up to the local threshold).
+//
+// Corrections are emitted for sources in their first-appearance order in
+// added: the seed order is the order the solver sums them in, so any other
+// order (a map range) would make the warm fixed point differ run to run in
+// its last bits.
 func (p *PageRankDelta) SeedInsertions(old *graph.CSR, added []graph.Edge, state []Value) []InitialEvent {
 	dd := countDegreeDelta(added)
 	var out []InitialEvent
-	for u, extra := range dd {
-		dOld := old.OutDegree(u)
-		dNew := dOld + extra
-		// r_u's own retained rank is unchanged; only its outflow rescales.
-		ru := state[u]
-		if dOld > 0 {
-			diff := p.Alpha * ru * (1/float64(dNew) - 1/float64(dOld))
-			for _, v := range old.Neighbors(u) {
-				out = append(out, InitialEvent{Vertex: v, Delta: diff})
-			}
+	seen := make(map[graph.VertexID]bool, len(dd))
+	for _, e := range added {
+		u := e.Src
+		if seen[u] {
+			continue
 		}
-		_ = extra
+		seen[u] = true
+		dOld := old.OutDegree(u)
+		if dOld == 0 {
+			continue
+		}
+		// r_u's own retained rank is unchanged; only its outflow rescales.
+		diff := p.Alpha * state[u] * (1/float64(dOld+dd[u]) - 1/float64(dOld))
+		for _, v := range old.Neighbors(u) {
+			out = append(out, InitialEvent{Vertex: v, Delta: diff})
+		}
 	}
 	for _, e := range added {
 		dNew := old.OutDegree(e.Src) + dd[e.Src]

@@ -169,3 +169,42 @@ func TestWarmStartPreservesProgressor(t *testing.T) {
 		t.Error("warm-started BFS gained Progressor")
 	}
 }
+
+// TestPageRankWarmStartRepeatable: the warm start's correction seeds come
+// in a fixed order, so repeating one insert-and-resolve gives the same
+// fixed point to the last bit.
+func TestPageRankWarmStartRepeatable(t *testing.T) {
+	base, err := gen.RMAT(gen.RMATParams{
+		A: 0.57, B: 0.19, C: 0.19, D: 0.05, Scale: 9, EdgeFactor: 6,
+		Weighted: true, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := Solve(base, NewPageRankDelta())
+	rng := rand.New(rand.NewSource(5))
+	n := base.NumVertices()
+	var added []graph.Edge
+	for i := 0; i < 200; i++ {
+		added = append(added, graph.Edge{
+			Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), Weight: 1,
+		})
+	}
+	var first []Value
+	for run := 0; run < 10; run++ {
+		newG, warm, err := IncrementalAfterInsert(NewPageRankDelta(), base, added, cold.Values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := Solve(newG, warm).Values
+		if run == 0 {
+			first = got
+			continue
+		}
+		for v := range got {
+			if math.Float64bits(got[v]) != math.Float64bits(first[v]) {
+				t.Fatalf("run %d: vertex %d = %v, run 0 gave %v", run, v, got[v], first[v])
+			}
+		}
+	}
+}

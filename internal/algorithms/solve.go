@@ -41,51 +41,132 @@ func Solve(g graph.Adjacency, alg Algorithm) *SolveResult {
 // server deadline cancels a native solve and a cycle-level simulation
 // through one errors.Is check. A nil ctx disables cancellation and never
 // fails.
+//
+// The algorithm is resolved once per solve: every algorithm of the ByName
+// table, bare or behind a warm start, runs its own loop with Reduce,
+// Propagate and Changed written inline (kernels.go). Any other Algorithm
+// runs the interface loop, which is also the reference those loops are
+// tested against bit for bit.
 func SolveCtx(ctx context.Context, g graph.Adjacency, alg Algorithm) (*SolveResult, error) {
 	n := g.NumVertices()
 	if n == 0 {
 		return &SolveResult{Values: []Value{}}, nil
 	}
-	state := make([]Value, n)
-	acc := make([]Value, n)
-	inList := make([]bool, n)
+	var s solver
+	s.init(ctx, g, alg)
+	if !s.specialised(alg) {
+		s.reference(alg)
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	res := s.res
+	res.Values = s.state
+	return &res, nil
+}
+
+// solver is one solve's working set: the vertex state, the delta pending
+// at each vertex (acc) and whether the vertex is queued (inList). The
+// reference loop and the specialised loops share it, and with it the
+// initialization, the worklist order and the cancellation polling.
+type solver struct {
+	ctx    context.Context
+	g      graph.Adjacency
+	csr    *graph.CSR // g when it is an in-RAM CSR, else nil
+	state  []Value
+	acc    []Value
+	inList []bool
+	wl     *Worklist
+	res    SolveResult
+	err    error
+}
+
+// init sets the state from alg's InitState and every pending delta to
+// alg's identity, and queues alg's initial events. A warm start's
+// InitState and InitialEvents come from the wrapper, so warm and cone
+// restarts begin exactly where the wrapper says.
+func (s *solver) init(ctx context.Context, g graph.Adjacency, alg Algorithm) {
+	n := g.NumVertices()
+	*s = solver{
+		ctx:    ctx,
+		g:      g,
+		state:  make([]Value, n),
+		acc:    make([]Value, n),
+		inList: make([]bool, n),
+		wl:     NewWorklist(g, 0, graph.VertexID(n)),
+	}
+	s.csr, _ = g.(*graph.CSR)
 	id := alg.Identity()
 	for v := 0; v < n; v++ {
-		state[v] = alg.InitState(graph.VertexID(v))
-		acc[v] = id
-	}
-	wl := NewWorklist(g, 0, graph.VertexID(n))
-	push := func(v graph.VertexID, d Value) {
-		acc[v] = alg.Reduce(acc[v], d)
-		if !inList[v] {
-			inList[v] = true
-			wl.Push(v)
-		}
+		s.state[v] = alg.InitState(graph.VertexID(v))
+		s.acc[v] = id
 	}
 	for _, ev := range alg.InitialEvents(g) {
-		push(ev.Vertex, ev.Delta)
+		s.acc[ev.Vertex] = alg.Reduce(s.acc[ev.Vertex], ev.Delta)
+		s.enqueue(ev.Vertex)
 	}
-	res := &SolveResult{}
-	for wl.Len() > 0 {
-		if ctx != nil && res.Activations%ctxPollInterval == 0 {
-			select {
-			case <-ctx.Done():
-				return nil, fmt.Errorf("%w after %d activations: %v", sim.ErrCanceled, res.Activations, ctx.Err())
-			default:
-			}
+}
+
+// enqueue queues v unless it is already queued.
+func (s *solver) enqueue(v graph.VertexID) {
+	if !s.inList[v] {
+		s.inList[v] = true
+		s.wl.Push(v)
+	}
+}
+
+// next pops the vertex to activate and counts the activation. It reports
+// false once the worklist is empty or ctx was canceled, which sets s.err.
+func (s *solver) next() (graph.VertexID, bool) {
+	if s.wl.Len() == 0 || s.ctx != nil && s.res.Activations%ctxPollInterval == 0 && s.canceled() {
+		return 0, false
+	}
+	v := s.wl.Pop()
+	s.inList[v] = false
+	s.res.Activations++
+	return v, true
+}
+
+// canceled reports whether ctx is done, recording the error in s.err.
+func (s *solver) canceled() bool {
+	select {
+	case <-s.ctx.Done():
+		s.err = fmt.Errorf("%w after %d activations: %v", sim.ErrCanceled, s.res.Activations, s.ctx.Err())
+		return true
+	default:
+		return false
+	}
+}
+
+// row returns v's out-edges: read straight from the arrays of an in-RAM
+// CSR, or through one Row call on any other graph.Adjacency.
+func (s *solver) row(v graph.VertexID) ([]graph.VertexID, []float32) {
+	if s.csr != nil {
+		return s.csr.Row(v)
+	}
+	return s.g.Row(v)
+}
+
+// reference is the interface loop: Reduce, Propagate and Changed are
+// called per edge through alg. It runs every algorithm outside the ByName
+// table, and the specialised loops must match it bit for bit.
+func (s *solver) reference(alg Algorithm) {
+	state, acc := s.state, s.acc
+	id := alg.Identity()
+	for {
+		v, ok := s.next()
+		if !ok {
+			return
 		}
-		v := wl.Pop()
-		inList[v] = false
 		delta := acc[v]
 		acc[v] = id
 		old := state[v]
 		next := alg.Reduce(old, delta)
 		state[v] = next
-		res.Activations++
 		if !alg.Changed(old, next) {
 			continue
 		}
-		dst, weights := g.Row(v)
+		dst, weights := s.row(v)
 		deg := len(dst)
 		for i, d := range dst {
 			w := float32(1)
@@ -95,10 +176,9 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg Algorithm) (*SolveResu
 			out := alg.Propagate(delta, EdgeContext{
 				Src: v, Dst: d, Weight: w, SrcOutDegree: deg,
 			})
-			res.Emitted++
-			push(d, out)
+			s.res.Emitted++
+			acc[d] = alg.Reduce(acc[d], out)
+			s.enqueue(d)
 		}
 	}
-	res.Values = state
-	return res, nil
 }
