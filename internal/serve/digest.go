@@ -73,25 +73,26 @@ func (s *Server) StateDigest(name string) (DigestInfo, error) {
 		return DigestInfo{}, rg.readOnlyErr()
 	}
 	h := fnv.New64a()
-	var buf [8]byte
+	var buf [12]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(g.NumVertices()))
-	h.Write(buf[:])
+	h.Write(buf[:8])
 	weighted := uint64(0)
 	if g.Weighted() {
 		weighted = 1
 	}
 	binary.LittleEndian.PutUint64(buf[:], weighted)
-	h.Write(buf[:])
-	for _, e := range g.Edges() {
-		binary.LittleEndian.PutUint32(buf[:4], e.Src)
-		binary.LittleEndian.PutUint32(buf[4:], e.Dst)
-		h.Write(buf[:])
-		w := float32(0)
-		if g.Weighted() {
-			w = e.Weight
+	h.Write(buf[:8])
+	for v := 0; v < g.NumVertices(); v++ {
+		for i := g.RowPtr[v]; i < g.RowPtr[v+1]; i++ {
+			w := float32(0)
+			if g.Weight != nil {
+				w = g.Weight[i]
+			}
+			binary.LittleEndian.PutUint32(buf[:], uint32(v))
+			binary.LittleEndian.PutUint32(buf[4:], g.Dst[i])
+			binary.LittleEndian.PutUint32(buf[8:], math.Float32bits(w))
+			h.Write(buf[:])
 		}
-		binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(w))
-		h.Write(buf[:4])
 	}
 	return DigestInfo{
 		Graph:       name,

@@ -60,8 +60,8 @@ func ParseGraphArg(arg string) (GraphSpec, error) {
 	return GraphSpec{Name: name, Source: source}, nil
 }
 
-// residentGraph is one registry entry: a stream.Graph (log, CSR, epoch,
-// mutation history) behind a lock, or a read-only out-of-core store.
+// residentGraph is one registry entry: a stream.Graph (CSR, ingest times,
+// epoch, mutation history) behind a lock, or a read-only out-of-core store.
 // Snapshots are consistent (graph, epoch) pairs; mutations serialize on
 // the write lock.
 type residentGraph struct {

@@ -267,19 +267,14 @@ func (s *Server) sweepWindows(now time.Time) {
 		if rg.window <= 0 {
 			continue
 		}
-		n := 0
 		err := rg.write(func(sg *stream.Graph) (stream.Change, error) {
-			ch, err := sg.Expire(now, rg.window)
-			n = len(ch.Removed)
-			return ch, err
+			ch := sg.Expire(now, rg.window)
+			s.metrics.Add("stream_expired_edges", int64(len(ch.Removed)))
+			return ch, nil
 		})
 		if err != nil {
 			s.metrics.Add("stream_errors", 1)
 			s.logf("serve: window expiry on %q: %v", name, err)
-			continue
-		}
-		if n > 0 {
-			s.metrics.Add("stream_expired_edges", int64(n))
 		}
 	}
 }

@@ -78,12 +78,14 @@ func (s *Server) ExportSnapshot(name string) (*Snapshot, error) {
 		Weighted:    g.Weighted(),
 		Edges:       make([]SnapshotEdge, 0, g.NumEdges()),
 	}
-	for _, e := range g.Edges() {
-		w := float32(0)
-		if g.Weighted() {
-			w = e.Weight
+	for v := 0; v < g.NumVertices(); v++ {
+		for i := g.RowPtr[v]; i < g.RowPtr[v+1]; i++ {
+			e := SnapshotEdge{Src: uint32(v), Dst: g.Dst[i]}
+			if g.Weight != nil {
+				e.Weight = g.Weight[i]
+			}
+			snap.Edges = append(snap.Edges, e)
 		}
-		snap.Edges = append(snap.Edges, SnapshotEdge{Src: e.Src, Dst: e.Dst, Weight: w})
 	}
 	prefix := name + "|"
 	for key, res := range s.cache.exportSeries(prefix, epoch) {

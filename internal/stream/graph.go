@@ -1,8 +1,11 @@
 package stream
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"graphpulse/internal/algorithms"
@@ -12,10 +15,10 @@ import (
 // Change is one applied mutation epoch: the exact edges added and removed
 // when a Graph moved to Epoch. Added is the normalised, de-duplicated
 // batch and Removed the edges actually deleted (user deletes and window
-// expirations alike), so ApplyExact of the record against the Epoch-1
-// state reproduces the Epoch state. It is the one record handed to
-// mutation hooks, appended to the write-ahead log and shipped between
-// replicas, in this JSON form.
+// expirations alike, in CSR order; consumers treat it as a multiset), so
+// ApplyExact of the record against the Epoch-1 state reproduces the Epoch
+// state. It is the one record handed to mutation hooks, appended to the
+// write-ahead log and shipped between replicas, in this JSON form.
 type Change struct {
 	Epoch uint64 `json:"epoch"`
 	// At is the ingest time in Unix nanoseconds; replay re-applies edges
@@ -24,14 +27,6 @@ type Change struct {
 	At      int64        `json:"ts"`
 	Added   []graph.Edge `json:"added,omitempty"`
 	Removed []graph.Edge `json:"removed,omitempty"`
-}
-
-// Time returns At as a time.Time.
-func (c Change) Time() time.Time {
-	if c.At == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, c.At)
 }
 
 // ErrEpochGap is returned by ApplyExact when a record does not extend the
@@ -50,31 +45,35 @@ type step struct {
 	base *graph.CSR
 }
 
-// Graph is one versioned mutable graph: the timestamped live-edge Log,
-// the immutable CSR materialised from it, the epoch counting applied
+// Graph is one versioned mutable graph: the immutable CSR that is the live
+// edge set, one ingest time per edge beside it, the epoch counting applied
 // changes, and a bounded history of recent changes — what lets a fixed
 // point converged several epochs ago be warm-restarted (Since + Restart)
 // instead of re-solved. The vertex set is fixed at construction. Every
 // epoch-advancing path — live batches, window expiry, logged-record
 // replay — goes through it, so the serving tier, the write-ahead log and
-// the differential test harness all run the same state machine.
+// the differential test harness all run the same state machine. Each epoch
+// splices the next CSR from the current one instead of rebuilding it.
 //
 // A Graph is not concurrency-safe; callers serialise through their own
 // lock. The CSRs it hands out are immutable and stay valid after later
 // changes.
 type Graph struct {
-	log     *Log
-	cur     *graph.CSR
-	epoch   uint64
-	histMax int
-	history []step
+	cur *graph.CSR
+	// at holds cur's per-edge ingest times in Unix nanoseconds, 0 for a
+	// permanent edge (window expiry never removes it). The next epoch's are
+	// spliced into spare and the two swap: readers never see either.
+	at, spare []int64
+	epoch     uint64
+	histMax   int
+	history   []step
 }
 
 // NewGraph builds a Graph at epoch 0 over base, retaining the last
 // histMax changes for Since. The base edges are permanent: window expiry
 // never removes them (deletes do).
 func NewGraph(base *graph.CSR, histMax int) *Graph {
-	return &Graph{log: NewLog(base.Edges()), cur: base, histMax: histMax}
+	return &Graph{cur: base, at: make([]int64, base.NumEdges()), histMax: histMax}
 }
 
 // CSR returns the current materialised graph.
@@ -83,9 +82,8 @@ func (g *Graph) CSR() *graph.CSR { return g.cur }
 // Epoch returns the number of changes applied (0 = the base graph).
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
-// inRange rejects edges referencing vertices outside the fixed vertex set.
-func (g *Graph) inRange(batches ...[]graph.Edge) error {
-	n := g.cur.NumVertices()
+// inRange rejects edges referencing vertices outside a vertex set of n.
+func inRange(n int, batches ...[]graph.Edge) error {
 	for _, batch := range batches {
 		for _, e := range batch {
 			if int(e.Src) >= n || int(e.Dst) >= n {
@@ -102,41 +100,62 @@ func (g *Graph) inRange(batches ...[]graph.Edge) error {
 // (Src, Dst) pair in dels — so a batch that inserts and deletes the same
 // edge nets to a delete. An edge outside the vertex set rejects the whole
 // batch before anything is touched. skipped counts in-batch duplicate
-// inserts, missed the delete pairs that matched no live edge. A batch
-// with no effect (all-duplicate inserts, all-miss deletes) burns no
+// inserts, missed the distinct delete pairs that matched no live edge. A
+// batch with no effect (all-duplicate inserts, all-miss deletes) burns no
 // epoch and returns the zero Change.
 func (g *Graph) Apply(ins, dels []graph.Edge, at time.Time) (ch Change, skipped, missed int, err error) {
-	if err := g.inRange(ins, dels); err != nil {
+	if err := inRange(g.cur.NumVertices(), ins, dels); err != nil {
 		return Change{}, 0, 0, err
 	}
 	added := dedupEdges(normalizeWeights(ins, g.cur.Weighted()))
-	g.log.Append(added, at)
-	removed, missed := g.log.Remove(dels)
 	skipped = len(ins) - len(added)
-	if len(added) == 0 && len(removed) == 0 {
+	ts := int64(0) // the zero time stamps permanent edges
+	if !at.IsZero() {
+		ts = at.UnixNano()
+	}
+	want, hit := make(map[[2]graph.VertexID]bool, len(dels)), make(map[[2]graph.VertexID]bool, len(dels))
+	for _, e := range dels {
+		want[[2]graph.VertexID{e.Src, e.Dst}] = true
+	}
+	var drop []int
+	g.scanRows(dels, added, ts, func(pos int, e graph.Edge, _ int64) {
+		if k := [2]graph.VertexID{e.Src, e.Dst}; want[k] {
+			hit[k] = true
+			drop = append(drop, pos)
+		}
+	})
+	missed = len(want) - len(hit)
+	if len(added) == 0 && len(drop) == 0 {
 		return Change{}, skipped, missed, nil
 	}
-	ch, err = g.advance(added, removed, at)
-	return ch, skipped, missed, err
+	return g.advance(added, ts, drop), skipped, missed, nil
 }
 
 // Expire ages out every timestamped edge older than horizon at time now
 // as one epoch; nothing aged out returns the zero Change.
-func (g *Graph) Expire(now time.Time, horizon time.Duration) (Change, error) {
-	removed := g.log.Expire(now, horizon)
-	if len(removed) == 0 {
-		return Change{}, nil
+func (g *Graph) Expire(now time.Time, horizon time.Duration) Change {
+	var drop []int
+	cutoff := now.Add(-horizon).UnixNano()
+	for i, t := range g.at {
+		if horizon > 0 && t != 0 && t < cutoff {
+			drop = append(drop, i)
+		}
 	}
-	return g.advance(nil, removed, now)
+	if len(drop) == 0 {
+		return Change{}
+	}
+	return g.advance(nil, now.UnixNano(), drop)
 }
 
 // ApplyExact replays one logged Change: a record at or below the current
 // epoch is skipped (the zero Change: already incorporated), a record at
-// exactly epoch+1 is applied and returned, anything else fails with
-// ErrEpochGap. Replay removes exactly the edges the record names
-// (Log.RemoveExact) rather than matching by endpoint like a live delete,
-// which could take out extra edges sharing endpoints with an expired one.
-// The Graph keeps the record's slices.
+// exactly epoch+1 is applied, anything else fails with ErrEpochGap. Each
+// entry of Removed removes one live edge with the same (Src, Dst, Weight),
+// not every edge with its endpoints as a live delete would: the oldest
+// timed copy, else a permanent one. Expiry removes the oldest timed copies
+// and a delete every copy, so replaying the records rebuilds the live graph
+// row for row — except that copies restored by Reset are permanent. The
+// returned Change keeps the record's Added.
 func (g *Graph) ApplyExact(ch Change) (Change, error) {
 	if ch.Epoch <= g.epoch {
 		return Change{}, nil
@@ -144,38 +163,146 @@ func (g *Graph) ApplyExact(ch Change) (Change, error) {
 	if ch.Epoch != g.epoch+1 {
 		return Change{}, fmt.Errorf("%w: record epoch %d, graph epoch %d", ErrEpochGap, ch.Epoch, g.epoch)
 	}
-	if err := g.inRange(ch.Added, ch.Removed); err != nil {
+	if err := inRange(g.cur.NumVertices(), ch.Added, ch.Removed); err != nil {
 		return Change{}, err
 	}
 	added := normalizeWeights(ch.Added, g.cur.Weighted())
-	g.log.Append(added, ch.Time())
-	g.log.RemoveExact(ch.Removed)
-	return g.advance(added, ch.Removed, ch.Time())
+	need := make(map[graph.Edge]int, len(ch.Removed))
+	for _, e := range ch.Removed {
+		need[e]++
+	}
+	type copyOf struct {
+		pos int
+		at  int64
+		e   graph.Edge
+	}
+	var copies []copyOf
+	g.scanRows(ch.Removed, added, ch.At, func(pos int, e graph.Edge, at int64) {
+		if need[e] > 0 {
+			if at == 0 {
+				at = math.MaxInt64 // permanent copies after every timed one
+			}
+			copies = append(copies, copyOf{pos, at, e})
+		}
+	})
+	// Oldest first. Copies of one edge with one time are interchangeable.
+	slices.SortFunc(copies, func(a, b copyOf) int { return cmp.Compare(a.at, b.at) })
+	var drop []int
+	for _, c := range copies {
+		if need[c.e] > 0 {
+			need[c.e]--
+			drop = append(drop, c.pos)
+		}
+	}
+	return g.advance(added, ch.At, drop), nil
 }
 
-// advance materialises the already-updated log into a fresh CSR, bumps
-// the epoch and records the change in the bounded history.
-func (g *Graph) advance(added, removed []graph.Edge, at time.Time) (Change, error) {
-	ng, err := graph.FromEdges(g.cur.NumVertices(), g.log.Edges(), g.cur.Weighted())
-	if err != nil {
-		return Change{}, err
+// scanRows visits, for each distinct source of keys in ascending order,
+// its current row and then its edges in add (stamped ts), in order, with
+// each edge's ingest time and position: its index into the current Dst,
+// or NumEdges()+j for add[j]. No other row is read.
+func (g *Graph) scanRows(keys, add []graph.Edge, ts int64, visit func(pos int, e graph.Edge, at int64)) {
+	m := g.cur.NumEdges()
+	for _, s := range sources(keys) {
+		for i := g.cur.RowPtr[s]; i < g.cur.RowPtr[s+1]; i++ {
+			visit(int(i), graph.Edge{Src: s, Dst: g.cur.Dst[i], Weight: g.cur.EdgeWeight(i)}, g.at[i])
+		}
+		for j, e := range add {
+			if e.Src == s {
+				visit(m+j, e, ts)
+			}
+		}
 	}
-	ch := Change{Epoch: g.epoch + 1, Added: added, Removed: removed}
-	if !at.IsZero() {
-		ch.At = at.UnixNano()
+}
+
+// sources returns the distinct sources of the edges in batches, ascending.
+func sources(batches ...[]graph.Edge) []graph.VertexID {
+	var srcs []graph.VertexID
+	for _, batch := range batches {
+		for _, e := range batch {
+			srcs = append(srcs, e.Src)
+		}
 	}
-	g.history = append(g.history, step{Change: ch, base: g.cur})
+	slices.Sort(srcs)
+	return slices.Compact(srcs)
+}
+
+// advance moves to the next epoch. Its CSR, freshly allocated as readers
+// may hold the current one, is the current one plus add (stamped ts) minus
+// the positions in drop (numbered as scanRows does): runs of untouched rows
+// are bulk-copied with their row pointers shifted, and a touched row keeps
+// its surviving edges in order, then appends its surviving new ones in
+// batch order. The ingest times go to the spare buffer; the Change, whose
+// Removed are the dropped edges in CSR order, joins the bounded history.
+func (g *Graph) advance(add []graph.Edge, ts int64, drop []int) Change {
+	cur, m, n := g.cur, g.cur.NumEdges(), g.cur.NumVertices()
+	size := m + len(add) - len(drop)
+	ch := Change{Epoch: g.epoch + 1, At: ts, Added: add}
+	slices.Sort(drop)
+	k, _ := slices.BinarySearch(drop, m)
+	drop, dropAdd := drop[:k], drop[k:]
+	order := make([]int, len(add)) // positions of add grouped by source, batch order within one
+	for j := range order {
+		order[j] = m + j
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(add[a-m].Src, add[b-m].Src) })
+
+	next := &graph.CSR{RowPtr: make([]uint64, n+1), Dst: make([]graph.VertexID, size)}
+	if cur.Weighted() {
+		next.Weight = make([]float32, size)
+	}
+	if cap(g.spare) < size {
+		g.spare = make([]int64, size, size+size/8)
+	}
+	at := g.spare[:size]
+	// cur's edges from span on are pending; they land in next from out on.
+	span, out := 0, 0
+	flush := func(end int) {
+		copy(next.Dst[out:], cur.Dst[span:end])
+		if next.Weight != nil {
+			copy(next.Weight[out:], cur.Weight[span:end])
+		}
+		copy(at[out:], g.at[span:end])
+		out, span = out+end-span, end
+	}
+	for v := 0; v < n; v++ {
+		hi := int(cur.RowPtr[v+1])
+		next.RowPtr[v] = uint64(out + int(cur.RowPtr[v]) - span)
+		for ; len(drop) > 0 && drop[0] < hi; drop = drop[1:] {
+			i := drop[0]
+			flush(i)
+			span = i + 1
+			ch.Removed = append(ch.Removed, graph.Edge{Src: graph.VertexID(v), Dst: cur.Dst[i], Weight: cur.EdgeWeight(uint64(i))})
+		}
+		for ; len(order) > 0 && int(add[order[0]-m].Src) == v; order = order[1:] {
+			flush(hi)
+			e := add[order[0]-m]
+			if slices.Contains(dropAdd, order[0]) {
+				ch.Removed = append(ch.Removed, e)
+				continue
+			}
+			next.Dst[out] = e.Dst
+			if next.Weight != nil {
+				next.Weight[out] = e.Weight
+			}
+			at[out] = ts
+			out++
+		}
+	}
+	flush(m)
+	next.RowPtr[n] = uint64(out)
+	g.history = append(g.history, step{Change: ch, base: cur})
 	if len(g.history) > g.histMax {
 		g.history = g.history[len(g.history)-g.histMax:]
 	}
-	g.cur, g.epoch = ng, ch.Epoch
-	return ch, nil
+	g.cur, g.at, g.spare, g.epoch = next, at, g.at, ch.Epoch
+	return ch
 }
 
-// Reset adopts a snapshotted edge set at the given epoch, replacing log
-// and graph and clearing the history (restored edges are permanent —
-// their ingest times are not carried over). It rejects a different vertex
-// count or weight mode, and an epoch below the current one with ErrStale.
+// Reset adopts a snapshotted edge set at the given epoch, replacing graph
+// and history (restored edges are permanent — their ingest times are not
+// carried over). It rejects a different vertex count or weight mode, and an
+// epoch below the current one with ErrStale.
 func (g *Graph) Reset(numVertices int, weighted bool, edges []graph.Edge, epoch uint64) error {
 	if numVertices != g.cur.NumVertices() {
 		return fmt.Errorf("stream: snapshot has %d vertices, graph has %d", numVertices, g.cur.NumVertices())
@@ -190,7 +317,7 @@ func (g *Graph) Reset(numVertices int, weighted bool, edges []graph.Edge, epoch 
 	if err != nil {
 		return fmt.Errorf("stream: rebuild from snapshot: %w", err)
 	}
-	g.log, g.cur, g.epoch, g.history = NewLog(edges), ng, epoch, nil
+	g.cur, g.at, g.epoch, g.history = ng, make([]int64, ng.NumEdges()), epoch, nil
 	return nil
 }
 
@@ -217,16 +344,26 @@ func (g *Graph) Since(fromEpoch uint64) (base *graph.CSR, added, removed []graph
 // legitimate (multigraphs are supported); double-applying the same edge
 // from one request is not.
 func dedupEdges(ins []graph.Edge) []graph.Edge {
-	if len(ins) == 0 {
-		return nil
-	}
 	seen := make(map[graph.Edge]bool, len(ins))
-	out := make([]graph.Edge, 0, len(ins))
-	for _, e := range ins {
-		if !seen[e] {
-			seen[e] = true
-			out = append(out, e)
-		}
+	return slices.DeleteFunc(slices.Clone(ins), func(e graph.Edge) bool {
+		dup := seen[e]
+		seen[e] = true
+		return dup
+	})
+}
+
+// normalizeWeights reconciles an insertion batch with the graph's weight
+// mode: an unweighted CSR drops edge weights (every edge costs 1), so
+// warm-start seeding must see weight 1 too, or the seeded corrections
+// diverge from the graph the solver actually runs on. Returns batch
+// unchanged for weighted graphs; otherwise a copy with unit weights.
+func normalizeWeights(batch []graph.Edge, weighted bool) []graph.Edge {
+	if weighted || len(batch) == 0 {
+		return batch
+	}
+	out := slices.Clone(batch)
+	for i := range out {
+		out[i].Weight = 1
 	}
 	return out
 }

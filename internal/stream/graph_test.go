@@ -45,7 +45,7 @@ func TestGraphRestartEveryGapMatchesColdOracle(t *testing.T) {
 			return ch, err
 		}},
 		{"expire the inserts", func() (Change, error) {
-			return g.Expire(time.Unix(100, 0), 10*time.Second)
+			return g.Expire(time.Unix(100, 0), 10*time.Second), nil
 		}},
 	}
 	// graphs[e] and states[e] are the graph and its cold fixed point at

@@ -66,10 +66,8 @@ func PlanRestart(alg algorithms.Algorithm, newG *graph.CSR, added, removed []gra
 	if maxConeFrac <= 0 {
 		maxConeFrac = DefaultMaxConeFraction
 	}
-	for _, e := range append(append([]graph.Edge(nil), added...), removed...) {
-		if int(e.Src) >= n || int(e.Dst) >= n {
-			return nil, fmt.Errorf("stream: edge %d->%d outside vertex set (n=%d)", e.Src, e.Dst, n)
-		}
+	if err := inRange(n, added, removed); err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
 
 	inCone := make([]bool, n)
@@ -89,14 +87,7 @@ func PlanRestart(alg algorithms.Algorithm, newG *graph.CSR, added, removed []gra
 	if degreeSensitive(alg) {
 		// A changed out-degree rescales the source's flow on every
 		// surviving edge, so all its current out-neighbors are stale too.
-		seen := make(map[graph.VertexID]bool)
-		for _, e := range removed {
-			seen[e.Src] = true
-		}
-		for _, e := range added {
-			seen[e.Src] = true
-		}
-		for src := range seen {
+		for _, src := range sources(removed, added) {
 			for _, v := range newG.Neighbors(src) {
 				mark(v)
 			}

@@ -81,10 +81,7 @@ func (r *Replayer) Expire(now time.Time, horizon time.Duration) (int, error) {
 	if _, err := r.State(); err != nil {
 		return 0, err
 	}
-	ch, err := r.g.Expire(now, horizon)
-	if err != nil {
-		return 0, err
-	}
+	ch := r.g.Expire(now, horizon)
 	return len(ch.Removed), r.reconverge(ch)
 }
 

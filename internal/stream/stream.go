@@ -19,20 +19,17 @@
 //
 // The pieces:
 //
-//   - Graph — the versioned mutable graph: Log + current CSR + epoch +
-//     bounded change history. Apply (validate → normalise weights →
-//     in-batch de-dup → append/remove → rebuild), Expire, ApplyExact
-//     (logged-record replay) and Reset (snapshot adoption) are the only
-//     ways its epoch moves; each returns the Change record that mutation
-//     hooks, the write-ahead log and replica repair carry unchanged.
-//     Since(epoch) hands back what changed after an older epoch.
+//   - Graph — the versioned mutable graph: current CSR + per-edge ingest
+//     times + epoch + bounded change history. Apply (a live batch), Expire
+//     (sliding window), ApplyExact (logged-record replay) and Reset
+//     (snapshot adoption) are the only ways its epoch moves; each returns
+//     the Change record that mutation hooks, the write-ahead log and
+//     replica repair carry unchanged. Since(epoch) hands back what changed
+//     after an older epoch.
 //   - Restart — the one warm-restart decision: insertion seeding, the
 //     PlanRestart cone, or a cold solve. PlanRestart is the cone planner
 //     under it: (algorithm, new graph, added, removed, converged state) →
 //     warm state + seed events, or a replay decision.
-//   - Log — the timestamped edge log implementing the sliding-window
-//     graph mode: edges carry ingest times and expire by age; expirations
-//     feed the same deletion path.
 //   - Replayer — a Graph, the last converged state and a solve function:
 //     it drives one (algorithm, engine) pair through a mutation sequence
 //     with exactly the Since + Restart calls a serving-tier query makes,
