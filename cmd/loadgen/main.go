@@ -1,20 +1,19 @@
-// Command loadgen drives a running serve instance and reports throughput
-// and latency percentiles (README "Serving", EXPERIMENTS.md "Serving
-// latency and throughput").
+// Command loadgen drives a running serve instance with a closed-loop burst
+// (-c workers back to back) and prints one line per request kind: count,
+// hard errors, 429s and 504s. Host-timed rates and latencies are perf/'s
+// job (perf/README.md).
 //
 // Usage:
 //
 //	loadgen -url http://127.0.0.1:8080 -graph wg -alg pr -d 10s -c 8
-//	loadgen -url ... -graph wg -alg sssp -root 3 -qps 2000 -mutate-every 100
 //	loadgen -url ... -graph wg -mutate-every 40 -delete-every 80 -stream-every 200
-//	loadgen -url ... -graph wg -d 5s -csv out.csv -min-qps 1000   # CI gate
+//	loadgen -url ... -graph wg -d 5s -max-errors 0 -min-availability 1.0   # CI gate
+//	loadgen -url ... -graph wg -verify-only -verify-replica http://a -verify-replica http://b
 //
-// With -qps the driver is open-loop (arrivals paced at the target rate);
-// without it, closed-loop (-c workers back-to-back). -min-qps exits
-// non-zero when the achieved query rate falls short, -max-errors when
-// hard failures (non-2xx other than 429/504) exceed the cap, and
-// -min-availability when the non-error fraction drops below the floor —
-// the CI smoke gates (serve-smoke and dserve-smoke). loadgen works
+// -max-errors exits non-zero when hard failures (non-2xx other than
+// 429/504) exceed the cap, and -min-availability when the non-error
+// fraction drops below the floor — the CI smoke gates. -verify-replica
+// checks afterwards that the listed replicas agree. loadgen works
 // unchanged against a cmd/router front: the router speaks the same /v1/*
 // API as a single worker.
 package main
@@ -28,15 +27,12 @@ import (
 	"time"
 
 	"graphpulse/internal/algorithms"
-	"graphpulse/internal/engines"
 	"graphpulse/internal/loadgen"
 )
 
 // options is the load description plus the exit-code gates around it.
 type options struct {
 	cfg            loadgen.Config
-	csvPath        string
-	minQPS         float64
 	maxErrs        int64
 	minAvail       float64
 	verifyWait     time.Duration
@@ -52,8 +48,6 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&c.Graph, "graph", "", "resident graph name to target (required)")
 	fs.StringVar(&c.Algorithm, "alg", "pr", "algorithm: "+algorithms.NamesList())
 	root := fs.Uint("root", 0, "root vertex for rooted algorithms")
-	fs.StringVar(&c.Engine, "engine", "", "engine registry name: "+engines.NamesList()+" (default solve)")
-	fs.Float64Var(&c.QPS, "qps", 0, "open-loop target arrival rate (0 = closed loop)")
 	fs.IntVar(&c.Concurrency, "c", 8, "client concurrency")
 	fs.DurationVar(&c.Duration, "d", 5*time.Second, "load duration")
 	fs.IntVar(&c.MutateEvery, "mutate-every", 0, "make every Nth request a mutation batch (0 = never)")
@@ -62,8 +56,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&c.StreamEvery, "stream-every", 0, "make every Nth request a bulk NDJSON /v1/stream post (0 = never)")
 	fs.IntVar(&c.StreamOps, "stream-ops", 64, "ops per stream request")
 	fs.Int64Var(&c.Seed, "seed", 42, "mutation edge seed")
-	fs.StringVar(&o.csvPath, "csv", "", "write the summary as CSV to this file (atomic)")
-	fs.Float64Var(&o.minQPS, "min-qps", 0, "exit non-zero unless the achieved query rate reaches this")
 	fs.Int64Var(&o.maxErrs, "max-errors", -1, "exit non-zero when hard failures across all kinds exceed this (-1 = no gate)")
 	fs.Float64Var(&o.minAvail, "min-availability", 0, "exit non-zero when the non-error fraction across all kinds falls below this (0 = no gate)")
 	fs.DurationVar(&o.verifyWait, "verify-wait", 10*time.Second, "digest convergence budget for -verify-replica")
@@ -99,29 +91,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
-	summary := stats.Summarize()
-	summary.WriteText(os.Stdout)
-	if o.csvPath != "" {
-		if err := summary.WriteCSVFile(o.csvPath); err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("summary written to %s\n", o.csvPath)
-	}
-	if o.minQPS > 0 {
-		if got := summary.AchievedQPS("query"); got < o.minQPS {
-			fmt.Fprintf(os.Stderr, "loadgen: achieved %.1f query qps, need ≥ %.1f\n", got, o.minQPS)
-			os.Exit(1)
-		}
-	}
+	stats.WriteText(os.Stdout)
 	if o.maxErrs >= 0 {
-		if got := summary.TotalErrors(); got > o.maxErrs {
+		if got := stats.TotalErrors(); got > o.maxErrs {
 			fmt.Fprintf(os.Stderr, "loadgen: %d hard failures, allowed ≤ %d\n", got, o.maxErrs)
 			os.Exit(1)
 		}
 	}
 	if o.minAvail > 0 {
-		if got := summary.Availability(); got < o.minAvail {
+		if got := stats.Availability(); got < o.minAvail {
 			fmt.Fprintf(os.Stderr, "loadgen: availability %.4f, need ≥ %.4f\n", got, o.minAvail)
 			os.Exit(1)
 		}

@@ -15,8 +15,6 @@
 package ligra
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -24,7 +22,6 @@ import (
 
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/graph"
-	"graphpulse/internal/sim"
 )
 
 // AccessStats counts memory operations by kind, matching the Table I
@@ -176,15 +173,6 @@ func (a *accumulator) reduceLocal(v graph.VertexID, delta float64, reduce func(x
 //  2. EdgeMap: push (sparse) or pull (dense) the deltas to neighbors,
 //     building the next frontier.
 func (e *Engine) Run(alg algorithms.Algorithm) *Result {
-	res, _ := e.RunCtx(nil, alg)
-	return res
-}
-
-// RunCtx runs like Run with wall-clock cancellation: the context is polled
-// once per BSP iteration and cancellation returns an error wrapping
-// sim.ErrCanceled, the sentinel shared with the worklist solvers and the
-// simulated engines. A nil ctx disables cancellation and never fails.
-func (e *Engine) RunCtx(ctx context.Context, alg algorithms.Algorithm) (*Result, error) {
 	n := e.g.NumVertices()
 	res := &Result{}
 	state := make([]float64, n)
@@ -206,13 +194,6 @@ func (e *Engine) RunCtx(ctx context.Context, alg algorithms.Algorithm) (*Result,
 	}
 
 	for iter := 0; iter < e.cfg.MaxIterations && len(frontier) > 0; iter++ {
-		if ctx != nil {
-			select {
-			case <-ctx.Done():
-				return nil, fmt.Errorf("%w after %d iterations: %v", sim.ErrCanceled, res.Iterations, ctx.Err())
-			default:
-			}
-		}
 		res.Iterations++
 		res.VertexUpdates += int64(len(frontier))
 		// Phase 1: apply deltas, filter to changed vertices.
@@ -253,7 +234,7 @@ func (e *Engine) RunCtx(ctx context.Context, alg algorithms.Algorithm) (*Result,
 		frontier = append(frontier[:0], next...)
 	}
 	res.Values = state
-	return res, nil
+	return res
 }
 
 // parallelChunks runs fn over [0,total) split across the configured workers.

@@ -4,9 +4,7 @@
 // parallel solver, the GraphPulse accelerator model, the Graphicionado
 // baseline, and the Ligra baseline — and asserts that they all converge to
 // the same fixed point, within the single tolerance policy defined in this
-// package (see Tolerance). The engine set itself comes from the
-// internal/engines registry, so a newly registered engine joins the matrix
-// without this package growing another hand-maintained case.
+// package (see Tolerance).
 //
 // The paper's evaluation (Section VI) compares only cycle counts across
 // engines; that comparison is meaningful only if the engines are
@@ -33,7 +31,6 @@ import (
 	"graphpulse/internal/baseline/graphicionado"
 	"graphpulse/internal/baseline/ligra"
 	"graphpulse/internal/core"
-	"graphpulse/internal/engines"
 	"graphpulse/internal/graph"
 	"graphpulse/internal/psolve"
 )
@@ -111,22 +108,6 @@ func EnginePSolve(cfg psolve.Config) Engine {
 	}
 }
 
-// FromRegistry adapts an internal/engines registry engine to the
-// conformance harness, for engines that need no suite-specific
-// configuration or invariants.
-func FromRegistry(e engines.Engine) Engine {
-	return Engine{
-		Name: e.Name(),
-		Run: func(g graph.Adjacency, mk func() algorithms.Algorithm) ([]float64, error) {
-			res, err := e.SolveCtx(nil, g, mk())
-			if err != nil {
-				return nil, err
-			}
-			return res.Values, nil
-		},
-	}
-}
-
 // AcceleratorConfig is the conformance-suite accelerator build: the paper's
 // optimized design with the cycle deadline raised (tiny adversarial graphs
 // such as long chains burn many rounds).
@@ -154,36 +135,19 @@ func PSolveConfig() psolve.Config {
 	return cfg
 }
 
-// Engines returns the default engine set compared by Verify, one entry per
-// internal/engines registry name. Engines carrying suite-specific
-// configuration or invariants (the accelerator's raised cycle deadline and
-// event-conservation check, the fixed worker counts for Ligra and psolve)
-// keep their dedicated wrappers; anything newly registered flows through
-// FromRegistry untouched. Together with the reference oracle consulted by
-// Verify itself, this covers all six implementations in the repository.
+// Engines returns the default engine set compared by Verify: the serial
+// and parallel worklist solvers, the accelerator under its raised cycle
+// deadline (with the event-conservation check), Graphicionado, and Ligra.
+// Together with the reference oracle consulted by Verify itself, this
+// covers all six implementations in the repository.
 func Engines() []Engine {
-	var out []Engine
-	for _, name := range engines.Names() {
-		switch name {
-		case engines.Solve:
-			out = append(out, EngineSolve())
-		case engines.PSolve:
-			out = append(out, EnginePSolve(PSolveConfig()))
-		case engines.Accel:
-			out = append(out, EngineAccelerator(AcceleratorConfig()))
-		case engines.Graphicionado:
-			out = append(out, EngineGraphicionado(graphicionado.DefaultConfig()))
-		case engines.Ligra:
-			out = append(out, EngineLigra(LigraConfig()))
-		default:
-			e, err := engines.Lookup(name)
-			if err != nil {
-				panic(fmt.Sprintf("conformance: registry name %q has no engine: %v", name, err))
-			}
-			out = append(out, FromRegistry(e))
-		}
+	return []Engine{
+		EngineSolve(),
+		EnginePSolve(PSolveConfig()),
+		EngineAccelerator(AcceleratorConfig()),
+		EngineGraphicionado(graphicionado.DefaultConfig()),
+		EngineLigra(LigraConfig()),
 	}
-	return out
 }
 
 // Options tunes Verify.

@@ -28,6 +28,11 @@ func TestNormalize(t *testing.T) {
 	if !strings.Contains(err.Error(), engines.NamesList()) {
 		t.Errorf("error %q does not enumerate the registry %q", err, engines.NamesList())
 	}
+	for _, n := range []string{"accel", "graphicionado", "ligra"} {
+		if _, err := engines.Normalize(n); err == nil || !strings.Contains(err.Error(), "cmd/graphpulse -engine") {
+			t.Errorf("Normalize(%q) error = %v, want a pointer at cmd/graphpulse -engine", n, err)
+		}
+	}
 }
 
 func TestLookupNamesRoundTrip(t *testing.T) {

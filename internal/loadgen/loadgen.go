@@ -1,27 +1,21 @@
-// Package loadgen drives a running serve instance with a configurable
-// query/mutate mix and reports throughput and latency percentiles — the
-// closed-loop (fixed concurrency, back-to-back) and open-loop (target
-// arrival rate) load models used by the EXPERIMENTS.md serving sweep and
-// the CI serve-smoke stage.
+// Package loadgen drives a running serve instance with a closed-loop
+// query/mutate/delete/stream mix and tallies each request kind's outcomes —
+// the burst behind the CI smoke stages' error and availability gates — and
+// checks afterwards that the replicas of a graph agree (verify.go).
 package loadgen
 
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	neturl "net/url"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 
-	"graphpulse/internal/atomicio"
 	"graphpulse/internal/serve"
 )
 
@@ -29,15 +23,12 @@ import (
 type Config struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// Graph, Algorithm, Root, Engine form the query sent on every request.
+	// Graph, Algorithm and Root form the query sent on every request.
 	Graph     string
 	Algorithm string
 	Root      uint32
-	Engine    string
-	// QPS is the open-loop target arrival rate; 0 runs closed-loop
-	// (every worker issues back-to-back requests).
-	QPS float64
-	// Concurrency is the number of client workers (default 8).
+	// Concurrency is the number of client workers, each issuing requests
+	// back to back (default 8).
 	Concurrency int
 	// Duration is how long to generate load (default 5s).
 	Duration time.Duration
@@ -86,29 +77,18 @@ func (c Config) withDefaults() Config {
 
 // Stats accumulates per-kind outcomes of one run.
 type Stats struct {
-	Elapsed time.Duration
-	Query   KindStats
-	Mutate  KindStats
-	Delete  KindStats
-	Stream  KindStats
-	// CacheHits counts queries answered from the server's result cache.
-	CacheHits int64
-	// Dropped counts open-loop arrivals discarded because every worker
-	// was busy and the arrival buffer was full (the offered rate exceeded
-	// capacity).
-	Dropped int64
+	Query  KindStats
+	Mutate KindStats
+	Delete KindStats
+	Stream KindStats
 }
 
-// KindStats is the outcome tally and latency sample set for one request
-// kind.
+// KindStats is the outcome tally for one request kind.
 type KindStats struct {
 	Count     int64
 	Errors    int64
 	Rejected  int64 // 429 admission-control rejections
 	Deadlines int64 // 504 deadline expiries
-	// LatenciesUS holds one microsecond latency per completed request,
-	// sorted ascending by Summarize.
-	LatenciesUS []int64
 }
 
 // Run drives the configured load until Duration elapses or ctx is
@@ -123,38 +103,6 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	ctx, cancel := context.WithTimeout(ctx, cfg.Duration)
 	defer cancel()
 
-	// Open loop: a generator paces arrivals; workers consume them.
-	// Closed loop: arrivals is closed immediately and workers free-run.
-	var arrivals chan struct{}
-	var dropped int64
-	var dropMu sync.Mutex
-	if cfg.QPS > 0 {
-		arrivals = make(chan struct{}, cfg.Concurrency*4)
-		interval := time.Duration(float64(time.Second) / cfg.QPS)
-		if interval <= 0 {
-			interval = time.Nanosecond
-		}
-		go func() {
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					close(arrivals)
-					return
-				case <-tick.C:
-					select {
-					case arrivals <- struct{}{}:
-					default:
-						dropMu.Lock()
-						dropped++
-						dropMu.Unlock()
-					}
-				}
-			}
-		}()
-	}
-
 	var (
 		reqSeq  int64
 		seqMu   sync.Mutex
@@ -167,21 +115,13 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 		reqSeq++
 		return reqSeq
 	}
-	start := time.Now()
 	for i := 0; i < cfg.Concurrency; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(id)))
 			ws := &workers[id]
-			for {
-				if cfg.QPS > 0 {
-					if _, ok := <-arrivals; !ok {
-						return
-					}
-				} else if ctx.Err() != nil {
-					return
-				}
+			for ctx.Err() == nil {
 				seq := nextSeq()
 				switch {
 				case cfg.StreamEvery > 0 && seq%int64(cfg.StreamEvery) == 0:
@@ -197,13 +137,12 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 		}(i)
 	}
 	wg.Wait()
-	st := &Stats{Elapsed: time.Since(start), Dropped: dropped}
+	st := &Stats{}
 	for i := range workers {
 		st.Query.merge(&workers[i].query)
 		st.Mutate.merge(&workers[i].mutate)
 		st.Delete.merge(&workers[i].del)
 		st.Stream.merge(&workers[i].stream)
-		st.CacheHits += workers[i].cacheHits
 	}
 	return st, nil
 }
@@ -213,11 +152,10 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 const ringCap = 1024
 
 type workerStats struct {
-	query     KindStats
-	mutate    KindStats
-	del       KindStats
-	stream    KindStats
-	cacheHits int64
+	query  KindStats
+	mutate KindStats
+	del    KindStats
+	stream KindStats
 	// inserted is a bounded ring of edges this worker has inserted and not
 	// yet targeted for deletion, so deletes mostly hit live edges.
 	inserted []serve.EdgeJSON
@@ -254,24 +192,20 @@ func (k *KindStats) merge(o *KindStats) {
 	k.Errors += o.Errors
 	k.Rejected += o.Rejected
 	k.Deadlines += o.Deadlines
-	k.LatenciesUS = append(k.LatenciesUS, o.LatenciesUS...)
 }
 
-func (k *KindStats) record(code int, us int64, err error) {
+func (k *KindStats) record(code int, err error) {
 	k.Count++
 	switch {
 	case err != nil:
 		k.Errors++
-		return
 	case code == http.StatusTooManyRequests:
 		k.Rejected++
 	case code == http.StatusGatewayTimeout:
 		k.Deadlines++
 	case code != http.StatusOK:
 		k.Errors++
-		return
 	}
-	k.LatenciesUS = append(k.LatenciesUS, us)
 }
 
 func graphInfo(cfg Config) (serve.GraphInfo, error) {
@@ -292,39 +226,29 @@ func graphInfo(cfg Config) (serve.GraphInfo, error) {
 	return serve.GraphInfo{}, fmt.Errorf("loadgen: graph %q not resident (have %d graphs)", cfg.Graph, len(infos))
 }
 
-func post(cfg Config, path string, body any) (int, []byte, error) {
+func post(cfg Config, path string, body any) (int, error) {
 	raw, err := json.Marshal(body)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	resp, err := cfg.Client.Post(cfg.BaseURL+path, "application/json", bytes.NewReader(raw))
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	return resp.StatusCode, data, err
+	_, err = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
+	return resp.StatusCode, err
 }
 
 func doQuery(cfg Config, ws *workerStats) {
 	root := cfg.Root
-	req := serve.QueryRequest{
+	code, err := post(cfg, "/v1/query", serve.QueryRequest{
 		Graph:     cfg.Graph,
 		Algorithm: cfg.Algorithm,
 		Root:      &root,
-		Engine:    cfg.Engine,
 		Top:       1,
-	}
-	t0 := time.Now()
-	code, body, err := post(cfg, "/v1/query", req)
-	us := time.Since(t0).Microseconds()
-	ws.query.record(code, us, err)
-	if err == nil && code == http.StatusOK {
-		var qr serve.QueryResponse
-		if json.Unmarshal(body, &qr) == nil && qr.Cached {
-			ws.cacheHits++
-		}
-	}
+	})
+	ws.query.record(code, err)
 }
 
 func doMutate(cfg Config, info serve.GraphInfo, rng *rand.Rand, ws *workerStats) {
@@ -337,10 +261,8 @@ func doMutate(cfg Config, info serve.GraphInfo, rng *rand.Rand, ws *workerStats)
 			Weight: float32(rng.Float64()*0.9 + 0.1),
 		}
 	}
-	t0 := time.Now()
-	code, _, err := post(cfg, "/v1/mutate", serve.MutateRequest{Graph: cfg.Graph, Edges: edges})
-	us := time.Since(t0).Microseconds()
-	ws.mutate.record(code, us, err)
+	code, err := post(cfg, "/v1/mutate", serve.MutateRequest{Graph: cfg.Graph, Edges: edges})
+	ws.mutate.record(code, err)
 	if err == nil && code == http.StatusOK {
 		ws.remember(edges...)
 	}
@@ -348,10 +270,8 @@ func doMutate(cfg Config, info serve.GraphInfo, rng *rand.Rand, ws *workerStats)
 
 func doDelete(cfg Config, info serve.GraphInfo, rng *rand.Rand, ws *workerStats) {
 	dels := ws.takeInserted(cfg.MutateEdges, info.NumVertices, rng)
-	t0 := time.Now()
-	code, _, err := post(cfg, "/v1/mutate", serve.MutateRequest{Graph: cfg.Graph, Deletes: dels})
-	us := time.Since(t0).Microseconds()
-	ws.del.record(code, us, err)
+	code, err := post(cfg, "/v1/mutate", serve.MutateRequest{Graph: cfg.Graph, Deletes: dels})
+	ws.del.record(code, err)
 }
 
 // doStream posts one NDJSON bulk-ingestion request: ~3/4 inserts, ~1/4
@@ -374,105 +294,36 @@ func doStream(cfg Config, info serve.GraphInfo, rng *rand.Rand, ws *workerStats)
 		fmt.Fprintf(&body, `{"src":%d,"dst":%d,"weight":%g}`+"\n", e.Src, e.Dst, e.Weight)
 		fresh = append(fresh, e)
 	}
-	t0 := time.Now()
 	resp, err := cfg.Client.Post(
 		cfg.BaseURL+"/v1/stream?graph="+neturl.QueryEscape(cfg.Graph),
 		"application/x-ndjson", &body)
-	us := time.Since(t0).Microseconds()
 	code := 0
 	if err == nil {
 		code = resp.StatusCode
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
 	}
-	ws.stream.record(code, us, err)
+	ws.stream.record(code, err)
 	if err == nil && code == http.StatusOK {
 		ws.remember(fresh...)
 	}
 }
 
-// Summary is the deterministic report of one run: one row per request
-// kind that saw traffic. Its CSV and text renderings are pinned by
-// golden-file tests.
-type Summary struct {
-	ElapsedSeconds float64
-	Dropped        int64
-	Rows           []SummaryRow
-}
+// kindNames labels the entries of Stats.kinds.
+var kindNames = [...]string{"query", "mutate", "delete", "stream"}
 
-// SummaryRow aggregates one request kind.
-type SummaryRow struct {
-	Kind      string
-	Count     int64
-	Errors    int64
-	Rejected  int64
-	Deadlines int64
-	CacheHits int64
-	QPS       float64
-	P50us     int64
-	P90us     int64
-	P95us     int64
-	P99us     int64
-	MaxUS     int64
-}
-
-// Summarize reduces raw stats to the percentile report. It sorts the
-// latency samples in place.
-func (st *Stats) Summarize() Summary {
-	s := Summary{
-		ElapsedSeconds: st.Elapsed.Seconds(),
-		Dropped:        st.Dropped,
-	}
-	addRow := func(kind string, k *KindStats, cacheHits int64) {
-		if k.Count == 0 {
-			return
-		}
-		sort.Slice(k.LatenciesUS, func(i, j int) bool { return k.LatenciesUS[i] < k.LatenciesUS[j] })
-		row := SummaryRow{
-			Kind:      kind,
-			Count:     k.Count,
-			Errors:    k.Errors,
-			Rejected:  k.Rejected,
-			Deadlines: k.Deadlines,
-			CacheHits: cacheHits,
-			P50us:     Percentile(k.LatenciesUS, 0.50),
-			P90us:     Percentile(k.LatenciesUS, 0.90),
-			P95us:     Percentile(k.LatenciesUS, 0.95),
-			P99us:     Percentile(k.LatenciesUS, 0.99),
-		}
-		if n := len(k.LatenciesUS); n > 0 {
-			row.MaxUS = k.LatenciesUS[n-1]
-		}
-		if s.ElapsedSeconds > 0 {
-			row.QPS = float64(k.Count) / s.ElapsedSeconds
-		}
-		s.Rows = append(s.Rows, row)
-	}
-	addRow("query", &st.Query, st.CacheHits)
-	addRow("mutate", &st.Mutate, 0)
-	addRow("delete", &st.Delete, 0)
-	addRow("stream", &st.Stream, 0)
-	return s
-}
-
-// AchievedQPS returns the completed-request rate of one kind ("query",
-// "mutate", "delete", "stream"), or 0 if the kind saw no traffic.
-func (s Summary) AchievedQPS(kind string) float64 {
-	for _, r := range s.Rows {
-		if r.Kind == kind {
-			return r.QPS
-		}
-	}
-	return 0
+// kinds lists the per-kind tallies in report order.
+func (st *Stats) kinds() [4]*KindStats {
+	return [4]*KindStats{&st.Query, &st.Mutate, &st.Delete, &st.Stream}
 }
 
 // TotalErrors sums hard failures (transport errors and unexpected status
 // codes; 429 rejections and 504 deadlines are counted separately) across
 // every request kind — the CI smoke gate's no-5xx assertion.
-func (s Summary) TotalErrors() int64 {
+func (st *Stats) TotalErrors() int64 {
 	var n int64
-	for _, r := range s.Rows {
-		n += r.Errors
+	for _, k := range st.kinds() {
+		n += k.Errors
 	}
 	return n
 }
@@ -480,13 +331,13 @@ func (s Summary) TotalErrors() int64 {
 // Availability is the fraction of requests that did not hard-fail,
 // across every kind (1.0 for an empty run). Rejections (429) and
 // deadline expiries (504) count as available — they are the server
-// answering, not the tier losing the request. The CI dserve-smoke stage
-// gates on this while killing a worker mid-burst.
-func (s Summary) Availability() float64 {
+// answering, not the tier losing the request. The CI smoke stages gate
+// on this, dserve-smoke while killing a worker mid-burst.
+func (st *Stats) Availability() float64 {
 	var count, errs int64
-	for _, r := range s.Rows {
-		count += r.Count
-		errs += r.Errors
+	for _, k := range st.kinds() {
+		count += k.Count
+		errs += k.Errors
 	}
 	if count == 0 {
 		return 1.0
@@ -494,92 +345,12 @@ func (s Summary) Availability() float64 {
 	return float64(count-errs) / float64(count)
 }
 
-// Percentile returns the nearest-rank percentile of ascending-sorted
-// microsecond samples (0 for an empty set).
-func Percentile(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
-// csvHeader is the stable column set of the CSV summary.
-var csvHeader = []string{
-	"kind", "count", "errors", "rejected", "deadlines", "cache_hits",
-	"qps", "p50_us", "p90_us", "p95_us", "p99_us", "max_us",
-}
-
-// WriteCSV renders the summary as CSV, one row per request kind.
-func (s Summary) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	for _, r := range s.Rows {
-		rec := []string{
-			r.Kind,
-			strconv.FormatInt(r.Count, 10),
-			strconv.FormatInt(r.Errors, 10),
-			strconv.FormatInt(r.Rejected, 10),
-			strconv.FormatInt(r.Deadlines, 10),
-			strconv.FormatInt(r.CacheHits, 10),
-			strconv.FormatFloat(r.QPS, 'f', 1, 64),
-			strconv.FormatInt(r.P50us, 10),
-			strconv.FormatInt(r.P90us, 10),
-			strconv.FormatInt(r.P95us, 10),
-			strconv.FormatInt(r.P99us, 10),
-			strconv.FormatInt(r.MaxUS, 10),
+// WriteText renders one line per request kind that saw traffic: its
+// count, hard errors, 429 rejections and 504 deadlines.
+func (st *Stats) WriteText(w io.Writer) {
+	for i, k := range st.kinds() {
+		if k.Count > 0 {
+			fmt.Fprintf(w, "%-6s  %6d reqs  err %d  429 %d  504 %d\n", kindNames[i], k.Count, k.Errors, k.Rejected, k.Deadlines)
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteCSVFile atomically writes the CSV summary to path.
-func (s Summary) WriteCSVFile(path string) error {
-	return atomicio.WriteFile(path, func(w io.Writer) error { return s.WriteCSV(w) })
-}
-
-// WriteText renders the human report: run line plus one percentile line
-// per kind.
-func (s Summary) WriteText(w io.Writer) {
-	fmt.Fprintf(w, "elapsed %.2fs", s.ElapsedSeconds)
-	if s.Dropped > 0 {
-		fmt.Fprintf(w, "  (dropped %d open-loop arrivals: offered rate exceeded capacity)", s.Dropped)
-	}
-	fmt.Fprintln(w)
-	for _, r := range s.Rows {
-		fmt.Fprintf(w, "%-6s  %6d reqs  %8.1f qps  p50 %s  p90 %s  p95 %s  p99 %s  max %s",
-			r.Kind, r.Count, r.QPS,
-			fmtUS(r.P50us), fmtUS(r.P90us), fmtUS(r.P95us), fmtUS(r.P99us), fmtUS(r.MaxUS))
-		if r.Kind == "query" {
-			fmt.Fprintf(w, "  cache-hits %d", r.CacheHits)
-		}
-		if r.Rejected > 0 || r.Deadlines > 0 || r.Errors > 0 {
-			fmt.Fprintf(w, "  [429:%d 504:%d err:%d]", r.Rejected, r.Deadlines, r.Errors)
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// fmtUS renders a microsecond latency with a readable unit.
-func fmtUS(us int64) string {
-	switch {
-	case us >= 1_000_000:
-		return fmt.Sprintf("%.2fs", float64(us)/1e6)
-	case us >= 1_000:
-		return fmt.Sprintf("%.1fms", float64(us)/1e3)
-	default:
-		return fmt.Sprintf("%dµs", us)
 	}
 }

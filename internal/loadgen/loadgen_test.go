@@ -1,11 +1,8 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
-	"flag"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,112 +10,8 @@ import (
 	"graphpulse/internal/serve"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
-
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name+".golden")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s: output diverges from golden\n-- got --\n%s-- want --\n%s", name, got, want)
-	}
-}
-
-// fixedStats builds a deterministic Stats so the summary renderings can be
-// pinned byte-for-byte.
-func fixedStats() *Stats {
-	queryLat := make([]int64, 100)
-	for i := range queryLat {
-		queryLat[i] = int64(100 + i*10) // 100..1090 µs
-	}
-	return &Stats{
-		Elapsed: 2 * time.Second,
-		Query: KindStats{
-			Count:       103,
-			Errors:      1,
-			Rejected:    1,
-			Deadlines:   1,
-			LatenciesUS: queryLat,
-		},
-		Mutate: KindStats{
-			Count:       4,
-			LatenciesUS: []int64{1500, 2500, 3500, 2_000_000},
-		},
-		CacheHits: 90,
-		Dropped:   7,
-	}
-}
-
-// TestSummaryCSVGolden pins the CSV schema and formatting the CI smoke
-// stage greps.
-func TestSummaryCSVGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := fixedStats().Summarize().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "summary_csv", buf.Bytes())
-}
-
-// TestSummaryTextGolden pins the human report, including unit scaling
-// (µs/ms/s), the dropped-arrivals note, and the error tail.
-func TestSummaryTextGolden(t *testing.T) {
-	var buf bytes.Buffer
-	fixedStats().Summarize().WriteText(&buf)
-	checkGolden(t, "summary_text", buf.Bytes())
-}
-
-// TestSummaryCSVFileAtomic covers the atomic file path used by -csv.
-func TestSummaryCSVFileAtomic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.csv")
-	if err := fixedStats().Summarize().WriteCSVFile(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := fixedStats().Summarize().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, buf.Bytes()) {
-		t.Error("CSV file content differs from stream rendering")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	sorted := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	for _, tc := range []struct {
-		q    float64
-		want int64
-	}{
-		{0.50, 50}, {0.90, 90}, {0.95, 100}, {0.99, 100}, {0.10, 10},
-	} {
-		if got := Percentile(sorted, tc.q); got != tc.want {
-			t.Errorf("Percentile(%v) = %d, want %d", tc.q, got, tc.want)
-		}
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Errorf("Percentile(empty) = %d, want 0", got)
-	}
-	if got := Percentile([]int64{42}, 0.99); got != 42 {
-		t.Errorf("Percentile(single) = %d, want 42", got)
-	}
-}
-
 // TestRunAgainstServer drives a real in-process server closed-loop with a
-// query/mutate mix and sanity-checks the collected stats.
+// query/mutate mix and checks every request was tallied and none failed.
 func TestRunAgainstServer(t *testing.T) {
 	g, err := gen.ErdosRenyi(128, 512, true, 21)
 	if err != nil {
@@ -155,25 +48,26 @@ func TestRunAgainstServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := st.Summarize()
 	if st.Query.Count == 0 {
 		t.Fatal("no queries completed")
-	}
-	if st.Query.Errors != 0 {
-		t.Errorf("query errors: %d", st.Query.Errors)
 	}
 	if st.Mutate.Count == 0 {
 		t.Error("mutate mix produced no mutations")
 	}
-	if st.CacheHits == 0 {
-		t.Error("repeated identical queries produced no cache hits")
+	if st.Delete.Count != 0 || st.Stream.Count != 0 {
+		t.Errorf("unrequested kinds ran: delete %d, stream %d", st.Delete.Count, st.Stream.Count)
 	}
-	if qps := sum.AchievedQPS("query"); qps <= 0 {
-		t.Errorf("achieved query QPS = %g", qps)
+	if n := st.TotalErrors(); n != 0 {
+		t.Errorf("hard failures: %d (%+v)", n, st)
 	}
-	row := sum.Rows[0]
-	if row.Kind != "query" || row.P50us <= 0 || row.MaxUS < row.P99us || row.P99us < row.P50us {
-		t.Errorf("implausible percentile row: %+v", row)
+	if a := st.Availability(); a != 1 {
+		t.Errorf("availability = %g, want 1", a)
+	}
+	var out strings.Builder
+	st.WriteText(&out)
+	if lines := strings.Split(strings.TrimSpace(out.String()), "\n"); len(lines) != 2 ||
+		!strings.HasPrefix(lines[0], "query ") || !strings.HasPrefix(lines[1], "mutate ") {
+		t.Errorf("report = %q, want one query and one mutate line", out.String())
 	}
 }
 

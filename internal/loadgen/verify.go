@@ -183,10 +183,10 @@ func fetchDigest(ctx context.Context, cfg Config, replica string) (serve.DigestI
 	return info, nil
 }
 
-// digestsConverged reports whether every successfully fetched state agrees
-// on (epoch, digest). At least two must have succeeded; a lone reachable
-// replica trivially "agrees" only with itself, which is still reported as
-// converged — the unreachable ones surface as mismatches instead.
+// digestsConverged reports whether every replica's digest fetch succeeded
+// and all of them agree on (epoch, digest). Any failed fetch means not
+// converged, so an unreachable replica keeps the poll going until the wait
+// budget expires; with no replicas at all it is false as well.
 func digestsConverged(states []ReplicaState) bool {
 	first := -1
 	for i := range states {
@@ -238,7 +238,6 @@ func queryReplica(ctx context.Context, cfg Config, replica string) (*serve.Query
 		Graph:     cfg.Graph,
 		Algorithm: cfg.Algorithm,
 		Root:      &root,
-		Engine:    cfg.Engine,
 		Top:       1,
 	})
 	if err != nil {

@@ -23,11 +23,9 @@ type QueryRequest struct {
 	// for pr, 0.8/1e-4 for ads).
 	Alpha     *float64 `json:"alpha,omitempty"`
 	Threshold *float64 `json:"threshold,omitempty"`
-	// Engine picks the execution backend by registry name (see
-	// internal/engines): "solve" (native worklist solver, the default),
-	// "psolve" (sharded parallel solver), "accel" (GraphPulse simulation),
-	// "graphicionado" (BSP baseline simulation), or "ligra" (shared-memory
-	// software baseline).
+	// Engine picks the solver by registry name (see internal/engines):
+	// "solve" (native worklist solver, the default) or "psolve" (sharded
+	// parallel solver). The simulators and Ligra run under cmd/graphpulse.
 	Engine string `json:"engine,omitempty"`
 	// TimeoutMS overrides the server's default per-request deadline,
 	// capped by Config.MaxTimeout.

@@ -285,7 +285,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Per-request deadline, propagated into the engines through context
-	// cancellation (sim.Engine.RunUntil / algorithms.SolveCtx).
+	// cancellation (algorithms.SolveCtx / psolve.SolveCtx).
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond

@@ -21,9 +21,8 @@
 // engine); identical in-flight misses coalesce onto one computation;
 // distinct misses go through a bounded queue onto the worker pool, and a
 // full queue answers 429 with Retry-After instead of building unbounded
-// backlog. Request deadlines propagate into the native worklist solver
-// (algorithms.SolveCtx) and the simulated engines (sim.Engine.RunUntil)
-// through context cancellation.
+// backlog. Request deadlines propagate into the worklist solvers
+// (algorithms.SolveCtx, psolve.SolveCtx) through context cancellation.
 //
 // Mutations cover the full streaming story (internal/stream): insertions
 // warm-start from the prior fixed point via correction seeding, deletions

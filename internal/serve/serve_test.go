@@ -435,40 +435,9 @@ func TestMutateThenQueryWarmStarts(t *testing.T) {
 	}
 }
 
-// TestSimulatedEngines runs the accelerator and Graphicionado backends
-// through the serving path on a smaller graph and checks both against the
-// native solver within the conformance tolerance.
-func TestSimulatedEngines(t *testing.T) {
-	small, err := gen.ErdosRenyi(64, 256, true, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ts := newTestServer(t, func(c *Config) {
-		c.Graphs = []GraphSpec{{Name: "g", Graph: small}}
-		c.DefaultTimeout = 60 * time.Second
-	})
-	_ = s
-	alg := algorithms.NewPageRankDelta()
-	want := algorithms.Solve(small, alg)
-	tol := conformance.Tolerance(alg, small)
-	for _, engine := range []string{"accel", "graphicionado"} {
-		resp := doQuery(t, ts.URL, QueryRequest{
-			Graph: "g", Algorithm: "pr", Engine: engine, Vertices: vertexRange(64),
-		})
-		if resp.Engine != engine {
-			t.Errorf("engine echo = %q, want %q", resp.Engine, engine)
-		}
-		got := valuesOf(resp, 64)
-		if err := conformance.CompareValues("serve/"+engine, got, want.Values, tol); err != nil {
-			t.Error(err)
-		}
-	}
-}
-
-// TestParallelAndLigraEngines serves the same query through the two
-// registry engines that became reachable with the engine-registry refactor —
-// the sharded parallel native solver and the Ligra-style baseline — and
-// checks both against the serial solver within the conformance tolerance.
+// TestParallelAndLigraEngines serves a query through the sharded parallel
+// solver and checks it against the serial solver within the conformance
+// tolerance. Ligra, like the simulators, is refused (TestBadRequests).
 func TestParallelAndLigraEngines(t *testing.T) {
 	small, err := gen.ErdosRenyi(96, 512, true, 9)
 	if err != nil {
@@ -482,41 +451,46 @@ func TestParallelAndLigraEngines(t *testing.T) {
 	alg := algorithms.NewPageRankDelta()
 	want := algorithms.Solve(small, alg)
 	tol := conformance.Tolerance(alg, small)
-	for _, engine := range []string{"psolve", "ligra"} {
-		resp := doQuery(t, ts.URL, QueryRequest{
-			Graph: "g", Algorithm: "pr", Engine: engine, Vertices: vertexRange(96),
-		})
-		if resp.Engine != engine {
-			t.Errorf("engine echo = %q, want %q", resp.Engine, engine)
-		}
-		if resp.Mode != "cold" {
-			t.Errorf("%s: mode = %q, want cold", engine, resp.Mode)
-		}
-		got := valuesOf(resp, 96)
-		if err := conformance.CompareValues("serve/"+engine, got, want.Values, tol); err != nil {
-			t.Error(err)
-		}
+	resp := doQuery(t, ts.URL, QueryRequest{
+		Graph: "g", Algorithm: "pr", Engine: "psolve", Vertices: vertexRange(96),
+	})
+	if resp.Engine != "psolve" {
+		t.Errorf("engine echo = %q, want psolve", resp.Engine)
+	}
+	if resp.Mode != "cold" {
+		t.Errorf("mode = %q, want cold", resp.Mode)
+	}
+	got := valuesOf(resp, 96)
+	if err := conformance.CompareValues("serve/psolve", got, want.Values, tol); err != nil {
+		t.Error(err)
 	}
 }
 
-// TestBadRequests pins the error surface: status codes and the counter.
+// TestBadRequests pins the error surface: status codes, structured error
+// bodies (naming where to go instead, when that is the point), and the
+// counter. The cycle simulators and Ligra are not query engines: their
+// results are cycles and traffic, which cmd/graphpulse reports.
 func TestBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 	cases := []struct {
-		name string
-		path string
-		body any
-		want int
+		name    string
+		path    string
+		body    any
+		want    int
+		wantMsg string
 	}{
-		{"unknown graph", "/v1/query", QueryRequest{Graph: "nope", Algorithm: "pr"}, http.StatusNotFound},
-		{"missing algorithm", "/v1/query", QueryRequest{Graph: "g"}, http.StatusBadRequest},
-		{"unknown algorithm", "/v1/query", QueryRequest{Graph: "g", Algorithm: "magic"}, http.StatusBadRequest},
-		{"root out of range", "/v1/query", QueryRequest{Graph: "g", Algorithm: "sssp", Root: ptr(uint32(4000))}, http.StatusBadRequest},
-		{"unknown engine", "/v1/query", QueryRequest{Graph: "g", Algorithm: "pr", Engine: "ligra2"}, http.StatusBadRequest},
-		{"bad alpha", "/v1/query", QueryRequest{Graph: "g", Algorithm: "pr", Alpha: ptr(1.5)}, http.StatusBadRequest},
-		{"mutate unknown graph", "/v1/mutate", MutateRequest{Graph: "nope", Edges: []EdgeJSON{{Src: 0, Dst: 1}}}, http.StatusNotFound},
-		{"mutate empty batch", "/v1/mutate", MutateRequest{Graph: "g"}, http.StatusBadRequest},
-		{"mutate out-of-range edge", "/v1/mutate", MutateRequest{Graph: "g", Edges: []EdgeJSON{{Src: 0, Dst: 9999}}}, http.StatusBadRequest},
+		{"unknown graph", "/v1/query", QueryRequest{Graph: "nope", Algorithm: "pr"}, http.StatusNotFound, ""},
+		{"missing algorithm", "/v1/query", QueryRequest{Graph: "g"}, http.StatusBadRequest, ""},
+		{"unknown algorithm", "/v1/query", QueryRequest{Graph: "g", Algorithm: "magic"}, http.StatusBadRequest, ""},
+		{"root out of range", "/v1/query", QueryRequest{Graph: "g", Algorithm: "sssp", Root: ptr(uint32(4000))}, http.StatusBadRequest, ""},
+		{"unknown engine", "/v1/query", QueryRequest{Graph: "g", Algorithm: "pr", Engine: "ligra2"}, http.StatusBadRequest, "solve|psolve"},
+		{"accel engine", "/v1/query", QueryRequest{Graph: "g", Algorithm: "pr", Engine: "accel"}, http.StatusBadRequest, "cmd/graphpulse"},
+		{"graphicionado engine", "/v1/query", QueryRequest{Graph: "g", Algorithm: "pr", Engine: "graphicionado"}, http.StatusBadRequest, "cmd/graphpulse"},
+		{"ligra engine", "/v1/query", QueryRequest{Graph: "g", Algorithm: "pr", Engine: "ligra"}, http.StatusBadRequest, "cmd/graphpulse"},
+		{"bad alpha", "/v1/query", QueryRequest{Graph: "g", Algorithm: "pr", Alpha: ptr(1.5)}, http.StatusBadRequest, ""},
+		{"mutate unknown graph", "/v1/mutate", MutateRequest{Graph: "nope", Edges: []EdgeJSON{{Src: 0, Dst: 1}}}, http.StatusNotFound, ""},
+		{"mutate empty batch", "/v1/mutate", MutateRequest{Graph: "g"}, http.StatusBadRequest, ""},
+		{"mutate out-of-range edge", "/v1/mutate", MutateRequest{Graph: "g", Edges: []EdgeJSON{{Src: 0, Dst: 9999}}}, http.StatusBadRequest, ""},
 	}
 	for _, tc := range cases {
 		code, body, _ := postJSON(t, ts.URL+tc.path, tc.body)
@@ -526,6 +500,9 @@ func TestBadRequests(t *testing.T) {
 		var e ErrorResponse
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body %q not structured", tc.name, body)
+		}
+		if !strings.Contains(e.Error, tc.wantMsg) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, e.Error, tc.wantMsg)
 		}
 	}
 	// A rejected batch must not bump the epoch.
