@@ -121,16 +121,9 @@ func BenchmarkFig08Lookahead(b *testing.B) {
 func BenchmarkFig10Speedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sw := ljSweep(b)
-		var opt, base, gion float64
-		for _, c := range sw.Cells {
-			opt += c.OptSpeedup()
-			base += c.LigraSeconds / c.Base.Seconds
-			gion += c.LigraSeconds / c.Gion.Seconds
-		}
-		n := float64(len(sw.Cells))
-		b.ReportMetric(opt/n, "opt-speedup-x")
-		b.ReportMetric(base/n, "base-speedup-x")
-		b.ReportMetric(gion/n, "gion-speedup-x")
+		b.ReportMetric(sw.Geomean((*bench.Cell).OptModelSpeedup), "opt-speedup-x")
+		b.ReportMetric(sw.Geomean((*bench.Cell).BaseModelSpeedup), "base-speedup-x")
+		b.ReportMetric(sw.Geomean((*bench.Cell).GionModelSpeedup), "gion-speedup-x")
 	}
 }
 
@@ -245,14 +238,7 @@ func BenchmarkTable5Energy(b *testing.B) {
 func BenchmarkEnergyEfficiency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sw := ljSweep(b)
-		threads := ligra.DefaultConfig().Threads
-		var sum float64
-		for _, c := range sw.Cells {
-			aj := energy.AcceleratorEnergyJoules(nil, c.Opt.Seconds, 1)
-			cj := energy.CPUEnergyJoules(c.LigraSeconds * float64(threads) / 12)
-			sum += cj / aj
-		}
-		b.ReportMetric(sum/float64(len(sw.Cells)), "efficiency-x")
+		b.ReportMetric(sw.Geomean((*bench.Cell).EnergyEfficiency), "efficiency-x")
 	}
 }
 

@@ -8,10 +8,10 @@
 // With no -exp it runs every experiment in paper order. Tier controls
 // workload scale: tiny (seconds, default), mini (minutes), full
 // (paper-scale; hours and tens of GB for the TW-class workload).
-// -parallel bounds the sweep's simulated-engine worker pool (default
-// GOMAXPROCS; the host-timed Ligra phase always runs serially), and
-// -progress prints per-cell completion lines to stderr. Table output is
-// byte-identical for every -parallel value.
+// -parallel bounds the sweep's worker pool (default GOMAXPROCS), and
+// -progress prints per-cell completion lines to stderr. Ligra's time is
+// the analytic 12-core-Xeon model of its run, never the host clock, so
+// table and CSV output are byte-identical across runs and -parallel values.
 //
 // Long sweeps are resilient: -timeout bounds each simulated-engine job
 // (an overrunning job records a structured failure in its cell instead of
@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		algFlag      = fs.String("algs", "", "comma-separated algorithms of "+algorithms.NamesList()+" (default: "+strings.Join(bench.AlgorithmNames, ",")+")")
 		listFlag     = fs.Bool("list", false, "list experiment ids and exit")
 		csvFlag      = fs.String("csv", "", "also write the engine sweep as CSV to this path")
-		parallelFlag = fs.Int("parallel", 0, "simulated-engine sweep workers (0 = GOMAXPROCS; ligra phase is always serial)")
+		parallelFlag = fs.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS)")
 		progressFlag = fs.Bool("progress", false, "print per-cell completion lines with elapsed time to stderr")
 		telFlag      = fs.String("telemetry", "", "write the timeline experiment's series to PREFIX.csv and PREFIX.trace.json")
 		cpuProfFlag  = fs.String("cpuprofile", "", "write a CPU profile of the harness to this file")

@@ -57,6 +57,10 @@ func assertMatch(t *testing.T, label string, got, want []float64, tol float64) {
 // Oracle-agreement tests live in ligra_conformance_test.go, which routes
 // them through the shared internal/conformance harness and tolerance policy.
 
+// TestLigraSingleThreadMatchesParallel: push-direction sums combine in
+// whatever order the threads reach them, yet the run's shape — the
+// iteration count and every access count, which are all ModelSeconds reads —
+// must not depend on scheduling.
 func TestLigraSingleThreadMatchesParallel(t *testing.T) {
 	g := testGraph(t)
 	one := DefaultConfig()
@@ -64,9 +68,24 @@ func TestLigraSingleThreadMatchesParallel(t *testing.T) {
 	many := DefaultConfig()
 	many.Threads = 8
 	root := bestRoot(g)
-	a := New(one, g).Run(algorithms.NewSSSP(root))
-	b := New(many, g).Run(algorithms.NewSSSP(root))
-	assertMatch(t, "threads", b.Values, a.Values, 1e-9)
+	cases := []struct {
+		name string
+		g    *graph.CSR
+		alg  func() algorithms.Algorithm
+	}{
+		{"sssp", g, func() algorithms.Algorithm { return algorithms.NewSSSP(root) }},
+		{"pr", g, func() algorithms.Algorithm { return algorithms.NewPageRankDelta() }},
+		{"ads", g.NormalizeInbound(), func() algorithms.Algorithm { return algorithms.NewAdsorption() }},
+	}
+	for _, c := range cases {
+		a := New(one, c.g).Run(c.alg())
+		b := New(many, c.g).Run(c.alg())
+		assertMatch(t, c.name, b.Values, a.Values, 1e-9)
+		if a.Iterations != b.Iterations || a.Access != b.Access {
+			t.Errorf("%s: 1 thread %d iterations %+v, 8 threads %d iterations %+v",
+				c.name, a.Iterations, a.Access, b.Iterations, b.Access)
+		}
+	}
 }
 
 func TestLigraDirectionOptimization(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/baseline/graphicionado"
 	"graphpulse/internal/core"
+	"graphpulse/internal/energy"
 	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/gen"
 	"graphpulse/internal/graph/partition"
@@ -46,11 +47,9 @@ type Options struct {
 	// CSVPath, when set, receives the engine sweep as machine-readable CSV
 	// (written once, after the sweep runs).
 	CSVPath string
-	// Parallel bounds the worker pool running the simulated-engine jobs
-	// (0 = GOMAXPROCS). Host-timed Ligra jobs always run in a dedicated
-	// serial phase regardless — they measure wall time on all host cores,
-	// so concurrency would corrupt Figure 10's "host" columns. Cycle-level
-	// results are identical for every Parallel value.
+	// Parallel bounds the worker pool running the sweep's jobs, Ligra's
+	// included (0 = GOMAXPROCS). Every result, and so every rendered table
+	// and the CSV, is identical for every Parallel value.
 	Parallel int
 	// Progress, when non-nil, receives one line per completed job with
 	// elapsed wall time. Line order is completion order, so it is only
@@ -60,12 +59,10 @@ type Options struct {
 	// sampled series as <path>.csv and <path>.trace.json (Chrome
 	// trace_event JSON; see METRICS.md).
 	TelemetryPath string
-	// Timeout bounds the wall-clock time of each simulated-engine job
-	// (0 = unbounded). A job that exceeds it records a structured
-	// sim.ErrCanceled failure in its cell — the sweep keeps going. The
-	// host-timed Ligra job is not covered: it is a tight measurement loop
-	// with no cancellation points, and interrupting it would corrupt the
-	// wall-time columns anyway.
+	// Timeout bounds each simulated-engine job (0 = unbounded). A job that
+	// exceeds it records a structured sim.ErrCanceled failure in its cell —
+	// the sweep keeps going. The Ligra job is not covered: ligra.Run takes
+	// no context, so it has no cancellation points.
 	Timeout time.Duration
 	// ManifestPath, when set, maintains a JSON run manifest recording every
 	// completed (workload × engine) job and its measurements, rewritten
@@ -82,10 +79,6 @@ type Options struct {
 	// "drop=1e-4,seed=7" — see fault.ParseSpec. Empty runs that
 	// experiment's built-in rate sweep.
 	FaultSpec string
-
-	// fixedLigraSeconds, when >0, replaces the measured host wall time so
-	// tests can assert byte-identical rendered output across runs.
-	fixedLigraSeconds float64
 }
 
 // jobContext returns the per-job cancellation context for simulated-engine
@@ -97,7 +90,7 @@ func (o Options) jobContext() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), o.Timeout)
 }
 
-// workers resolves the simulated-phase pool size.
+// workers resolves the sweep's pool size.
 func (o Options) workers() int {
 	if o.Parallel > 0 {
 		return o.Parallel
@@ -289,10 +282,9 @@ func Workloads(opt Options) ([]*Workload, error) {
 type Cell struct {
 	Workload *Workload
 
-	LigraSeconds float64
-	// LigraModelSeconds is the analytic 12-core-Xeon estimate
-	// (ligra.ModelSeconds with ligra.PaperXeon), which removes
-	// host-machine variance from the speedup columns.
+	// LigraModelSeconds is the software baseline's time: the analytic
+	// 12-core-Xeon estimate (ligra.ModelSeconds with ligra.PaperXeon) of
+	// the run's access counts, independent of the host.
 	LigraModelSeconds float64
 	LigraIters        int
 
@@ -309,9 +301,9 @@ type Cell struct {
 	GionErr  error
 }
 
-// EngineNames lists the per-cell measurement jobs in canonical phase order:
-// the host-timed software baseline first (serial phase), then the three
-// simulated engines (parallel phase).
+// EngineNames lists the per-cell measurement jobs in canonical order: the
+// modelled software baseline, then the three simulated engines. The sweep
+// queues them in this order; they complete in any order.
 var EngineNames = []string{"ligra", "opt", "base", "gion"}
 
 // engineErr returns the recorded failure for one engine job.
@@ -351,13 +343,24 @@ func (c *Cell) FailureReason() string {
 	return ""
 }
 
-// OptSpeedup is relative to the Ligra wall time on this host.
-func (c *Cell) OptSpeedup() float64 { return c.LigraSeconds / c.Opt.Seconds }
-
 // Speedups relative to the modeled 12-core Xeon (host-independent).
 func (c *Cell) OptModelSpeedup() float64  { return c.LigraModelSeconds / c.Opt.Seconds }
 func (c *Cell) BaseModelSpeedup() float64 { return c.LigraModelSeconds / c.Base.Seconds }
 func (c *Cell) GionModelSpeedup() float64 { return c.LigraModelSeconds / c.Gion.Seconds }
+
+// Energy returns Section VI-C's two energies for the cell: the accelerator
+// running Table V's components for the simulated time, and the modeled
+// 12-core Xeon for the software baseline's time.
+func (c *Cell) Energy() (accelJ, cpuJ float64) {
+	return energy.AcceleratorEnergyJoules(energy.TableV(), c.Opt.Seconds, 1),
+		energy.CPUEnergyJoules(c.LigraModelSeconds)
+}
+
+// EnergyEfficiency is the energy table's ratio: CPU over accelerator energy.
+func (c *Cell) EnergyEfficiency() float64 {
+	aj, cj := c.Energy()
+	return cj / aj
+}
 
 // Sweep holds the full engine×workload matrix shared by Figures 10–14 and
 // the energy experiment.
@@ -375,6 +378,18 @@ func (s *Sweep) FailedCells() int {
 		}
 	}
 	return n
+}
+
+// Geomean is the geometric mean of metric over the cells that did not
+// fail: the summary row the tables print.
+func (s *Sweep) Geomean(metric func(*Cell) float64) float64 {
+	var xs []float64
+	for _, c := range s.Cells {
+		if !c.Failed() {
+			xs = append(xs, metric(c))
+		}
+	}
+	return geomean(xs)
 }
 
 // geomean returns the geometric mean of positive values (0 if none).

@@ -132,10 +132,10 @@ func TestRunWorkloadProducesAllEngines(t *testing.T) {
 	if cell.Opt == nil || cell.Base == nil || cell.Gion == nil {
 		t.Fatal("missing engine results")
 	}
-	if cell.LigraSeconds <= 0 {
-		t.Error("no Ligra wall time")
+	if cell.LigraModelSeconds <= 0 || cell.LigraIters <= 0 {
+		t.Errorf("Ligra model %g s over %d iterations, want both positive", cell.LigraModelSeconds, cell.LigraIters)
 	}
-	if cell.OptSpeedup() <= 0 || cell.BaseModelSpeedup() <= 0 || cell.GionModelSpeedup() <= 0 {
+	if cell.OptModelSpeedup() <= 0 || cell.BaseModelSpeedup() <= 0 || cell.GionModelSpeedup() <= 0 {
 		t.Error("non-positive speedups")
 	}
 	// All engines agree on the answer.

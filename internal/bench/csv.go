@@ -10,14 +10,16 @@ import (
 
 // WriteCSV dumps the sweep as machine-readable rows (one per
 // workload) so results can be post-processed or plotted outside the
-// repository. Columns are stable; new ones are appended at the end.
-// Failed cells keep their identity columns, leave the measurement
-// columns empty, and carry the reason in the status column.
+// repository. Every column is a deterministic function of the workload:
+// none reads the host clock. New columns are appended at the end; one is
+// removed only when its measurement leaves the sweep. Failed cells keep
+// their identity columns, leave the measurement columns empty, and carry
+// the reason in the status column.
 func (s *Sweep) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := []string{
 		"tier", "dataset", "algorithm",
-		"ligra_wall_s", "ligra_model12_s", "ligra_iterations",
+		"ligra_model12_s", "ligra_iterations",
 		"gp_opt_cycles", "gp_opt_seconds", "gp_opt_rounds", "gp_opt_events",
 		"gp_opt_coalesced", "gp_opt_offchip", "gp_opt_utilization",
 		"gp_base_cycles", "gp_base_offchip",
@@ -38,7 +40,7 @@ func (s *Sweep) WriteCSV(w io.Writer) error {
 			row = append(row, "FAILED: "+c.FailureReason())
 		} else {
 			row = append(row,
-				ff(c.LigraSeconds), ff(c.LigraModelSeconds), fi(int64(c.LigraIters)),
+				ff(c.LigraModelSeconds), fi(int64(c.LigraIters)),
 				fi(int64(c.Opt.Cycles)), ff(c.Opt.Seconds), fi(int64(c.Opt.Rounds)), fi(c.Opt.EventsProcessed),
 				fi(c.Opt.EventsCoalesced), fi(c.Opt.OffChipAccesses()), ff(c.Opt.Utilization),
 				fi(int64(c.Base.Cycles)), fi(c.Base.OffChipAccesses()),

@@ -162,9 +162,10 @@ func runTable3(opt Options, _ *Sweep) error {
 	tw := newTable(opt.Out)
 	oc := core.OptimizedConfig()
 	bc := core.BaselineConfig()
-	lc := ligra.DefaultConfig()
+	xeon := ligra.PaperXeon()
 	fmt.Fprintf(tw, "system\tcompute\ton-chip memory\toff-chip bandwidth\n")
-	fmt.Fprintf(tw, "Software (Ligra-style)\t%d host threads\thost caches\thost DRAM\n", lc.Threads)
+	fmt.Fprintf(tw, "Software (Ligra-style, modelled)\t%d Xeon cores (analytic model)\tnot modelled\t%.0f GB/s, %.0f ns DRAM latency\n",
+		xeon.Cores, xeon.SeqBandwidth/1e9, xeon.RandomLatency*1e9)
 	fmt.Fprintf(tw, "%s\t%d processors ×%d gen streams @1GHz\t64MB queue (%d bins), %d-line scratchpads\t%d× DDR3 channels\n",
 		oc.Name, oc.NumProcessors, oc.StreamsPerProcessor, oc.NumBins, oc.ScratchpadLines, oc.Memory.Channels)
 	fmt.Fprintf(tw, "%s\t%d processors @1GHz (in-processor generation)\t64MB queue (%d bins)\t%d× DDR3 channels\n",
@@ -281,31 +282,24 @@ func runFig8(opt Options, _ *Sweep) error {
 // ---------------------------------------------------------------- Figure 10
 
 func runFig10(opt Options, sweep *Sweep) error {
-	threads := ligra.DefaultConfig().Threads
 	fmt.Fprintf(opt.Out, "Figure 10 — speedup over Ligra software baseline (%s tier)\n", sweep.Tier)
-	fmt.Fprintf(opt.Out, "(accelerator time simulated at 1 GHz; \"host\" columns divide Ligra wall time on %d\n", threads)
-	fmt.Fprintln(opt.Out, " host thread(s); \"model\" columns use the analytic 12-core-Xeon software model,")
-	fmt.Fprintln(opt.Out, " which is host-independent and the comparison to read against the paper)")
+	fmt.Fprintln(opt.Out, "(accelerator time simulated at 1 GHz; Ligra time is the analytic 12-core-Xeon")
+	fmt.Fprintln(opt.Out, " model of the same run's access counts)")
 	tw := newTable(opt.Out)
-	fmt.Fprintln(tw, "app\tgraph\tGP+Opt host\tGP+Opt model\tGP-Base model\tG'nado model\topt vs g'nado")
-	var hostOpts, opts, bases, gions, rel []float64
+	fmt.Fprintln(tw, "app\tgraph\tGP+Opt model\tGP-Base model\tG'nado model\topt vs g'nado")
+	optVsGion := func(c *Cell) float64 { return c.Gion.Seconds / c.Opt.Seconds }
 	for _, c := range sweep.Cells {
 		if c.Failed() {
 			failedRow(tw, c)
 			continue
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%.1fx\t%.1fx\t%.1fx\t%.1fx\t%.2fx\n",
+		fmt.Fprintf(tw, "%s\t%s\t%.1fx\t%.1fx\t%.1fx\t%.2fx\n",
 			c.Workload.AlgName, c.Workload.Dataset.Abbrev,
-			c.OptSpeedup(), c.OptModelSpeedup(), c.BaseModelSpeedup(), c.GionModelSpeedup(),
-			c.Gion.Seconds/c.Opt.Seconds)
-		hostOpts = append(hostOpts, c.OptSpeedup())
-		opts = append(opts, c.OptModelSpeedup())
-		bases = append(bases, c.BaseModelSpeedup())
-		gions = append(gions, c.GionModelSpeedup())
-		rel = append(rel, c.Gion.Seconds/c.Opt.Seconds)
+			c.OptModelSpeedup(), c.BaseModelSpeedup(), c.GionModelSpeedup(), optVsGion(c))
 	}
-	fmt.Fprintf(tw, "geomean\t\t%.1fx\t%.1fx\t%.1fx\t%.1fx\t%.2fx\n",
-		geomean(hostOpts), geomean(opts), geomean(bases), geomean(gions), geomean(rel))
+	fmt.Fprintf(tw, "geomean\t\t%.1fx\t%.1fx\t%.1fx\t%.2fx\n",
+		sweep.Geomean((*Cell).OptModelSpeedup), sweep.Geomean((*Cell).BaseModelSpeedup),
+		sweep.Geomean((*Cell).GionModelSpeedup), sweep.Geomean(optVsGion))
 	if err := tw.Flush(); err != nil {
 		return err
 	}
@@ -319,19 +313,19 @@ func runFig11(opt Options, sweep *Sweep) error {
 	fmt.Fprintf(opt.Out, "Figure 11 — off-chip accesses of GraphPulse normalized to Graphicionado (%s tier)\n", sweep.Tier)
 	tw := newTable(opt.Out)
 	fmt.Fprintln(tw, "app\tgraph\tGP accesses\tG'nado accesses\tnormalized")
-	var ratios []float64
+	normalized := func(c *Cell) float64 {
+		return float64(c.Opt.OffChipAccesses()) / float64(c.Gion.OffChipAccesses())
+	}
 	for _, c := range sweep.Cells {
 		if c.Failed() {
 			failedRow(tw, c)
 			continue
 		}
-		r := float64(c.Opt.OffChipAccesses()) / float64(c.Gion.OffChipAccesses())
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%.2f\n",
 			c.Workload.AlgName, c.Workload.Dataset.Abbrev,
-			c.Opt.OffChipAccesses(), c.Gion.OffChipAccesses(), r)
-		ratios = append(ratios, r)
+			c.Opt.OffChipAccesses(), c.Gion.OffChipAccesses(), normalized(c))
 	}
-	fmt.Fprintf(tw, "geomean\t\t\t\t%.2f\n", geomean(ratios))
+	fmt.Fprintf(tw, "geomean\t\t\t\t%.2f\n", sweep.Geomean(normalized))
 	if err := tw.Flush(); err != nil {
 		return err
 	}
@@ -431,21 +425,16 @@ func runEnergy(opt Options, sweep *Sweep) error {
 	fmt.Fprintf(opt.Out, "Energy efficiency vs software baseline (Section VI-C, %s tier)\n", sweep.Tier)
 	tw := newTable(opt.Out)
 	fmt.Fprintln(tw, "app\tgraph\taccel J\tCPU J (modeled 12-core)\tefficiency")
-	var ratios []float64
-	rows := energy.TableV()
 	for _, c := range sweep.Cells {
 		if c.Failed() {
 			failedRow(tw, c)
 			continue
 		}
-		aj := energy.AcceleratorEnergyJoules(rows, c.Opt.Seconds, 1)
-		cj := energy.CPUEnergyJoules(c.LigraModelSeconds)
-		r := cj / aj
+		aj, cj := c.Energy()
 		fmt.Fprintf(tw, "%s\t%s\t%.3g\t%.3g\t%.0fx\n",
-			c.Workload.AlgName, c.Workload.Dataset.Abbrev, aj, cj, r)
-		ratios = append(ratios, r)
+			c.Workload.AlgName, c.Workload.Dataset.Abbrev, aj, cj, cj/aj)
 	}
-	fmt.Fprintf(tw, "geomean\t\t\t\t%.0fx\n", geomean(ratios))
+	fmt.Fprintf(tw, "geomean\t\t\t\t%.0fx\n", sweep.Geomean((*Cell).EnergyEfficiency))
 	if err := tw.Flush(); err != nil {
 		return err
 	}
@@ -621,7 +610,7 @@ func RunExperiments(ids []string, opt Options) error {
 		if e.NeedsSweep && sweep == nil {
 			fmt.Fprintf(opt.Out, "[running %s-tier engine sweep × 4 engines]\n", opt.Tier)
 			if opt.Progress != nil {
-				fmt.Fprintf(opt.Progress, "[sweep: %d workers for simulated engines; ligra phase is serial]\n", opt.workers())
+				fmt.Fprintf(opt.Progress, "[sweep: %d workers]\n", opt.workers())
 			}
 			start := time.Now()
 			var err error

@@ -6,9 +6,9 @@ package bench
 // the manifest JSON after each job, so a sweep killed mid-run (OOM, node
 // preemption, ^C) loses at most the jobs that were in flight. Re-running
 // with Options.Resume restores the recorded jobs instead of re-measuring
-// them; because every simulated engine is deterministic, the assembled
-// Sweep — and the CSV and tables rendered from it — is byte-identical to an
-// uninterrupted run.
+// them; because every job is deterministic, the assembled Sweep — and the
+// CSV and tables rendered from it — is byte-identical to an uninterrupted
+// run.
 //
 // Two deliberate scope limits:
 //
@@ -60,7 +60,6 @@ type ManifestCell struct {
 	// Errs holds the failure message per failed engine.
 	Errs map[string]string `json:",omitempty"`
 
-	LigraSeconds      float64 `json:",omitempty"`
 	LigraModelSeconds float64 `json:",omitempty"`
 	LigraIters        int     `json:",omitempty"`
 
@@ -209,7 +208,6 @@ func (mw *manifestWriter) restore(c *Cell, engine string) bool {
 	}
 	switch engine {
 	case "ligra":
-		c.LigraSeconds = mc.LigraSeconds
 		c.LigraModelSeconds = mc.LigraModelSeconds
 		c.LigraIters = mc.LigraIters
 		c.LigraErr = restoredErr
@@ -246,7 +244,6 @@ func (mw *manifestWriter) record(c *Cell, engine string) error {
 	}
 	switch engine {
 	case "ligra":
-		mc.LigraSeconds = c.LigraSeconds
 		mc.LigraModelSeconds = c.LigraModelSeconds
 		mc.LigraIters = c.LigraIters
 	case "opt":

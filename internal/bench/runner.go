@@ -2,14 +2,10 @@ package bench
 
 // The job-based sweep runner. Every (workload × engine) measurement is a
 // self-contained Job: an immutable *Workload in, one Cell fragment out.
-// Jobs execute in two phases:
-//
-//  1. a dedicated serial phase for the host-timed Ligra baseline — it
-//     measures wall time on all host cores, so running anything alongside
-//     it would corrupt Figure 10's "host" columns;
-//  2. a bounded worker pool (Options.Parallel, default GOMAXPROCS) for the
-//     three simulated engines, which are deterministic, share no mutable
-//     state, and therefore parallelize freely.
+// Every job — the three simulated engines and the Ligra baseline, whose
+// time is modelled from its access counts — is deterministic and shares no
+// mutable state, so all of them run on one bounded worker pool
+// (Options.Parallel, default GOMAXPROCS).
 //
 // Cells are allocated up front in canonical workload order and each job
 // writes only its own fragment (distinct struct fields), so the assembled
@@ -28,10 +24,6 @@ import (
 	"graphpulse/internal/baseline/ligra"
 	"graphpulse/internal/core"
 )
-
-// simEngines are the jobs the parallel phase schedules; "ligra" is handled
-// by the serial phase.
-var simEngines = []string{"opt", "base", "gion"}
 
 // Job is one (workload × engine) measurement. Running it fills the
 // engine's fragment of Cell (or its error field) and touches nothing else.
@@ -52,7 +44,7 @@ func (j Job) Run(opt Options) {
 		}()
 		switch j.Engine {
 		case "ligra":
-			return runLigraJob(j.Cell, opt)
+			return runLigraJob(j.Cell)
 		case "opt":
 			return runOptJob(j.Cell, opt)
 		case "base":
@@ -93,17 +85,11 @@ func simConfig(cfg core.Config, w *Workload, opt Options) core.Config {
 	return cfg
 }
 
-// runLigraJob measures the software baseline: wall time on the host plus
-// the host-independent analytic 12-core-Xeon model derived from the same
-// run's access counts.
-func runLigraJob(c *Cell, opt Options) error {
+// runLigraJob measures the software baseline: the analytic 12-core-Xeon
+// model of the run's access counts. The host clock plays no part.
+func runLigraJob(c *Cell) error {
 	w := c.Workload
-	start := time.Now()
 	lig := ligra.New(ligra.DefaultConfig(), w.Graph).Run(w.NewAlgorithm())
-	c.LigraSeconds = time.Since(start).Seconds()
-	if opt.fixedLigraSeconds > 0 {
-		c.LigraSeconds = opt.fixedLigraSeconds
-	}
 	c.LigraModelSeconds = ligra.ModelSeconds(lig, ligra.PaperXeon())
 	c.LigraIters = lig.Iterations
 	return nil
@@ -231,8 +217,8 @@ func runJob(j Job, opt Options, mw *manifestWriter, prog *progress) {
 	prog.report(j.Cell, j.Engine, time.Since(start))
 }
 
-// runSweep executes the two-phase job schedule over prepared workloads.
-// mw may be nil (no manifest persistence).
+// runSweep executes every job of the prepared workloads on the bounded
+// worker pool. mw may be nil (no manifest persistence).
 func runSweep(ws []*Workload, opt Options, mw *manifestWriter) *Sweep {
 	cells := make([]*Cell, len(ws))
 	for i, w := range ws {
@@ -240,15 +226,9 @@ func runSweep(ws []*Workload, opt Options, mw *manifestWriter) *Sweep {
 	}
 	prog := newProgress(opt.Progress, len(cells)*len(EngineNames))
 
-	// Phase 1: host-timed software baseline, strictly serial.
-	for _, c := range cells {
-		runJob(Job{Cell: c, Engine: "ligra"}, opt, mw, prog)
-	}
-
-	// Phase 2: simulated engines on the bounded worker pool. Each job
-	// writes a distinct field of its cell, so no further synchronization
-	// is needed beyond the channel, the WaitGroup, and the manifest's own
-	// mutex.
+	// Each job writes a distinct field of its cell, so no further
+	// synchronization is needed beyond the channel, the WaitGroup, and the
+	// manifest's own mutex.
 	jobs := make(chan Job)
 	var wg sync.WaitGroup
 	for i := 0; i < opt.workers(); i++ {
@@ -261,7 +241,7 @@ func runSweep(ws []*Workload, opt Options, mw *manifestWriter) *Sweep {
 		}()
 	}
 	for _, c := range cells {
-		for _, engine := range simEngines {
+		for _, engine := range EngineNames {
 			jobs <- Job{Cell: c, Engine: engine}
 		}
 	}
