@@ -87,7 +87,7 @@ func TestMakeAlg(t *testing.T) {
 	}
 	n := graphpulse.VertexID(g.NumVertices())
 	// Every registry name works here, relpath included (it used to be
-	// accepted by /v1/query and loadgen but not by this CLI).
+	// accepted by /v1/query but not by this CLI).
 	for _, name := range algorithms.Names() {
 		alg, err := makeAlg(name, 0, g)
 		if err != nil {

@@ -8,10 +8,10 @@ import (
 )
 
 // table is the one mapping from an algorithm's wire/CLI name to its
-// constructor. /v1/query's algorithm field, loadgen's and graphpulse's -alg
-// and bench's -algs all resolve through ByName, and every help or error
-// string that enumerates the vocabulary is rendered from it by NamesList —
-// adding an algorithm is one row here.
+// constructor. /v1/query's algorithm field, graphpulse's -alg and bench's
+// -algs all resolve through ByName, and every help or error string that
+// enumerates the vocabulary is rendered from it by NamesList — adding an
+// algorithm is one row here.
 var table = []struct {
 	name string
 	// rooted reports that the constructor reads root.

@@ -52,7 +52,7 @@ func TestExperimentRegistry(t *testing.T) {
 // wall-clock numbers the frozen benchmark driver owns.
 func TestImportBoundary(t *testing.T) {
 	banned := map[string]bool{}
-	for _, pkg := range []string{"psolve", "serve", "dserve", "loadgen", "graph/ooc", "stream"} {
+	for _, pkg := range []string{"psolve", "serve", "dserve", "graph/ooc", "stream"} {
 		banned["graphpulse/internal/"+pkg] = true
 	}
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {

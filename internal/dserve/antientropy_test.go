@@ -1,8 +1,10 @@
 package dserve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -152,6 +154,48 @@ func TestRepairSnapshotFallback(t *testing.T) {
 	}
 	if wkB.Server().Metrics().Counter("antientropy_snapshot_fallbacks") == 0 {
 		t.Error("snapshot fallback not counted on the laggard")
+	}
+}
+
+// TestRepairSnapshotImportFailure: a donor whose WAL answers 410 and whose
+// snapshot cannot be imported (a format version this build does not read)
+// leaves the laggard where it was, and the repair says so — an error
+// answer, counted as a repair error and not as a snapshot fallback — so
+// the router does not count a repair that never happened.
+func TestRepairSnapshotImportFailure(t *testing.T) {
+	donor := buildWorker(t, nil) // no WALDir: /internal/wal answers 410
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /internal/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		snap, err := donor.Server().ExportSnapshot("g")
+		if err != nil {
+			writeError(w, http.StatusNotFound, "%v", err)
+			return
+		}
+		snap.Version = serve.SnapshotVersion + 1
+		writeJSON(w, http.StatusOK, snap)
+	})
+	mux.Handle("/", donor.Handler())
+	tsA := httptest.NewServer(mux)
+	t.Cleanup(func() {
+		tsA.Close()
+		donor.Server().Shutdown(context.Background())
+	})
+	mutateDirect(t, tsA.URL, 3, 170)
+	wkB, tsB := newWorkerNode(t, nil)
+
+	code, body := postJSON(t, tsB.URL+"/internal/repair", RepairRequest{Graph: "g", Peer: tsA.URL})
+	if code == http.StatusOK {
+		t.Fatalf("repair with an unimportable snapshot answered 200: %s", body)
+	}
+	m := wkB.Server().Metrics()
+	if got := m.Counter("antientropy_repair_errors"); got != 1 {
+		t.Errorf("antientropy_repair_errors = %d, want 1", got)
+	}
+	if got := m.Counter("antientropy_snapshot_fallbacks"); got != 0 {
+		t.Errorf("antientropy_snapshot_fallbacks = %d, want 0 (nothing was adopted)", got)
+	}
+	if got := digestOf(t, wkB).Epoch; got != 0 {
+		t.Errorf("laggard epoch = %d after a failed repair, want 0", got)
 	}
 }
 

@@ -28,8 +28,8 @@
 //     rejoin or when the router's anti-entropy loop asks — WAL suffix,
 //     and a peer snapshot only when the suffix cannot close the gap.
 //
-// The router speaks the same /v1/* API as a single worker, so cmd/loadgen
-// and any serve client work against it unchanged. OPERATIONS.md is the
+// The router speaks the same /v1/* API as a single worker, so any serve
+// client works against it unchanged. OPERATIONS.md is the
 // deployment runbook; DESIGN.md ("Distributed serving") maps this design
 // onto the paper's multi-chip scheme and states where the analogy breaks.
 package dserve

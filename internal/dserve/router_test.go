@@ -12,20 +12,31 @@ import (
 	"testing"
 	"time"
 
+	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/gen"
 	"graphpulse/internal/serve"
 )
+
+// testGraphVertices is the vertex count of testGraph.
+const testGraphVertices = 200
+
+// testGraph builds the suite's deterministic test graph, fresh per call
+// because every server mutates its own copy.
+func testGraph(t *testing.T) *graph.CSR {
+	t.Helper()
+	g, err := gen.ErdosRenyi(testGraphVertices, 900, true, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
 
 // newServeNode boots one real single-process server over the suite's
 // deterministic test graph and exposes it via httptest.
 func newServeNode(t *testing.T) (*serve.Server, *httptest.Server) {
 	t.Helper()
-	g, err := gen.ErdosRenyi(200, 900, true, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := serve.New(serve.Config{
-		Graphs:         []serve.GraphSpec{{Name: "g", Graph: g}},
+		Graphs:         []serve.GraphSpec{{Name: "g", Graph: testGraph(t)}},
 		DefaultTimeout: 5 * time.Second,
 	})
 	if err != nil {

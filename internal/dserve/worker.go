@@ -234,8 +234,8 @@ func (wk *Worker) Handler() http.Handler {
 }
 
 // handleDigest serves ?graph='s (epoch, state digest) pair — the router's
-// anti-entropy unit of comparison, and what loadgen's divergence check
-// polls.
+// anti-entropy unit of comparison, and what an operator compares across
+// replicas to audit a fleet.
 func (wk *Worker) handleDigest(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("graph")
 	if name == "" {
@@ -368,8 +368,15 @@ func (wk *Worker) repairFrom(ctx context.Context, graphName, peer string) (Repai
 		wk.srv.Metrics().Add("antientropy_repair_errors", 1)
 		return RepairResponse{}, fmt.Errorf("repair of %q: wal suffix unusable and snapshot fetch failed: %w", graphName, err)
 	}
-	wk.adoptSnapshot(&snap, "repair peer "+peer)
-	wk.srv.Metrics().Add("antientropy_snapshot_fallbacks", 1)
+	// A stale snapshot means a concurrent write already carried this
+	// replica past the donor: nothing to adopt, and nothing failed.
+	switch err := wk.adoptSnapshot(&snap, "repair peer "+peer); {
+	case err == nil:
+		wk.srv.Metrics().Add("antientropy_snapshot_fallbacks", 1)
+	case !errors.Is(err, serve.ErrSnapshotStale):
+		wk.srv.Metrics().Add("antientropy_repair_errors", 1)
+		return RepairResponse{}, fmt.Errorf("repair of %q: wal suffix unusable and snapshot import failed: %w", graphName, err)
+	}
 	epoch, _ := wk.srv.GraphEpoch(graphName) // the graph resolved above
 	return RepairResponse{Graph: graphName, Mode: "snapshot", Epoch: epoch}, nil
 }
@@ -495,26 +502,26 @@ func (wk *Worker) restoreLocal() {
 			continue
 		}
 		wk.persisted[name] = snap.Epoch
-		wk.adoptSnapshot(&snap, "local file")
+		_ = wk.adoptSnapshot(&snap, "local file") // logged and counted inside; never blocks startup
 	}
 }
 
-// adoptSnapshot imports one snapshot, mapping the outcome onto metrics.
-func (wk *Worker) adoptSnapshot(snap *Snapshot, source string) bool {
+// adoptSnapshot imports one snapshot, mapping the outcome onto metrics,
+// and returns ImportSnapshot's error (serve.ErrSnapshotStale for a
+// snapshot older than the resident state).
+func (wk *Worker) adoptSnapshot(snap *Snapshot, source string) error {
 	err := wk.srv.ImportSnapshot(snap)
 	switch {
 	case err == nil:
 		wk.srv.Metrics().Add("worker_snapshot_restores", 1)
 		wk.logf("dserve: worker: restored graph %q at epoch %d from %s (%d series)",
 			snap.Graph, snap.Epoch, source, len(snap.Series))
-		return true
 	case errors.Is(err, serve.ErrSnapshotStale):
 		wk.srv.Metrics().Add("worker_snapshot_stale", 1)
-		return false
 	default:
 		wk.logf("dserve: worker: import snapshot of %q from %s: %v", snap.Graph, source, err)
-		return false
 	}
+	return err
 }
 
 // register posts one registration (or heartbeat) to the router and

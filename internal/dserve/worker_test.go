@@ -17,12 +17,8 @@ import (
 // wraps it in a Worker with the given config overrides.
 func buildWorker(t *testing.T, mut func(*WorkerConfig)) *Worker {
 	t.Helper()
-	g, err := gen.ErdosRenyi(200, 900, true, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := serve.New(serve.Config{
-		Graphs:         []serve.GraphSpec{{Name: "g", Graph: g}},
+		Graphs:         []serve.GraphSpec{{Name: "g", Graph: testGraph(t)}},
 		DefaultTimeout: 5 * time.Second,
 	})
 	if err != nil {
