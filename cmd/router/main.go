@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"graphpulse/internal/dserve"
-	"graphpulse/internal/dserve/chaos"
 )
 
 func main() {
@@ -48,7 +47,6 @@ func main() {
 		fanout    = flag.Int("fanout", 0, "concurrent replicas per write fan-out (0 = default 4)")
 		seed      = flag.Uint64("seed", 1, "seed for backoff jitter (and any other router randomness)")
 		aeEvery   = flag.Duration("antientropy", 5*time.Second, "anti-entropy divergence-check period (0 disables)")
-		chaosSpec = flag.String("chaos", "", "chaos fault injection spec, e.g. seed=7,drop=0.05,delay=0.1,delay-ms=50,truncate=0.02 (empty disables; testing only)")
 	)
 	var seeds []string
 	flag.Func("worker", "seed worker base URL (repeatable; workers can also self-register)", func(v string) error {
@@ -58,18 +56,6 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
-	var proxy *chaos.Proxy
-	if *chaosSpec != "" {
-		ccfg, err := chaos.ParseSpec(*chaosSpec)
-		if err != nil {
-			logger.Fatalf("router: bad -chaos spec: %v", err)
-		}
-		proxy, err = chaos.New(ccfg)
-		if err != nil {
-			logger.Fatalf("router: bad -chaos spec: %v", err)
-		}
-		logger.Printf("chaos fault injection enabled: %s", *chaosSpec)
-	}
 	rt, err := dserve.NewRouter(dserve.RouterConfig{
 		Workers:             seeds,
 		Replication:         *repl,
@@ -83,7 +69,6 @@ func main() {
 		FanoutConcurrency:   *fanout,
 		Seed:                *seed,
 		AntiEntropyInterval: offAtZero(*aeEvery),
-		Chaos:               proxy,
 		Logf:                logger.Printf,
 	})
 	if err != nil {

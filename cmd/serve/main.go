@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"graphpulse/internal/dserve"
-	"graphpulse/internal/dserve/chaos"
 	"graphpulse/internal/serve"
 )
 
@@ -53,10 +52,8 @@ type options struct {
 	addr  string
 	drain time.Duration
 	serve serve.Config
-	// worker is nil outside -worker mode. main fills in its Server, Chaos
-	// (from chaos) and Logf.
+	// worker is nil outside -worker mode. main fills in its Server and Logf.
 	worker *dserve.WorkerConfig
-	chaos  string
 }
 
 func parseFlags(args []string) (options, error) {
@@ -90,7 +87,6 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&w.Heartbeat, "heartbeat", 5*time.Second, "router re-registration period (worker mode)")
 	fs.StringVar(&w.WALDir, "wal-dir", "", "directory for per-graph mutation WALs (worker mode; empty disables the WAL)")
 	fs.Int64Var(&w.WALSegmentBytes, "wal-segment-bytes", 0, "WAL segment rotation size in bytes (0 = default 1MiB)")
-	fs.StringVar(&o.chaos, "chaos", "", "seeded fault spec for outbound worker HTTP, e.g. drop=0.01,truncate=0.001,seed=7 (worker mode; CI/tests only)")
 	fs.Func("graph", "resident graph as name=SOURCE; SOURCE is ABBREV:tier (e.g. WG:tiny) or a graph file (repeatable)", func(v string) error {
 		spec, err := serve.ParseGraphArg(v)
 		if err == nil {
@@ -143,16 +139,6 @@ func main() {
 	start, stop, mode := srv.Start, srv.Shutdown, ""
 	if o.worker != nil {
 		o.worker.Server, o.worker.Logf = srv, logger.Printf
-		if o.chaos != "" {
-			ccfg, err := chaos.ParseSpec(o.chaos)
-			if err != nil {
-				logger.Fatal(err)
-			}
-			if o.worker.Chaos, err = chaos.New(ccfg); err != nil {
-				logger.Fatal(err)
-			}
-			logger.Printf("chaos proxy on outbound worker HTTP: %s", o.chaos)
-		}
 		wk, err := dserve.NewWorker(*o.worker)
 		if err != nil {
 			logger.Fatal(err)

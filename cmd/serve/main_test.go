@@ -43,7 +43,7 @@ func TestParseFlagsWorkerMode(t *testing.T) {
 	o, err := parseFlags([]string{
 		"-worker", "-router", "http://127.0.0.1:8090", "-addr", ":8081", "-graph", "wg=WG:tiny",
 		"-snapshot-dir", "/var/snap", "-snapshot-every", "2s", "-heartbeat", "1s",
-		"-wal-dir", "/var/wal", "-wal-segment-bytes", "4096", "-chaos", "drop=0.1,seed=7",
+		"-wal-dir", "/var/wal", "-wal-segment-bytes", "4096",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,9 +58,6 @@ func TestParseFlagsWorkerMode(t *testing.T) {
 	}
 	if w.Advertise != "http://127.0.0.1:8081" {
 		t.Errorf("advertise = %q, want the wildcard -addr mapped onto loopback", w.Advertise)
-	}
-	if o.chaos != "drop=0.1,seed=7" {
-		t.Errorf("chaos spec = %q", o.chaos)
 	}
 	if o, err := parseFlags([]string{"-worker", "-addr", ":8081", "-advertise", "http://w1:8081", "-graph", "wg=WG:tiny"}); err != nil || o.worker.Advertise != "http://w1:8081" {
 		t.Errorf("explicit -advertise: %+v, %v", o.worker, err)

@@ -1,24 +1,21 @@
 // Package chaos is a seeded deterministic fault proxy for the
 // distributed serving tier's router↔worker HTTP traffic — the serving
-// analogue of internal/sim/fault. It wraps the router's HTTP client
-// transport and injects drop (fail a request before it leaves), delay
-// (sleep before sending), truncate (cut the response body short), and
-// partition (fail every request to a named host until healed) faults.
+// analogue of internal/sim/fault. It is a test transport: Wrap installs
+// it into an http.Client, which a test hands to dserve through
+// RouterConfig.Client or WorkerConfig.Client. It injects drop (fail a
+// request before it leaves), delay (sleep before sending), truncate (cut
+// the response body short), and partition (fail every request to a named
+// host until healed) faults.
 //
 // # Determinism
 //
 // Like the simulator fault injector, every rate-based decision is a pure
 // function of (Config.Seed, fault point, call sequence number): each
 // point keeps its own counter and hashes (seed, point, counter) through a
-// splitmix64 finalizer (internal/seeded, shared with it). Two runs with the same seed and the same request
-// sequence inject the identical fault log — the chaos-smoke CI stage and
-// the determinism test rely on it. Partitions are not rate-based; they
-// are flipped explicitly (Partition/Heal) by tests and the router's
-// POST /internal/chaos control endpoint.
-//
-// A nil *Proxy is the disabled proxy: Wrap returns the client unchanged
-// and every method is a nil-safe no-op, so chaos off is byte-identical
-// to chaos never having existed.
+// splitmix64 finalizer (internal/seeded, shared with it). Two runs with
+// the same seed and the same request sequence inject the identical fault
+// log; the determinism tests rely on it. Partitions are not rate-based;
+// tests flip them explicitly with Partition, Heal and HealAll.
 package chaos
 
 import (
@@ -26,8 +23,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -66,37 +61,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ParseSpec parses the compact CLI form, e.g.
-// "drop=0.01,delay=0.05,delay-ms=20,truncate=0.001,seed=7". An empty
-// spec returns the zero Config.
-func ParseSpec(spec string) (Config, error) {
-	var c Config
-	err := seeded.ParseSpec("chaos", spec, &c.Seed, func(key, val string) error {
-		if key == "delay-ms" {
-			ms, err := strconv.ParseFloat(val, 64)
-			if err != nil || ms < 0 {
-				return fmt.Errorf("chaos: bad delay-ms %q", val)
-			}
-			c.Delay = time.Duration(ms * float64(time.Millisecond))
-			return nil
-		}
-		field := map[string]*float64{"drop": &c.DropRate, "delay": &c.DelayRate, "truncate": &c.TruncateRate}[key]
-		if field == nil {
-			return fmt.Errorf("chaos: unknown spec key %q", key)
-		}
-		r, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return fmt.Errorf("chaos: bad %s rate %q: %v", key, val, err)
-		}
-		*field = r
-		return nil
-	})
-	if err != nil {
-		return c, err
-	}
-	return c, c.Validate()
-}
-
 // point identifies one fault point; each draws from its own decision
 // stream.
 type point int
@@ -111,44 +75,31 @@ const (
 
 var pointNames = [numPoints]string{"drop", "delay", "truncate", "partition"}
 
-// counterNames are the metric counters a sink receives, in point order.
-var counterNames = [numPoints]string{
-	"chaos_drops", "chaos_delays", "chaos_truncates", "chaos_partition_blocks",
-}
-
-// CounterNames lists the metric counter names a Proxy reports through its
-// sink — the router registers them into its catalogue.
-func CounterNames() []string {
-	return append([]string(nil), counterNames[:]...)
-}
-
 // Event is one injected fault, in injection order. Seq is global across
 // points, so two event logs compare positionally.
 type Event struct {
-	Seq   uint64 `json:"seq"`
-	Point string `json:"point"`
-	Host  string `json:"host"`
+	Seq   uint64
+	Point string
+	Host  string
 }
 
-// maxEvents bounds the retained event log; injections past it still
-// count (and reach the sink) but are not retained.
+// maxEvents bounds the retained event log; injections past it are not
+// retained.
 const maxEvents = 65536
 
 // truncateAfterBytes is how much of a truncated response body survives.
 const truncateAfterBytes = 64
 
-// Proxy is an http.RoundTripper injecting faults in front of a real
-// transport. Build with New, install with Wrap.
+// Proxy injects faults in front of real transports. Build with New,
+// install with Wrap.
 type Proxy struct {
-	cfg  Config
-	next http.RoundTripper
+	cfg Config
 
 	mu    sync.Mutex
 	draws seeded.Stream
 	part  map[string]bool
 	log   []Event
 	evSeq uint64
-	sink  func(name string, delta int64)
 }
 
 // New validates cfg and returns a Proxy. The proxy is inert until Wrap
@@ -163,34 +114,22 @@ func New(cfg Config) (*Proxy, error) {
 	return &Proxy{cfg: cfg, draws: seeded.New(cfg.Seed, int(numPoints)), part: make(map[string]bool)}, nil
 }
 
-// Wrap returns a copy of c whose transport routes through the proxy. A
-// nil proxy returns c unchanged — chaos disabled is byte-identical to
-// chaos absent.
+// Wrap returns a copy of c (nil means a zero client) whose transport
+// injects the proxy's faults in front of c's own transport
+// (http.DefaultTransport when unset). Every client wrapped by one proxy
+// keeps its own next hop and shares the proxy's fault streams,
+// partitions and event log.
 func (p *Proxy) Wrap(c *http.Client) *http.Client {
-	if p == nil {
-		return c
-	}
 	out := &http.Client{}
-	p.next = http.DefaultTransport
 	if c != nil {
 		*out = *c
-		if c.Transport != nil {
-			p.next = c.Transport
-		}
 	}
-	out.Transport = p
+	next := out.Transport
+	if next == nil {
+		next = http.DefaultTransport
+	}
+	out.Transport = transport{p: p, next: next}
 	return out
-}
-
-// SetSink installs the metric sink (e.g. a serve.Metrics Add method);
-// each injected fault reports 1 to its counter name. Nil-safe.
-func (p *Proxy) SetSink(fn func(name string, delta int64)) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.sink = fn
-	p.mu.Unlock()
 }
 
 // hostOf extracts the host:port a partition is keyed on, accepting both
@@ -206,71 +145,31 @@ func hostOf(s string) string {
 }
 
 // Partition fails every future request to the host (or URL) until Heal.
-// Nil-safe.
 func (p *Proxy) Partition(host string) {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	p.part[hostOf(host)] = true
 	p.mu.Unlock()
 }
 
-// Heal lifts a partition. Nil-safe.
+// Heal lifts a partition.
 func (p *Proxy) Heal(host string) {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	delete(p.part, hostOf(host))
 	p.mu.Unlock()
 }
 
-// HealAll lifts every partition. Nil-safe.
+// HealAll lifts every partition.
 func (p *Proxy) HealAll() {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	p.part = make(map[string]bool)
 	p.mu.Unlock()
 }
 
-// Partitioned lists the currently partitioned hosts, sorted. Nil-safe.
-func (p *Proxy) Partitioned() []string {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.part))
-	for h := range p.part {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Events returns a copy of the injected-fault log, in injection order.
-// Nil-safe.
 func (p *Proxy) Events() []Event {
-	if p == nil {
-		return nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]Event(nil), p.log...)
-}
-
-// EventCount reports the total injected faults (including any past the
-// retained-log cap). Nil-safe.
-func (p *Proxy) EventCount() uint64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.evSeq
 }
 
 // decide reports whether the next opportunity at point pt faults,
@@ -293,18 +192,21 @@ func (p *Proxy) decide(pt point) bool {
 	return p.draws.Uniform(int(pt)) < rate
 }
 
-// record logs one injected fault and reports it to the sink.
+// record logs one injected fault.
 func (p *Proxy) record(pt point, host string) {
 	p.mu.Lock()
 	p.evSeq++
 	if len(p.log) < maxEvents {
 		p.log = append(p.log, Event{Seq: p.evSeq, Point: pointNames[pt], Host: host})
 	}
-	sink := p.sink
 	p.mu.Unlock()
-	if sink != nil {
-		sink(counterNames[pt], 1)
-	}
+}
+
+// transport is one wrapped client's transport: the shared proxy in front
+// of that client's own next hop.
+type transport struct {
+	p    *Proxy
+	next http.RoundTripper
 }
 
 // RoundTrip injects faults around one request. Partition and drop fail
@@ -312,8 +214,8 @@ func (p *Proxy) record(pt point, host string) {
 // sees exactly what a dead worker looks like); delay sleeps before
 // sending; truncate cuts the response body after truncateAfterBytes so
 // the reader gets io.ErrUnexpectedEOF mid-decode.
-func (p *Proxy) RoundTrip(req *http.Request) (*http.Response, error) {
-	host := req.URL.Host
+func (t transport) RoundTrip(req *http.Request) (*http.Response, error) {
+	p, host := t.p, req.URL.Host
 	p.mu.Lock()
 	blocked := p.part[host]
 	p.mu.Unlock()
@@ -329,7 +231,7 @@ func (p *Proxy) RoundTrip(req *http.Request) (*http.Response, error) {
 		p.record(pointDelay, host)
 		time.Sleep(p.cfg.Delay)
 	}
-	resp, err := p.next.RoundTrip(req)
+	resp, err := t.next.RoundTrip(req)
 	if err != nil || resp == nil {
 		return resp, err
 	}

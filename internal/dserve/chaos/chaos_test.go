@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -79,24 +80,8 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestDisabledPassthrough pins that chaos off is chaos absent: a nil
-// proxy returns the client unchanged, and a zero-rate proxy injects
-// nothing.
+// TestDisabledPassthrough pins that a zero-rate proxy injects nothing.
 func TestDisabledPassthrough(t *testing.T) {
-	client := &http.Client{Timeout: time.Second}
-	var nilProxy *Proxy
-	if got := nilProxy.Wrap(client); got != client {
-		t.Fatal("nil proxy did not return the client unchanged")
-	}
-	// Every other method is a nil-safe no-op.
-	nilProxy.Partition("http://x:1")
-	nilProxy.Heal("x:1")
-	nilProxy.HealAll()
-	nilProxy.SetSink(func(string, int64) {})
-	if nilProxy.Partitioned() != nil || nilProxy.Events() != nil || nilProxy.EventCount() != 0 {
-		t.Fatal("nil proxy reported state")
-	}
-
 	ts := bigBodyServer(t)
 	p, err := New(Config{Seed: 1})
 	if err != nil {
@@ -107,33 +92,29 @@ func TestDisabledPassthrough(t *testing.T) {
 			t.Fatalf("zero-rate proxy faulted request %d: %s", i, got)
 		}
 	}
-	if p.EventCount() != 0 {
-		t.Fatalf("zero-rate proxy logged %d events", p.EventCount())
+	if ev := p.Events(); len(ev) != 0 {
+		t.Fatalf("zero-rate proxy logged %d events", len(ev))
 	}
 }
 
 // TestPartitionHeal flips a host partition on and off and checks both the
-// request outcomes and the counter sink.
+// request outcomes and the event log.
 func TestPartitionHeal(t *testing.T) {
 	ts := bigBodyServer(t)
 	p, err := New(Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := map[string]int64{}
-	p.SetSink(func(name string, delta int64) { counts[name] += delta })
 	client := p.Wrap(nil)
 
 	// Partition accepts the full URL form the router knows workers by.
 	p.Partition(ts.URL)
-	if got := p.Partitioned(); len(got) != 1 {
-		t.Fatalf("Partitioned() = %v, want one host", got)
-	}
 	if _, err := client.Get(ts.URL); err == nil || !strings.Contains(err.Error(), "partitioned") {
 		t.Fatalf("partitioned request err = %v, want partition error", err)
 	}
-	if counts["chaos_partition_blocks"] != 1 {
-		t.Fatalf("partition block not counted: %v", counts)
+	host := strings.TrimPrefix(ts.URL, "http://")
+	if ev := p.Events(); len(ev) != 1 || ev[0].Point != "partition" || ev[0].Host != host {
+		t.Fatalf("partition block logged as %+v, want one partition event for %s", ev, host)
 	}
 
 	p.Heal(ts.URL)
@@ -142,9 +123,6 @@ func TestPartitionHeal(t *testing.T) {
 	} else {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-	}
-	if got := p.Partitioned(); len(got) != 0 {
-		t.Fatalf("Partitioned() after heal = %v, want none", got)
 	}
 
 	p.Partition(ts.URL)
@@ -179,22 +157,51 @@ func TestTruncateFault(t *testing.T) {
 	}
 }
 
-// TestParseSpec pins the CLI spec grammar.
-func TestParseSpec(t *testing.T) {
-	cfg, err := ParseSpec("seed=7, drop=0.05, delay=0.1, delay-ms=50, truncate=0.02")
+// countingTransport counts the requests that reach it, then forwards them.
+type countingTransport struct {
+	n    atomic.Int64
+	next http.RoundTripper
+}
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return c.next.RoundTrip(req)
+}
+
+// TestWrapKeepsEachClientsNextHop pins that one proxy wrapping two
+// clients sends each client's requests through that client's own
+// transport, while both share the proxy's partitions and event log.
+func TestWrapKeepsEachClientsNextHop(t *testing.T) {
+	ts := bigBodyServer(t)
+	p, err := New(Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Config{Seed: 7, DropRate: 0.05, DelayRate: 0.1, TruncateRate: 0.02, Delay: 50 * time.Millisecond}
-	if cfg != want {
-		t.Fatalf("ParseSpec = %+v, want %+v", cfg, want)
+	a := &countingTransport{next: http.DefaultTransport}
+	b := &countingTransport{next: http.DefaultTransport}
+	clientA := p.Wrap(&http.Client{Transport: a})
+	clientB := p.Wrap(&http.Client{Transport: b})
+
+	if got := burst(t, clientA, ts.URL, 1); got[0] != "ok" {
+		t.Fatalf("client A request: %s", got[0])
 	}
-	if cfg, err := ParseSpec(""); err != nil || cfg != (Config{}) {
-		t.Fatalf("empty spec = (%+v, %v), want zero config", cfg, err)
+	if a.n.Load() != 1 || b.n.Load() != 0 {
+		t.Fatalf("client A's request reached a=%d b=%d, want a=1 b=0", a.n.Load(), b.n.Load())
 	}
-	for _, bad := range []string{"drop", "drop=2", "x=1", "seed=abc", "delay-ms=-1"} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", bad)
+	if got := burst(t, clientB, ts.URL, 1); got[0] != "ok" {
+		t.Fatalf("client B request: %s", got[0])
+	}
+	if a.n.Load() != 1 || b.n.Load() != 1 {
+		t.Fatalf("client B's request reached a=%d b=%d, want a=1 b=1", a.n.Load(), b.n.Load())
+	}
+
+	p.Partition(ts.URL)
+	for _, c := range []*http.Client{clientA, clientB} {
+		if _, err := c.Get(ts.URL); err == nil {
+			t.Fatal("request through a partition succeeded")
 		}
+	}
+	if ev := p.Events(); len(ev) != 2 {
+		t.Fatalf("shared event log holds %d events, want 2", len(ev))
 	}
 }

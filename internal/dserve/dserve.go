@@ -151,19 +151,3 @@ type RepairResponse struct {
 	Epoch    uint64 `json:"epoch"`
 	Replayed int    `json:"replayed,omitempty"`
 }
-
-// ChaosRequest is the body of the router's POST /internal/chaos (only
-// mounted when the chaos proxy is enabled): exactly one of Partition
-// (worker URL or host to cut off), Heal, or HealAll.
-type ChaosRequest struct {
-	Partition string `json:"partition,omitempty"`
-	Heal      string `json:"heal,omitempty"`
-	HealAll   bool   `json:"heal_all,omitempty"`
-}
-
-// ChaosStatus reports the chaos proxy's current partitions and total
-// injected-fault count.
-type ChaosStatus struct {
-	Partitioned []string `json:"partitioned"`
-	Events      uint64   `json:"events"`
-}

@@ -247,9 +247,10 @@ func startFleetWorker(t *testing.T, routerURL, addr string, mut func(*WorkerConf
 
 // startFleet boots a router that replicates to all three workers, with
 // probe, backoff and anti-entropy periods in tens of milliseconds, and
-// three registered, healthy workers; dirs configures worker i. Cleanup
+// three registered, healthy workers; client is the router's outbound
+// client (nil for the default) and dirs configures worker i. Cleanup
 // shuts the router down after every worker has stopped.
-func startFleet(t *testing.T, proxy *chaos.Proxy, dirs func(i int, c *WorkerConfig)) (*Router, string, []string, []*Worker) {
+func startFleet(t *testing.T, client *http.Client, dirs func(i int, c *WorkerConfig)) (*Router, string, []string, []*Worker) {
 	t.Helper()
 	rt, err := NewRouter(RouterConfig{
 		Replication:         3,
@@ -257,7 +258,7 @@ func startFleet(t *testing.T, proxy *chaos.Proxy, dirs func(i int, c *WorkerConf
 		BackoffBase:         20 * time.Millisecond,
 		BackoffMax:          100 * time.Millisecond,
 		AntiEntropyInterval: 50 * time.Millisecond,
-		Chaos:               proxy,
+		Client:              client,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +391,7 @@ func TestFleetPartitionRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, routerURL, addrs, wks := startFleet(t, proxy, dirs)
+	rt, routerURL, addrs, wks := startFleet(t, proxy.Wrap(&http.Client{Timeout: 30 * time.Second}), dirs)
 
 	res := burst(t, routerURL, 60, burstMix{mutateEvery: 6}, func(seq int64) {
 		switch seq {

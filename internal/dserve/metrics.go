@@ -29,13 +29,6 @@ var routerCounters = []string{
 	"antientropy_divergence", // checks that found replicas disagreeing on (epoch, digest)
 	"antientropy_repairs",    // laggard repairs that completed (wal suffix or snapshot)
 	"antientropy_errors",     // digest fetches or repair requests that failed
-
-	// Chaos proxy injections (names owned by internal/dserve/chaos;
-	// zero unless RouterConfig.Chaos is set).
-	"chaos_drops",            // requests failed before sending
-	"chaos_delays",           // requests delayed before sending
-	"chaos_truncates",        // response bodies cut short
-	"chaos_partition_blocks", // requests blocked by an active partition
 }
 
 // routerHistograms are the router-side request latency distributions

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"graphpulse/internal/dserve/chaos"
 	"graphpulse/internal/serve"
 )
 
@@ -75,11 +74,9 @@ type RouterConfig struct {
 	// graph's healthy replicas and asks laggards to repair from the most
 	// advanced peer (default 5s). Negative disables the loop.
 	AntiEntropyInterval time.Duration
-	// Chaos, when non-nil, wraps the proxy client's transport with the
-	// seeded deterministic fault proxy (internal/dserve/chaos) and mounts
-	// the POST /internal/chaos control endpoint — CI and tests only.
-	Chaos *chaos.Proxy
-	// Client overrides the proxy HTTP client (default: 30s timeout).
+	// Client overrides the HTTP client for all outbound traffic: proxied
+	// requests, write fan-outs, health probes and anti-entropy (default:
+	// 30s timeout).
 	Client *http.Client
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
@@ -124,7 +121,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
 	}
-	c.Client = c.Chaos.Wrap(c.Client)
 	return c
 }
 
@@ -162,7 +158,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		graphMus: make(map[string]*sync.Mutex),
 	}
 	rt.members = newMembership(cfg, rt.metrics, rt.logf)
-	cfg.Chaos.SetSink(rt.metrics.Add)
 	for _, raw := range cfg.Workers {
 		u, err := normalizeWorkerURL(raw)
 		if err != nil {
@@ -249,8 +244,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /internal/register", rt.handleRegister)
 	mux.HandleFunc("GET /internal/workers", rt.handleWorkers)
 	mux.HandleFunc("POST /internal/drain", rt.handleDrain)
-	mux.HandleFunc("POST /internal/chaos", rt.handleChaos)
-	mux.HandleFunc("GET /internal/chaos", rt.handleChaosStatus)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -613,51 +606,6 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rt.Workers())
-}
-
-// handleChaos drives the chaos proxy's explicit faults (partition/heal a
-// worker) — 404 unless the router was built with RouterConfig.Chaos, so
-// production routers expose no fault surface.
-func (rt *Router) handleChaos(w http.ResponseWriter, r *http.Request) {
-	if rt.cfg.Chaos == nil {
-		writeError(w, http.StatusNotFound, "chaos proxy not enabled on this router")
-		return
-	}
-	var req ChaosRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad chaos body: %v", err)
-		return
-	}
-	switch {
-	case req.Partition != "":
-		rt.cfg.Chaos.Partition(req.Partition)
-		rt.logf("dserve: router: chaos partitioned %s", req.Partition)
-	case req.Heal != "":
-		rt.cfg.Chaos.Heal(req.Heal)
-		rt.logf("dserve: router: chaos healed %s", req.Heal)
-	case req.HealAll:
-		rt.cfg.Chaos.HealAll()
-		rt.logf("dserve: router: chaos healed all partitions")
-	default:
-		writeError(w, http.StatusBadRequest, "chaos request needs partition, heal, or heal_all")
-		return
-	}
-	rt.writeChaosStatus(w)
-}
-
-func (rt *Router) handleChaosStatus(w http.ResponseWriter, r *http.Request) {
-	if rt.cfg.Chaos == nil {
-		writeError(w, http.StatusNotFound, "chaos proxy not enabled on this router")
-		return
-	}
-	rt.writeChaosStatus(w)
-}
-
-func (rt *Router) writeChaosStatus(w http.ResponseWriter) {
-	writeJSON(w, http.StatusOK, ChaosStatus{
-		Partitioned: rt.cfg.Chaos.Partitioned(),
-		Events:      rt.cfg.Chaos.EventCount(),
-	})
 }
 
 // handleDrain cordons (or readmits) a worker: a draining worker keeps its

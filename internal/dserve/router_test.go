@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -160,6 +161,77 @@ func TestRouterProxyAndWriteFanout(t *testing.T) {
 	}
 	if len(infos) != 1 || infos[0].Name != "g" || infos[0].Epoch != 1 {
 		t.Fatalf("merged inventory = %+v, want one row for g at epoch 1", infos)
+	}
+}
+
+// pathRecorder is a RoundTripper that counts requests per URL path, then
+// forwards them over the default transport.
+type pathRecorder struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (p *pathRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	p.mu.Lock()
+	p.n[req.URL.Path]++
+	p.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+func (p *pathRecorder) count(path string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.n[path]
+}
+
+// TestClientCarriesAllOutboundTraffic pins Client as the one transport
+// seam: the router's health probes, proxied queries, write fan-outs and
+// anti-entropy digest fetches, and the workers' registrations, all go
+// through the client their config installs.
+func TestClientCarriesAllOutboundTraffic(t *testing.T) {
+	routerPaths := &pathRecorder{n: map[string]int{}}
+	workerPaths := &pathRecorder{n: map[string]int{}}
+	rt, rts := newTestRouter(t, RouterConfig{
+		Replication:         2,
+		ProbeInterval:       20 * time.Millisecond,
+		AntiEntropyInterval: 20 * time.Millisecond,
+		Client:              &http.Client{Transport: routerPaths, Timeout: 30 * time.Second},
+	})
+	for range 2 {
+		startFleetWorker(t, rts.URL, freeAddr(t), func(c *WorkerConfig) {
+			c.Client = &http.Client{Transport: workerPaths, Timeout: 30 * time.Second}
+		})
+	}
+	waitFor(t, "two registered workers", 5*time.Second, func() bool {
+		n := 0
+		for _, w := range rt.Workers() {
+			if w.Healthy && len(w.Graphs) > 0 {
+				n++
+			}
+		}
+		return n == 2
+	})
+
+	if _, code := queryVia(t, rts.URL); code != http.StatusOK {
+		t.Fatalf("query via router: HTTP %d", code)
+	}
+	code, body := postJSON(t, rts.URL+"/v1/mutate", serve.MutateRequest{
+		Graph: "g", Edges: []serve.EdgeJSON{{Src: 0, Dst: 150, Weight: 0.7}},
+	})
+	if code != http.StatusOK {
+		t.Fatalf("mutate via router: HTTP %d: %s", code, body)
+	}
+	waitFor(t, "a health probe and an anti-entropy digest through the router's client", 5*time.Second, func() bool {
+		return routerPaths.count("/healthz") > 0 && routerPaths.count("/internal/digest") > 0
+	})
+	if n := routerPaths.count("/v1/query"); n != 1 {
+		t.Errorf("router client carried %d /v1/query requests, want 1", n)
+	}
+	if n := routerPaths.count("/v1/mutate"); n != 2 {
+		t.Errorf("router client carried %d /v1/mutate requests, want 2 (one per replica)", n)
+	}
+	if n := workerPaths.count("/internal/register"); n < 2 {
+		t.Errorf("worker clients carried %d /internal/register requests, want at least 2", n)
 	}
 }
 

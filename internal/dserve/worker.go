@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"graphpulse/internal/atomicio"
-	"graphpulse/internal/dserve/chaos"
 	"graphpulse/internal/serve"
 	"graphpulse/internal/stream"
 )
@@ -51,15 +50,10 @@ type WorkerConfig struct {
 	// a restarted router's worker table warm and double as a readmission
 	// signal after an ejection.
 	Heartbeat time.Duration
-	// Client overrides the HTTP client used for registration and peer
-	// catch-up (default: 30s timeout).
-	Client *http.Client
-	// Chaos, when non-nil, wraps the worker's outbound HTTP client —
+	// Client overrides the HTTP client for all outbound traffic:
 	// registration heartbeats and the repair ladder's digest, WAL-suffix
-	// and snapshot fetches — with the seeded deterministic fault proxy
-	// (internal/dserve/chaos), the same interposition the router applies
-	// to its proxy client. CI and tests only.
-	Chaos *chaos.Proxy
+	// and snapshot fetches (default: 30s timeout).
+	Client *http.Client
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
 }
@@ -97,9 +91,6 @@ func (c WorkerConfig) withDefaults() (WorkerConfig, error) {
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
 	}
-	// Interpose the fault proxy on every outbound request; a nil proxy
-	// returns the client unchanged.
-	c.Client = c.Chaos.Wrap(c.Client)
 	return c, nil
 }
 
@@ -135,10 +126,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		return nil, err
 	}
 	cfg.Server.Metrics().Register(workerCounters, nil)
-	if cfg.Chaos != nil {
-		cfg.Server.Metrics().Register(chaos.CounterNames(), nil)
-		cfg.Chaos.SetSink(cfg.Server.Metrics().Add)
-	}
 	wk := &Worker{cfg: cfg, srv: cfg.Server, persisted: make(map[string]uint64)}
 	if cfg.WALDir != "" {
 		wk.wals = make(map[string]*WAL)

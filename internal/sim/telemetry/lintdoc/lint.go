@@ -190,7 +190,7 @@ func check(docPath string) error {
 // metricTokenRE matches the backticked tokens the reverse check treats as
 // metric references: the repository's metric-name families, optionally
 // ending in a `*` glob.
-var metricTokenRE = regexp.MustCompile(`^(router|worker|query|mutate|stream|compute|psolve|wal|antientropy|chaos|ooc)_[a-z0-9_]+\*?$`)
+var metricTokenRE = regexp.MustCompile(`^(router|worker|query|mutate|stream|compute|psolve|wal|antientropy|ooc)_[a-z0-9_]+\*?$`)
 
 // checkOps is the reverse check for runbook-style docs (OPERATIONS.md):
 // every backticked token shaped like a metric name must be a metric the
