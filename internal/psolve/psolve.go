@@ -17,16 +17,25 @@
 // inter-queue event routing.
 //
 // Termination is the paper's global check (Section IV-C) in software: a
-// single atomic counter tracks every undelivered unit of work — queued
-// worklist entries, buffered remote-delta entries, and in-flight batch
-// entries. Every increment happens before the decrement of the work item
-// that caused it, so the counter reaches zero only at true global
-// quiescence; the worker that decrements it to zero closes the done channel.
+// single atomic counter holds the number of running workers plus the
+// batches in flight. A worker leaves the count only when it goes idle — its
+// worklist empty and every dirty list flushed — and rejoins it before it
+// integrates a batch received while idle; a batch enters the count before
+// its channel send and leaves it after its owner has merged it. Neither
+// the activation loop nor the per-edge pushes touch the counter, so it
+// costs a few atomic adds per batch instead of one per queued entry, and
+// it is zero exactly when every worker is idle and no batch is in flight;
+// the goroutine that takes it to zero closes the done channel.
 //
-// Cancellation matches sim.ErrCanceled semantics: workers poll the context
-// every ctxPollInterval activations and the first to observe cancellation
-// stops the fleet, so a server deadline cancels a parallel solve, a serial
-// solve, and a cycle-level simulation through one errors.Is check.
+// A solve with one shard (Workers 1, or a partition of one slice) has no
+// exchange and no termination to detect: it runs algorithms.SolveCtx and
+// reports that solve's counters.
+//
+// Cancellation matches sim.ErrCanceled semantics: busy workers poll the
+// context every ctxPollInterval activations, idle or blocked ones wait on
+// it, and the first to observe cancellation stops the fleet, so a server
+// deadline cancels a parallel solve, a serial solve, and a cycle-level
+// simulation through one errors.Is check.
 package psolve
 
 import (
@@ -61,6 +70,7 @@ const refinePasses = 1
 type Config struct {
 	// Workers is the shard/goroutine count (default GOMAXPROCS, clamped to
 	// the vertex count — a 3-vertex graph never runs more than 3 workers).
+	// One shard runs the serial solver, algorithms.SolveCtx.
 	Workers int
 	// BatchSize is the buffered remote-vertex count at which a worker flushes
 	// its cross-shard deltas to their owners (default 256). Larger
@@ -134,7 +144,8 @@ type delta struct {
 	d float64
 }
 
-// batch is the unit of cross-shard exchange: a flushed coalescing map.
+// batch is the unit of cross-shard exchange: one destination's dirty list,
+// flushed from the sender's dense remote accumulator.
 type batch []delta
 
 // solver is the shared run state.
@@ -147,6 +158,10 @@ type solver struct {
 	state []float64
 	id    float64
 
+	// ctxDone is ctx.Done(), or nil (never ready) when ctx is nil: the
+	// channel idle and blocked workers wait on beside their inbox.
+	ctxDone <-chan struct{}
+
 	workers []*worker
 	// spare recycles the backing arrays of integrated batches: on a skewed
 	// graph a third of the edges cross shards, and a fresh batch per flush
@@ -154,8 +169,8 @@ type solver struct {
 	// flight at once, so a full list only means the rest go to the GC.
 	spare chan batch
 
-	// outstanding counts queued worklist entries + buffered remote-delta
-	// entries + in-flight batch entries. Zero ⇔ global quiescence.
+	// outstanding counts running workers + batches sent but not yet
+	// merged by their owner. Zero ⇔ global quiescence.
 	outstanding atomic.Int64
 	done        chan struct{}
 	doneOnce    sync.Once
@@ -185,9 +200,7 @@ type worker struct {
 	// vertices, and rdirty[dst] lists them per destination worker. Dense
 	// arrays instead of maps: on skewed graphs half the edges can cross
 	// shards, so the remote path must cost no more than a local push. The
-	// price is O(n) memory per worker, O(workers × n) total. Buffered
-	// entries count toward solver.outstanding from the moment they enter
-	// rdirty.
+	// price is O(n) memory per worker, O(workers × n) total.
 	racc     []float64
 	rqueued  []bool
 	rdirty   [][]graph.VertexID
@@ -213,12 +226,18 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm, 
 	if n == 0 {
 		return &Result{Values: []float64{}}, nil
 	}
+	if cfg.Workers == 1 {
+		return serial(ctx, g, alg)
+	}
 
 	part, err := shard(g, cfg)
 	if err != nil {
 		return nil, err
 	}
 	w := part.NumSlices()
+	if w == 1 {
+		return serial(ctx, g, alg)
+	}
 
 	s := &solver{
 		g:     g,
@@ -232,6 +251,10 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm, 
 		stop:  make(chan struct{}),
 		spare: make(chan batch, 4*w*w),
 	}
+	if ctx != nil {
+		s.ctxDone = ctx.Done()
+	}
+	s.outstanding.Store(int64(w)) // every worker starts running
 	for v := 0; v < n; v++ {
 		s.state[v] = alg.InitState(graph.VertexID(v))
 	}
@@ -239,24 +262,22 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm, 
 	for i, sl := range part.Slices {
 		size := sl.NumVertices()
 		wk := &worker{
-			idx:    i,
-			lo:     sl.Lo,
-			hi:     sl.Hi,
-			wl:     algorithms.NewWorklist(g, sl.Lo, sl.Hi),
-			inList: make([]bool, size),
-			acc:    make([]float64, size),
-			inbox:  make(chan batch, 4*w),
+			idx:     i,
+			lo:      sl.Lo,
+			hi:      sl.Hi,
+			wl:      algorithms.NewWorklist(g, sl.Lo, sl.Hi),
+			inList:  make([]bool, size),
+			acc:     make([]float64, size),
+			inbox:   make(chan batch, 4*w),
+			racc:    make([]float64, n),
+			rqueued: make([]bool, n),
+			rdirty:  make([][]graph.VertexID, w),
 		}
 		for j := range wk.acc {
 			wk.acc[j] = s.id
 		}
-		if w > 1 {
-			wk.racc = make([]float64, n)
-			wk.rqueued = make([]bool, n)
-			wk.rdirty = make([][]graph.VertexID, w)
-			for j := range wk.racc {
-				wk.racc[j] = s.id
-			}
+		for j := range wk.racc {
+			wk.racc[j] = s.id
 		}
 		s.workers[i] = wk
 	}
@@ -265,9 +286,6 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm, 
 	for _, ev := range alg.InitialEvents(g) {
 		wk := s.workers[part.SliceOf(ev.Vertex)]
 		wk.pushLocal(s, ev.Vertex, ev.Delta)
-	}
-	if s.outstanding.Load() == 0 {
-		s.doneOnce.Do(func() { close(s.done) })
 	}
 
 	for _, wk := range s.workers {
@@ -307,6 +325,23 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm, 
 		res.TerminationRounds += wk.rounds
 	}
 	return res, nil
+}
+
+// serial runs a one-shard solve. With no shard boundary there is nothing
+// to exchange and no quiescence to detect, so the serial solver runs
+// as-is and its counters are reported as the one worker's.
+func serial(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm) (*Result, error) {
+	res, err := algorithms.SolveCtx(ctx, g, alg)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Values:            res.Values,
+		Activations:       res.Activations,
+		Emitted:           res.Emitted,
+		Workers:           1,
+		WorkerActivations: []int64{res.Activations},
+	}, nil
 }
 
 // shard builds the worker partitioning for g: aligned to the store's own
@@ -349,12 +384,12 @@ func (s *solver) fail(err error) {
 	})
 }
 
-// finish decrements the outstanding-work counter by n; the goroutine that
-// takes it to zero announces global quiescence. Every increment for work an
-// item caused happens before that item's own decrement, so zero is reachable
-// only when no work exists anywhere.
-func (s *solver) finish(n int64) {
-	if s.outstanding.Add(-n) == 0 {
+// finish takes one unit (a running worker or an in-flight batch) off the
+// termination counter; the goroutine that takes it to zero announces global
+// quiescence. Zero is final: only a running worker sends a batch, and an
+// idle worker rejoins only while the batch it received is still counted.
+func (s *solver) finish() {
+	if s.outstanding.Add(-1) == 0 {
 		s.doneOnce.Do(func() { close(s.done) })
 	}
 }
@@ -364,18 +399,18 @@ func (s *solver) canceled(w *worker) bool {
 	select {
 	case <-s.stop:
 		return true
+	case <-s.ctxDone:
+		s.cancel(w)
+		return true
 	default:
+		return false
 	}
-	if s.ctx != nil {
-		select {
-		case <-s.ctx.Done():
-			s.fail(fmt.Errorf("%w after %d activations on worker %d: %v",
-				sim.ErrCanceled, w.activations, w.idx, s.ctx.Err()))
-			return true
-		default:
-		}
-	}
-	return false
+}
+
+// cancel stops the fleet with ctx's error, naming the worker that saw it.
+func (s *solver) cancel(w *worker) {
+	s.fail(fmt.Errorf("%w after %d activations on worker %d: %v",
+		sim.ErrCanceled, w.activations, w.idx, s.ctx.Err()))
 }
 
 // pushLocal coalesces a delta into an owned vertex and enqueues it if not
@@ -387,7 +422,6 @@ func (w *worker) pushLocal(s *solver, v graph.VertexID, d float64) {
 	if !w.inList[off] {
 		w.inList[off] = true
 		w.wl.Push(v)
-		s.outstanding.Add(1)
 	}
 }
 
@@ -403,19 +437,17 @@ func (w *worker) bufferRemote(s *solver, dst int, v graph.VertexID, d float64) {
 	w.racc[v] = d // slot holds the identity between flushes
 	w.rdirty[dst] = append(w.rdirty[dst], v)
 	w.outCount++
-	s.outstanding.Add(1)
 }
 
-// integrate merges a received batch into the local worklist. Each delivered
-// entry retires one unit of outstanding work (its increment happened at
-// buffer time on the sender); any new worklist entry it causes is counted
-// first by pushLocal. The channel send handed b over, so its backing array
-// goes back to the spare list for the next flush of any worker.
+// integrate merges a received batch into the local worklist, then retires
+// the batch from the termination counter (its sender counted it before the
+// send). The channel send handed b over, so its backing array goes back to
+// the spare list for the next flush of any worker.
 func (w *worker) integrate(s *solver, b batch) {
 	for _, e := range b {
 		w.pushLocal(s, e.v, e.d)
-		s.finish(1)
 	}
+	s.finish()
 	select {
 	case s.spare <- b[:0]:
 	default:
@@ -434,6 +466,9 @@ func (w *worker) send(s *solver, dst int, b batch) bool {
 		case in := <-w.inbox:
 			w.integrate(s, in)
 		case <-s.stop:
+			return false
+		case <-s.ctxDone:
+			s.cancel(w)
 			return false
 		}
 	}
@@ -464,6 +499,7 @@ func (w *worker) flushAll(s *solver) bool {
 		w.outCount -= len(b)
 		w.sentDeltas += int64(len(b))
 		w.sentBatches++
+		s.outstanding.Add(1)
 		if !w.send(s, dst, b) {
 			return false
 		}
@@ -473,8 +509,8 @@ func (w *worker) flushAll(s *solver) bool {
 
 // processChunk pops and activates up to processChunk owned vertices,
 // propagating along out-edges: local destinations go straight back into the
-// worklist, remote ones into the outbound coalescing maps. Returns false when
-// the fleet is stopping.
+// worklist, remote ones into the dense remote accumulator. Returns false
+// when the fleet is stopping.
 func (w *worker) processChunk(s *solver) bool {
 	for i := 0; i < processChunk && w.wl.Len() > 0; i++ {
 		if w.activations%ctxPollInterval == 0 && s.canceled(w) {
@@ -495,7 +531,6 @@ func (w *worker) processChunk(s *solver) bool {
 			// does. The residual coalesces with the next arriving delta (or
 			// folds into state at termination), keeping sum-based
 			// algorithms within the serial solver's tolerance band.
-			s.finish(1)
 			continue
 		}
 		s.state[v] = next
@@ -516,7 +551,6 @@ func (w *worker) processChunk(s *solver) bool {
 				w.bufferRemote(s, s.part.SliceOf(dst), dst, out)
 			}
 		}
-		s.finish(1)
 		if w.outCount >= s.cfg.BatchSize {
 			if !w.flushAll(s) {
 				return false
@@ -527,7 +561,7 @@ func (w *worker) processChunk(s *solver) bool {
 }
 
 // run is the worker main loop: drain inbox, process a chunk, flush on local
-// quiescence, then sleep until cross-shard work arrives or the fleet
+// quiescence, then go idle until cross-shard work arrives or the fleet
 // terminates.
 func (w *worker) run(s *solver) {
 	defer s.wg.Done()
@@ -552,24 +586,32 @@ func (w *worker) run(s *solver) {
 			continue
 		}
 		// Local quiescence: everything buffered must reach its owner before
-		// this worker may idle, or the counter could never reach zero.
+		// this worker may idle, or the counter could reach zero with work
+		// still parked here.
 		if !w.flushAll(s) {
 			return
-		}
-		if worked {
-			w.rounds++
-			worked = false
 		}
 		if w.wl.Len() > 0 {
 			// send() integrated inbound batches while flushing.
 			continue
 		}
+		if worked {
+			w.rounds++
+			worked = false
+		}
+		s.finish()
 		select {
 		case b := <-w.inbox:
+			// Rejoin before merging: the batch still holds its own unit,
+			// so the counter stays above zero in between.
+			s.outstanding.Add(1)
 			w.integrate(s, b)
 		case <-s.done:
 			return
 		case <-s.stop:
+			return
+		case <-s.ctxDone:
+			s.cancel(w)
 			return
 		}
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/conformance"
@@ -101,6 +103,115 @@ func checkCounters(t *testing.T, res *psolve.Result, requested int) {
 	}
 }
 
+// TestOneShardIsSerial: a solve with one shard is the serial solver — at
+// Workers 1, and at Workers 4 on a graph too small to split — so Values,
+// Activations and Emitted match algorithms.SolveCtx bit for bit, cold and
+// warm, and no cross-shard counter moves.
+func TestOneShardIsSerial(t *testing.T) {
+	single, err := graph.FromEdges(1, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type input struct {
+		g       *graph.CSR
+		workers int
+	}
+	inputs := map[string]input{"single/w4": {single, 4}}
+	for name, g := range testShapes(t) {
+		inputs[name+"/w1"] = input{g, 1}
+	}
+	for inName, in := range inputs {
+		for _, name := range algorithms.Names() {
+			g := in.g
+			if name == "ads" {
+				g = g.NormalizeInbound() // adsorption converges only on inbound-normalized weights
+			}
+			alg, err := algorithms.ByName(name, conformance.BestRoot(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The warm start resumes from the cold fixed point and
+			// re-delivers the cold seeds, so it does real work.
+			cold := algorithms.Solve(g, alg)
+			warm := algorithms.WarmStart(alg, cold.Values, alg.InitialEvents(g))
+			for mode, a := range map[string]algorithms.Algorithm{"cold": alg, "warm": warm} {
+				t.Run(fmt.Sprintf("%s/%s/%s", inName, name, mode), func(t *testing.T) {
+					want, err := algorithms.SolveCtx(nil, g, a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := psolve.SolveCtx(nil, g, a, psolve.Config{Workers: in.workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for v := range want.Values {
+						if math.Float64bits(got.Values[v]) != math.Float64bits(want.Values[v]) {
+							t.Fatalf("vertex %d: psolve %v, serial %v", v, got.Values[v], want.Values[v])
+						}
+					}
+					if got.Activations != want.Activations || got.Emitted != want.Emitted {
+						t.Fatalf("activations/emitted %d/%d, serial %d/%d",
+							got.Activations, got.Emitted, want.Activations, want.Emitted)
+					}
+					if got.Workers != 1 || len(got.WorkerActivations) != 1 || got.WorkerActivations[0] != want.Activations {
+						t.Fatalf("Workers %d, WorkerActivations %v; want 1, [%d]", got.Workers, got.WorkerActivations, want.Activations)
+					}
+					if got.CrossShardDeltas != 0 || got.CrossShardCoalesced != 0 || got.CrossShardBatches != 0 ||
+						got.CutEdges != 0 || got.TerminationRounds != 0 {
+						t.Fatalf("one shard reported exchange: deltas=%d coalesced=%d batches=%d cut=%d rounds=%d",
+							got.CrossShardDeltas, got.CrossShardCoalesced, got.CrossShardBatches, got.CutEdges, got.TerminationRounds)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestTerminationStress runs the sharded path where a lost wake-up or an
+// early done would show: skewed graphs over eight seeds, worker counts that
+// do and do not divide the vertex count, and batches of one entry (a flush
+// per remote delta) beside the default. Every solve has a deadline, so a
+// hang fails its own cell instead of timing out the test binary.
+func TestTerminationStress(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		g, err := gen.RMAT(gen.RMATParams{
+			A: 0.57, B: 0.19, C: 0.19, D: 0.05,
+			Scale: 8, EdgeFactor: 4, Weighted: true, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := conformance.BestRoot(g)
+		for _, name := range []string{"pr", "sssp", "cc"} {
+			alg, err := algorithms.ByName(name, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := algorithms.Solve(g, alg)
+			tol := conformance.Tolerance(alg, g)
+			for _, workers := range []int{2, 3, 8} {
+				for _, batch := range []int{1, 256} {
+					cfg := psolve.Config{Workers: workers, BatchSize: batch}
+					t.Run(fmt.Sprintf("seed%d/%s/w%d/b%d", seed, name, workers, batch), func(t *testing.T) {
+						ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+						defer cancel()
+						res, err := psolve.SolveCtx(ctx, g, alg, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := conformance.CompareValues("psolve vs solve", res.Values, want.Values, tol); err != nil {
+							t.Fatal(err)
+						}
+						if res.CutEdges > 0 && res.CrossShardBatches == 0 {
+							t.Fatalf("%d cut edges but no cross-shard batch", res.CutEdges)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestTinyBatches forces a flush after nearly every remote delta, stressing
 // the exchange and termination machinery far harder than the default batch
 // size would.
@@ -136,23 +247,8 @@ func TestDegenerateGraphs(t *testing.T) {
 		t.Fatalf("empty graph: got %d values, %d activations", len(res.Values), res.Activations)
 	}
 
-	single, err := graph.FromEdges(1, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = psolve.SolveCtx(nil, single, algorithms.NewConnectedComponents(), psolve.Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Workers != 1 {
-		t.Fatalf("single vertex: %d workers, want 1", res.Workers)
-	}
-	want := algorithms.Solve(single, algorithms.NewConnectedComponents())
-	if err := conformance.CompareValues("psolve single vertex", res.Values, want.Values, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	// More workers than vertices: the shard count clamps to n.
+	// A single vertex is TestOneShardIsSerial's case. More workers than
+	// vertices: the shard count clamps to n.
 	tiny, err := gen.Chain(3, false)
 	if err != nil {
 		t.Fatal(err)
@@ -164,14 +260,15 @@ func TestDegenerateGraphs(t *testing.T) {
 	if res.Workers > 3 {
 		t.Fatalf("3-vertex graph ran %d workers", res.Workers)
 	}
-	want = algorithms.Solve(tiny, algorithms.NewBFS(0))
+	want := algorithms.Solve(tiny, algorithms.NewBFS(0))
 	if err := conformance.CompareValues("psolve clamped workers", res.Values, want.Values, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestCanceled verifies the cancellation contract: a canceled context stops
-// the fleet with an error wrapping sim.ErrCanceled, like every other engine.
+// the fleet, or the one-shard serial solve, with an error wrapping
+// sim.ErrCanceled, like every other engine.
 func TestCanceled(t *testing.T) {
 	g, err := gen.RMAT(gen.RMATParams{
 		A: 0.57, B: 0.19, C: 0.19, D: 0.05,
@@ -182,9 +279,11 @@ func TestCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = psolve.SolveCtx(ctx, g, algorithms.NewPageRankDelta(), psolve.Config{Workers: 4})
-	if !errors.Is(err, sim.ErrCanceled) {
-		t.Fatalf("canceled solve returned %v, want sim.ErrCanceled", err)
+	for _, workers := range []int{1, 4} {
+		_, err = psolve.SolveCtx(ctx, g, algorithms.NewPageRankDelta(), psolve.Config{Workers: workers})
+		if !errors.Is(err, sim.ErrCanceled) {
+			t.Fatalf("canceled solve at %d workers returned %v, want sim.ErrCanceled", workers, err)
+		}
 	}
 }
 
