@@ -18,8 +18,7 @@
 // wedging the sweep), -manifest records every completed job to a JSON file
 // rewritten atomically after each one, and -resume restores those jobs on
 // the next run instead of re-measuring them — the resumed CSV and tables
-// are byte-identical to an uninterrupted run. -faults passes an explicit
-// fault spec (see ROADMAP/EXPERIMENTS) to the "faults" experiment.
+// are byte-identical to an uninterrupted run.
 //
 // -telemetry PREFIX makes the timeline experiment export its time series as
 // PREFIX.csv and PREFIX.trace.json (Chrome trace_event; loads in Perfetto —
@@ -68,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		timeoutFlag  = fs.Duration("timeout", 0, "wall-clock limit per simulated-engine sweep job (0 = unbounded)")
 		manifestFlag = fs.String("manifest", "", "maintain a resumable run manifest (JSON, rewritten atomically after each sweep job)")
 		resumeFlag   = fs.Bool("resume", false, "restore completed jobs from the -manifest file instead of re-running them")
-		faultsFlag   = fs.String("faults", "", "fault spec for the faults experiment, e.g. drop=1e-4,seed=7 (default: built-in rate sweep)")
 	)
 	fs.Parse(args) // ExitOnError: like the tier check, exits 2 before anything is deferred
 
@@ -120,7 +118,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		Timeout:       *timeoutFlag,
 		Manifest:      *manifestFlag,
 		Resume:        *resumeFlag,
-		FaultSpec:     *faultsFlag,
 	}
 	if *progressFlag {
 		opt.Progress = stderr

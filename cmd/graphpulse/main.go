@@ -18,9 +18,8 @@
 // (see METRICS.md and EXPERIMENTS.md "Time-resolved figures").
 // -cpuprofile/-memprofile write Go pprof profiles of the simulator itself.
 //
-// Robustness controls (README "Robustness & fault injection"):
+// Resumable runs (README "Event-conservation watchdog and resumable runs"):
 //
-//	graphpulse -alg pr -rmat 16x12 -faults drop=1e-4,seed=7    # seeded fault injection
 //	graphpulse -alg sssp -rmat 16x12 -checkpoint run.ck        # periodic checkpoints
 //	graphpulse -alg sssp -rmat 16x12 -resume run.ck            # continue from one
 //	graphpulse -alg pr -rmat 20x16 -timeout 5m                 # wall-clock bound
@@ -57,7 +56,6 @@ func main() {
 		telPrefix = flag.String("telemetry", "", "write time-series telemetry to PREFIX.csv and PREFIX.trace.json (simulated engines only)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the simulator to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		faultSpec = flag.String("faults", "", "inject seeded deterministic faults, e.g. drop=1e-4,bitflip=1e-5,seed=7 (accel engines; dram class also applies to graphicionado)")
 		ckPath    = flag.String("checkpoint", "", "periodically write a restartable checkpoint to this file (accel engines only)")
 		ckEvery   = flag.Uint64("checkpoint-every", 1_000_000, "cycles between checkpoints (with -checkpoint)")
 		resumeCk  = flag.String("resume", "", "resume an accel run from a checkpoint file (same graph/alg/config required)")
@@ -87,12 +85,6 @@ func main() {
 	fmt.Printf("graph: %d vertices, %d edges; algorithm: %s; engine: %s\n",
 		g.NumVertices(), g.NumEdges(), alg.Name(), *engine)
 
-	var faults graphpulse.FaultConfig
-	if *faultSpec != "" {
-		if faults, err = graphpulse.ParseFaultSpec(*faultSpec); err != nil {
-			fail(err)
-		}
-	}
 	opts := graphpulse.RunOptions{}
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
@@ -113,7 +105,6 @@ func main() {
 		if *telPrefix != "" {
 			cfg.Telemetry = graphpulse.DefaultTelemetryConfig()
 		}
-		cfg.Fault = faults
 		if *ckPath != "" {
 			opts.CheckpointEvery = *ckEvery
 			opts.OnCheckpoint = func(ck *graphpulse.Checkpoint) error {
@@ -146,11 +137,6 @@ func main() {
 				100*float64(res.EventsCoalesced)/float64(res.EventsEmitted+1))
 			fmt.Printf("off-chip: %d reads, %d writes, %.1f%% of bytes utilized\n",
 				res.MemReads, res.MemWrites, 100*res.Utilization)
-			if res.FaultsInjected != nil {
-				fmt.Printf("faults injected: %s; redelivered %d, dram retries %d, spill-recovered %d\n",
-					graphpulse.FormatFaultSnapshot(res.FaultsInjected),
-					res.RedeliveredEvents, res.MemRetries, res.SpillRecovered)
-			}
 		}
 		if *telPrefix != "" {
 			writeTelemetry(res.Telemetry, *telPrefix, cfg.ClockHz)
@@ -169,7 +155,6 @@ func main() {
 		if *telPrefix != "" {
 			gcfg.Telemetry = graphpulse.DefaultTelemetryConfig()
 		}
-		gcfg.Fault = faults
 		res, err := graphpulse.RunGraphicionadoCtx(opts.Ctx, gcfg, g, alg)
 		if err != nil {
 			fail(err)

@@ -48,7 +48,6 @@ import (
 	"graphpulse/internal/psolve"
 	"graphpulse/internal/serve"
 	"graphpulse/internal/sim"
-	"graphpulse/internal/sim/fault"
 	"graphpulse/internal/sim/telemetry"
 )
 
@@ -262,21 +261,9 @@ func ResumeFromCheckpoint(cfg Config, g *Graph, alg Algorithm, ck *Checkpoint, o
 	return a.RunWithOptions(opts)
 }
 
-// FaultConfig enables seeded deterministic fault injection in a simulated
-// engine (Config.Fault, ClusterConfig.Chip.Fault,
-// GraphicionadoConfig.Fault). The zero value disables it at zero cost.
-type FaultConfig = fault.Config
-
-// ParseFaultSpec parses a "drop=1e-4,bitflip=1e-5,seed=7" fault spec.
-func ParseFaultSpec(spec string) (FaultConfig, error) { return fault.ParseSpec(spec) }
-
-// FormatFaultSnapshot renders an injected-fault count map
-// (Result.FaultsInjected, ConservationError.Faults) as "point=count ...".
-func FormatFaultSnapshot(snap map[string]int64) string { return fault.FormatSnapshot(snap) }
-
 // ConservationError reports an event-conservation violation detected by the
 // accelerator's watchdog, with the full audit (counters, resident
-// breakdown, injected-fault snapshot). It wraps ErrConservation.
+// breakdown). It wraps ErrConservation.
 type ConservationError = core.ConservationError
 
 // Sentinel errors for simulated runs; test with errors.Is.

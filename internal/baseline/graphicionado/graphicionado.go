@@ -33,7 +33,6 @@ import (
 	"graphpulse/internal/graph"
 	"graphpulse/internal/mem"
 	"graphpulse/internal/sim"
-	"graphpulse/internal/sim/fault"
 	"graphpulse/internal/sim/telemetry"
 )
 
@@ -55,10 +54,6 @@ type Config struct {
 	// Telemetry enables time-resolved sampling (frontier size, edge
 	// throughput, DRAM traffic) into Result.Telemetry; see METRICS.md.
 	Telemetry telemetry.Config
-	// Fault configures deterministic fault injection. Only the DRAM fault
-	// class applies to this model (its datapath is on-chip and BSP-
-	// synchronous); the zero value injects nothing.
-	Fault fault.Config
 }
 
 // DefaultConfig mirrors the paper's setup.
@@ -86,9 +81,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("graphicionado: MaxCycles=0")
 	case c.MaxIterations < 1:
 		return fmt.Errorf("graphicionado: MaxIterations=%d", c.MaxIterations)
-	}
-	if err := c.Fault.Validate(); err != nil {
-		return err
 	}
 	return c.Memory.Validate()
 }
@@ -194,7 +186,6 @@ func RunCtx(ctx context.Context, cfg Config, g graph.Adjacency, alg algorithms.A
 		edgeBytes: algorithms.EdgeRecordBytes(alg),
 	}
 	e.memory = mem.New(cfg.Memory)
-	e.memory.InjectFaults(fault.New(cfg.Fault))
 	e.fetch = mem.NewFetcher(e.memory)
 	e.onEdgeLine, e.onVertexLine = e.edgeLineDone, e.vertexLineDone
 	e.lineState = make([]uint64, uint64(g.NumEdges())*e.edgeBytes/mem.LineBytes+1)

@@ -75,10 +75,6 @@ type Options struct {
 	// delete the manifest to re-measure). The manifest must match the
 	// sweep's tier/datasets/algorithms/deadline signature.
 	Resume bool
-	// FaultSpec configures the fault-injection experiment ("faults"), e.g.
-	// "drop=1e-4,seed=7" — see fault.ParseSpec. Empty runs that
-	// experiment's built-in rate sweep.
-	FaultSpec string
 }
 
 // jobContext returns the per-job cancellation context for simulated-engine

@@ -194,8 +194,8 @@ func TestManifestResumeMissingFileStartsFresh(t *testing.T) {
 // TestReadsParentManifest: a manifest written by the commit before the
 // state-file codec moved into atomicio (literal bytes in testdata) resumes
 // a sweep without re-running a job, and flushing it back reproduces the
-// bytes minus the host wall time ("LigraSeconds"), the one field the
-// format has since dropped.
+// bytes minus the fields the format has since dropped: the host wall time
+// ("LigraSeconds") and the fault-recovery counters of core.Result.
 func TestReadsParentManifest(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "manifest_pr18.json"))
 	if err != nil {
@@ -234,7 +234,16 @@ func TestReadsParentManifest(t *testing.T) {
 	if len(raw)-len(want) != 2*len(dropped) {
 		t.Fatal("testdata no longer holds the two LigraSeconds lines")
 	}
+	// Each of the four results carries one line per fault-recovery counter.
+	for _, line := range []string{`"MemFaults": 0`, `"MemRetries": 0`, `"DroppedEvents": 0`,
+		`"RedeliveredEvents": 0`, `"ReorderedEvents": 0`, `"SpillRecovered": 0`, `"FaultsInjected": null`} {
+		retired := []byte("    " + line + ",\n")
+		if bytes.Count(want, retired) != 4 {
+			t.Fatalf("testdata no longer holds four %s lines", line)
+		}
+		want = bytes.ReplaceAll(want, retired, nil)
+	}
 	if got, _ := os.ReadFile(opt.Manifest); !bytes.Equal(got, want) {
-		t.Errorf("re-flushed manifest differs from the parent-written bytes minus LigraSeconds:\n%s", got)
+		t.Errorf("re-flushed manifest differs from the parent-written bytes minus LigraSeconds and the fault counters:\n%s", got)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"graphpulse/internal/graph/partition"
 	"graphpulse/internal/mem"
 	"graphpulse/internal/sim"
-	"graphpulse/internal/sim/fault"
 	"graphpulse/internal/sim/stats"
 	"graphpulse/internal/sim/telemetry"
 )
@@ -108,8 +107,6 @@ type Accelerator struct {
 	// replacement (activateSlice builds a fresh queue with zeroed counters).
 	foldInserted  int64
 	foldCoalesced int64
-	// foldRedelivered accumulates replaced queues' duplicate-discard counts.
-	foldRedelivered int64
 
 	// Cumulative counters.
 	eventsProcessed   int64
@@ -120,12 +117,9 @@ type Accelerator struct {
 	extraVertexUseful int64
 
 	// Robustness state. initialEvents/discardedEvents feed the
-	// event-conservation balance sheet; spillRecovered counts events
-	// re-read after an injected spill loss; wdErr latches a watchdog trip.
-	inj             *fault.Injector // nil unless Config.Fault enables faults
+	// event-conservation balance sheet; wdErr latches a watchdog trip.
 	initialEvents   int64
 	discardedEvents int64
-	spillRecovered  int64
 	wdStrikes       int
 	wdErr           *ConservationError
 
@@ -158,9 +152,7 @@ func New(cfg Config, g graph.Adjacency, alg algorithms.Algorithm) (*Accelerator,
 	}
 	a.prog, _ = alg.(algorithms.Progressor)
 	a.trace = newTracer(cfg.TraceVertices)
-	a.inj = fault.New(cfg.Fault)
 	a.memory = mem.New(cfg.Memory)
-	a.memory.InjectFaults(a.inj)
 	a.fetch = mem.NewFetcher(a.memory)
 	a.onSpillLine = a.spillLineDone
 	a.engine.Register(a.memory)
@@ -195,7 +187,6 @@ func New(cfg Config, g graph.Adjacency, alg algorithms.Algorithm) (*Accelerator,
 		}
 	}
 	a.xbar = newCrossbar(cfg.CrossbarPorts, cfg.NetworkQueueDepth)
-	a.xbar.inj = a.inj
 
 	// Distribute the bootstrap events to their slices. Initial events are
 	// host-written (Section III-B), so activation below charges insertion
@@ -245,35 +236,16 @@ func (a *Accelerator) globalID(local graph.VertexID) graph.VertexID {
 // the slice and stages its spilled events for insertion. When charged is
 // true the event stream is read back from the off-chip spill region.
 func (a *Accelerator) activateSlice(s int, charged bool) {
-	if a.queue != nil {
-		// The per-slice queue is about to be replaced; fold its duplicate-
-		// discard count so reports stay cumulative across slices.
-		a.foldRedelivered += a.queue.redelivered
-	}
 	a.curSlice = s
 	sl := a.slices[s]
 	a.queue = newMappedQueue(sl.NumVertices(), a.cfg.NumBins, a.cfg.BinCols,
 		a.cfg.Mapping, a.cfg.CoalesceDisabled, a.alg.Reduce)
 	a.pendingInserts = a.spill.take(s)
 	a.availInserts = len(a.pendingInserts)
-	// Spill-loss faults: the swap-in stream drops events (a failed read of
-	// the spill region). Loss is detected — the spill buffer is a journal
-	// with known event counts — and recovered by re-reading the affected
-	// lines, so no event is lost; the cost is the extra DRAM traffic
-	// charged below.
-	lost := uint64(0)
-	if a.inj != nil {
-		for range a.pendingInserts {
-			if a.inj.Decide(fault.PointSpillLoss) {
-				lost++
-			}
-		}
-		a.spillRecovered += int64(lost)
-	}
 	if charged {
 		a.availInserts = 0
 		bytes := uint64(len(a.pendingInserts)) * 16
-		lines := (bytes+mem.LineBytes-1)/mem.LineBytes + lost // + recovery re-reads
+		lines := (bytes + mem.LineBytes - 1) / mem.LineBytes
 		for l := uint64(0); l < lines; l++ {
 			a.fetch.Fetch(spillBase+a.swapReadAddr, mem.LineBytes, mem.LineBytes, false, a.onSpillLine, 0)
 			a.swapReadAddr += mem.LineBytes
@@ -680,14 +652,7 @@ func (a *Accelerator) result() *Result {
 		BytesUseful:        ms.Counter("bytes_useful") + a.extraVertexUseful,
 		RowHits:            ms.Counter("row_hits"),
 		RowMisses:          ms.Counter("row_misses"),
-		MemFaults:          ms.Counter("dram_faults"),
-		MemRetries:         ms.Counter("dram_retries"),
-		DroppedEvents:      a.xbar.dropped,
-		RedeliveredEvents:  a.foldRedelivered + a.queue.redelivered,
-		ReorderedEvents:    a.xbar.reordered,
 		DiscardedEvents:    a.discardedEvents,
-		SpillRecovered:     a.spillRecovered,
-		FaultsInjected:     a.inj.Snapshot(),
 		RoundLog:           a.roundLog,
 		TerminatedGlobally: a.globalStop,
 		StageMeans:         make(map[string]float64, len(StageNames)),

@@ -42,6 +42,29 @@ func tinyGraphs(t testing.TB) map[string]*graph.CSR {
 	return out
 }
 
+// rmatTestGraph is one RMAT instance big enough to exercise the crossbar,
+// spill path, and several scheduler rounds, small enough for -race runs.
+func rmatTestGraph(t testing.TB) *gen.RMATParams {
+	t.Helper()
+	return &gen.RMATParams{
+		A: 0.57, B: 0.19, C: 0.19, D: 0.05, Scale: 10, EdgeFactor: 8,
+		Weighted: true, Seed: 7,
+	}
+}
+
+// hubRoot returns the max-out-degree vertex — RMAT leaves many low-numbered
+// vertices edgeless, and a rooted run from one of those is a 1-event no-op
+// that exercises nothing.
+func hubRoot(g *graph.CSR) graph.VertexID {
+	best, bd := graph.VertexID(0), uint64(0)
+	for v := 0; v < g.NumVertices(); v++ {
+		if d := g.RowPtr[v+1] - g.RowPtr[v]; d > bd {
+			best, bd = graph.VertexID(v), d
+		}
+	}
+	return best
+}
+
 // run executes alg on g under cfg and fails the test on error.
 func run(t testing.TB, cfg Config, g *graph.CSR, alg algorithms.Algorithm) *Result {
 	t.Helper()

@@ -47,13 +47,8 @@ type CheckpointCounters struct {
 	DrainStalls       int64
 	ExtraVertexUseful int64
 	DiscardedEvents   int64
-	SpillRecovered    int64
 	FoldInserted      int64
 	FoldCoalesced     int64
-	FoldRedelivered   int64
-	Dropped           int64
-	Duplicated        int64
-	Reordered         int64
 	SwapReadAddr      uint64
 	SpillWriteAddr    uint64
 	SpillCarry        int
@@ -147,13 +142,8 @@ func (a *Accelerator) checkpoint(cycle uint64) *Checkpoint {
 			DrainStalls:       a.drainStalls,
 			ExtraVertexUseful: a.extraVertexUseful,
 			DiscardedEvents:   a.discardedEvents,
-			SpillRecovered:    a.spillRecovered,
 			FoldInserted:      a.foldInserted,
 			FoldCoalesced:     a.foldCoalesced,
-			FoldRedelivered:   a.foldRedelivered + a.queue.redelivered,
-			Dropped:           a.xbar.dropped,
-			Duplicated:        a.xbar.duplicated,
-			Reordered:         a.xbar.reordered,
 			SwapReadAddr:      a.swapReadAddr,
 			SpillWriteAddr:    a.spillWriteAddr,
 			SpillCarry:        a.spillCarry,
@@ -183,8 +173,7 @@ func (a *Accelerator) checkpoint(cycle uint64) *Checkpoint {
 // run with the same Config, graph, and algorithm, ready to RunWithOptions
 // to completion. The restored run resumes on the original cycle timeline
 // and converges to the same values; per-run DRAM statistics restart (the
-// checkpoint does not capture memory-controller state), and the fault
-// injector (if configured) restarts its decision streams.
+// checkpoint does not capture memory-controller state).
 func NewFromCheckpoint(cfg Config, g graph.Adjacency, alg algorithms.Algorithm, ck *Checkpoint) (*Accelerator, error) {
 	switch {
 	case ck.Version != CheckpointVersion:
@@ -239,13 +228,8 @@ func NewFromCheckpoint(cfg Config, g graph.Adjacency, alg algorithms.Algorithm, 
 	a.drainStalls = c.DrainStalls
 	a.extraVertexUseful = c.ExtraVertexUseful
 	a.discardedEvents = c.DiscardedEvents
-	a.spillRecovered = c.SpillRecovered
 	a.foldInserted = c.FoldInserted
 	a.foldCoalesced = c.FoldCoalesced
-	a.foldRedelivered = c.FoldRedelivered
-	a.xbar.dropped = c.Dropped
-	a.xbar.duplicated = c.Duplicated
-	a.xbar.reordered = c.Reordered
 	a.swapReadAddr = c.SwapReadAddr
 	a.spillWriteAddr = c.SpillWriteAddr
 	a.spillCarry = c.SpillCarry

@@ -9,7 +9,6 @@ import (
 	"graphpulse/internal/graph/partition"
 	"graphpulse/internal/mem"
 	"graphpulse/internal/sim"
-	"graphpulse/internal/sim/fault"
 	"graphpulse/internal/sim/telemetry"
 )
 
@@ -41,12 +40,8 @@ type Cluster struct {
 
 	sent, delivered int64
 
-	// inj injects interconnect faults (link kill/degrade) from its own
-	// stream, independent of the chips' injectors.
-	inj                      *fault.Injector
-	linkKilled, linkDegraded int64
-	wdStrikes                int
-	wdErr                    *ConservationError
+	wdStrikes int
+	wdErr     *ConservationError
 
 	tel *telemetry.Recorder // shared across chips; nil when disabled
 }
@@ -129,16 +124,10 @@ func NewCluster(cfg ClusterConfig, g graph.Adjacency, alg algorithms.Algorithm) 
 	// last so it samples end-of-cycle state; probe components are prefixed
 	// "chipN/" per chip.
 	cl.tel = telemetry.New(cfg.Chip.Telemetry)
-	// The interconnect draws link faults from the configured seed; each chip
-	// derives an independent per-chip stream so the chips don't all fault in
-	// lockstep.
-	cl.inj = fault.New(cfg.Chip.Fault)
 	for i, sl := range cl.slices {
 		chipCfg := cfg.Chip
 		chipCfg.Name = fmt.Sprintf("%s-chip%d", chipCfg.Name, i)
 		chipCfg.QueueCapacity = 0
-		chipCfg.Fault = cfg.Chip.Fault.WithSeed(
-			cfg.Chip.Fault.Seed ^ uint64(i+1)*0x9e3779b97f4a7c15)
 		chip, err := newChip(chipCfg, g, alg, sl, state, cl.remoteFunc(i), initial, cl.engine)
 		if err != nil {
 			return nil, err
@@ -180,9 +169,7 @@ func newChip(cfg Config, g graph.Adjacency, alg algorithms.Algorithm, sl partiti
 		state:     state,
 	}
 	a.prog, _ = alg.(algorithms.Progressor)
-	a.inj = fault.New(cfg.Fault)
 	a.memory = mem.New(cfg.Memory)
-	a.memory.InjectFaults(a.inj)
 	a.fetch = mem.NewFetcher(a.memory)
 	a.onSpillLine = a.spillLineDone
 	a.slices = []partition.Slice{sl}
@@ -198,7 +185,6 @@ func newChip(cfg Config, g graph.Adjacency, alg algorithms.Algorithm, sl partiti
 		}
 	}
 	a.xbar = newCrossbar(cfg.CrossbarPorts, cfg.NetworkQueueDepth)
-	a.xbar.inj = a.inj
 	for _, ev := range initial {
 		if sl.Contains(ev.Vertex) {
 			a.spill.add(0, Event{Target: ev.Vertex, Delta: ev.Delta})
@@ -248,21 +234,8 @@ func (cl *Cluster) Tick(cycle uint64) {
 		for moved < cl.cfg.LinkBandwidth && cl.egress[i].Len() > 0 {
 			ev := cl.egress[i].Pop()
 			moved++
-			// Link kill: the event is lost on the wire. No retransmit layer
-			// exists, so the cluster-level conservation audit must catch it.
-			if cl.inj.Decide(fault.PointLinkKill) {
-				cl.linkKilled++
-				continue
-			}
-			lat := cl.cfg.LinkLatency
-			// Link degrade: this traversal crawls (a flapping or retrained
-			// link); the event survives, just late.
-			if cl.inj.Decide(fault.PointLinkDegrade) {
-				lat *= cl.inj.DegradeFactor()
-				cl.linkDegraded++
-			}
 			dst := cl.chipOf(ev.Target)
-			cl.inflight[dst] = append(cl.inflight[dst], linkMsg{ev: ev, arriveAt: cycle + lat})
+			cl.inflight[dst] = append(cl.inflight[dst], linkMsg{ev: ev, arriveAt: cycle + cl.cfg.LinkLatency})
 			cl.sent++
 		}
 	}
@@ -328,14 +301,13 @@ func (cl *Cluster) watchdogCheck(cycle uint64) {
 // conservationError aggregates the chips' balance sheets plus the link
 // buffers into one diagnostic snapshot.
 func (cl *Cluster) conservationError(cycle uint64, imbalance int64) *ConservationError {
-	e := &ConservationError{Cycle: cycle, Imbalance: imbalance, Faults: cl.inj.Snapshot()}
+	e := &ConservationError{Cycle: cycle, Imbalance: imbalance}
 	for i, chip := range cl.chips {
 		e.Initial += chip.initialEvents
 		e.Emitted += chip.eventsEmitted
 		e.Processed += chip.eventsProcessed
 		e.Coalesced += chip.coalescedTotal()
 		e.Discarded += chip.discardedEvents
-		e.Redelivered += chip.foldRedelivered + chip.queue.redelivered
 		rb := chip.residentEvents()
 		e.Resident.Queue += rb.Queue
 		e.Resident.Network += rb.Network
@@ -345,9 +317,6 @@ func (cl *Cluster) conservationError(cycle uint64, imbalance int64) *Conservatio
 		e.Resident.PendingInserts += rb.PendingInserts
 		e.Resident.Egress += int64(cl.egress[i].Len())
 		e.Resident.Inflight += int64(len(cl.inflight[i]))
-		if e.Faults == nil {
-			e.Faults = chip.inj.Snapshot()
-		}
 	}
 	return e
 }
@@ -378,10 +347,6 @@ type ClusterResult struct {
 	Chips   int
 	// InterChipEvents counts events that crossed the interconnect.
 	InterChipEvents int64
-	// LinkKilled and LinkDegraded count injected interconnect faults
-	// (zero on clean runs).
-	LinkKilled   int64
-	LinkDegraded int64
 	// EventsProcessed sums across chips.
 	EventsProcessed int64
 	// OffChipAccesses sums all chips' DRAM line transfers.
@@ -399,7 +364,7 @@ func (cl *Cluster) Run() (*ClusterResult, error) { return cl.RunCtx(nil) }
 // RunCtx runs like Run with wall-clock cancellation: when ctx is done the
 // simulation stops with an error wrapping sim.ErrCanceled. It fails with an
 // error wrapping ErrConservation when the cluster-wide event-conservation
-// watchdog trips (e.g. an event lost on a killed link).
+// watchdog trips (an event lost on the interconnect or inside a chip).
 func (cl *Cluster) RunCtx(ctx context.Context) (*ClusterResult, error) {
 	err := cl.engine.RunUntil(ctx, cl.done, cl.cfg.Chip.MaxCycles)
 	if cl.wdErr != nil {
@@ -408,9 +373,9 @@ func (cl *Cluster) RunCtx(ctx context.Context) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Final audit: a cluster can quiesce with events missing (killed on a
-	// link) before the periodic watchdog accumulates its strikes. Global
-	// termination with an unbalanced sheet is still a lost event.
+	// Final audit: a cluster can quiesce with events missing before the
+	// periodic watchdog accumulates its strikes. Global termination with an
+	// unbalanced sheet is still a lost event.
 	if imb := cl.eventImbalance(); imb != 0 {
 		return nil, cl.conservationError(cl.engine.Cycle(), imb)
 	}
@@ -424,8 +389,6 @@ func (cl *Cluster) RunCtx(ctx context.Context) (*ClusterResult, error) {
 		Seconds:         cl.engine.SecondsAt(cl.cfg.Chip.ClockHz),
 		Chips:           len(cl.chips),
 		InterChipEvents: cl.delivered,
-		LinkKilled:      cl.linkKilled,
-		LinkDegraded:    cl.linkDegraded,
 		Telemetry:       cl.tel,
 	}
 	for _, chip := range cl.chips {

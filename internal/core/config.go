@@ -37,7 +37,6 @@ import (
 
 	"graphpulse/internal/graph"
 	"graphpulse/internal/mem"
-	"graphpulse/internal/sim/fault"
 	"graphpulse/internal/sim/telemetry"
 )
 
@@ -127,17 +126,10 @@ type Config struct {
 	// reads state, so enabling it never changes simulation results.
 	Telemetry telemetry.Config
 
-	// Fault configures deterministic fault injection (see internal/sim/fault).
-	// The zero value injects nothing and adds zero cost; with any nonzero
-	// rate the run is still deterministic per seed, so two runs with equal
-	// Config are bit-identical to each other.
-	Fault fault.Config
-
 	// WatchdogInterval is how often (in cycles) the event-conservation
 	// watchdog audits the event balance sheet; a sustained imbalance fails
 	// the run with ErrConservation instead of wedging until MaxCycles.
-	// 0 selects the default interval. The watchdog is always on — it also
-	// catches genuine lost-event bugs, not just injected drops.
+	// 0 selects the default interval. The watchdog is always on.
 	WatchdogInterval uint64
 
 	// Memory configures the off-chip DRAM model.
@@ -221,9 +213,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: MaxCycles=0")
 	case c.Telemetry.MaxSamples < 0:
 		return fmt.Errorf("core: Telemetry.MaxSamples=%d", c.Telemetry.MaxSamples)
-	}
-	if err := c.Fault.Validate(); err != nil {
-		return err
 	}
 	return c.Memory.Validate()
 }

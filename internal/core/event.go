@@ -15,11 +15,6 @@ type Event struct {
 	// has compounded through coalescing (Figure 8's metric): coalescing two
 	// events yields max(lookaheads)+1.
 	Lookahead uint32
-	// Redelivered marks a duplicate delivery of an event already handed to
-	// the queue complex (an at-least-once delivery fault). The coalescer
-	// discards redeliveries idempotently — applying the same delta twice
-	// would double-count it under non-idempotent reduce operators like sum.
-	Redelivered bool
 }
 
 // coalesceLookahead combines the lookahead tags of two coalescing events.

@@ -1,7 +1,5 @@
 package core
 
-import "graphpulse/internal/sim/fault"
-
 // crossbar models the event-delivery network between generation streams and
 // the coalescing bins: a 16×16 crossbar where groups of streams share input
 // ports (Section IV-E). Per cycle it moves at most `ports` events into the
@@ -19,13 +17,6 @@ type crossbar struct {
 
 	// delivered is a cumulative counter for reports.
 	delivered int64
-
-	// inj, when non-nil, injects delivery faults at the queue-insert
-	// boundary; the counters record what it did to this crossbar.
-	inj        *fault.Injector
-	dropped    int64 // events lost at delivery (conservation watchdog detects)
-	duplicated int64 // events redelivered (coalescer discards idempotently)
-	reordered  int64 // buffer-order swaps (harmless: reduce is commutative)
 
 	binUsed []bool // reusable per-cycle scratch
 }
@@ -53,15 +44,6 @@ func (x *crossbar) deliver(q *coalescingQueue, drainingBin int) (coalesced int) 
 	if len(x.queue) == 0 {
 		return 0
 	}
-	// Reorder fault: swap two buffered events before arbitration, perturbing
-	// delivery order. Coalescing reduce operators are commutative, so this
-	// must never change results — the conformance suite checks exactly that.
-	if len(x.queue) >= 2 && x.inj.Decide(fault.PointQueueReorder) {
-		i := x.inj.Pick(fault.PointQueueReorder, len(x.queue))
-		j := x.inj.Pick(fault.PointQueueReorder, len(x.queue))
-		x.queue[i], x.queue[j] = x.queue[j], x.queue[i]
-		x.reordered++
-	}
 	if len(x.binUsed) < q.bins {
 		x.binUsed = make([]bool, q.bins)
 	}
@@ -86,25 +68,8 @@ func (x *crossbar) deliver(q *coalescingQueue, drainingBin int) (coalesced int) 
 			continue
 		}
 		used[bin] = true
-		// Drop fault: the event vanishes between the network and the queue's
-		// insertion port. Nothing recovers it here — the event-conservation
-		// watchdog must notice the balance-sheet hole and fail the run.
-		if x.inj.Decide(fault.PointQueueDrop) {
-			x.dropped++
-			moved++
-			continue
-		}
 		if q.insert(ev) {
 			coalesced++
-		}
-		// Duplicate fault: the same event arrives twice (at-least-once
-		// delivery). The second copy carries the Redelivered mark and the
-		// coalescer discards it, so the delta is applied exactly once.
-		if x.inj.Decide(fault.PointQueueDup) {
-			dup := ev
-			dup.Redelivered = true
-			q.insert(dup)
-			x.duplicated++
 		}
 		x.delivered++
 		moved++

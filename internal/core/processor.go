@@ -4,7 +4,6 @@ import (
 	"graphpulse/internal/graph"
 	"graphpulse/internal/mem"
 	"graphpulse/internal/sim"
-	"graphpulse/internal/sim/fault"
 )
 
 // Per-cycle unit states, tracked for Figure 14's breakdown.
@@ -302,12 +301,6 @@ func (p *processor) step(cycle uint64) int {
 func (p *processor) process(ev Event, gv graph.VertexID, cycle uint64) bool {
 	a := p.a
 	old := a.state[gv]
-	if a.inj.Decide(fault.PointVertexBitFlip) {
-		// Single-event upset on the vertex property read: the reduce sees a
-		// corrupted operand. Nothing detects this — it is the silent-data-
-		// corruption scenario the fault sweeps quantify.
-		old = a.inj.CorruptFloat(old)
-	}
 	next := a.alg.Reduce(old, ev.Delta)
 	a.state[gv] = next
 	a.trace.record(cycle, gv, TraceProcess, ev.Delta, next)

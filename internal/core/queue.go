@@ -45,10 +45,6 @@ type coalescingQueue struct {
 	// Counters (cumulative; the scheduler snapshots them per round).
 	inserted  int64
 	coalesced int64
-	// redelivered counts duplicate deliveries discarded by the idempotency
-	// check (at-least-once delivery faults absorbed without double-applying
-	// their deltas).
-	redelivered int64
 }
 
 func newCoalescingQueue(capacity, bins, cols int, coalesceDisabled bool, reduce func(a, b float64) float64) *coalescingQueue {
@@ -103,15 +99,6 @@ func (q *coalescingQueue) insert(ev Event) bool {
 	slot := int(ev.Target)
 	if slot >= len(q.occupied) {
 		panic(fmt.Sprintf("core: event target %d beyond queue capacity %d", ev.Target, len(q.occupied)))
-	}
-	if ev.Redelivered {
-		// Idempotent discard of duplicate deliveries: the first copy of this
-		// event already merged into the queue this cycle, and reducing the
-		// same delta again would double-count it (sum-based algorithms are
-		// not idempotent). Discarded before the insertion counters so the
-		// event balance sheet stays exact.
-		q.redelivered++
-		return false
 	}
 	q.inserted++
 	if !q.occupied[slot] {

@@ -87,25 +87,9 @@ type Result struct {
 	RowHits     int64
 	RowMisses   int64
 
-	// Robustness counters (zero on clean runs; see METRICS.md).
-	// MemFaults/MemRetries count injected DRAM transaction failures and the
-	// controller's backoff retries. DroppedEvents counts events lost at
-	// queue delivery (a completed run can only report 0 — a nonzero count
-	// trips the conservation watchdog). RedeliveredEvents counts duplicate
-	// deliveries discarded idempotently; ReorderedEvents counts delivery-
-	// order perturbations; DiscardedEvents counts events purged by global
-	// termination; SpillRecovered counts spilled events re-read after an
-	// injected swap-in loss.
-	MemFaults         int64
-	MemRetries        int64
-	DroppedEvents     int64
-	RedeliveredEvents int64
-	ReorderedEvents   int64
-	DiscardedEvents   int64
-	SpillRecovered    int64
-	// FaultsInjected reports injected-fault counts by interposition point
-	// (nil when fault injection was disabled).
-	FaultsInjected map[string]int64
+	// DiscardedEvents counts events purged by global termination (the
+	// event-conservation balance sheet's "discarded" term).
+	DiscardedEvents int64
 
 	// StageMeans is Figure 13: mean cycles per event in each execution
 	// stage (keys are StageNames).

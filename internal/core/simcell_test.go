@@ -85,7 +85,7 @@ func BenchmarkSimCell(b *testing.B) {
 // Graphicionado. A closure, map insert or work item per event or line
 // breaks it.
 func TestSimulatorAllocationBudget(t *testing.T) {
-	g, err := gen.RMAT(*faultTestGraph(t))
+	g, err := gen.RMAT(*rmatTestGraph(t))
 	if err != nil {
 		t.Fatal(err)
 	}

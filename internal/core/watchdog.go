@@ -17,10 +17,11 @@ import (
 // where resident sums the coalescing queue, the delivery network, staged
 // drain blocks, processor input buffers, spill buffers, and the swap-in
 // pipeline. The balance holds exactly at the end of every cycle, so any
-// sustained nonzero imbalance is a lost (or manufactured) event — an
-// injected drop fault, or a genuine scheduler bug. Without the watchdog
-// such a loss either wedges the run until MaxCycles (a dangling vertex
-// waits forever) or, worse, lets it terminate with silently wrong values.
+// sustained nonzero imbalance is a lost (or manufactured) event: a model
+// bug in generation, coalescing, spilling or scheduling. Without the
+// watchdog such a loss either wedges the run until MaxCycles (a dangling
+// vertex waits forever) or, worse, lets it terminate with silently wrong
+// values.
 
 // defaultWatchdogInterval is the audit period in cycles when
 // Config.WatchdogInterval is zero.
@@ -83,28 +84,19 @@ type ConservationError struct {
 	Coalesced int64
 	// Discarded counts events deliberately dropped by global termination.
 	Discarded int64
-	// Redelivered counts duplicate deliveries absorbed by the coalescer
-	// (informational; redeliveries never unbalance the sheet).
-	Redelivered int64
 	// Resident itemizes where the surviving events sat.
 	Resident ResidentBreakdown
-
-	// Faults reports injected-fault counts by point name when a fault
-	// injector was attached (nil otherwise) — on an injection run the
-	// imbalance should equal the injected drop/kill count.
-	Faults map[string]int64
 }
 
 // Error implements error with the full imbalance snapshot.
 func (e *ConservationError) Error() string {
 	return fmt.Sprintf("%v: imbalance %+d at cycle %d "+
 		"(initial %d + emitted %d != processed %d + coalesced %d + discarded %d + resident %d "+
-		"[queue %d net %d staged %d procs %d spill %d swapin %d egress %d inflight %d]; redelivered %d)",
+		"[queue %d net %d staged %d procs %d spill %d swapin %d egress %d inflight %d])",
 		ErrConservation, e.Imbalance, e.Cycle,
 		e.Initial, e.Emitted, e.Processed, e.Coalesced, e.Discarded, e.Resident.Total(),
 		e.Resident.Queue, e.Resident.Network, e.Resident.Staged, e.Resident.ProcInputs,
-		e.Resident.Spill, e.Resident.PendingInserts, e.Resident.Egress, e.Resident.Inflight,
-		e.Redelivered)
+		e.Resident.Spill, e.Resident.PendingInserts, e.Resident.Egress, e.Resident.Inflight)
 }
 
 // Unwrap lets errors.Is(err, ErrConservation) match.
@@ -153,16 +145,14 @@ func (a *Accelerator) eventImbalance() int64 {
 // conservationError builds the diagnostic snapshot for a trip at `cycle`.
 func (a *Accelerator) conservationError(cycle uint64, imbalance int64) *ConservationError {
 	return &ConservationError{
-		Cycle:       cycle,
-		Imbalance:   imbalance,
-		Initial:     a.initialEvents,
-		Emitted:     a.eventsEmitted,
-		Processed:   a.eventsProcessed,
-		Coalesced:   a.coalescedTotal(),
-		Discarded:   a.discardedEvents,
-		Redelivered: a.queue.redelivered,
-		Resident:    a.residentEvents(),
-		Faults:      a.inj.Snapshot(),
+		Cycle:     cycle,
+		Imbalance: imbalance,
+		Initial:   a.initialEvents,
+		Emitted:   a.eventsEmitted,
+		Processed: a.eventsProcessed,
+		Coalesced: a.coalescedTotal(),
+		Discarded: a.discardedEvents,
+		Resident:  a.residentEvents(),
 	}
 }
 

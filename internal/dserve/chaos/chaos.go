@@ -1,21 +1,20 @@
 // Package chaos is a seeded deterministic fault proxy for the
-// distributed serving tier's router↔worker HTTP traffic — the serving
-// analogue of internal/sim/fault. It is a test transport: Wrap installs
-// it into an http.Client, which a test hands to dserve through
-// RouterConfig.Client or WorkerConfig.Client. It injects drop (fail a
-// request before it leaves), delay (sleep before sending), truncate (cut
-// the response body short), and partition (fail every request to a named
-// host until healed) faults.
+// distributed serving tier's router↔worker HTTP traffic. It is a test
+// transport: Wrap installs it into an http.Client, which a test hands to
+// dserve through RouterConfig.Client or WorkerConfig.Client. It injects
+// drop (fail a request before it leaves), delay (sleep before sending),
+// truncate (cut the response body short), and partition (fail every
+// request to a named host until healed) faults.
 //
 // # Determinism
 //
-// Like the simulator fault injector, every rate-based decision is a pure
-// function of (Config.Seed, fault point, call sequence number): each
-// point keeps its own counter and hashes (seed, point, counter) through a
-// splitmix64 finalizer (internal/seeded, shared with it). Two runs with
-// the same seed and the same request sequence inject the identical fault
-// log; the determinism tests rely on it. Partitions are not rate-based;
-// tests flip them explicitly with Partition, Heal and HealAll.
+// Every rate-based decision is a pure function of (Config.Seed, fault
+// point, call sequence number): each point keeps its own counter and
+// hashes (seed, point, counter) through a SplitMix64 finalizer, so probing
+// one point never perturbs another. Two runs with the same seed and the
+// same request sequence inject the identical fault log; the determinism
+// tests rely on it. Partitions are not rate-based; tests flip them
+// explicitly with Partition, Heal and HealAll.
 package chaos
 
 import (
@@ -26,8 +25,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"graphpulse/internal/seeded"
 )
 
 // Config holds the injection rates. The zero value injects nothing (but
@@ -96,7 +93,7 @@ type Proxy struct {
 	cfg Config
 
 	mu    sync.Mutex
-	draws seeded.Stream
+	seq   [numPoints]uint64 // per-point decision counters
 	part  map[string]bool
 	log   []Event
 	evSeq uint64
@@ -111,7 +108,7 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.Delay <= 0 {
 		cfg.Delay = 25 * time.Millisecond
 	}
-	return &Proxy{cfg: cfg, draws: seeded.New(cfg.Seed, int(numPoints)), part: make(map[string]bool)}, nil
+	return &Proxy{cfg: cfg, part: make(map[string]bool)}, nil
 }
 
 // Wrap returns a copy of c (nil means a zero client) whose transport
@@ -189,7 +186,20 @@ func (p *Proxy) decide(pt point) bool {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.draws.Uniform(int(pt)) < rate
+	return p.uniform(pt) < rate
+}
+
+// uniform returns point pt's next draw in [0,1): the SplitMix64 finalizer
+// (Steele et al., "Fast Splittable Pseudorandom Number Generators") over
+// the seed, the point and the point's call number. The caller holds mu.
+func (p *Proxy) uniform(pt point) float64 {
+	x := p.cfg.Seed ^ uint64(pt)<<56 ^ p.seq[pt]
+	p.seq[pt]++
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	x ^= x >> 31
+	return float64(x>>11) / (1 << 53) // 53 high bits
 }
 
 // record logs one injected fault.

@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"graphpulse/internal/sim"
-	"graphpulse/internal/sim/fault"
 	"graphpulse/internal/sim/stats"
 	"graphpulse/internal/sim/telemetry"
 )
@@ -117,21 +116,7 @@ type inflight struct {
 	row      uint64
 	doneAt   uint64
 	enqueued uint64
-	// attempts counts failed tries of this transaction (fault injection);
-	// notBefore holds it out of scheduling until its backoff expires.
-	attempts  int
-	notBefore uint64
 }
-
-// Retry policy for injected transaction failures: exponential backoff
-// starting at dramRetryBackoff cycles, and after dramMaxAttempts failures
-// the transaction is forced through (a real controller would raise a
-// machine-check; the model guarantees forward progress so a fault sweep
-// measures slowdown, not hangs).
-const (
-	dramRetryBackoff = 16
-	dramMaxAttempts  = 8
-)
 
 type bank struct {
 	openRow   uint64
@@ -143,9 +128,8 @@ type bank struct {
 // for a bank; service holds issued requests in issue order, which is also
 // completion order: every issue finishes at least BurstCycles after the
 // previous issue on the channel (the data bus is serial and a refresh only
-// delays it), and a faulted transfer retries through queue, not service. So
-// completion times on a channel strictly increase and only the head of
-// service can be due.
+// delays it). So completion times on a channel strictly increase and only
+// the head of service can be due.
 type channel struct {
 	queue       []inflight
 	service     sim.FIFO[inflight]
@@ -169,11 +153,7 @@ type Memory struct {
 	bytesMoved, bytesUse int64
 	rejects              int64
 	refreshes            int64
-	faults, retries      int64
 
-	// inj, when non-nil, fails transactions at completion time so the
-	// retry-with-backoff path gets exercised (see InjectFaults).
-	inj *fault.Injector
 	// done receives each completed request's Token (nil: none wanted).
 	done func(token uint32)
 }
@@ -214,18 +194,8 @@ func (m *Memory) Stats() *stats.Set {
 	set("bytes_useful", m.bytesUse)
 	set("queue_rejects", m.rejects)
 	set("refreshes", m.refreshes)
-	set("dram_faults", m.faults)
-	set("dram_retries", m.retries)
 	return m.stats
 }
-
-// InjectFaults attaches a fault injector (nil = disabled): transactions
-// fail at completion with the injector's DRAM fault rate and are retried
-// with exponential backoff. Failed transfers still occupied the bank and
-// bus, so faults cost bandwidth and latency but never lose a request —
-// the completion handler sees each request exactly once, on the try that
-// succeeds.
-func (m *Memory) InjectFaults(inj *fault.Injector) { m.inj = inj }
 
 // OnComplete installs the handler that receives each request's Token in the
 // cycle its transfer finishes. There is one handler per Memory: the Fetcher
@@ -321,22 +291,7 @@ func (m *Memory) Tick(cycle uint64) {
 		// Completions: at most the head of the issue-ordered service list
 		// (see channel).
 		for ch.service.Len() > 0 && ch.service.At(0).doneAt <= cycle {
-			fin := ch.service.Pop()
-			// Injected transaction failure: the transfer is discarded at
-			// completion (it already paid its bank and bus time) and the
-			// request requeues after an exponential backoff. The queue-
-			// depth bound is not enforced for retries — the controller
-			// holds its own failed requests rather than dropping them.
-			if fin.attempts < dramMaxAttempts && m.inj.Decide(fault.PointDRAM) {
-				m.faults++
-				m.retries++
-				fin.attempts++
-				fin.notBefore = cycle + dramRetryBackoff<<(fin.attempts-1)
-				fin.doneAt = 0
-				ch.queue = append(ch.queue, fin)
-				continue
-			}
-			m.complete(fin)
+			m.complete(ch.service.Pop())
 		}
 		if len(ch.queue) == 0 {
 			continue
@@ -346,9 +301,6 @@ func (m *Memory) Tick(cycle uint64) {
 		pick := -1
 		for i := range ch.queue {
 			f := &ch.queue[i]
-			if f.notBefore > cycle {
-				continue // backing off after an injected failure
-			}
 			b := &ch.banks[f.bank]
 			if b.busyUntil > cycle {
 				continue

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"graphpulse/internal/sim"
-	"graphpulse/internal/sim/fault"
 )
 
 func run(t *testing.T, m *Memory, done func() bool, max uint64) *sim.Engine {
@@ -344,7 +343,7 @@ func TestRefreshConfigValidation(t *testing.T) {
 
 // TestCompletionTimesStrictlyIncreasePerChannel pins the invariant that lets
 // each channel's service list be a FIFO checked only at its head: under
-// row-hit reordering, refresh and injected retries, a channel still
+// row-hit reordering and refresh, a channel still
 // completes at most one request per cycle, and every request's Token comes
 // back exactly once.
 func TestCompletionTimesStrictlyIncreasePerChannel(t *testing.T) {
@@ -352,7 +351,6 @@ func TestCompletionTimesStrictlyIncreasePerChannel(t *testing.T) {
 	cfg.RefreshInterval = 300
 	cfg.RefreshCycles = 40
 	m := New(cfg)
-	m.InjectFaults(fault.New(fault.Config{Seed: 3, DRAMFaultRate: 0.2}))
 	const total = 2000
 	seen := make([]int, total)
 	last := make([]uint64, cfg.Channels)
@@ -385,9 +383,8 @@ func TestCompletionTimesStrictlyIncreasePerChannel(t *testing.T) {
 			t.Fatalf("token %d completed %d times", tok, n)
 		}
 	}
-	if m.Stats().Counter("dram_retries") == 0 || m.Stats().Counter("refreshes") == 0 {
-		t.Fatalf("retries %d, refreshes %d: the test must exercise both",
-			m.Stats().Counter("dram_retries"), m.Stats().Counter("refreshes"))
+	if m.Stats().Counter("refreshes") == 0 {
+		t.Fatal("no refreshes: the test must exercise refresh")
 	}
 }
 
