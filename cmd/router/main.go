@@ -12,8 +12,8 @@
 // Workers normally join dynamically by registering (serve -worker
 // -router http://...:8090); -worker seeds are optional static entries.
 //
-// Endpoints: the worker-compatible POST /v1/query, POST /v1/mutate,
-// POST /v1/stream and GET /v1/graphs (merged across workers), plus
+// Endpoints: the worker-compatible POST /v1/query, POST /v1/mutate and
+// GET /v1/graphs (merged across workers), plus
 // GET /healthz, GET /metrics (router_* names, METRICS.md), and the
 // control plane POST /internal/register, GET /internal/workers,
 // POST /internal/drain. SIGINT/SIGTERM drain in-flight requests before
@@ -44,7 +44,6 @@ func main() {
 		backoff   = flag.Duration("backoff", 500*time.Millisecond, "base re-probe backoff for ejected workers")
 		backoffMx = flag.Duration("backoff-max", 15*time.Second, "cap on the ejected-worker re-probe backoff")
 		drain     = flag.Duration("drain", 10*time.Second, "shutdown drain budget for in-flight requests")
-		fanout    = flag.Int("fanout", 0, "concurrent replicas per write fan-out (0 = default 4)")
 		seed      = flag.Uint64("seed", 1, "seed for backoff jitter (and any other router randomness)")
 		aeEvery   = flag.Duration("antientropy", 5*time.Second, "anti-entropy divergence-check period (0 disables)")
 	)
@@ -66,7 +65,6 @@ func main() {
 		RetryBudget:         offAtZero(*retries),
 		BackoffBase:         *backoff,
 		BackoffMax:          *backoffMx,
-		FanoutConcurrency:   *fanout,
 		Seed:                *seed,
 		AntiEntropyInterval: offAtZero(*aeEvery),
 		Logf:                logger.Printf,

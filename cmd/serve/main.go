@@ -24,10 +24,10 @@
 //	serve -worker -router http://127.0.0.1:8090 -addr 127.0.0.1:8081 \
 //	      -graph wg=WG:tiny -snapshot-dir /var/lib/graphpulse/w1
 //
-// Endpoints: POST /v1/query, POST /v1/mutate, POST /v1/stream,
-// GET /v1/graphs, GET /metrics, GET /healthz, /debug/pprof (plus
-// GET /internal/snapshot in worker mode). SIGINT/SIGTERM drain in-flight
-// requests (bounded by -drain) before exit.
+// Endpoints: POST /v1/query, POST /v1/mutate, GET /v1/graphs,
+// GET /metrics, GET /healthz, /debug/pprof (plus GET /internal/snapshot
+// in worker mode). SIGINT/SIGTERM drain in-flight requests (bounded by
+// -drain) before exit.
 package main
 
 import (
@@ -72,8 +72,6 @@ func parseFlags(args []string) (options, error) {
 	resideB := fs.Int64("resident-bytes", 0, "out-of-core residency budget in bytes applied to every .graphpack -graph (0 = unlimited)")
 	fs.DurationVar(&c.WindowTick, "window-tick", time.Second, "period of the window expiry ticker")
 	fs.Float64Var(&c.MaxConeFraction, "cone-fraction", 0, "deletion-cone size cap as a fraction of vertices before falling back to a full replay (0 = default)")
-	fs.IntVar(&c.StreamBatch, "stream-batch", 256, "ops per applied /v1/stream batch")
-	fs.IntVar(&c.StreamInflight, "stream-inflight", 2, "concurrent /v1/stream requests before 429")
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "shutdown drain budget for in-flight requests")
 	fs.BoolVar(&c.EnablePprof, "pprof", true, "mount /debug/pprof")
 

@@ -23,7 +23,7 @@ func TestParseFlags(t *testing.T) {
 	if c.Workers != 3 || c.QueueDepth != 5 || c.CacheEntries != 7 || c.MutationHistory != 2 || c.EnablePprof {
 		t.Errorf("serve.Config = %+v", c)
 	}
-	if c.DefaultTimeout != 5*time.Second || c.MaxTimeout != time.Minute || c.StreamBatch != 256 || c.StreamInflight != 2 {
+	if c.DefaultTimeout != 5*time.Second || c.MaxTimeout != time.Minute || c.ComputeTimeout != 2*time.Minute {
 		t.Errorf("defaults not carried: %+v", c)
 	}
 	if len(c.Graphs) != 2 || c.Graphs[0].Name != "wg" || c.Graphs[0].Source != "WG:tiny" || c.Graphs[1].Name != "crawl.el" {

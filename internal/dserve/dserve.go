@@ -10,8 +10,8 @@
 //     set of Config.Replication workers (a Ring of virtual nodes keeps key
 //     movement bounded when workers join or leave). Reads (/v1/query)
 //     rotate across healthy replicas and retry on the next replica after
-//     an upstream failure, within a retry budget; writes (/v1/mutate,
-//     /v1/stream) fan out to every replica, serialized per graph so all
+//     an upstream failure, within a retry budget; writes (/v1/mutate)
+//     fan out to every replica at once, serialized per graph so all
 //     replicas apply mutation epochs in the same order.
 //   - Health is probed (GET /healthz) on a fixed interval. A worker
 //     failing Config.FailAfter consecutive probes (or request-path

@@ -48,21 +48,21 @@ const (
 	opQuery  opKind = iota
 	opMutate        // a 16-edge insert batch on /v1/mutate
 	opDelete        // a /v1/mutate delete batch of edges this run inserted
-	opStream        // a 64-op NDJSON /v1/stream post, ~1/4 of it deletes
+	opMixed         // a 64-op /v1/mutate batch, ~1/4 of it deletes
 	numOpKinds
 )
 
-var opKindNames = [numOpKinds]string{"query", "mutate", "delete", "stream"}
+var opKindNames = [numOpKinds]string{"query", "mutate", "delete", "mixed"}
 
 // burstMix picks each op's kind from its sequence number: a multiple of
-// streamEvery is a stream, else of deleteEvery a delete, else of
+// mixedEvery is a mixed batch, else of deleteEvery a delete, else of
 // mutateEvery a mutate (0 = never); every other op is a query.
-type burstMix struct{ streamEvery, deleteEvery, mutateEvery int64 }
+type burstMix struct{ mixedEvery, deleteEvery, mutateEvery int64 }
 
 func (m burstMix) kind(seq int64) opKind {
 	switch {
-	case m.streamEvery > 0 && seq%m.streamEvery == 0:
-		return opStream
+	case m.mixedEvery > 0 && seq%m.mixedEvery == 0:
+		return opMixed
 	case m.deleteEvery > 0 && seq%m.deleteEvery == 0:
 		return opDelete
 	case m.mutateEvery > 0 && seq%m.mutateEvery == 0:
@@ -128,21 +128,18 @@ func burst(t *testing.T, baseURL string, perClient int, mix burstMix, onOp func(
 		}
 		return out
 	}
-	post := func(path, contentType string, body []byte) (int, error) {
-		resp, err := client.Post(baseURL+path, contentType, bytes.NewReader(body))
+	send := func(path string, v any) (int, error) {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			return 0, err
+		}
+		resp, err := client.Post(baseURL+path, "application/json", bytes.NewReader(raw))
 		if err != nil {
 			return 0, err
 		}
 		defer resp.Body.Close()
 		_, err = io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode, err
-	}
-	send := func(path string, v any) (int, error) {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return 0, err
-		}
-		return post(path, "application/json", raw)
 	}
 
 	for c := 0; c < burstClients; c++ {
@@ -171,19 +168,16 @@ func burst(t *testing.T, baseURL string, perClient int, mix burstMix, onOp func(
 					code, err = send("/v1/mutate", serve.MutateRequest{Graph: "g", Edges: ins})
 				case opDelete:
 					code, err = send("/v1/mutate", serve.MutateRequest{Graph: "g", Deletes: takeInserted(16, rng)})
-				case opStream:
-					var body bytes.Buffer
+				case opMixed:
+					var dels []serve.EdgeJSON
 					for range 64 {
 						if rng.Intn(4) == 0 {
-							d := takeInserted(1, rng)[0]
-							fmt.Fprintf(&body, `{"op":"delete","src":%d,"dst":%d}`+"\n", d.Src, d.Dst)
+							dels = append(dels, takeInserted(1, rng)...)
 							continue
 						}
-						e := randomEdge(rng)
-						fmt.Fprintf(&body, `{"src":%d,"dst":%d,"weight":%g}`+"\n", e.Src, e.Dst, e.Weight)
-						ins = append(ins, e)
+						ins = append(ins, randomEdge(rng))
 					}
-					code, err = post("/v1/stream?graph=g", "application/x-ndjson", body.Bytes())
+					code, err = send("/v1/mutate", serve.MutateRequest{Graph: "g", Edges: ins, Deletes: dels})
 				}
 				ok := err == nil && code >= 200 && code < 300
 				mu.Lock()
@@ -304,7 +298,7 @@ func crash(t *testing.T, wk *Worker) {
 }
 
 // TestFleetServeBurst: one bare server on a sliding-window graph takes the
-// full query/mutate/delete/stream mix without a hard failure, answers
+// full query/mutate/delete/mixed-batch mix without a hard failure, answers
 // queries from cache, and drains cleanly.
 func TestFleetServeBurst(t *testing.T) {
 	s, err := serve.New(serve.Config{Graphs: []serve.GraphSpec{
@@ -317,7 +311,7 @@ func TestFleetServeBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := burst(t, "http://"+addr.String(), 100, burstMix{streamEvery: 50, deleteEvery: 20, mutateEvery: 8}, nil)
+	res := burst(t, "http://"+addr.String(), 100, burstMix{mixedEvery: 50, deleteEvery: 20, mutateEvery: 8}, nil)
 	res.requireNoHardFailures(t)
 	for k, kt := range res.kinds {
 		if kt.ok == 0 {
@@ -325,9 +319,9 @@ func TestFleetServeBurst(t *testing.T) {
 		}
 	}
 	m := s.Metrics()
-	if m.Counter("query_cache_hits") == 0 || m.Counter("stream_requests") == 0 {
-		t.Errorf("query_cache_hits = %d, stream_requests = %d, want both > 0",
-			m.Counter("query_cache_hits"), m.Counter("stream_requests"))
+	if m.Counter("query_cache_hits") == 0 || m.Counter("mutate_delete_edges") == 0 {
+		t.Errorf("query_cache_hits = %d, mutate_delete_edges = %d, want both > 0",
+			m.Counter("query_cache_hits"), m.Counter("mutate_delete_edges"))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

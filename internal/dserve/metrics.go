@@ -13,7 +13,6 @@ package dserve
 var routerCounters = []string{
 	"router_query_requests",    // /v1/query requests reaching the router
 	"router_mutate_requests",   // /v1/mutate requests reaching the router
-	"router_stream_requests",   // /v1/stream requests reaching the router
 	"router_proxy_errors",      // upstream attempts failed (transport error or 5xx)
 	"router_retries",           // attempts re-sent to the next replica after a failure
 	"router_no_replica",        // requests answered 503: no healthy replica for the graph
@@ -36,7 +35,6 @@ var routerCounters = []string{
 var routerHistograms = []string{
 	"router_query_latency_us",
 	"router_mutate_latency_us",
-	"router_stream_latency_us",
 }
 
 // workerCounters are registered into the wrapped serve.Server's metrics.

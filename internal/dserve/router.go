@@ -18,14 +18,10 @@ import (
 	"graphpulse/internal/serve"
 )
 
-// Body caps for proxied requests. Queries and mutations mirror the worker
-// caps; stream bodies are buffered in full so they can be replayed to
-// every replica, so the router's stream cap is deliberately tighter than
-// a single worker's — split bulk loads into multiple requests.
+// Body caps for proxied requests mirror the worker caps.
 const (
 	maxRouterQueryBody  = 1 << 20  // 1 MiB
 	maxRouterMutateBody = 64 << 20 // 64 MiB
-	maxRouterStreamBody = 32 << 20 // 32 MiB, buffered for fan-out replay
 	maxProxyRespBody    = 64 << 20
 )
 
@@ -61,11 +57,6 @@ type RouterConfig struct {
 	// ejected by one shared outage does not re-probe in lockstep.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// FanoutConcurrency bounds how many replicas one write fan-out
-	// contacts concurrently (default 4). Writes to one graph are still
-	// serialized by the per-graph lock, so all replicas see mutation
-	// epochs in the same order.
-	FanoutConcurrency int
 	// Seed keys the router's deterministic RNG (probe-backoff jitter);
 	// the default 1 keeps tests reproducible.
 	Seed uint64
@@ -108,9 +99,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 15 * time.Second
-	}
-	if c.FanoutConcurrency <= 0 {
-		c.FanoutConcurrency = 4
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -239,7 +227,6 @@ func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", rt.handleQuery)
 	mux.HandleFunc("POST /v1/mutate", rt.handleMutate)
-	mux.HandleFunc("POST /v1/stream", rt.handleStream)
 	mux.HandleFunc("GET /v1/graphs", rt.handleGraphs)
 	mux.HandleFunc("POST /internal/register", rt.handleRegister)
 	mux.HandleFunc("GET /internal/workers", rt.handleWorkers)
@@ -347,9 +334,9 @@ func (a attempt) retryable() bool {
 		a.status != http.StatusNotImplemented
 }
 
-// forward posts body to one worker and slurps the response.
-func (rt *Router) forward(workerURL, pathAndQuery, contentType string, body []byte) attempt {
-	resp, err := rt.cfg.Client.Post(workerURL+pathAndQuery, contentType, bytes.NewReader(body))
+// forward posts a JSON body to one worker and slurps the response.
+func (rt *Router) forward(workerURL, path string, body []byte) attempt {
+	resp, err := rt.cfg.Client.Post(workerURL+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return attempt{err: err}
 	}
@@ -410,7 +397,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			rt.metrics.Add("router_retries", 1)
 		}
-		last = rt.forward(target, "/v1/query", "application/json", body)
+		last = rt.forward(target, "/v1/query", body)
 		if !last.retryable() {
 			relay(w, last)
 			return
@@ -442,17 +429,16 @@ func (rt *Router) graphMu(graph string) *sync.Mutex {
 	return m
 }
 
-// fanoutWrite applies one write to every replica of the graph: a bounded
-// concurrent fan-out (FanoutConcurrency in flight) under the graph's
-// write lock, so concurrent writes to one graph still reach every replica
-// in the same order. Per-replica accounting is unchanged from the
-// sequential fan-out: the first success in ring order is relayed and any
-// replica that missed the write counts one router_mutate_partial; with no
-// success, a deterministic rejection (4xx — bad batch, unknown graph,
-// per-worker backpressure) is relayed as-is, and transport/5xx failures
-// everywhere answer 502. Replicas that missed an applied write heal via
-// the anti-entropy loop's WAL-suffix or snapshot repair.
-func (rt *Router) fanoutWrite(w http.ResponseWriter, graph, pathAndQuery, contentType string, body []byte) {
+// fanoutWrite applies one /v1/mutate body to every replica of the graph
+// at once, under the graph's write lock, so concurrent writes to one
+// graph still reach every replica in the same epoch order. The first
+// success in ring order is relayed and any replica that missed the write
+// counts one router_mutate_partial; with no success, a deterministic
+// rejection (4xx — bad batch, unknown graph, read-only graph) is relayed
+// as-is, and transport/5xx failures everywhere answer 502. Replicas that
+// missed an applied write heal via the anti-entropy loop's WAL-suffix or
+// snapshot repair.
+func (rt *Router) fanoutWrite(w http.ResponseWriter, graph string, body []byte) {
 	all, _ := rt.members.replicas(graph)
 	if len(all) == 0 {
 		rt.metrics.Add("router_no_replica", 1)
@@ -465,15 +451,12 @@ func (rt *Router) fanoutWrite(w http.ResponseWriter, graph, pathAndQuery, conten
 	defer mu.Unlock()
 
 	results := make([]attempt, len(all))
-	sem := make(chan struct{}, rt.cfg.FanoutConcurrency)
 	var wg sync.WaitGroup
 	for i, target := range all {
 		wg.Add(1)
 		go func(i int, target string) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = rt.forward(target, pathAndQuery, contentType, body)
+			results[i] = rt.forward(target, "/v1/mutate", body)
 		}(i, target)
 	}
 	wg.Wait()
@@ -531,28 +514,7 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad mutate body: %v", err)
 		return
 	}
-	rt.fanoutWrite(w, graph, "/v1/mutate", "application/json", body)
-}
-
-func (rt *Router) handleStream(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	rt.metrics.Add("router_stream_requests", 1)
-	defer func() {
-		rt.metrics.Observe("router_stream_latency_us", time.Since(start).Microseconds())
-	}()
-	graph := r.URL.Query().Get("graph")
-	if graph == "" {
-		writeError(w, http.StatusBadRequest, "missing ?graph=name")
-		return
-	}
-	body, err := readBody(w, r, maxRouterStreamBody)
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"stream body exceeds the router's %d MiB fan-out buffer (split the load, or stream workers directly): %v",
-			maxRouterStreamBody>>20, err)
-		return
-	}
-	rt.fanoutWrite(w, graph, "/v1/stream?graph="+url.QueryEscape(graph), "application/x-ndjson", body)
+	rt.fanoutWrite(w, graph, body)
 }
 
 // handleGraphs merges the inventories of every healthy worker: one row

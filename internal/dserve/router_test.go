@@ -442,8 +442,7 @@ func TestRouterFanoutPartial(t *testing.T) {
 }
 
 // TestRouterFanoutConcurrent checks a wide fan-out actually reaches every
-// replica under the bounded-concurrency path (FanoutConcurrency smaller
-// than the replica count forces queueing through the semaphore).
+// replica: all five are written at once and each lands epoch 1.
 func TestRouterFanoutConcurrent(t *testing.T) {
 	servers := make([]*serve.Server, 5)
 	urls := make([]string, 5)
@@ -452,9 +451,8 @@ func TestRouterFanoutConcurrent(t *testing.T) {
 		servers[i], urls[i] = s, ts.URL
 	}
 	rt, rts := newTestRouter(t, RouterConfig{
-		Workers:           urls,
-		Replication:       5,
-		FanoutConcurrency: 2,
+		Workers:     urls,
+		Replication: 5,
 	})
 	code, body := postJSON(t, rts.URL+"/v1/mutate", serve.MutateRequest{
 		Graph: "g", Edges: []serve.EdgeJSON{{Src: 1, Dst: 160, Weight: 0.2}},
@@ -502,35 +500,6 @@ func TestRouterJitterDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds drew the identical jitter schedule")
-	}
-}
-
-// reaches every replica.
-func TestRouterStreamFanout(t *testing.T) {
-	sA, tsA := newServeNode(t)
-	sB, tsB := newServeNode(t)
-	_, rts := newTestRouter(t, RouterConfig{
-		Workers:     []string{tsA.URL, tsB.URL},
-		Replication: 2,
-	})
-	body := bytes.NewBufferString(`{"src":1,"dst":180,"weight":0.5}` + "\n" + `{"src":2,"dst":181,"weight":0.6}` + "\n")
-	resp, err := http.Post(rts.URL+"/v1/stream?graph=g", "application/x-ndjson", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream via router: HTTP %d", resp.StatusCode)
-	}
-	for i, s := range []*serve.Server{sA, sB} {
-		epoch, err := s.GraphEpoch("g")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if epoch == 0 {
-			t.Errorf("worker %d epoch still 0 after stream fan-out", i)
-		}
 	}
 }
 

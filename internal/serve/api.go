@@ -248,30 +248,6 @@ type MutateResponse struct {
 	NumEdges    int    `json:"num_edges"`
 }
 
-// StreamOp is one NDJSON line of a /v1/stream body: an insert (the
-// default when op is empty) or delete of a single edge.
-type StreamOp struct {
-	Op     string  `json:"op,omitempty"`
-	Src    uint32  `json:"src"`
-	Dst    uint32  `json:"dst"`
-	Weight float32 `json:"weight,omitempty"`
-}
-
-// StreamResponse summarizes one bulk-ingestion request: how many ops were
-// read, how many mutation epochs (batches) they were applied as, and the
-// aggregated per-edge accounting (same meaning as MutateResponse).
-type StreamResponse struct {
-	Graph    string `json:"graph"`
-	Epoch    uint64 `json:"epoch"`
-	Ops      int    `json:"ops"`
-	Batches  int    `json:"batches"`
-	Added    int    `json:"added"`
-	Skipped  int    `json:"skipped"`
-	Deleted  int    `json:"deleted"`
-	Missed   int    `json:"missed"`
-	NumEdges int    `json:"num_edges"`
-}
-
 // GraphInfo is one /v1/graphs inventory row. WindowSecs is non-zero for
 // sliding-window graphs (GraphSpec.Window).
 type GraphInfo struct {

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,15 +17,11 @@ import (
 	"graphpulse/internal/stream"
 )
 
-// Body limits: queries are small; mutation batches carry edge lists;
-// stream bodies are read chunked but still bounded.
+// Body limits: queries are small; mutation batches carry edge lists.
 const (
-	maxQueryBody   = 1 << 20   // 1 MiB
-	maxMutateBody  = 64 << 20  // 64 MiB
-	maxStreamBody  = 256 << 20 // 256 MiB per request, read incrementally
-	maxStreamLine  = 1 << 12   // one NDJSON op
-	maxTopN        = 1000
-	streamRetrySec = "1"
+	maxQueryBody  = 1 << 20  // 1 MiB
+	maxMutateBody = 64 << 20 // 64 MiB
+	maxTopN       = 1000
 )
 
 // Handler returns the server's HTTP routing table. Mount it anywhere; the
@@ -36,7 +30,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
 	mux.HandleFunc("POST /v1/mutate", s.handleMutate)
-	mux.HandleFunc("POST /v1/stream", s.handleStream)
 	mux.HandleFunc("GET /v1/graphs", s.handleGraphs)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -137,114 +130,11 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "mutate rejected: %v", err)
 		return
 	}
-	s.recordMutateOutcome(out)
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) recordMutateOutcome(out MutateResponse) {
 	s.metrics.Add("mutate_edges_added", int64(out.Added))
 	s.metrics.Add("mutate_dedup_skipped", int64(out.Skipped))
 	s.metrics.Add("mutate_delete_edges", int64(out.Deleted))
 	s.metrics.Add("mutate_delete_missed", int64(out.Missed))
-}
-
-// handleStream is the bulk-ingestion endpoint: a chunked NDJSON stream of
-// insert/delete ops (StreamOp per line), grouped into bounded batches of
-// Config.StreamBatch ops, each applied as one mutation epoch before the
-// next chunk is read — so in-flight memory stays bounded regardless of
-// body size, and TCP flow control paces a fast producer. Concurrent
-// streams beyond Config.StreamInflight are rejected with 429 +
-// Retry-After, the same admission-control contract as the compute queue.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	s.metrics.Add("stream_requests", 1)
-	defer func() {
-		s.metrics.Observe("stream_latency_us", time.Since(start).Microseconds())
-	}()
-	rg, ok := s.graphs[r.URL.Query().Get("graph")]
-	if !ok {
-		s.metrics.Add("stream_errors", 1)
-		writeError(w, http.StatusNotFound, "unknown graph %q (pass ?graph=name)", r.URL.Query().Get("graph"))
-		return
-	}
-	select {
-	case s.streamSem <- struct{}{}:
-		defer func() { <-s.streamSem }()
-	default:
-		s.metrics.Add("stream_rejected", 1)
-		w.Header().Set("Retry-After", streamRetrySec)
-		writeError(w, http.StatusTooManyRequests, "too many concurrent streams, retry later")
-		return
-	}
-
-	resp := StreamResponse{Graph: rg.name}
-	var ins, dels []graph.Edge
-	flush := func() error {
-		if len(ins) == 0 && len(dels) == 0 {
-			return nil
-		}
-		out, err := rg.applyBatch(ins, dels, s.now())
-		if err != nil {
-			return err
-		}
-		s.recordMutateOutcome(out)
-		s.metrics.Add("stream_batches", 1)
-		resp.Batches++
-		resp.Added += out.Added
-		resp.Skipped += out.Skipped
-		resp.Deleted += out.Deleted
-		resp.Missed += out.Missed
-		ins, dels = ins[:0], dels[:0]
-		return nil
-	}
-
-	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxStreamBody))
-	sc.Buffer(make([]byte, 0, 4096), maxStreamLine)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var op StreamOp
-		if err := json.Unmarshal(line, &op); err != nil {
-			s.metrics.Add("stream_errors", 1)
-			writeError(w, http.StatusBadRequest, "bad stream op %q: %v", line, err)
-			return
-		}
-		e := graph.Edge{Src: op.Src, Dst: op.Dst, Weight: op.Weight}
-		switch op.Op {
-		case "", "insert":
-			ins = append(ins, e)
-		case "delete":
-			dels = append(dels, e)
-		default:
-			s.metrics.Add("stream_errors", 1)
-			writeError(w, http.StatusBadRequest, "unknown stream op %q (want insert|delete)", op.Op)
-			return
-		}
-		resp.Ops++
-		s.metrics.Add("stream_ops", 1)
-		if len(ins)+len(dels) >= s.cfg.StreamBatch {
-			if err := flush(); err != nil {
-				s.metrics.Add("stream_errors", 1)
-				writeError(w, http.StatusBadRequest, "stream batch rejected: %v", err)
-				return
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		s.metrics.Add("stream_errors", 1)
-		writeError(w, http.StatusBadRequest, "stream read: %v", err)
-		return
-	}
-	if err := flush(); err != nil {
-		s.metrics.Add("stream_errors", 1)
-		writeError(w, http.StatusBadRequest, "stream batch rejected: %v", err)
-		return
-	}
-	g, epoch := rg.view()
-	resp.Epoch, resp.NumEdges = epoch, g.NumEdges()
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

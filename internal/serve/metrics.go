@@ -27,11 +27,7 @@ var serveCounters = []string{
 	"mutate_delete_edges",     // live edges removed by delete ops
 	"mutate_delete_missed",    // delete ops that matched no live edge
 	"mutate_errors",           // rejected mutation batches
-	"stream_requests",         // /v1/stream requests admitted to parsing
-	"stream_rejected",         // streams bounced by the in-flight bound (429)
-	"stream_errors",           // malformed ops, rejected batches, expiry failures
-	"stream_ops",              // NDJSON ops read across all streams
-	"stream_batches",          // mutation epochs applied by /v1/stream
+	"stream_errors",           // window-expiry sweeps that failed on a graph
 	"stream_cone_starts",      // queries warm-started via deletion-cone reset
 	"stream_replay_fallbacks", // cone exceeded MaxConeFraction; cold replay
 	"stream_window_sweeps",    // expiry ticker passes over windowed graphs
@@ -42,7 +38,6 @@ var serveCounters = []string{
 var serveHistograms = []string{
 	"query_latency_us",   // full request latency of /v1/query
 	"mutate_latency_us",  // full request latency of /v1/mutate
-	"stream_latency_us",  // full request latency of /v1/stream
 	"compute_latency_us", // worker-pool computation time (cache misses only)
 }
 

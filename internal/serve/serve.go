@@ -11,7 +11,6 @@
 //
 //	/v1/query   POST  algorithm × params × engine over a resident graph
 //	/v1/mutate  POST  batched edge insertions and deletions; bumps the epoch
-//	/v1/stream  POST  bulk NDJSON ingestion (chunked insert/delete ops)
 //	/v1/graphs  GET   resident graph inventory
 //	/metrics    GET   request counters and latency histograms (METRICS.md)
 //	/healthz    GET   liveness
@@ -82,12 +81,6 @@ type Config struct {
 	// of sliding-window graphs (GraphSpec.Window); it only runs when at
 	// least one configured graph is windowed (default 1s).
 	WindowTick time.Duration
-	// StreamBatch is how many /v1/stream operations are grouped into one
-	// applied mutation epoch (default 256).
-	StreamBatch int
-	// StreamInflight bounds concurrently served /v1/stream requests;
-	// excess streams are rejected with 429 + Retry-After (default 2).
-	StreamInflight int
 	// Cache supplies memoized Table IV dataset stand-ins for "ABBREV:tier"
 	// graph sources (default gen.Default).
 	Cache *gen.Cache
@@ -127,12 +120,6 @@ func (c Config) withDefaults() Config {
 	if c.WindowTick <= 0 {
 		c.WindowTick = time.Second
 	}
-	if c.StreamBatch <= 0 {
-		c.StreamBatch = 256
-	}
-	if c.StreamInflight <= 0 {
-		c.StreamInflight = 2
-	}
 	if c.Cache == nil {
 		c.Cache = gen.Default
 	}
@@ -157,10 +144,6 @@ type Server struct {
 	jobs    chan func()
 	workers sync.WaitGroup
 	stop    sync.Once
-
-	// streamSem bounds concurrently served /v1/stream requests; a full
-	// channel answers 429 + Retry-After, like the compute queue.
-	streamSem chan struct{}
 
 	// windowStop ends the expiry ticker goroutine (nil when no graph is
 	// windowed); now is the clock mutations and expiry sweeps read, a
@@ -192,15 +175,14 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("serve: no graphs configured")
 	}
 	s := &Server{
-		cfg:       cfg,
-		graphs:    make(map[string]*residentGraph),
-		cache:     newResultCache(cfg.CacheEntries),
-		metrics:   NewMetrics(),
-		flights:   make(map[cacheKey]*flight),
-		jobs:      make(chan func(), cfg.QueueDepth),
-		streamSem: make(chan struct{}, cfg.StreamInflight),
-		started:   time.Now(),
-		now:       time.Now,
+		cfg:     cfg,
+		graphs:  make(map[string]*residentGraph),
+		cache:   newResultCache(cfg.CacheEntries),
+		metrics: NewMetrics(),
+		flights: make(map[cacheKey]*flight),
+		jobs:    make(chan func(), cfg.QueueDepth),
+		started: time.Now(),
+		now:     time.Now,
 	}
 	for _, spec := range cfg.Graphs {
 		rg, err := loadResident(spec, cfg.Cache, cfg.MutationHistory)

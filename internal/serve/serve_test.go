@@ -491,8 +491,13 @@ func TestBadRequests(t *testing.T) {
 		{"mutate unknown graph", "/v1/mutate", MutateRequest{Graph: "nope", Edges: []EdgeJSON{{Src: 0, Dst: 1}}}, http.StatusNotFound, ""},
 		{"mutate empty batch", "/v1/mutate", MutateRequest{Graph: "g"}, http.StatusBadRequest, ""},
 		{"mutate out-of-range edge", "/v1/mutate", MutateRequest{Graph: "g", Edges: []EdgeJSON{{Src: 0, Dst: 9999}}}, http.StatusBadRequest, ""},
+		{"mutate malformed body", "/v1/mutate", "not a batch", http.StatusBadRequest, "bad mutate body"},
 	}
+	var mutates int64
 	for _, tc := range cases {
+		if tc.path == "/v1/mutate" {
+			mutates++
+		}
 		code, body, _ := postJSON(t, ts.URL+tc.path, tc.body)
 		if code != tc.want {
 			t.Errorf("%s: HTTP %d (%s), want %d", tc.name, code, body, tc.want)
@@ -505,7 +510,10 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, e.Error, tc.wantMsg)
 		}
 	}
-	// A rejected batch must not bump the epoch.
+	// Every rejected batch is counted, and none bumps the epoch.
+	if got := s.Metrics().Counter("mutate_errors"); got != mutates {
+		t.Errorf("mutate_errors = %d, want %d", got, mutates)
+	}
 	if _, epoch := s.graphs["g"].snapshot(); epoch != 0 {
 		t.Errorf("failed mutate bumped epoch to %d", epoch)
 	}

@@ -2,11 +2,8 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 
@@ -187,135 +184,6 @@ func TestConeReplayFallback(t *testing.T) {
 	}
 	if got := m.Counter("stream_cone_starts"); got != 0 {
 		t.Errorf("stream_cone_starts = %d, want 0", got)
-	}
-}
-
-// TestStreamEndpoint drives /v1/stream end to end: an NDJSON body mixing
-// inserts, a duplicate, and deletes, batched smaller than the op count so
-// multiple epochs apply, and a final graph state that matches the ops.
-func TestStreamEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, func(c *Config) {
-		c.Graphs = []GraphSpec{{Name: "g", Graph: sparseGraph(t)}}
-		c.StreamBatch = 3
-	})
-	g, _ := s.graphs["g"].snapshot()
-	before := g.NumEdges()
-
-	var b strings.Builder
-	for i := 0; i < 6; i++ {
-		fmt.Fprintf(&b, `{"src":%d,"dst":%d,"weight":1}`+"\n", i, i+100)
-	}
-	b.WriteString(`{"op":"insert","src":0,"dst":100,"weight":1}` + "\n") // dup of the first
-	b.WriteString(`{"op":"delete","src":5,"dst":105}` + "\n")
-	b.WriteString(`{"op":"delete","src":180,"dst":181}` + "\n") // never existed
-	b.WriteString("\n")                                         // blank lines are skipped
-
-	resp, err := http.Post(ts.URL+"/v1/stream?graph=g", "application/x-ndjson", strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream: HTTP %d: %s", resp.StatusCode, body)
-	}
-	var sr StreamResponse
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if sr.Ops != 9 || sr.Batches != 3 {
-		t.Fatalf("ops=%d batches=%d, want 9 ops in 3 batches", sr.Ops, sr.Batches)
-	}
-	// The duplicate falls in a later batch than the original, so it is a
-	// legitimate multigraph re-insert, not an in-batch dup.
-	if sr.Added != 7 || sr.Skipped != 0 {
-		t.Fatalf("added=%d skipped=%d, want 7/0", sr.Added, sr.Skipped)
-	}
-	if sr.Deleted != 1 || sr.Missed != 1 {
-		t.Fatalf("deleted=%d missed=%d, want 1/1", sr.Deleted, sr.Missed)
-	}
-	if sr.NumEdges != before+6 {
-		t.Fatalf("final edges = %d, want %d", sr.NumEdges, before+6)
-	}
-	m := s.Metrics()
-	if got := m.Counter("stream_ops"); got != 9 {
-		t.Errorf("stream_ops = %d, want 9", got)
-	}
-	if got := m.Counter("stream_batches"); got != 3 {
-		t.Errorf("stream_batches = %d, want 3", got)
-	}
-
-	// Unknown op and unknown graph are 400/404.
-	resp, err = http.Post(ts.URL+"/v1/stream?graph=g", "application/x-ndjson",
-		strings.NewReader(`{"op":"upsert","src":0,"dst":1}`+"\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown op: HTTP %d, want 400", resp.StatusCode)
-	}
-	resp, err = http.Post(ts.URL+"/v1/stream?graph=nope", "application/x-ndjson", strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown graph: HTTP %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestStreamBackpressure holds one stream open (a pipe that never closes
-// until released) and asserts the next stream is bounced with 429 +
-// Retry-After — the in-flight bound, not queueing, absorbs overload.
-func TestStreamBackpressure(t *testing.T) {
-	s, ts := newTestServer(t, func(c *Config) { c.StreamInflight = 1 })
-
-	pr, pw := io.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/stream?graph=g", "application/x-ndjson", pr)
-		if err == nil {
-			resp.Body.Close()
-		}
-		done <- err
-	}()
-	// The first op proves the stream holds its semaphore slot while parked
-	// on the next read.
-	if _, err := io.WriteString(pw, `{"src":0,"dst":1,"weight":1}`+"\n"); err != nil {
-		t.Fatal(err)
-	}
-	waitCounter(t, s.Metrics(), "stream_ops", 1)
-
-	resp, err := http.Post(ts.URL+"/v1/stream?graph=g", "application/x-ndjson", strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second stream: HTTP %d (%s), want 429", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 response missing Retry-After")
-	}
-	if got := s.Metrics().Counter("stream_rejected"); got != 1 {
-		t.Errorf("stream_rejected = %d, want 1", got)
-	}
-
-	pw.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("held stream: %v", err)
-	}
-	// The slot is free again.
-	resp, err = http.Post(ts.URL+"/v1/stream?graph=g", "application/x-ndjson",
-		strings.NewReader(`{"src":1,"dst":2,"weight":1}`+"\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("post-release stream: HTTP %d, want 200", resp.StatusCode)
 	}
 }
 

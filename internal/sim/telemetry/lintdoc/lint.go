@@ -5,12 +5,13 @@
 // stage/state keys, and the serving- and distributed-tier metric
 // catalogues, then applies two checks:
 //
-//   - METRICS.md (forward): every collected name must be mentioned in the
-//     doc in backticks;
-//   - OPERATIONS.md (reverse): every backticked metric-shaped token in
-//     the runbook (`router_*`, `worker_*`, `query_*`, …) must name a
-//     metric the build can actually emit — so the troubleshooting table
-//     cannot drift onto renamed or deleted counters.
+//   - forward, on METRICS.md: every collected name must be mentioned in
+//     the doc in backticks;
+//   - reverse, on METRICS.md and OPERATIONS.md: every backticked
+//     metric-shaped token (`router_*`, `worker_*`, `query_*`, …) must
+//     name a metric the build can actually emit — so neither the
+//     catalogue nor the troubleshooting table can keep a renamed or
+//     deleted counter.
 //
 // Both run as this package's tests, in CI and locally:
 // `go test ./internal/sim/telemetry/lintdoc`.
@@ -192,8 +193,8 @@ func check(docPath string) error {
 // ending in a `*` glob.
 var metricTokenRE = regexp.MustCompile(`^(router|worker|query|mutate|stream|compute|psolve|wal|antientropy|ooc)_[a-z0-9_]+\*?$`)
 
-// checkOps is the reverse check for runbook-style docs (OPERATIONS.md):
-// every backticked token shaped like a metric name must be a metric the
+// checkOps is the reverse check (METRICS.md, OPERATIONS.md): every
+// backticked token shaped like a metric name must be a metric the
 // build can emit. A trailing `*` in the doc is a glob and is satisfied by
 // any emitted name with that prefix.
 func checkOps(docPath string) error {

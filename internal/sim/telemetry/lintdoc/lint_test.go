@@ -6,10 +6,16 @@ import (
 	"testing"
 )
 
-// TestMetricsDocIsCurrent is the staleness check CI runs: METRICS.md must
-// name every counter and telemetry series the engines emit.
+// TestMetricsDocIsCurrent is the staleness check CI runs in both
+// directions: METRICS.md must name every counter and telemetry series the
+// engines emit, and every metric-shaped name it documents must still be
+// emitted — a deleted metric's row cannot outlive it.
 func TestMetricsDocIsCurrent(t *testing.T) {
-	if err := check(filepath.Join("..", "..", "..", "..", "METRICS.md")); err != nil {
+	doc := filepath.Join("..", "..", "..", "..", "METRICS.md")
+	if err := check(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkOps(doc); err != nil {
 		t.Fatal(err)
 	}
 }
