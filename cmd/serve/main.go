@@ -8,7 +8,6 @@
 //	serve -addr :8080 -graph wg=WG:tiny                 # Table IV stand-in
 //	serve -graph web=crawl.el -graph social=fb.bin      # graph files
 //	serve -graph wg=WG:mini -workers 8 -queue 128
-//	serve -graph wg=WG:tiny -window 5m                  # sliding-window mode
 //	serve -graph big=wg.graphpack -resident-bytes 33554432
 //
 // A .graphpack source (cmd/graphpack) is served out-of-core and
@@ -68,9 +67,7 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&c.MaxTimeout, "max-timeout", 60*time.Second, "cap on client-requested deadlines")
 	fs.DurationVar(&c.ComputeTimeout, "compute-timeout", 120*time.Second, "bound on one pooled computation")
 	fs.IntVar(&c.MutationHistory, "history", 8, "mutation batches retained per graph for warm starts")
-	window := fs.Duration("window", 0, "sliding-window age applied to every -graph (0 = unbounded)")
 	resideB := fs.Int64("resident-bytes", 0, "out-of-core residency budget in bytes applied to every .graphpack -graph (0 = unlimited)")
-	fs.DurationVar(&c.WindowTick, "window-tick", time.Second, "period of the window expiry ticker")
 	fs.Float64Var(&c.MaxConeFraction, "cone-fraction", 0, "deletion-cone size cap as a fraction of vertices before falling back to a full replay (0 = default)")
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "shutdown drain budget for in-flight requests")
 	fs.BoolVar(&c.EnablePprof, "pprof", true, "mount /debug/pprof")
@@ -97,11 +94,8 @@ func parseFlags(args []string) (options, error) {
 	if len(c.Graphs) == 0 {
 		return o, errors.New("at least one -graph name=SOURCE is required (e.g. -graph wg=WG:tiny)")
 	}
-	for i := range c.Graphs {
-		if *window > 0 {
-			c.Graphs[i].Window = *window
-		}
-		if *resideB > 0 {
+	if *resideB > 0 {
+		for i := range c.Graphs {
 			c.Graphs[i].ResidentBytes = *resideB
 		}
 	}

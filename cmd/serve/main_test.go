@@ -11,7 +11,7 @@ func TestParseFlags(t *testing.T) {
 	o, err := parseFlags([]string{
 		"-addr", "127.0.0.1:9001", "-graph", "wg=WG:tiny", "-graph", "crawl.el",
 		"-workers", "3", "-queue", "5", "-cache-entries", "7", "-history", "2",
-		"-window", "2m", "-resident-bytes", "4096", "-drain", "3s", "-pprof=false",
+		"-resident-bytes", "4096", "-drain", "3s", "-pprof=false",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,8 +30,8 @@ func TestParseFlags(t *testing.T) {
 		t.Fatalf("graphs = %+v", c.Graphs)
 	}
 	for _, g := range c.Graphs {
-		if g.Window != 2*time.Minute || g.ResidentBytes != 4096 {
-			t.Errorf("graph %q: window %s resident %d, want every -graph to get both", g.Name, g.Window, g.ResidentBytes)
+		if g.ResidentBytes != 4096 {
+			t.Errorf("graph %q: resident %d, want every -graph to get it", g.Name, g.ResidentBytes)
 		}
 	}
 	if _, err := parseFlags(nil); err == nil {

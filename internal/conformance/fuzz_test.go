@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/graph"
@@ -197,10 +196,9 @@ func FuzzGraphIORoundTrip(f *testing.F) {
 //	data[5:5+3k] base edge triples (src%n, dst%n, weight byte)
 //	rest     op quads (kind, a, b, c), capped at 12 ops:
 //	           kind%4 ∈ {0,1} → insert edge (a%n, b%n, weight (c%100+1)/100)
-//	           kind%4 == 2    → delete pair (a%n, b%n)
-//	           kind%4 == 3    → expire with horizon (c%20+1) seconds
+//	           kind%4 ∈ {2,3} → delete pair (a%n, b%n)
 //
-// Each op is applied as its own epoch at logical time Unix(opIndex+1, 0).
+// Each op is applied as its own epoch.
 func FuzzMutateSequence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
@@ -243,21 +241,18 @@ func FuzzMutateSequence(f *testing.F) {
 		r := stream.NewReplayer(base, mk, solve, stream.DefaultMaxConeFraction)
 		for i := 0; i+3 < len(ops) && i/4 < 12; i += 4 {
 			kind, a, b, w := ops[i], ops[i+1], ops[i+2], ops[i+3]
-			at := time.Unix(int64(i/4)+1, 0)
 			switch kind % 4 {
 			case 0, 1:
 				err = r.Apply([]graph.Edge{{
 					Src:    graph.VertexID(int(a) % n),
 					Dst:    graph.VertexID(int(b) % n),
 					Weight: float32(int(w)%100+1) / 100,
-				}}, nil, at)
-			case 2:
+				}}, nil)
+			case 2, 3:
 				err = r.Apply(nil, []graph.Edge{{
 					Src: graph.VertexID(int(a) % n),
 					Dst: graph.VertexID(int(b) % n),
-				}}, at)
-			case 3:
-				_, err = r.Expire(at, time.Duration(int(w)%20+1)*time.Second)
+				}})
 			}
 			if err != nil {
 				t.Fatalf("op %d (kind %d): %v", i/4, kind%4, err)

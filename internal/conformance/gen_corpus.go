@@ -116,20 +116,21 @@ func main() {
 
 	// Mutation sequences: FuzzMutateSequence's layout prepends a base-edge
 	// count selector, then reads op quads (kind, a, b, c). The seeds cover
-	// every incremental algorithm selector with interleaved inserts,
-	// deletes (of inserted and of base edges), and window expirations.
+	// every incremental algorithm selector with interleaved inserts and
+	// deletes (of inserted and of base edges, and of pairs that match no
+	// edge, which burn no epoch).
 	mutSeed := func(nSel, alg, root, weighted, kSel byte, rest ...byte) []byte {
 		return append([]byte{nSel, alg, root, weighted, kSel}, rest...)
 	}
 	ops := func(quads ...byte) []byte { return quads }
 	chain10 := chainPayload(10) // 9 triples on a 10-vertex chain (nSel 8)
 	corpora["FuzzMutateSequence"] = [][]byte{
-		// PageRank on a chain: insert a shortcut, delete it, expire the rest.
+		// PageRank on a chain: insert a shortcut, delete it, miss a delete.
 		mutSeed(8, 0, 0, 1, 9, append(chain10, ops(
 			0, 0, 7, 40, // insert 0->7
 			0, 7, 2, 30, // insert 7->2 (cycle)
 			2, 0, 7, 0, // delete 0->7
-			3, 0, 0, 5, // expire, 6s horizon
+			3, 0, 0, 5, // delete 0->0 (no such edge)
 		)...)...),
 		// SSSP: delete base chain edges so the cone re-routes, then rebuild.
 		mutSeed(8, 2, 0, 1, 9, append(chain10, ops(
@@ -142,20 +143,20 @@ func main() {
 		mutSeed(8, 3, 0, 1, 9, append(starPayload(10), ops(
 			2, 0, 3, 0,
 			0, 1, 3, 20,
-			3, 0, 0, 2,
+			3, 0, 0, 2, // delete 0->0 (no such edge)
 		)...)...),
 		// Connected components: merge and split label floods.
 		mutSeed(10, 5, 0, 0, 6, append(densePayload(12, 6), ops(
 			0, 11, 0, 50,
 			2, 11, 0, 0,
 			0, 1, 11, 50,
-			3, 0, 0, 1,
+			3, 0, 0, 1, // delete 0->0 (no such edge)
 		)...)...),
 		// Reach: delete the only bridge (the fabricated-reachability trap).
 		mutSeed(4, 4, 0, 0, 2, 0, 1, 10, 1, 2, 10, // 0->1->2
 			2, 0, 1, 0, // delete the bridge
 			0, 0, 1, 10, // restore it
-			3, 0, 0, 1), // expire the restored copy
+			3, 0, 0, 1), // delete 0->0 (no such edge)
 		// Empty base, insert-only growth.
 		mutSeed(6, 2, 0, 1, 0,
 			0, 0, 1, 30,

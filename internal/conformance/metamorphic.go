@@ -3,7 +3,6 @@ package conformance
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/baseline/ligra"
@@ -216,10 +215,10 @@ func VerifyInsertDeleteNoop(base *graph.CSR, c AlgCase, batch []graph.Edge) erro
 			return e.Run(g, func() algorithms.Algorithm { return alg })
 		}
 		r := stream.NewReplayer(prepared, mk, solve, 1)
-		if err := r.Apply(batch, nil, time.Unix(1, 0)); err != nil {
+		if err := r.Apply(batch, nil); err != nil {
 			return fmt.Errorf("insert-delete/%s on %s: insert: %w", e.Name, c.Name, err)
 		}
-		if err := r.Apply(nil, batch, time.Unix(2, 0)); err != nil {
+		if err := r.Apply(nil, batch); err != nil {
 			return fmt.Errorf("insert-delete/%s on %s: delete: %w", e.Name, c.Name, err)
 		}
 		got, err := r.State()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/graph"
@@ -64,7 +63,8 @@ func checkEpoch(t *testing.T, label string, r *stream.Replayer, mk func() algori
 }
 
 // TestStreamOracleMatrix scripts one mutation sequence — insert-only,
-// delete-only, mixed insert+delete of base edges, and a window expiry —
+// delete-only, mixed insert+delete of base edges, and a multi-edge delete
+// of every surviving insert —
 // over every (algorithm, engine) pair of the streaming matrix, checking
 // the warm state against the cold oracle after each epoch.
 func TestStreamOracleMatrix(t *testing.T) {
@@ -92,12 +92,12 @@ func TestStreamOracleMatrix(t *testing.T) {
 						{Src: 3, Dst: 141, Weight: 0.2}, {Src: 141, Dst: 77, Weight: 0.4},
 						{Src: 77, Dst: 3, Weight: 0.6}, {Src: 200, Dst: 10, Weight: 0.8},
 					}
-					if err := r.Apply(ins, nil, time.Unix(1, 0)); err != nil {
+					if err := r.Apply(ins, nil); err != nil {
 						t.Fatal(err)
 					}
 					checkEpoch(t, label+"/insert", r, mk, tol)
 
-					if err := r.Apply(nil, ins[:2], time.Unix(2, 0)); err != nil {
+					if err := r.Apply(nil, ins[:2]); err != nil {
 						t.Fatal(err)
 					}
 					checkEpoch(t, label+"/delete", r, mk, tol)
@@ -105,21 +105,21 @@ func TestStreamOracleMatrix(t *testing.T) {
 					victim := prepared.Edges()[0]
 					if err := r.Apply(
 						[]graph.Edge{{Src: 50, Dst: 51, Weight: 0.3}},
-						[]graph.Edge{victim}, time.Unix(3, 0)); err != nil {
+						[]graph.Edge{victim}); err != nil {
 						t.Fatal(err)
 					}
 					checkEpoch(t, label+"/mixed", r, mk, tol)
 
-					// Everything timestamped and still live ages out; the
-					// surviving base edges are permanent.
-					n, err := r.Expire(time.Unix(500, 0), 10*time.Second)
-					if err != nil {
+					// Every insert still live goes in one epoch; the
+					// surviving base edges stay.
+					live := r.Graph().NumEdges()
+					if err := r.Apply(nil, []graph.Edge{ins[2], ins[3], {Src: 50, Dst: 51}}); err != nil {
 						t.Fatal(err)
 					}
-					if n != 3 {
-						t.Fatalf("expired %d edges, want the 3 live timestamped inserts", n)
+					if n := live - r.Graph().NumEdges(); n != 3 {
+						t.Fatalf("deleted %d edges, want the 3 live inserts", n)
 					}
-					checkEpoch(t, label+"/expire", r, mk, tol)
+					checkEpoch(t, label+"/delete-inserts", r, mk, tol)
 
 					if r.SeedStarts == 0 || r.ConeStarts == 0 {
 						t.Fatalf("warm paths not exercised: seed=%d cone=%d replay=%d",
@@ -132,10 +132,10 @@ func TestStreamOracleMatrix(t *testing.T) {
 }
 
 // TestStreamRandomizedStress replays a seeded random interleaving of
-// inserts, deletes, and window expirations over a Table IV tiny-tier
-// stand-in, holding every epoch to the cold oracle. Deletes draw from the
-// pool of previously inserted edges (so most epochs get a nontrivial
-// cone) and occasionally from the base edge set.
+// inserts and deletes over a Table IV tiny-tier stand-in, holding every
+// epoch to the cold oracle. Deletes draw from the pool of previously
+// inserted edges (so most epochs get a nontrivial cone) and occasionally
+// from the base edge set; now and then one epoch deletes the whole pool.
 func TestStreamRandomizedStress(t *testing.T) {
 	ds, err := gen.DatasetByAbbrev("WG")
 	if err != nil {
@@ -163,9 +163,7 @@ func TestStreamRandomizedStress(t *testing.T) {
 					label := fmt.Sprintf("stress/%s/%s", c.Name, e.Name)
 
 					var pool []graph.Edge // inserted and not yet deleted
-					now := time.Unix(10, 0)
 					for epoch := 0; epoch < epochs; epoch++ {
-						now = now.Add(time.Duration(1+rng.Intn(20)) * time.Second)
 						var ins, dels []graph.Edge
 						for i := 0; i < 4+rng.Intn(8); i++ {
 							ins = append(ins, graph.Edge{
@@ -182,17 +180,18 @@ func TestStreamRandomizedStress(t *testing.T) {
 						if rng.Intn(3) == 0 { // sometimes delete a base edge
 							dels = append(dels, prepared.Edges()[rng.Intn(prepared.NumEdges())])
 						}
-						if err := r.Apply(ins, dels, now); err != nil {
+						if err := r.Apply(ins, dels); err != nil {
 							t.Fatalf("%s epoch %d: %v", label, epoch, err)
 						}
 						pool = append(pool, ins...)
 						checkEpoch(t, label+"/mutate", r, mk, tol)
 
 						if rng.Intn(3) == 0 {
-							if _, err := r.Expire(now, 15*time.Second); err != nil {
-								t.Fatalf("%s epoch %d expire: %v", label, epoch, err)
+							if err := r.Apply(nil, pool); err != nil {
+								t.Fatalf("%s epoch %d delete pool: %v", label, epoch, err)
 							}
-							checkEpoch(t, label+"/expire", r, mk, tol)
+							pool = nil
+							checkEpoch(t, label+"/delete-pool", r, mk, tol)
 						}
 					}
 				})

@@ -297,12 +297,12 @@ func crash(t *testing.T, wk *Worker) {
 	}
 }
 
-// TestFleetServeBurst: one bare server on a sliding-window graph takes the
+// TestFleetServeBurst: one bare server on a mutable graph takes the
 // full query/mutate/delete/mixed-batch mix without a hard failure, answers
 // queries from cache, and drains cleanly.
 func TestFleetServeBurst(t *testing.T) {
 	s, err := serve.New(serve.Config{Graphs: []serve.GraphSpec{
-		{Name: "g", Graph: testGraph(t), Window: 2 * time.Minute},
+		{Name: "g", Graph: testGraph(t)},
 	}})
 	if err != nil {
 		t.Fatal(err)

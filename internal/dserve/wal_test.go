@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"graphpulse/internal/graph"
 	"graphpulse/internal/stream"
@@ -16,7 +15,6 @@ import (
 func walRec(epoch uint64) stream.Change {
 	return stream.Change{
 		Epoch: epoch,
-		At:    time.Date(2026, 1, 1, 0, 0, 0, int(epoch), time.UTC).UnixNano(),
 		Added: []graph.Edge{{Src: uint32(epoch), Dst: uint32(epoch + 1), Weight: 0.5}},
 	}
 }
@@ -199,15 +197,21 @@ func TestWALTailCap(t *testing.T) {
 	}
 }
 
-// TestWALFormatUnchanged pins the on-disk record shape: a literal segment
-// line written before stream.Change became the WAL record decodes to the
-// expected change, and appending that change to a fresh log writes the
-// same bytes back.
+// TestWALFormatUnchanged pins the on-disk record shape, read-old and
+// write-new: a segment holding a literal line written before stream.Change
+// became the WAL record (it carries an ingest time, "ts", which decoding
+// ignores) and then a line in the current format replays both records in
+// order, and appending them to a fresh log writes the current bytes, which
+// have no "ts".
 func TestWALFormatUnchanged(t *testing.T) {
-	const line = `{"epoch":3,"ts":1767225600000000007,"added":[{"src":1,"dst":2,"weight":0.5}],"removed":[{"src":4,"dst":5}]}` + "\n"
+	const (
+		oldLine = `{"epoch":3,"ts":1767225600000000007,"added":[{"src":1,"dst":2,"weight":0.5}],"removed":[{"src":4,"dst":5}]}` + "\n"
+		newLine = `{"epoch":4,"added":[{"src":2,"dst":3,"weight":0.25}]}` + "\n"
+		written = `{"epoch":3,"added":[{"src":1,"dst":2,"weight":0.5}],"removed":[{"src":4,"dst":5}]}` + "\n" + newLine
+	)
 	dir := t.TempDir()
 	seg := filepath.Join(dir, "00000000000000000003.wal")
-	if err := os.WriteFile(seg, []byte(line), 0o644); err != nil {
+	if err := os.WriteFile(seg, []byte(oldLine+newLine), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	w, err := openWAL(dir, 1<<20)
@@ -216,17 +220,19 @@ func TestWALFormatUnchanged(t *testing.T) {
 	}
 	defer w.Close()
 	recs, err := w.TailAfter(2)
-	if err != nil || len(recs) != 1 || w.TailDropped() != 0 {
-		t.Fatalf("TailAfter(2) = (%v, %v), dropped %d; want the one literal record", recs, err, w.TailDropped())
+	if err != nil || len(recs) != 2 || w.TailDropped() != 0 {
+		t.Fatalf("TailAfter(2) = (%v, %v), dropped %d; want the two literal records", recs, err, w.TailDropped())
 	}
-	want := stream.Change{
+	want := []stream.Change{{
 		Epoch:   3,
-		At:      1767225600000000007,
 		Added:   []graph.Edge{{Src: 1, Dst: 2, Weight: 0.5}},
 		Removed: []graph.Edge{{Src: 4, Dst: 5}},
-	}
-	if !reflect.DeepEqual(recs[0], want) {
-		t.Fatalf("decoded %+v, want %+v", recs[0], want)
+	}, {
+		Epoch: 4,
+		Added: []graph.Edge{{Src: 2, Dst: 3, Weight: 0.25}},
+	}}
+	if !reflect.DeepEqual(recs, want) {
+		t.Fatalf("decoded %+v, want %+v", recs, want)
 	}
 
 	w2, err := openWAL(t.TempDir(), 1<<20)
@@ -234,14 +240,16 @@ func TestWALFormatUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if _, _, err := w2.Append(recs[0]); err != nil {
-		t.Fatal(err)
+	for _, rec := range recs {
+		if _, _, err := w2.Append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got, err := os.ReadFile(filepath.Join(w2.dir, filepath.Base(seg)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != line {
-		t.Fatalf("re-encoded segment:\n%swant:\n%s", got, line)
+	if string(got) != written {
+		t.Fatalf("re-encoded segment:\n%swant:\n%s", got, written)
 	}
 }

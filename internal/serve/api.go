@@ -248,15 +248,13 @@ type MutateResponse struct {
 	NumEdges    int    `json:"num_edges"`
 }
 
-// GraphInfo is one /v1/graphs inventory row. WindowSecs is non-zero for
-// sliding-window graphs (GraphSpec.Window).
+// GraphInfo is one /v1/graphs inventory row.
 type GraphInfo struct {
-	Name        string  `json:"name"`
-	Epoch       uint64  `json:"epoch"`
-	NumVertices int     `json:"num_vertices"`
-	NumEdges    int     `json:"num_edges"`
-	Weighted    bool    `json:"weighted"`
-	WindowSecs  float64 `json:"window_secs,omitempty"`
+	Name        string `json:"name"`
+	Epoch       uint64 `json:"epoch"`
+	NumVertices int    `json:"num_vertices"`
+	NumEdges    int    `json:"num_edges"`
+	Weighted    bool   `json:"weighted"`
 }
 
 // ErrorResponse is the body of every non-2xx answer.

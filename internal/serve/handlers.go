@@ -124,7 +124,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "empty edge batch")
 		return
 	}
-	out, err := rg.applyBatch(req.Edges, req.Deletes, s.now())
+	out, err := rg.applyBatch(req.Edges, req.Deletes)
 	if err != nil {
 		s.metrics.Add("mutate_errors", 1)
 		writeError(w, http.StatusBadRequest, "mutate rejected: %v", err)

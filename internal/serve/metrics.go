@@ -27,11 +27,8 @@ var serveCounters = []string{
 	"mutate_delete_edges",     // live edges removed by delete ops
 	"mutate_delete_missed",    // delete ops that matched no live edge
 	"mutate_errors",           // rejected mutation batches
-	"stream_errors",           // window-expiry sweeps that failed on a graph
 	"stream_cone_starts",      // queries warm-started via deletion-cone reset
 	"stream_replay_fallbacks", // cone exceeded MaxConeFraction; cold replay
-	"stream_window_sweeps",    // expiry ticker passes over windowed graphs
-	"stream_expired_edges",    // edges aged out of sliding-window graphs
 }
 
 // serveHistograms are the latency distributions, in microseconds.

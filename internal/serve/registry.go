@@ -6,7 +6,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"time"
 
 	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/gen"
@@ -27,17 +26,11 @@ type GraphSpec struct {
 	// Graph is a pre-built in-memory graph (facade callers pass a
 	// *graphpulse.Graph directly).
 	Graph *graph.CSR
-	// Window, when positive, puts the graph in sliding-window mode:
-	// mutated edges carry ingest timestamps and expire once older than
-	// Window (the loaded base edges are permanent). Expirations run on the
-	// server's epoch ticker (Config.WindowTick) through the same deletion
-	// path as /v1/mutate deletes.
-	Window time.Duration
 	// ResidentBytes is the out-of-core residency budget applied when Source
 	// is a graphpack container (detected by extension or magic): decoded
 	// slices stay under this many bytes, colder ones are evicted. <= 0 means
-	// unlimited. Graphpack graphs are read-only — mutation, streaming,
-	// windowing, and snapshot export reject.
+	// unlimited. Graphpack graphs are read-only — mutation and snapshot
+	// export reject.
 	ResidentBytes int64
 }
 
@@ -60,13 +53,12 @@ func ParseGraphArg(arg string) (GraphSpec, error) {
 	return GraphSpec{Name: name, Source: source}, nil
 }
 
-// residentGraph is one registry entry: a stream.Graph (CSR, ingest times,
-// epoch, mutation history) behind a lock, or a read-only out-of-core store.
+// residentGraph is one registry entry: a stream.Graph (CSR, epoch,
+// mutation history) behind a lock, or a read-only out-of-core store.
 // Snapshots are consistent (graph, epoch) pairs; mutations serialize on
 // the write lock.
 type residentGraph struct {
-	name   string
-	window time.Duration
+	name string
 
 	// store is set instead of sg for out-of-core graphpack residents: a
 	// lazily-decoded read-only slice store pinned at epoch 0. Exactly one of
@@ -104,9 +96,6 @@ func loadResident(spec GraphSpec, cache *gen.Cache, histMax int) (*residentGraph
 		return nil, fmt.Errorf("serve: graph spec needs a name")
 	}
 	if spec.Graph == nil && isGraphpack(spec.Source) {
-		if spec.Window > 0 {
-			return nil, fmt.Errorf("serve: graph %q: out-of-core graphs cannot be windowed", spec.Name)
-		}
 		st, err := ooc.Open(spec.Source, spec.ResidentBytes)
 		if err != nil {
 			return nil, err
@@ -127,14 +116,7 @@ func loadResident(spec GraphSpec, cache *gen.Cache, histMax int) (*residentGraph
 	if g.NumVertices() == 0 {
 		return nil, fmt.Errorf("serve: graph %q is empty", spec.Name)
 	}
-	if spec.Window < 0 {
-		return nil, fmt.Errorf("serve: graph %q has a negative window", spec.Name)
-	}
-	return &residentGraph{
-		name:   spec.Name,
-		window: spec.Window,
-		sg:     stream.NewGraph(g, histMax),
-	}, nil
+	return &residentGraph{name: spec.Name, sg: stream.NewGraph(g, histMax)}, nil
 }
 
 // snapshot returns a consistent (graph, epoch) pair. The graph is nil for
@@ -174,14 +156,13 @@ func (r *residentGraph) info() GraphInfo {
 		NumVertices: g.NumVertices(),
 		NumEdges:    g.NumEdges(),
 		Weighted:    g.Weighted(),
-		WindowSecs:  r.window.Seconds(),
 	}
 }
 
 // write runs one epoch-advancing stream.Graph call under the write lock
 // and fires the mutation hook with the Change it returns — the single
-// point every such path (live batch, window expiry, logged-record replay,
-// snapshot adoption) goes through. Out-of-core residents reject.
+// point every such path (live batch, logged-record replay, snapshot
+// adoption) goes through. Out-of-core residents reject.
 func (r *residentGraph) write(fn func(*stream.Graph) (stream.Change, error)) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -195,11 +176,11 @@ func (r *residentGraph) write(fn func(*stream.Graph) (stream.Change, error)) err
 	return err
 }
 
-// applyBatch applies one mutation epoch (stream.Graph.Apply) at time now
-// and reports the resulting version with the per-edge accounting.
-func (r *residentGraph) applyBatch(ins, dels []graph.Edge, now time.Time) (out MutateResponse, err error) {
+// applyBatch applies one mutation epoch (stream.Graph.Apply) and reports
+// the resulting version with the per-edge accounting.
+func (r *residentGraph) applyBatch(ins, dels []graph.Edge) (out MutateResponse, err error) {
 	err = r.write(func(sg *stream.Graph) (stream.Change, error) {
-		ch, skipped, missed, err := sg.Apply(ins, dels, now)
+		ch, skipped, missed, err := sg.Apply(ins, dels)
 		out = MutateResponse{
 			Graph:       r.name,
 			Epoch:       sg.Epoch(),

@@ -26,9 +26,7 @@
 // Mutations cover the full streaming story (internal/stream): insertions
 // warm-start from the prior fixed point via correction seeding, deletions
 // re-initialize only the dependency cone of the removed contributions
-// (degrading to a full replay past Config.MaxConeFraction), and graphs
-// configured with GraphSpec.Window age mutated edges out on an epoch
-// ticker through the same deletion path.
+// (degrading to a full replay past Config.MaxConeFraction).
 package serve
 
 import (
@@ -77,10 +75,6 @@ type Config struct {
 	// of the vertex set, the warm start degrades to a full replay (cold
 	// solve) instead (default stream.DefaultMaxConeFraction).
 	MaxConeFraction float64
-	// WindowTick is the period of the expiry ticker that ages edges out
-	// of sliding-window graphs (GraphSpec.Window); it only runs when at
-	// least one configured graph is windowed (default 1s).
-	WindowTick time.Duration
 	// Cache supplies memoized Table IV dataset stand-ins for "ABBREV:tier"
 	// graph sources (default gen.Default).
 	Cache *gen.Cache
@@ -117,9 +111,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxConeFraction <= 0 {
 		c.MaxConeFraction = stream.DefaultMaxConeFraction
 	}
-	if c.WindowTick <= 0 {
-		c.WindowTick = time.Second
-	}
 	if c.Cache == nil {
 		c.Cache = gen.Default
 	}
@@ -144,14 +135,6 @@ type Server struct {
 	jobs    chan func()
 	workers sync.WaitGroup
 	stop    sync.Once
-
-	// windowStop ends the expiry ticker goroutine (nil when no graph is
-	// windowed); now is the clock mutations and expiry sweeps read, a
-	// field so window tests can drive a synthetic clock.
-	windowStop chan struct{}
-	windowOnce sync.Once
-	ticker     sync.WaitGroup
-	now        func() time.Time
 
 	flightMu sync.Mutex
 	flights  map[cacheKey]*flight
@@ -182,7 +165,6 @@ func New(cfg Config) (*Server, error) {
 		flights: make(map[cacheKey]*flight),
 		jobs:    make(chan func(), cfg.QueueDepth),
 		started: time.Now(),
-		now:     time.Now,
 	}
 	for _, spec := range cfg.Graphs {
 		rg, err := loadResident(spec, cfg.Cache, cfg.MutationHistory)
@@ -211,53 +193,7 @@ func New(cfg Config) (*Server, error) {
 			}
 		}()
 	}
-	windowed := false
-	for _, rg := range s.graphs {
-		if rg.window > 0 {
-			windowed = true
-		}
-	}
-	if windowed {
-		s.windowStop = make(chan struct{})
-		s.ticker.Add(1)
-		go func() {
-			defer s.ticker.Done()
-			t := time.NewTicker(cfg.WindowTick)
-			defer t.Stop()
-			for {
-				select {
-				case <-s.windowStop:
-					return
-				case <-t.C:
-					s.sweepWindows(s.now())
-				}
-			}
-		}()
-	}
 	return s, nil
-}
-
-// sweepWindows runs one expiry pass over every windowed graph at time
-// now, batching aged-out edges into the same deletion path /v1/mutate
-// uses. The epoch ticker calls it; window tests call it directly with a
-// synthetic clock.
-func (s *Server) sweepWindows(now time.Time) {
-	s.metrics.Add("stream_window_sweeps", 1)
-	for _, name := range s.order {
-		rg := s.graphs[name]
-		if rg.window <= 0 {
-			continue
-		}
-		err := rg.write(func(sg *stream.Graph) (stream.Change, error) {
-			ch := sg.Expire(now, rg.window)
-			s.metrics.Add("stream_expired_edges", int64(len(ch.Removed)))
-			return ch, nil
-		})
-		if err != nil {
-			s.metrics.Add("stream_errors", 1)
-			s.logf("serve: window expiry on %q: %v", name, err)
-		}
-	}
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -326,10 +262,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	if srv != nil {
 		err = srv.Shutdown(ctx)
-	}
-	if s.windowStop != nil {
-		s.windowOnce.Do(func() { close(s.windowStop) })
-		s.ticker.Wait()
 	}
 	s.stop.Do(func() { close(s.jobs) })
 	done := make(chan struct{})

@@ -491,6 +491,7 @@ func TestBadRequests(t *testing.T) {
 		{"mutate unknown graph", "/v1/mutate", MutateRequest{Graph: "nope", Edges: []EdgeJSON{{Src: 0, Dst: 1}}}, http.StatusNotFound, ""},
 		{"mutate empty batch", "/v1/mutate", MutateRequest{Graph: "g"}, http.StatusBadRequest, ""},
 		{"mutate out-of-range edge", "/v1/mutate", MutateRequest{Graph: "g", Edges: []EdgeJSON{{Src: 0, Dst: 9999}}}, http.StatusBadRequest, ""},
+		{"mutate negative weight", "/v1/mutate", MutateRequest{Graph: "g", Edges: []EdgeJSON{{Src: 12, Dst: 13, Weight: 1}, {Src: 13, Dst: 12, Weight: -1}}}, http.StatusBadRequest, "non-negative"},
 		{"mutate malformed body", "/v1/mutate", "not a batch", http.StatusBadRequest, "bad mutate body"},
 	}
 	var mutates int64

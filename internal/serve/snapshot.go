@@ -115,9 +115,7 @@ func (s *Server) ExportSnapshot(name string) (*Snapshot, error) {
 // vertex count and weight mode; a snapshot older than the resident epoch
 // is rejected with ErrSnapshotStale. The mutation history is cleared
 // (warm starts across the restore boundary fall back to the imported
-// cache entries), and restored edges are treated as permanent base edges
-// — on sliding-window graphs their original ingest timestamps are not
-// carried over.
+// cache entries).
 func (s *Server) ImportSnapshot(snap *Snapshot) error {
 	if snap.Version != SnapshotVersion {
 		return fmt.Errorf("serve: snapshot version %d, want %d", snap.Version, SnapshotVersion)

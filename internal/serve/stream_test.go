@@ -5,7 +5,6 @@ import (
 	"math"
 	"net/http"
 	"testing"
-	"time"
 
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/conformance"
@@ -187,72 +186,8 @@ func TestConeReplayFallback(t *testing.T) {
 	}
 }
 
-// TestWindowExpiry drives the sliding window with an explicit clock:
-// timestamped inserts age out once older than the window, base edges are
-// permanent, and expiry flows through the same epoch/deletion machinery
-// queries warm-start from.
-func TestWindowExpiry(t *testing.T) {
-	s, ts := newTestServer(t, func(c *Config) {
-		c.Graphs[0].Window = time.Minute
-		c.WindowTick = time.Hour // keep the background ticker out of the test
-	})
-	rg := s.graphs["g"]
-	g0, _ := rg.snapshot()
-	base := g0.NumEdges()
-	t0 := time.Unix(1_000_000, 0)
-
-	ins := []graph.Edge{{Src: 0, Dst: 50, Weight: 1}, {Src: 1, Dst: 51, Weight: 1}}
-	if _, err := rg.applyBatch(ins, nil, t0); err != nil {
-		t.Fatal(err)
-	}
-	later := []graph.Edge{{Src: 2, Dst: 52, Weight: 1}}
-	if _, err := rg.applyBatch(later, nil, t0.Add(45*time.Second)); err != nil {
-		t.Fatal(err)
-	}
-
-	// 30s in: nothing is old enough.
-	s.sweepWindows(t0.Add(30 * time.Second))
-	if got := s.Metrics().Counter("stream_expired_edges"); got != 0 {
-		t.Fatalf("early sweep expired %d edges", got)
-	}
-
-	// 90s in: the first batch (age 90s) ages out, the second (45s) stays.
-	s.sweepWindows(t0.Add(90 * time.Second))
-	if got := s.Metrics().Counter("stream_expired_edges"); got != 2 {
-		t.Fatalf("stream_expired_edges = %d, want 2", got)
-	}
-	g, epoch := rg.snapshot()
-	if g.NumEdges() != base+1 || epoch != 3 {
-		t.Fatalf("after expiry: edges=%d epoch=%d, want %d/3", g.NumEdges(), epoch, base+1)
-	}
-
-	// Far future: the last insert goes too; base edges are permanent.
-	s.sweepWindows(t0.Add(24 * time.Hour))
-	g, _ = rg.snapshot()
-	if g.NumEdges() != base {
-		t.Fatalf("base edges not permanent: %d edges, want %d", g.NumEdges(), base)
-	}
-	if got := s.Metrics().Counter("stream_window_sweeps"); got != 3 {
-		t.Errorf("stream_window_sweeps = %d, want 3", got)
-	}
-
-	// The inventory reports the window.
-	resp, err := http.Get(ts.URL + "/v1/graphs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var infos []GraphInfo
-	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(infos) != 1 || infos[0].WindowSecs != 60 {
-		t.Fatalf("inventory window: %+v, want window_secs=60", infos)
-	}
-}
-
-// TestQueryModeIsStreamRestart drives insert / delete / expire epochs
-// through /v1/mutate and the window sweep, querying across gaps of one,
+// TestQueryModeIsStreamRestart drives insert / delete epochs through
+// /v1/mutate, the last one a multi-edge delete, querying across gaps of one,
 // two and (past the history) three epochs, and checks the HTTP mode is
 // exactly what stream.Restart decides for the same change on a mirror
 // stream.Graph — the serving path and the harness path are one function.
@@ -260,23 +195,23 @@ func TestQueryModeIsStreamRestart(t *testing.T) {
 	const histMax = 2
 	s, ts := newTestServer(t, func(c *Config) {
 		c.Graphs[0].Graph = sparseGraph(t)
-		c.Graphs[0].Window = time.Minute
-		c.WindowTick = time.Hour // keep the background ticker out of the test
 		c.MutationHistory = histMax
 	})
 	mirror := stream.NewGraph(sparseGraph(t), histMax)
 	mk := func() algorithms.Algorithm { return algorithms.NewSSSP(10) }
 	root := uint32(10)
 
-	mutate := func(ins, dels []graph.Edge) {
+	mutate := func(ins, dels []graph.Edge) stream.Change {
 		t.Helper()
 		code, body, _ := postJSON(t, ts.URL+"/v1/mutate", MutateRequest{Graph: "g", Edges: ins, Deletes: dels})
 		if code != http.StatusOK {
 			t.Fatalf("mutate: HTTP %d: %s", code, body)
 		}
-		if _, _, _, err := mirror.Apply(ins, dels, time.Now()); err != nil {
+		ch, _, _, err := mirror.Apply(ins, dels)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return ch
 	}
 	// query checks one /v1/query against the mirror: the mode Restart picks
 	// for the gap since the previous query, and the cold oracle's values.
@@ -318,12 +253,10 @@ func TestQueryModeIsStreamRestart(t *testing.T) {
 	mutate([]graph.Edge{{Src: 20, Dst: 21, Weight: 1}}, nil)
 	mutate([]graph.Edge{{Src: 21, Dst: 22, Weight: 1}}, nil)
 	query("gap 3, past the history")
-	far := time.Now().Add(time.Hour)
-	s.sweepWindows(far)
-	if ch := mirror.Expire(far, time.Minute); len(ch.Removed) != 4 {
-		t.Fatalf("mirror expiry removed %d edges, want the 4 live inserts", len(ch.Removed))
+	if ch := mutate(nil, []graph.Edge{{Src: 13, Dst: 14}, {Src: 10, Dst: 20}, {Src: 20, Dst: 21}, {Src: 21, Dst: 22}}); len(ch.Removed) != 4 {
+		t.Fatalf("mirror delete removed %d edges, want the 4 live inserts", len(ch.Removed))
 	}
-	query("gap 1, window expiry")
+	query("gap 1, delete every insert")
 
 	for _, m := range []stream.Mode{stream.Warm, stream.Cone, stream.Cold} {
 		if !seen[m] {

@@ -180,7 +180,9 @@ var prTop10 = []byte(`{"graph":"g","algorithm":"pr"}`)
 // TestCachedHitCostIndependentOfN is the pass/fail gate on the hit path: a
 // cache hit may not allocate — or touch — anything sized by the graph, so
 // a 16× larger result costs the same allocations and, within 1 KB, the
-// same bytes.
+// same bytes. The allocation count is the fewest any of 50 single hits
+// made: a hit that misses the response-buffer pool (the race detector drops
+// a random share of sync.Pool puts; a GC empties the pool) allocates more.
 func TestCachedHitCostIndependentOfN(t *testing.T) {
 	type cost struct {
 		allocs float64
@@ -191,8 +193,11 @@ func TestCachedHitCostIndependentOfN(t *testing.T) {
 		if w := serveQuery(h, prTop10); w.Code != http.StatusOK || !bytes.Contains(w.Body.Bytes(), []byte(`"cached":true`)) {
 			t.Fatalf("n=%d: not a cache hit: HTTP %d %s", n, w.Code, w.Body.Bytes())
 		}
+		allocs := math.Inf(1)
+		for i := 0; i < 50; i++ {
+			allocs = min(allocs, testing.AllocsPerRun(1, func() { serveQuery(h, prTop10) }))
+		}
 		const runs = 200
-		allocs := testing.AllocsPerRun(runs, func() { serveQuery(h, prTop10) })
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {

@@ -4,9 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
-	"time"
 
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/graph"
@@ -14,17 +12,13 @@ import (
 
 // Change is one applied mutation epoch: the exact edges added and removed
 // when a Graph moved to Epoch. Added is the normalised, de-duplicated
-// batch and Removed the edges actually deleted (user deletes and window
-// expirations alike, in CSR order; consumers treat it as a multiset), so
-// ApplyExact of the record against the Epoch-1 state reproduces the Epoch
-// state. It is the one record handed to mutation hooks, appended to the
-// write-ahead log and shipped between replicas, in this JSON form.
+// batch and Removed the edges actually deleted (in CSR order; consumers
+// treat it as a multiset), so ApplyExact of the record against the Epoch-1
+// state reproduces the Epoch state. It is the one record handed to
+// mutation hooks, appended to the write-ahead log and shipped between
+// replicas, in this JSON form.
 type Change struct {
-	Epoch uint64 `json:"epoch"`
-	// At is the ingest time in Unix nanoseconds; replay re-applies edges
-	// with it so sliding-window expiry stays coherent. 0 is the zero time
-	// (permanent edges).
-	At      int64        `json:"ts"`
+	Epoch   uint64       `json:"epoch"`
 	Added   []graph.Edge `json:"added,omitempty"`
 	Removed []graph.Edge `json:"removed,omitempty"`
 }
@@ -46,34 +40,29 @@ type step struct {
 }
 
 // Graph is one versioned mutable graph: the immutable CSR that is the live
-// edge set, one ingest time per edge beside it, the epoch counting applied
-// changes, and a bounded history of recent changes — what lets a fixed
-// point converged several epochs ago be warm-restarted (Since + Restart)
-// instead of re-solved. The vertex set is fixed at construction. Every
-// epoch-advancing path — live batches, window expiry, logged-record
-// replay — goes through it, so the serving tier, the write-ahead log and
-// the differential test harness all run the same state machine. Each epoch
-// splices the next CSR from the current one instead of rebuilding it.
+// edge set, the epoch counting applied changes, and a bounded history of
+// recent changes — what lets a fixed point converged several epochs ago be
+// warm-restarted (Since + Restart) instead of re-solved. The vertex set is
+// fixed at construction. Every epoch-advancing path — live batches,
+// logged-record replay — goes through it, so the serving tier, the
+// write-ahead log and the differential test harness all run the same state
+// machine. Each epoch splices the next CSR from the current one instead of
+// rebuilding it.
 //
 // A Graph is not concurrency-safe; callers serialise through their own
 // lock. The CSRs it hands out are immutable and stay valid after later
 // changes.
 type Graph struct {
-	cur *graph.CSR
-	// at holds cur's per-edge ingest times in Unix nanoseconds, 0 for a
-	// permanent edge (window expiry never removes it). The next epoch's are
-	// spliced into spare and the two swap: readers never see either.
-	at, spare []int64
-	epoch     uint64
-	histMax   int
-	history   []step
+	cur     *graph.CSR
+	epoch   uint64
+	histMax int
+	history []step
 }
 
 // NewGraph builds a Graph at epoch 0 over base, retaining the last
-// histMax changes for Since. The base edges are permanent: window expiry
-// never removes them (deletes do).
+// histMax changes for Since.
 func NewGraph(base *graph.CSR, histMax int) *Graph {
-	return &Graph{cur: base, at: make([]int64, base.NumEdges()), histMax: histMax}
+	return &Graph{cur: base, histMax: histMax}
 }
 
 // CSR returns the current materialised graph.
@@ -82,12 +71,22 @@ func (g *Graph) CSR() *graph.CSR { return g.cur }
 // Epoch returns the number of changes applied (0 = the base graph).
 func (g *Graph) Epoch() uint64 { return g.epoch }
 
-// inRange rejects edges referencing vertices outside a vertex set of n.
-func inRange(n int, batches ...[]graph.Edge) error {
-	for _, batch := range batches {
+// checkBatch rejects edges referencing vertices outside g's vertex set,
+// and, on a weighted graph, inserts with a negative or NaN weight: the
+// min-plus algorithms never converge over a negative cycle.
+func checkBatch(g *graph.CSR, ins, dels []graph.Edge) error {
+	n := g.NumVertices()
+	for _, batch := range [][]graph.Edge{ins, dels} {
 		for _, e := range batch {
 			if int(e.Src) >= n || int(e.Dst) >= n {
 				return fmt.Errorf("edge %d->%d outside vertex set (n=%d)", e.Src, e.Dst, n)
+			}
+		}
+	}
+	if g.Weighted() {
+		for _, e := range ins {
+			if !(e.Weight >= 0) {
+				return fmt.Errorf("edge %d->%d has weight %v; weights must be non-negative", e.Src, e.Dst, e.Weight)
 			}
 		}
 	}
@@ -96,29 +95,26 @@ func inRange(n int, batches ...[]graph.Edge) error {
 
 // Apply applies one mutation batch as one epoch: insert ins (weights
 // normalised to the graph's weight mode, exact duplicates within the
-// batch dropped, timestamped at), then delete every live edge matching a
-// (Src, Dst) pair in dels — so a batch that inserts and deletes the same
-// edge nets to a delete. An edge outside the vertex set rejects the whole
-// batch before anything is touched. skipped counts in-batch duplicate
-// inserts, missed the distinct delete pairs that matched no live edge. A
-// batch with no effect (all-duplicate inserts, all-miss deletes) burns no
-// epoch and returns the zero Change.
-func (g *Graph) Apply(ins, dels []graph.Edge, at time.Time) (ch Change, skipped, missed int, err error) {
-	if err := inRange(g.cur.NumVertices(), ins, dels); err != nil {
+// batch dropped), then delete every live edge matching a (Src, Dst) pair
+// in dels — so a batch that inserts and deletes the same edge nets to a
+// delete. An edge outside the vertex set, or a negative or NaN insert
+// weight on a weighted graph, rejects the whole batch before anything is
+// touched. skipped counts in-batch duplicate inserts, missed the distinct
+// delete pairs that matched no live edge. A batch with no effect
+// (all-duplicate inserts, all-miss deletes) burns no epoch and returns the
+// zero Change.
+func (g *Graph) Apply(ins, dels []graph.Edge) (ch Change, skipped, missed int, err error) {
+	if err := checkBatch(g.cur, ins, dels); err != nil {
 		return Change{}, 0, 0, err
 	}
 	added := dedupEdges(normalizeWeights(ins, g.cur.Weighted()))
 	skipped = len(ins) - len(added)
-	ts := int64(0) // the zero time stamps permanent edges
-	if !at.IsZero() {
-		ts = at.UnixNano()
-	}
 	want, hit := make(map[[2]graph.VertexID]bool, len(dels)), make(map[[2]graph.VertexID]bool, len(dels))
 	for _, e := range dels {
 		want[[2]graph.VertexID{e.Src, e.Dst}] = true
 	}
 	var drop []int
-	g.scanRows(dels, added, ts, func(pos int, e graph.Edge, _ int64) {
+	g.scanRows(dels, added, func(pos int, e graph.Edge) {
 		if k := [2]graph.VertexID{e.Src, e.Dst}; want[k] {
 			hit[k] = true
 			drop = append(drop, pos)
@@ -128,34 +124,17 @@ func (g *Graph) Apply(ins, dels []graph.Edge, at time.Time) (ch Change, skipped,
 	if len(added) == 0 && len(drop) == 0 {
 		return Change{}, skipped, missed, nil
 	}
-	return g.advance(added, ts, drop), skipped, missed, nil
-}
-
-// Expire ages out every timestamped edge older than horizon at time now
-// as one epoch; nothing aged out returns the zero Change.
-func (g *Graph) Expire(now time.Time, horizon time.Duration) Change {
-	var drop []int
-	cutoff := now.Add(-horizon).UnixNano()
-	for i, t := range g.at {
-		if horizon > 0 && t != 0 && t < cutoff {
-			drop = append(drop, i)
-		}
-	}
-	if len(drop) == 0 {
-		return Change{}
-	}
-	return g.advance(nil, now.UnixNano(), drop)
+	return g.advance(added, drop), skipped, missed, nil
 }
 
 // ApplyExact replays one logged Change: a record at or below the current
 // epoch is skipped (the zero Change: already incorporated), a record at
 // exactly epoch+1 is applied, anything else fails with ErrEpochGap. Each
 // entry of Removed removes one live edge with the same (Src, Dst, Weight),
-// not every edge with its endpoints as a live delete would: the oldest
-// timed copy, else a permanent one. Expiry removes the oldest timed copies
-// and a delete every copy, so replaying the records rebuilds the live graph
-// row for row — except that copies restored by Reset are permanent. The
-// returned Change keeps the record's Added.
+// not every edge with its endpoints as a live delete would: the first
+// remaining copy in row order, the record's Added after the current row.
+// A live delete removes every copy, so replaying the records rebuilds the
+// live graph row for row. The returned Change keeps the record's Added.
 func (g *Graph) ApplyExact(ch Change) (Change, error) {
 	if ch.Epoch <= g.epoch {
 		return Change{}, nil
@@ -163,7 +142,7 @@ func (g *Graph) ApplyExact(ch Change) (Change, error) {
 	if ch.Epoch != g.epoch+1 {
 		return Change{}, fmt.Errorf("%w: record epoch %d, graph epoch %d", ErrEpochGap, ch.Epoch, g.epoch)
 	}
-	if err := inRange(g.cur.NumVertices(), ch.Added, ch.Removed); err != nil {
+	if err := checkBatch(g.cur, ch.Added, ch.Removed); err != nil {
 		return Change{}, err
 	}
 	added := normalizeWeights(ch.Added, g.cur.Weighted())
@@ -171,45 +150,29 @@ func (g *Graph) ApplyExact(ch Change) (Change, error) {
 	for _, e := range ch.Removed {
 		need[e]++
 	}
-	type copyOf struct {
-		pos int
-		at  int64
-		e   graph.Edge
-	}
-	var copies []copyOf
-	g.scanRows(ch.Removed, added, ch.At, func(pos int, e graph.Edge, at int64) {
+	var drop []int
+	g.scanRows(ch.Removed, added, func(pos int, e graph.Edge) {
 		if need[e] > 0 {
-			if at == 0 {
-				at = math.MaxInt64 // permanent copies after every timed one
-			}
-			copies = append(copies, copyOf{pos, at, e})
+			need[e]--
+			drop = append(drop, pos)
 		}
 	})
-	// Oldest first. Copies of one edge with one time are interchangeable.
-	slices.SortFunc(copies, func(a, b copyOf) int { return cmp.Compare(a.at, b.at) })
-	var drop []int
-	for _, c := range copies {
-		if need[c.e] > 0 {
-			need[c.e]--
-			drop = append(drop, c.pos)
-		}
-	}
-	return g.advance(added, ch.At, drop), nil
+	return g.advance(added, drop), nil
 }
 
 // scanRows visits, for each distinct source of keys in ascending order,
-// its current row and then its edges in add (stamped ts), in order, with
-// each edge's ingest time and position: its index into the current Dst,
-// or NumEdges()+j for add[j]. No other row is read.
-func (g *Graph) scanRows(keys, add []graph.Edge, ts int64, visit func(pos int, e graph.Edge, at int64)) {
+// its current row and then its edges in add, in order, with each edge's
+// position: its index into the current Dst, or NumEdges()+j for add[j].
+// No other row is read.
+func (g *Graph) scanRows(keys, add []graph.Edge, visit func(pos int, e graph.Edge)) {
 	m := g.cur.NumEdges()
 	for _, s := range sources(keys) {
 		for i := g.cur.RowPtr[s]; i < g.cur.RowPtr[s+1]; i++ {
-			visit(int(i), graph.Edge{Src: s, Dst: g.cur.Dst[i], Weight: g.cur.EdgeWeight(i)}, g.at[i])
+			visit(int(i), graph.Edge{Src: s, Dst: g.cur.Dst[i], Weight: g.cur.EdgeWeight(i)})
 		}
 		for j, e := range add {
 			if e.Src == s {
-				visit(m+j, e, ts)
+				visit(m+j, e)
 			}
 		}
 	}
@@ -228,16 +191,16 @@ func sources(batches ...[]graph.Edge) []graph.VertexID {
 }
 
 // advance moves to the next epoch. Its CSR, freshly allocated as readers
-// may hold the current one, is the current one plus add (stamped ts) minus
-// the positions in drop (numbered as scanRows does): runs of untouched rows
+// may hold the current one, is the current one plus add minus the
+// positions in drop (numbered as scanRows does): runs of untouched rows
 // are bulk-copied with their row pointers shifted, and a touched row keeps
 // its surviving edges in order, then appends its surviving new ones in
-// batch order. The ingest times go to the spare buffer; the Change, whose
-// Removed are the dropped edges in CSR order, joins the bounded history.
-func (g *Graph) advance(add []graph.Edge, ts int64, drop []int) Change {
+// batch order. The Change, whose Removed are the dropped edges in CSR
+// order, joins the bounded history.
+func (g *Graph) advance(add []graph.Edge, drop []int) Change {
 	cur, m, n := g.cur, g.cur.NumEdges(), g.cur.NumVertices()
 	size := m + len(add) - len(drop)
-	ch := Change{Epoch: g.epoch + 1, At: ts, Added: add}
+	ch := Change{Epoch: g.epoch + 1, Added: add}
 	slices.Sort(drop)
 	k, _ := slices.BinarySearch(drop, m)
 	drop, dropAdd := drop[:k], drop[k:]
@@ -251,10 +214,6 @@ func (g *Graph) advance(add []graph.Edge, ts int64, drop []int) Change {
 	if cur.Weighted() {
 		next.Weight = make([]float32, size)
 	}
-	if cap(g.spare) < size {
-		g.spare = make([]int64, size, size+size/8)
-	}
-	at := g.spare[:size]
 	// cur's edges from span on are pending; they land in next from out on.
 	span, out := 0, 0
 	flush := func(end int) {
@@ -262,7 +221,6 @@ func (g *Graph) advance(add []graph.Edge, ts int64, drop []int) Change {
 		if next.Weight != nil {
 			copy(next.Weight[out:], cur.Weight[span:end])
 		}
-		copy(at[out:], g.at[span:end])
 		out, span = out+end-span, end
 	}
 	for v := 0; v < n; v++ {
@@ -285,7 +243,6 @@ func (g *Graph) advance(add []graph.Edge, ts int64, drop []int) Change {
 			if next.Weight != nil {
 				next.Weight[out] = e.Weight
 			}
-			at[out] = ts
 			out++
 		}
 	}
@@ -295,13 +252,12 @@ func (g *Graph) advance(add []graph.Edge, ts int64, drop []int) Change {
 	if len(g.history) > g.histMax {
 		g.history = g.history[len(g.history)-g.histMax:]
 	}
-	g.cur, g.at, g.spare, g.epoch = next, at, g.at, ch.Epoch
+	g.cur, g.epoch = next, ch.Epoch
 	return ch
 }
 
 // Reset adopts a snapshotted edge set at the given epoch, replacing graph
-// and history (restored edges are permanent — their ingest times are not
-// carried over). It rejects a different vertex count or weight mode, and an
+// and history. It rejects a different vertex count or weight mode, and an
 // epoch below the current one with ErrStale.
 func (g *Graph) Reset(numVertices int, weighted bool, edges []graph.Edge, epoch uint64) error {
 	if numVertices != g.cur.NumVertices() {
@@ -317,7 +273,7 @@ func (g *Graph) Reset(numVertices int, weighted bool, edges []graph.Edge, epoch 
 	if err != nil {
 		return fmt.Errorf("stream: rebuild from snapshot: %w", err)
 	}
-	g.cur, g.at, g.epoch, g.history = ng, make([]int64, ng.NumEdges()), epoch, nil
+	g.cur, g.epoch, g.history = ng, epoch, nil
 	return nil
 }
 

@@ -1,8 +1,8 @@
 package stream
 
 import (
+	"math"
 	"testing"
-	"time"
 
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/graph"
@@ -13,7 +13,7 @@ func solveValues(g *graph.CSR, alg algorithms.Algorithm) ([]float64, error) {
 }
 
 // TestGraphRestartEveryGapMatchesColdOracle scripts insert / insert /
-// delete / expire epochs on a Graph and, after each, carries the fixed
+// delete / delete epochs on a Graph and, after each, carries the fixed
 // point converged k epochs earlier to the current graph through Since +
 // Restart for every gap k = 1…histMax+1 — the multi-epoch path a query
 // takes when its cached state is several mutations old. Every covered gap
@@ -33,19 +33,20 @@ func TestGraphRestartEveryGapMatchesColdOracle(t *testing.T) {
 		run  func() (Change, error)
 	}{
 		{"insert shortcut", func() (Change, error) {
-			ch, _, _, err := g.Apply([]graph.Edge{{Src: 2, Dst: 4, Weight: 0.5}}, nil, time.Unix(1, 0))
+			ch, _, _, err := g.Apply([]graph.Edge{{Src: 2, Dst: 4, Weight: 0.5}}, nil)
 			return ch, err
 		}},
 		{"insert chain", func() (Change, error) {
-			ch, _, _, err := g.Apply([]graph.Edge{{Src: 4, Dst: 5, Weight: 1}, {Src: 5, Dst: 6, Weight: 1}}, nil, time.Unix(2, 0))
+			ch, _, _, err := g.Apply([]graph.Edge{{Src: 4, Dst: 5, Weight: 1}, {Src: 5, Dst: 6, Weight: 1}}, nil)
 			return ch, err
 		}},
 		{"delete shortcut and a base edge", func() (Change, error) {
-			ch, _, _, err := g.Apply(nil, []graph.Edge{{Src: 2, Dst: 4}, {Src: 0, Dst: 3}}, time.Unix(3, 0))
+			ch, _, _, err := g.Apply(nil, []graph.Edge{{Src: 2, Dst: 4}, {Src: 0, Dst: 3}})
 			return ch, err
 		}},
-		{"expire the inserts", func() (Change, error) {
-			return g.Expire(time.Unix(100, 0), 10*time.Second), nil
+		{"delete the surviving inserts", func() (Change, error) {
+			ch, _, _, err := g.Apply(nil, []graph.Edge{{Src: 4, Dst: 5}, {Src: 5, Dst: 6}})
+			return ch, err
 		}},
 	}
 	// graphs[e] and states[e] are the graph and its cold fixed point at
@@ -89,7 +90,7 @@ func TestGraphRestartEveryGapMatchesColdOracle(t *testing.T) {
 		}
 	}
 	if g.CSR().NumEdges() != base.NumEdges()-1 {
-		t.Fatalf("after expiry: %d edges, want the %d surviving base edges", g.CSR().NumEdges(), base.NumEdges()-1)
+		t.Fatalf("after the deletes: %d edges, want the %d surviving base edges", g.CSR().NumEdges(), base.NumEdges()-1)
 	}
 	if seen[Warm] == 0 || seen[Cone] == 0 {
 		t.Fatalf("modes exercised: %v — expected both warm paths", seen)
@@ -109,25 +110,34 @@ func TestGraphRestartEveryGapMatchesColdOracle(t *testing.T) {
 }
 
 // TestRejectedBatchLeavesGraphUntouched: a batch with one out-of-range
-// edge is rejected before the log is touched, so the next valid batch
-// applies cleanly and re-converges onto the cold oracle.
+// edge or one negative or NaN weight is rejected before the graph is
+// touched, so the next valid batch applies cleanly and re-converges onto
+// the cold oracle.
 func TestRejectedBatchLeavesGraphUntouched(t *testing.T) {
 	base := mustGraph(t, 4, []graph.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 1}})
 	mk := func() algorithms.Algorithm { return algorithms.NewSSSP(0) }
 	r := NewReplayer(base, mk, solveValues, 0)
 
 	bad := []graph.Edge{{Src: 2, Dst: 3, Weight: 1}, {Src: 1, Dst: 9, Weight: 1}}
-	if err := r.Apply(bad, nil, time.Unix(1, 0)); err == nil {
+	if err := r.Apply(bad, nil); err == nil {
 		t.Fatal("out-of-range insert accepted")
 	}
-	if err := r.Apply(nil, []graph.Edge{{Src: 9, Dst: 0}}, time.Unix(1, 0)); err == nil {
+	if err := r.Apply(nil, []graph.Edge{{Src: 9, Dst: 0}}); err == nil {
 		t.Fatal("out-of-range delete accepted")
+	}
+	for _, w := range []float32{-1, float32(math.NaN())} {
+		if err := r.Apply([]graph.Edge{{Src: 2, Dst: 3, Weight: 1}, {Src: 3, Dst: 2, Weight: w}}, nil); err == nil {
+			t.Fatalf("insert at weight %v accepted", w)
+		}
+		if _, err := r.g.ApplyExact(Change{Epoch: 1, Added: []graph.Edge{{Src: 3, Dst: 2, Weight: w}}}); err == nil {
+			t.Fatalf("replayed insert at weight %v accepted", w)
+		}
 	}
 	if r.Epoch != 0 || r.Graph() != base {
 		t.Fatalf("rejected batches moved the graph: epoch %d", r.Epoch)
 	}
 
-	if err := r.Apply([]graph.Edge{{Src: 2, Dst: 3, Weight: 1}}, nil, time.Unix(2, 0)); err != nil {
+	if err := r.Apply([]graph.Edge{{Src: 2, Dst: 3, Weight: 1}}, nil); err != nil {
 		t.Fatalf("valid batch after a rejected one: %v", err)
 	}
 	if r.Epoch != 1 || r.Graph().NumEdges() != base.NumEdges()+1 {

@@ -6,7 +6,7 @@ import (
 	"graphpulse/internal/graph"
 )
 
-// TimedEdge is one edge and its ingest time; a zero At marks it permanent.
+// TimedEdge is one edge and its ingest time.
 type TimedEdge struct {
 	Edge graph.Edge
 	At   time.Time
@@ -18,7 +18,7 @@ type Log struct {
 	edges []TimedEdge
 }
 
-// NewLog builds a log whose initial entries are base, marked permanent.
+// NewLog builds a log whose initial entries are base, at the zero time.
 func NewLog(base []graph.Edge) *Log {
 	l := &Log{edges: make([]TimedEdge, len(base))}
 	for i, e := range base {

@@ -40,23 +40,3 @@ func TestLogRemoveCountsDuplicateMissOnce(t *testing.T) {
 		t.Fatalf("removed=%d missed=%d, want 0 removed and the duplicate miss counted once", len(removed), missed)
 	}
 }
-
-func TestLogExpireSparesPermanentEdges(t *testing.T) {
-	l := NewLog([]graph.Edge{e(0, 1)})
-	l.Append([]graph.Edge{e(1, 2)}, time.Unix(100, 0))
-	l.Append([]graph.Edge{e(2, 3)}, time.Unix(200, 0))
-
-	expired := l.Expire(time.Unix(260, 0), 100*time.Second)
-	if len(expired) != 1 || expired[0].Dst != 2 {
-		t.Fatalf("expired %v, want exactly the edge ingested at t=100", expired)
-	}
-	if l.Len() != 2 {
-		t.Fatalf("log has %d edges, want 2 (permanent 0->1 and fresh 2->3)", l.Len())
-	}
-	if got := l.Expire(time.Unix(1e6, 0), 100*time.Second); len(got) != 1 {
-		t.Fatalf("second sweep expired %d edges, want 1 (only the timestamped one)", len(got))
-	}
-	if l.Len() != 1 {
-		t.Fatalf("permanent edge expired: %d live edges, want 1", l.Len())
-	}
-}

@@ -66,7 +66,7 @@ func PlanRestart(alg algorithms.Algorithm, newG *graph.CSR, added, removed []gra
 	if maxConeFrac <= 0 {
 		maxConeFrac = DefaultMaxConeFraction
 	}
-	if err := inRange(n, added, removed); err != nil {
+	if err := checkBatch(newG, added, removed); err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 

@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"time"
-
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/graph"
 )
@@ -39,8 +37,7 @@ type Replayer struct {
 }
 
 // NewReplayer builds a Replayer over base. maxConeFrac ≤ 0 selects
-// DefaultMaxConeFraction. The base edges are permanent: window expiry
-// never removes them (user deletes do).
+// DefaultMaxConeFraction.
 func NewReplayer(base *graph.CSR, mk func() algorithms.Algorithm, solve SolveFunc, maxConeFrac float64) *Replayer {
 	return &Replayer{mk: mk, solve: solve, maxConeFrac: maxConeFrac, g: NewGraph(base, 1)}
 }
@@ -63,33 +60,13 @@ func (r *Replayer) State() ([]float64, error) {
 
 // Apply ingests one mutation epoch (see Graph.Apply) and re-converges. A
 // rejected batch changes nothing; a batch with no effect burns no epoch.
-func (r *Replayer) Apply(ins, dels []graph.Edge, at time.Time) error {
+func (r *Replayer) Apply(ins, dels []graph.Edge) error {
 	if _, err := r.State(); err != nil {
 		return err
 	}
-	ch, _, _, err := r.g.Apply(ins, dels, at)
-	if err != nil {
+	ch, _, _, err := r.g.Apply(ins, dels)
+	if err != nil || ch.Epoch == 0 {
 		return err
-	}
-	return r.reconverge(ch)
-}
-
-// Expire removes every timestamped edge older than horizon at time now
-// and re-converges; it returns how many edges aged out (0 = no new
-// epoch).
-func (r *Replayer) Expire(now time.Time, horizon time.Duration) (int, error) {
-	if _, err := r.State(); err != nil {
-		return 0, err
-	}
-	ch := r.g.Expire(now, horizon)
-	return len(ch.Removed), r.reconverge(ch)
-}
-
-// reconverge carries the state from r.Epoch to the graph's epoch after
-// ch (the zero Change: nothing to do).
-func (r *Replayer) reconverge(ch Change) error {
-	if ch.Epoch == 0 {
-		return nil
 	}
 	alg, mode := r.mk(), Cold
 	if base, added, removed, ok := r.g.Since(r.Epoch); ok {

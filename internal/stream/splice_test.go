@@ -7,20 +7,18 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/gen"
 )
 
 // TestSpliceMatchesLogReference drives random Apply (in-batch insert and
-// delete of one pair, exact duplicates, zero-time batches), Expire and
-// ApplyExact sequences through Graph and the log-based reference on
-// weighted and unweighted multigraphs. At every epoch the spliced CSR must
-// equal the reference's rebuild, the per-edge accounting and the change
-// must agree (Removed as a multiset: the splice reports it in CSR order,
-// the log in ingest order), and a replica fed only the Change records must
-// equal the live graph.
+// delete of one pair, exact duplicates) and ApplyExact sequences through
+// Graph and the log-based reference on weighted and unweighted
+// multigraphs. At every epoch the spliced CSR must equal the reference's
+// rebuild, the per-edge accounting and the change must agree (Removed as a
+// multiset: the splice reports it in CSR order, the log in ingest order),
+// and a replica fed only the Change records must equal the live graph.
 func TestSpliceMatchesLogReference(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		for _, weighted := range []bool{false, true} {
@@ -65,16 +63,10 @@ func diffSequence(t *testing.T, seed int64, weighted bool, epochs int) {
 		}
 		return out
 	}
-	clock := int64(1)
 	for ep := 0; ep < epochs; ep++ {
-		clock += rng.Int63n(3) // equal ingest times happen
-		at := time.Unix(clock, 0)
-		if rng.Intn(5) == 0 {
-			at = time.Time{} // a zero-time batch: permanent edges
-		}
 		var got, want Change
 		var gotErr, wantErr error
-		op := []string{"apply", "apply", "expire", "exact"}[rng.Intn(4)]
+		op := []string{"apply", "apply", "exact"}[rng.Intn(3)]
 		switch op {
 		case "apply":
 			ins := randEdges(4)
@@ -86,24 +78,20 @@ func diffSequence(t *testing.T, seed int64, weighted bool, epochs int) {
 				dels = append(dels, ins[len(ins)-1]) // inserted and deleted in one batch
 			}
 			var gs, gm, ws, wm int
-			got, gs, gm, gotErr = live.Apply(ins, dels, at)
-			want, ws, wm, wantErr = ref.Apply(ins, dels, at)
+			got, gs, gm, gotErr = live.Apply(ins, dels)
+			want, ws, wm, wantErr = ref.Apply(ins, dels)
 			if gs != ws || gm != wm {
 				t.Fatalf("epoch %d apply: skipped/missed %d/%d, reference %d/%d", ep, gs, gm, ws, wm)
 			}
-		case "expire":
-			horizon := time.Duration(1+rng.Intn(6)) * time.Second
-			got = live.Expire(time.Unix(clock, 0), horizon)
-			want, wantErr = ref.Expire(time.Unix(clock, 0), horizon)
 		case "exact":
-			rec := Change{Epoch: live.Epoch() + 1, At: unixNano(at), Added: randEdges(2), Removed: pick(3)}
+			rec := Change{Epoch: live.Epoch() + 1, Added: randEdges(2), Removed: pick(3)}
 			got, gotErr = live.ApplyExact(rec)
 			want, wantErr = ref.ApplyExact(rec)
 		}
 		if gotErr != nil || wantErr != nil {
 			t.Fatalf("epoch %d %s: err %v, reference err %v", ep, op, gotErr, wantErr)
 		}
-		if got.Epoch != want.Epoch || got.At != want.At ||
+		if got.Epoch != want.Epoch ||
 			!slices.Equal(got.Added, want.Added) || !sameMultiset(got.Removed, want.Removed) {
 			t.Fatalf("epoch %d %s: change %+v, reference %+v", ep, op, got, want)
 		}
@@ -130,35 +118,6 @@ func sameMultiset(a, b []graph.Edge) bool {
 	slices.SortFunc(a, order)
 	slices.SortFunc(b, order)
 	return slices.Equal(a, b)
-}
-
-// TestReplayedExpiryRemovesTheTimedCopy: 0->1 is a base edge and is
-// inserted again at t=1; expiry at t=100 removes the inserted copy. A
-// replica replaying both records must remove that copy too, not the older
-// permanent one, or its row order — and with it the replica digest —
-// differs from the live graph's.
-func TestReplayedExpiryRemovesTheTimedCopy(t *testing.T) {
-	base, err := graph.FromEdges(3, []graph.Edge{e(0, 1), e(0, 2)}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, replica := NewGraph(base, 1), NewGraph(base, 1)
-	ins, _, _, err := live.Apply([]graph.Edge{e(0, 1)}, nil, time.Unix(1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp := live.Expire(time.Unix(100, 0), 10*time.Second)
-	if row := live.CSR().Neighbors(0); !slices.Equal(row, []graph.VertexID{1, 2}) {
-		t.Fatalf("live row %v after expiry, want [1 2]", row)
-	}
-	for _, ch := range []Change{ins, exp} {
-		if _, err := replica.ApplyExact(ch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if row := replica.CSR().Neighbors(0); !slices.Equal(row, []graph.VertexID{1, 2}) {
-		t.Fatalf("replica row %v after replaying the expiry, want the live row [1 2]", row)
-	}
 }
 
 // wgGraph is the mutate-churn workload's graph shape: the Web-Google
@@ -213,27 +172,27 @@ func deleteBatches(g *graph.CSR) [][]graph.Edge {
 	return out
 }
 
-// TestApplyAllocatesOnlyTheNextCSR: once both ingest-time buffers exist,
-// one 16-edge insert or delete allocates the next CSR plus O(batch), so a
-// copy of the whole edge list (12 B/edge) or of the times (8 B/edge) per
-// epoch fails it.
+// TestApplyAllocatesOnlyTheNextCSR: a Graph costs only its CSR, so
+// NewGraph allocates O(1) bytes, not O(edges), and one 16-edge insert or
+// delete allocates the next CSR plus O(batch): a copy of the whole edge
+// list (12 B/edge) or any per-edge side array per epoch fails it.
 func TestApplyAllocatesOnlyTheNextCSR(t *testing.T) {
 	base := wgGraph(t, gen.Tiny)
+	ins, dels := insertBatches(base, 1), deleteBatches(base)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	g := NewGraph(base, 4)
-	ins, dels := insertBatches(base, 3), deleteBatches(base)
-	for i := 0; i < 2; i++ { // both time buffers reach their steady size
-		if _, _, _, err := g.Apply(ins[i], nil, time.Unix(int64(i+1), 0)); err != nil {
-			t.Fatal(err)
-		}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<10 {
+		t.Errorf("NewGraph allocated %d B over %d edges; want O(1)", got, base.NumEdges())
 	}
 	const slack = 64 << 10 // the batch's maps, sort scratch and Change
 	for _, c := range []struct {
 		name      string
 		ins, dels []graph.Edge
-	}{{"insert", ins[2], nil}, {"delete", nil, dels[0]}} {
-		var before, after runtime.MemStats
+	}{{"insert", ins[0], nil}, {"delete", nil, dels[0]}} {
 		runtime.ReadMemStats(&before)
-		ch, _, _, err := g.Apply(c.ins, c.dels, time.Unix(10, 0))
+		ch, _, _, err := g.Apply(c.ins, c.dels)
 		runtime.ReadMemStats(&after)
 		if err != nil || ch.Epoch == 0 {
 			t.Fatalf("%s: epoch %d, err %v", c.name, ch.Epoch, err)
@@ -253,7 +212,7 @@ func BenchmarkGraphApply(b *testing.B) {
 	base := wgGraph(b, gen.Mini)
 	ins, dels := insertBatches(base, 64), deleteBatches(base)
 	type applier interface {
-		Apply(ins, dels []graph.Edge, at time.Time) (Change, int, int, error)
+		Apply(ins, dels []graph.Edge) (Change, int, int, error)
 	}
 	for _, impl := range []struct {
 		suffix string
@@ -264,11 +223,6 @@ func BenchmarkGraphApply(b *testing.B) {
 	} {
 		run := func(b *testing.B, batch func(i int) (ins, dels []graph.Edge)) {
 			g := impl.mk()
-			for i := 0; i < 2; i++ { // warm the ingest-time buffers
-				if _, _, _, err := g.Apply(ins[i], nil, time.Unix(1, 0)); err != nil {
-					b.Fatal(err)
-				}
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -278,7 +232,7 @@ func BenchmarkGraphApply(b *testing.B) {
 					b.StartTimer()
 				}
 				in, del := batch(i)
-				if ch, _, missed, err := g.Apply(in, del, time.Unix(int64(i+2), 0)); err != nil || ch.Epoch == 0 || missed > 0 {
+				if ch, _, missed, err := g.Apply(in, del); err != nil || ch.Epoch == 0 || missed > 0 {
 					b.Fatalf("epoch %d, missed %d, err %v", ch.Epoch, missed, err)
 				}
 			}

@@ -1,6 +1,6 @@
 // Package stream is the mutation side of the streaming-graph story: it
-// turns arbitrary edge-set changes — insertions, deletions, and age-based
-// window expirations — into warm-start plans the delta-accumulative
+// turns arbitrary edge-set changes — insertions and deletions — into
+// warm-start plans the delta-accumulative
 // engines can resume from, instead of recomputing every fixed point from
 // scratch.
 //
@@ -19,10 +19,10 @@
 //
 // The pieces:
 //
-//   - Graph — the versioned mutable graph: current CSR + per-edge ingest
-//     times + epoch + bounded change history. Apply (a live batch), Expire
-//     (sliding window), ApplyExact (logged-record replay) and Reset
-//     (snapshot adoption) are the only ways its epoch moves; each returns
+//   - Graph — the versioned mutable graph: current CSR + epoch + bounded
+//     change history. Apply (a live batch), ApplyExact (logged-record
+//     replay) and Reset (snapshot adoption) are the only ways its epoch
+//     moves; each returns
 //     the Change record that mutation hooks, the write-ahead log and
 //     replica repair carry unchanged. Since(epoch) hands back what changed
 //     after an older epoch.
