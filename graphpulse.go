@@ -45,7 +45,6 @@ import (
 	"graphpulse/internal/energy"
 	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/gen"
-	"graphpulse/internal/psolve"
 	"graphpulse/internal/serve"
 	"graphpulse/internal/sim"
 	"graphpulse/internal/sim/telemetry"
@@ -164,31 +163,6 @@ func SolveCtx(ctx context.Context, g *Graph, alg Algorithm) (*SolveResult, error
 
 // SolveResult is the reference solver's output.
 type SolveResult = algorithms.SolveResult
-
-// ParallelConfig tunes the sharded parallel native solver. The zero value
-// selects the documented defaults (GOMAXPROCS workers).
-type ParallelConfig = psolve.Config
-
-// ParallelResult is the parallel solver's output: converged values plus the
-// cross-shard exchange counters documented in METRICS.md ("Parallel solver
-// metrics").
-type ParallelResult = psolve.Result
-
-// SolveParallel runs an algorithm to convergence with the sharded parallel
-// native solver: the vertex set split into contiguous shards (one per
-// worker), per-shard coalescing worklists, and batched cross-shard delta
-// exchange. Results agree with Solve within the conformance tolerance —
-// exactly, for the monotone min/max algorithms. Use it when you want
-// answers faster on a multi-core host.
-func SolveParallel(g *Graph, alg Algorithm, cfg ParallelConfig) *ParallelResult {
-	return psolve.Solve(g, alg, cfg)
-}
-
-// SolveParallelCtx runs like SolveParallel with wall-clock cancellation
-// under the same ErrCanceled contract as SolveCtx.
-func SolveParallelCtx(ctx context.Context, g *Graph, alg Algorithm, cfg ParallelConfig) (*ParallelResult, error) {
-	return psolve.SolveCtx(ctx, g, alg, cfg)
-}
 
 // IncrementalAfterInsert prepares incremental recomputation after edge
 // insertions: given a converged state on `old`, it returns the post-update

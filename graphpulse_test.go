@@ -165,32 +165,3 @@ func TestFacadeIncremental(t *testing.T) {
 		t.Errorf("shortcut distance = %g, want 0.05", got)
 	}
 }
-
-func TestFacadeParallelSolve(t *testing.T) {
-	g, err := graphpulse.GenerateRMAT(graphpulse.RMATParams{
-		A: 0.57, B: 0.19, C: 0.19, D: 0.05, Scale: 8, EdgeFactor: 8,
-		Weighted: true, Seed: 13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// SSSP is monotone: the parallel solver must agree with the reference
-	// solver bit-for-bit at any worker count.
-	want := graphpulse.Solve(g, graphpulse.NewSSSP(0))
-	res := graphpulse.SolveParallel(g, graphpulse.NewSSSP(0), graphpulse.ParallelConfig{Workers: 4})
-	if res.Workers != 4 {
-		t.Fatalf("Workers = %d, want 4", res.Workers)
-	}
-	for v := range want.Values {
-		if res.Values[v] != want.Values[v] {
-			t.Fatalf("vertex %d: parallel %g != reference %g", v, res.Values[v], want.Values[v])
-		}
-	}
-	var perWorker int64
-	for _, a := range res.WorkerActivations {
-		perWorker += a
-	}
-	if perWorker != res.Activations || res.Activations == 0 {
-		t.Fatalf("activations: sum(per-worker)=%d total=%d", perWorker, res.Activations)
-	}
-}

@@ -49,37 +49,24 @@ type residentSlice struct {
 	last atomic.Int64 // clock stamp of the most recent access
 }
 
-// Counters is a snapshot of the store's observability surface. The names in
-// MetricNames document each field in METRICS.md.
+// Counters is a snapshot of the store's observability surface; METRICS.md
+// documents each field.
 type Counters struct {
-	// Decodes counts slice decodes from the container (`ooc_slice_decodes`).
+	// Decodes counts slice decodes from the container.
 	Decodes int64
-	// Evictions counts budget-driven slice drops (`ooc_slice_evictions`).
+	// Evictions counts budget-driven slice drops.
 	Evictions int64
-	// Hits counts row and edge reads served by an already-resident slice
-	// (`ooc_hits`): one per Row (or per-field accessor) call.
+	// Hits counts row and edge reads served by an already-resident slice:
+	// one per Row (or per-field accessor) call.
 	Hits int64
 	// ResidentBytes is the decoded bytes currently charged against the
-	// budget (`ooc_resident_bytes`).
+	// budget.
 	ResidentBytes int64
-	// ResidentSlices is the resident slice count (`ooc_resident_slices`).
+	// ResidentSlices is the resident slice count.
 	ResidentSlices int64
-	// DecodedBytes is the cumulative decoded volume across all decodes
-	// (`ooc_decoded_bytes`); DecodedBytes/ResidentBytes ≈ swap amplification.
+	// DecodedBytes is the cumulative decoded volume across all decodes;
+	// DecodedBytes/ResidentBytes ≈ swap amplification.
 	DecodedBytes int64
-}
-
-// MetricNames lists the store metric names for the METRICS.md staleness
-// linter (lintdoc), mirroring the Counters fields.
-func MetricNames() []string {
-	return []string{
-		"ooc_slice_decodes",
-		"ooc_slice_evictions",
-		"ooc_hits",
-		"ooc_resident_bytes",
-		"ooc_resident_slices",
-		"ooc_decoded_bytes",
-	}
 }
 
 // Open maps the graphpack container at path with the given resident-byte

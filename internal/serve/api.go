@@ -11,7 +11,8 @@ import (
 )
 
 // QueryRequest is the /v1/query body: which algorithm to run over which
-// resident graph, on which engine, and what slice of the answer to return.
+// resident graph, and what slice of the answer to return. Unknown fields,
+// such as the "engine" older clients send, are ignored.
 type QueryRequest struct {
 	// Graph names a resident graph.
 	Graph string `json:"graph"`
@@ -23,10 +24,6 @@ type QueryRequest struct {
 	// for pr, 0.8/1e-4 for ads).
 	Alpha     *float64 `json:"alpha,omitempty"`
 	Threshold *float64 `json:"threshold,omitempty"`
-	// Engine picks the solver by registry name (see internal/engines):
-	// "solve" (native worklist solver, the default) or "psolve" (sharded
-	// parallel solver). The simulators and Ligra run under cmd/graphpulse.
-	Engine string `json:"engine,omitempty"`
 	// TimeoutMS overrides the server's default per-request deadline,
 	// capped by Config.MaxTimeout.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -105,7 +102,9 @@ type QueryResponse struct {
 	Graph     string `json:"graph"`
 	Epoch     uint64 `json:"epoch"`
 	Algorithm string `json:"algorithm"`
-	Engine    string `json:"engine"`
+	// Engine is always "solve": queries run on one solver, and the field
+	// stays so answers keep the bytes existing clients parse.
+	Engine string `json:"engine"`
 	// Cached reports whether the answer came straight from the result
 	// cache. Mode says how the values were produced: "cache", "cold"
 	// (from-scratch solve), "warm" (warm-started from a prior epoch's

@@ -61,7 +61,7 @@ func BenchmarkEncodeResponse(b *testing.B) {
 		{"values1000", QueryRequest{Graph: "g", Vertices: vertexRange(1000)}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			resp := buildResponse(&c.req, g, "solve", "pr(alpha=0.85,threshold=0.0001)", res, true, false)
+			resp := buildResponse(&c.req, g, "pr(alpha=0.85,threshold=0.0001)", res, true, false)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

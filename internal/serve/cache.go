@@ -109,12 +109,18 @@ func siftDown(h []VertexValue, i int) {
 	h[i] = item
 }
 
+// solverName names the one solver queries run on. It is the middle field
+// of every series key, so snapshot series keys ("solve|algKey",
+// SnapshotVersion 1) keep the bytes older servers write and read, and it
+// is the response's "engine" field.
+const solverName = "solve"
+
 // seriesKey identifies a computation independent of graph version:
-// graph name + engine + canonical algorithm key. The cache key pairs it
+// graph name + solver + canonical algorithm key. The cache key pairs it
 // with the epoch, so mutations version the cache instead of invalidating
 // it — older entries stay useful as warm-start sources.
-func seriesKey(graphName, engine, algKey string) string {
-	return graphName + "|" + engine + "|" + algKey
+func seriesKey(graphName, algKey string) string {
+	return graphName + "|" + solverName + "|" + algKey
 }
 
 // cacheKey names one cached result or in-flight computation: a series at
@@ -227,7 +233,7 @@ func (c *resultCache) len() int {
 // flight is one in-progress computation that identical concurrent misses
 // coalesce onto. The leader computes under a context that outlives any
 // single request but is canceled once every waiter has abandoned the
-// result — request deadlines propagate to the engines without letting one
+// result — request deadlines propagate to the solver without letting one
 // impatient client kill work others still want.
 type flight struct {
 	done chan struct{} // closed when res/err are set

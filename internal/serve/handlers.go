@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"graphpulse/internal/algorithms"
-	"graphpulse/internal/engines"
 	"graphpulse/internal/graph"
 	"graphpulse/internal/sim"
 	"graphpulse/internal/stream"
@@ -155,12 +154,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown graph %q", req.Graph)
 		return
 	}
-	engine, err := engines.Normalize(req.Engine)
-	if err != nil {
-		s.metrics.Add("query_errors", 1)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	alg, algKey, err := makeAlgorithm(&req)
 	if err != nil {
 		s.metrics.Add("query_errors", 1)
@@ -174,8 +167,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Per-request deadline, propagated into the engines through context
-	// cancellation (algorithms.SolveCtx / psolve.SolveCtx).
+	// Per-request deadline, propagated into the solver through context
+	// cancellation (algorithms.SolveCtx).
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
@@ -186,15 +179,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	series := seriesKey(req.Graph, engine, algKey)
+	series := seriesKey(req.Graph, algKey)
 	if res, ok := s.cache.get(series, epoch); ok {
 		s.metrics.Add("query_cache_hits", 1)
-		writeQueryResponse(w, buildResponse(&req, g, engine, algKey, res, true, false))
+		writeQueryResponse(w, buildResponse(&req, g, algKey, res, true, false))
 		return
 	}
 	s.metrics.Add("query_cache_misses", 1)
 
-	f, led, err := s.joinOrLead(series, epoch, rg, g, alg, engine)
+	f, led, err := s.joinOrLead(series, epoch, rg, g, alg)
 	if err != nil {
 		// Admission control: the compute queue is full. Never block, never
 		// buffer unboundedly — tell the client when to come back.
@@ -224,7 +217,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "compute failed: %v", f.err)
 		return
 	}
-	writeQueryResponse(w, buildResponse(&req, g, engine, algKey, f.res, false, !led))
+	writeQueryResponse(w, buildResponse(&req, g, algKey, f.res, false, !led))
 }
 
 // joinOrLead coalesces the caller onto an identical in-flight computation
@@ -232,7 +225,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // registered as a waiter (call leave exactly once). led reports whether
 // this caller started the computation; ErrBusy means admission control
 // rejected it.
-func (s *Server) joinOrLead(series string, epoch uint64, rg *residentGraph, g graph.Adjacency, alg algorithms.Algorithm, engine string) (*flight, bool, error) {
+func (s *Server) joinOrLead(series string, epoch uint64, rg *residentGraph, g graph.Adjacency, alg algorithms.Algorithm) (*flight, bool, error) {
 	key := cacheKey{series, epoch}
 	s.flightMu.Lock()
 	if f, ok := s.flights[key]; ok {
@@ -248,7 +241,7 @@ func (s *Server) joinOrLead(series string, epoch uint64, rg *residentGraph, g gr
 
 	err := s.submit(func() {
 		defer cancel()
-		res, err := s.compute(cctx, rg, g, epoch, alg, series, engine)
+		res, err := s.compute(cctx, rg, g, epoch, alg, series)
 		if err == nil {
 			s.cache.put(series, epoch, res)
 		} else if errors.Is(err, sim.ErrCanceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -280,9 +273,9 @@ var modeCounter = map[stream.Mode]string{
 // compute runs one query computation: when a prior epoch's fixed point is
 // cached and the mutation history still covers the gap, stream.Restart
 // picks the warm start (it runs here on immutable snapshots, outside the
-// graph's write lock); otherwise solve cold. Then execute on the chosen
-// engine under ctx.
-func (s *Server) compute(ctx context.Context, rg *residentGraph, g graph.Adjacency, epoch uint64, alg algorithms.Algorithm, series, engine string) (*cachedResult, error) {
+// graph's write lock); otherwise solve cold. Then run the serial solver
+// under ctx.
+func (s *Server) compute(ctx context.Context, rg *residentGraph, g graph.Adjacency, epoch uint64, alg algorithms.Algorithm, series string) (*cachedResult, error) {
 	if s.testComputeStall != nil {
 		s.testComputeStall(ctx)
 	}
@@ -299,11 +292,7 @@ func (s *Server) compute(ctx context.Context, rg *residentGraph, g graph.Adjacen
 		}
 	}
 
-	eng, err := engines.Lookup(engine)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	res, err := eng.SolveCtx(ctx, g, alg)
+	res, err := algorithms.SolveCtx(ctx, g, alg)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +307,7 @@ func (s *Server) compute(ctx context.Context, rg *residentGraph, g graph.Adjacen
 // prefix of its ranking (which holds maxTopN pairs, so the prefix is also
 // the clamp), shared, not copied: both are immutable and the response only
 // ever gets encoded — so the cost is O(top + vertices), whatever n is.
-func buildResponse(req *QueryRequest, g graph.Adjacency, engine, algKey string, res *cachedResult, fromCache, coalesced bool) *QueryResponse {
+func buildResponse(req *QueryRequest, g graph.Adjacency, algKey string, res *cachedResult, fromCache, coalesced bool) *QueryResponse {
 	mode := res.Mode
 	if fromCache {
 		mode = "cache"
@@ -327,7 +316,7 @@ func buildResponse(req *QueryRequest, g graph.Adjacency, engine, algKey string, 
 		Graph:       req.Graph,
 		Epoch:       res.Epoch,
 		Algorithm:   algKey,
-		Engine:      engine,
+		Engine:      solverName,
 		Cached:      fromCache,
 		Mode:        mode,
 		Coalesced:   coalesced,

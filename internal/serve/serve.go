@@ -1,6 +1,6 @@
-// Package serve turns the repository's engines into a long-lived graph
-// analytics service: a registry of named resident graphs answers
-// algorithm queries over HTTP/JSON, with a bounded compute worker pool,
+// Package serve turns the serial solver (algorithms.SolveCtx) into a
+// long-lived graph analytics service: a registry of named resident graphs
+// answers algorithm queries over HTTP/JSON, with a bounded compute worker pool,
 // admission control, per-request deadlines, a versioned result cache with
 // singleflight coalescing, and batched edge insertions that warm-start
 // reconvergence from the previous fixed point instead of recomputing from
@@ -9,19 +9,19 @@
 //
 // The request path:
 //
-//	/v1/query   POST  algorithm × params × engine over a resident graph
+//	/v1/query   POST  algorithm × params over a resident graph
 //	/v1/mutate  POST  batched edge insertions and deletions; bumps the epoch
 //	/v1/graphs  GET   resident graph inventory
 //	/metrics    GET   request counters and latency histograms (METRICS.md)
 //	/healthz    GET   liveness
 //	/debug/pprof       Go runtime profiles (Config.EnablePprof)
 //
-// Queries hit the cache first (keyed by graph epoch, algorithm, params,
-// engine); identical in-flight misses coalesce onto one computation;
+// Queries hit the cache first (keyed by graph epoch, algorithm and
+// params); identical in-flight misses coalesce onto one computation;
 // distinct misses go through a bounded queue onto the worker pool, and a
 // full queue answers 429 with Retry-After instead of building unbounded
-// backlog. Request deadlines propagate into the worklist solvers
-// (algorithms.SolveCtx, psolve.SolveCtx) through context cancellation.
+// backlog. Request deadlines propagate into the solver through context
+// cancellation.
 //
 // Mutations cover the full streaming story (internal/stream): insertions
 // warm-start from the prior fixed point via correction seeding, deletions

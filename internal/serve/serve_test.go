@@ -133,7 +133,9 @@ func valuesOf(resp *QueryResponse, n int) []float64 {
 }
 
 // TestCacheHit pins the versioned-cache behaviour: a repeated query is a
-// hit, a parameter change is a miss, and the counters record both.
+// hit, a parameter change is a miss, and the counters record both. There
+// is one series per algorithm: an "engine" key in the body, which older
+// clients send, is ignored like any unknown field.
 func TestCacheHit(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 	req := QueryRequest{Graph: "g", Algorithm: "pr"}
@@ -154,9 +156,21 @@ func TestCacheHit(t *testing.T) {
 	if third.Cached {
 		t.Fatal("parameter change must not hit the cache")
 	}
+	code, body, _ := postJSON(t, ts.URL+"/v1/query", json.RawMessage(`{"graph":"g","algorithm":"sssp","root":3,"engine":"psolve"}`))
+	var legacy QueryResponse
+	if code != http.StatusOK || json.Unmarshal(body, &legacy) != nil {
+		t.Fatalf(`query with "engine":"psolve": HTTP %d: %s`, code, body)
+	}
+	if legacy.Cached || legacy.Engine != "solve" {
+		t.Fatalf(`query with "engine":"psolve": cached=%v engine=%q, want false/solve`, legacy.Cached, legacy.Engine)
+	}
+	plain := doQuery(t, ts.URL, QueryRequest{Graph: "g", Algorithm: "sssp", Root: ptr(uint32(3))})
+	if !plain.Cached || plain.Sum != legacy.Sum {
+		t.Fatalf("same query without engine: cached=%v sum=%g, want a hit with sum %g", plain.Cached, plain.Sum, legacy.Sum)
+	}
 	m := s.Metrics()
-	if hits, misses := m.Counter("query_cache_hits"), m.Counter("query_cache_misses"); hits != 1 || misses != 2 {
-		t.Fatalf("counters: hits=%d misses=%d, want 1/2", hits, misses)
+	if hits, misses := m.Counter("query_cache_hits"), m.Counter("query_cache_misses"); hits != 2 || misses != 3 {
+		t.Fatalf("counters: hits=%d misses=%d, want 2/3", hits, misses)
 	}
 }
 
@@ -435,41 +449,9 @@ func TestMutateThenQueryWarmStarts(t *testing.T) {
 	}
 }
 
-// TestParallelAndLigraEngines serves a query through the sharded parallel
-// solver and checks it against the serial solver within the conformance
-// tolerance. Ligra, like the simulators, is refused (TestBadRequests).
-func TestParallelAndLigraEngines(t *testing.T) {
-	small, err := gen.ErdosRenyi(96, 512, true, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ts := newTestServer(t, func(c *Config) {
-		c.Graphs = []GraphSpec{{Name: "g", Graph: small}}
-		c.DefaultTimeout = 60 * time.Second
-	})
-	_ = s
-	alg := algorithms.NewPageRankDelta()
-	want := algorithms.Solve(small, alg)
-	tol := conformance.Tolerance(alg, small)
-	resp := doQuery(t, ts.URL, QueryRequest{
-		Graph: "g", Algorithm: "pr", Engine: "psolve", Vertices: vertexRange(96),
-	})
-	if resp.Engine != "psolve" {
-		t.Errorf("engine echo = %q, want psolve", resp.Engine)
-	}
-	if resp.Mode != "cold" {
-		t.Errorf("mode = %q, want cold", resp.Mode)
-	}
-	got := valuesOf(resp, 96)
-	if err := conformance.CompareValues("serve/psolve", got, want.Values, tol); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestBadRequests pins the error surface: status codes, structured error
 // bodies (naming where to go instead, when that is the point), and the
-// counter. The cycle simulators and Ligra are not query engines: their
-// results are cycles and traffic, which cmd/graphpulse reports.
+// counter.
 func TestBadRequests(t *testing.T) {
 	s, ts := newTestServer(t, nil)
 	cases := []struct {
@@ -483,10 +465,6 @@ func TestBadRequests(t *testing.T) {
 		{"missing algorithm", "/v1/query", QueryRequest{Graph: "g"}, http.StatusBadRequest, ""},
 		{"unknown algorithm", "/v1/query", QueryRequest{Graph: "g", Algorithm: "magic"}, http.StatusBadRequest, ""},
 		{"root out of range", "/v1/query", QueryRequest{Graph: "g", Algorithm: "sssp", Root: ptr(uint32(4000))}, http.StatusBadRequest, ""},
-		{"unknown engine", "/v1/query", QueryRequest{Graph: "g", Algorithm: "pr", Engine: "ligra2"}, http.StatusBadRequest, "solve|psolve"},
-		{"accel engine", "/v1/query", QueryRequest{Graph: "g", Algorithm: "pr", Engine: "accel"}, http.StatusBadRequest, "cmd/graphpulse"},
-		{"graphicionado engine", "/v1/query", QueryRequest{Graph: "g", Algorithm: "pr", Engine: "graphicionado"}, http.StatusBadRequest, "cmd/graphpulse"},
-		{"ligra engine", "/v1/query", QueryRequest{Graph: "g", Algorithm: "pr", Engine: "ligra"}, http.StatusBadRequest, "cmd/graphpulse"},
 		{"bad alpha", "/v1/query", QueryRequest{Graph: "g", Algorithm: "pr", Alpha: ptr(1.5)}, http.StatusBadRequest, ""},
 		{"mutate unknown graph", "/v1/mutate", MutateRequest{Graph: "nope", Edges: []EdgeJSON{{Src: 0, Dst: 1}}}, http.StatusNotFound, ""},
 		{"mutate empty batch", "/v1/mutate", MutateRequest{Graph: "g"}, http.StatusBadRequest, ""},

@@ -32,7 +32,7 @@ type Snapshot struct {
 	// Edges is the complete live edge set at Epoch, in CSR order.
 	Edges []SnapshotEdge `json:"edges"`
 	// Series holds the results cached at exactly Epoch, one per
-	// (engine, algorithm) series.
+	// algorithm series.
 	Series []SnapshotSeries `json:"series,omitempty"`
 }
 
@@ -44,7 +44,7 @@ type SnapshotEdge struct {
 }
 
 // SnapshotSeries is one cached fixed point: the graph-local series key
-// ("engine|algKey", without the graph name so the snapshot transplants
+// ("solve|algKey", without the graph name so the snapshot transplants
 // cleanly) and the converged per-vertex values as IEEE-754 bits.
 type SnapshotSeries struct {
 	Key         string   `json:"key"`

@@ -127,7 +127,7 @@ func TestSummaryMatchesSortOracle(t *testing.T) {
 
 				for _, k := range []int{0, 1, 10, 1000, n + 1, 5000} {
 					req := &QueryRequest{Graph: "g", Top: k}
-					resp := buildResponse(req, g, "solve", "pr", res, true, false)
+					resp := buildResponse(req, g, "pr", res, true, false)
 					wantK := k
 					if wantK == 0 {
 						wantK = 10
@@ -140,7 +140,7 @@ func TestSummaryMatchesSortOracle(t *testing.T) {
 							in.name, n, seed, k, len(resp.Top), head(resp.Top), len(want), head(want))
 					}
 				}
-				if resp := buildResponse(&QueryRequest{Graph: "g", Top: -1}, g, "solve", "pr", res, true, false); resp.Top != nil {
+				if resp := buildResponse(&QueryRequest{Graph: "g", Top: -1}, g, "pr", res, true, false); resp.Top != nil {
 					t.Errorf("%s n=%d: negative top returned a list", in.name, n)
 				}
 			}

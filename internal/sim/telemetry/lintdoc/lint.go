@@ -30,7 +30,6 @@ import (
 	"graphpulse/internal/core"
 	"graphpulse/internal/dserve"
 	"graphpulse/internal/graph/gen"
-	"graphpulse/internal/graph/ooc"
 	"graphpulse/internal/mem"
 	"graphpulse/internal/serve"
 	"graphpulse/internal/sim/telemetry"
@@ -108,9 +107,6 @@ func emittedNames() ([]string, error) {
 	// Distributed serving tier: router and worker catalogues.
 	add(dserve.RouterMetricNames()...)
 	add(dserve.WorkerMetricNames()...)
-
-	// Out-of-core graphpack store counters.
-	add(ooc.MetricNames()...)
 
 	// Stage-timer and unit-state keys surfaced through core.Result.
 	add(core.StageNames...)
