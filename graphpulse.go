@@ -305,37 +305,6 @@ func RunGraphicionadoCtx(ctx context.Context, cfg GraphicionadoConfig, g *Graph,
 	return graphicionado.RunCtx(ctx, cfg, g, alg)
 }
 
-// ClusterConfig sizes a multi-accelerator system (Section IV-F's
-// unexplored option b: one chip per slice, events streamed between chips).
-type ClusterConfig = core.ClusterConfig
-
-// ClusterResult aggregates a multi-accelerator run.
-type ClusterResult = core.ClusterResult
-
-// DefaultClusterConfig returns a 4-chip system with a modest serial link.
-func DefaultClusterConfig() ClusterConfig { return core.DefaultClusterConfig() }
-
-// RunCluster simulates alg over g on a multi-accelerator cluster: the graph
-// is partitioned across chips that run asynchronously, streaming
-// inter-slice events over a latency/bandwidth-limited interconnect.
-func RunCluster(cfg ClusterConfig, g *Graph, alg Algorithm) (*ClusterResult, error) {
-	cl, err := core.NewCluster(cfg, g, alg)
-	if err != nil {
-		return nil, err
-	}
-	return cl.Run()
-}
-
-// RunClusterCtx runs like RunCluster with wall-clock cancellation (nil ctx
-// = no cancellation).
-func RunClusterCtx(ctx context.Context, cfg ClusterConfig, g *Graph, alg Algorithm) (*ClusterResult, error) {
-	cl, err := core.NewCluster(cfg, g, alg)
-	if err != nil {
-		return nil, err
-	}
-	return cl.RunCtx(ctx)
-}
-
 // ServeConfig configures the graph analytics service: resident graphs,
 // worker pool and admission queue sizing, deadlines, result cache, and
 // warm-start history (README "Serving").

@@ -126,29 +126,6 @@ func TestFacadeEnergy(t *testing.T) {
 	}
 }
 
-func TestFacadeCluster(t *testing.T) {
-	g, err := graphpulse.GenerateRMAT(graphpulse.RMATParams{
-		A: 0.57, B: 0.19, C: 0.19, D: 0.05, Scale: 9, EdgeFactor: 8,
-		Weighted: true, Seed: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := graphpulse.Solve(g, graphpulse.NewConnectedComponents())
-	res, err := graphpulse.RunCluster(graphpulse.DefaultClusterConfig(), g, graphpulse.NewConnectedComponents())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Chips != 4 {
-		t.Errorf("Chips = %d", res.Chips)
-	}
-	for v := range ref.Values {
-		if res.Values[v] != ref.Values[v] {
-			t.Fatalf("cluster vertex %d = %g, want %g", v, res.Values[v], ref.Values[v])
-		}
-	}
-}
-
 func TestFacadeIncremental(t *testing.T) {
 	g, err := graphpulse.GenerateGrid(10, 10, true, 2)
 	if err != nil {

@@ -29,7 +29,7 @@ func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
 	wantIDs := []string{"table1", "table2", "table3", "table4", "fig4", "fig8",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "table5", "energy", "slicing",
-		"cluster", "ablation", "timeline"}
+		"ablation", "timeline"}
 	if len(exps) != len(wantIDs) {
 		t.Fatalf("registry has %d experiments, want %d", len(exps), len(wantIDs))
 	}

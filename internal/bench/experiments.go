@@ -51,7 +51,6 @@ func Experiments() []Experiment {
 		{ID: "table5", Title: "Power and area of accelerator components", Run: runTable5},
 		{ID: "energy", Title: "Energy efficiency vs software baseline", NeedsSweep: true, Run: runEnergy},
 		{ID: "slicing", Title: "Large-graph slicing overhead (Section IV-F)", Run: runSlicing},
-		{ID: "cluster", Title: "Multi-accelerator slicing (Section IV-F option b)", Run: runCluster},
 		{ID: "ablation", Title: "Design-choice ablations (coalescing, prefetch, streams)", Run: runAblation},
 		{ID: "timeline", Title: "Time-resolved telemetry (queue occupancy, event rate, DRAM bandwidth)", Run: runTimeline},
 	}
@@ -475,44 +474,6 @@ func runSlicing(opt Options, _ *Sweep) error {
 		fmt.Fprintf(tw, "%d\t%d\t%.2fx\t%d\t%d\t%d\n",
 			res.Slices, res.Cycles, float64(res.Cycles)/float64(base),
 			res.SpilledEvents, res.OffChipAccesses(), res.SliceSwitches)
-	}
-	return tw.Flush()
-}
-
-// ---------------------------------------------------------------- Cluster
-
-func runCluster(opt Options, _ *Sweep) error {
-	w, err := ljWorkload(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(opt.Out, "Multi-accelerator slicing (Section IV-F option b) — %s on %s (%s tier)\n",
-		algorithmTitle[w.AlgName], w.Dataset.Abbrev, opt.Tier)
-	fmt.Fprintln(opt.Out, "single-chip time-multiplexed slices vs N chips streaming events in real time")
-	single, err := runOpt(w, opt)
-	if err != nil {
-		return err
-	}
-	tw := newTable(opt.Out)
-	fmt.Fprintln(tw, "system\tcycles\tvs 1 chip\tinter-chip events\toff-chip accesses")
-	fmt.Fprintf(tw, "1 chip, 1 slice\t%d\t1.00x\t0\t%d\n", single.Cycles, single.OffChipAccesses())
-	for _, chips := range []int{2, 4} {
-		ccfg := core.DefaultClusterConfig()
-		ccfg.Chips = chips
-		if opt.MaxCycles > 0 {
-			ccfg.Chip.MaxCycles = opt.MaxCycles
-		}
-		cl, err := core.NewCluster(ccfg, w.Graph, w.NewAlgorithm())
-		if err != nil {
-			return err
-		}
-		res, err := cl.Run()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "%d chips\t%d\t%.2fx\t%d\t%d\n",
-			chips, res.Cycles, float64(single.Cycles)/float64(res.Cycles),
-			res.InterChipEvents, res.OffChipAccesses)
 	}
 	return tw.Flush()
 }

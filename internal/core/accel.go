@@ -35,7 +35,6 @@ const (
 	phaseSwapIn = iota
 	phaseDrain
 	phaseQuiesce
-	phaseIdle // cluster mode: waiting for remote events
 	phaseFlush
 	phaseDone
 )
@@ -63,10 +62,6 @@ type Accelerator struct {
 	edgeBytes uint64
 	prog      algorithms.Progressor // nil if unsupported
 
-	// remote, when set (multi-accelerator cluster mode), receives events
-	// whose destination lies outside this chip's slice instead of the
-	// spill buffers. It returns false to backpressure the emitting stream.
-	remote func(ev Event) bool
 	// onSpillLine is the swap-in read completion, bound once.
 	onSpillLine func(tag uint64)
 
@@ -204,7 +199,7 @@ func New(cfg Config, g graph.Adjacency, alg algorithms.Algorithm) (*Accelerator,
 	// after every block (memory, accelerator) has ticked; probes only read,
 	// so results are bit-identical with telemetry on or off.
 	if a.tel = telemetry.New(cfg.Telemetry); a.tel != nil {
-		a.registerTelemetry(a.tel, "")
+		a.registerTelemetry(a.tel)
 		a.engine.Register(a.tel)
 	}
 	return a, nil
@@ -316,15 +311,6 @@ func (a *Accelerator) emitEdge(t *genTask, idx int) bool {
 		}
 		a.trace.record(a.engine.Cycle(), dst, TraceEmit, out, float64(t.src))
 		a.eventsEmitted++
-		return true
-	}
-	if a.remote != nil {
-		if !a.remote(Event{Target: dst, Delta: out, Lookahead: t.look}) {
-			return false
-		}
-		a.trace.record(a.engine.Cycle(), dst, TraceSpill, out, float64(t.src))
-		a.eventsEmitted++
-		a.spilledEvents++
 		return true
 	}
 	a.trace.record(a.engine.Cycle(), dst, TraceSpill, out, float64(t.src))
@@ -532,17 +518,9 @@ func (a *Accelerator) transition(cycle uint64) {
 			a.sliceSwitches++
 			a.flushScratchpads()
 			a.activateSlice(next, true)
-		case a.remote != nil:
-			// Cluster mode: other chips may still stream events here; park
-			// until the cluster declares global termination.
-			a.phase = phaseIdle
 		default:
 			a.flushScratchpads()
 			a.phase = phaseFlush
-		}
-	case phaseIdle:
-		if a.queue.population > 0 {
-			a.startRound()
 		}
 	case phaseFlush:
 		if a.fetch.Idle() && a.memory.Pending() == 0 {

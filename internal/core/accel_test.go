@@ -179,6 +179,28 @@ func TestSlicedMatchesUnsliced(t *testing.T) {
 	}
 }
 
+// TestSlicedChainCrossesEveryBoundary: BFS down a chain reaches each slice
+// boundary once, so exactly one event spills per boundary and the
+// scheduler visits each slice once, in order.
+func TestSlicedChainCrossesEveryBoundary(t *testing.T) {
+	g, err := gen.Chain(400, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfigs()[0]
+	cfg.QueueCapacity = 100
+	res := run(t, cfg, g, algorithms.NewBFS(0))
+	if res.Slices != 4 || res.SliceSwitches != 3 || res.SpilledEvents != 3 {
+		t.Errorf("slices=%d switches=%d spilled=%d, want 4/3/3 (one spill per boundary)",
+			res.Slices, res.SliceSwitches, res.SpilledEvents)
+	}
+	for v := 0; v < 400; v++ {
+		if res.Values[v] != float64(v) {
+			t.Fatalf("BFS level[%d] = %g, want %d", v, res.Values[v], v)
+		}
+	}
+}
+
 func TestCoalescingReducesEvents(t *testing.T) {
 	g, err := gen.RMAT(gen.RMATParams{
 		A: 0.57, B: 0.19, C: 0.19, D: 0.05, Scale: 10, EdgeFactor: 8,

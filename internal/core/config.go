@@ -18,8 +18,7 @@
 //
 // New is the single entry point: it wires these units onto a sim.Engine,
 // slices graphs that exceed on-chip capacity (Section IV-F), and Run ticks
-// the whole design to convergence. NewCluster replicates the chip and adds
-// a latency/bandwidth-limited interconnect between slices.
+// the whole design to convergence.
 //
 // # Observability
 //

@@ -25,8 +25,8 @@ var updateExact = flag.Bool("update", false, "rewrite testdata/exact_stats.golde
 //
 // The configurations cover each completion path of the models: the
 // prefetching optimized design, the baseline's direct reads and
-// in-processor generation, a sliced queue (spill and swap-in), a 2-chip
-// cluster, and Graphicionado. Regenerate with -update only for an intended
+// in-processor generation, a sliced queue (spill and swap-in), and
+// Graphicionado. Regenerate with -update only for an intended
 // model change.
 func TestExactStatsGolden(t *testing.T) {
 	g, err := gen.RMAT(*rmatTestGraph(t))
@@ -44,9 +44,6 @@ func TestExactStatsGolden(t *testing.T) {
 	sliced.QueueCapacity = g.NumVertices() / 4
 	accels := []Config{OptimizedConfig(), BaselineConfig(), sliced}
 
-	cluster := DefaultClusterConfig()
-	cluster.Chips = 2
-
 	var b strings.Builder
 	for _, mk := range algs {
 		for _, cfg := range accels {
@@ -63,23 +60,6 @@ func TestExactStatsGolden(t *testing.T) {
 		}
 
 		alg := mk()
-		cl, err := NewCluster(cluster, g, alg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cres, err := cl.Run()
-		if err != nil {
-			t.Fatalf("cluster/%s: %v", alg.Name(), err)
-		}
-		key := "cluster2/" + alg.Name()
-		fmt.Fprintf(&b, "%s cycles=%d inter_chip=%d processed=%d offchip=%d values=%016x\n",
-			key, cres.Cycles, cres.InterChipEvents, cres.EventsProcessed, cres.OffChipAccesses, valuesHash(cres.Values))
-		for i, r := range cres.PerChip {
-			r.Values = nil // the shared state array is hashed once above
-			writeExactResult(&b, fmt.Sprintf("%s/chip%d", key, i), r)
-		}
-
-		alg = mk()
 		gr, err := graphicionado.Run(graphicionado.DefaultConfig(), g, alg)
 		if err != nil {
 			t.Fatalf("graphicionado/%s: %v", alg.Name(), err)

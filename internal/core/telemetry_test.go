@@ -134,7 +134,7 @@ func TestDisabledTelemetryIsNilAndAllocationFree(t *testing.T) {
 	a := &Accelerator{}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		// The full disabled fast path: registration no-ops and ticks.
-		a.registerTelemetry(rec, "")
+		a.registerTelemetry(rec)
 		rec.Tick(99)
 	}); allocs != 0 {
 		t.Fatalf("disabled telemetry path allocates %.1f/op, want 0", allocs)

@@ -23,7 +23,7 @@ const (
 	// propagated delta, Aux the source vertex id.
 	TraceEmit
 	// TraceSpill: an event for this vertex was spilled off-chip (inactive
-	// slice) or sent across the cluster interconnect.
+	// slice).
 	TraceSpill
 )
 

@@ -55,16 +55,12 @@ type ResidentBreakdown struct {
 	Spill int64
 	// PendingInserts counts events in the slice swap-in pipeline.
 	PendingInserts int64
-	// Egress and Inflight count events on the cluster interconnect
-	// (zero on single-chip runs).
-	Egress   int64
-	Inflight int64
 }
 
 // Total sums every resident location.
 func (rb ResidentBreakdown) Total() int64 {
 	return rb.Queue + rb.Network + rb.Staged + rb.ProcInputs +
-		rb.Spill + rb.PendingInserts + rb.Egress + rb.Inflight
+		rb.Spill + rb.PendingInserts
 }
 
 // ConservationError is the diagnostic snapshot attached to a watchdog trip.
@@ -92,11 +88,11 @@ type ConservationError struct {
 func (e *ConservationError) Error() string {
 	return fmt.Sprintf("%v: imbalance %+d at cycle %d "+
 		"(initial %d + emitted %d != processed %d + coalesced %d + discarded %d + resident %d "+
-		"[queue %d net %d staged %d procs %d spill %d swapin %d egress %d inflight %d])",
+		"[queue %d net %d staged %d procs %d spill %d swapin %d])",
 		ErrConservation, e.Imbalance, e.Cycle,
 		e.Initial, e.Emitted, e.Processed, e.Coalesced, e.Discarded, e.Resident.Total(),
 		e.Resident.Queue, e.Resident.Network, e.Resident.Staged, e.Resident.ProcInputs,
-		e.Resident.Spill, e.Resident.PendingInserts, e.Resident.Egress, e.Resident.Inflight)
+		e.Resident.Spill, e.Resident.PendingInserts)
 }
 
 // Unwrap lets errors.Is(err, ErrConservation) match.
@@ -110,7 +106,7 @@ func (a *Accelerator) watchdogInterval() uint64 {
 	return defaultWatchdogInterval
 }
 
-// residentEvents itemizes every event currently owned by this chip.
+// residentEvents itemizes every event currently held by the accelerator.
 func (a *Accelerator) residentEvents() ResidentBreakdown {
 	rb := ResidentBreakdown{
 		Queue:          a.queue.population,
@@ -134,8 +130,7 @@ func (a *Accelerator) coalescedTotal() int64 {
 }
 
 // eventImbalance evaluates the conservation balance sheet. Zero on a
-// healthy chip; on a cluster member the interconnect terms are settled by
-// the cluster-level audit instead.
+// healthy accelerator.
 func (a *Accelerator) eventImbalance() int64 {
 	return a.initialEvents + a.eventsEmitted -
 		a.eventsProcessed - a.coalescedTotal() - a.discardedEvents -
@@ -156,11 +151,9 @@ func (a *Accelerator) conservationError(cycle uint64, imbalance int64) *Conserva
 	}
 }
 
-// watchdogCheck runs one audit at the end of a cycle. Cluster members skip
-// it: remote sends and receives unbalance a chip locally by design, so the
-// cluster audits the summed sheet including link buffers instead.
+// watchdogCheck runs one audit at the end of a cycle.
 func (a *Accelerator) watchdogCheck(cycle uint64) {
-	if a.wdErr != nil || a.remote != nil || a.phase == phaseDone {
+	if a.wdErr != nil || a.phase == phaseDone {
 		return
 	}
 	if cycle%a.watchdogInterval() != 0 {
@@ -182,8 +175,8 @@ func (a *Accelerator) watchdogCheck(cycle uint64) {
 // periodic audit to accumulate strikes (a dropped event often just shrinks
 // the workload, letting the run "converge" to silently wrong values).
 func (a *Accelerator) finalConservationCheck() bool {
-	if a.wdErr != nil || a.remote != nil {
-		return a.wdErr == nil
+	if a.wdErr != nil {
+		return false
 	}
 	if imb := a.eventImbalance(); imb != 0 {
 		a.wdErr = a.conservationError(a.engine.Cycle(), imb)

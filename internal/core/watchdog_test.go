@@ -9,21 +9,19 @@ import (
 	"graphpulse/internal/graph/gen"
 )
 
-// loseOneEvent steps the clock past the first watchdog interval until one
-// of the chips' crossbars holds an event, then removes exactly that one
-// event: the loss a generation, coalescing or spilling bug would cause.
-func loseOneEvent(t *testing.T, step func(), cycle func() uint64, chips []*Accelerator) {
+// loseOneEvent steps the clock past the first watchdog interval until the
+// crossbar holds an event, then removes exactly that one event: the loss a
+// generation, coalescing or spilling bug would cause.
+func loseOneEvent(t *testing.T, a *Accelerator) {
 	t.Helper()
-	for cycle() < testConfigs()[0].MaxCycles {
-		step()
-		if cycle() <= defaultWatchdogInterval {
+	for a.engine.Cycle() < testConfigs()[0].MaxCycles {
+		a.engine.Step()
+		if a.engine.Cycle() <= defaultWatchdogInterval {
 			continue
 		}
-		for _, chip := range chips {
-			if q := chip.xbar.queue; len(q) > 0 {
-				chip.xbar.queue = q[1:]
-				return
-			}
+		if q := a.xbar.queue; len(q) > 0 {
+			a.xbar.queue = q[1:]
+			return
 		}
 	}
 	t.Fatal("no crossbar ever held an event after the first watchdog interval")
@@ -62,7 +60,7 @@ func lossAlgorithms(g *graph.CSR) map[string]algorithms.Algorithm {
 	}
 }
 
-// TestWatchdogDetectsLostEvent: one event removed from a single chip's
+// TestWatchdogDetectsLostEvent: one event removed from the accelerator's
 // delivery network mid-run fails the run with ErrConservation instead of a
 // clean result or a wedge until MaxCycles.
 func TestWatchdogDetectsLostEvent(t *testing.T) {
@@ -76,29 +74,8 @@ func TestWatchdogDetectsLostEvent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			loseOneEvent(t, a.engine.Step, a.engine.Cycle, []*Accelerator{a})
+			loseOneEvent(t, a)
 			_, err = a.Run()
-			assertLostOne(t, err, audit)
-		})
-	}
-}
-
-// TestClusterWatchdogDetectsLostEvent: the same loss inside one chip of a
-// 2-chip cluster trips the cluster-wide audit, which settles the per-chip
-// sheets against the interconnect buffers.
-func TestClusterWatchdogDetectsLostEvent(t *testing.T) {
-	g, err := gen.RMAT(*rmatTestGraph(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for audit, alg := range lossAlgorithms(g) {
-		t.Run(audit, func(t *testing.T) {
-			cl, err := NewCluster(clusterConfig(2), g, alg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loseOneEvent(t, cl.engine.Step, cl.engine.Cycle, cl.chips)
-			_, err = cl.Run()
 			assertLostOne(t, err, audit)
 		})
 	}

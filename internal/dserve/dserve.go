@@ -1,8 +1,8 @@
 // Package dserve is the distributed serving tier: a stateless router in
 // front of N serve.Server worker processes, scaling the single-process
 // analytics service (internal/serve) horizontally — the software analogue
-// of the paper's multi-chip scale-out (Section IV-F option b), whose
-// cycle-level counterpart is the internal/core cluster interconnect model.
+// of the paper's multi-chip scale-out (Section IV-F option b), which the
+// paper leaves unexplored and the simulator does not model.
 //
 // Topology and responsibilities:
 //

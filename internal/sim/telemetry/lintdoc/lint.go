@@ -1,6 +1,6 @@
 // Package lintdoc keeps the metric documentation in sync with the metrics
 // the build actually emits. It runs tiny telemetry-enabled simulations of
-// every engine (accelerator, cluster, Graphicionado baseline), collects
+// every engine (accelerator, Graphicionado baseline), collects
 // each registered series name plus the DDR3 stats.Set counter names, the
 // stage/state keys, and the serving- and distributed-tier metric
 // catalogues, then applies two checks:
@@ -68,22 +68,6 @@ func emittedNames() ([]string, error) {
 		return nil, err
 	}
 	for _, s := range ares.Telemetry.Series() {
-		add(s.Name)
-	}
-
-	// Cluster adds the interconnect series.
-	ccfg := core.DefaultClusterConfig()
-	ccfg.Chips = 2
-	ccfg.Chip.Telemetry = telCfg
-	cl, err := core.NewCluster(ccfg, g, algorithms.NewPageRankDelta())
-	if err != nil {
-		return nil, err
-	}
-	cres, err := cl.Run()
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range cres.Telemetry.Series() {
 		add(s.Name)
 	}
 
