@@ -8,17 +8,19 @@
 // With no -exp it runs every experiment in paper order. Tier controls
 // workload scale: tiny (seconds, default), mini (minutes), full
 // (paper-scale; hours and tens of GB for the TW-class workload).
-// -parallel bounds the sweep's worker pool (default GOMAXPROCS), and
-// -progress prints per-cell completion lines to stderr. Ligra's time is
-// the analytic 12-core-Xeon model of its run, never the host clock, so
-// table and CSV output are byte-identical across runs and -parallel values.
+// -parallel bounds the worker pool every simulated run goes through: the
+// engine sweep's jobs and the slicing and ablation variants (default
+// GOMAXPROCS). -progress prints per-cell completion lines to stderr.
+// Ligra's time is the analytic 12-core-Xeon model of its run, never the
+// host clock, so table and CSV output are byte-identical across runs and
+// -parallel values.
 //
-// Long sweeps are resilient: -timeout bounds each simulated-engine job
-// (an overrunning job records a structured failure in its cell instead of
-// wedging the sweep), -manifest records every completed job to a JSON file
-// rewritten atomically after each one, and -resume restores those jobs on
-// the next run instead of re-measuring them — the resumed CSV and tables
-// are byte-identical to an uninterrupted run.
+// Long sweeps are resilient: -timeout bounds every simulated run (an
+// overrunning sweep job records a structured failure in its cell instead
+// of wedging the sweep), -manifest records every completed sweep job to a
+// JSON file rewritten atomically after each one, and -resume restores
+// those jobs on the next run instead of re-measuring them — the resumed
+// CSV and tables are byte-identical to an uninterrupted run.
 //
 // -telemetry PREFIX makes the timeline experiment export its time series as
 // PREFIX.csv and PREFIX.trace.json (Chrome trace_event; loads in Perfetto —
@@ -59,12 +61,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		algFlag      = fs.String("algs", "", "comma-separated algorithms of "+algorithms.NamesList()+" (default: "+strings.Join(bench.AlgorithmNames, ",")+")")
 		listFlag     = fs.Bool("list", false, "list experiment ids and exit")
 		csvFlag      = fs.String("csv", "", "also write the engine sweep as CSV to this path")
-		parallelFlag = fs.Int("parallel", 0, "sweep workers (0 = GOMAXPROCS)")
+		parallelFlag = fs.Int("parallel", 0, "workers running the simulated runs: sweep jobs and slicing/ablation variants (0 = GOMAXPROCS)")
 		progressFlag = fs.Bool("progress", false, "print per-cell completion lines with elapsed time to stderr")
 		telFlag      = fs.String("telemetry", "", "write the timeline experiment's series to PREFIX.csv and PREFIX.trace.json")
 		cpuProfFlag  = fs.String("cpuprofile", "", "write a CPU profile of the harness to this file")
 		memProfFlag  = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		timeoutFlag  = fs.Duration("timeout", 0, "wall-clock limit per simulated-engine sweep job (0 = unbounded)")
+		timeoutFlag  = fs.Duration("timeout", 0, "wall-clock limit per simulated run (0 = unbounded)")
 		manifestFlag = fs.String("manifest", "", "maintain a resumable run manifest (JSON, rewritten atomically after each sweep job)")
 		resumeFlag   = fs.Bool("resume", false, "restore completed jobs from the -manifest file instead of re-running them")
 	)

@@ -6,7 +6,6 @@ import (
 
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/conformance"
-	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/ooc"
 	"graphpulse/internal/psolve"
 )
@@ -50,7 +49,7 @@ func TestConvertThenCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	csr := graph.Materialize(probe)
+	csr := conformance.Materialize(probe)
 	probe.Close()
 	st, err := ooc.Open(out, decodedBytes(csr)/4)
 	if err != nil {

@@ -296,7 +296,10 @@ func TestNormalizeInbound(t *testing.T) {
 	for i, d := range ng.Dst {
 		sums[d] += float64(ng.Weight[i])
 	}
-	in := g.InDegrees()
+	in := make([]int, g.NumVertices())
+	for _, d := range g.Dst {
+		in[d]++
+	}
 	for v, s := range sums {
 		if in[v] == 0 {
 			continue

@@ -3,6 +3,8 @@ package algorithms_test
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"graphpulse/internal/algorithms"
@@ -76,7 +78,11 @@ func quarterStore(t *testing.T, g *graph.CSR) *ooc.Store {
 		t.Fatal(err)
 	}
 	decoded := int64(len(g.RowPtr))*8 + int64(len(g.Dst)+len(g.Weight))*4
-	st, err := ooc.OpenReaderAt(bytes.NewReader(pack.Bytes()), int64(pack.Len()), decoded/4)
+	path := filepath.Join(t.TempDir(), "g.graphpack")
+	if err := os.WriteFile(path, pack.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := ooc.Open(path, decoded/4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"text/tabwriter"
 	"time"
@@ -47,9 +46,10 @@ type Options struct {
 	// CSVPath, when set, receives the engine sweep as machine-readable CSV
 	// (written once, after the sweep runs).
 	CSVPath string
-	// Parallel bounds the worker pool running the sweep's jobs, Ligra's
-	// included (0 = GOMAXPROCS). Every result, and so every rendered table
-	// and the CSV, is identical for every Parallel value.
+	// Parallel bounds the worker pool every run goes through: the sweep's
+	// jobs, Ligra's included, and the slicing and ablation variants
+	// (0 = GOMAXPROCS). Every result, and so every rendered table and the
+	// CSV, is identical for every Parallel value.
 	Parallel int
 	// Progress, when non-nil, receives one line per completed job with
 	// elapsed wall time. Line order is completion order, so it is only
@@ -59,13 +59,14 @@ type Options struct {
 	// sampled series as <path>.csv and <path>.trace.json (Chrome
 	// trace_event JSON; see METRICS.md).
 	TelemetryPath string
-	// Timeout bounds each simulated-engine job (0 = unbounded). A job that
+	// Timeout bounds every simulated run (0 = unbounded). A sweep job that
 	// exceeds it records a structured sim.ErrCanceled failure in its cell —
-	// the sweep keeps going. The Ligra job is not covered: ligra.Run takes
-	// no context, so it has no cancellation points.
+	// the sweep keeps going; any other run that exceeds it fails its
+	// experiment. The Ligra job is not covered: ligra.Run takes no context,
+	// so it has no cancellation points.
 	Timeout time.Duration
-	// ManifestPath, when set, maintains a JSON run manifest recording every
-	// completed (workload × engine) job and its measurements, rewritten
+	// Manifest, when set, names a JSON run manifest recording every
+	// completed (workload × engine) sweep job and its measurements, rewritten
 	// atomically after each job. A sweep killed mid-run loses at most the
 	// jobs in flight.
 	Manifest string
@@ -77,8 +78,8 @@ type Options struct {
 	Resume bool
 }
 
-// jobContext returns the per-job cancellation context for simulated-engine
-// jobs (Background when no Timeout is set).
+// jobContext returns the cancellation context of one simulated run
+// (Background when no Timeout is set).
 func (o Options) jobContext() (context.Context, context.CancelFunc) {
 	if o.Timeout <= 0 {
 		return context.Background(), func() {}
@@ -406,14 +407,4 @@ func geomean(xs []float64) float64 {
 // newTable returns a tabwriter over w.
 func newTable(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-}
-
-// sortedKeys returns map keys sorted for stable rendering.
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

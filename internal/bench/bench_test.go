@@ -121,13 +121,13 @@ func TestWorkloadFilters(t *testing.T) {
 }
 
 func TestRunWorkloadProducesAllEngines(t *testing.T) {
-	ws, err := Workloads(Options{Tier: gen.Tiny, Datasets: []string{"WG"}, Algorithms: []string{"bfs"}})
+	sw, err := RunSweep(Options{Tier: gen.Tiny, Datasets: []string{"WG"}, Algorithms: []string{"bfs"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, err := RunWorkload(ws[0], Options{Tier: gen.Tiny})
-	if err != nil {
-		t.Fatal(err)
+	cell := sw.Cells[0]
+	if cell.Failed() {
+		t.Fatal(cell.FailureReason())
 	}
 	if cell.Opt == nil || cell.Base == nil || cell.Gion == nil {
 		t.Fatal("missing engine results")

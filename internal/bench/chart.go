@@ -9,35 +9,6 @@ import (
 // Lightweight ASCII charts so cmd/bench output reads like the paper's
 // figures, not just tables. Pure functions, unit-tested.
 
-// barChart renders one horizontal bar per (label, value) pair, scaled to
-// width characters at the largest value.
-func barChart(w io.Writer, title string, labels []string, values []float64, width int) {
-	if len(labels) != len(values) || len(labels) == 0 {
-		return
-	}
-	maxV := values[0]
-	maxLabel := 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > maxLabel {
-			maxLabel = len(labels[i])
-		}
-	}
-	if maxV <= 0 {
-		maxV = 1
-	}
-	fmt.Fprintln(w, title)
-	for i, v := range values {
-		n := int(v / maxV * float64(width))
-		if n < 0 {
-			n = 0
-		}
-		fmt.Fprintf(w, "  %-*s %s %.4g\n", maxLabel, labels[i], strings.Repeat("█", n), v)
-	}
-}
-
 // seriesChart renders a compact per-round area chart: one row per series,
 // one column per (bucketed) round, intensity by value. It gives Figure 4's
 // two curves and Figure 8's stacked classes a visual shape in a terminal.

@@ -32,24 +32,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestBarChartGolden pins the exact bar-chart rendering (label padding,
-// scaling, value formatting) against a checked-in golden file.
-func TestBarChartGolden(t *testing.T) {
-	var buf bytes.Buffer
-	barChart(&buf, "Speedup over Graphicionado",
-		[]string{"pagerank", "adsorption", "sssp", "bfs", "cc"},
-		[]float64{12.4, 10.1, 6.35, 4.8, 7.25}, 30)
-	checkGolden(t, "bar_chart", buf.Bytes())
-}
-
-// TestBarChartGoldenSmallValues exercises the fractional/zero-value path,
-// where bars collapse to zero cells but rows must still render.
-func TestBarChartGoldenSmallValues(t *testing.T) {
-	var buf bytes.Buffer
-	barChart(&buf, "tiny", []string{"x", "yy", "zzz"}, []float64{0, 0.001, 1}, 8)
-	checkGolden(t, "bar_chart_small", buf.Bytes())
-}
-
 // TestSeriesChartGolden pins the per-round area chart, including the
 // round-bucketing path (rounds > width forces column aggregation).
 func TestSeriesChartGolden(t *testing.T) {

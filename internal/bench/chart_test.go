@@ -6,42 +6,6 @@ import (
 	"testing"
 )
 
-func TestBarChart(t *testing.T) {
-	var buf bytes.Buffer
-	barChart(&buf, "title", []string{"a", "bb"}, []float64{1, 2}, 10)
-	out := buf.String()
-	if !strings.Contains(out, "title") {
-		t.Error("missing title")
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines", len(lines))
-	}
-	// The larger value gets the longer bar.
-	if strings.Count(lines[1], "█") >= strings.Count(lines[2], "█") {
-		t.Errorf("bars not proportional:\n%s", out)
-	}
-	if !strings.Contains(lines[2], "2") {
-		t.Error("value missing from row")
-	}
-}
-
-func TestBarChartDegenerate(t *testing.T) {
-	var buf bytes.Buffer
-	barChart(&buf, "t", nil, nil, 10)
-	if buf.Len() != 0 {
-		t.Error("empty input produced output")
-	}
-	barChart(&buf, "t", []string{"a"}, []float64{1, 2}, 10)
-	if buf.Len() != 0 {
-		t.Error("mismatched input produced output")
-	}
-	barChart(&buf, "t", []string{"a"}, []float64{0}, 10)
-	if !strings.Contains(buf.String(), "a") {
-		t.Error("zero values should still render labels")
-	}
-}
-
 func TestSeriesChart(t *testing.T) {
 	var buf bytes.Buffer
 	vals := [][]float64{

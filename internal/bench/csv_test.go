@@ -10,8 +10,7 @@ import (
 )
 
 func TestWriteCSV(t *testing.T) {
-	opt := Options{Tier: gen.Tiny, Datasets: []string{"WG"}, Algorithms: []string{"bfs", "cc"}}
-	sw, err := RunSweep(opt)
+	sw, err := runSweep(chainWorkloads(t)[:2], Options{Tier: gen.Tiny})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +31,7 @@ func TestWriteCSV(t *testing.T) {
 			t.Errorf("row %d has %d columns, want %d", i, len(r), width)
 		}
 	}
-	if records[1][1] != "WG" || records[1][2] != "bfs" {
+	if records[1][1] != "C48" || records[1][2] != "pr" {
 		t.Errorf("row 1 = %v", records[1][:3])
 	}
 	if records[1][0] != "tiny" {

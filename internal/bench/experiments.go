@@ -13,6 +13,7 @@ import (
 	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/gen"
 	"graphpulse/internal/sim"
+	"graphpulse/internal/sim/telemetry"
 )
 
 // failedRow renders a failed cell's table row: dataset/algorithm columns
@@ -30,8 +31,39 @@ type Experiment struct {
 	Title string
 	// NeedsSweep marks experiments that consume the shared engine sweep.
 	NeedsSweep bool
-	// Run renders the experiment. sweep is non-nil iff NeedsSweep.
-	Run func(opt Options, sweep *Sweep) error
+	// Run renders the experiment. in.sweep is non-nil iff NeedsSweep.
+	Run func(opt Options, in *shared) error
+}
+
+// shared holds the simulations several experiments read, so that one
+// RunExperiments call runs each of them once: the engine sweep and the
+// LJ-class PageRank-Delta run on the optimized configuration.
+type shared struct {
+	sweep *Sweep
+	ljW   *Workload
+	lj    *core.Result
+}
+
+// ljRun returns the PR-Delta-on-LiveJournal workload Table I, Figures 4
+// and 8, the timeline, slicing and ablation are measured on, and its
+// optimized-configuration run, simulating it on first use. Telemetry is on
+// for the timeline experiment; it changes no other statistic.
+func (in *shared) ljRun(opt Options) (*Workload, *core.Result, error) {
+	if in.lj == nil {
+		opt.Datasets, opt.Algorithms = []string{"LJ"}, []string{"pr"}
+		ws, err := Workloads(opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		cfg := core.OptimizedConfig()
+		cfg.Telemetry = telemetry.Default()
+		res, err := runSim(cfg, ws[0], opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		in.ljW, in.lj = ws[0], res
+	}
+	return in.ljW, in.lj, nil
 }
 
 // Experiments returns the registry in paper order.
@@ -66,35 +98,10 @@ func ExperimentByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q", id)
 }
 
-// ljWorkload prepares the PR-Delta-on-LiveJournal workload Figures 4 and 8
-// are measured on.
-func ljWorkload(opt Options) (*Workload, error) {
-	o := opt
-	o.Datasets = []string{"LJ"}
-	o.Algorithms = []string{"pr"}
-	ws, err := Workloads(o)
-	if err != nil {
-		return nil, err
-	}
-	return ws[0], nil
-}
-
-func runOpt(w *Workload, opt Options) (*core.Result, error) {
-	cfg := core.OptimizedConfig()
-	if opt.MaxCycles > 0 {
-		cfg.MaxCycles = opt.MaxCycles
-	}
-	a, err := core.New(cfg, w.Graph, w.NewAlgorithm())
-	if err != nil {
-		return nil, err
-	}
-	return a.Run()
-}
-
 // ---------------------------------------------------------------- Table I
 
-func runTable1(opt Options, _ *Sweep) error {
-	w, err := ljWorkload(opt)
+func runTable1(opt Options, in *shared) error {
+	w, gp, err := in.ljRun(opt)
 	if err != nil {
 		return err
 	}
@@ -104,10 +111,6 @@ func runTable1(opt Options, _ *Sweep) error {
 	pull.Direction = ligra.PullOnly
 	rPush := ligra.New(push, w.Graph).Run(w.NewAlgorithm())
 	rPull := ligra.New(pull, w.Graph).Run(w.NewAlgorithm())
-	gp, err := runOpt(w, opt)
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(opt.Out, "Table I — access patterns, %s on %s-class graph (%s tier)\n",
 		algorithmTitle[w.AlgName], w.Dataset.Abbrev, opt.Tier)
 	tw := newTable(opt.Out)
@@ -127,7 +130,7 @@ func runTable1(opt Options, _ *Sweep) error {
 
 // ---------------------------------------------------------------- Table II
 
-func runTable2(opt Options, _ *Sweep) error {
+func runTable2(opt Options, _ *shared) error {
 	fmt.Fprintln(opt.Out, "Table II — algorithm-to-GraphPulse mappings (reduce laws machine-verified)")
 	tw := newTable(opt.Out)
 	fmt.Fprintln(tw, "application\tpropagate(δ)\treduce\tV_init\tΔV_init")
@@ -155,7 +158,7 @@ func runTable2(opt Options, _ *Sweep) error {
 
 // ---------------------------------------------------------------- Table III
 
-func runTable3(opt Options, _ *Sweep) error {
+func runTable3(opt Options, _ *shared) error {
 	fmt.Fprintln(opt.Out, "Table III — device configurations")
 	tw := newTable(opt.Out)
 	oc := core.OptimizedConfig()
@@ -175,7 +178,7 @@ func runTable3(opt Options, _ *Sweep) error {
 
 // ---------------------------------------------------------------- Table IV
 
-func runTable4(opt Options, _ *Sweep) error {
+func runTable4(opt Options, _ *shared) error {
 	specs, err := datasetFilter(opt.Datasets)
 	if err != nil {
 		return err
@@ -199,12 +202,8 @@ func runTable4(opt Options, _ *Sweep) error {
 
 // ---------------------------------------------------------------- Figure 4
 
-func runFig4(opt Options, _ *Sweep) error {
-	w, err := ljWorkload(opt)
-	if err != nil {
-		return err
-	}
-	res, err := runOpt(w, opt)
+func runFig4(opt Options, in *shared) error {
+	w, res, err := in.ljRun(opt)
 	if err != nil {
 		return err
 	}
@@ -241,12 +240,8 @@ func runFig4(opt Options, _ *Sweep) error {
 
 // ---------------------------------------------------------------- Figure 8
 
-func runFig8(opt Options, _ *Sweep) error {
-	w, err := ljWorkload(opt)
-	if err != nil {
-		return err
-	}
-	res, err := runOpt(w, opt)
+func runFig8(opt Options, in *shared) error {
+	w, res, err := in.ljRun(opt)
 	if err != nil {
 		return err
 	}
@@ -279,7 +274,8 @@ func runFig8(opt Options, _ *Sweep) error {
 
 // ---------------------------------------------------------------- Figure 10
 
-func runFig10(opt Options, sweep *Sweep) error {
+func runFig10(opt Options, in *shared) error {
+	sweep := in.sweep
 	fmt.Fprintf(opt.Out, "Figure 10 — speedup over Ligra software baseline (%s tier)\n", sweep.Tier)
 	fmt.Fprintln(opt.Out, "(accelerator time simulated at 1 GHz; Ligra time is the analytic 12-core-Xeon")
 	fmt.Fprintln(opt.Out, " model of the same run's access counts)")
@@ -307,7 +303,8 @@ func runFig10(opt Options, sweep *Sweep) error {
 
 // ---------------------------------------------------------------- Figure 11
 
-func runFig11(opt Options, sweep *Sweep) error {
+func runFig11(opt Options, in *shared) error {
+	sweep := in.sweep
 	fmt.Fprintf(opt.Out, "Figure 11 — off-chip accesses of GraphPulse normalized to Graphicionado (%s tier)\n", sweep.Tier)
 	tw := newTable(opt.Out)
 	fmt.Fprintln(tw, "app\tgraph\tGP accesses\tG'nado accesses\tnormalized")
@@ -333,7 +330,8 @@ func runFig11(opt Options, sweep *Sweep) error {
 
 // ---------------------------------------------------------------- Figure 12
 
-func runFig12(opt Options, sweep *Sweep) error {
+func runFig12(opt Options, in *shared) error {
+	sweep := in.sweep
 	fmt.Fprintf(opt.Out, "Figure 12 — fraction of off-chip data utilized (%s tier)\n", sweep.Tier)
 	tw := newTable(opt.Out)
 	fmt.Fprintln(tw, "app\tgraph\tGraphPulse\tGraphPulse-Base\tGraphicionado")
@@ -351,7 +349,8 @@ func runFig12(opt Options, sweep *Sweep) error {
 
 // ---------------------------------------------------------------- Figure 13
 
-func runFig13(opt Options, sweep *Sweep) error {
+func runFig13(opt Options, in *shared) error {
+	sweep := in.sweep
 	fmt.Fprintf(opt.Out, "Figure 13 — mean cycles per event per execution stage, chronological (%s tier)\n", sweep.Tier)
 	tw := newTable(opt.Out)
 	fmt.Fprint(tw, "app\tgraph")
@@ -375,7 +374,8 @@ func runFig13(opt Options, sweep *Sweep) error {
 
 // ---------------------------------------------------------------- Figure 14
 
-func runFig14(opt Options, sweep *Sweep) error {
+func runFig14(opt Options, in *shared) error {
+	sweep := in.sweep
 	fmt.Fprintf(opt.Out, "Figure 14 — fraction of unit time per state: processors (left), generators (right) (%s tier)\n", sweep.Tier)
 	tw := newTable(opt.Out)
 	fmt.Fprintln(tw, "app\tgraph\tP:vertex-read\tP:process\tP:stalling\tP:idle\tG:edge-read\tG:generate\tG:idle")
@@ -399,7 +399,7 @@ func runFig14(opt Options, sweep *Sweep) error {
 
 // ---------------------------------------------------------------- Table V
 
-func runTable5(opt Options, _ *Sweep) error {
+func runTable5(opt Options, _ *shared) error {
 	fmt.Fprintln(opt.Out, "Table V — power and area of the accelerator components (published constants)")
 	tw := newTable(opt.Out)
 	fmt.Fprintln(tw, "component\t#\tstatic mW\tdynamic mW\ttotal mW\tarea mm²")
@@ -419,7 +419,8 @@ func runTable5(opt Options, _ *Sweep) error {
 
 // ---------------------------------------------------------------- Energy
 
-func runEnergy(opt Options, sweep *Sweep) error {
+func runEnergy(opt Options, in *shared) error {
+	sweep := in.sweep
 	fmt.Fprintf(opt.Out, "Energy efficiency vs software baseline (Section VI-C, %s tier)\n", sweep.Tier)
 	tw := newTable(opt.Out)
 	fmt.Fprintln(tw, "app\tgraph\taccel J\tCPU J (modeled 12-core)\tefficiency")
@@ -442,38 +443,35 @@ func runEnergy(opt Options, sweep *Sweep) error {
 
 // ---------------------------------------------------------------- Slicing
 
-func runSlicing(opt Options, _ *Sweep) error {
-	w, err := ljWorkload(opt)
+func runSlicing(opt Options, in *shared) error {
+	w, ref, err := in.ljRun(opt)
 	if err != nil {
 		return err
 	}
+	// The 1-slice row is the shared run; the sliced runs go to the pool.
+	slices := []int{2, 3, 4}
+	res := make([]*core.Result, len(slices))
+	errs := make([]error, len(slices))
+	runPool(opt, len(slices), func(i int) {
+		v := *w
+		v.sliceInto = slices[i]
+		res[i], errs[i] = runSim(core.OptimizedConfig(), &v, opt)
+	})
 	fmt.Fprintf(opt.Out, "Slicing ablation (Section IV-F) — %s on %s (%s tier)\n",
 		algorithmTitle[w.AlgName], w.Dataset.Abbrev, opt.Tier)
 	tw := newTable(opt.Out)
 	fmt.Fprintln(tw, "slices\tcycles\tslowdown\tspilled events\toff-chip accesses\tswitches")
-	var base uint64
-	for _, slices := range []int{1, 2, 3, 4} {
-		cfg := core.OptimizedConfig()
-		if opt.MaxCycles > 0 {
-			cfg.MaxCycles = opt.MaxCycles
-		}
-		if slices > 1 {
-			cfg.QueueCapacity = (w.Graph.NumVertices() + slices - 1) / slices
-		}
-		a, err := core.New(cfg, w.Graph, w.NewAlgorithm())
-		if err != nil {
-			return err
-		}
-		res, err := a.Run()
-		if err != nil {
-			return err
-		}
-		if slices == 1 {
-			base = res.Cycles
-		}
+	row := func(r *core.Result) {
 		fmt.Fprintf(tw, "%d\t%d\t%.2fx\t%d\t%d\t%d\n",
-			res.Slices, res.Cycles, float64(res.Cycles)/float64(base),
-			res.SpilledEvents, res.OffChipAccesses(), res.SliceSwitches)
+			r.Slices, r.Cycles, float64(r.Cycles)/float64(ref.Cycles),
+			r.SpilledEvents, r.OffChipAccesses(), r.SliceSwitches)
+	}
+	row(ref)
+	for i, err := range errs {
+		if err != nil {
+			return err
+		}
+		row(res[i])
 	}
 	return tw.Flush()
 }
@@ -487,19 +485,16 @@ func runSlicing(opt Options, _ *Sweep) error {
 // variant finishes well inside it.
 const ablationCap = 8
 
-func runAblation(opt Options, _ *Sweep) error {
-	w, err := ljWorkload(opt)
+func runAblation(opt Options, in *shared) error {
+	w, ref, err := in.ljRun(opt)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(opt.Out, "Design ablations — %s on %s (%s tier)\n",
-		algorithmTitle[w.AlgName], w.Dataset.Abbrev, opt.Tier)
 	type variant struct {
 		name string
 		mut  func(*core.Config)
 	}
 	variants := []variant{
-		{"optimized (reference)", func(*core.Config) {}},
 		{"no vertex prefetch", func(c *core.Config) { c.Prefetch = false }},
 		{"coupled generation", func(c *core.Config) {
 			c.DecoupledGeneration = false
@@ -516,36 +511,36 @@ func runAblation(opt Options, _ *Sweep) error {
 		{"bin-row-col mapping", func(c *core.Config) { c.Mapping = core.MapBinRowCol }},
 		{"global termination 1e-2", func(c *core.Config) { c.GlobalProgressThreshold = 1e-2 }},
 	}
+	// The reference row is the shared run; every variant runs on the pool,
+	// capped at ablationCap times the reference's cycles.
+	capped := *w
+	capped.MaxCycles = ablationCap * ref.Cycles
+	res := make([]*core.Result, len(variants))
+	errs := make([]error, len(variants))
+	runPool(opt, len(variants), func(i int) {
+		cfg := core.OptimizedConfig()
+		variants[i].mut(&cfg)
+		res[i], errs[i] = runSim(cfg, &capped, opt)
+	})
+	fmt.Fprintf(opt.Out, "Design ablations — %s on %s (%s tier)\n",
+		algorithmTitle[w.AlgName], w.Dataset.Abbrev, opt.Tier)
 	tw := newTable(opt.Out)
 	fmt.Fprintln(tw, "variant\tcycles\tslowdown\tevents processed\toff-chip accesses")
-	var base uint64
-	for _, v := range variants {
-		cfg := core.OptimizedConfig()
-		if opt.MaxCycles > 0 {
-			cfg.MaxCycles = opt.MaxCycles
-		}
-		v.mut(&cfg)
-		if base != 0 {
-			cfg.MaxCycles = ablationCap * base
-		}
-		a, err := core.New(cfg, w.Graph, w.NewAlgorithm())
-		if err != nil {
-			return err
-		}
-		res, err := a.Run()
-		if err != nil {
-			if errors.Is(err, sim.ErrDeadline) {
-				fmt.Fprintf(tw, "%s\tDNF\t>%dx\t\t\n", v.name, ablationCap)
-				continue
-			}
-			return fmt.Errorf("bench: ablation %q: %w", v.name, err)
-		}
-		if base == 0 {
-			base = res.Cycles
-		}
+	row := func(name string, r *core.Result) {
 		fmt.Fprintf(tw, "%s\t%d\t%.2fx\t%d\t%d\n",
-			v.name, res.Cycles, float64(res.Cycles)/float64(base),
-			res.EventsProcessed, res.OffChipAccesses())
+			name, r.Cycles, float64(r.Cycles)/float64(ref.Cycles),
+			r.EventsProcessed, r.OffChipAccesses())
+	}
+	row("optimized (reference)", ref)
+	for i, v := range variants {
+		switch err := errs[i]; {
+		case errors.Is(err, sim.ErrDeadline):
+			fmt.Fprintf(tw, "%s\tDNF\t>%dx\t\t\n", v.name, ablationCap)
+		case err != nil:
+			return fmt.Errorf("bench: ablation %q: %w", v.name, err)
+		default:
+			row(v.name, res[i])
+		}
 	}
 	return tw.Flush()
 }
@@ -568,19 +563,19 @@ func RunExperiments(ids []string, opt Options) error {
 			selected = append(selected, e)
 		}
 	}
-	var sweep *Sweep
+	in := &shared{}
 	for _, e := range selected {
-		if e.NeedsSweep && sweep == nil {
+		if e.NeedsSweep && in.sweep == nil {
 			fmt.Fprintf(opt.Out, "[running %s-tier engine sweep × 4 engines]\n", opt.Tier)
 			if opt.Progress != nil {
 				fmt.Fprintf(opt.Progress, "[sweep: %d workers]\n", opt.workers())
 			}
 			start := time.Now()
-			var err error
-			sweep, err = RunSweep(opt)
+			sweep, err := RunSweep(opt)
 			if err != nil {
 				return err
 			}
+			in.sweep = sweep
 			// The elapsed time goes to the progress stream, not Out, so
 			// that Out stays byte-identical across runs and -parallel
 			// settings.
@@ -599,7 +594,7 @@ func RunExperiments(ids []string, opt Options) error {
 			}
 		}
 		fmt.Fprintf(opt.Out, "==== %s — %s ====\n", e.ID, e.Title)
-		if err := e.Run(opt, sweep); err != nil {
+		if err := e.Run(opt, in); err != nil {
 			return fmt.Errorf("bench: %s: %w", e.ID, err)
 		}
 		fmt.Fprintln(opt.Out)

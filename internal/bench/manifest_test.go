@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"graphpulse/internal/graph/gen"
 )
 
 // sweepCSV renders a sweep's CSV export.
@@ -28,8 +30,9 @@ func TestSweepResumeCSVIdentical(t *testing.T) {
 	dir := t.TempDir()
 	opt := sweepOptions()
 	opt.Manifest = filepath.Join(dir, "sweep.manifest.json")
+	ws := chainWorkloads(t)
 
-	full, err := RunSweep(opt)
+	full, err := runSweep(ws, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +67,7 @@ func TestSweepResumeCSVIdentical(t *testing.T) {
 	}
 
 	opt.Resume = true
-	resumed, err := RunSweep(opt)
+	resumed, err := runSweep(ws, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +77,7 @@ func TestSweepResumeCSVIdentical(t *testing.T) {
 
 	// A second resume with nothing left to run must also agree (pure
 	// restore, zero jobs executed).
-	restored, err := RunSweep(opt)
+	restored, err := runSweep(ws, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,37 +93,26 @@ func TestManifestResumeRestoresFailures(t *testing.T) {
 	dir := t.TempDir()
 	opt := sweepOptions()
 	opt.Manifest = filepath.Join(dir, "m.json")
-	ws, err := Workloads(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws := chainWorkloads(t)
 	const doomed = 1
 	ws[doomed].MaxCycles = 10
 
-	mw, err := newManifestWriter(ws, opt)
+	first, err := runSweep(ws, opt)
 	if err != nil {
 		t.Fatal(err)
-	}
-	first := runSweep(ws, opt, mw)
-	if mw.firstErr != nil {
-		t.Fatal(mw.firstErr)
 	}
 	wantReason := first.Cells[doomed].FailureReason()
 	if wantReason == "" {
 		t.Fatal("choked cell did not fail")
 	}
 
-	ws2, err := Workloads(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws2 := chainWorkloads(t)
 	ws2[doomed].MaxCycles = 10
 	opt.Resume = true
-	mw2, err := newManifestWriter(ws2, opt)
+	second, err := runSweep(ws2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := runSweep(ws2, opt, mw2)
 	got := second.Cells[doomed]
 	if !got.Failed() {
 		t.Fatal("restored cell is no longer failed")
@@ -136,12 +128,12 @@ func TestManifestSignatureMismatch(t *testing.T) {
 	dir := t.TempDir()
 	opt := sweepOptions()
 	opt.Manifest = filepath.Join(dir, "m.json")
-	if _, err := RunSweep(opt); err != nil {
+	ws := chainWorkloads(t)
+	if _, err := runSweep(ws, opt); err != nil {
 		t.Fatal(err)
 	}
 	opt.Resume = true
-	opt.Algorithms = []string{"pr"} // narrower sweep than recorded
-	_, err := RunSweep(opt)
+	_, err := runSweep(ws[:1], opt) // narrower sweep than recorded
 	if err == nil {
 		t.Fatal("resume with a different sweep signature succeeded")
 	}
@@ -155,7 +147,7 @@ func TestManifestSignatureMismatch(t *testing.T) {
 func TestManifestResumeRequiresPath(t *testing.T) {
 	opt := sweepOptions()
 	opt.Resume = true
-	if _, err := RunSweep(opt); err == nil {
+	if _, err := runSweep(chainWorkloads(t), opt); err == nil {
 		t.Fatal("Resume without Manifest succeeded")
 	}
 }
@@ -168,7 +160,7 @@ func TestManifestResumeMissingFileStartsFresh(t *testing.T) {
 	opt := sweepOptions()
 	opt.Manifest = filepath.Join(dir, "new.json")
 	opt.Resume = true
-	sw, err := RunSweep(opt)
+	sw, err := runSweep(chainWorkloads(t), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +193,7 @@ func TestReadsParentManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := sweepOptions()
-	opt.Datasets = []string{"WG"}
+	opt := Options{Tier: gen.Tiny, Datasets: []string{"WG"}, Algorithms: []string{"pr", "bfs"}}
 	opt.Manifest = filepath.Join(t.TempDir(), "m.json")
 	opt.Resume = true
 	if err := os.WriteFile(opt.Manifest, raw, 0o644); err != nil {

@@ -5,7 +5,8 @@ package bench
 // Every job — the three simulated engines and the Ligra baseline, whose
 // time is modelled from its access counts — is deterministic and shares no
 // mutable state, so all of them run on one bounded worker pool
-// (Options.Parallel, default GOMAXPROCS).
+// (Options.Parallel, default GOMAXPROCS). The slicing and ablation
+// experiments run their variants on the same pool.
 //
 // Cells are allocated up front in canonical workload order and each job
 // writes only its own fragment (distinct struct fields), so the assembled
@@ -33,61 +34,64 @@ type Job struct {
 	Engine string
 }
 
-// Run executes the job with panic recovery: a panicking engine is recorded
-// as that cell's failure, never propagated.
+// Run executes the job. A failing or panicking engine is recorded as that
+// cell's failure, never propagated.
 func (j Job) Run(opt Options) {
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("panic: %v", r)
-			}
-		}()
-		switch j.Engine {
-		case "ligra":
-			return runLigraJob(j.Cell)
-		case "opt":
-			return runOptJob(j.Cell, opt)
-		case "base":
-			return runBaseJob(j.Cell, opt)
-		case "gion":
-			return runGionJob(j.Cell, opt)
-		}
-		return fmt.Errorf("bench: unknown engine %q", j.Engine)
-	}()
-	if err == nil {
-		return
-	}
+	c := j.Cell
 	switch j.Engine {
 	case "ligra":
-		j.Cell.LigraErr = err
+		c.LigraErr = runLigraJob(c)
 	case "opt":
-		j.Cell.OptErr = err
+		c.Opt, c.OptErr = runSim(core.OptimizedConfig(), c.Workload, opt)
 	case "base":
-		j.Cell.BaseErr = err
+		c.Base, c.BaseErr = runSim(core.BaselineConfig(), c.Workload, opt)
 	case "gion":
-		j.Cell.GionErr = err
+		c.GionErr = runGionJob(c, opt)
 	}
 }
 
-// simConfig applies the per-cell overrides shared by both GraphPulse
-// configurations: the cycle deadline (workload override wins over the
-// sweep-wide one) and the slice-forcing queue capacity.
-func simConfig(cfg core.Config, w *Workload, opt Options) core.Config {
-	if opt.MaxCycles > 0 {
-		cfg.MaxCycles = opt.MaxCycles
+// recoverInto turns a panic in the deferring run into its error.
+func recoverInto(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("panic: %v", r)
 	}
-	if w.MaxCycles > 0 {
-		cfg.MaxCycles = w.MaxCycles
+}
+
+// maxCycles resolves the cycle deadline of a run on w: the workload's own
+// override, else the sweep-wide one, else the engine's default.
+func (w *Workload) maxCycles(opt Options, def uint64) uint64 {
+	switch {
+	case w.MaxCycles > 0:
+		return w.MaxCycles
+	case opt.MaxCycles > 0:
+		return opt.MaxCycles
 	}
+	return def
+}
+
+// runSim builds and runs one simulated GraphPulse configuration on w; every
+// experiment's simulation goes through it. It applies the cycle deadline,
+// the slice-forcing queue capacity of a w marked for sliced execution and
+// the per-run Options.Timeout, and returns a panic as the run's error.
+func runSim(cfg core.Config, w *Workload, opt Options) (res *core.Result, err error) {
+	defer recoverInto(&err)
+	cfg.MaxCycles = w.maxCycles(opt, cfg.MaxCycles)
 	if w.sliceInto > 1 {
 		cfg.QueueCapacity = (w.Graph.NumVertices() + w.sliceInto - 1) / w.sliceInto
 	}
-	return cfg
+	a, err := core.New(cfg, w.Graph, w.NewAlgorithm())
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := opt.jobContext()
+	defer cancel()
+	return a.RunWithOptions(core.RunOptions{Ctx: ctx})
 }
 
 // runLigraJob measures the software baseline: the analytic 12-core-Xeon
 // model of the run's access counts. The host clock plays no part.
-func runLigraJob(c *Cell) error {
+func runLigraJob(c *Cell) (err error) {
+	defer recoverInto(&err)
 	w := c.Workload
 	lig := ligra.New(ligra.DefaultConfig(), w.Graph).Run(w.NewAlgorithm())
 	c.LigraModelSeconds = ligra.ModelSeconds(lig, ligra.PaperXeon())
@@ -95,42 +99,15 @@ func runLigraJob(c *Cell) error {
 	return nil
 }
 
-func runOptJob(c *Cell, opt Options) error {
-	w := c.Workload
-	a, err := core.New(simConfig(core.OptimizedConfig(), w, opt), w.Graph, w.NewAlgorithm())
-	if err != nil {
-		return err
-	}
-	ctx, cancel := opt.jobContext()
-	defer cancel()
-	c.Opt, err = a.RunWithOptions(core.RunOptions{Ctx: ctx})
-	return err
-}
-
-func runBaseJob(c *Cell, opt Options) error {
-	w := c.Workload
-	a, err := core.New(simConfig(core.BaselineConfig(), w, opt), w.Graph, w.NewAlgorithm())
-	if err != nil {
-		return err
-	}
-	ctx, cancel := opt.jobContext()
-	defer cancel()
-	c.Base, err = a.RunWithOptions(core.RunOptions{Ctx: ctx})
-	return err
-}
-
-func runGionJob(c *Cell, opt Options) error {
+// runGionJob runs the Graphicionado model under the same deadline and
+// timeout rules as runSim.
+func runGionJob(c *Cell, opt Options) (err error) {
+	defer recoverInto(&err)
 	w := c.Workload
 	cfg := graphicionado.DefaultConfig()
-	if opt.MaxCycles > 0 {
-		cfg.MaxCycles = opt.MaxCycles
-	}
-	if w.MaxCycles > 0 {
-		cfg.MaxCycles = w.MaxCycles
-	}
+	cfg.MaxCycles = w.maxCycles(opt, cfg.MaxCycles)
 	ctx, cancel := opt.jobContext()
 	defer cancel()
-	var err error
 	c.Gion, err = graphicionado.RunCtx(ctx, cfg, w.Graph, w.NewAlgorithm())
 	return err
 }
@@ -166,19 +143,6 @@ func (p *progress) report(c *Cell, engine string, elapsed time.Duration) {
 		engine, elapsed.Round(time.Millisecond), status)
 }
 
-// RunWorkload measures one workload on every engine, serially. It keeps
-// the pre-runner contract: the first engine failure aborts with an error.
-func RunWorkload(w *Workload, opt Options) (*Cell, error) {
-	c := &Cell{Workload: w}
-	for _, engine := range EngineNames {
-		Job{Cell: c, Engine: engine}.Run(opt)
-		if err := c.engineErr(engine); err != nil {
-			return nil, fmt.Errorf("bench: %s/%s %s: %w", w.Dataset.Abbrev, w.AlgName, engine, err)
-		}
-	}
-	return c, nil
-}
-
 // RunSweep measures every selected workload on every engine. Per-cell
 // failures are recorded in the returned Sweep, not returned as an error;
 // the error covers workload construction and manifest persistence.
@@ -187,15 +151,7 @@ func RunSweep(opt Options) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	mw, err := newManifestWriter(ws, opt)
-	if err != nil {
-		return nil, err
-	}
-	sw := runSweep(ws, opt, mw)
-	if mw != nil && mw.firstErr != nil {
-		return nil, fmt.Errorf("bench: manifest %s: %w", mw.path, mw.firstErr)
-	}
-	return sw, nil
+	return runSweep(ws, opt)
 }
 
 // runJob executes (or, under -resume, restores) one job, recording the
@@ -218,35 +174,49 @@ func runJob(j Job, opt Options, mw *manifestWriter, prog *progress) {
 }
 
 // runSweep executes every job of the prepared workloads on the bounded
-// worker pool. mw may be nil (no manifest persistence).
-func runSweep(ws []*Workload, opt Options, mw *manifestWriter) *Sweep {
+// worker pool, recording each in the manifest when opt names one.
+func runSweep(ws []*Workload, opt Options) (*Sweep, error) {
+	mw, err := newManifestWriter(ws, opt)
+	if err != nil {
+		return nil, err
+	}
 	cells := make([]*Cell, len(ws))
+	var jobs []Job
 	for i, w := range ws {
 		cells[i] = &Cell{Workload: w}
+		for _, engine := range EngineNames {
+			jobs = append(jobs, Job{Cell: cells[i], Engine: engine})
+		}
 	}
-	prog := newProgress(opt.Progress, len(cells)*len(EngineNames))
+	prog := newProgress(opt.Progress, len(jobs))
+	// Each job writes a distinct field of its cell, so the manifest's own
+	// mutex is the only synchronization needed beyond the pool's.
+	runPool(opt, len(jobs), func(i int) { runJob(jobs[i], opt, mw, prog) })
+	if mw != nil && mw.firstErr != nil {
+		return nil, fmt.Errorf("bench: manifest %s: %w", mw.path, mw.firstErr)
+	}
+	return &Sweep{Cells: cells, Tier: opt.Tier}, nil
+}
 
-	// Each job writes a distinct field of its cell, so no further
-	// synchronization is needed beyond the channel, the WaitGroup, and the
-	// manifest's own mutex.
-	jobs := make(chan Job)
+// runPool calls job(0) … job(n-1) on opt.workers() goroutines, handing the
+// indices out in order, and returns when every call has. A job reports its
+// outcome through the slot its index names, so results are collected in a
+// fixed order whatever the completion order.
+func runPool(opt Options, n int, job func(i int)) {
+	next := make(chan int)
 	var wg sync.WaitGroup
-	for i := 0; i < opt.workers(); i++ {
+	for k := 0; k < opt.workers(); k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				runJob(j, opt, mw, prog)
+			for i := range next {
+				job(i)
 			}
 		}()
 	}
-	for _, c := range cells {
-		for _, engine := range EngineNames {
-			jobs <- Job{Cell: c, Engine: engine}
-		}
+	for i := 0; i < n; i++ {
+		next <- i
 	}
-	close(jobs)
+	close(next)
 	wg.Wait()
-
-	return &Sweep{Cells: cells, Tier: opt.Tier}
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,13 +14,34 @@ import (
 	"graphpulse/internal/sim"
 )
 
-// sweepOptions is the shared fixture: two datasets × two algorithms.
+// sweepOptions is the options fixture of the sweep-runner tests.
 func sweepOptions() Options {
-	return Options{
-		Tier:       gen.Tiny,
-		Datasets:   []string{"WG", "LJ"},
-		Algorithms: []string{"pr", "bfs"},
+	return Options{Tier: gen.Tiny}
+}
+
+// chainWorkloads is the sweep-runner fixture: two short chains × {pr, bfs},
+// four cells of a few thousand simulated cycles each (every engine runs past
+// the first context poll at cycle 1024). The pool, manifest, resume and
+// isolation logic under test does not depend on what a cell simulates, so
+// these stand in for Table IV cells.
+func chainWorkloads(t *testing.T) []*Workload {
+	t.Helper()
+	var ws []*Workload
+	for _, n := range []int{48, 64} {
+		g, err := gen.Chain(n, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := gen.DatasetSpec{Abbrev: fmt.Sprintf("C%d", n)}
+		for _, name := range []string{"pr", "bfs"} {
+			ws = append(ws, &Workload{Dataset: spec, AlgName: name, Graph: g,
+				makeAlg: func() algorithms.Algorithm {
+					alg, _ := algorithms.ByName(name, 0)
+					return alg
+				}})
+		}
 	}
+	return ws
 }
 
 // renderSweepTables renders every sweep-consuming experiment into one
@@ -33,17 +55,18 @@ func renderSweepTables(t *testing.T, opt Options, sw *Sweep) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Run(opt, sw); err != nil {
+		if err := e.Run(opt, &shared{sweep: sw}); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
 	return buf.String()
 }
 
+// TestParallelSweepMatchesSerial is the determinism check, so it runs a
+// real Table IV cell rather than the chain fixture.
 func TestParallelSweepMatchesSerial(t *testing.T) {
-	serial := sweepOptions()
-	serial.Parallel = 1
-	par := sweepOptions()
+	serial := Options{Tier: gen.Tiny, Datasets: []string{"WG"}, Algorithms: []string{"pr"}, Parallel: 1}
+	par := serial
 	par.Parallel = runtime.GOMAXPROCS(0)
 	if par.Parallel < 2 {
 		par.Parallel = 4 // still exercise the pool on a 1-CPU host
@@ -108,16 +131,16 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 
 func TestSweepFailureIsolation(t *testing.T) {
 	opt := sweepOptions()
-	ws, err := Workloads(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws := chainWorkloads(t)
 	// Choke one cell's deadline so every simulated engine hits
 	// sim.ErrDeadline; the rest of the sweep must be unaffected.
 	const doomed = 1
 	ws[doomed].MaxCycles = 10
 
-	sw := runSweep(ws, opt, nil)
+	sw, err := runSweep(ws, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(sw.Cells) != len(ws) {
 		t.Fatalf("sweep has %d cells, want %d", len(sw.Cells), len(ws))
 	}
@@ -167,14 +190,13 @@ func TestSweepFailureIsolation(t *testing.T) {
 }
 
 func TestSweepPanicIsolation(t *testing.T) {
-	opt := sweepOptions()
-	ws, err := Workloads(opt)
+	ws := chainWorkloads(t)
+	ws[0].makeAlg = func() algorithms.Algorithm { panic("boom") }
+
+	sw, err := runSweep(ws, sweepOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws[0].makeAlg = func() algorithms.Algorithm { panic("boom") }
-
-	sw := runSweep(ws, opt, nil)
 	bad := sw.Cells[0]
 	if !bad.Failed() {
 		t.Fatal("panicking cell did not fail")
@@ -198,10 +220,7 @@ func TestRunExperimentsSurvivesFailedCell(t *testing.T) {
 	// End-to-end: a sweep-consuming experiment renders (rather than
 	// aborts) when a cell dies. MaxCycles applies sweep-wide here, so
 	// every cell fails — the run must still complete every section.
-	opt := sweepOptions()
-	opt.Datasets = []string{"WG"}
-	opt.Algorithms = []string{"bfs"}
-	opt.MaxCycles = 10
+	opt := Options{Tier: gen.Tiny, Datasets: []string{"WG"}, Algorithms: []string{"bfs"}, MaxCycles: 10}
 	var buf bytes.Buffer
 	opt.Out = &buf
 	if err := RunExperiments([]string{"fig10", "fig11"}, opt); err != nil {
@@ -217,12 +236,10 @@ func TestRunExperimentsSurvivesFailedCell(t *testing.T) {
 
 func TestProgressLines(t *testing.T) {
 	opt := sweepOptions()
-	opt.Datasets = []string{"WG"}
-	opt.Algorithms = []string{"bfs"}
 	opt.Parallel = 1
 	var prog bytes.Buffer
 	opt.Progress = &prog
-	sw, err := RunSweep(opt)
+	sw, err := runSweep(chainWorkloads(t)[1:2], opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +248,7 @@ func TestProgressLines(t *testing.T) {
 	if len(lines) != want {
 		t.Fatalf("progress printed %d lines, want %d:\n%s", len(lines), want, prog.String())
 	}
-	if !strings.Contains(lines[0], "[1/4] WG/bfs ligra") {
+	if !strings.Contains(lines[0], "[1/4] C48/bfs ligra") {
 		t.Errorf("first progress line = %q, want the ligra job first (queue order at Parallel=1)", lines[0])
 	}
 	for _, l := range lines {
@@ -256,7 +273,7 @@ func TestWriteSweepCSVBadPath(t *testing.T) {
 func TestSweepJobTimeout(t *testing.T) {
 	opt := sweepOptions()
 	opt.Timeout = time.Nanosecond // every simulated job blows the budget
-	sw, err := RunSweep(opt)
+	sw, err := runSweep(chainWorkloads(t), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

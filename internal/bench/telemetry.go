@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"graphpulse/internal/core"
-	"graphpulse/internal/sim/telemetry"
 )
 
 // timelineSeries are the series the timeline experiment charts: queue
@@ -13,26 +12,13 @@ import (
 // discussion (Sections IV-D, VI-B).
 var timelineSeries = []string{"queue_occupancy", "events_processed", "dram_bytes"}
 
-// runTimeline runs PR-Delta on the LJ-class workload with telemetry enabled
-// and renders the sampled series as time charts. With Options.TelemetryPath
+// runTimeline renders the sampled series of the shared PR-Delta run on the
+// LJ-class workload (telemetry is on for it) as time charts. With Options.TelemetryPath
 // set it also writes <path>.csv and <path>.trace.json (Chrome trace_event,
 // loadable in chrome://tracing and Perfetto) — see EXPERIMENTS.md
 // "Time-resolved figures".
-func runTimeline(opt Options, _ *Sweep) error {
-	w, err := ljWorkload(opt)
-	if err != nil {
-		return err
-	}
-	cfg := core.OptimizedConfig()
-	if opt.MaxCycles > 0 {
-		cfg.MaxCycles = opt.MaxCycles
-	}
-	cfg.Telemetry = telemetry.Default()
-	a, err := core.New(cfg, w.Graph, w.NewAlgorithm())
-	if err != nil {
-		return err
-	}
-	res, err := a.Run()
+func runTimeline(opt Options, in *shared) error {
+	w, res, err := in.ljRun(opt)
 	if err != nil {
 		return err
 	}
@@ -64,7 +50,7 @@ func runTimeline(opt Options, _ *Sweep) error {
 	}
 
 	if opt.TelemetryPath != "" {
-		csvPath, tracePath, err := rec.WriteFiles(opt.TelemetryPath, cfg.ClockHz)
+		csvPath, tracePath, err := rec.WriteFiles(opt.TelemetryPath, core.OptimizedConfig().ClockHz)
 		if err != nil {
 			return err
 		}

@@ -125,9 +125,9 @@ func FuzzGraphIORoundTrip(f *testing.F) {
 				t.Fatalf("ReadFile accepted an invalid graph: %v", err)
 			}
 		}
-		if st, err := ooc.OpenReaderAt(bytes.NewReader(data), int64(len(data)), 0); err == nil {
+		if st, err := ooc.Open(path, 0); err == nil {
 			if err := st.Validate(); err != nil {
-				t.Fatalf("ooc.OpenReaderAt accepted an invalid store: %v", err)
+				t.Fatalf("ooc.Open accepted an invalid store: %v", err)
 			}
 			st.Close()
 		}
@@ -168,12 +168,15 @@ func FuzzGraphIORoundTrip(f *testing.F) {
 		}); err != nil {
 			t.Fatalf("ooc.Write: %v", err)
 		}
-		st, err := ooc.OpenReaderAt(bytes.NewReader(pack.Bytes()), int64(pack.Len()), 0)
+		if err := os.WriteFile(path, pack.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := ooc.Open(path, 0)
 		if err != nil {
 			t.Fatalf("graphpack round-trip (level %d): %v", level, err)
 		}
 		defer st.Close()
-		fromPack := graph.Materialize(st)
+		fromPack := Materialize(st)
 		if !fromBin.Equal(fromPack) {
 			t.Fatalf("graphpack round-trip (level %d) altered the graph (n=%d m=%d weighted=%v)",
 				level, g.NumVertices(), g.NumEdges(), g.Weighted())

@@ -2,6 +2,8 @@ package conformance
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"graphpulse/internal/graph"
@@ -31,7 +33,11 @@ func TestEnginesOnOutOfCoreStore(t *testing.T) {
 		if prepared.Weight != nil {
 			decoded += int64(len(prepared.Weight)) * 4
 		}
-		st, err := ooc.OpenReaderAt(bytes.NewReader(pack.Bytes()), int64(pack.Len()), decoded/4)
+		path := filepath.Join(t.TempDir(), c.Name+".graphpack")
+		if err := os.WriteFile(path, pack.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := ooc.Open(path, decoded/4)
 		if err != nil {
 			t.Fatalf("%s: open: %v", c.Name, err)
 		}

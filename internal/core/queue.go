@@ -47,10 +47,6 @@ type coalescingQueue struct {
 	coalesced int64
 }
 
-func newCoalescingQueue(capacity, bins, cols int, coalesceDisabled bool, reduce func(a, b float64) float64) *coalescingQueue {
-	return newMappedQueue(capacity, bins, cols, MapColBinRow, coalesceDisabled, reduce)
-}
-
 func newMappedQueue(capacity, bins, cols int, mapping MappingPolicy, coalesceDisabled bool, reduce func(a, b float64) float64) *coalescingQueue {
 	if capacity < 1 || bins < 1 || cols < 1 {
 		panic(fmt.Sprintf("core: bad queue geometry capacity=%d bins=%d cols=%d", capacity, bins, cols))
@@ -73,9 +69,6 @@ func newMappedQueue(capacity, bins, cols int, mapping MappingPolicy, coalesceDis
 	}
 	return q
 }
-
-// capacity returns the number of vertex slots.
-func (q *coalescingQueue) capacity() int { return len(q.occupied) }
 
 // binOf returns the bin a local vertex id maps to.
 func (q *coalescingQueue) binOf(v graph.VertexID) int {

@@ -12,9 +12,9 @@ import (
 func sum(a, b float64) float64 { return a + b }
 
 func TestQueueGeometry(t *testing.T) {
-	q := newCoalescingQueue(1000, 8, 4, false, sum)
-	if q.capacity() < 1000 {
-		t.Errorf("capacity = %d, want >= 1000", q.capacity())
+	q := newMappedQueue(1000, 8, 4, MapColBinRow, false, sum)
+	if len(q.occupied) < 1000 {
+		t.Errorf("capacity = %d, want >= 1000", len(q.occupied))
 	}
 	// Column-bin-row order: vertices 0..3 share bin 0 row 0; 4..7 bin 1.
 	if q.binOf(0) != 0 || q.binOf(3) != 0 {
@@ -30,7 +30,7 @@ func TestQueueGeometry(t *testing.T) {
 }
 
 func TestQueueInsertAndDrain(t *testing.T) {
-	q := newCoalescingQueue(64, 4, 4, false, sum)
+	q := newMappedQueue(64, 4, 4, MapColBinRow, false, sum)
 	q.insert(Event{Target: 5, Delta: 1.5})
 	q.insert(Event{Target: 6, Delta: 2.5})
 	if q.population != 2 {
@@ -49,7 +49,7 @@ func TestQueueInsertAndDrain(t *testing.T) {
 }
 
 func TestQueueCoalescing(t *testing.T) {
-	q := newCoalescingQueue(64, 4, 4, false, sum)
+	q := newMappedQueue(64, 4, 4, MapColBinRow, false, sum)
 	if q.insert(Event{Target: 9, Delta: 1}) {
 		t.Error("first insert reported coalesced")
 	}
@@ -69,7 +69,7 @@ func TestQueueCoalescing(t *testing.T) {
 }
 
 func TestQueueCoalescingMin(t *testing.T) {
-	q := newCoalescingQueue(16, 2, 2, false, math.Min)
+	q := newMappedQueue(16, 2, 2, MapColBinRow, false, math.Min)
 	q.insert(Event{Target: 3, Delta: 7})
 	q.insert(Event{Target: 3, Delta: 4})
 	q.insert(Event{Target: 3, Delta: 9})
@@ -80,7 +80,7 @@ func TestQueueCoalescingMin(t *testing.T) {
 }
 
 func TestQueueLookaheadCompounds(t *testing.T) {
-	q := newCoalescingQueue(16, 2, 2, false, sum)
+	q := newMappedQueue(16, 2, 2, MapColBinRow, false, sum)
 	q.insert(Event{Target: 1, Delta: 1, Lookahead: 5})
 	q.insert(Event{Target: 1, Delta: 1, Lookahead: 2})
 	evs := q.drainRow(q.binOf(1), q.rowOf(1), nil)
@@ -90,7 +90,7 @@ func TestQueueLookaheadCompounds(t *testing.T) {
 }
 
 func TestQueueCoalesceDisabledOverflow(t *testing.T) {
-	q := newCoalescingQueue(16, 2, 2, true, sum)
+	q := newMappedQueue(16, 2, 2, MapColBinRow, true, sum)
 	q.insert(Event{Target: 1, Delta: 1})
 	q.insert(Event{Target: 1, Delta: 2})
 	q.insert(Event{Target: 1, Delta: 3})
@@ -111,10 +111,10 @@ func TestQueueCoalesceDisabledOverflow(t *testing.T) {
 }
 
 func TestQueueNextOccupiedRow(t *testing.T) {
-	q := newCoalescingQueue(1024, 4, 4, false, sum)
+	q := newMappedQueue(1024, 4, 4, MapColBinRow, false, sum)
 	// Vertex 16*4+0... choose a vertex in bin 0, a later row.
 	var v graph.VertexID
-	for cand := graph.VertexID(0); int(cand) < q.capacity(); cand++ {
+	for cand := graph.VertexID(0); int(cand) < len(q.occupied); cand++ {
 		if q.binOf(cand) == 0 && q.rowOf(cand) == 3 {
 			v = cand
 			break
@@ -133,7 +133,7 @@ func TestQueueNextOccupiedRow(t *testing.T) {
 }
 
 func TestQueueDrainAll(t *testing.T) {
-	q := newCoalescingQueue(256, 8, 4, false, sum)
+	q := newMappedQueue(256, 8, 4, MapColBinRow, false, sum)
 	rng := rand.New(rand.NewSource(1))
 	want := map[graph.VertexID]float64{}
 	for i := 0; i < 100; i++ {
@@ -162,7 +162,7 @@ func TestQueueDrainAll(t *testing.T) {
 func TestPropertyQueueConservation(t *testing.T) {
 	f := func(seed int64, nOps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		q := newCoalescingQueue(128, 4, 4, false, sum)
+		q := newMappedQueue(128, 4, 4, MapColBinRow, false, sum)
 		var inserted, drained float64
 		for op := 0; op < int(nOps); op++ {
 			if rng.Intn(3) < 2 {
@@ -195,7 +195,7 @@ func TestPropertyQueueMappingBijective(t *testing.T) {
 		bins := int(binsRaw)%16 + 1
 		cols := int(colsRaw)%8 + 1
 		capacity := int(capRaw)%500 + 1
-		q := newCoalescingQueue(capacity, bins, cols, false, sum)
+		q := newMappedQueue(capacity, bins, cols, MapColBinRow, false, sum)
 		for v := 0; v < capacity; v++ {
 			q.insert(Event{Target: graph.VertexID(v), Delta: 1})
 		}
@@ -217,7 +217,7 @@ func TestPropertyQueueMappingBijective(t *testing.T) {
 }
 
 func TestCrossbarDeliver(t *testing.T) {
-	q := newCoalescingQueue(64, 4, 4, false, sum)
+	q := newMappedQueue(64, 4, 4, MapColBinRow, false, sum)
 	x := newCrossbar(2, 16)
 	// Three events to three different bins; ports=2 limits delivery.
 	x.offer(Event{Target: 0, Delta: 1}) // bin 0
@@ -234,7 +234,7 @@ func TestCrossbarDeliver(t *testing.T) {
 }
 
 func TestCrossbarPerBinLimit(t *testing.T) {
-	q := newCoalescingQueue(64, 4, 4, false, sum)
+	q := newMappedQueue(64, 4, 4, MapColBinRow, false, sum)
 	x := newCrossbar(4, 16)
 	// Two events to the same bin: only one lands per cycle.
 	x.offer(Event{Target: 0, Delta: 1})
@@ -246,7 +246,7 @@ func TestCrossbarPerBinLimit(t *testing.T) {
 }
 
 func TestCrossbarDrainingBinStalls(t *testing.T) {
-	q := newCoalescingQueue(64, 4, 4, false, sum)
+	q := newMappedQueue(64, 4, 4, MapColBinRow, false, sum)
 	x := newCrossbar(4, 16)
 	x.offer(Event{Target: 0, Delta: 1}) // bin 0
 	x.deliver(q, 0)                     // bin 0 draining → stalled
@@ -356,7 +356,7 @@ func TestQueueMappingsSpreadDifferently(t *testing.T) {
 }
 
 func BenchmarkQueueInsertCoalesce(b *testing.B) {
-	q := newCoalescingQueue(1024, 64, 8, false, sum)
+	q := newMappedQueue(1024, 64, 8, MapColBinRow, false, sum)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.insert(Event{Target: uint32(i) & 1023, Delta: 0.5})

@@ -93,7 +93,7 @@ func TestAntiEntropyHealsViaWAL(t *testing.T) {
 	}
 	// Replay re-fired B's mutation hook, so B's own WAL now covers the
 	// repaired epochs and can donate onward.
-	if got := wkB.wals["g"].LastEpoch(); got != want.Epoch {
+	if got := lastEpoch(wkB.wals["g"]); got != want.Epoch {
 		t.Fatalf("healed replica's wal at epoch %d, want %d", got, want.Epoch)
 	}
 }

@@ -202,13 +202,6 @@ func (w *WAL) Append(rec stream.Change) (appended, rotated bool, err error) {
 	return true, rotated, nil
 }
 
-// LastEpoch reports the newest logged epoch (0 when the log is empty).
-func (w *WAL) LastEpoch() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastEpoch
-}
-
 // TailDropped reports how many torn or corrupt tail pieces were dropped
 // when the log was opened.
 func (w *WAL) TailDropped() int {

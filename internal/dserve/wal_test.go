@@ -19,6 +19,13 @@ func walRec(epoch uint64) stream.Change {
 	}
 }
 
+// lastEpoch reads the newest logged epoch (0 when the log is empty).
+func lastEpoch(w *WAL) uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.lastEpoch
+}
+
 // mustAppend appends and fails the test on error or an unexpected skip.
 func mustAppend(t *testing.T, w *WAL, epoch uint64) {
 	t.Helper()
@@ -48,8 +55,8 @@ func TestWALAppendReopenTail(t *testing.T) {
 	if appended, _, err := w.Append(walRec(3)); err != nil || appended {
 		t.Fatalf("duplicate epoch append = (%v, %v), want skip", appended, err)
 	}
-	if w.LastEpoch() != 5 {
-		t.Fatalf("LastEpoch = %d, want 5", w.LastEpoch())
+	if lastEpoch(w) != 5 {
+		t.Fatalf("last epoch = %d, want 5", lastEpoch(w))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -60,8 +67,8 @@ func TestWALAppendReopenTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if w2.LastEpoch() != 5 || w2.TailDropped() != 0 {
-		t.Fatalf("reopened LastEpoch=%d TailDropped=%d, want 5, 0", w2.LastEpoch(), w2.TailDropped())
+	if lastEpoch(w2) != 5 || w2.TailDropped() != 0 {
+		t.Fatalf("reopened last epoch=%d TailDropped=%d, want 5, 0", lastEpoch(w2), w2.TailDropped())
 	}
 	recs, err := w2.TailAfter(2)
 	if err != nil {
@@ -134,8 +141,8 @@ func TestWALRotationAndTruncate(t *testing.T) {
 	if removed, err := w.TruncateThrough(100); err != nil || removed != 1 {
 		t.Fatalf("TruncateThrough(100) = (%d, %v), want only the non-active segment gone", removed, err)
 	}
-	if w.LastEpoch() != 4 {
-		t.Fatalf("LastEpoch after truncate = %d, want 4", w.LastEpoch())
+	if lastEpoch(w) != 4 {
+		t.Fatalf("last epoch after truncate = %d, want 4", lastEpoch(w))
 	}
 }
 
@@ -174,8 +181,8 @@ func TestWALTornTailRepair(t *testing.T) {
 	if w2.TailDropped() != 1 {
 		t.Fatalf("TailDropped = %d, want 1", w2.TailDropped())
 	}
-	if w2.LastEpoch() != 3 {
-		t.Fatalf("LastEpoch after repair = %d, want 3", w2.LastEpoch())
+	if lastEpoch(w2) != 3 {
+		t.Fatalf("last epoch after repair = %d, want 3", lastEpoch(w2))
 	}
 	recs, err := w2.TailAfter(0)
 	if err != nil || len(recs) != 3 {

@@ -217,27 +217,6 @@ func TransposeOf(g Adjacency) *CSR {
 	return t
 }
 
-// Materialize copies any Adjacency into an in-RAM CSR. Tools and tests use
-// it to compare an out-of-core store against its source graph.
-func Materialize(g Adjacency) *CSR {
-	if c, ok := g.(*CSR); ok {
-		return c
-	}
-	n := g.NumVertices()
-	out := &CSR{RowPtr: make([]uint64, n+1), Dst: make([]VertexID, 0, g.NumEdges())}
-	if g.Weighted() {
-		out.Weight = make([]float32, 0, g.NumEdges())
-	}
-	for v := 0; v < n; v++ {
-		out.Dst = append(out.Dst, g.Neighbors(VertexID(v))...)
-		if out.Weight != nil {
-			out.Weight = append(out.Weight, g.NeighborWeights(VertexID(v))...)
-		}
-		out.RowPtr[v+1] = uint64(len(out.Dst))
-	}
-	return out
-}
-
 // Validate checks structural invariants: monotone row pointers, in-range
 // destinations, and weight array parity. It returns a descriptive error for
 // the first violation found.
@@ -401,15 +380,6 @@ func (g *CSR) Relabel(perm []VertexID) (*CSR, error) {
 		}
 	}
 	return FromEdges(n, edges, g.Weight != nil)
-}
-
-// InDegrees returns the in-degree of every vertex.
-func (g *CSR) InDegrees() []uint32 {
-	in := make([]uint32, g.NumVertices())
-	for _, d := range g.Dst {
-		in[d]++
-	}
-	return in
 }
 
 // SortNeighbors returns a copy of g with each adjacency list sorted by

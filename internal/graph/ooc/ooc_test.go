@@ -25,18 +25,33 @@ func testGraph(t *testing.T, weighted bool) *graph.CSR {
 	return g
 }
 
-// pack encodes g and opens it from memory with the given budget.
+// pack encodes g and opens it with the given budget.
 func pack(t *testing.T, g *graph.CSR, opt WriteOptions, budget int64) *Store {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, g, opt); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	s, err := OpenReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), budget)
+	s, err := openBytes(t, buf.Bytes(), budget)
 	if err != nil {
-		t.Fatalf("OpenReaderAt: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	return s
+}
+
+// openBytes opens raw container bytes through a temporary file; a store it
+// opens is closed when the test ends.
+func openBytes(t *testing.T, raw []byte, budget int64) (*Store, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.graphpack")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, budget)
+	if err == nil {
+		t.Cleanup(func() { s.Close() })
+	}
+	return s, err
 }
 
 // decodedBytes estimates g's decoded footprint the same way the store
@@ -256,7 +271,7 @@ func TestCorruptionRejected(t *testing.T) {
 	// Truncations at every structural boundary must error, never panic.
 	for _, cut := range []int{0, 4, headerSize - 1, headerSize, headerSize + dirEntrySize - 1,
 		headerSize + 4*dirEntrySize, len(raw) - 1} {
-		if _, err := OpenReaderAt(bytes.NewReader(raw[:cut]), int64(cut), 0); err == nil {
+		if _, err := openBytes(t, raw[:cut], 0); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -264,7 +279,7 @@ func TestCorruptionRejected(t *testing.T) {
 	for _, off := range []int{8, 16, 32, headerSize, headerSize + 8, headerSize + 24, headerSize + 32} {
 		mut := append([]byte(nil), raw...)
 		mut[off] ^= 0xff
-		if _, err := OpenReaderAt(bytes.NewReader(mut), int64(len(mut)), 0); err == nil {
+		if _, err := openBytes(t, mut, 0); err == nil {
 			t.Errorf("corruption at offset %d accepted", off)
 		}
 	}
@@ -275,7 +290,7 @@ func TestEmptyGraph(t *testing.T) {
 	if err := Write(&buf, &graph.CSR{}, WriteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), 0)
+	s, err := openBytes(t, buf.Bytes(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

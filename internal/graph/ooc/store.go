@@ -2,7 +2,6 @@ package ooc
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -21,9 +20,8 @@ import (
 // collector reclaims it when the last reference dies), so the budget is a
 // target the resident set settles under, not a hard allocation ceiling.
 type Store struct {
-	r      io.ReaderAt
-	f      *os.File // nil for OpenReaderAt stores
-	mapped []byte   // non-nil when the file is memory-mapped
+	f      *os.File
+	mapped []byte // non-nil when the file is memory-mapped
 	hdr    header
 	dir    []dirEntry
 	bounds []graph.VertexID // k+1 slice boundaries
@@ -84,36 +82,26 @@ func Open(path string, residentBytes int64) (*Store, error) {
 		f.Close()
 		return nil, fmt.Errorf("ooc: %w", err)
 	}
-	mapped := mmapFile(f, fi.Size())
-	s, err := newStoreMapped(f, mapped, fi.Size(), residentBytes)
-	if err != nil {
-		if mapped != nil {
-			munmap(mapped)
-		}
-		f.Close()
+	s := &Store{f: f, mapped: mmapFile(f, fi.Size()), budget: residentBytes}
+	if err := s.init(fi.Size()); err != nil {
+		s.Close()
 		return nil, err
 	}
-	s.f = f
 	return s, nil
 }
 
-// OpenReaderAt opens a graphpack container from an arbitrary io.ReaderAt
-// (e.g. an in-memory buffer in tests and fuzzing). Close is a no-op for
-// such stores.
-func OpenReaderAt(r io.ReaderAt, size int64, residentBytes int64) (*Store, error) {
-	return newStoreMapped(r, nil, size, residentBytes)
-}
-
-func newStoreMapped(r io.ReaderAt, mapped []byte, size int64, budget int64) (*Store, error) {
-	hdr, err := parseHeader(r, size)
+// init parses the container's header and directory and verification-decodes
+// every segment.
+func (s *Store) init(size int64) error {
+	hdr, err := parseHeader(s.f, size)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	dir, err := parseDirectory(r, size, hdr)
+	dir, err := parseDirectory(s.f, size, hdr)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s := &Store{r: r, mapped: mapped, hdr: hdr, dir: dir, budget: budget}
+	s.hdr, s.dir = hdr, dir
 	s.slices = make([]residentSlice, len(dir))
 	s.bounds = make([]graph.VertexID, len(dir)+1)
 	for i, e := range dir {
@@ -126,10 +114,10 @@ func newStoreMapped(r io.ReaderAt, mapped []byte, size int64, budget int64) (*St
 	// guarantees later decodes of a well-formed file cannot fail.
 	for i := range dir {
 		if _, err := s.load(i); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // Close unmaps and closes the underlying file. The store must not be used
@@ -140,11 +128,8 @@ func (s *Store) Close() error {
 		err = munmap(s.mapped)
 		s.mapped = nil
 	}
-	if s.f != nil {
-		if cerr := s.f.Close(); err == nil {
-			err = cerr
-		}
-		s.f = nil
+	if cerr := s.f.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -193,7 +178,7 @@ func (s *Store) segment(i int) ([]byte, error) {
 		return s.mapped[e.off : e.off+e.length], nil
 	}
 	buf := make([]byte, e.length)
-	if _, err := s.r.ReadAt(buf, int64(e.off)); err != nil {
+	if _, err := s.f.ReadAt(buf, int64(e.off)); err != nil {
 		return nil, fmt.Errorf("ooc: read segment %d: %w", i, err)
 	}
 	return buf, nil

@@ -23,9 +23,6 @@ type Slice struct {
 	Lo, Hi graph.VertexID
 }
 
-// Contains reports whether v falls in the slice.
-func (s Slice) Contains(v graph.VertexID) bool { return v >= s.Lo && v < s.Hi }
-
 // NumVertices returns the number of vertices in the slice.
 func (s Slice) NumVertices() int { return int(s.Hi - s.Lo) }
 

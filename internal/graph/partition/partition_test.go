@@ -80,7 +80,7 @@ func TestSliceOf(t *testing.T) {
 	}
 	for v := 0; v < 100; v++ {
 		idx := p.SliceOf(graph.VertexID(v))
-		if idx < 0 || !p.Slices[idx].Contains(graph.VertexID(v)) {
+		if idx < 0 || graph.VertexID(v) < p.Slices[idx].Lo || graph.VertexID(v) >= p.Slices[idx].Hi {
 			t.Fatalf("SliceOf(%d) = %d, slice %+v", v, idx, p.Slices[idx])
 		}
 	}

@@ -211,12 +211,6 @@ type worker struct {
 	rounds                             int64
 }
 
-// Solve runs alg to convergence in parallel, without cancellation.
-func Solve(g graph.Adjacency, alg algorithms.Algorithm, cfg Config) *Result {
-	res, _ := SolveCtx(nil, g, alg, cfg)
-	return res
-}
-
 // SolveCtx runs alg to convergence across cfg.Workers shards. When ctx is
 // canceled the solve stops and returns an error wrapping sim.ErrCanceled. A
 // nil ctx disables cancellation and never fails.

@@ -37,7 +37,7 @@ func BenchmarkPSolve(b *testing.B) {
 				b.ReportAllocs()
 				var emitted, deltas int64
 				for i := 0; i < b.N; i++ {
-					res := psolve.Solve(g, alg, cfg)
+					res, _ := psolve.SolveCtx(nil, g, alg, cfg)
 					emitted += res.Emitted
 					deltas += res.CrossShardDeltas
 				}

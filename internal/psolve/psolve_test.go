@@ -330,8 +330,8 @@ func TestNoRelabelIsInert(t *testing.T) {
 		"sssp": func() algorithms.Algorithm { return algorithms.NewSSSP(root) },
 		"cc":   func() algorithms.Algorithm { return algorithms.NewConnectedComponents() },
 	} {
-		def := psolve.Solve(g, mk(), psolve.Config{Workers: 4})
-		off := psolve.Solve(g, mk(), psolve.Config{Workers: 4, NoRelabel: true})
+		def, _ := psolve.SolveCtx(nil, g, mk(), psolve.Config{Workers: 4})
+		off, _ := psolve.SolveCtx(nil, g, mk(), psolve.Config{Workers: 4, NoRelabel: true})
 		if def.CutEdges != off.CutEdges {
 			t.Errorf("%s: CutEdges %d (default) != %d (NoRelabel)", name, def.CutEdges, off.CutEdges)
 		}

@@ -223,13 +223,6 @@ func (c *resultCache) exportSeries(prefix string, epoch uint64) map[string]*cach
 	return out
 }
 
-// len reports live entries (tests).
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // flight is one in-progress computation that identical concurrent misses
 // coalesce onto. The leader computes under a context that outlives any
 // single request but is canceled once every waiter has abandoned the

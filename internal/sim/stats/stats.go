@@ -216,12 +216,3 @@ func (t *StageTimer) MeanCycles(stage int) float64 {
 	}
 	return float64(t.cycles[stage]) / float64(t.events[stage])
 }
-
-// TotalCycles sums cycles across all stages.
-func (t *StageTimer) TotalCycles() int64 {
-	var s int64
-	for _, c := range t.cycles {
-		s += c
-	}
-	return s
-}

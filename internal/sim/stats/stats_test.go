@@ -111,8 +111,8 @@ func TestStageTimer(t *testing.T) {
 	if got := st.MeanCycles(emit); got != 0 {
 		t.Errorf("MeanCycles(emit) with no events = %g, want 0", got)
 	}
-	if got := st.TotalCycles(); got != 40 {
-		t.Errorf("TotalCycles = %d, want 40", got)
+	if got := st.Cycles(fetch) + st.Cycles(process) + st.Cycles(emit); got != 40 {
+		t.Errorf("cycles over all stages = %d, want 40", got)
 	}
 	if got := st.Cycles(fetch); got != 30 {
 		t.Errorf("Cycles(fetch) = %d, want 30 of 40", got)
