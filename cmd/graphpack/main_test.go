@@ -6,6 +6,7 @@ import (
 
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/conformance"
+	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/ooc"
 	"graphpulse/internal/psolve"
 )
@@ -76,7 +77,7 @@ func TestConvertThenCheck(t *testing.T) {
 	// so neither solver is charged for the other's decodes.
 	spent := make([]ooc.Counters, len(solvers))
 	st.ResetCounters() // drop Open's verification pass
-	root := conformance.BestRoot(csr)
+	root := graph.BestRoot(csr)
 	for _, c := range conformance.Algorithms() {
 		if c.Prepare != nil {
 			// Prepared variants (inbound-normalized weights) are derived

@@ -9,6 +9,7 @@ import (
 
 	"graphpulse/internal/baseline/graphicionado"
 	"graphpulse/internal/conformance"
+	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/gen"
 )
 
@@ -29,7 +30,7 @@ func TestGraphicionadoMatchesOracle(t *testing.T) {
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
 			prepared := c.Prepared(g)
-			if err := conformance.VerifyEngine(engine, prepared, c.Maker(conformance.BestRoot(prepared))); err != nil {
+			if err := conformance.VerifyEngine(engine, prepared, c.Maker(graph.BestRoot(prepared))); err != nil {
 				t.Error(err)
 			}
 		})

@@ -8,18 +8,6 @@ import (
 	"graphpulse/internal/graph/gen"
 )
 
-// bestRoot returns the max-out-degree vertex, so source-rooted algorithms
-// have nontrivial traversals on shuffled R-MAT graphs.
-func bestRoot(g *graph.CSR) graph.VertexID {
-	best, deg := graph.VertexID(0), -1
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.OutDegree(graph.VertexID(v)); d > deg {
-			best, deg = graph.VertexID(v), d
-		}
-	}
-	return best
-}
-
 func testGraph(t testing.TB) *graph.CSR {
 	t.Helper()
 	g, err := gen.RMAT(gen.RMATParams{
@@ -56,7 +44,7 @@ func TestGraphicionadoBFSIterationsEqualDepth(t *testing.T) {
 
 func TestGraphicionadoTrafficAccounted(t *testing.T) {
 	g := testGraph(t)
-	res, err := Run(DefaultConfig(), g, algorithms.NewBFS(bestRoot(g)))
+	res, err := Run(DefaultConfig(), g, algorithms.NewBFS(graph.BestRoot(g)))
 	if err != nil {
 		t.Fatal(err)
 	}

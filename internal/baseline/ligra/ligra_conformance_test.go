@@ -8,6 +8,7 @@ import (
 
 	"graphpulse/internal/baseline/ligra"
 	"graphpulse/internal/conformance"
+	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/gen"
 )
 
@@ -32,7 +33,7 @@ func TestLigraMatchesOracle(t *testing.T) {
 			t.Run(engineDirName(dir)+"/"+c.Name, func(t *testing.T) {
 				t.Parallel()
 				prepared := c.Prepared(g)
-				if err := conformance.VerifyEngine(engine, prepared, c.Maker(conformance.BestRoot(prepared))); err != nil {
+				if err := conformance.VerifyEngine(engine, prepared, c.Maker(graph.BestRoot(prepared))); err != nil {
 					t.Error(err)
 				}
 			})

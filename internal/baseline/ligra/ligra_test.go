@@ -10,18 +10,6 @@ import (
 	"graphpulse/internal/graph/gen"
 )
 
-// bestRoot returns the max-out-degree vertex, so source-rooted algorithms
-// have nontrivial traversals on shuffled R-MAT graphs.
-func bestRoot(g *graph.CSR) graph.VertexID {
-	best, deg := graph.VertexID(0), -1
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.OutDegree(graph.VertexID(v)); d > deg {
-			best, deg = graph.VertexID(v), d
-		}
-	}
-	return best
-}
-
 func testGraph(t testing.TB) *graph.CSR {
 	t.Helper()
 	g, err := gen.RMAT(gen.RMATParams{
@@ -67,7 +55,7 @@ func TestLigraSingleThreadMatchesParallel(t *testing.T) {
 	one.Threads = 1
 	many := DefaultConfig()
 	many.Threads = 8
-	root := bestRoot(g)
+	root := graph.BestRoot(g)
 	cases := []struct {
 		name string
 		g    *graph.CSR
@@ -98,7 +86,7 @@ func TestLigraDirectionOptimization(t *testing.T) {
 	if cc.PullIterations == 0 {
 		t.Errorf("CC used no pull iterations (push=%d)", cc.PushIterations)
 	}
-	bfs := e.Run(algorithms.NewBFS(bestRoot(g)))
+	bfs := e.Run(algorithms.NewBFS(graph.BestRoot(g)))
 	if bfs.PushIterations == 0 {
 		t.Errorf("BFS used no push iterations (pull=%d)", bfs.PullIterations)
 	}
@@ -150,7 +138,7 @@ func TestLigraEmptyFrontierTerminates(t *testing.T) {
 
 func TestLigraEdgesTraversedBounded(t *testing.T) {
 	g := testGraph(t)
-	res := New(DefaultConfig(), g).Run(algorithms.NewBFS(bestRoot(g)))
+	res := New(DefaultConfig(), g).Run(algorithms.NewBFS(graph.BestRoot(g)))
 	if res.EdgesTraversed == 0 {
 		t.Fatal("no edges traversed")
 	}
@@ -165,7 +153,7 @@ func TestLigraEdgesTraversedBounded(t *testing.T) {
 func TestModelSecondsScalesWithWork(t *testing.T) {
 	g := testGraph(t)
 	e := New(DefaultConfig(), g)
-	small := e.Run(algorithms.NewBFS(bestRoot(g)))
+	small := e.Run(algorithms.NewBFS(graph.BestRoot(g)))
 	big := e.Run(algorithms.NewConnectedComponents())
 	m := PaperXeon()
 	ts, tb := ModelSeconds(small, m), ModelSeconds(big, m)

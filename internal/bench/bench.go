@@ -156,19 +156,7 @@ func algFilter(names []string) ([]string, error) {
 	return names, nil
 }
 
-// bestRoot picks the max-out-degree vertex so rooted traversals are
-// nontrivial on shuffled synthetic graphs.
-func bestRoot(g *graph.CSR) graph.VertexID {
-	best, deg := graph.VertexID(0), -1
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.OutDegree(graph.VertexID(v)); d > deg {
-			best, deg = graph.VertexID(v), d
-		}
-	}
-	return best
-}
-
-// rootCache memoizes bestRoot per (dataset, tier) so repeated Workloads
+// rootCache memoizes graph.BestRoot per (dataset, tier) so repeated Workloads
 // calls (one per experiment that prepares its own workload) don't re-scan
 // every vertex degree. Safe because the cached graph for a key is fixed.
 var rootCache sync.Map // map[rootKey]graph.VertexID
@@ -183,7 +171,7 @@ func cachedRoot(spec gen.DatasetSpec, t gen.Tier, g *graph.CSR) graph.VertexID {
 	if v, ok := rootCache.Load(k); ok {
 		return v.(graph.VertexID)
 	}
-	r := bestRoot(g)
+	r := graph.BestRoot(g)
 	rootCache.Store(k, r)
 	return r
 }

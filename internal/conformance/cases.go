@@ -130,18 +130,6 @@ func AlgCaseByName(name string) (AlgCase, error) {
 	return AlgCase{}, fmt.Errorf("conformance: unknown algorithm %q", name)
 }
 
-// BestRoot returns the max-out-degree vertex — the standard root choice so
-// source-rooted algorithms get nontrivial traversals on shuffled graphs.
-func BestRoot(g *graph.CSR) graph.VertexID {
-	best, deg := graph.VertexID(0), -1
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.OutDegree(graph.VertexID(v)); d > deg {
-			best, deg = graph.VertexID(v), d
-		}
-	}
-	return best
-}
-
 // Materialize copies an out-of-core store (any graph.Adjacency) into an
 // in-RAM CSR, so a test can compare it against its source graph.
 func Materialize(g graph.Adjacency) *graph.CSR {

@@ -27,7 +27,7 @@ func TestEngineAgreementMatrix(t *testing.T) {
 				t.Run(c.Name, func(t *testing.T) {
 					t.Parallel()
 					prepared := c.Prepared(g)
-					if err := Verify(prepared, c.Maker(BestRoot(prepared)), Options{}); err != nil {
+					if err := Verify(prepared, c.Maker(graph.BestRoot(prepared)), Options{}); err != nil {
 						t.Error(err)
 					}
 				})
@@ -55,7 +55,7 @@ func TestAcceleratorDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := VerifyDeterminism(cfg, g, ac.Maker(BestRoot(g)), 3); err != nil {
+				if err := VerifyDeterminism(cfg, g, ac.Maker(graph.BestRoot(g)), 3); err != nil {
 					t.Errorf("%s: %v", c, err)
 				}
 			}
@@ -77,7 +77,7 @@ func TestAcceleratorDeterminismUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := ac.Maker(BestRoot(g))
+	mk := ac.Maker(graph.BestRoot(g))
 	alone, err := runAccelerator(AcceleratorConfig(), g, mk())
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestConservationRejectsImbalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	ac, _ := AlgCaseByName("bfs")
-	alg := ac.Maker(BestRoot(g))()
+	alg := ac.Maker(graph.BestRoot(g))()
 	a, err := core.New(AcceleratorConfig(), g, alg)
 	if err != nil {
 		t.Fatal(err)

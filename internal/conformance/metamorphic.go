@@ -37,7 +37,7 @@ func VerifyRelabelInvariance(g *graph.CSR, c AlgCase, seed int64) error {
 	}
 	prepared := c.Prepared(g)
 	n := prepared.NumVertices()
-	root := BestRoot(prepared)
+	root := graph.BestRoot(prepared)
 	base := algorithms.Solve(prepared, c.Maker(root)())
 
 	rng := rand.New(rand.NewSource(seed))
@@ -113,7 +113,7 @@ func VerifyTransposeConsistency(g *graph.CSR, c AlgCase) error {
 	if !tt.Equal(prepared.SortNeighbors()) {
 		return fmt.Errorf("transpose on %s: double transpose is not the identity", c.Name)
 	}
-	root := BestRoot(prepared)
+	root := graph.BestRoot(prepared)
 	mk := c.Maker(root)
 	want := algorithms.Solve(prepared, mk()).Values
 	tol := 2 * Tolerance(mk(), prepared)
@@ -133,7 +133,7 @@ func VerifyTransposeConsistency(g *graph.CSR, c AlgCase) error {
 // slices must agree with each other and with the worklist solver.
 func VerifyPartitionInvariance(g *graph.CSR, c AlgCase) error {
 	prepared := c.Prepared(g)
-	root := BestRoot(prepared)
+	root := graph.BestRoot(prepared)
 	mk := c.Maker(root)
 	tol := Tolerance(mk(), prepared)
 	want := algorithms.Solve(prepared, mk()).Values
@@ -170,7 +170,7 @@ func VerifyWorkerCountInvariance(g *graph.CSR, c AlgCase, workerCounts []int) er
 		workerCounts = []int{1, 2, 3, 8}
 	}
 	prepared := c.Prepared(g)
-	root := BestRoot(prepared)
+	root := graph.BestRoot(prepared)
 	mk := c.Maker(root)
 	want := algorithms.Solve(prepared, mk()).Values
 	tol := Tolerance(mk(), prepared)
@@ -200,7 +200,7 @@ func VerifyWorkerCountInvariance(g *graph.CSR, c AlgCase, workerCounts []int) er
 // the round trip would not be a no-op.
 func VerifyInsertDeleteNoop(base *graph.CSR, c AlgCase, batch []graph.Edge) error {
 	prepared := c.Prepared(base)
-	root := BestRoot(prepared)
+	root := graph.BestRoot(prepared)
 	mk := c.Maker(root)
 	batch = freshPairs(prepared, batch)
 	if len(batch) == 0 {
@@ -258,7 +258,7 @@ func freshPairs(g *graph.CSR, batch []graph.Edge) []graph.Edge {
 // and cascading must land on the same fixed point as a cold start on the
 // updated graph — on the worklist solver and on the accelerator.
 func VerifyIncremental(base *graph.CSR, c AlgCase, added []graph.Edge) error {
-	root := BestRoot(base)
+	root := graph.BestRoot(base)
 	mk := c.Maker(root)
 	state := algorithms.Solve(base, mk()).Values
 	newG, warm, err := algorithms.IncrementalAfterInsert(mk(), base, added, state)

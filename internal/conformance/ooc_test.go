@@ -43,7 +43,7 @@ func TestEnginesOnOutOfCoreStore(t *testing.T) {
 		}
 		st.ResetCounters()
 
-		root := BestRoot(prepared)
+		root := graph.BestRoot(prepared)
 		mk := c.Maker(root)
 		tol := Tolerance(mk(), prepared)
 		for _, e := range Engines() {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"graphpulse/internal/algorithms"
+	"graphpulse/internal/graph"
 )
 
 // TestPSolveMatchesSolveMatrix is the parallel-solver acceptance gate:
@@ -27,7 +28,7 @@ func TestPSolveMatchesSolveMatrix(t *testing.T) {
 				t.Run(c.Name, func(t *testing.T) {
 					t.Parallel()
 					prepared := c.Prepared(g)
-					root := BestRoot(prepared)
+					root := graph.BestRoot(prepared)
 					mk := c.Maker(root)
 					want := algorithms.Solve(prepared, mk()).Values
 					tol := Tolerance(mk(), prepared)

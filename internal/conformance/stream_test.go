@@ -81,7 +81,7 @@ func TestStreamOracleMatrix(t *testing.T) {
 				t.Run(e.Name, func(t *testing.T) {
 					t.Parallel()
 					prepared := c.Prepared(base)
-					mk := c.Maker(BestRoot(prepared))
+					mk := c.Maker(graph.BestRoot(prepared))
 					// Warm and cold runs each carry their own threshold
 					// residue for the sum-based algorithms.
 					tol := 2 * Tolerance(mk(), prepared)
@@ -156,7 +156,7 @@ func TestStreamRandomizedStress(t *testing.T) {
 					t.Parallel()
 					prepared := c.Prepared(base)
 					n := prepared.NumVertices()
-					mk := c.Maker(BestRoot(prepared))
+					mk := c.Maker(graph.BestRoot(prepared))
 					tol := 2 * Tolerance(mk(), prepared)
 					r := stream.NewReplayer(prepared, mk, engineSolveFunc(e), stream.DefaultMaxConeFraction)
 					rng := rand.New(rand.NewSource(int64(1000*ei) + int64(len(c.Name))))

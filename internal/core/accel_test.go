@@ -52,19 +52,6 @@ func rmatTestGraph(t testing.TB) *gen.RMATParams {
 	}
 }
 
-// hubRoot returns the max-out-degree vertex — RMAT leaves many low-numbered
-// vertices edgeless, and a rooted run from one of those is a 1-event no-op
-// that exercises nothing.
-func hubRoot(g *graph.CSR) graph.VertexID {
-	best, bd := graph.VertexID(0), uint64(0)
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.RowPtr[v+1] - g.RowPtr[v]; d > bd {
-			best, bd = graph.VertexID(v), d
-		}
-	}
-	return best
-}
-
 // run executes alg on g under cfg and fails the test on error.
 func run(t testing.TB, cfg Config, g *graph.CSR, alg algorithms.Algorithm) *Result {
 	t.Helper()

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"graphpulse/internal/algorithms"
+	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/gen"
 )
 
@@ -71,7 +72,7 @@ func TestCheckpointResumeValueEquality(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfigs()[0]
-	root := hubRoot(g)
+	root := graph.BestRoot(g)
 	mk := func() algorithms.Algorithm { return algorithms.NewSSSP(root) }
 	clean := run(t, cfg, g, mk())
 
@@ -120,7 +121,7 @@ func TestCheckpointRoundTripsJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfigs()[0]
-	mk := func() algorithms.Algorithm { return algorithms.NewSSSP(hubRoot(g)) }
+	mk := func() algorithms.Algorithm { return algorithms.NewSSSP(graph.BestRoot(g)) }
 	var ck *Checkpoint
 	a, err := New(cfg, g, mk())
 	if err != nil {

@@ -56,7 +56,7 @@ func assertLostOne(t *testing.T, err error, audit string) {
 func lossAlgorithms(g *graph.CSR) map[string]algorithms.Algorithm {
 	return map[string]algorithms.Algorithm{
 		"periodic": algorithms.NewPageRankDelta(),
-		"final":    algorithms.NewSSSP(hubRoot(g)),
+		"final":    algorithms.NewSSSP(graph.BestRoot(g)),
 	}
 }
 

@@ -418,6 +418,20 @@ func (g *CSR) SortNeighbors() *CSR {
 	return out
 }
 
+// BestRoot returns the max-out-degree vertex, the lowest id among ties
+// (vertex 0 on an edgeless graph). It is the root every rooted run takes,
+// so source-rooted algorithms get nontrivial traversals on synthetic
+// graphs, where many low-numbered vertices have no out-edges.
+func BestRoot(g *CSR) VertexID {
+	best, deg := VertexID(0), -1
+	for v := 0; v < g.NumVertices(); v++ {
+		if d := g.OutDegree(VertexID(v)); d > deg {
+			best, deg = VertexID(v), d
+		}
+	}
+	return best
+}
+
 // Stats summarizes the shape of a graph; Table IV reporting uses it.
 type Stats struct {
 	Vertices     int

@@ -245,6 +245,30 @@ func TestSortNeighbors(t *testing.T) {
 	}
 }
 
+// TestBestRoot pins the root rule every rooted run shares: the maximum
+// out-degree, the lowest id among ties, vertex 0 on an edgeless graph.
+func TestBestRoot(t *testing.T) {
+	cases := []struct {
+		name  string
+		n     int
+		edges []Edge
+		want  VertexID
+	}{
+		{"edgeless", 4, nil, 0},
+		{"unique max", 4, []Edge{{1, 0, 1}, {2, 0, 1}, {2, 1, 1}}, 2},
+		{"tie takes lowest id", 5, []Edge{{3, 0, 1}, {3, 1, 1}, {1, 2, 1}, {1, 3, 1}, {4, 0, 1}}, 1},
+	}
+	for _, c := range cases {
+		g, err := FromEdges(c.n, c.edges, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := BestRoot(g); got != c.want {
+			t.Errorf("%s: BestRoot = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 func TestComputeStats(t *testing.T) {
 	g := smallGraph(t)
 	s := ComputeStats(g)

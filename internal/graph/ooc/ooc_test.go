@@ -185,7 +185,7 @@ func algCase(t *testing.T, name string) conformance.AlgCase {
 func TestSolveOnStoreMatches(t *testing.T) {
 	g := testGraph(t, true)
 	s := pack(t, g, WriteOptions{Slices: 16}, decodedBytes(g)/4)
-	root := conformance.BestRoot(g)
+	root := graph.BestRoot(g)
 	for _, name := range []string{"pagerank-delta", "sssp", "connected-components"} {
 		mk := algCase(t, name).New
 		want := algorithms.Solve(g, mk(root))
@@ -211,7 +211,7 @@ func TestSolveSweepsStoreBySlice(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := pack(t, g, WriteOptions{Slices: 16}, decodedBytes(g)/4)
-	root := conformance.BestRoot(g)
+	root := graph.BestRoot(g)
 	for _, name := range []string{"pagerank-delta", "sssp", "bfs", "connected-components"} {
 		mk := algCase(t, name).New
 		inRAM := algorithms.Solve(g, mk(root))

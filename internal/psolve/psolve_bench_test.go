@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"graphpulse/internal/algorithms"
-	"graphpulse/internal/conformance"
+	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/gen"
 	"graphpulse/internal/psolve"
 )
@@ -25,7 +25,7 @@ func BenchmarkPSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	root := conformance.BestRoot(g)
+	root := graph.BestRoot(g)
 	for _, workers := range []int{1, 2} {
 		for _, name := range []string{"pr", "sssp", "cc"} {
 			alg, err := algorithms.ByName(name, root)

@@ -56,7 +56,7 @@ func TestMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			pg := ac.Prepared(g)
-			root := conformance.BestRoot(pg)
+			root := graph.BestRoot(pg)
 			want := algorithms.Solve(pg, ac.New(root))
 			tol := conformance.Tolerance(ac.New(root), pg)
 			for _, workers := range []int{1, 2, 3, 8} {
@@ -126,7 +126,7 @@ func TestOneShardIsSerial(t *testing.T) {
 			if name == "ads" {
 				g = g.NormalizeInbound() // adsorption converges only on inbound-normalized weights
 			}
-			alg, err := algorithms.ByName(name, conformance.BestRoot(g))
+			alg, err := algorithms.ByName(name, graph.BestRoot(g))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestTerminationStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		root := conformance.BestRoot(g)
+		root := graph.BestRoot(g)
 		for _, name := range []string{"pr", "sssp", "cc"} {
 			alg, err := algorithms.ByName(name, root)
 			if err != nil {
@@ -298,7 +298,7 @@ func TestDeterministicForMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := conformance.BestRoot(g)
+	root := graph.BestRoot(g)
 	first, err := psolve.SolveCtx(nil, g, algorithms.NewSSSP(root), psolve.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +325,7 @@ func TestNoRelabelIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := conformance.BestRoot(g)
+	root := graph.BestRoot(g)
 	for name, mk := range map[string]func() algorithms.Algorithm{
 		"sssp": func() algorithms.Algorithm { return algorithms.NewSSSP(root) },
 		"cc":   func() algorithms.Algorithm { return algorithms.NewConnectedComponents() },
