@@ -160,6 +160,10 @@ type stream struct {
 	deg    int
 	start  uint64
 	active bool
+	// window is the edge line the prefetch window was last filled from.
+	// A fill marks every line it covers for the phase, so refilling from
+	// the same line fetches nothing.
+	window uint64
 }
 
 // Run executes alg over g under the Graphicionado model.
@@ -367,11 +371,16 @@ func (e *engine) processingPhase() error {
 				s.deg = e.g.OutDegree(v)
 				s.start = e.g.EdgeOffset(v)
 				s.active = true
+				s.window = ^uint64(0) // a new vertex's window ends elsewhere
 			}
 			busy = true
-			e.prefetch(s)
 			edge := s.start + uint64(s.idx)
-			if e.lineState[edge*e.edgeBytes/mem.LineBytes] != ready {
+			line := edge * e.edgeBytes / mem.LineBytes
+			if line != s.window {
+				e.prefetch(s)
+				s.window = line
+			}
+			if e.lineState[line] != ready {
 				continue // waiting for edge data
 			}
 			e.relax(s.v, edge, s.deg)

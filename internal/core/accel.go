@@ -46,6 +46,9 @@ type stageBlock struct {
 	events []Event
 	next   int
 	proc   int
+	// refusedAt is the processor's epoch when it last refused events[next]
+	// (0: never); the push is not retried until the epoch moves.
+	refusedAt uint64
 }
 
 // Accelerator is one GraphPulse instance wired to an algorithm and a graph.
@@ -178,7 +181,7 @@ func New(cfg Config, g graph.Adjacency, alg algorithms.Algorithm) (*Accelerator,
 	if cfg.DecoupledGeneration {
 		a.gens = make([]*genUnit, cfg.NumProcessors)
 		for i := range a.gens {
-			a.gens[i] = newGenUnit(a)
+			a.gens[i] = newGenUnit(a, a.procs[i])
 		}
 	}
 	a.xbar = newCrossbar(cfg.CrossbarPorts, cfg.NetworkQueueDepth)
@@ -348,17 +351,17 @@ func (a *Accelerator) Tick(cycle uint64) {
 		drainedBin = a.drainStep()
 	}
 	a.dispatchStep(cycle)
+	// Sleeping units are skipped: their next ticks could only bump
+	// counters, which they are credited in bulk when woken or settled.
 	for _, p := range a.procs {
-		// Fully idle processors just accrue idle time; skipping the state
-		// machine keeps the 256-processor baseline fast to simulate.
-		if p.idle() {
-			p.stateHist[procStateIdle]++
-			continue
+		if !p.asleep {
+			p.tick(cycle)
 		}
-		p.tick(cycle)
 	}
 	for _, u := range a.gens {
-		u.tick(cycle)
+		if !u.asleep {
+			u.tick(cycle)
+		}
 	}
 	a.xbar.deliver(a.queue, drainedBin)
 	a.transition(cycle)
@@ -432,7 +435,7 @@ func (a *Accelerator) drainStep() int {
 		}
 		blk := &a.staging[n]
 		blk.events = a.queue.drainRow(bin, r, blk.events[:0])
-		blk.next, blk.proc = 0, a.rrProc
+		blk.next, blk.proc, blk.refusedAt = 0, a.rrProc, 0
 		a.drainCursor = r + 1
 		a.rrProc = (a.rrProc + 1) % len(a.procs)
 		return bin
@@ -450,9 +453,15 @@ func (a *Accelerator) dispatchStep(cycle uint64) {
 	for i := range a.staging {
 		blk := &a.staging[i]
 		p := a.procs[blk.proc]
-		for bw > 0 && blk.next < len(blk.events) && p.tryPush(blk.events[blk.next], cycle) {
-			blk.next++
-			bw--
+		if blk.refusedAt != p.epoch {
+			for bw > 0 && blk.next < len(blk.events) {
+				if !p.tryPush(blk.events[blk.next], cycle) {
+					blk.refusedAt = p.epoch
+					break
+				}
+				blk.next++
+				bw--
+			}
 		}
 		if blk.next < len(blk.events) {
 			// Swap rather than copy, so the emptied slot's buffer stays
@@ -537,6 +546,22 @@ func (a *Accelerator) flushScratchpads() {
 	for _, p := range a.procs {
 		if p.scratch != nil {
 			p.scratch.flush(a.writebackVertexLine)
+			p.epoch++
+		}
+	}
+}
+
+// settle credits every sleeping unit's skipped cycles before upTo, so its
+// counters read as if it had been ticked through cycle upTo-1.
+func (a *Accelerator) settle(upTo uint64) {
+	for _, p := range a.procs {
+		if p.asleep {
+			p.credit(upTo)
+		}
+	}
+	for _, u := range a.gens {
+		if u.asleep {
+			u.credit(upTo)
 		}
 	}
 }
@@ -610,6 +635,7 @@ func (a *Accelerator) RunWithOptions(opts RunOptions) (*Result, error) {
 }
 
 func (a *Accelerator) result() *Result {
+	a.settle(a.engine.Cycle())
 	ms := a.memory.Stats()
 	r := &Result{
 		Config:             a.cfg.Name,

@@ -157,10 +157,25 @@ type processor struct {
 
 	// Fetch completions, bound once: the scratchpad's tag is the slot.
 	onVertexLine, onDirectRead, onGenLine func(tag uint64)
+
+	// epoch counts, from 1, the changes that can turn a refused tryPush
+	// into an accepted one (a push, a pop, a scratchpad fill or flush);
+	// dispatch retries a refused row only after it moves.
+	epoch uint64
+
+	// A processor whose next tick could only repeat sleepState is not
+	// ticked (see sleeps): the completion, push or generation-queue pop
+	// that can change its state wakes it, and the skipped cycles from
+	// sleepSince on are credited to sleepState in bulk. waitSlot is the
+	// scratchpad slot the head event waits on.
+	asleep     bool
+	sleepState int
+	sleepSince uint64
+	waitSlot   int
 }
 
 func newProcessor(a *Accelerator, id int) *processor {
-	p := &processor{a: a, id: id}
+	p := &processor{a: a, id: id, epoch: 1}
 	if a.cfg.Prefetch {
 		p.scratch = newScratchpad(a.cfg.ScratchpadLines)
 	}
@@ -173,16 +188,26 @@ func (p *processor) vertexLineDone(slot uint64) {
 	l := &p.scratch.lines[slot]
 	l.ready = true
 	l.readyAt = p.a.engine.Cycle()
+	p.epoch++
+	if p.asleep && p.sleepState == procStateVertexRead && int(slot) == p.waitSlot {
+		p.wake(l.readyAt)
+	}
 }
 
 func (p *processor) directReadDone(uint64) {
 	p.directReady = true
 	p.directAt = p.a.engine.Cycle()
+	if p.asleep {
+		p.wake(p.directAt)
+	}
 }
 
 func (p *processor) genLineDone(uint64) {
 	p.linePending = false
 	p.lineReady = true
+	if p.asleep {
+		p.wake(p.a.engine.Cycle())
+	}
 }
 
 func (p *processor) vertexLine(v graph.VertexID) uint64 {
@@ -213,6 +238,10 @@ func (p *processor) tryPush(ev Event, cycle uint64) bool {
 		}
 	}
 	p.input.Push(inEvent{ev: ev, headSince: cycle})
+	p.epoch++
+	if p.asleep && p.sleepState == procStateIdle {
+		p.wake(cycle)
+	}
 	return true
 }
 
@@ -225,6 +254,42 @@ func (p *processor) idle() bool {
 func (p *processor) tick(cycle uint64) {
 	state := p.step(cycle)
 	p.stateHist[state]++
+	if p.sleeps(state) {
+		p.asleep, p.sleepState, p.sleepSince = true, state, cycle+1
+	}
+}
+
+// sleeps reports whether the state this tick ended in repeats, with no
+// effect but its counter, until a completion, a push or a
+// generation-queue pop changes it: an idle processor waits for a push, a
+// stalled one for its generation unit to pop, and every vertex-read state
+// waits for one fill (the head's scratchpad line, the direct read, or the
+// in-processor generation's edge line).
+func (p *processor) sleeps(state int) bool {
+	switch state {
+	case procStateIdle, procStateVertexRead:
+		return true
+	case procStateStalling:
+		return p.stalled // not the delivery network refusing an emit
+	}
+	return false
+}
+
+// credit adds the slept cycles before upTo to the sleep state's counter
+// (and, for in-processor generation, to Figure 13's edge-memory stage).
+func (p *processor) credit(upTo uint64) {
+	n := int64(upTo - p.sleepSince)
+	p.stateHist[p.sleepState] += n
+	if p.generating {
+		p.a.stage.AddCycles(stageEdgeMem, n)
+	}
+	p.sleepSince = upTo
+}
+
+// wake credits the slept cycles and resumes ticking at cycle resume.
+func (p *processor) wake(resume uint64) {
+	p.credit(resume)
+	p.asleep = false
 }
 
 func (p *processor) step(cycle uint64) int {
@@ -249,6 +314,7 @@ func (p *processor) step(cycle uint64) int {
 		idx := p.scratch.lookup(p.vertexLine(gv))
 		line := &p.scratch.lines[idx]
 		if !line.ready {
+			p.waitSlot = idx
 			return procStateVertexRead
 		}
 		readyAt := line.readyAt
@@ -341,6 +407,7 @@ func (p *processor) process(ev Event, gv graph.VertexID, cycle uint64) bool {
 
 func (p *processor) popHead(cycle uint64) {
 	p.input.Pop()
+	p.epoch++
 	if p.input.Len() > 0 {
 		p.input.At(0).headSince = cycle
 	}

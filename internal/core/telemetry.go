@@ -29,6 +29,8 @@ func (a *Accelerator) registerTelemetry(tel *telemetry.Recorder) {
 	const p = "proc"
 	tel.Rate(p, "events_processed", "events", func() int64 { return a.eventsProcessed })
 	tel.Rate(p, "proc_stall_cycles", "cycles", func() int64 {
+		// The recorder samples after the accelerator's tick of this cycle.
+		a.settle(a.engine.Cycle() + 1)
 		var n int64
 		for _, pr := range a.procs {
 			n += pr.stateHist[procStateStalling]

@@ -136,6 +136,11 @@ type channel struct {
 	banks       []bank
 	busFreeAt   uint64
 	nextRefresh uint64
+	// retryAt is the first cycle the queue can issue: when a scan finds
+	// every queued request's bank busy, the earliest busyUntil among them.
+	// Only an issue changes a bank's busyUntil, so no cycle before it
+	// needs a scan; Enqueue lowers it to the new request's bank.
+	retryAt uint64
 }
 
 // Memory is the full multi-channel memory system. It implements
@@ -248,9 +253,11 @@ func (m *Memory) Enqueue(req Request) bool {
 	if req.UsefulBytes > LineBytes {
 		req.UsefulBytes = LineBytes
 	}
+	b := m.bankOf(req.Addr)
 	ch.queue = append(ch.queue, inflight{
-		req: req, bank: m.bankOf(req.Addr), row: m.rowOf(req.Addr), enqueued: m.cycle,
+		req: req, bank: b, row: m.rowOf(req.Addr), enqueued: m.cycle,
 	})
+	ch.retryAt = min(ch.retryAt, ch.banks[b].busyUntil)
 	return true
 }
 
@@ -293,16 +300,18 @@ func (m *Memory) Tick(cycle uint64) {
 		for ch.service.Len() > 0 && ch.service.At(0).doneAt <= cycle {
 			m.complete(ch.service.Pop())
 		}
-		if len(ch.queue) == 0 {
+		if len(ch.queue) == 0 || cycle < ch.retryAt {
 			continue
 		}
 		// Row-hit-first pick: first queued request whose bank is free and
 		// whose row is open; else the oldest request with a free bank.
 		pick := -1
+		retry := ^uint64(0)
 		for i := range ch.queue {
 			f := &ch.queue[i]
 			b := &ch.banks[f.bank]
 			if b.busyUntil > cycle {
+				retry = min(retry, b.busyUntil)
 				continue
 			}
 			if b.rowValid && b.openRow == f.row {
@@ -314,6 +323,7 @@ func (m *Memory) Tick(cycle uint64) {
 			}
 		}
 		if pick == -1 {
+			ch.retryAt = retry
 			continue
 		}
 		f := ch.queue[pick]
