@@ -1,10 +1,11 @@
 // Command graphgen generates synthetic graph workloads and writes them as
-// text edge lists or the compact binary container.
+// text edge lists. cmd/graphpack converts an edge list (or a Table IV
+// "ABBREV:tier" stand-in directly) into the binary graphpack container.
 //
 // Usage:
 //
-//	graphgen -kind rmat -scale 16 -edgefactor 12 -weighted -o web.bin
-//	graphgen -kind dataset -dataset LJ -tier mini -o lj.bin
+//	graphgen -kind rmat -scale 16 -edgefactor 12 -weighted -o web.el
+//	graphgen -kind dataset -dataset LJ -tier mini -o lj.el
 //	graphgen -kind grid -width 512 -height 512 -o road.el
 package main
 
@@ -13,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"graphpulse"
 	"graphpulse/internal/graph/gen"
@@ -32,7 +32,7 @@ func main() {
 		tierName = flag.String("tier", "mini", "dataset: "+gen.TierList())
 		weighted = flag.Bool("weighted", true, "attach edge weights")
 		seed     = flag.Int64("seed", 42, "generator seed")
-		out      = flag.String("o", "", "output path (.bin = binary container, else edge list); default stdout")
+		out      = flag.String("o", "", "output edge-list path; default stdout")
 	)
 	flag.Parse()
 
@@ -55,11 +55,7 @@ func main() {
 		defer f.Close()
 		w = bufio.NewWriter(f)
 	}
-	if strings.HasSuffix(*out, ".bin") {
-		err = graphpulse.WriteBinary(w, g)
-	} else {
-		err = graphpulse.WriteEdgeList(w, g)
-	}
+	err = graphpulse.WriteEdgeList(w, g)
 	if err == nil {
 		err = w.Flush()
 	}

@@ -7,9 +7,10 @@
 //	graphpack -o lj.graphpack -level 2 -slices 32 lj.el
 //	graphpack -o wg.graphpack WG:tiny
 //
-// It accepts any gen.Load source: a text edge list, a binary CSR
-// container, or a Table IV "ABBREV:tier" synthetic stand-in, and writes the
-// container atomically. TestConvertThenCheck solves the conformance
+// It accepts any gen.Load source, a text edge list or a Table IV
+// "ABBREV:tier" synthetic stand-in, and writes the container atomically.
+// It is the one writer of the one binary graph format; serve -graph and
+// graphpulse -graph read what it writes. TestConvertThenCheck solves the conformance
 // algorithms on a converted container under a quarter residency budget and
 // compares them with the in-RAM solve (`go test ./cmd/graphpack`).
 package main

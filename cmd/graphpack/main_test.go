@@ -46,12 +46,10 @@ func TestConvertThenCheck(t *testing.T) {
 	if err := convert("WG:tiny", out, ooc.WriteOptions{Level: ooc.LevelDelta, Slices: 32}); err != nil {
 		t.Fatal(err)
 	}
-	probe, err := ooc.Open(out, 0)
+	csr, err := ooc.ReadCSR(out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	csr := conformance.Materialize(probe)
-	probe.Close()
 	st, err := ooc.Open(out, decodedBytes(csr)/4)
 	if err != nil {
 		t.Fatal(err)

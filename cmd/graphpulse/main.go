@@ -6,11 +6,13 @@
 //	graphpulse -alg sssp -root 3 -graph web.el            # accelerator (optimized)
 //	graphpulse -alg pr -engine ligra -rmat 16x12          # host software baseline
 //	graphpulse -alg cc -engine graphicionado -rmat 14x8   # BSP accelerator model
-//	graphpulse -alg bfs -engine solve -graph web.bin      # reference worklist solver
+//	graphpulse -alg bfs -engine solve -graph wg.graphpack # reference worklist solver
 //
-// Graphs come from -graph (text edge list, or binary container if the file
-// starts with the GPCS magic) or -rmat SCALExEDGEFACTOR (deterministic
-// synthetic). -top prints the N highest-valued vertices.
+// Graphs come from -graph or -rmat SCALExEDGEFACTOR (deterministic
+// synthetic). -graph takes a graphpack container (cmd/graphpack; sniffed by
+// extension or magic and decoded whole into RAM), or any other gen.Load
+// source: a text edge-list file or a Table IV "ABBREV:tier" stand-in.
+// -top prints the N highest-valued vertices.
 //
 // -telemetry PREFIX samples the simulated engines (accel, accel-base,
 // graphicionado) every 512 cycles and writes PREFIX.csv plus
@@ -39,12 +41,13 @@ import (
 
 	"graphpulse"
 	"graphpulse/internal/algorithms"
-	"graphpulse/internal/graph"
+	"graphpulse/internal/graph/gen"
+	"graphpulse/internal/graph/ooc"
 )
 
 func main() {
 	var (
-		graphPath = flag.String("graph", "", "path to an edge-list or binary graph file")
+		graphPath = flag.String("graph", "", "graph source: graphpack container, edge-list file, or ABBREV:tier")
 		rmat      = flag.String("rmat", "", "generate an R-MAT graph, format SCALExEDGEFACTOR (e.g. 16x12)")
 		seed      = flag.Int64("seed", 42, "generator seed")
 		algName   = flag.String("alg", "pr", "algorithm: "+algorithms.NamesList())
@@ -221,8 +224,10 @@ func loadGraph(path, rmat string, seed int64) (*graphpulse.Graph, error) {
 	switch {
 	case path != "" && rmat != "":
 		return nil, fmt.Errorf("use -graph or -rmat, not both")
+	case path != "" && ooc.IsPack(path):
+		return ooc.ReadCSR(path)
 	case path != "":
-		return graph.ReadFile(path)
+		return gen.Load(path, gen.Default)
 	case rmat != "":
 		parts := strings.SplitN(rmat, "x", 2)
 		if len(parts) != 2 {

@@ -1,6 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +13,9 @@ import (
 
 	"graphpulse"
 	"graphpulse/internal/algorithms"
+	"graphpulse/internal/graph"
+	"graphpulse/internal/graph/ooc"
+	"graphpulse/internal/serve"
 )
 
 func TestLoadGraphRMAT(t *testing.T) {
@@ -38,45 +46,110 @@ func TestLoadGraphErrors(t *testing.T) {
 	}
 }
 
+// TestLoadGraphFiles is the table of the one loading path: a graph written
+// as an edge list and as a graphpack container (with and without the
+// extension, so the magic is sniffed too) loads equal through loadGraph
+// (graphpulse -graph) and through a serve GraphSpec.Source (serve -graph);
+// a torn container and a wrong-magic container fail in both; a short text
+// file is an edge list in both.
 func TestLoadGraphFiles(t *testing.T) {
 	dir := t.TempDir()
-	g, err := graphpulse.NewGraph(3, []graphpulse.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 1}}, false)
+	g, err := graph.FromEdges(5, []graph.Edge{
+		{Src: 0, Dst: 1, Weight: 0.5}, {Src: 1, Dst: 2, Weight: 2}, {Src: 2, Dst: 0, Weight: 1},
+		{Src: 0, Dst: 3, Weight: 4}, {Src: 3, Dst: 4, Weight: 0.25},
+	}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Text edge list.
-	elPath := filepath.Join(dir, "g.el")
-	f, err := os.Create(elPath)
+	short, err := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 2, Dst: 0, Weight: 1}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := graphpulse.WriteEdgeList(f, g); err != nil {
+	var el, pack bytes.Buffer
+	if err := graph.WriteEdgeList(&el, g); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-	got, err := loadGraph(elPath, "", 1)
-	if err != nil {
+	if err := ooc.Write(&pack, g, ooc.WriteOptions{Slices: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got.NumEdges() != 2 {
-		t.Errorf("text load: %d edges", got.NumEdges())
+	packed := pack.Bytes()
+	cases := []struct {
+		name, file string
+		data       []byte
+		want       *graph.CSR // nil: both loaders must fail
+	}{
+		{"edge list", "g.el", el.Bytes(), g},
+		{"graphpack", "g.graphpack", packed, g},
+		{"graphpack sniffed by magic", "g.dat", packed, g},
+		{"torn graphpack", "torn.graphpack", packed[:len(packed)-3], nil},
+		{"wrong magic", "wrong.graphpack", append([]byte("GPKPACK0"), packed[8:]...), nil},
+		{"short text", "short", []byte("0 1\n2 0"), short},
 	}
-	// Binary container (auto-detected by magic).
-	binPath := filepath.Join(dir, "g.bin")
-	fb, err := os.Create(binPath)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, tc.file)
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := loadGraph(path, "", 1)
+			switch {
+			case tc.want == nil && err == nil:
+				t.Error("loadGraph accepted it")
+			case tc.want != nil && err != nil:
+				t.Errorf("loadGraph: %v", err)
+			case tc.want != nil && !got.Equal(tc.want):
+				t.Error("loadGraph did not reproduce the graph")
+			}
+			s, err := serve.New(serve.Config{Graphs: []serve.GraphSpec{{Name: "g", Source: path}}, Workers: 1})
+			if err == nil {
+				defer s.Shutdown(context.Background())
+			}
+			switch {
+			case tc.want == nil && err == nil:
+				t.Error("serve accepted it")
+			case tc.want != nil && err != nil:
+				t.Errorf("serve: %v", err)
+			case tc.want != nil:
+				checkServed(t, s, tc.want)
+			}
+		})
 	}
-	if err := graphpulse.WriteBinary(fb, g); err != nil {
-		t.Fatal(err)
+}
+
+// checkServed compares the served graph "g" with want: its /v1/graphs row,
+// and every vertex of an SSSP answer (exact on any schedule) against the
+// serial solve of want.
+func checkServed(t *testing.T, s *serve.Server, want *graph.CSR) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/graphs", nil))
+	var infos []serve.GraphInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &infos); err != nil || len(infos) != 1 {
+		t.Fatalf("/v1/graphs = %s (%v)", rec.Body, err)
 	}
-	fb.Close()
-	got2, err := loadGraph(binPath, "", 1)
-	if err != nil {
-		t.Fatal(err)
+	if in := infos[0]; in.NumVertices != want.NumVertices() || in.NumEdges != want.NumEdges() || in.Weighted != want.Weighted() {
+		t.Errorf("served shape %+v, want %d vertices, %d edges, weighted %v",
+			in, want.NumVertices(), want.NumEdges(), want.Weighted())
 	}
-	if got2.NumEdges() != 2 {
-		t.Errorf("binary load: %d edges", got2.NumEdges())
+	q := serve.QueryRequest{Graph: "g", Algorithm: "sssp", Top: -1}
+	for v := 0; v < want.NumVertices(); v++ {
+		q.Vertices = append(q.Vertices, uint32(v))
+	}
+	body, _ := json.Marshal(q)
+	rec = httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+	var resp serve.QueryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("/v1/query = %s (%v)", rec.Body, err)
+	}
+	ref := algorithms.Solve(want, algorithms.NewSSSP(0)).Values
+	if len(resp.Values) != len(ref) {
+		t.Fatalf("served %d values, want %d", len(resp.Values), len(ref))
+	}
+	for i, vv := range resp.Values {
+		if vv.Value != ref[i] {
+			t.Errorf("served sssp[%d] = %g, want %g", vv.Vertex, vv.Value, ref[i])
+		}
 	}
 }
 

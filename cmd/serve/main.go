@@ -6,7 +6,7 @@
 // Usage:
 //
 //	serve -addr :8080 -graph wg=WG:tiny                 # Table IV stand-in
-//	serve -graph web=crawl.el -graph social=fb.bin      # graph files
+//	serve -graph web=crawl.el -graph social=fb.el       # edge-list files
 //	serve -graph wg=WG:mini -workers 8 -queue 128
 //	serve -graph big=wg.graphpack -resident-bytes 33554432
 //

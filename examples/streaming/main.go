@@ -70,8 +70,8 @@ func main() {
 	}
 
 	cold := query(base, root, probes)
-	fmt.Printf("cold start: epoch %d, mode %q, %d activations, %.1f ms compute\n\n",
-		cold.Epoch, cold.Mode, cold.Activations, cold.ComputeSecs*1e3)
+	fmt.Printf("cold start: epoch %d, mode %q, %d activations\n\n",
+		cold.Epoch, cold.Mode, cold.Activations)
 
 	edges := g.Edges()
 	for batch := 1; batch <= 3; batch++ {
@@ -104,8 +104,8 @@ func main() {
 				worst = d
 			}
 		}
-		fmt.Printf("batch %d: +%d links → epoch %d; served mode %q, %d activations, %.1f ms compute; max divergence vs fresh solve %.1e\n",
-			batch, mut.Added, mut.Epoch, res.Mode, res.Activations, res.ComputeSecs*1e3, worst)
+		fmt.Printf("batch %d: +%d links → epoch %d; served mode %q, %d activations; max divergence vs fresh solve %.1e\n",
+			batch, mut.Added, mut.Epoch, res.Mode, res.Activations, worst)
 		if worst > 0 {
 			log.Fatalf("served warm-start diverged from fresh solve by %g", worst)
 		}

@@ -75,12 +75,6 @@ func ReadEdgeList(r io.Reader, vertexHint int) (*Graph, error) {
 // WriteEdgeList emits a graph as a text edge list.
 func WriteEdgeList(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
 
-// ReadBinary loads a graph from the compact binary container.
-func ReadBinary(r io.Reader) (*Graph, error) { return graph.ReadBinary(r) }
-
-// WriteBinary stores a graph in the compact binary container.
-func WriteBinary(w io.Writer, g *Graph) error { return graph.WriteBinary(w, g) }
-
 // ComputeGraphStats scans a graph and summarizes its shape.
 func ComputeGraphStats(g *Graph) GraphStats { return graph.ComputeStats(g) }
 

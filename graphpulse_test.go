@@ -65,17 +65,6 @@ func TestFacadeGraphIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := graphpulse.WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := graphpulse.ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumEdges() != 2 {
-		t.Errorf("round trip edges = %d", back.NumEdges())
-	}
 	var txt bytes.Buffer
 	if err := graphpulse.WriteEdgeList(&txt, g); err != nil {
 		t.Fatal(err)

@@ -115,7 +115,7 @@ const (
 // engine is the per-run simulation state.
 type engine struct {
 	cfg       Config
-	g         graph.Adjacency
+	g         *graph.CSR
 	alg       algorithms.Algorithm
 	sim       *sim.Engine
 	memory    *mem.Memory
@@ -167,14 +167,14 @@ type stream struct {
 }
 
 // Run executes alg over g under the Graphicionado model.
-func Run(cfg Config, g graph.Adjacency, alg algorithms.Algorithm) (*Result, error) {
+func Run(cfg Config, g *graph.CSR, alg algorithms.Algorithm) (*Result, error) {
 	return RunCtx(nil, cfg, g, alg)
 }
 
 // RunCtx runs like Run with wall-clock cancellation: when ctx is done the
 // simulation stops with an error wrapping sim.ErrCanceled. A nil ctx
 // disables cancellation.
-func RunCtx(ctx context.Context, cfg Config, g graph.Adjacency, alg algorithms.Algorithm) (*Result, error) {
+func RunCtx(ctx context.Context, cfg Config, g *graph.CSR, alg algorithms.Algorithm) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -369,7 +369,7 @@ func (e *engine) processingPhase() error {
 				s.v = v
 				s.idx = 0
 				s.deg = e.g.OutDegree(v)
-				s.start = e.g.EdgeOffset(v)
+				s.start = e.g.RowPtr[v]
 				s.active = true
 				s.window = ^uint64(0) // a new vertex's window ends elsewhere
 			}
@@ -449,7 +449,7 @@ func (e *engine) edgeLineUseful(line uint64, start uint64, deg int) uint64 {
 // relax processes one edge: propagate and reduce into the on-chip temp
 // property (no off-chip traffic under the unlimited-buffer assumption).
 func (e *engine) relax(src graph.VertexID, edge uint64, deg int) {
-	dst := e.g.EdgeDst(edge)
+	dst := e.g.Dst[edge]
 	out := e.alg.Propagate(e.applied[src], algorithms.EdgeContext{
 		Src:          src,
 		Dst:          dst,

@@ -95,12 +95,12 @@ type Result struct {
 // Engine runs delta-accumulative algorithms under the BSP frontier model.
 type Engine struct {
 	cfg Config
-	g   graph.Adjacency
+	g   *graph.CSR
 	tr  *graph.CSR // transpose, built lazily for pull traversal
 }
 
 // New creates an engine over g.
-func New(cfg Config, g graph.Adjacency) *Engine {
+func New(cfg Config, g *graph.CSR) *Engine {
 	if cfg.Threads < 1 {
 		cfg.Threads = runtime.GOMAXPROCS(0)
 	}
@@ -117,7 +117,7 @@ func New(cfg Config, g graph.Adjacency) *Engine {
 // build cost is charged to setup, as in Ligra, which loads both directions).
 func (e *Engine) transpose() *graph.CSR {
 	if e.tr == nil {
-		e.tr = graph.TransposeOf(e.g)
+		e.tr = e.g.Transpose()
 	}
 	return e.tr
 }

@@ -12,7 +12,7 @@ package bench
 //
 // Two deliberate scope limits:
 //
-//   - Bulky per-vertex payloads (Result.Values, RoundLog, Trace, Telemetry)
+//   - Bulky per-vertex payloads (Result.Values, RoundLog, Telemetry)
 //     are not persisted: no sweep renderer consumes them, some contain ±Inf
 //     (which JSON cannot represent), and rewriting them after every job
 //     would make the manifest O(vertices) instead of O(cells). Resumed
@@ -78,7 +78,7 @@ func stripResult(r *core.Result) *core.Result {
 		return nil
 	}
 	c := *r
-	c.Values, c.RoundLog, c.Trace, c.Telemetry = nil, nil, nil, nil
+	c.Values, c.RoundLog, c.Telemetry = nil, nil, nil
 	return &c
 }
 

@@ -187,7 +187,8 @@ func TestManifestResumeMissingFileStartsFresh(t *testing.T) {
 // state-file codec moved into atomicio (literal bytes in testdata) resumes
 // a sweep without re-running a job, and flushing it back reproduces the
 // bytes minus the fields the format has since dropped: the host wall time
-// ("LigraSeconds") and the fault-recovery counters of core.Result.
+// ("LigraSeconds"), the fault-recovery counters and the vertex trace of
+// core.Result.
 func TestReadsParentManifest(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "manifest_pr18.json"))
 	if err != nil {
@@ -225,9 +226,11 @@ func TestReadsParentManifest(t *testing.T) {
 	if len(raw)-len(want) != 2*len(dropped) {
 		t.Fatal("testdata no longer holds the two LigraSeconds lines")
 	}
-	// Each of the four results carries one line per fault-recovery counter.
+	// Each of the four results carries one line per fault-recovery counter
+	// and one for the trace.
 	for _, line := range []string{`"MemFaults": 0`, `"MemRetries": 0`, `"DroppedEvents": 0`,
-		`"RedeliveredEvents": 0`, `"ReorderedEvents": 0`, `"SpillRecovered": 0`, `"FaultsInjected": null`} {
+		`"RedeliveredEvents": 0`, `"ReorderedEvents": 0`, `"SpillRecovered": 0`, `"FaultsInjected": null`,
+		`"Trace": null`} {
 		retired := []byte("    " + line + ",\n")
 		if bytes.Count(want, retired) != 4 {
 			t.Fatalf("testdata no longer holds four %s lines", line)
@@ -235,6 +238,6 @@ func TestReadsParentManifest(t *testing.T) {
 		want = bytes.ReplaceAll(want, retired, nil)
 	}
 	if got, _ := os.ReadFile(opt.Manifest); !bytes.Equal(got, want) {
-		t.Errorf("re-flushed manifest differs from the parent-written bytes minus LigraSeconds and the fault counters:\n%s", got)
+		t.Errorf("re-flushed manifest differs from the parent-written bytes minus LigraSeconds, the fault counters and the trace:\n%s", got)
 	}
 }

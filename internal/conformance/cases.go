@@ -130,24 +130,6 @@ func AlgCaseByName(name string) (AlgCase, error) {
 	return AlgCase{}, fmt.Errorf("conformance: unknown algorithm %q", name)
 }
 
-// Materialize copies an out-of-core store (any graph.Adjacency) into an
-// in-RAM CSR, so a test can compare it against its source graph.
-func Materialize(g graph.Adjacency) *graph.CSR {
-	n := g.NumVertices()
-	out := &graph.CSR{RowPtr: make([]uint64, n+1), Dst: make([]graph.VertexID, 0, g.NumEdges())}
-	if g.Weighted() {
-		out.Weight = make([]float32, 0, g.NumEdges())
-	}
-	for v := 0; v < n; v++ {
-		out.Dst = append(out.Dst, g.Neighbors(graph.VertexID(v))...)
-		if out.Weight != nil {
-			out.Weight = append(out.Weight, g.NeighborWeights(graph.VertexID(v))...)
-		}
-		out.RowPtr[v+1] = uint64(len(out.Dst))
-	}
-	return out
-}
-
 // Prepared returns the graph variant c runs on.
 func (c AlgCase) Prepared(g *graph.CSR) *graph.CSR {
 	if c.Prepare == nil {

@@ -42,7 +42,7 @@ type Engine struct {
 	Name string
 	// Run executes a fresh algorithm from mk over g and returns the
 	// converged per-vertex values.
-	Run func(g graph.Adjacency, mk func() algorithms.Algorithm) ([]float64, error)
+	Run func(g *graph.CSR, mk func() algorithms.Algorithm) ([]float64, error)
 }
 
 // EngineSolve wraps the sequential coalescing worklist (Algorithm 1 of the
@@ -50,7 +50,7 @@ type Engine struct {
 func EngineSolve() Engine {
 	return Engine{
 		Name: "solve",
-		Run: func(g graph.Adjacency, mk func() algorithms.Algorithm) ([]float64, error) {
+		Run: func(g *graph.CSR, mk func() algorithms.Algorithm) ([]float64, error) {
 			return algorithms.Solve(g, mk()).Values, nil
 		},
 	}
@@ -60,7 +60,7 @@ func EngineSolve() Engine {
 func EngineAccelerator(cfg core.Config) Engine {
 	return Engine{
 		Name: "accelerator[" + cfg.Name + "]",
-		Run: func(g graph.Adjacency, mk func() algorithms.Algorithm) ([]float64, error) {
+		Run: func(g *graph.CSR, mk func() algorithms.Algorithm) ([]float64, error) {
 			res, err := runAccelerator(cfg, g, mk())
 			if err != nil {
 				return nil, err
@@ -74,7 +74,7 @@ func EngineAccelerator(cfg core.Config) Engine {
 func EngineGraphicionado(cfg graphicionado.Config) Engine {
 	return Engine{
 		Name: "graphicionado",
-		Run: func(g graph.Adjacency, mk func() algorithms.Algorithm) ([]float64, error) {
+		Run: func(g *graph.CSR, mk func() algorithms.Algorithm) ([]float64, error) {
 			res, err := graphicionado.Run(cfg, g, mk())
 			if err != nil {
 				return nil, err
@@ -88,7 +88,7 @@ func EngineGraphicionado(cfg graphicionado.Config) Engine {
 func EngineLigra(cfg ligra.Config) Engine {
 	return Engine{
 		Name: "ligra",
-		Run: func(g graph.Adjacency, mk func() algorithms.Algorithm) ([]float64, error) {
+		Run: func(g *graph.CSR, mk func() algorithms.Algorithm) ([]float64, error) {
 			return ligra.New(cfg, g).Run(mk()).Values, nil
 		},
 	}
@@ -98,7 +98,7 @@ func EngineLigra(cfg ligra.Config) Engine {
 func EnginePSolve(cfg psolve.Config) Engine {
 	return Engine{
 		Name: fmt.Sprintf("psolve[w=%d]", cfg.Workers),
-		Run: func(g graph.Adjacency, mk func() algorithms.Algorithm) ([]float64, error) {
+		Run: func(g *graph.CSR, mk func() algorithms.Algorithm) ([]float64, error) {
 			res, err := psolve.SolveCtx(nil, g, mk(), cfg)
 			if err != nil {
 				return nil, err
@@ -223,7 +223,7 @@ func lawSamples(alg algorithms.Algorithm, values []float64) []algorithms.Value {
 // runAccelerator builds and runs one accelerator and applies the event-
 // conservation invariant to its result. Determinism is checked separately
 // by VerifyDeterminism, which needs to run the machine twice.
-func runAccelerator(cfg core.Config, g graph.Adjacency, alg algorithms.Algorithm) (*core.Result, error) {
+func runAccelerator(cfg core.Config, g *graph.CSR, alg algorithms.Algorithm) (*core.Result, error) {
 	a, err := core.New(cfg, g, alg)
 	if err != nil {
 		return nil, err

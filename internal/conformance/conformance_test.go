@@ -202,7 +202,7 @@ func TestVerifyEngineReportsDivergence(t *testing.T) {
 	}
 	evil := Engine{
 		Name: "evil",
-		Run: func(g graph.Adjacency, mk func() algorithms.Algorithm) ([]float64, error) {
+		Run: func(g *graph.CSR, mk func() algorithms.Algorithm) ([]float64, error) {
 			vals := algorithms.Solve(g, mk()).Values
 			vals[len(vals)/2] += 1
 			return vals, nil

@@ -73,17 +73,17 @@ func FuzzEngineAgreement(f *testing.F) {
 	})
 }
 
-// FuzzGraphIORoundTrip checks that the text edge-list, binary CSR, and
-// out-of-core graphpack codecs are lossless: write∘read must reproduce the
-// graph bit-for-bit (weights included), for any decodable instance —
-// including multigraphs, self loops, and trailing isolated vertices. It
-// also drives the raw input bytes straight into all three loaders:
-// whatever they decode to (usually an error), malformed input must never
-// panic or demand an allocation sized by an unvalidated header. The seed
-// corpus includes torn and truncated graphpack containers — cut inside the
-// header, the slice directory, and a compressed segment — plus a
-// flipped-byte directory, the shapes a crashed or half-shipped conversion
-// leaves behind.
+// FuzzGraphIORoundTrip checks that the two graph codecs, the text edge
+// list and the graphpack container, are lossless: write∘read must
+// reproduce the graph bit-for-bit (weights included), for any decodable
+// instance — including multigraphs, self loops, and trailing isolated
+// vertices. It also drives the raw input bytes straight into both
+// decoders: whatever they decode to (usually an error) must pass
+// CSR.Validate, and malformed input must never panic or demand an
+// allocation sized by an unvalidated header. The seed corpus includes torn
+// and truncated graphpack containers — cut inside the header, the slice
+// directory, and a compressed segment — plus a flipped-byte directory, the
+// shapes a crashed or half-shipped conversion leaves behind.
 func FuzzGraphIORoundTrip(f *testing.F) {
 	if seedG, err := graph.FromEdges(9, []graph.Edge{
 		{Src: 0, Dst: 3, Weight: 1}, {Src: 3, Dst: 7, Weight: 0.5},
@@ -103,33 +103,22 @@ func FuzzGraphIORoundTrip(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if g, err := graph.ReadBinary(bytes.NewReader(data)); err == nil {
-			if err := g.Validate(); err != nil {
-				t.Fatalf("ReadBinary accepted an invalid graph: %v", err)
-			}
-		}
 		if g, err := graph.ReadEdgeList(bytes.NewReader(data), 0); err == nil {
 			if err := g.Validate(); err != nil {
 				t.Fatalf("ReadEdgeList accepted an invalid graph: %v", err)
 			}
 		}
-		// The same bytes as a file, through the sniffing loader every tool
-		// uses: the torn and corrupt seeds must still be rejected, not
-		// mistaken for the other format.
+		// The same bytes as a file, through the graphpack decoder: the torn
+		// and corrupt seeds must be rejected, never decoded to a CSR that
+		// breaks its invariants.
 		path := filepath.Join(t.TempDir(), "g")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if g, err := graph.ReadFile(path); err == nil {
+		if g, err := ooc.ReadCSR(path); err == nil {
 			if err := g.Validate(); err != nil {
-				t.Fatalf("ReadFile accepted an invalid graph: %v", err)
+				t.Fatalf("ooc.ReadCSR accepted an invalid graph: %v", err)
 			}
-		}
-		if st, err := ooc.Open(path, 0); err == nil {
-			if err := st.Validate(); err != nil {
-				t.Fatalf("ooc.Open accepted an invalid store: %v", err)
-			}
-			st.Close()
 		}
 		g, _, _, ok := fuzzGraph(data)
 		if !ok {
@@ -147,20 +136,8 @@ func FuzzGraphIORoundTrip(f *testing.F) {
 			t.Fatalf("text round-trip altered the graph (n=%d m=%d weighted=%v)",
 				g.NumVertices(), g.NumEdges(), g.Weighted())
 		}
-		var bin bytes.Buffer
-		if err := graph.WriteBinary(&bin, g); err != nil {
-			t.Fatal(err)
-		}
-		fromBin, err := graph.ReadBinary(&bin)
-		if err != nil {
-			t.Fatalf("binary round-trip: %v", err)
-		}
-		if !g.Equal(fromBin) {
-			t.Fatalf("binary round-trip altered the graph (n=%d m=%d weighted=%v)",
-				g.NumVertices(), g.NumEdges(), g.Weighted())
-		}
 		// graphpack round-trip at a data-selected compression level and
-		// slicing, compared against what the binary codec reproduced.
+		// slicing.
 		level := int(data[3]>>1) % 3
 		var pack bytes.Buffer
 		if err := ooc.Write(&pack, g, ooc.WriteOptions{
@@ -171,13 +148,11 @@ func FuzzGraphIORoundTrip(f *testing.F) {
 		if err := os.WriteFile(path, pack.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, err := ooc.Open(path, 0)
+		fromPack, err := ooc.ReadCSR(path)
 		if err != nil {
 			t.Fatalf("graphpack round-trip (level %d): %v", level, err)
 		}
-		defer st.Close()
-		fromPack := Materialize(st)
-		if !fromBin.Equal(fromPack) {
+		if !g.Equal(fromPack) {
 			t.Fatalf("graphpack round-trip (level %d) altered the graph (n=%d m=%d weighted=%v)",
 				level, g.NumVertices(), g.NumEdges(), g.Weighted())
 		}

@@ -25,9 +25,11 @@ func seed(nSel, alg, root, weighted byte, triples ...byte) []byte {
 	return append([]byte{nSel, alg, root, weighted}, triples...)
 }
 
-// binContainer assembles a raw binary-container prefix (little-endian
-// uint64 header words followed by uint64 payload words) for the
-// malformed-input seeds of FuzzGraphIORoundTrip.
+// binContainer assembles little-endian uint64 words for the malformed-input
+// seeds of FuzzGraphIORoundTrip. The seeds are hostile headers of the
+// retired "GPCS" binary container (magic 0x47504353); they stay in the
+// corpus as binary garbage that ReadEdgeList and the graphpack decoder
+// must reject without panicking or over-allocating.
 func binContainer(words ...uint64) []byte {
 	var out []byte
 	for _, w := range words {
@@ -84,9 +86,9 @@ func main() {
 
 	// IO round-trip: weighted/unweighted, self loops, duplicates, isolated
 	// trailing vertices (n larger than any endpoint), empty payloads —
-	// followed by raw malformed binary containers for the loader-hardening
-	// preamble (the target feeds the undecoded bytes to ReadBinary and
-	// ReadEdgeList before the structured round-trip).
+	// followed by raw malformed binary headers for the loader-hardening
+	// preamble (the target feeds the undecoded bytes to ReadEdgeList and
+	// the graphpack decoder before the structured round-trip).
 	corpora["FuzzGraphIORoundTrip"] = [][]byte{
 		seed(14, 0, 0, 1, chainPayload(16)...),
 		seed(14, 0, 0, 0, chainPayload(16)...),

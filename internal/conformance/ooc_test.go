@@ -6,22 +6,40 @@ import (
 	"path/filepath"
 	"testing"
 
+	"graphpulse/internal/algorithms"
 	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/gen"
 	"graphpulse/internal/graph/ooc"
+	"graphpulse/internal/psolve"
 )
 
-// TestEnginesOnOutOfCoreStore runs the full Table II matrix — every
-// registry engine × every conformance algorithm — twice per cell: once on
-// the in-RAM CSR and once on a graphpack store opened at a quarter of the
-// decoded size, so every engine computes through the residency manager's
-// decode/evict path. The store run must match the in-RAM run within the
-// suite tolerance (exact for the monotone algorithms), and the budget must
-// actually have forced evictions.
+// TestEnginesOnOutOfCoreStore runs every conformance algorithm on the two
+// engines that compute off a graph.Adjacency — the serial solver and the
+// parallel one — twice per cell: once on the in-RAM CSR and once on a
+// graphpack store opened at a quarter of the decoded size, so both compute
+// through the residency manager's decode/evict path. The store run must
+// match the in-RAM run within the suite tolerance (exact for the monotone
+// algorithms), and the budget must actually have forced evictions. The
+// cycle simulators take a *graph.CSR and never run off a store.
 func TestEnginesOnOutOfCoreStore(t *testing.T) {
 	base, err := gen.ErdosRenyi(220, 1400, true, 19)
 	if err != nil {
 		t.Fatal(err)
+	}
+	solvers := []struct {
+		name string
+		run  func(g graph.Adjacency, alg algorithms.Algorithm) ([]float64, error)
+	}{
+		{"solve", func(g graph.Adjacency, alg algorithms.Algorithm) ([]float64, error) {
+			return algorithms.Solve(g, alg).Values, nil
+		}},
+		{"psolve", func(g graph.Adjacency, alg algorithms.Algorithm) ([]float64, error) {
+			res, err := psolve.SolveCtx(nil, g, alg, PSolveConfig())
+			if err != nil {
+				return nil, err
+			}
+			return res.Values, nil
+		}},
 	}
 	for _, c := range Algorithms() {
 		prepared := c.Prepared(base)
@@ -46,16 +64,16 @@ func TestEnginesOnOutOfCoreStore(t *testing.T) {
 		root := graph.BestRoot(prepared)
 		mk := c.Maker(root)
 		tol := Tolerance(mk(), prepared)
-		for _, e := range Engines() {
-			want, err := e.Run(prepared, mk)
+		for _, s := range solvers {
+			want, err := s.run(prepared, mk())
 			if err != nil {
-				t.Fatalf("%s/%s in-RAM: %v", e.Name, c.Name, err)
+				t.Fatalf("%s/%s in-RAM: %v", s.name, c.Name, err)
 			}
-			got, err := e.Run(graph.Adjacency(st), mk)
+			got, err := s.run(st, mk())
 			if err != nil {
-				t.Fatalf("%s/%s on store: %v", e.Name, c.Name, err)
+				t.Fatalf("%s/%s on store: %v", s.name, c.Name, err)
 			}
-			if err := CompareValues(e.Name+" ooc vs in-RAM on "+c.Name, got, want, tol); err != nil {
+			if err := CompareValues(s.name+" ooc vs in-RAM on "+c.Name, got, want, tol); err != nil {
 				t.Error(err)
 			}
 		}

@@ -56,7 +56,7 @@ type stageBlock struct {
 type Accelerator struct {
 	cfg    Config
 	alg    algorithms.Algorithm
-	g      graph.Adjacency
+	g      *graph.CSR
 	engine *sim.Engine
 	memory *mem.Memory
 	fetch  *mem.Fetcher
@@ -127,13 +127,12 @@ type Accelerator struct {
 	ckErr          error
 
 	stage *stats.StageTimer
-	trace *tracer             // nil unless Config.TraceVertices
 	tel   *telemetry.Recorder // nil unless Config.Telemetry is enabled
 }
 
 // New builds an accelerator for running alg over g. The graph is partitioned
 // into slices if it exceeds cfg.QueueCapacity (Section IV-F).
-func New(cfg Config, g graph.Adjacency, alg algorithms.Algorithm) (*Accelerator, error) {
+func New(cfg Config, g *graph.CSR, alg algorithms.Algorithm) (*Accelerator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -149,7 +148,6 @@ func New(cfg Config, g graph.Adjacency, alg algorithms.Algorithm) (*Accelerator,
 		stage:     newStageTimer(),
 	}
 	a.prog, _ = alg.(algorithms.Progressor)
-	a.trace = newTracer(cfg.TraceVertices)
 	a.memory = mem.New(cfg.Memory)
 	a.fetch = mem.NewFetcher(a.memory)
 	a.onSpillLine = a.spillLineDone
@@ -300,7 +298,7 @@ func (a *Accelerator) submitGen(proc int, t genTask) bool {
 // returns false when the delivery network refuses the event this cycle.
 func (a *Accelerator) emitEdge(t *genTask, idx int) bool {
 	edge := t.edgeStart + uint64(idx)
-	dst := a.g.EdgeDst(edge)
+	dst := a.g.Dst[edge]
 	out := a.alg.Propagate(t.delta, algorithms.EdgeContext{
 		Src:          t.src,
 		Dst:          dst,
@@ -312,11 +310,9 @@ func (a *Accelerator) emitEdge(t *genTask, idx int) bool {
 		if !a.xbar.offer(Event{Target: dst - sl.Lo, Delta: out, Lookahead: t.look}) {
 			return false
 		}
-		a.trace.record(a.engine.Cycle(), dst, TraceEmit, out, float64(t.src))
 		a.eventsEmitted++
 		return true
 	}
-	a.trace.record(a.engine.Cycle(), dst, TraceSpill, out, float64(t.src))
 	a.spill.add(a.sliceOf(dst), Event{Target: dst, Delta: out, Lookahead: t.look})
 	a.eventsEmitted++
 	a.spilledEvents++
@@ -670,9 +666,6 @@ func (a *Accelerator) result() *Result {
 		r.Utilization = float64(r.BytesUseful) / float64(r.BytesMoved)
 	} else {
 		r.Utilization = 1
-	}
-	if a.trace != nil {
-		r.Trace = a.trace.entries
 	}
 	r.Telemetry = a.tel
 	// Coalesced counts from earlier slices' queues are folded into the

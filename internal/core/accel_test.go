@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"graphpulse/internal/algorithms"
@@ -609,61 +608,6 @@ func TestWeightedEdgesReachSimulator(t *testing.T) {
 	res := run(t, testConfigs()[0], g, algorithms.NewSSSP(0))
 	if res.Values[1] != 2 {
 		t.Errorf("dist[1] = %g, want 2 (via vertex 2)", res.Values[1])
-	}
-}
-
-func TestEventTrace(t *testing.T) {
-	g, err := gen.Chain(10, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfigs()[0]
-	cfg.TraceVertices = []graph.VertexID{5}
-	res := run(t, cfg, g, algorithms.NewBFS(0))
-	if len(res.Trace) == 0 {
-		t.Fatal("no trace entries recorded")
-	}
-	var sawEmit, sawProcess bool
-	for _, e := range res.Trace {
-		if e.Vertex != 5 {
-			t.Fatalf("trace captured untraced vertex %d", e.Vertex)
-		}
-		switch e.Kind {
-		case TraceEmit:
-			sawEmit = true
-			if e.Aux != 4 {
-				t.Errorf("emit source = %g, want 4", e.Aux)
-			}
-			if e.Delta != 5 {
-				t.Errorf("emit delta = %g, want 5 (level)", e.Delta)
-			}
-		case TraceProcess:
-			sawProcess = true
-			if e.Aux != 5 {
-				t.Errorf("post-reduce state = %g, want 5", e.Aux)
-			}
-		}
-		if e.String() == "" {
-			t.Error("empty trace rendering")
-		}
-	}
-	if !sawEmit || !sawProcess {
-		t.Errorf("trace missing kinds: emit=%v process=%v", sawEmit, sawProcess)
-	}
-	// Untraced runs record nothing.
-	plain := run(t, testConfigs()[0], g, algorithms.NewBFS(0))
-	if len(plain.Trace) != 0 {
-		t.Error("trace recorded without TraceVertices")
-	}
-}
-
-func TestTraceEntryString(t *testing.T) {
-	e := TraceEntry{Cycle: 10, Vertex: 3, Kind: TraceProcess, Delta: 1.5, Aux: 2.5}
-	if got := e.String(); got != "@10 v3 process delta=1.5 aux=2.5" {
-		t.Errorf("unexpected rendering: %q", got)
-	}
-	if got := (TraceEntry{Cycle: 11, Vertex: 3, Kind: TraceSpill, Delta: 1}).String(); !strings.Contains(got, "spill") {
-		t.Errorf("missing spill kind: %q", got)
 	}
 }
 

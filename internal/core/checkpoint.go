@@ -174,7 +174,7 @@ func (a *Accelerator) checkpoint(cycle uint64) *Checkpoint {
 // to completion. The restored run resumes on the original cycle timeline
 // and converges to the same values; per-run DRAM statistics restart (the
 // checkpoint does not capture memory-controller state).
-func NewFromCheckpoint(cfg Config, g graph.Adjacency, alg algorithms.Algorithm, ck *Checkpoint) (*Accelerator, error) {
+func NewFromCheckpoint(cfg Config, g *graph.CSR, alg algorithms.Algorithm, ck *Checkpoint) (*Accelerator, error) {
 	switch {
 	case ck.Version != CheckpointVersion:
 		return nil, fmt.Errorf("core: checkpoint version %d, want %d", ck.Version, CheckpointVersion)

@@ -23,18 +23,16 @@
 // # Observability
 //
 // Every run returns aggregate counters and per-stage timings in Result.
-// Config.TraceVertices records per-vertex event traces; Config.Telemetry
-// attaches a sampling recorder (internal/sim/telemetry) that captures queue
-// occupancy, event rates, stalls, and DRAM traffic as bounded time series —
-// zero-cost when disabled and read-only when enabled, so results are
-// bit-identical either way. METRICS.md at the repository root catalogues
+// Config.Telemetry attaches a sampling recorder (internal/sim/telemetry)
+// that captures queue occupancy, event rates, stalls, and DRAM traffic as
+// bounded time series — zero-cost when disabled and read-only when
+// enabled, so results are bit-identical either way. METRICS.md at the repository root catalogues
 // every metric name these layers emit.
 package core
 
 import (
 	"fmt"
 
-	"graphpulse/internal/graph"
 	"graphpulse/internal/mem"
 	"graphpulse/internal/sim/telemetry"
 )
@@ -114,10 +112,6 @@ type Config struct {
 	// bin-row-col alternative (ablation) concentrates them, serializing on
 	// each bin's single insertion port.
 	Mapping MappingPolicy
-
-	// TraceVertices lists global vertex ids whose event activity is
-	// recorded into Result.Trace (debugging; empty = tracing off).
-	TraceVertices []graph.VertexID
 
 	// Telemetry enables time-resolved sampling of queue occupancy, event
 	// rates, DRAM traffic and unit stalls into Result.Telemetry (see

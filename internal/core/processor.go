@@ -369,7 +369,6 @@ func (p *processor) process(ev Event, gv graph.VertexID, cycle uint64) bool {
 	old := a.state[gv]
 	next := a.alg.Reduce(old, ev.Delta)
 	a.state[gv] = next
-	a.trace.record(cycle, gv, TraceProcess, ev.Delta, next)
 	a.eventsProcessed++
 	a.roundProcessed++
 	a.observeLookahead(ev.Lookahead)
@@ -385,7 +384,7 @@ func (p *processor) process(ev Event, gv graph.VertexID, cycle uint64) bool {
 		delta:      ev.Delta,
 		look:       ev.Lookahead,
 		degree:     a.g.OutDegree(gv),
-		edgeStart:  a.g.EdgeOffset(gv),
+		edgeStart:  a.g.RowPtr[gv],
 		enqueuedAt: cycle,
 	}
 	if task.degree == 0 {

@@ -106,10 +106,6 @@ type Result struct {
 	// condition (Section IV-C) fired before the queue drained naturally.
 	TerminatedGlobally bool
 
-	// Trace holds the recorded entries for Config.TraceVertices (empty
-	// unless tracing was enabled).
-	Trace []TraceEntry
-
 	// Telemetry holds the sampled time series when Config.Telemetry was
 	// enabled (nil otherwise). Export with WriteCSV / WriteChromeTrace;
 	// every series is documented in METRICS.md.

@@ -91,35 +91,6 @@ func TestTelemetryRateSeriesSumToCounters(t *testing.T) {
 	}
 }
 
-// TestTracingAndTelemetryTogether runs core/trace.go's per-vertex tracing
-// and telemetry sampling in the same simulation: both must record, and
-// neither may perturb the run relative to tracing alone.
-func TestTracingAndTelemetryTogether(t *testing.T) {
-	g := telemetryTestGraph(t)
-	traceOnly := OptimizedConfig()
-	traceOnly.TraceVertices = []graph.VertexID{0, 1, 2}
-	both := traceOnly
-	both.Telemetry = telemetry.Config{Interval: 128, MaxSamples: 512}
-
-	a := run(t, traceOnly, g, algorithms.NewPageRankDelta())
-	b := run(t, both, g, algorithms.NewPageRankDelta())
-	if len(a.Trace) == 0 {
-		t.Fatal("tracing recorded nothing")
-	}
-	if !reflect.DeepEqual(a.Trace, b.Trace) {
-		t.Fatal("trace differs when telemetry is enabled alongside")
-	}
-	if a.Cycles != b.Cycles {
-		t.Fatalf("cycles diverge: %d (trace) vs %d (trace+telemetry)", a.Cycles, b.Cycles)
-	}
-	if b.Telemetry == nil || b.Telemetry.SampleCount() == 0 {
-		t.Fatal("telemetry recorded nothing alongside tracing")
-	}
-	if a.Telemetry != nil {
-		t.Fatal("trace-only run must have nil Telemetry")
-	}
-}
-
 // TestDisabledTelemetryIsNilAndAllocationFree: a default config leaves
 // Result.Telemetry nil, and the disabled (nil-recorder) probe path is
 // allocation-free per testing.AllocsPerRun.

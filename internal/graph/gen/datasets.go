@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"os"
 	"strings"
 
 	"graphpulse/internal/graph"
@@ -52,7 +53,9 @@ func ParseTier(name string) (Tier, error) {
 // Load materializes a graph source string, the one form every tool's graph
 // argument takes: "ABBREV:tier" is a Table IV stand-in (abbreviation in
 // either case, e.g. "WG:tiny", "lj:mini") generated through cache; anything
-// else is a graph file path read by graph.ReadFile.
+// else is a text edge-list file (graph.ReadEdgeList). Graphpack containers
+// are not sources here: callers route them to ooc first (ooc.IsPack), since
+// ooc's and partition's tests import this package and it cannot import ooc.
 func Load(source string, cache *Cache) (*graph.CSR, error) {
 	if abbrev, tierName, ok := strings.Cut(source, ":"); ok {
 		if tier, err := ParseTier(tierName); err == nil {
@@ -63,7 +66,12 @@ func Load(source string, cache *Cache) (*graph.CSR, error) {
 			return cache.Generate(spec, tier)
 		}
 	}
-	return graph.ReadFile(source)
+	f, err := os.Open(source)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return graph.ReadEdgeList(f, 0)
 }
 
 // DatasetSpec describes one of the paper's Table IV workloads and the R-MAT

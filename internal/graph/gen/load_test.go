@@ -31,7 +31,8 @@ func TestParseTierRoundTrip(t *testing.T) {
 }
 
 // TestLoadMatrix drives every kind of source string through Load — the
-// forms serve -graph, graphpack and graphpulse -graph all accept.
+// forms serve -graph, graphpack and graphpulse -graph all accept, graphpack
+// containers aside (those are routed to ooc before Load).
 func TestLoadMatrix(t *testing.T) {
 	dir := t.TempDir()
 	g, err := graph.FromEdges(3, []graph.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 1}}, false)
@@ -57,9 +58,8 @@ func TestLoadMatrix(t *testing.T) {
 		return func(f *os.File) error { _, err := f.WriteString(b); return err }
 	}
 	el := write("g.el", func(f *os.File) error { return graph.WriteEdgeList(f, g) })
-	bin := write("g.bin", func(f *os.File) error { return graph.WriteBinary(f, g) })
-	short := write("short", raw("0 1\n2 0"))                  // 7 bytes: too short to sniff, still an edge list
-	wrongMagic := write("wrong.bin", raw("SCPGxxxxyyyyzzzz")) // not the container magic, not text either
+	short := write("short", raw("0 1\n2 0"))           // no trailing newline, still an edge list
+	garbage := write("g.bin", raw("SCPGxxxxyyyyzzzz")) // binary bytes: not an edge list
 
 	cache := NewCache()
 	cases := []struct {
@@ -70,9 +70,8 @@ func TestLoadMatrix(t *testing.T) {
 		{source: "WG:tiny", n: 1 << 12, m: 6 << 12},
 		{source: "wg:tiny", n: 1 << 12, m: 6 << 12},
 		{source: el, n: 3, m: 2},
-		{source: bin, n: 3, m: 2},
 		{source: short, n: 3, m: 2},
-		{source: wrongMagic, wantErr: true},
+		{source: garbage, wantErr: true},
 		{source: "XX:tiny", wantErr: true},                       // dataset form, unknown abbreviation
 		{source: "WG:huge", wantErr: true},                       // not a tier: read as a file, which is missing
 		{source: filepath.Join(dir, "absent.el"), wantErr: true}, // missing file

@@ -99,20 +99,12 @@ func (g *CSR) EdgeWeight(i uint64) float32 {
 	return g.Weight[i]
 }
 
-// EdgeOffset returns the index of the first out-edge of v in Dst. It is the
-// address the simulated edge-memory reader starts streaming from.
-func (g *CSR) EdgeOffset(v VertexID) uint64 { return g.RowPtr[v] }
-
-// EdgeDst returns the destination of the i-th edge (index into Dst). The
-// simulated memory models stream edges by global index; this is the
-// interface-friendly form of Dst[i].
-func (g *CSR) EdgeDst(i uint64) VertexID { return g.Dst[i] }
-
-// Adjacency is the narrow read interface every engine consumes: vertex and
-// edge counts, per-vertex neighbor iteration, and edge-indexed access for
-// the simulated memory models. The in-RAM *CSR satisfies it directly; the
+// Adjacency is the narrow read interface the native solvers, the
+// partitioner and the serving tier consume: vertex and edge counts and
+// per-vertex neighbor rows. The in-RAM *CSR satisfies it directly; the
 // out-of-core slice store (internal/graph/ooc) satisfies it by decoding
-// compressed slices on demand.
+// compressed slices on demand. The cycle simulators model DRAM reads of
+// RowPtr and Dst, so they take a *CSR instead.
 //
 // Row, Neighbors and NeighborWeights return slices the caller must not
 // modify; for out-of-core stores they remain valid after the backing slice
@@ -136,15 +128,6 @@ type Adjacency interface {
 	// out-degree is len(dst). The native solvers read each activated
 	// vertex's row through this call alone.
 	Row(v VertexID) (dst []VertexID, wt []float32)
-	// EdgeOffset returns the global index of the first out-edge of v.
-	EdgeOffset(v VertexID) uint64
-	// EdgeDst returns the destination of the edge at global index i.
-	EdgeDst(i uint64) VertexID
-	// EdgeWeight returns the weight of the edge at global index i (1 for
-	// unweighted graphs).
-	EdgeWeight(i uint64) float32
-	// Validate checks structural invariants.
-	Validate() error
 }
 
 var _ Adjacency = (*CSR)(nil)
@@ -176,45 +159,6 @@ func SliceBoundaries(g Adjacency) []VertexID {
 		}
 	}
 	return bounds
-}
-
-// TransposeOf builds the reverse graph of any Adjacency as an in-RAM CSR.
-// (*CSR).Transpose is the specialization; pull-direction engines handed an
-// out-of-core store use this — materializing the transpose trades the
-// memory ceiling back for pull traversal, which is why push-style engines
-// are the ones expected to run off-core.
-func TransposeOf(g Adjacency) *CSR {
-	if c, ok := g.(*CSR); ok {
-		return c.Transpose()
-	}
-	n := g.NumVertices()
-	t := &CSR{RowPtr: make([]uint64, n+1)}
-	for v := 0; v < n; v++ {
-		for _, d := range g.Neighbors(VertexID(v)) {
-			t.RowPtr[d+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		t.RowPtr[v+1] += t.RowPtr[v]
-	}
-	t.Dst = make([]VertexID, g.NumEdges())
-	if g.Weighted() {
-		t.Weight = make([]float32, g.NumEdges())
-	}
-	cursor := make([]uint64, n)
-	copy(cursor, t.RowPtr[:n])
-	for v := 0; v < n; v++ {
-		weights := g.NeighborWeights(VertexID(v))
-		for i, d := range g.Neighbors(VertexID(v)) {
-			j := cursor[d]
-			cursor[d]++
-			t.Dst[j] = VertexID(v)
-			if t.Weight != nil {
-				t.Weight[j] = weights[i]
-			}
-		}
-	}
-	return t
 }
 
 // Validate checks structural invariants: monotone row pointers, in-range

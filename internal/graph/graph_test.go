@@ -107,7 +107,7 @@ func TestWeightedEdges(t *testing.T) {
 	if !g.Weighted() {
 		t.Fatal("Weighted() = false")
 	}
-	if got := g.EdgeWeight(g.EdgeOffset(1)); got != 2.5 {
+	if got := g.EdgeWeight(g.RowPtr[1]); got != 2.5 {
 		t.Errorf("weight of edge 1→2 = %g, want 2.5", got)
 	}
 	if w := g.NeighborWeights(0); len(w) != 1 || w[0] != 0.5 {

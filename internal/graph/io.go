@@ -2,11 +2,9 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 )
@@ -58,9 +56,9 @@ func ReadEdgeList(r io.Reader, vertexHint int) (*CSR, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad dst: %v", line, err)
 		}
-		if src > maxBinaryVertices || dst > maxBinaryVertices {
+		if src > maxVertexID || dst > maxVertexID {
 			return nil, fmt.Errorf("graph: line %d: vertex id %d exceeds format limit %d",
-				line, max(src, dst), uint64(maxBinaryVertices))
+				line, max(src, dst), uint64(maxVertexID))
 		}
 		e := Edge{Src: VertexID(src), Dst: VertexID(dst), Weight: 1}
 		if len(fields) >= 3 {
@@ -126,7 +124,7 @@ func prescanEdgeList(r io.Reader, s io.Seeker) (count, maxID int, err error) {
 			id, ok := 0, false
 			for i < len(b) && b[i] >= '0' && b[i] <= '9' {
 				d := int(b[i] - '0')
-				if id > (int(maxBinaryVertices)-d)/10 {
+				if id > (int(maxVertexID)-d)/10 {
 					ok = false // overflow; the parse pass reports it
 					i = len(b)
 					break
@@ -171,125 +169,7 @@ func WriteEdgeList(w io.Writer, g *CSR) error {
 	return bw.Flush()
 }
 
-// binaryMagic marks the binary CSR container format.
-const binaryMagic = 0x47504353 // "GPCS"
-
-// WriteBinary serializes g in a compact little-endian binary container:
-// magic, flags, n, m, RowPtr, Dst, [Weight]. The binary form loads an order
-// of magnitude faster than text, which matters for the TW-class workload.
-func WriteBinary(w io.Writer, g *CSR) error {
-	bw := bufio.NewWriter(w)
-	var flags uint32
-	if g.Weighted() {
-		flags |= 1
-	}
-	hdr := []uint64{binaryMagic, uint64(flags), uint64(g.NumVertices()), uint64(g.NumEdges())}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.RowPtr); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Dst); err != nil {
-		return err
-	}
-	if g.Weighted() {
-		if err := binary.Write(bw, binary.LittleEndian, g.Weight); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadFile loads a graph file in either on-disk form: the binary container
-// when the file opens with its magic, a text edge list otherwise. It is the
-// one place that sniffs the format, so every tool accepts the same files.
-func ReadFile(path string) (*CSR, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	if magic, err := br.Peek(8); err == nil && binary.LittleEndian.Uint64(magic) == binaryMagic {
-		return ReadBinary(br)
-	}
-	return ReadEdgeList(br, 0)
-}
-
-// Format limits of the binary container. Vertex ids are uint32 on the wire
-// and RowPtr entries are uint64, so these are not capacity limits of the
-// CSR type — they exist so a malformed or hostile header cannot demand an
-// absurd allocation (int(hdr) on a 2⁶³-scale count would even go negative)
-// before the truncated payload is discovered.
-const (
-	maxBinaryVertices = 1 << 31
-	maxBinaryEdges    = 1 << 33
-)
-
-// readChunked fills a length-n slice in bounded chunks, so a header
-// announcing billions of entries on a short file fails with a descriptive
-// error after at most one chunk of over-allocation rather than attempting
-// the full amount up front.
-func readChunked[T uint64 | VertexID | float32](br io.Reader, n int, what string) ([]T, error) {
-	const chunk = 1 << 16
-	out := make([]T, 0, min(n, chunk))
-	for len(out) < n {
-		c := min(n-len(out), chunk)
-		tmp := make([]T, c)
-		if err := binary.Read(br, binary.LittleEndian, tmp); err != nil {
-			return nil, fmt.Errorf("graph: reading %s (at entry %d of %d, truncated file?): %w",
-				what, len(out), n, err)
-		}
-		out = append(out, tmp...)
-	}
-	return out, nil
-}
-
-// ReadBinary loads a graph written by WriteBinary. Malformed input —
-// wrong magic, unknown flags, header counts beyond the format limits, a
-// payload shorter than the header promises, non-monotone row pointers, or
-// out-of-range edge targets — fails with a descriptive error; no input
-// can make it panic or allocate unboundedly ahead of validation.
-func ReadBinary(r io.Reader) (*CSR, error) {
-	br := bufio.NewReader(r)
-	var hdr [4]uint64
-	for i := range hdr {
-		if err := binary.Read(br, binary.LittleEndian, &hdr[i]); err != nil {
-			return nil, fmt.Errorf("graph: reading binary header: %w", err)
-		}
-	}
-	if hdr[0] != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %#x", hdr[0])
-	}
-	if hdr[1]&^1 != 0 {
-		return nil, fmt.Errorf("graph: unknown header flags %#x (newer format?)", hdr[1])
-	}
-	weighted := hdr[1]&1 != 0
-	if hdr[2] > maxBinaryVertices {
-		return nil, fmt.Errorf("graph: header vertex count %d exceeds format limit %d", hdr[2], uint64(maxBinaryVertices))
-	}
-	if hdr[3] > maxBinaryEdges {
-		return nil, fmt.Errorf("graph: header edge count %d exceeds format limit %d", hdr[3], uint64(maxBinaryEdges))
-	}
-	n, m := int(hdr[2]), int(hdr[3])
-	g := &CSR{}
-	var err error
-	if g.RowPtr, err = readChunked[uint64](br, n+1, "RowPtr"); err != nil {
-		return nil, err
-	}
-	if g.Dst, err = readChunked[VertexID](br, m, "Dst"); err != nil {
-		return nil, err
-	}
-	if weighted {
-		if g.Weight, err = readChunked[float32](br, m, "Weight"); err != nil {
-			return nil, err
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
+// maxVertexID bounds the vertex ids ReadEdgeList accepts. Ids are uint32 in
+// the CSR, so this is not a capacity limit of the type; it keeps a hostile
+// id from demanding a RowPtr of billions of entries.
+const maxVertexID = 1 << 31

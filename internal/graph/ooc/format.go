@@ -4,9 +4,11 @@
 // CSR neighbor lists, laid out along partition.Split boundaries — and served
 // through an mmap-backed (portable io.ReaderAt fallback) Store that decodes
 // slices lazily, keeps them resident under an LRU byte budget, and evicts
-// cold ones. The Store implements graph.Adjacency, so every registered
-// engine and the serving tier can run directly off a graph ~10× larger than
-// memory: at any instant only the resident slice set is decoded.
+// cold ones. The Store implements graph.Adjacency, so the native solvers
+// and the serving tier can run directly off a graph ~10× larger than
+// memory: at any instant only the resident slice set is decoded. ReadCSR
+// decodes a whole container into an in-RAM CSR for the cycle simulators,
+// which address the CSR arrays as DRAM.
 //
 // The Store is also a graph.Sliced: the native solvers (algorithms.SolveCtx,
 // psolve) order their worklists by its slice boundaries and sweep them
@@ -57,10 +59,7 @@ const (
 	LevelDelta = 2
 )
 
-// Magic is the 8-byte container signature, distinct from the in-RAM binary
-// CSR container's ("GPCS…"), so loaders can sniff the format.
-const Magic = "GPKPACK1"
-
+// magic is the 8-byte container signature IsPack sniffs.
 var magic = [8]byte{'G', 'P', 'K', 'P', 'A', 'C', 'K', '1'}
 
 const (
@@ -164,7 +163,7 @@ func Write(w io.Writer, g *graph.CSR, opt WriteOptions) error {
 	for i, sl := range part.Slices {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(sl.Lo))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(sl.Hi))
-		buf = binary.LittleEndian.AppendUint64(buf, g.EdgeOffset(sl.Lo))
+		buf = binary.LittleEndian.AppendUint64(buf, g.RowPtr[sl.Lo])
 		buf = binary.LittleEndian.AppendUint64(buf, off)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(segs[i])))
 		off += uint64(len(segs[i]))
@@ -184,7 +183,7 @@ func Write(w io.Writer, g *graph.CSR, opt WriteOptions) error {
 func encodeSegment(g *graph.CSR, lo, hi graph.VertexID, level int) []byte {
 	// Size estimate: varint degree + ids + optional weights.
 	est := int(hi-lo) * 2
-	first, last := g.EdgeOffset(lo), g.EdgeOffset(hi)
+	first, last := g.RowPtr[lo], g.RowPtr[hi]
 	est += int(last-first) * 5
 	if g.Weighted() {
 		est += int(last-first) * 4

@@ -2,8 +2,10 @@ package ooc
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -54,8 +56,8 @@ type Counters struct {
 	Decodes int64
 	// Evictions counts budget-driven slice drops.
 	Evictions int64
-	// Hits counts row and edge reads served by an already-resident slice:
-	// one per Row (or per-field accessor) call.
+	// Hits counts row reads served by an already-resident slice: one per
+	// Row (or per-field accessor) call.
 	Hits int64
 	// ResidentBytes is the decoded bytes currently charged against the
 	// budget.
@@ -88,6 +90,62 @@ func Open(path string, residentBytes int64) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// IsPack reports whether path names a graphpack container, by the
+// .graphpack extension or by the magic at the start of the file. It is the
+// one place the format is sniffed: the serving tier's registry and
+// cmd/graphpulse send what it accepts here and every other source to
+// gen.Load.
+func IsPack(path string) bool {
+	if strings.HasSuffix(path, ".graphpack") {
+		return true
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	var m [8]byte
+	if _, err := io.ReadFull(f, m[:]); err != nil {
+		return false
+	}
+	return m == magic
+}
+
+// ReadCSR decodes the whole container at path into an in-RAM CSR, for
+// callers that need the CSR itself: the cycle simulators address RowPtr and
+// Dst as DRAM. It reads through a store whose budget keeps one slice
+// resident, so the decode never holds the container's slices beside the
+// CSR it builds, and a torn or corrupt container fails as it does in Open.
+func ReadCSR(path string) (*graph.CSR, error) {
+	s, err := Open(path, 1)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	g := &graph.CSR{
+		RowPtr: make([]uint64, 1, s.hdr.n+1),
+		Dst:    make([]graph.VertexID, 0, s.hdr.m),
+	}
+	if s.hdr.weighted() {
+		g.Weight = make([]float32, 0, s.hdr.m)
+	}
+	for i := range s.dir {
+		d, err := s.load(i)
+		if err != nil {
+			return nil, err
+		}
+		base := uint64(len(g.Dst))
+		for _, off := range d.rowPtr[1:] {
+			g.RowPtr = append(g.RowPtr, base+off)
+		}
+		g.Dst = append(g.Dst, d.dst...)
+		if g.Weight != nil {
+			g.Weight = append(g.Weight, d.wt...)
+		}
+	}
+	return g, nil
 }
 
 // init parses the container's header and directory and verification-decodes
@@ -267,13 +325,6 @@ func (s *Store) sliceOf(v graph.VertexID) int {
 	})
 }
 
-// sliceOfEdge returns the index of the slice containing global edge i.
-func (s *Store) sliceOfEdge(i uint64) int {
-	return sort.Search(len(s.dir), func(j int) bool {
-		return edgeCount(s.dir, j, s.hdr.m)+s.dir[j].firstEdge > i
-	})
-}
-
 // NumVertices returns the vertex count.
 func (s *Store) NumVertices() int { return int(s.hdr.n) }
 
@@ -284,13 +335,13 @@ func (s *Store) NumEdges() int { return int(s.hdr.m) }
 func (s *Store) Weighted() bool { return s.hdr.weighted() }
 
 // row is the one vertex-indexed lookup every accessor below shares: one
-// slice search and one residency touch, returning v's slice index, the
-// slice's decoded data and v's edge range [lo, hi) inside it.
-func (s *Store) row(v graph.VertexID) (i int, d *sliceData, lo, hi uint64) {
-	i = s.sliceOf(v)
+// slice search and one residency touch, returning the slice's decoded data
+// and v's edge range [lo, hi) inside it.
+func (s *Store) row(v graph.VertexID) (d *sliceData, lo, hi uint64) {
+	i := s.sliceOf(v)
 	d = s.mustLoad(i)
 	off := int(v - graph.VertexID(s.dir[i].lo))
-	return i, d, d.rowPtr[off], d.rowPtr[off+1]
+	return d, d.rowPtr[off], d.rowPtr[off+1]
 }
 
 // Row returns the out-neighbors of v and their weights (nil for unweighted
@@ -298,7 +349,7 @@ func (s *Store) row(v graph.VertexID) (i int, d *sliceData, lo, hi uint64) {
 // decode buffer and must not be modified; they stay valid after eviction
 // (eviction drops the store's reference, not the caller's).
 func (s *Store) Row(v graph.VertexID) (dst []graph.VertexID, wt []float32) {
-	_, d, lo, hi := s.row(v)
+	d, lo, hi := s.row(v)
 	if !s.hdr.weighted() {
 		return d.dst[lo:hi], nil
 	}
@@ -307,7 +358,7 @@ func (s *Store) Row(v graph.VertexID) (dst []graph.VertexID, wt []float32) {
 
 // OutDegree returns the out-degree of v.
 func (s *Store) OutDegree(v graph.VertexID) int {
-	_, _, lo, hi := s.row(v)
+	_, lo, hi := s.row(v)
 	return int(hi - lo)
 }
 
@@ -325,44 +376,6 @@ func (s *Store) NeighborWeights(v graph.VertexID) []float32 {
 	}
 	_, wt := s.Row(v)
 	return wt
-}
-
-// EdgeOffset returns the global index of the first out-edge of v.
-func (s *Store) EdgeOffset(v graph.VertexID) uint64 {
-	i, _, lo, _ := s.row(v)
-	return s.dir[i].firstEdge + lo
-}
-
-// EdgeDst returns the destination of the i-th edge.
-func (s *Store) EdgeDst(i uint64) graph.VertexID {
-	j := s.sliceOfEdge(i)
-	return s.mustLoad(j).dst[i-s.dir[j].firstEdge]
-}
-
-// EdgeWeight returns the weight of the i-th edge (1 when unweighted).
-func (s *Store) EdgeWeight(i uint64) float32 {
-	if !s.hdr.weighted() {
-		return 1
-	}
-	j := s.sliceOfEdge(i)
-	return s.mustLoad(j).wt[i-s.dir[j].firstEdge]
-}
-
-// Validate re-checks the directory invariants. The per-edge checks ran
-// during Open's verification decode, so this is O(slices).
-func (s *Store) Validate() error {
-	var lo, edge uint64
-	for i, e := range s.dir {
-		if e.lo != lo || e.hi <= e.lo || e.firstEdge != edge {
-			return fmt.Errorf("ooc: directory entry %d inconsistent", i)
-		}
-		lo, edge = e.hi, e.firstEdge+edgeCount(s.dir, i, s.hdr.m)
-	}
-	if lo != s.hdr.n || edge != s.hdr.m {
-		return fmt.Errorf("ooc: directory covers %d vertices / %d edges, header says %d / %d",
-			lo, edge, s.hdr.n, s.hdr.m)
-	}
-	return nil
 }
 
 var _ graph.Adjacency = (*Store)(nil)

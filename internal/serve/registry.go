@@ -2,8 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"strings"
 	"sync"
 
@@ -20,8 +18,8 @@ type GraphSpec struct {
 	Name string
 	// Source is a gen.Load source string: "ABBREV:tier" for a Table IV
 	// synthetic stand-in built through the shared gen cache (e.g.
-	// "WG:tiny", "LJ:mini"), or a path to an edge-list / binary container
-	// file.
+	// "WG:tiny", "LJ:mini"), a path to a graphpack container (served
+	// out-of-core, see ResidentBytes), or a path to a text edge-list file.
 	Source string
 	// Graph is a pre-built in-memory graph (facade callers pass a
 	// *graphpulse.Graph directly).
@@ -73,29 +71,11 @@ type residentGraph struct {
 	hook MutationHook
 }
 
-// isGraphpack reports whether source is a graphpack container file, by
-// extension or by sniffing the magic.
-func isGraphpack(source string) bool {
-	if strings.HasSuffix(source, ".graphpack") {
-		return true
-	}
-	f, err := os.Open(source)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var m [8]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
-		return false
-	}
-	return string(m[:]) == ooc.Magic
-}
-
 func loadResident(spec GraphSpec, cache *gen.Cache, histMax int) (*residentGraph, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("serve: graph spec needs a name")
 	}
-	if spec.Graph == nil && isGraphpack(spec.Source) {
+	if spec.Graph == nil && ooc.IsPack(spec.Source) {
 		st, err := ooc.Open(spec.Source, spec.ResidentBytes)
 		if err != nil {
 			return nil, err
