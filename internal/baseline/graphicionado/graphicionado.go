@@ -227,17 +227,17 @@ func RunCtx(ctx context.Context, cfg Config, g *graph.CSR, alg algorithms.Algori
 	if err := e.run(); err != nil {
 		return nil, err
 	}
-	ms := e.memory.Stats()
+	ms := e.memory.Counters()
 	res := &Result{
 		Values:         e.state,
 		Cycles:         e.sim.Cycle(),
 		Seconds:        e.sim.SecondsAt(cfg.ClockHz),
 		Iterations:     e.iterations,
 		EdgesTraversed: e.edgesTraversed,
-		MemReads:       ms.Counter("reads"),
-		MemWrites:      ms.Counter("writes"),
-		BytesMoved:     ms.Counter("bytes_transferred"),
-		BytesUseful:    ms.Counter("bytes_useful"),
+		MemReads:       ms.Reads,
+		MemWrites:      ms.Writes,
+		BytesMoved:     ms.BytesMoved,
+		BytesUseful:    ms.BytesUseful,
 		Utilization:    e.memory.Utilization(),
 		Telemetry:      tel,
 	}

@@ -10,25 +10,23 @@ import (
 	"graphpulse/internal/graph/partition"
 	"graphpulse/internal/mem"
 	"graphpulse/internal/sim"
-	"graphpulse/internal/sim/stats"
 	"graphpulse/internal/sim/telemetry"
 )
 
-// Figure 13's chronological execution stages, as StageTimer indices.
+// Figure 13's chronological execution stages, as indices of the
+// accelerator's stage arrays.
 const (
 	stageVtxMem = iota
 	stageProcess
 	stageGenBuffer
 	stageEdgeMem
 	stageGenerate
+	numStages
 )
 
 // StageNames lists the Figure 13 stages in chronological order (the
 // Result.StageMeans keys).
 var StageNames = []string{"vtx_mem", "process", "gen_buffer", "edge_mem", "generate"}
-
-// newStageTimer builds the Figure 13 stage timer.
-func newStageTimer() *stats.StageTimer { return stats.NewStageTimer(len(StageNames)) }
 
 // Scheduler phases.
 const (
@@ -126,8 +124,12 @@ type Accelerator struct {
 	lastCheckpoint uint64
 	ckErr          error
 
-	stage *stats.StageTimer
-	tel   *telemetry.Recorder // nil unless Config.Telemetry is enabled
+	// Figure 13 accounting, indexed by stage: cycles accrued and events
+	// that completed the stage.
+	stageCycles [numStages]int64
+	stageEvents [numStages]int64
+
+	tel *telemetry.Recorder // nil unless Config.Telemetry is enabled
 }
 
 // New builds an accelerator for running alg over g. The graph is partitioned
@@ -145,7 +147,6 @@ func New(cfg Config, g *graph.CSR, alg algorithms.Algorithm) (*Accelerator, erro
 		g:         g,
 		engine:    sim.NewEngine(),
 		edgeBytes: algorithms.EdgeRecordBytes(alg),
-		stage:     newStageTimer(),
 	}
 	a.prog, _ = alg.(algorithms.Progressor)
 	a.memory = mem.New(cfg.Memory)
@@ -630,9 +631,24 @@ func (a *Accelerator) RunWithOptions(opts RunOptions) (*Result, error) {
 	return a.result(), nil
 }
 
+// stageEvent accrues cycles to a stage and counts one event completing it.
+func (a *Accelerator) stageEvent(stage int, cycles int64) {
+	a.stageCycles[stage] += cycles
+	a.stageEvents[stage]++
+}
+
+// stageMean is a stage's mean cycles per event (0 if no event completed
+// it).
+func (a *Accelerator) stageMean(stage int) float64 {
+	if a.stageEvents[stage] == 0 {
+		return 0
+	}
+	return float64(a.stageCycles[stage]) / float64(a.stageEvents[stage])
+}
+
 func (a *Accelerator) result() *Result {
 	a.settle(a.engine.Cycle())
-	ms := a.memory.Stats()
+	ms := a.memory.Counters()
 	r := &Result{
 		Config:             a.cfg.Name,
 		Algorithm:          a.alg.Name(),
@@ -646,12 +662,12 @@ func (a *Accelerator) result() *Result {
 		EventsEmitted:      a.eventsEmitted,
 		EventsCoalesced:    a.queue.coalesced,
 		SpilledEvents:      a.spilledEvents,
-		MemReads:           ms.Counter("reads"),
-		MemWrites:          ms.Counter("writes"),
-		BytesMoved:         ms.Counter("bytes_transferred"),
-		BytesUseful:        ms.Counter("bytes_useful") + a.extraVertexUseful,
-		RowHits:            ms.Counter("row_hits"),
-		RowMisses:          ms.Counter("row_misses"),
+		MemReads:           ms.Reads,
+		MemWrites:          ms.Writes,
+		BytesMoved:         ms.BytesMoved,
+		BytesUseful:        ms.BytesUseful + a.extraVertexUseful,
+		RowHits:            ms.RowHits,
+		RowMisses:          ms.RowMisses,
 		DiscardedEvents:    a.discardedEvents,
 		RoundLog:           a.roundLog,
 		TerminatedGlobally: a.globalStop,
@@ -675,7 +691,7 @@ func (a *Accelerator) result() *Result {
 		r.EventsCoalesced += rs.Coalesced
 	}
 	for i, s := range StageNames {
-		r.StageMeans[s] = a.stage.MeanCycles(i)
+		r.StageMeans[s] = a.stageMean(i)
 	}
 	var pc [numProcStates]int64
 	var total int64

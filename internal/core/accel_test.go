@@ -249,6 +249,30 @@ func TestPrefetchReducesVtxMemStage(t *testing.T) {
 	}
 }
 
+// TestStageMean checks Figure 13's per-event mean: a stage's cycles over
+// the events that completed it, 0 for a stage no event completed, and
+// cycles accrued without an event still in the numerator.
+func TestStageMean(t *testing.T) {
+	a := &Accelerator{}
+	a.stageEvent(stageVtxMem, 10)
+	a.stageEvent(stageVtxMem, 20)
+	a.stageEvent(stageProcess, 4)
+	a.stageCycles[stageEdgeMem] += 6
+	a.stageEvent(stageEdgeMem, 2)
+	a.stageCycles[stageGenerate] += 6
+	for _, c := range []struct {
+		stage int
+		want  float64
+	}{{stageVtxMem, 15}, {stageProcess, 4}, {stageGenBuffer, 0}, {stageEdgeMem, 8}, {stageGenerate, 0}} {
+		if got := a.stageMean(c.stage); got != c.want {
+			t.Errorf("stageMean(%s) = %g, want %g", StageNames[c.stage], got, c.want)
+		}
+	}
+	if len(StageNames) != numStages {
+		t.Errorf("%d stage names for %d stages", len(StageNames), numStages)
+	}
+}
+
 func TestRoundLogShape(t *testing.T) {
 	g, err := gen.Star(128)
 	if err != nil {

@@ -119,12 +119,6 @@ type Config struct {
 	// reads state, so enabling it never changes simulation results.
 	Telemetry telemetry.Config
 
-	// WatchdogInterval is how often (in cycles) the event-conservation
-	// watchdog audits the event balance sheet; a sustained imbalance fails
-	// the run with ErrConservation instead of wedging until MaxCycles.
-	// 0 selects the default interval. The watchdog is always on.
-	WatchdogInterval uint64
-
 	// Memory configures the off-chip DRAM model.
 	Memory mem.Config
 	// ClockHz converts cycles to time (1 GHz).

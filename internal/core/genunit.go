@@ -256,7 +256,7 @@ func (u *genUnit) tick(cycle uint64) {
 			s.ensured = ^uint64(0)
 			s.cur, s.curAddr = nil, ^uint64(0)
 			s.memCycles, s.genCycles = 0, 0
-			a.stage.AddEventCycles(stageGenBuffer, int64(cycle-s.task.enqueuedAt))
+			a.stageEvent(stageGenBuffer, int64(cycle-s.task.enqueuedAt))
 		}
 		t := &s.task
 		edgeIdx := t.edgeStart + uint64(s.idx)
@@ -293,10 +293,8 @@ func (u *genUnit) tick(cycle uint64) {
 		}
 		s.idx++
 		if s.idx >= t.degree {
-			a.stage.AddCycles(stageEdgeMem, s.memCycles)
-			a.stage.AddEvent(stageEdgeMem)
-			a.stage.AddCycles(stageGenerate, s.genCycles)
-			a.stage.AddEvent(stageGenerate)
+			a.stageEvent(stageEdgeMem, s.memCycles)
+			a.stageEvent(stageGenerate, s.genCycles)
 			s.busy = false
 		}
 	}

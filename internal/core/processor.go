@@ -281,7 +281,7 @@ func (p *processor) credit(upTo uint64) {
 	n := int64(upTo - p.sleepSince)
 	p.stateHist[p.sleepState] += n
 	if p.generating {
-		p.a.stage.AddCycles(stageEdgeMem, n)
+		p.a.stageCycles[stageEdgeMem] += n
 	}
 	p.sleepSince = upTo
 }
@@ -321,7 +321,7 @@ func (p *processor) step(cycle uint64) int {
 		if readyAt < head.headSince {
 			readyAt = head.headSince
 		}
-		p.a.stage.AddEventCycles(stageVtxMem, int64(readyAt-head.headSince))
+		p.a.stageEvent(stageVtxMem, int64(readyAt-head.headSince))
 		line.consumed++
 		if line.consumed > 1 {
 			// The fetch was charged 16 useful bytes for its first event;
@@ -352,7 +352,7 @@ func (p *processor) step(cycle uint64) int {
 		return procStateVertexRead
 	}
 	p.directIssued = false
-	p.a.stage.AddEventCycles(stageVtxMem, int64(p.directAt-head.headSince))
+	p.a.stageEvent(stageVtxMem, int64(p.directAt-head.headSince))
 	if p.process(head.ev, gv, cycle) {
 		// Write the updated value straight back: the random 8-byte store
 		// of the unoptimized design.
@@ -372,7 +372,7 @@ func (p *processor) process(ev Event, gv graph.VertexID, cycle uint64) bool {
 	a.eventsProcessed++
 	a.roundProcessed++
 	a.observeLookahead(ev.Lookahead)
-	a.stage.AddEventCycles(stageProcess, int64(a.cfg.ProcessLatency))
+	a.stageEvent(stageProcess, int64(a.cfg.ProcessLatency))
 	if a.prog != nil {
 		a.roundProgress += a.prog.Progress(old, next)
 	}
@@ -426,23 +426,23 @@ func (p *processor) generateStep(cycle uint64) int {
 		p.lineReady = false
 		useful := a.edgeLineUseful(line, t)
 		p.a.fetch.Fetch(line, mem.LineBytes, useful, false, p.onGenLine, 0)
-		a.stage.AddCycles(stageEdgeMem, 1)
+		a.stageCycles[stageEdgeMem]++
 		return procStateVertexRead // memory wait (edge read shares the bar)
 	}
 	if !p.lineReady {
-		a.stage.AddCycles(stageEdgeMem, 1)
+		a.stageCycles[stageEdgeMem]++
 		return procStateVertexRead
 	}
 	if !a.emitEdge(t, p.genIdx) {
-		a.stage.AddCycles(stageGenerate, 1)
+		a.stageCycles[stageGenerate]++
 		return procStateStalling // delivery network full
 	}
-	a.stage.AddCycles(stageGenerate, 1)
+	a.stageCycles[stageGenerate]++
 	p.genIdx++
 	if p.genIdx >= t.degree {
-		a.stage.AddEvent(stageEdgeMem)
-		a.stage.AddEvent(stageGenerate)
-		a.stage.AddEventCycles(stageGenBuffer, 0) // no decoupling, no buffer wait
+		a.stageEvents[stageEdgeMem]++
+		a.stageEvents[stageGenerate]++
+		a.stageEvents[stageGenBuffer]++ // no decoupling, no buffer wait
 		p.generating = false
 	}
 	return procStateProcess

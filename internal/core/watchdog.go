@@ -23,8 +23,8 @@ import (
 // vertex waits forever) or, worse, lets it terminate with silently wrong
 // values.
 
-// defaultWatchdogInterval is the audit period in cycles when
-// Config.WatchdogInterval is zero.
+// defaultWatchdogInterval is the audit period in cycles. The watchdog is
+// always on.
 const defaultWatchdogInterval = 2048
 
 // watchdogStrikes is how many consecutive imbalanced audits arm the trip.
@@ -98,14 +98,6 @@ func (e *ConservationError) Error() string {
 // Unwrap lets errors.Is(err, ErrConservation) match.
 func (e *ConservationError) Unwrap() error { return ErrConservation }
 
-// watchdogInterval returns the audit period for this accelerator.
-func (a *Accelerator) watchdogInterval() uint64 {
-	if a.cfg.WatchdogInterval > 0 {
-		return a.cfg.WatchdogInterval
-	}
-	return defaultWatchdogInterval
-}
-
 // residentEvents itemizes every event currently held by the accelerator.
 func (a *Accelerator) residentEvents() ResidentBreakdown {
 	rb := ResidentBreakdown{
@@ -156,7 +148,7 @@ func (a *Accelerator) watchdogCheck(cycle uint64) {
 	if a.wdErr != nil || a.phase == phaseDone {
 		return
 	}
-	if cycle%a.watchdogInterval() != 0 {
+	if cycle%defaultWatchdogInterval != 0 {
 		return
 	}
 	imb := a.eventImbalance()

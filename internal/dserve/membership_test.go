@@ -28,7 +28,7 @@ func testMembership(seed uint64, workers ...string) *membership {
 		BackoffMax:    time.Second,
 		Seed:          seed,
 	}.withDefaults()
-	m := newMembership(cfg, serve.NewMetricsCatalog(routerCounters, routerHistograms), func(string, ...any) {})
+	m := newMembership(cfg, serve.NewMetricsCatalog(routerCounters, nil), func(string, ...any) {})
 	for _, u := range workers {
 		m.add(u, nil)
 	}

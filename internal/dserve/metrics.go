@@ -11,8 +11,6 @@ package dserve
 
 // routerCounters, in the order the router's /metrics renders them.
 var routerCounters = []string{
-	"router_query_requests",    // /v1/query requests reaching the router
-	"router_mutate_requests",   // /v1/mutate requests reaching the router
 	"router_proxy_errors",      // upstream attempts failed (transport error or 5xx)
 	"router_retries",           // attempts re-sent to the next replica after a failure
 	"router_no_replica",        // requests answered 503: no healthy replica for the graph
@@ -30,17 +28,8 @@ var routerCounters = []string{
 	"antientropy_errors",     // digest fetches or repair requests that failed
 }
 
-// routerHistograms are the router-side request latency distributions
-// (microseconds, inclusive of upstream time and retries).
-var routerHistograms = []string{
-	"router_query_latency_us",
-	"router_mutate_latency_us",
-}
-
 // workerCounters are registered into the wrapped serve.Server's metrics.
 var workerCounters = []string{
-	"worker_register_attempts",     // registration/heartbeat posts attempted
-	"worker_registered",            // registrations acknowledged by the router
 	"worker_register_errors",       // registration posts that failed
 	"worker_snapshot_saves",        // snapshots persisted to the snapshot directory
 	"worker_snapshot_save_errors",  // snapshot persists that failed
@@ -71,8 +60,7 @@ var workerCounters = []string{
 // RouterMetricNames lists every metric a Router can emit; the METRICS.md
 // staleness linter checks the doc against it.
 func RouterMetricNames() []string {
-	out := append([]string(nil), routerCounters...)
-	return append(out, routerHistograms...)
+	return append([]string(nil), routerCounters...)
 }
 
 // WorkerMetricNames lists every metric a Worker adds to its serve.Server's

@@ -142,7 +142,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	cfg = cfg.withDefaults()
 	rt := &Router{
 		cfg:      cfg,
-		metrics:  serve.NewMetricsCatalog(routerCounters, routerHistograms),
+		metrics:  serve.NewMetricsCatalog(routerCounters, nil),
 		graphMus: make(map[string]*sync.Mutex),
 	}
 	rt.members = newMembership(cfg, rt.metrics, rt.logf)
@@ -364,11 +364,6 @@ func relay(w http.ResponseWriter, a attempt) {
 // retrying a failed attempt on the next replica within the retry budget.
 // The client sees exactly one answer — retries are absorbed here.
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	rt.metrics.Add("router_query_requests", 1)
-	defer func() {
-		rt.metrics.Observe("router_query_latency_us", time.Since(start).Microseconds())
-	}()
 	body, err := readBody(w, r, maxRouterQueryBody)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read query body: %v", err)
@@ -499,11 +494,6 @@ func (rt *Router) fanoutWrite(w http.ResponseWriter, graph string, body []byte) 
 }
 
 func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	rt.metrics.Add("router_mutate_requests", 1)
-	defer func() {
-		rt.metrics.Observe("router_mutate_latency_us", time.Since(start).Microseconds())
-	}()
 	body, err := readBody(w, r, maxRouterMutateBody)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read mutate body: %v", err)

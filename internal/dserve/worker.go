@@ -514,7 +514,6 @@ func (wk *Worker) adoptSnapshot(snap *Snapshot, source string) error {
 // register posts one registration (or heartbeat) to the router and
 // returns the acknowledged peer map.
 func (wk *Worker) register(ctx context.Context) (map[string][]string, error) {
-	wk.srv.Metrics().Add("worker_register_attempts", 1)
 	var ack RegisterResponse
 	err := callJSON(ctx, wk.cfg.Client, http.MethodPost, wk.cfg.RouterURL+"/internal/register",
 		RegisterRequest{URL: wk.cfg.Advertise, Graphs: wk.srv.GraphNames()}, &ack, 1<<20)
@@ -522,7 +521,6 @@ func (wk *Worker) register(ctx context.Context) (map[string][]string, error) {
 		wk.srv.Metrics().Add("worker_register_errors", 1)
 		return nil, fmt.Errorf("register: %w", err)
 	}
-	wk.srv.Metrics().Add("worker_registered", 1)
 	return ack.Peers, nil
 }
 

@@ -13,17 +13,16 @@
 //   - total line transfers → Figure 11 (off-chip accesses),
 //   - useful bytes vs transferred bytes → Figure 12 (data utilization).
 //
-// Stats exposes the full counter set (reads, writes, row hits/misses,
-// bytes, rejects, refreshes, and a latency histogram) as a stats.Set, and
+// Counters returns the full counter set (reads, writes, row hits/misses,
+// bytes, rejects, refreshes) as the fields of a Counters struct, and
 // RegisterProbes wires the same counters into a telemetry.Recorder as
-// time-resolved series. METRICS.md documents every name.
+// time-resolved series. METRICS.md documents every field and series.
 package mem
 
 import (
 	"fmt"
 
 	"graphpulse/internal/sim"
-	"graphpulse/internal/sim/stats"
 	"graphpulse/internal/sim/telemetry"
 )
 
@@ -112,10 +111,9 @@ type Request struct {
 type inflight struct {
 	req Request
 	// bank and row are decoded from req.Addr once, at Enqueue.
-	bank     int
-	row      uint64
-	doneAt   uint64
-	enqueued uint64
+	bank   int
+	row    uint64
+	doneAt uint64
 }
 
 type bank struct {
@@ -143,21 +141,33 @@ type channel struct {
 	retryAt uint64
 }
 
+// Counters are a Memory's cumulative traffic counts (METRICS.md, "DDR3
+// counters").
+type Counters struct {
+	// Reads counts 64 B line reads serviced.
+	Reads int64
+	// Writes counts 64 B line writes serviced.
+	Writes int64
+	// RowHits counts accesses that found their row open.
+	RowHits int64
+	// RowMisses counts accesses that paid a precharge + activate.
+	RowMisses int64
+	// BytesMoved is the total off-chip traffic (lines × LineBytes).
+	BytesMoved int64
+	// BytesUseful is the bytes the issuers declared they consume.
+	BytesUseful int64
+	// QueueRejects counts Enqueue calls refused by a full channel queue.
+	QueueRejects int64
+	// Refreshes counts refresh windows that locked a channel.
+	Refreshes int64
+}
+
 // Memory is the full multi-channel memory system. It implements
 // sim.Component.
 type Memory struct {
 	cfg   Config
 	chans []channel
-	stats *stats.Set
-	lat   *stats.Histogram
-	cycle uint64
-
-	// Hot-path counters (folded into Stats() on read).
-	reads, writes        int64
-	rowHits, rowMisses   int64
-	bytesMoved, bytesUse int64
-	rejects              int64
-	refreshes            int64
+	c     Counters
 
 	// done receives each completed request's Token (nil: none wanted).
 	done func(token uint32)
@@ -169,8 +179,7 @@ func New(cfg Config) *Memory {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Memory{cfg: cfg, stats: stats.NewSet()}
-	m.lat = m.stats.Histogram("latency", []int64{16, 32, 64, 128, 256, 512, 1024})
+	m := &Memory{cfg: cfg}
 	m.chans = make([]channel, cfg.Channels)
 	for i := range m.chans {
 		m.chans[i].banks = make([]bank, cfg.BanksPerChannel)
@@ -181,26 +190,8 @@ func New(cfg Config) *Memory {
 // Name implements sim.Component.
 func (m *Memory) Name() string { return "memory" }
 
-// Stats exposes the traffic counters:
-//
-//	reads, writes        – line transfers by kind
-//	row_hits, row_misses – row-buffer behaviour
-//	bytes_transferred    – total off-chip bytes (lines × 64)
-//	bytes_useful         – bytes the issuers declared they consume
-func (m *Memory) Stats() *stats.Set {
-	set := func(name string, v int64) {
-		m.stats.Add(name, v-m.stats.Counter(name))
-	}
-	set("reads", m.reads)
-	set("writes", m.writes)
-	set("row_hits", m.rowHits)
-	set("row_misses", m.rowMisses)
-	set("bytes_transferred", m.bytesMoved)
-	set("bytes_useful", m.bytesUse)
-	set("queue_rejects", m.rejects)
-	set("refreshes", m.refreshes)
-	return m.stats
-}
+// Counters returns the traffic counters so far.
+func (m *Memory) Counters() Counters { return m.c }
 
 // OnComplete installs the handler that receives each request's Token in the
 // cycle its transfer finishes. There is one handler per Memory: the Fetcher
@@ -211,20 +202,20 @@ func (m *Memory) OnComplete(fn func(token uint32)) { m.done = fn }
 // Recorder under the given component name (see METRICS.md for the series).
 // Safe on a nil Recorder (telemetry disabled).
 func (m *Memory) RegisterProbes(r *telemetry.Recorder, component string) {
-	r.Rate(component, "dram_bytes", "bytes", func() int64 { return m.bytesMoved })
-	r.Rate(component, "dram_reads", "lines", func() int64 { return m.reads })
-	r.Rate(component, "dram_writes", "lines", func() int64 { return m.writes })
-	r.Rate(component, "dram_row_hits", "accesses", func() int64 { return m.rowHits })
-	r.Rate(component, "dram_row_misses", "accesses", func() int64 { return m.rowMisses })
+	r.Rate(component, "dram_bytes", "bytes", func() int64 { return m.c.BytesMoved })
+	r.Rate(component, "dram_reads", "lines", func() int64 { return m.c.Reads })
+	r.Rate(component, "dram_writes", "lines", func() int64 { return m.c.Writes })
+	r.Rate(component, "dram_row_hits", "accesses", func() int64 { return m.c.RowHits })
+	r.Rate(component, "dram_row_misses", "accesses", func() int64 { return m.c.RowMisses })
 	r.Gauge(component, "dram_pending", "requests", func() int64 { return int64(m.Pending()) })
 }
 
 // Utilization returns useful bytes / transferred bytes (1 if no traffic).
 func (m *Memory) Utilization() float64 {
-	if m.bytesMoved == 0 {
+	if m.c.BytesMoved == 0 {
 		return 1
 	}
-	return float64(m.bytesUse) / float64(m.bytesMoved)
+	return float64(m.c.BytesUseful) / float64(m.c.BytesMoved)
 }
 
 // channelOf maps a line address to its channel (line-interleaved so
@@ -247,16 +238,14 @@ func (m *Memory) rowOf(addr uint64) uint64 {
 func (m *Memory) Enqueue(req Request) bool {
 	ch := &m.chans[m.channelOf(req.Addr)]
 	if len(ch.queue) >= m.cfg.QueueDepth {
-		m.rejects++
+		m.c.QueueRejects++
 		return false
 	}
 	if req.UsefulBytes > LineBytes {
 		req.UsefulBytes = LineBytes
 	}
 	b := m.bankOf(req.Addr)
-	ch.queue = append(ch.queue, inflight{
-		req: req, bank: b, row: m.rowOf(req.Addr), enqueued: m.cycle,
-	})
+	ch.queue = append(ch.queue, inflight{req: req, bank: b, row: m.rowOf(req.Addr)})
 	ch.retryAt = min(ch.retryAt, ch.banks[b].busyUntil)
 	return true
 }
@@ -274,7 +263,6 @@ func (m *Memory) Pending() int {
 // then issues at most one new access per channel using row-hit-first
 // (FR-FCFS-style) selection.
 func (m *Memory) Tick(cycle uint64) {
-	m.cycle = cycle
 	for ci := range m.chans {
 		ch := &m.chans[ci]
 		// Periodic refresh: lock the channel for tRFC and close every row
@@ -292,7 +280,7 @@ func (m *Memory) Tick(cycle uint64) {
 					ch.banks[b].rowValid = false
 				}
 				ch.nextRefresh += m.cfg.RefreshInterval
-				m.refreshes++
+				m.c.Refreshes++
 			}
 		}
 		// Completions: at most the head of the issue-ordered service list
@@ -333,10 +321,10 @@ func (m *Memory) Tick(cycle uint64) {
 		var access uint64
 		if b.rowValid && b.openRow == row {
 			access = m.cfg.RowHitCycles
-			m.rowHits++
+			m.c.RowHits++
 		} else {
 			access = m.cfg.RowMissCycles
-			m.rowMisses++
+			m.c.RowMisses++
 		}
 		b.openRow, b.rowValid = row, true
 		ready := cycle + access
@@ -355,13 +343,12 @@ func (m *Memory) Tick(cycle uint64) {
 
 func (m *Memory) complete(f inflight) {
 	if f.req.Write {
-		m.writes++
+		m.c.Writes++
 	} else {
-		m.reads++
+		m.c.Reads++
 	}
-	m.bytesMoved += LineBytes
-	m.bytesUse += int64(f.req.UsefulBytes)
-	m.lat.Observe(int64(f.doneAt - f.enqueued))
+	m.c.BytesMoved += LineBytes
+	m.c.BytesUseful += int64(f.req.UsefulBytes)
 	if m.done != nil {
 		m.done(f.req.Token)
 	}

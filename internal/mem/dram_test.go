@@ -59,14 +59,14 @@ func TestSingleReadCompletes(t *testing.T) {
 		t.Fatal("Enqueue refused on empty queue")
 	}
 	run(t, m, func() bool { return done }, 10_000)
-	if m.Stats().Counter("reads") != 1 {
-		t.Errorf("reads = %d, want 1", m.Stats().Counter("reads"))
+	if m.Counters().Reads != 1 {
+		t.Errorf("Reads = %d, want 1", m.Counters().Reads)
 	}
-	if m.Stats().Counter("bytes_transferred") != LineBytes {
-		t.Errorf("bytes_transferred = %d", m.Stats().Counter("bytes_transferred"))
+	if m.Counters().BytesMoved != LineBytes {
+		t.Errorf("BytesMoved = %d", m.Counters().BytesMoved)
 	}
-	if m.Stats().Counter("bytes_useful") != 8 {
-		t.Errorf("bytes_useful = %d, want 8", m.Stats().Counter("bytes_useful"))
+	if m.Counters().BytesUseful != 8 {
+		t.Errorf("BytesUseful = %d, want 8", m.Counters().BytesUseful)
 	}
 }
 
@@ -76,8 +76,8 @@ func TestWriteCounted(t *testing.T) {
 	m.OnComplete(func(uint32) { done = true })
 	m.Enqueue(Request{Addr: 64, Write: true, UsefulBytes: 64})
 	run(t, m, func() bool { return done }, 10_000)
-	if m.Stats().Counter("writes") != 1 || m.Stats().Counter("reads") != 0 {
-		t.Errorf("reads/writes = %d/%d", m.Stats().Counter("reads"), m.Stats().Counter("writes"))
+	if m.Counters().Writes != 1 || m.Counters().Reads != 0 {
+		t.Errorf("Reads/Writes = %d/%d", m.Counters().Reads, m.Counters().Writes)
 	}
 }
 
@@ -87,9 +87,9 @@ func TestFirstAccessIsRowMiss(t *testing.T) {
 	m.OnComplete(func(uint32) { done++ })
 	m.Enqueue(Request{Addr: 0})
 	run(t, m, func() bool { return done == 1 }, 10_000)
-	if m.Stats().Counter("row_misses") != 1 || m.Stats().Counter("row_hits") != 0 {
+	if m.Counters().RowMisses != 1 || m.Counters().RowHits != 0 {
 		t.Errorf("hits/misses = %d/%d, want 0/1",
-			m.Stats().Counter("row_hits"), m.Stats().Counter("row_misses"))
+			m.Counters().RowHits, m.Counters().RowMisses)
 	}
 }
 
@@ -103,11 +103,11 @@ func TestSequentialSameRowHits(t *testing.T) {
 		m.Enqueue(Request{Addr: uint64(i * LineBytes)})
 	}
 	run(t, m, func() bool { return done == 8 }, 100_000)
-	if m.Stats().Counter("row_misses") != 1 {
-		t.Errorf("row_misses = %d, want 1 (first access only)", m.Stats().Counter("row_misses"))
+	if m.Counters().RowMisses != 1 {
+		t.Errorf("RowMisses = %d, want 1 (first access only)", m.Counters().RowMisses)
 	}
-	if m.Stats().Counter("row_hits") != 7 {
-		t.Errorf("row_hits = %d, want 7", m.Stats().Counter("row_hits"))
+	if m.Counters().RowHits != 7 {
+		t.Errorf("RowHits = %d, want 7", m.Counters().RowHits)
 	}
 }
 
@@ -123,8 +123,8 @@ func TestRandomAccessesMostlyMiss(t *testing.T) {
 		m.Enqueue(Request{Addr: uint64(i) * stride})
 	}
 	run(t, m, func() bool { return done == 8 }, 100_000)
-	if m.Stats().Counter("row_misses") != 8 {
-		t.Errorf("row_misses = %d, want 8", m.Stats().Counter("row_misses"))
+	if m.Counters().RowMisses != 8 {
+		t.Errorf("RowMisses = %d, want 8", m.Counters().RowMisses)
 	}
 }
 
@@ -178,8 +178,8 @@ func TestQueueBackpressure(t *testing.T) {
 	if m.Enqueue(Request{Addr: 128}) {
 		t.Error("third enqueue accepted with QueueDepth=2")
 	}
-	if m.Stats().Counter("queue_rejects") != 1 {
-		t.Errorf("queue_rejects = %d", m.Stats().Counter("queue_rejects"))
+	if m.Counters().QueueRejects != 1 {
+		t.Errorf("QueueRejects = %d", m.Counters().QueueRejects)
 	}
 }
 
@@ -269,20 +269,20 @@ func TestUsefulBytesClamped(t *testing.T) {
 	m.OnComplete(func(uint32) { done = true })
 	m.Enqueue(Request{Addr: 0, UsefulBytes: 500})
 	run(t, m, func() bool { return done }, 10_000)
-	if got := m.Stats().Counter("bytes_useful"); got != LineBytes {
-		t.Errorf("bytes_useful = %d, want clamped to %d", got, LineBytes)
+	if got := m.Counters().BytesUseful; got != LineBytes {
+		t.Errorf("BytesUseful = %d, want clamped to %d", got, LineBytes)
 	}
 }
 
-func TestPendingAndLatency(t *testing.T) {
+func TestPending(t *testing.T) {
 	m := New(DefaultConfig())
 	m.Enqueue(Request{Addr: 0})
 	if m.Pending() != 1 {
 		t.Errorf("Pending = %d, want 1", m.Pending())
 	}
 	run(t, m, func() bool { return m.Pending() == 0 }, 10_000)
-	if lat := m.Stats().Histogram("latency", nil); lat.Count() != 1 || lat.Mean() <= 0 {
-		t.Errorf("latency histogram: count %d mean %g, want one positive sample", lat.Count(), lat.Mean())
+	if got := m.Counters().Reads; got != 1 {
+		t.Errorf("Reads = %d after the request drained, want 1", got)
 	}
 }
 
@@ -308,14 +308,14 @@ func TestRefreshClosesRowsAndCosts(t *testing.T) {
 			t.Fatal("did not complete under refresh")
 		}
 	}
-	st := m.Stats()
-	if st.Counter("refreshes") == 0 {
+	st := m.Counters()
+	if st.Refreshes == 0 {
 		t.Error("no refreshes recorded")
 	}
 	// Each refresh closes the row, so the stream must take more than one
 	// row miss despite touching a single row.
-	if st.Counter("row_misses") < 2 {
-		t.Errorf("row_misses = %d, want ≥ 2 (refresh closes rows)", st.Counter("row_misses"))
+	if st.RowMisses < 2 {
+		t.Errorf("RowMisses = %d, want ≥ 2 (refresh closes rows)", st.RowMisses)
 	}
 }
 
@@ -327,7 +327,7 @@ func TestRefreshDisabled(t *testing.T) {
 	m.OnComplete(func(uint32) { done = true })
 	m.Enqueue(Request{Addr: 0})
 	run(t, m, func() bool { return done }, 100_000)
-	if m.Stats().Counter("refreshes") != 0 {
+	if m.Counters().Refreshes != 0 {
 		t.Error("refreshes recorded while disabled")
 	}
 }
@@ -383,7 +383,7 @@ func TestCompletionTimesStrictlyIncreasePerChannel(t *testing.T) {
 			t.Fatalf("token %d completed %d times", tok, n)
 		}
 	}
-	if m.Stats().Counter("refreshes") == 0 {
+	if m.Counters().Refreshes == 0 {
 		t.Fatal("no refreshes: the test must exercise refresh")
 	}
 }

@@ -35,8 +35,8 @@ func TestFetcherSingleLine(t *testing.T) {
 			t.Fatal("fetch never completed")
 		}
 	}
-	if m.Stats().Counter("reads") != 1 {
-		t.Errorf("reads = %d, want 1", m.Stats().Counter("reads"))
+	if m.Counters().Reads != 1 {
+		t.Errorf("Reads = %d, want 1", m.Counters().Reads)
 	}
 }
 
@@ -77,8 +77,8 @@ func TestFetcherCallbackFiresOnceAfterAllLines(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("callback fired %d times, want 1", calls)
 	}
-	if got := m.Stats().Counter("reads"); got != 1024/LineBytes {
-		t.Errorf("reads = %d, want %d", got, 1024/LineBytes)
+	if got := m.Counters().Reads; got != 1024/LineBytes {
+		t.Errorf("Reads = %d, want %d", got, 1024/LineBytes)
 	}
 }
 
@@ -97,11 +97,11 @@ func TestFetcherUsefulDistribution(t *testing.T) {
 			t.Fatal("fetch never completed")
 		}
 	}
-	if got := m.Stats().Counter("bytes_useful"); got != 80 {
-		t.Errorf("bytes_useful = %d, want 80", got)
+	if got := m.Counters().BytesUseful; got != 80 {
+		t.Errorf("BytesUseful = %d, want 80", got)
 	}
-	if got := m.Stats().Counter("bytes_transferred"); got != 192 {
-		t.Errorf("bytes_transferred = %d, want 192", got)
+	if got := m.Counters().BytesMoved; got != 192 {
+		t.Errorf("BytesMoved = %d, want 192", got)
 	}
 }
 
@@ -126,8 +126,8 @@ func TestFetcherBackpressure(t *testing.T) {
 			t.Fatal("fetch never completed under backpressure")
 		}
 	}
-	if m.Stats().Counter("reads") != 10 {
-		t.Errorf("reads = %d, want 10", m.Stats().Counter("reads"))
+	if m.Counters().Reads != 10 {
+		t.Errorf("Reads = %d, want 10", m.Counters().Reads)
 	}
 }
 
@@ -158,11 +158,11 @@ func TestFetcherLineStraddleUseful(t *testing.T) {
 			t.Fatal("fetch never completed")
 		}
 	}
-	if got := m.Stats().Counter("bytes_useful"); got != 8 {
-		t.Errorf("bytes_useful = %d, want 8", got)
+	if got := m.Counters().BytesUseful; got != 8 {
+		t.Errorf("BytesUseful = %d, want 8", got)
 	}
-	if got := m.Stats().Counter("bytes_transferred"); got != 2*LineBytes {
-		t.Errorf("bytes_transferred = %d, want %d", got, 2*LineBytes)
+	if got := m.Counters().BytesMoved; got != 2*LineBytes {
+		t.Errorf("BytesMoved = %d, want %d", got, 2*LineBytes)
 	}
 }
 
@@ -183,11 +183,11 @@ func TestFetcherZeroUseful(t *testing.T) {
 			t.Fatal("fetch never completed")
 		}
 	}
-	if got := m.Stats().Counter("bytes_useful"); got != 0 {
-		t.Errorf("bytes_useful = %d, want 0", got)
+	if got := m.Counters().BytesUseful; got != 0 {
+		t.Errorf("BytesUseful = %d, want 0", got)
 	}
-	if got := m.Stats().Counter("bytes_transferred"); got != LineBytes {
-		t.Errorf("bytes_transferred = %d, want %d", got, LineBytes)
+	if got := m.Counters().BytesMoved; got != LineBytes {
+		t.Errorf("BytesMoved = %d, want %d", got, LineBytes)
 	}
 }
 
@@ -249,11 +249,11 @@ func TestFetcherFIFOAcrossGroupsUnderBackpressure(t *testing.T) {
 			t.Fatalf("completion order = %v, want [0 1 2]", order)
 		}
 	}
-	if got := m.Stats().Counter("reads"); got != 4 {
-		t.Errorf("reads = %d, want 4", got)
+	if got := m.Counters().Reads; got != 4 {
+		t.Errorf("Reads = %d, want 4", got)
 	}
-	if got := m.Stats().Counter("writes"); got != 2 {
-		t.Errorf("writes = %d, want 2", got)
+	if got := m.Counters().Writes; got != 2 {
+		t.Errorf("Writes = %d, want 2", got)
 	}
 }
 
@@ -271,8 +271,8 @@ func TestFetcherWrite(t *testing.T) {
 			t.Fatal("write never completed")
 		}
 	}
-	if m.Stats().Counter("writes") != 2 {
-		t.Errorf("writes = %d, want 2", m.Stats().Counter("writes"))
+	if m.Counters().Writes != 2 {
+		t.Errorf("Writes = %d, want 2", m.Counters().Writes)
 	}
 }
 

@@ -1,10 +1,11 @@
 package serve
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
-
-	"graphpulse/internal/sim/stats"
 )
 
 // Serving metrics, in the order /metrics renders them. All are documented
@@ -44,13 +45,17 @@ var latencyBucketsUS = []int64{
 	50_000, 100_000, 250_000, 500_000, 1_000_000,
 }
 
-// Metrics is the server's observability surface: a stats.Set behind a
-// mutex (the simulator's sets are single-threaded by construction; the
-// serving layer is not). Every name is pre-registered so /metrics renders
-// the complete catalogue in a fixed order from the first request on.
+// Metrics is the server's observability surface: named counters and
+// latency histograms behind one mutex. Every name is pre-registered so
+// /metrics renders the complete catalogue in a fixed order from the first
+// request on.
 type Metrics struct {
-	mu  sync.Mutex
-	set *stats.Set
+	mu         sync.Mutex
+	counters   map[string]int64
+	histograms map[string]*histogram
+	// order lists every counter and histogram name in first-registration
+	// order; Render follows it, so map iteration never decides placement.
+	order []string
 }
 
 // NewMetrics returns a Metrics with every serving counter and histogram
@@ -64,7 +69,7 @@ func NewMetrics() *Metrics {
 // (internal/dserve) reuses the serving metrics machinery with its own
 // `router_*` names this way.
 func NewMetricsCatalog(counters, histograms []string) *Metrics {
-	m := &Metrics{set: stats.NewSet()}
+	m := &Metrics{counters: make(map[string]int64), histograms: make(map[string]*histogram)}
 	m.register(counters, histograms)
 	return m
 }
@@ -81,48 +86,116 @@ func (m *Metrics) Register(counters, histograms []string) {
 
 func (m *Metrics) register(counters, histograms []string) {
 	for _, n := range counters {
-		m.set.Add(n, 0)
+		m.add(n, 0)
 	}
 	for _, n := range histograms {
-		m.set.Histogram(n, latencyBucketsUS)
+		m.histogram(n)
 	}
+}
+
+// add increments counter name, registering it on first use.
+func (m *Metrics) add(name string, delta int64) {
+	v, ok := m.counters[name]
+	if !ok {
+		m.order = append(m.order, name)
+	}
+	m.counters[name] = v + delta
+}
+
+// histogram returns the named histogram, registering it on first use.
+func (m *Metrics) histogram(name string) *histogram {
+	h, ok := m.histograms[name]
+	if !ok {
+		h = newHistogram(latencyBucketsUS)
+		m.histograms[name] = h
+		m.order = append(m.order, name)
+	}
+	return h
 }
 
 // Add increments a counter.
 func (m *Metrics) Add(name string, delta int64) {
 	m.mu.Lock()
-	m.set.Add(name, delta)
+	m.add(name, delta)
 	m.mu.Unlock()
 }
 
 // Observe records one histogram observation.
 func (m *Metrics) Observe(name string, v int64) {
 	m.mu.Lock()
-	m.set.Histogram(name, latencyBucketsUS).Observe(v)
+	m.histogram(name).observe(v)
 	m.mu.Unlock()
 }
 
-// Counter returns a counter's current value.
+// Counter returns a counter's current value (0 if never written).
 func (m *Metrics) Counter(name string) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.set.Counter(name)
+	return m.counters[name]
 }
 
 // Render returns the /metrics text: every counter and histogram in
-// registration order, in the repository's deterministic stats.Set.Report
-// format. The exact output is pinned by a golden-file test.
+// registration order, a histogram as a summary line followed by its
+// buckets. The exact output is pinned by a golden-file test.
 func (m *Metrics) Render() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var b strings.Builder
 	b.WriteString("# graphpulse serve metrics (see METRICS.md)\n")
-	b.WriteString(m.set.Report())
+	for _, n := range m.order {
+		if v, ok := m.counters[n]; ok {
+			fmt.Fprintf(&b, "%-40s %d\n", n, v)
+		}
+		if h, ok := m.histograms[n]; ok {
+			fmt.Fprintf(&b, "%-40s count=%d mean=%.2f max=%d\n", n, h.n, h.mean(), h.max)
+			for i, c := range h.counts {
+				label := "  >overflow"
+				if i < len(h.bounds) {
+					label = fmt.Sprintf("  ≤%d", h.bounds[i])
+				}
+				fmt.Fprintf(&b, "%-40s %d\n", label, c)
+			}
+		}
+	}
 	return b.String()
 }
 
 // MetricNames lists every metric name the serving layer can emit; the
 // METRICS.md staleness linter checks the doc against it.
 func MetricNames() []string {
-	return NewMetrics().set.Names()
+	return NewMetrics().order
+}
+
+// histogram counts observations into fixed inclusive upper-bound buckets
+// plus an overflow bucket, and tracks sum, count and max for the summary
+// line.
+type histogram struct {
+	bounds []int64 // ascending inclusive upper bounds
+	counts []int64 // len(bounds)+1; the last is overflow
+	sum    int64
+	n      int64
+	max    int64
+}
+
+// newHistogram creates a histogram over the given upper bounds, in any
+// order.
+func newHistogram(bounds []int64) *histogram {
+	b := slices.Clone(bounds)
+	slices.Sort(b)
+	return &histogram{bounds: b, counts: make([]int64, len(b)+1)}
+}
+
+func (h *histogram) observe(v int64) {
+	h.counts[sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })]++
+	h.sum += v
+	h.n++
+	h.max = max(h.max, v)
+}
+
+// mean is the mean observation (0 if none).
+func (h *histogram) mean() float64 {
+	if h.n == 0 {
+		return 0
+	}
+	return float64(h.sum) / float64(h.n)
 }

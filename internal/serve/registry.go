@@ -71,7 +71,7 @@ type residentGraph struct {
 	hook MutationHook
 }
 
-func loadResident(spec GraphSpec, cache *gen.Cache, histMax int) (*residentGraph, error) {
+func loadResident(spec GraphSpec, histMax int) (*residentGraph, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("serve: graph spec needs a name")
 	}
@@ -89,7 +89,7 @@ func loadResident(spec GraphSpec, cache *gen.Cache, histMax int) (*residentGraph
 	g := spec.Graph
 	if g == nil {
 		var err error
-		if g, err = gen.Load(spec.Source, cache); err != nil {
+		if g, err = gen.Load(spec.Source, gen.Default); err != nil {
 			return nil, err
 		}
 	}

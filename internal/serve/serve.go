@@ -39,7 +39,6 @@ import (
 	"sync"
 	"time"
 
-	"graphpulse/internal/graph/gen"
 	"graphpulse/internal/stream"
 )
 
@@ -75,9 +74,6 @@ type Config struct {
 	// of the vertex set, the warm start degrades to a full replay (cold
 	// solve) instead (default stream.DefaultMaxConeFraction).
 	MaxConeFraction float64
-	// Cache supplies memoized Table IV dataset stand-ins for "ABBREV:tier"
-	// graph sources (default gen.Default).
-	Cache *gen.Cache
 	// EnablePprof mounts net/http/pprof under /debug/pprof.
 	EnablePprof bool
 	// Logf, when non-nil, receives one line per lifecycle event (startup,
@@ -110,9 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxConeFraction <= 0 {
 		c.MaxConeFraction = stream.DefaultMaxConeFraction
-	}
-	if c.Cache == nil {
-		c.Cache = gen.Default
 	}
 	return c
 }
@@ -167,7 +160,7 @@ func New(cfg Config) (*Server, error) {
 		started: time.Now(),
 	}
 	for _, spec := range cfg.Graphs {
-		rg, err := loadResident(spec, cfg.Cache, cfg.MutationHistory)
+		rg, err := loadResident(spec, cfg.MutationHistory)
 		if err != nil {
 			return nil, fmt.Errorf("serve: load graph %q: %w", spec.Name, err)
 		}

@@ -591,12 +591,10 @@ func TestParseGraphArg(t *testing.T) {
 }
 
 // TestLoadDatasetSource checks the "ABBREV:tier" source path through the
-// shared gen cache.
+// shared gen cache: the resident graph is the cache's CSR itself.
 func TestLoadDatasetSource(t *testing.T) {
-	cache := gen.NewCache()
 	s, err := New(Config{
 		Graphs: []GraphSpec{{Name: "wg", Source: "WG:tiny"}},
-		Cache:  cache,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -610,8 +608,12 @@ func TestLoadDatasetSource(t *testing.T) {
 	if g.NumVertices() != 1<<12 {
 		t.Errorf("WG:tiny has %d vertices, want %d", g.NumVertices(), 1<<12)
 	}
-	if cache.Len() == 0 {
-		t.Error("dataset load bypassed the gen cache")
+	spec, err := gen.DatasetByAbbrev("WG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := gen.Default.Generate(spec, gen.Tiny); err != nil || g != want {
+		t.Errorf("resident WG:tiny is not gen.Default's CSR (err %v)", err)
 	}
 }
 

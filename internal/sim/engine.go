@@ -7,12 +7,12 @@
 // through explicit buffers, advanced one clock edge at a time. At the
 // modeled 1 GHz, one tick is one nanosecond.
 //
-// Two subpackages provide the measurement layer: sim/stats (named counters,
-// histograms, and per-stage timers rendered deterministically) and
-// sim/telemetry (a sampling recorder that is itself a Component — register
-// it last so it observes end-of-cycle state — capturing probe values every
-// N cycles into bounded time series). METRICS.md at the repository root
-// documents every metric name built on these.
+// End-of-run counts are plain fields of the model that increments them
+// (mem.Counters, core.Result). The subpackage sim/telemetry adds the
+// time-resolved view: a sampling recorder that is itself a Component —
+// register it last so it observes end-of-cycle state — capturing probe
+// values every N cycles into bounded time series. METRICS.md at the
+// repository root documents every metric name.
 package sim
 
 import (

@@ -1,12 +1,16 @@
 // Package lintdoc keeps the metric documentation in sync with the metrics
 // the build actually emits. It runs tiny telemetry-enabled simulations of
 // every engine (accelerator, Graphicionado baseline), collects
-// each registered series name plus the DDR3 stats.Set counter names, the
-// stage/state keys, and the serving- and distributed-tier metric
-// catalogues, then applies two checks:
+// each registered series name plus the stage/state keys and the serving-
+// and distributed-tier metric catalogues, reflects over the exported
+// fields of the counter structs (mem.Counters, ooc.Counters), then applies
+// three checks:
 //
 //   - forward, on METRICS.md: every collected name must be mentioned in
 //     the doc in backticks;
+//   - both ways, on METRICS.md's counter-struct tables: each table's first
+//     column lists exactly its struct's exported fields, so a field
+//     renamed, added or deleted without a doc edit fails;
 //   - reverse, on METRICS.md and OPERATIONS.md: every backticked
 //     metric-shaped token (`router_*`, `worker_*`, `query_*`, …) must
 //     name a metric the build can actually emit — so neither the
@@ -20,6 +24,7 @@ package lintdoc
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -30,6 +35,7 @@ import (
 	"graphpulse/internal/core"
 	"graphpulse/internal/dserve"
 	"graphpulse/internal/graph/gen"
+	"graphpulse/internal/graph/ooc"
 	"graphpulse/internal/mem"
 	"graphpulse/internal/serve"
 	"graphpulse/internal/sim/telemetry"
@@ -82,9 +88,6 @@ func emittedNames() ([]string, error) {
 		add(s.Name)
 	}
 
-	// DDR3 stats.Set counters and the latency histogram.
-	add(mem.New(mem.DefaultConfig()).Stats().Names()...)
-
 	// Serving-layer counters and latency histograms.
 	add(serve.MetricNames()...)
 
@@ -92,7 +95,7 @@ func emittedNames() ([]string, error) {
 	add(dserve.RouterMetricNames()...)
 	add(dserve.WorkerMetricNames()...)
 
-	// Stage-timer and unit-state keys surfaced through core.Result.
+	// Stage and unit-state keys surfaced through core.Result.
 	add(core.StageNames...)
 	for k := range ares.ProcBreakdown {
 		add(k)
@@ -124,8 +127,53 @@ func cachedEmittedNames() ([]string, error) {
 	return namesVal, namesErr
 }
 
+// fieldTables are the counter structs whose exported fields METRICS.md
+// lists as the first column of one table, in the section whose "## "
+// heading names the struct in backticks.
+var fieldTables = []reflect.Type{
+	reflect.TypeFor[mem.Counters](),
+	reflect.TypeFor[ooc.Counters](),
+}
+
+// fieldRowRE matches a table row whose first cell is one backticked
+// identifier.
+var fieldRowRE = regexp.MustCompile("(?m)^\\|\\s*`([A-Za-z0-9_]+)`\\s*\\|")
+
+// checkFieldTable verifies that the table in doc's "## " section whose
+// heading names `pkg.Type` lists exactly t's exported fields.
+func checkFieldTable(docPath, doc string, t reflect.Type) error {
+	name := "`" + t.String() + "`"
+	for _, sec := range strings.Split(doc, "\n## ")[1:] {
+		heading, body, _ := strings.Cut(sec, "\n")
+		if !strings.Contains(heading, name) {
+			continue
+		}
+		rows := map[string]bool{}
+		for _, m := range fieldRowRE.FindAllStringSubmatch(body, -1) {
+			rows[m[1]] = true
+		}
+		var stale []string
+		for _, f := range reflect.VisibleFields(t) {
+			if f.IsExported() && !rows[f.Name] {
+				stale = append(stale, f.Name+" (undocumented)")
+			}
+			delete(rows, f.Name)
+		}
+		for r := range rows {
+			stale = append(stale, r+" (no such field)")
+		}
+		if len(stale) > 0 {
+			sort.Strings(stale)
+			return fmt.Errorf("lintdoc: %s's %s table is stale: %v", docPath, name, stale)
+		}
+		return nil
+	}
+	return fmt.Errorf("lintdoc: %s has no section headed by %s", docPath, name)
+}
+
 // check verifies every emitted metric name appears in the doc at docPath
-// inside backticks. `dram_*`-style globs in the doc cover matching names.
+// inside backticks, and that every counter-struct table lists exactly its
+// struct's fields. `dram_*`-style globs in the doc cover matching names.
 func check(docPath string) error {
 	raw, err := os.ReadFile(docPath)
 	if err != nil {
@@ -164,6 +212,11 @@ func check(docPath string) error {
 	}
 	if len(missing) > 0 {
 		return fmt.Errorf("lintdoc: %s is stale — undocumented metric names: %v", docPath, missing)
+	}
+	for _, t := range fieldTables {
+		if err := checkFieldTable(docPath, string(raw), t); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package lintdoc
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -29,6 +30,32 @@ func TestCheckFlagsUndocumentedNames(t *testing.T) {
 	}
 	if err := check(stale); err == nil {
 		t.Fatal("check accepted a doc missing nearly every metric")
+	}
+}
+
+// TestCheckFlagsStaleFieldTables proves check fails when METRICS.md's
+// mem.Counters table omits a field, or names one the struct does not
+// have (a renamed field), with the rest of the doc current.
+func TestCheckFlagsStaleFieldTables(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "..", "..", "METRICS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const row = "| `QueueRejects` |"
+	if !strings.Contains(string(raw), row) {
+		t.Fatalf("METRICS.md has no %q row to edit", row)
+	}
+	for name, doc := range map[string]string{
+		"omitted": strings.Replace(string(raw), row, "| queue rejects |", 1),
+		"renamed": strings.Replace(string(raw), row, "| `QueueRefusals` |", 1),
+	} {
+		stale := filepath.Join(t.TempDir(), "METRICS.md")
+		if err := os.WriteFile(stale, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := check(stale); err == nil || !strings.Contains(err.Error(), "QueueRejects") {
+			t.Errorf("%s row: check = %v, want an error naming QueueRejects", name, err)
+		}
 	}
 }
 

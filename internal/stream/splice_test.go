@@ -3,6 +3,7 @@ package stream
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -176,14 +177,26 @@ func deleteBatches(g *graph.CSR) [][]graph.Edge {
 // NewGraph allocates O(1) bytes, not O(edges), and one 16-edge insert or
 // delete allocates the next CSR plus O(batch): a copy of the whole edge
 // list (12 B/edge) or any per-edge side array per epoch fails it.
+// TotalAlloc is process-wide, so another goroutine allocating inside a
+// window inflates one reading; each figure is the minimum over several
+// measured calls, each on a fresh Graph.
 func TestApplyAllocatesOnlyTheNextCSR(t *testing.T) {
+	const tries = 5
 	base := wgGraph(t, gen.Tiny)
 	ins, dels := insertBatches(base, 1), deleteBatches(base)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	g := NewGraph(base, 4)
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<10 {
+	allocated := func(f func()) int {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return int(after.TotalAlloc - before.TotalAlloc)
+	}
+	var g *Graph
+	got := math.MaxInt
+	for range tries {
+		got = min(got, allocated(func() { g = NewGraph(base, 4) }))
+	}
+	if got > 1<<10 {
 		t.Errorf("NewGraph allocated %d B over %d edges; want O(1)", got, base.NumEdges())
 	}
 	const slack = 64 << 10 // the batch's maps, sort scratch and Change
@@ -191,15 +204,19 @@ func TestApplyAllocatesOnlyTheNextCSR(t *testing.T) {
 		name      string
 		ins, dels []graph.Edge
 	}{{"insert", ins[0], nil}, {"delete", nil, dels[0]}} {
-		runtime.ReadMemStats(&before)
-		ch, _, _, err := g.Apply(c.ins, c.dels)
-		runtime.ReadMemStats(&after)
-		if err != nil || ch.Epoch == 0 {
-			t.Fatalf("%s: epoch %d, err %v", c.name, ch.Epoch, err)
+		got := math.MaxInt
+		for range tries {
+			g = NewGraph(base, 4)
+			var ch Change
+			var err error
+			got = min(got, allocated(func() { ch, _, _, err = g.Apply(c.ins, c.dels) }))
+			if err != nil || ch.Epoch == 0 {
+				t.Fatalf("%s: epoch %d, err %v", c.name, ch.Epoch, err)
+			}
 		}
 		next := g.CSR()
 		csr := 8*len(next.RowPtr) + 4*len(next.Dst) + 4*len(next.Weight)
-		if got := int(after.TotalAlloc - before.TotalAlloc); got > csr+slack {
+		if got > csr+slack {
 			t.Errorf("%s allocated %d B; the next CSR is %d B (+%d slack) on %d edges", c.name, got, csr, slack, next.NumEdges())
 		}
 	}
