@@ -21,17 +21,18 @@ import "graphpulse/internal/graph"
 // not sliced — every in-RAM *graph.CSR — gets one ring, which is a plain
 // FIFO.
 type Worklist struct {
-	buf   []graph.VertexID // backing array of every ring, hi-lo slots
-	rings []ring           // one per slice, ascending
-	cur   int              // ring the sweep is visiting
-	quota int              // entries still to take from cur on this visit
-	total int
+	buf    []graph.VertexID // backing array of every ring, hi-lo slots
+	rings  []ring           // one per slice, ascending
+	lo     graph.VertexID   // first vertex of the owner's range
+	ringAt []uint32         // ring index of vertex lo+i; nil with one ring
+	cur    int              // ring the sweep is visiting
+	quota  int              // entries still to take from cur on this visit
+	total  int
 }
 
 // ring is one slice's FIFO: the slots buf[base : base+size] serve the
-// slice's vertices [lo, lo+size).
+// slice's vertices [lo+base, lo+base+size), lo being the worklist's.
 type ring struct {
-	lo                      graph.VertexID
 	base, size, head, count int
 }
 
@@ -45,13 +46,24 @@ func NewWorklist(g graph.Adjacency, lo, hi graph.VertexID) *Worklist {
 			cuts = append(cuts, b)
 		}
 	}
-	w := &Worklist{buf: make([]graph.VertexID, hi-lo), rings: make([]ring, len(cuts))}
+	w := &Worklist{buf: make([]graph.VertexID, hi-lo), rings: make([]ring, len(cuts)), lo: lo}
+	if len(cuts) > 1 {
+		// A container may hold up to 2^20 slices, so the per-vertex index
+		// is what keeps Push O(1); a one-ring worklist needs none.
+		w.ringAt = make([]uint32, hi-lo)
+	}
 	for i, c := range cuts {
 		end := hi
 		if i+1 < len(cuts) {
 			end = cuts[i+1]
 		}
-		w.rings[i] = ring{lo: c, base: int(c - lo), size: int(end - c)}
+		w.rings[i] = ring{base: int(c - lo), size: int(end - c)}
+		if w.ringAt != nil {
+			at := w.ringAt[c-lo : end-lo]
+			for j := range at {
+				at[j] = uint32(i)
+			}
+		}
 	}
 	w.cur = len(w.rings) - 1 // the first Pop advances the sweep to slice 0
 	return w
@@ -60,18 +72,12 @@ func NewWorklist(g graph.Adjacency, lo, hi graph.VertexID) *Worklist {
 // Len returns the number of queued vertices.
 func (w *Worklist) Len() int { return w.total }
 
-// ringOf returns the ring of the slice containing v: the last one starting
-// at or before v.
+// ringOf returns the ring of the slice containing v.
 func (w *Worklist) ringOf(v graph.VertexID) *ring {
-	i, j := 0, len(w.rings)-1
-	for i < j {
-		if mid := (i + j + 1) / 2; w.rings[mid].lo <= v {
-			i = mid
-		} else {
-			j = mid - 1
-		}
+	if w.ringAt == nil {
+		return &w.rings[0]
 	}
-	return &w.rings[i]
+	return &w.rings[w.ringAt[v-w.lo]]
 }
 
 // Push queues v, which must lie in [lo, hi) and not already be queued.

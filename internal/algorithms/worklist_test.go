@@ -149,6 +149,71 @@ func TestWorklistNoStarvation(t *testing.T) {
 	}
 }
 
+// sweepModel is the worklist's schedule written out plainly: one FIFO per
+// slice, the slice found by a linear scan of its starts, and a cyclic
+// sweep that takes from a slice what it held when the sweep arrived.
+type sweepModel struct {
+	starts     []graph.VertexID // ascending slice starts
+	queues     [][]graph.VertexID
+	cur, quota int
+}
+
+func newSweepModel(starts []graph.VertexID) *sweepModel {
+	return &sweepModel{starts: starts, queues: make([][]graph.VertexID, len(starts)), cur: len(starts) - 1}
+}
+
+func (m *sweepModel) push(v graph.VertexID) {
+	i := len(m.starts) - 1
+	for m.starts[i] > v {
+		i--
+	}
+	m.queues[i] = append(m.queues[i], v)
+}
+
+// pop returns the next vertex and the slice whose visit popped it.
+func (m *sweepModel) pop() (graph.VertexID, int) {
+	for m.quota == 0 {
+		m.cur = (m.cur + 1) % len(m.queues)
+		m.quota = len(m.queues[m.cur])
+	}
+	v := m.queues[m.cur][0]
+	m.queues[m.cur] = m.queues[m.cur][1:]
+	m.quota--
+	return v, m.cur
+}
+
+// An owner range that starts past 0 and is cut by uneven slices (one of a
+// single vertex, one clipped at each end) pops every vertex during its own
+// slice's visit, in the order of the plain sweep model, pop for pop.
+func TestWorklistUnevenSlicesOwnerRange(t *testing.T) {
+	const n = 300
+	g := slicedCSR{chainGraph(t, n), []graph.VertexID{0, 7, 8, 61, 140, 141, 299, 300}}
+	const lo, hi = 5, 290
+	starts := []graph.VertexID{lo, 7, 8, 61, 140, 141}
+	wl := NewWorklist(g, lo, hi)
+	if len(wl.rings) != len(starts) || len(wl.ringAt) != hi-lo {
+		t.Fatalf("%d rings and a %d-entry ring index, want %d and %d", len(wl.rings), len(wl.ringAt), len(starts), hi-lo)
+	}
+	m := newSweepModel(starts)
+	pops := 0
+	script(wl, lo, hi, 3, 40000, m.push, func(v graph.VertexID) {
+		want, slice := m.pop()
+		if v != want {
+			t.Fatalf("pop %d: got %d, model pops %d", pops, v, want)
+		}
+		if wl.cur != slice {
+			t.Fatalf("pop %d: vertex %d popped while visiting ring %d, its slice is %d", pops, v, wl.cur, slice)
+		}
+		pops++
+	})
+	if pops == 0 {
+		t.Fatal("nothing popped")
+	}
+	if one := NewWorklist(chainGraph(t, n), lo, hi); one.ringAt != nil {
+		t.Fatalf("one-ring worklist built a %d-entry ring index", len(one.ringAt))
+	}
+}
+
 // Unusable boundary lists fall back to one ring.
 func TestWorklistUnusableBoundaries(t *testing.T) {
 	const n = 30

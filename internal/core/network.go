@@ -13,7 +13,11 @@ package core
 type crossbar struct {
 	ports int
 	depth int
+	// queue holds the buffered events in arrival order. It is a window of
+	// buf: deliver advances its start past the scanned window, and offer
+	// moves it back to buf's start only when it reaches buf's end.
 	queue []Event
+	buf   []Event
 
 	// delivered is a cumulative counter for reports.
 	delivered int64
@@ -29,6 +33,15 @@ func newCrossbar(ports, depth int) *crossbar {
 func (x *crossbar) offer(ev Event) bool {
 	if len(x.queue) >= x.depth {
 		return false
+	}
+	if len(x.queue) == cap(x.queue) {
+		// The queue reached buf's end. Compact into buf while that frees
+		// at least half of it, else into a buf twice the size, so each
+		// event is copied O(1) times however deep the backlog.
+		if 2*len(x.queue) >= cap(x.buf) {
+			x.buf = make([]Event, 0, max(2*cap(x.buf), 2*x.ports))
+		}
+		x.queue = x.buf[:copy(x.buf[:cap(x.buf)], x.queue)]
 	}
 	x.queue = append(x.queue, ev)
 	return true
@@ -54,11 +67,10 @@ func (x *crossbar) deliver(q *coalescingQueue, drainingBin int) (coalesced int) 
 	moved := 0
 	scanned := 0
 	kept := x.queue[:0]
-	for i, ev := range x.queue {
+	for _, ev := range x.queue {
 		// A hardware crossbar arbitrates over a bounded window, not the
 		// whole buffer; cap the scan so deep backlogs also bound sim cost.
 		if moved >= x.ports || scanned >= 8*x.ports {
-			kept = append(kept, x.queue[i:]...)
 			break
 		}
 		scanned++
@@ -74,7 +86,17 @@ func (x *crossbar) deliver(q *coalescingQueue, drainingBin int) (coalesced int) 
 		x.delivered++
 		moved++
 	}
-	x.queue = kept
+	// The queue becomes kept followed by the unscanned tail. Move whichever
+	// is shorter: the tail back to meet kept, or kept (at most one scan
+	// window) forward to meet the tail, advancing the queue's start past the
+	// delivered events. A deep backlog is then never copied per cycle.
+	if tail := x.queue[scanned:]; len(tail) <= len(kept) {
+		x.queue = append(kept, tail...)
+	} else {
+		start := scanned - len(kept)
+		copy(x.queue[start:scanned], kept)
+		x.queue = x.queue[start:]
+	}
 	return coalesced
 }
 

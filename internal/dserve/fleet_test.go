@@ -295,6 +295,10 @@ func crash(t *testing.T, wk *Worker) {
 	if err := wk.Server().Shutdown(ctx); err != nil {
 		t.Errorf("crash: %v", err)
 	}
+	// The test's direct requests share http.DefaultClient's pool: a
+	// keep-alive connection to the dead server could carry the next POST to
+	// a replacement on the same address, and a POST is not retried on EOF.
+	http.DefaultClient.CloseIdleConnections()
 }
 
 // TestFleetServeBurst: one bare server on a mutable graph takes the

@@ -3,19 +3,19 @@
 // in the graphpack container — per-slice segments of delta/varint-compressed
 // CSR neighbor lists, laid out along partition.Split boundaries — and served
 // through an mmap-backed (portable io.ReaderAt fallback) Store that decodes
-// slices lazily, keeps them resident under an LRU byte budget, and evicts
-// cold ones. The Store implements graph.Adjacency, so the native solvers
-// and the serving tier can run directly off a graph ~10× larger than
-// memory: at any instant only the resident slice set is decoded. ReadCSR
-// decodes a whole container into an in-RAM CSR for the cycle simulators,
-// which address the CSR arrays as DRAM.
+// slices lazily, keeps them resident under a byte budget, and evicts the
+// slice the solvers' cyclic sweep reaches last. The Store implements
+// graph.Adjacency, so the native solvers and the serving tier can run
+// directly off a graph ~10× larger than memory: at any instant only the
+// resident slice set is decoded. ReadCSR decodes a whole container into an
+// in-RAM CSR for the cycle simulators, which address the CSR arrays as DRAM.
 //
 // The Store is also a graph.Sliced: the native solvers (algorithms.SolveCtx,
 // psolve) order their worklists by its slice boundaries and sweep them
-// cyclically, so a budgeted store decodes each slice once per sweep instead
-// of once per activation, and they read each activated vertex's row with one
-// Row call — one slice search and one residency touch, which every
-// vertex-indexed accessor shares.
+// cyclically, so a budgeted store decodes each slice at most once per sweep
+// instead of once per activation, and they read each activated vertex's
+// row with one Row call — one slice search and one residency touch, which
+// every vertex-indexed accessor shares.
 //
 // Container layout (all integers little-endian):
 //

@@ -13,14 +13,15 @@ import (
 )
 
 // Store serves a graphpack container as a graph.Adjacency, decoding slices
-// on demand and keeping them resident under an LRU byte budget — the
-// software form of the paper's Section IV-F slice swapping. It is safe for
-// concurrent readers: the decoded-slice pointer and last-use stamp are
-// atomics, a per-slice mutex serializes decoding, and a store-level mutex
-// guards eviction accounting. Eviction drops the store's reference; readers
-// holding a slice returned before the eviction keep using it (the garbage
-// collector reclaims it when the last reference dies), so the budget is a
-// target the resident set settles under, not a hard allocation ceiling.
+// on demand and keeping them resident under a byte budget — the software
+// form of the paper's Section IV-F slice swapping. Eviction follows the
+// solvers' ascending cyclic sweep (see admit). It is safe for concurrent
+// readers: the decoded-slice pointer is an atomic, a per-slice mutex
+// serializes decoding, and a store-level mutex guards eviction accounting.
+// Eviction drops the store's reference; readers holding a slice returned
+// before the eviction keep using it (the garbage collector reclaims it when
+// the last reference dies), so the budget is a target the resident set
+// settles under, not a hard allocation ceiling.
 type Store struct {
 	f      *os.File
 	mapped []byte // non-nil when the file is memory-mapped
@@ -30,7 +31,6 @@ type Store struct {
 	budget int64            // resident-byte budget; <=0 means unlimited
 
 	slices []residentSlice
-	clock  atomic.Int64 // global access stamp for approximate LRU
 
 	mu            sync.Mutex // guards the two gauges below and eviction
 	residentBytes int64
@@ -46,7 +46,6 @@ type Store struct {
 type residentSlice struct {
 	mu   sync.Mutex // serializes decoding of this slice
 	data atomic.Pointer[sliceData]
-	last atomic.Int64 // clock stamp of the most recent access
 }
 
 // Counters is a snapshot of the store's observability surface; METRICS.md
@@ -167,9 +166,10 @@ func (s *Store) init(size int64) error {
 	}
 	s.bounds[len(dir)] = graph.VertexID(hdr.n)
 	// Verification pass: decode every segment once through the normal
-	// residency path. This bounds memory by the budget (cold slices are
-	// evicted as the scan advances), warms the tail of the slice set, and
-	// guarantees later decodes of a well-formed file cannot fail.
+	// residency path. This bounds memory by the budget (each slice the scan
+	// just left is evicted as it advances), leaves the head of the slice set
+	// resident for the first sweep, and guarantees later decodes of a
+	// well-formed file cannot fail.
 	for i := range dir {
 		if _, err := s.load(i); err != nil {
 			return err
@@ -246,14 +246,12 @@ func (s *Store) segment(i int) ([]byte, error) {
 func (s *Store) load(i int) (*sliceData, error) {
 	sl := &s.slices[i]
 	if d := sl.data.Load(); d != nil {
-		sl.last.Store(s.clock.Add(1))
 		s.hits.Add(1)
 		return d, nil
 	}
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	if d := sl.data.Load(); d != nil { // raced with another decoder
-		sl.last.Store(s.clock.Add(1))
 		s.hits.Add(1)
 		return d, nil
 	}
@@ -269,15 +267,18 @@ func (s *Store) load(i int) (*sliceData, error) {
 	}
 	s.decodes.Add(1)
 	s.decodedBytes.Add(d.bytes)
-	sl.last.Store(s.clock.Add(1))
 	sl.data.Store(d)
 	s.admit(i, d.bytes)
 	return d, nil
 }
 
-// admit charges a freshly decoded slice against the budget and evicts the
-// coldest resident slices (never the one just admitted) until the budget is
-// met or nothing else is resident.
+// admit charges a freshly decoded slice against the budget and evicts
+// resident slices (never the one just admitted) until the budget is met or
+// nothing else is resident. The victim is the slice farthest ahead of keep
+// in slice order, (j - keep) mod k: the one an ascending cyclic sweep —
+// Worklist.Pop's order — reaches last, so it is Belady's choice for that
+// sweep. With room for c of k slices, a sweep then decodes about k-c+1 of
+// them, where least-recently-used eviction decodes all k on every sweep.
 func (s *Store) admit(keep int, bytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -286,14 +287,13 @@ func (s *Store) admit(keep int, bytes int64) {
 	if s.budget <= 0 {
 		return
 	}
+	k := len(s.slices)
 	for s.residentBytes > s.budget && s.residentCount > 1 {
-		victim, oldest := -1, int64(1<<62)
-		for j := range s.slices {
-			if j == keep || s.slices[j].data.Load() == nil {
-				continue
-			}
-			if last := s.slices[j].last.Load(); last < oldest {
-				victim, oldest = j, last
+		victim := -1
+		for dist := k - 1; dist > 0; dist-- {
+			if j := (keep + dist) % k; s.slices[j].data.Load() != nil {
+				victim = j
+				break
 			}
 		}
 		if victim < 0 {
