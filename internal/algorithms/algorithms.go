@@ -139,7 +139,7 @@ func (s *SSSP) Name() string { return "sssp" }
 func (s *SSSP) Identity() Value { return Infinity }
 
 // Reduce implements Algorithm (min).
-func (s *SSSP) Reduce(a, b Value) Value { return math.Min(a, b) }
+func (s *SSSP) Reduce(a, b Value) Value { return min(a, b) }
 
 // Propagate implements Algorithm: E_ij + δ.
 func (s *SSSP) Propagate(delta Value, e EdgeContext) Value {
@@ -179,7 +179,7 @@ func (b *BFS) Name() string { return "bfs" }
 func (b *BFS) Identity() Value { return Infinity }
 
 // Reduce implements Algorithm (min).
-func (b *BFS) Reduce(x, y Value) Value { return math.Min(x, y) }
+func (b *BFS) Reduce(x, y Value) Value { return min(x, y) }
 
 // Propagate implements Algorithm: δ + 1.
 func (b *BFS) Propagate(delta Value, _ EdgeContext) Value { return delta + 1 }
@@ -212,7 +212,7 @@ func (r *Reach) Name() string { return "reach" }
 func (r *Reach) Identity() Value { return Infinity }
 
 // Reduce implements Algorithm (min).
-func (r *Reach) Reduce(x, y Value) Value { return math.Min(x, y) }
+func (r *Reach) Reduce(x, y Value) Value { return min(x, y) }
 
 // Propagate implements Algorithm: the constant 0.
 func (r *Reach) Propagate(Value, EdgeContext) Value { return 0 }
@@ -243,7 +243,7 @@ func (c *ConnectedComponents) Name() string { return "connected-components" }
 func (c *ConnectedComponents) Identity() Value { return math.Inf(-1) }
 
 // Reduce implements Algorithm (max).
-func (c *ConnectedComponents) Reduce(a, b Value) Value { return math.Max(a, b) }
+func (c *ConnectedComponents) Reduce(a, b Value) Value { return max(a, b) }
 
 // Propagate implements Algorithm: forward the label unchanged.
 func (c *ConnectedComponents) Propagate(delta Value, _ EdgeContext) Value { return delta }
@@ -281,11 +281,11 @@ func (s *SSWP) Name() string { return "sswp" }
 func (s *SSWP) Identity() Value { return math.Inf(-1) }
 
 // Reduce implements Algorithm (max).
-func (s *SSWP) Reduce(a, b Value) Value { return math.Max(a, b) }
+func (s *SSWP) Reduce(a, b Value) Value { return max(a, b) }
 
 // Propagate implements Algorithm: the path width is throttled by each edge.
 func (s *SSWP) Propagate(delta Value, e EdgeContext) Value {
-	return math.Min(delta, float64(e.Weight))
+	return min(delta, float64(e.Weight))
 }
 
 // WantsWeights implements WantsWeights.
@@ -325,7 +325,7 @@ func (r *ReliablePath) Name() string { return "reliable-path" }
 func (r *ReliablePath) Identity() Value { return math.Inf(-1) }
 
 // Reduce implements Algorithm (max).
-func (r *ReliablePath) Reduce(a, b Value) Value { return math.Max(a, b) }
+func (r *ReliablePath) Reduce(a, b Value) Value { return max(a, b) }
 
 // Propagate implements Algorithm: the path reliability decays by each
 // edge's success probability.

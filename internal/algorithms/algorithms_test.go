@@ -404,9 +404,9 @@ func TestIncrementalReliablePath(t *testing.T) {
 	}
 }
 
-// TestSolveDispatch: every algorithm of the ByName table runs its
-// specialised loop, bare and behind a warm start (nested or not); an
-// algorithm outside the table runs the reference loop.
+// TestSolveDispatch: every algorithm of the ByName table gets a kernel,
+// bare and behind a warm start (nested or not); an algorithm outside the
+// table gets none and runs the reference loop.
 func TestSolveDispatch(t *testing.T) {
 	g, err := gen.Chain(8, true)
 	if err != nil {
@@ -414,9 +414,8 @@ func TestSolveDispatch(t *testing.T) {
 	}
 	type other struct{ Algorithm }
 	runs := func(alg Algorithm) bool {
-		var s solver
-		s.init(nil, g, alg)
-		return s.specialised(alg)
+		_, ok := kernelFor(alg)
+		return ok
 	}
 	for _, name := range Names() {
 		alg, err := ByName(name, 0)
@@ -431,7 +430,7 @@ func TestSolveDispatch(t *testing.T) {
 			}
 		}
 		if runs(other{alg}) {
-			t.Errorf("%s: an algorithm outside the table took a specialised loop", name)
+			t.Errorf("%s: an algorithm outside the table got a kernel", name)
 		}
 	}
 }

@@ -2,309 +2,200 @@ package algorithms
 
 import "math"
 
-// This file holds the specialised solve loops: one per algorithm of the
-// ByName table, each with its Reduce, Propagate and Changed written inline,
-// so the edge loop makes no interface call and builds no EdgeContext.
-// Whatever Propagate computes from the source alone (PageRank's α·δ/deg,
-// BFS's δ+1, Reach's 0, CC's δ) is computed once per row.
+// This file holds the solve loop of every algorithm of the ByName table:
+// one loop over a (reduce, edge-op) table. A kernel is an algorithm's row
+// of Table II: a reduce class (sum, min or max, which also fixes Identity
+// and Changed) and an edge op (Propagate). The loop switches on the reduce
+// class once per activation and on the edge op once per changed row, so
+// the edge loop makes no interface call, closure call or switch. Whatever
+// Propagate takes from the source alone is computed once per row.
 //
-// Every loop must leave Values, Activations and Emitted bit-identical to
-// solver.reference; TestSpecialisedLoopsMatchReference holds them to it.
-// Two rules keep that true:
-//   - min and max are Go's builtins. The language defines them as math.Min
-//     and math.Max behave (NaN and ±0 included), but they compile to
-//     inline branch-free instructions, where math.Min and math.Max are an
-//     assembly call on amd64 that is never inlined.
+// run must leave Values, Activations and Emitted bit-identical to
+// solver.reference (TestSpecialisedLoopsMatchReference on whole solves,
+// TestKernelsMatchInterface value by value). Two rules keep that true:
+//   - min and max are Go's builtins, here and in the algorithms' methods
+//     alike: math.Min(-∞, NaN) is -∞ where min(-∞, NaN) is NaN, and
+//     math.Min is an assembly call on amd64 that is never inlined.
 //   - a product added into a sum goes through an explicit float64
 //     conversion, which forbids fusing it into one FMA: the reference's
 //     Propagate call cannot fuse, so neither may the inline form.
 
-// specialised runs alg's own loop, looking through warm-start wrappers (a
+// reduceClass is a kernel's Reduce, and with it the identity a vertex's
+// pending delta returns to and the Changed test.
+type reduceClass uint8
+
+const (
+	reduceSum reduceClass = iota // +, identity 0, changed |Δ| > θ
+	reduceMin                    // min, identity +∞, changed new < old
+	reduceMax                    // max, identity -∞, changed new > old
+)
+
+// edgeOp is a kernel's Propagate.
+type edgeOp uint8
+
+const (
+	rankShare   edgeOp = iota // α·δ/deg (PageRank)
+	scaleWeight               // α·E·δ (Adsorption)
+	addWeight                 // E+δ (SSSP)
+	addOne                    // δ+1 (BFS)
+	zero                      // 0 (Reach)
+	forward                   // δ (CC)
+	capWeight                 // min(δ, E) (SSWP)
+	mulWeight                 // δ·E (ReliablePath)
+)
+
+// kernel is one algorithm's row of the table.
+type kernel struct {
+	reduce           reduceClass
+	edge             edgeOp
+	alpha, threshold float64 // α of rankShare and scaleWeight; θ of reduceSum
+}
+
+// kernelFor returns alg's kernel, looking through warm-start wrappers (a
 // warm start changes only InitState and InitialEvents, which init has
 // already consumed). It reports false for an algorithm outside the table.
-func (s *solver) specialised(alg Algorithm) bool {
-	switch a := unwrapWarm(alg).(type) {
+func kernelFor(alg Algorithm) (kernel, bool) {
+	switch a := alg.(type) {
+	case *warmStart:
+		return kernelFor(a.Algorithm)
+	case *warmStartProg:
+		return kernelFor(a.Algorithm)
 	case *PageRankDelta:
-		s.pageRank(a)
+		return kernel{reduceSum, rankShare, a.Alpha, a.Threshold}, true
 	case *Adsorption:
-		s.adsorption(a)
+		return kernel{reduceSum, scaleWeight, a.Alpha, a.Threshold}, true
 	case *SSSP:
-		s.sssp()
+		return kernel{reduce: reduceMin, edge: addWeight}, true
 	case *BFS:
-		s.bfs()
+		return kernel{reduce: reduceMin, edge: addOne}, true
 	case *Reach:
-		s.reach()
+		return kernel{reduce: reduceMin, edge: zero}, true
 	case *ConnectedComponents:
-		s.cc()
+		return kernel{reduce: reduceMax, edge: forward}, true
 	case *SSWP:
-		s.sswp()
+		return kernel{reduce: reduceMax, edge: capWeight}, true
 	case *ReliablePath:
-		s.reliablePath()
-	default:
-		return false
+		return kernel{reduce: reduceMax, edge: mulWeight}, true
 	}
-	return true
+	return kernel{}, false
 }
 
-// unwrapWarm returns the algorithm behind alg's warm-start wrappers.
-func unwrapWarm(alg Algorithm) Algorithm {
-	for {
-		switch w := alg.(type) {
-		case *warmStart:
-			alg = w.Algorithm
-		case *warmStartProg:
-			alg = w.Algorithm
+// weightAt is the weight of a row's i-th edge: wt[i], or 1 on an
+// unweighted graph.
+func weightAt(wt []float32, i int) float64 {
+	if wt == nil {
+		return 1
+	}
+	return float64(wt[i])
+}
+
+// run is the solve loop of kernel k. Per activation, the case of k's reduce
+// class resets the pending delta to the class's identity, reduces it into
+// the state and tests Changed; per changed row, the case picks k's edge op.
+func (s *solver) run(k kernel) {
+	state, acc, inList, wl := s.state, s.acc, s.inList, s.wl
+	alpha, threshold := k.alpha, k.threshold
+	for s.more() {
+		// next's pop, written out so that Worklist.Pop inlines here
+		v := wl.Pop()
+		inList[v] = false
+		s.res.Activations++
+		delta := acc[v]
+		old := state[v]
+		switch k.reduce {
+		case reduceSum:
+			acc[v] = 0
+			next := old + delta
+			state[v] = next
+			if !(math.Abs(next-old) > threshold) {
+				continue
+			}
+			dst, wt := s.row(v)
+			s.res.Emitted += int64(len(dst))
+			switch k.edge {
+			case rankShare:
+				out := alpha * delta / float64(len(dst))
+				for _, d := range dst {
+					acc[d] += out
+					if !inList[d] {
+						inList[d] = true
+						wl.Push(d)
+					}
+				}
+			case scaleWeight:
+				for i, d := range dst {
+					acc[d] += float64(alpha * weightAt(wt, i) * delta)
+					if !inList[d] {
+						inList[d] = true
+						wl.Push(d)
+					}
+				}
+			}
+		case reduceMin:
+			acc[v] = Infinity
+			next := min(old, delta)
+			state[v] = next
+			if !(next < old) {
+				continue
+			}
+			dst, wt := s.row(v)
+			s.res.Emitted += int64(len(dst))
+			switch k.edge {
+			case addWeight:
+				for i, d := range dst {
+					acc[d] = min(acc[d], weightAt(wt, i)+delta)
+					if !inList[d] {
+						inList[d] = true
+						wl.Push(d)
+					}
+				}
+			case addOne, zero:
+				out := delta + 1
+				if k.edge == zero {
+					out = 0
+				}
+				for _, d := range dst {
+					acc[d] = min(acc[d], out)
+					if !inList[d] {
+						inList[d] = true
+						wl.Push(d)
+					}
+				}
+			}
 		default:
-			return alg
-		}
-	}
-}
-
-// pageRank: reduce +, propagate α·δ/deg, changed |Δ| > θ.
-func (s *solver) pageRank(p *PageRankDelta) {
-	state, acc, inList, wl := s.state, s.acc, s.inList, s.wl
-	alpha, threshold := p.Alpha, p.Threshold
-	for {
-		v, ok := s.next()
-		if !ok {
-			return
-		}
-		delta := acc[v]
-		acc[v] = 0
-		old := state[v]
-		next := old + delta
-		state[v] = next
-		if !(math.Abs(next-old) > threshold) {
-			continue
-		}
-		dst, _ := s.row(v)
-		if len(dst) == 0 {
-			continue
-		}
-		s.res.Emitted += int64(len(dst))
-		out := alpha * delta / float64(len(dst))
-		for _, d := range dst {
-			acc[d] += out
-			if !inList[d] {
-				inList[d] = true
-				wl.Push(d)
+			acc[v] = math.Inf(-1)
+			next := max(old, delta)
+			state[v] = next
+			if !(next > old) {
+				continue
 			}
-		}
-	}
-}
-
-// adsorption: reduce +, propagate α·E·δ, changed |Δ| > θ.
-func (s *solver) adsorption(a *Adsorption) {
-	state, acc, inList, wl := s.state, s.acc, s.inList, s.wl
-	alpha, threshold := a.Alpha, a.Threshold
-	for {
-		v, ok := s.next()
-		if !ok {
-			return
-		}
-		delta := acc[v]
-		acc[v] = 0
-		old := state[v]
-		next := old + delta
-		state[v] = next
-		if !(math.Abs(next-old) > threshold) {
-			continue
-		}
-		dst, wt := s.row(v)
-		s.res.Emitted += int64(len(dst))
-		for i, d := range dst {
-			w := float32(1)
-			if wt != nil {
-				w = wt[i]
-			}
-			acc[d] += float64(alpha * float64(w) * delta)
-			if !inList[d] {
-				inList[d] = true
-				wl.Push(d)
-			}
-		}
-	}
-}
-
-// sssp: reduce min, propagate E+δ, changed new < old.
-func (s *solver) sssp() {
-	state, acc, inList, wl := s.state, s.acc, s.inList, s.wl
-	for {
-		v, ok := s.next()
-		if !ok {
-			return
-		}
-		delta := acc[v]
-		acc[v] = Infinity
-		old := state[v]
-		next := min(old, delta)
-		state[v] = next
-		if !(next < old) {
-			continue
-		}
-		dst, wt := s.row(v)
-		s.res.Emitted += int64(len(dst))
-		for i, d := range dst {
-			w := float32(1)
-			if wt != nil {
-				w = wt[i]
-			}
-			acc[d] = min(acc[d], float64(w)+delta)
-			if !inList[d] {
-				inList[d] = true
-				wl.Push(d)
-			}
-		}
-	}
-}
-
-// bfs: reduce min, propagate δ+1, changed new < old.
-func (s *solver) bfs() {
-	state, acc, inList, wl := s.state, s.acc, s.inList, s.wl
-	for {
-		v, ok := s.next()
-		if !ok {
-			return
-		}
-		delta := acc[v]
-		acc[v] = Infinity
-		old := state[v]
-		next := min(old, delta)
-		state[v] = next
-		if !(next < old) {
-			continue
-		}
-		dst, _ := s.row(v)
-		s.res.Emitted += int64(len(dst))
-		out := delta + 1
-		for _, d := range dst {
-			acc[d] = min(acc[d], out)
-			if !inList[d] {
-				inList[d] = true
-				wl.Push(d)
-			}
-		}
-	}
-}
-
-// reach: reduce min, propagate 0, changed new < old.
-func (s *solver) reach() {
-	state, acc, inList, wl := s.state, s.acc, s.inList, s.wl
-	for {
-		v, ok := s.next()
-		if !ok {
-			return
-		}
-		delta := acc[v]
-		acc[v] = Infinity
-		old := state[v]
-		next := min(old, delta)
-		state[v] = next
-		if !(next < old) {
-			continue
-		}
-		dst, _ := s.row(v)
-		s.res.Emitted += int64(len(dst))
-		for _, d := range dst {
-			acc[d] = min(acc[d], 0)
-			if !inList[d] {
-				inList[d] = true
-				wl.Push(d)
-			}
-		}
-	}
-}
-
-// cc: reduce max, propagate δ, changed new > old.
-func (s *solver) cc() {
-	state, acc, inList, wl := s.state, s.acc, s.inList, s.wl
-	idle := math.Inf(-1)
-	for {
-		v, ok := s.next()
-		if !ok {
-			return
-		}
-		delta := acc[v]
-		acc[v] = idle
-		old := state[v]
-		next := max(old, delta)
-		state[v] = next
-		if !(next > old) {
-			continue
-		}
-		dst, _ := s.row(v)
-		s.res.Emitted += int64(len(dst))
-		for _, d := range dst {
-			acc[d] = max(acc[d], delta)
-			if !inList[d] {
-				inList[d] = true
-				wl.Push(d)
-			}
-		}
-	}
-}
-
-// sswp: reduce max, propagate min(δ, E), changed new > old.
-func (s *solver) sswp() {
-	state, acc, inList, wl := s.state, s.acc, s.inList, s.wl
-	idle := math.Inf(-1)
-	for {
-		v, ok := s.next()
-		if !ok {
-			return
-		}
-		delta := acc[v]
-		acc[v] = idle
-		old := state[v]
-		next := max(old, delta)
-		state[v] = next
-		if !(next > old) {
-			continue
-		}
-		dst, wt := s.row(v)
-		s.res.Emitted += int64(len(dst))
-		for i, d := range dst {
-			w := float32(1)
-			if wt != nil {
-				w = wt[i]
-			}
-			acc[d] = max(acc[d], min(delta, float64(w)))
-			if !inList[d] {
-				inList[d] = true
-				wl.Push(d)
-			}
-		}
-	}
-}
-
-// reliablePath: reduce max, propagate δ·E, changed new > old.
-func (s *solver) reliablePath() {
-	state, acc, inList, wl := s.state, s.acc, s.inList, s.wl
-	idle := math.Inf(-1)
-	for {
-		v, ok := s.next()
-		if !ok {
-			return
-		}
-		delta := acc[v]
-		acc[v] = idle
-		old := state[v]
-		next := max(old, delta)
-		state[v] = next
-		if !(next > old) {
-			continue
-		}
-		dst, wt := s.row(v)
-		s.res.Emitted += int64(len(dst))
-		for i, d := range dst {
-			w := float32(1)
-			if wt != nil {
-				w = wt[i]
-			}
-			acc[d] = max(acc[d], delta*float64(w))
-			if !inList[d] {
-				inList[d] = true
-				wl.Push(d)
+			dst, wt := s.row(v)
+			s.res.Emitted += int64(len(dst))
+			switch k.edge {
+			case forward:
+				for _, d := range dst {
+					acc[d] = max(acc[d], delta)
+					if !inList[d] {
+						inList[d] = true
+						wl.Push(d)
+					}
+				}
+			case capWeight:
+				for i, d := range dst {
+					acc[d] = max(acc[d], min(delta, weightAt(wt, i)))
+					if !inList[d] {
+						inList[d] = true
+						wl.Push(d)
+					}
+				}
+			case mulWeight:
+				for i, d := range dst {
+					acc[d] = max(acc[d], delta*weightAt(wt, i))
+					if !inList[d] {
+						inList[d] = true
+						wl.Push(d)
+					}
+				}
 			}
 		}
 	}

@@ -43,10 +43,10 @@ func Solve(g graph.Adjacency, alg Algorithm) *SolveResult {
 // fails.
 //
 // The algorithm is resolved once per solve: every algorithm of the ByName
-// table, bare or behind a warm start, runs its own loop with Reduce,
-// Propagate and Changed written inline (kernels.go). Any other Algorithm
-// runs the interface loop, which is also the reference those loops are
-// tested against bit for bit.
+// table, bare or behind a warm start, runs one loop over a (reduce,
+// edge-op) table (kernels.go). Any other Algorithm runs the interface
+// loop, which is also the reference that loop is tested against bit for
+// bit.
 func SolveCtx(ctx context.Context, g graph.Adjacency, alg Algorithm) (*SolveResult, error) {
 	n := g.NumVertices()
 	if n == 0 {
@@ -54,7 +54,9 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg Algorithm) (*SolveResu
 	}
 	var s solver
 	s.init(ctx, g, alg)
-	if !s.specialised(alg) {
+	if k, ok := kernelFor(alg); ok {
+		s.run(k)
+	} else {
 		s.reference(alg)
 	}
 	if s.err != nil {
@@ -67,7 +69,7 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg Algorithm) (*SolveResu
 
 // solver is one solve's working set: the vertex state, the delta pending
 // at each vertex (acc) and whether the vertex is queued (inList). The
-// reference loop and the specialised loops share it, and with it the
+// reference loop and the kernel loop share it, and with it the
 // initialization, the worklist order and the cancellation polling.
 type solver struct {
 	ctx    context.Context
@@ -115,10 +117,17 @@ func (s *solver) enqueue(v graph.VertexID) {
 	}
 }
 
+// more reports whether a vertex is left to activate: false once the
+// worklist is empty or ctx was canceled, which sets s.err. It stays within
+// the inliner's budget, since run calls it once per activation.
+func (s *solver) more() bool {
+	return s.wl.Len() > 0 && !(s.res.Activations%ctxPollInterval == 0 && s.canceled())
+}
+
 // next pops the vertex to activate and counts the activation. It reports
-// false once the worklist is empty or ctx was canceled, which sets s.err.
+// false when there is none left (see more).
 func (s *solver) next() (graph.VertexID, bool) {
-	if s.wl.Len() == 0 || s.ctx != nil && s.res.Activations%ctxPollInterval == 0 && s.canceled() {
+	if !s.more() {
 		return 0, false
 	}
 	v := s.wl.Pop()
@@ -127,8 +136,12 @@ func (s *solver) next() (graph.VertexID, bool) {
 	return v, true
 }
 
-// canceled reports whether ctx is done, recording the error in s.err.
+// canceled reports whether ctx is done, recording the error in s.err. A
+// nil ctx is never done.
 func (s *solver) canceled() bool {
+	if s.ctx == nil {
+		return false
+	}
 	select {
 	case <-s.ctx.Done():
 		s.err = fmt.Errorf("%w after %d activations: %v", sim.ErrCanceled, s.res.Activations, s.ctx.Err())
@@ -149,7 +162,7 @@ func (s *solver) row(v graph.VertexID) ([]graph.VertexID, []float32) {
 
 // reference is the interface loop: Reduce, Propagate and Changed are
 // called per edge through alg. It runs every algorithm outside the ByName
-// table, and the specialised loops must match it bit for bit.
+// table, and the kernel loop must match it bit for bit.
 func (s *solver) reference(alg Algorithm) {
 	state, acc := s.state, s.acc
 	id := alg.Identity()

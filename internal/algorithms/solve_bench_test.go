@@ -24,7 +24,7 @@ func wgMini(b *testing.B) *graph.CSR {
 }
 
 // BenchmarkSolve times one serial solve of every algorithm on a WG-shape
-// mini graph, once through its specialised loop and once, as
+// mini graph, once through the kernel loop and once, as
 // <name>/reference, through the interface loop. ns/edge is elapsed time
 // per emitted edge delta, the unit of ROADMAP item 7's target (at most 2x
 // a plain CSR row scan); allocs/op is per solve and must not depend on how
