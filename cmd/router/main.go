@@ -1,8 +1,8 @@
-// Command router fronts a distributed serving tier: it consistent-hashes
-// /v1/query and /v1/mutate by graph name across N cmd/serve workers
-// (started with -worker), replicates writes, retries failed reads on the
-// next replica, and health-checks the fleet — OPERATIONS.md is the
-// deployment runbook.
+// Command router fronts a distributed serving tier: it places each graph
+// on its replica set of cmd/serve workers (started with -worker) by
+// rendezvous hashing of the graph name, routes /v1/query and /v1/mutate
+// there, replicates writes, retries failed reads on the next replica, and
+// health-checks the fleet — OPERATIONS.md is the deployment runbook.
 //
 // Usage:
 //
@@ -23,6 +23,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"log"
 	"os"
 	"os/signal"
@@ -32,58 +33,69 @@ import (
 	"graphpulse/internal/dserve"
 )
 
-func main() {
-	var (
-		addr      = flag.String("addr", ":8090", "listen address")
-		repl      = flag.Int("replication", 1, "workers owning each graph (writes fan out to all, reads rotate)")
-		vnodes    = flag.Int("vnodes", 64, "virtual nodes per worker on the consistent-hash ring")
-		probeInt  = flag.Duration("probe-interval", time.Second, "health-probe period for healthy workers")
-		probeTO   = flag.Duration("probe-timeout", 2*time.Second, "per-probe timeout")
-		failAfter = flag.Int("fail-after", 2, "consecutive failures before a worker is ejected")
-		retries   = flag.Int("retry-budget", 2, "extra replicas a failed read is retried on (0 disables retries)")
-		backoff   = flag.Duration("backoff", 500*time.Millisecond, "base re-probe backoff for ejected workers")
-		backoffMx = flag.Duration("backoff-max", 15*time.Second, "cap on the ejected-worker re-probe backoff")
-		drain     = flag.Duration("drain", 10*time.Second, "shutdown drain budget for in-flight requests")
-		seed      = flag.Uint64("seed", 1, "seed for backoff jitter (and any other router randomness)")
-		aeEvery   = flag.Duration("antientropy", 5*time.Second, "anti-entropy divergence-check period (0 disables)")
-	)
-	var seeds []string
-	flag.Func("worker", "seed worker base URL (repeatable; workers can also self-register)", func(v string) error {
-		seeds = append(seeds, v)
+// options is everything the command line decides; main only builds the
+// router it describes and waits for a signal.
+type options struct {
+	addr   string
+	drain  time.Duration
+	router dserve.RouterConfig // main fills in Logf
+}
+
+func parseFlags(args []string) (options, error) {
+	return parseFlagSet(flag.NewFlagSet("router", flag.ExitOnError), args)
+}
+
+// parseFlagSet defines router's flags on fs and parses args with it.
+func parseFlagSet(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	c := &o.router
+	fs.StringVar(&o.addr, "addr", ":8090", "listen address")
+	fs.IntVar(&c.Replication, "replication", 1, "workers owning each graph (writes fan out to all, reads rotate)")
+	fs.DurationVar(&c.ProbeInterval, "probe-interval", time.Second, "health-probe period for healthy workers")
+	fs.DurationVar(&c.ProbeTimeout, "probe-timeout", 2*time.Second, "per-probe timeout")
+	fs.IntVar(&c.FailAfter, "fail-after", 2, "consecutive failures before a worker is ejected")
+	fs.IntVar(&c.RetryBudget, "retry-budget", 2, "extra replicas a failed read is retried on (0 disables retries)")
+	fs.DurationVar(&c.BackoffBase, "backoff", 500*time.Millisecond, "base re-probe backoff for ejected workers")
+	fs.DurationVar(&c.BackoffMax, "backoff-max", 15*time.Second, "cap on the ejected-worker re-probe backoff")
+	fs.DurationVar(&o.drain, "drain", 10*time.Second, "shutdown drain budget for in-flight requests")
+	fs.Uint64Var(&c.Seed, "seed", 1, "seed for backoff jitter (and any other router randomness)")
+	fs.DurationVar(&c.AntiEntropyInterval, "antientropy", 5*time.Second, "anti-entropy divergence-check period (0 disables)")
+	fs.Func("worker", "seed worker base URL (repeatable; workers can also self-register)", func(v string) error {
+		c.Workers = append(c.Workers, v)
 		return nil
 	})
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	c.RetryBudget = offAtZero(c.RetryBudget)
+	c.AntiEntropyInterval = offAtZero(c.AntiEntropyInterval)
+	return o, nil
+}
 
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "router:", err)
+		os.Exit(2)
+	}
 	logger := log.New(os.Stderr, "", log.LstdFlags)
-	rt, err := dserve.NewRouter(dserve.RouterConfig{
-		Workers:             seeds,
-		Replication:         *repl,
-		VirtualNodes:        *vnodes,
-		ProbeInterval:       *probeInt,
-		ProbeTimeout:        *probeTO,
-		FailAfter:           *failAfter,
-		RetryBudget:         offAtZero(*retries),
-		BackoffBase:         *backoff,
-		BackoffMax:          *backoffMx,
-		Seed:                *seed,
-		AntiEntropyInterval: offAtZero(*aeEvery),
-		Logf:                logger.Printf,
-	})
+	o.router.Logf = logger.Printf
+	rt, err := dserve.NewRouter(o.router)
 	if err != nil {
 		logger.Fatal(err)
 	}
-	bound, err := rt.Start(*addr)
+	bound, err := rt.Start(o.addr)
 	if err != nil {
 		logger.Fatal(err)
 	}
-	logger.Printf("routing on http://%s (replication %d, %d seed workers)", bound, *repl, len(seeds))
+	logger.Printf("routing on http://%s (replication %d, %d seed workers)", bound, o.router.Replication, len(o.router.Workers))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	<-ctx.Done()
 	stop()
-	logger.Printf("signal received, draining (budget %s)", *drain)
-	dctx, cancel := context.WithTimeout(context.Background(), *drain)
+	logger.Printf("signal received, draining (budget %s)", o.drain)
+	dctx, cancel := context.WithTimeout(context.Background(), o.drain)
 	defer cancel()
 	if err := rt.Shutdown(dctx); err != nil {
 		logger.Printf("drain incomplete: %v", err)

@@ -56,7 +56,11 @@ type options struct {
 }
 
 func parseFlags(args []string) (options, error) {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	return parseFlagSet(flag.NewFlagSet("serve", flag.ExitOnError), args)
+}
+
+// parseFlagSet defines serve's flags on fs and parses args with it.
+func parseFlagSet(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
 	c := &o.serve
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
@@ -89,7 +93,9 @@ func parseFlags(args []string) (options, error) {
 		}
 		return err
 	})
-	fs.Parse(args) // ExitOnError
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
 
 	if len(c.Graphs) == 0 {
 		return o, errors.New("at least one -graph name=SOURCE is required (e.g. -graph wg=WG:tiny)")

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 )
@@ -66,4 +70,47 @@ func TestParseFlagsWorkerMode(t *testing.T) {
 	if _, err := parseFlags([]string{"-worker", "-addr", "127.0.0.1:0", "-graph", "wg=WG:tiny"}); err == nil {
 		t.Error("worker on :0 without -advertise accepted")
 	}
+}
+
+// TestOperationsFlagTable: every flag OPERATIONS.md's "Flag (worker)"
+// table documents is one the command defines.
+func TestOperationsFlagTable(t *testing.T) {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	if _, err := parseFlagSet(fs, []string{"-graph", "wg=WG:tiny"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range docFlags(t, "Flag (worker)") {
+		if fs.Lookup(name) == nil {
+			t.Errorf("OPERATIONS.md documents -%s, which serve does not define", name)
+		}
+	}
+}
+
+var docFlagRE = regexp.MustCompile("`-([a-z0-9-]+)`")
+
+// docFlags returns, in order, the flags named in the first column of the
+// OPERATIONS.md table whose header row starts with header.
+func docFlags(t *testing.T, header string) []string {
+	t.Helper()
+	raw, err := os.ReadFile("../../OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(raw), "\n| "+header+" |")
+	if !ok {
+		t.Fatalf("OPERATIONS.md has no %q table", header)
+	}
+	var names []string
+	for _, line := range strings.Split(table, "\n")[1:] {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		for _, m := range docFlagRE.FindAllStringSubmatch(strings.Split(line, "|")[1], -1) {
+			names = append(names, m[1])
+		}
+	}
+	if len(names) == 0 {
+		t.Fatalf("OPERATIONS.md's %q table names no flag", header)
+	}
+	return names
 }

@@ -2,10 +2,12 @@ package algorithms_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/graph"
@@ -147,6 +149,17 @@ func restarts(t *testing.T, base *graph.CSR) []restart {
 // interface loop bit for bit: Values (compared as float64 bits),
 // Activations and Emitted, for every algorithm × graph shape × restart.
 func TestSpecialisedLoopsMatchReference(t *testing.T) {
+	// Every solve runs under a deadline, so a loop that never stops
+	// changing fails its cell by name instead of hanging the binary.
+	solve := func(where string, g graph.Adjacency, alg algorithms.Algorithm) *algorithms.SolveResult {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		res, err := algorithms.SolveCtx(ctx, g, alg)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		return res
+	}
 	for _, ig := range identityGraphs(t) {
 		for _, name := range algorithms.Names() {
 			mk := func() algorithms.Algorithm {
@@ -160,7 +173,7 @@ func TestSpecialisedLoopsMatchReference(t *testing.T) {
 			if name == "ads" && ig.normalize {
 				base = base.NormalizeInbound()
 			}
-			converged := algorithms.Solve(base, mk()).Values
+			converged := solve(ig.name+"/"+name+"/converged", base, mk()).Values
 			for _, r := range restarts(t, base) {
 				alg, mode := stream.Restart(mk(), base, r.cur, r.added, r.removed, converged, r.maxConeFrac)
 				want := r.kind
@@ -178,9 +191,9 @@ func TestSpecialisedLoopsMatchReference(t *testing.T) {
 					st = quarterStore(t, r.cur)
 					g = st
 				}
-				fast := algorithms.Solve(g, alg)
-				ref := algorithms.Solve(g, opaque{alg})
 				where := ig.name + "/" + name + "/" + string(r.kind)
+				fast := solve(where, g, alg)
+				ref := solve(where+"/reference", g, opaque{alg})
 				if st != nil && fast.Emitted > 0 && st.Counters().Evictions == 0 {
 					t.Errorf("%s: the store ran fully resident", where)
 				}

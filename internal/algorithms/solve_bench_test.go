@@ -26,8 +26,8 @@ func wgMini(b *testing.B) *graph.CSR {
 // BenchmarkSolve times one serial solve of every algorithm on a WG-shape
 // mini graph, once through the kernel loop and once, as
 // <name>/reference, through the interface loop. ns/edge is elapsed time
-// per emitted edge delta, the unit of ROADMAP item 7's target (at most 2x
-// a plain CSR row scan); allocs/op is per solve and must not depend on how
+// per emitted edge delta, the unit of the solver's target (at most 2x a
+// plain CSR row scan); allocs/op is per solve and must not depend on how
 // many activations the solve performs.
 func BenchmarkSolve(b *testing.B) {
 	g := wgMini(b)

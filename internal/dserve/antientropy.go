@@ -45,7 +45,7 @@ type replicaDigest struct {
 // antiEntropyCheck compares one graph's digests across its healthy
 // replicas and triggers repair of every laggard. Divergence means any
 // replica's (epoch, digest) differs from the most advanced replica's;
-// the most advanced is the highest epoch, ties broken by ring order —
+// the most advanced is the highest epoch, ties broken by placement order —
 // deterministic, so concurrent repairs all pull from the same donor.
 func (rt *Router) antiEntropyCheck(graphName string) {
 	_, healthy := rt.members.replicas(graphName)

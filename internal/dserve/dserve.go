@@ -6,13 +6,15 @@
 //
 // Topology and responsibilities:
 //
-//   - The Router consistent-hashes requests by graph name onto a replica
-//     set of Config.Replication workers (a Ring of virtual nodes keeps key
-//     movement bounded when workers join or leave). Reads (/v1/query)
-//     rotate across healthy replicas and retry on the next replica after
-//     an upstream failure, within a retry budget; writes (/v1/mutate)
-//     fan out to every replica at once, serialized per graph so all
-//     replicas apply mutation epochs in the same order.
+//   - The Router places each graph on a replica set of
+//     Config.Replication workers by rendezvous (highest-random-weight)
+//     hashing: every worker hosting the graph gets a seedless score for
+//     the pair and the highest scores own it, so a worker joining or
+//     leaving moves only the graphs it ranks into or out of. Reads
+//     (/v1/query) rotate across healthy replicas and retry on the next
+//     replica after an upstream failure, within a retry budget; writes
+//     (/v1/mutate) fan out to every replica at once, serialized per graph
+//     so all replicas apply mutation epochs in the same order.
 //   - Health is probed (GET /healthz) on a fixed interval. A worker
 //     failing Config.FailAfter consecutive probes (or request-path
 //     attempts) is ejected and re-probed on an exponential backoff; a
@@ -92,8 +94,9 @@ type RegisterRequest struct {
 }
 
 // RegisterResponse acknowledges a registration. Peers maps each of the
-// worker's graphs to the *other* currently-live workers hosting it —
-// the donors a rejoining worker catches up from.
+// worker's graphs to the *other* currently-live workers hosting it, in
+// placement order — the donors a rejoining worker catches up from, the
+// graph's other replicas first.
 type RegisterResponse struct {
 	Peers map[string][]string `json:"peers,omitempty"`
 }

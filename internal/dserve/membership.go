@@ -1,8 +1,11 @@
 package dserve
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -29,19 +32,18 @@ func (w *workerEntry) hosts(graph string) bool {
 // draining.
 func (w *workerEntry) live() bool { return w.healthy && !w.draining }
 
-// membership owns the router's worker table: the consistent-hash ring,
-// each worker's health state machine (ejection, exponential re-probe
-// backoff with seeded jitter, readmission) and the drain flag, all behind
-// one lock. Every method that moves time-dependent state takes now, so the
-// state machine runs on synthetic clocks in tests; the Router never
-// touches the table directly.
+// membership owns the router's worker table: which workers host each
+// graph (ranked by placementScore), each worker's health state machine
+// (ejection, exponential re-probe backoff with seeded jitter, readmission)
+// and the drain flag, all behind one lock. Every method that moves
+// time-dependent state takes now, so the state machine runs on synthetic
+// clocks in tests; the Router never touches the table directly.
 type membership struct {
 	cfg     RouterConfig // withDefaults applied
 	metrics *serve.Metrics
 	logf    func(format string, args ...any)
 
 	mu      sync.Mutex
-	ring    *Ring
 	workers map[string]*workerEntry
 	rng     *rand.Rand // seeded: one draw per scheduled re-probe of an ejected worker
 }
@@ -51,7 +53,6 @@ func newMembership(cfg RouterConfig, metrics *serve.Metrics, logf func(string, .
 		cfg:     cfg,
 		metrics: metrics,
 		logf:    logf,
-		ring:    NewRing(cfg.VirtualNodes),
 		workers: make(map[string]*workerEntry),
 		rng:     rand.New(rand.NewSource(int64(cfg.Seed))),
 	}
@@ -65,7 +66,6 @@ func (m *membership) add(u string, graphs []string) *workerEntry {
 	if !ok {
 		w = &workerEntry{healthy: true}
 		m.workers[u] = w
-		m.ring.Add(u)
 	}
 	if graphs != nil {
 		w.graphs = make(map[string]bool, len(graphs))
@@ -147,7 +147,8 @@ func (m *membership) ok(u string, now time.Time) {
 
 // register admits a worker announcing itself (or heartbeating) with its
 // hosted graphs, lifts any drain, and returns per graph the other live
-// workers hosting it — the rejoiner's catch-up donors.
+// workers hosting it in placement order — the rejoiner's catch-up donors,
+// the graph's other replicas first.
 func (m *membership) register(u string, graphs []string, now time.Time) map[string][]string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -172,12 +173,77 @@ func (m *membership) drain(u string, draining bool) bool {
 	return ok
 }
 
-// peers lists, sorted, the live workers other than except that host graph
-// ("" = any graph). Callers hold m.mu.
+// placementScore is worker's rendezvous (highest-random-weight) score
+// for graph: FNV-1a over the worker URL, a zero separator byte and the
+// graph name, then murmur3's fmix64 finalizer, without which FNV-1a's
+// high bits spread graphs unevenly. It takes no seed, so every router,
+// and one router across restarts, ranks the workers of a graph alike.
+func placementScore(worker, graph string) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(worker); i++ {
+		h = (h ^ uint64(worker[i])) * prime
+	}
+	h *= prime // the separator: h ^ 0 is h
+	for i := 0; i < len(graph); i++ {
+		h = (h ^ uint64(graph[i])) * prime
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// placement lists the workers that host graph, highest placementScore
+// first and ties by URL: the one order that routing, write fan-out, the
+// anti-entropy donor tie-break and registration acks read. A worker
+// joining or leaving moves only the graphs it ranks into or out of.
+// Callers hold m.mu.
+func (m *membership) placement(graph string) []string {
+	type ranked struct {
+		score uint64
+		url   string
+	}
+	rs := make([]ranked, 0, len(m.workers))
+	for u, w := range m.workers {
+		if w.hosts(graph) {
+			rs = append(rs, ranked{placementScore(u, graph), u})
+		}
+	}
+	slices.SortFunc(rs, func(a, b ranked) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return strings.Compare(a.url, b.url)
+	})
+	out := make([]string, len(rs))
+	for i, r := range rs {
+		out[i] = r.url
+	}
+	return out
+}
+
+// peers lists, in placement order, the live workers other than except
+// that host graph. Callers hold m.mu.
 func (m *membership) peers(graph, except string) []string {
 	var out []string
+	for _, u := range m.placement(graph) {
+		if u != except && m.workers[u].live() {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+// live lists every live worker, sorted by URL.
+func (m *membership) live() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []string
 	for u, w := range m.workers {
-		if u != except && w.live() && (graph == "" || w.hosts(graph)) {
+		if w.live() {
 			out = append(out, u)
 		}
 	}
@@ -185,29 +251,18 @@ func (m *membership) peers(graph, except string) []string {
 	return out
 }
 
-// live lists every live worker, sorted.
-func (m *membership) live() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.peers("", "")
-}
-
-// replicas returns the graph's replica set in ring order (stable under
-// health changes) and the live subset of it.
+// replicas returns the graph's replica set, the first Replication
+// workers of its placement (stable under health changes), and the live
+// subset of it in the same order.
 func (m *membership) replicas(graph string) (all, live []string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, u := range m.ring.Lookup(graph, 0) {
-		w := m.workers[u]
-		if w == nil || !w.hosts(graph) {
-			continue
-		}
-		all = append(all, u)
-		if w.live() {
+	all = m.placement(graph)
+	all = all[:min(len(all), m.cfg.Replication)]
+	live = make([]string, 0, len(all))
+	for _, u := range all {
+		if m.workers[u].live() {
 			live = append(live, u)
-		}
-		if len(all) >= m.cfg.Replication {
-			break
 		}
 	}
 	return all, live

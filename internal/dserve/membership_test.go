@@ -2,7 +2,9 @@ package dserve
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -207,5 +209,181 @@ func TestMembershipRouting(t *testing.T) {
 		if !info.Healthy || info.Draining {
 			t.Fatalf("worker %+v not live after re-registration", info)
 		}
+	}
+}
+
+func placementWorkers(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("http://10.0.0.%d:8080", i+1)
+	}
+	return out
+}
+
+// replicaSets maps each of graph-0 … graph-(n-1) to its replica set.
+func replicaSets(m *membership, n int) map[string][]string {
+	out := make(map[string][]string, n)
+	for i := 0; i < n; i++ {
+		g := fmt.Sprintf("graph-%d", i)
+		out[g], _ = m.replicas(g)
+	}
+	return out
+}
+
+// without returns set with u left out.
+func without(set []string, u string) []string {
+	var out []string
+	for _, v := range set {
+		if v != u {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestPlacementSets: the order is a function of the worker URLs and the
+// graph alone (not of insertion order or of which membership asks), and a
+// replica set holds min(Replication, hosts) distinct workers, none of
+// which fails to host the graph.
+func TestPlacementSets(t *testing.T) {
+	ws := placementWorkers(5)
+	m := testMembership(1, ws...)
+	m.cfg.Replication = 3
+	reversed := testMembership(2)
+	reversed.cfg.Replication = 3
+	for i := len(ws) - 1; i >= 0; i-- {
+		reversed.add(ws[i], nil)
+	}
+	if a, b := replicaSets(m, 200), replicaSets(reversed, 200); !reflect.DeepEqual(a, b) {
+		t.Fatal("placement depends on the order workers joined")
+	}
+
+	m.register(ws[0], []string{"g", "only-a"}, t0)
+	m.register(ws[1], []string{"g", "other"}, t0)
+	for _, c := range []struct {
+		graph string
+		want  int
+	}{{"g", 3}, {"only-a", 3}, {"other", 3}} {
+		all, _ := m.replicas(c.graph)
+		if len(all) != c.want {
+			t.Errorf("replicas(%q) = %v, want %d workers", c.graph, all, c.want)
+		}
+		seen := map[string]bool{}
+		for _, u := range all {
+			if seen[u] || !m.workers[u].hosts(c.graph) {
+				t.Errorf("replicas(%q) = %v: %s repeated or not a host", c.graph, all, u)
+			}
+			seen[u] = true
+		}
+	}
+	m.cfg.Replication = 9
+	if all, _ := m.replicas("g"); len(all) != 5 {
+		t.Errorf("replication 9 over 5 hosts placed %v", all)
+	}
+	if all, _ := m.replicas("only-a"); len(all) != 4 || slices.Contains(all, ws[1]) {
+		t.Errorf("replicas(only-a) = %v, want the four workers other than %s", all, ws[1])
+	}
+	// Per request: the ranking, the set and its live subset.
+	if n := testing.AllocsPerRun(100, func() { m.replicas("g") }); n > 3 {
+		t.Errorf("replicas allocates %.0f objects per call, want at most 3", n)
+	}
+}
+
+// TestPlacementMovement pins rendezvous hashing's minimal movement on 8
+// workers at R = 3: removing a worker changes only the sets that held it,
+// and adding one changes a set only by inserting the newcomer.
+func TestPlacementMovement(t *testing.T) {
+	const graphs = 2000
+	ws := placementWorkers(9)
+	build := func(members []string) map[string][]string {
+		m := testMembership(1, members...)
+		m.cfg.Replication = 3
+		return replicaSets(m, graphs)
+	}
+	before := build(ws[:8])
+
+	gone := ws[3]
+	moved := 0
+	for g, set := range build(without(ws[:8], gone)) {
+		old := before[g]
+		if !slices.Contains(old, gone) {
+			if !reflect.DeepEqual(set, old) {
+				t.Fatalf("%s: set %v became %v though %s was not in it", g, old, set, gone)
+			}
+			continue
+		}
+		moved++
+		if kept := without(old, gone); !reflect.DeepEqual(set[:len(kept)], kept) {
+			t.Fatalf("%s: removing %s turned %v into %v", g, gone, old, set)
+		}
+	}
+	if moved == 0 {
+		t.Error("the removed worker held no replica")
+	}
+
+	newcomer := ws[8]
+	moved = 0
+	for g, set := range build(ws) {
+		old := before[g]
+		if !slices.Contains(set, newcomer) {
+			if !reflect.DeepEqual(set, old) {
+				t.Fatalf("%s: set %v became %v without %s", g, old, set, newcomer)
+			}
+			continue
+		}
+		moved++
+		if rest := without(set, newcomer); !reflect.DeepEqual(rest, old[:len(rest)]) {
+			t.Fatalf("%s: adding %s turned %v into %v", g, newcomer, old, set)
+		}
+	}
+	if moved == 0 {
+		t.Error("the new worker was placed nowhere")
+	}
+}
+
+// TestPlacementSpread: over graph-0 … graph-9999 on 8 workers, every
+// worker is primary for 1,250 graphs ± 10 %.
+func TestPlacementSpread(t *testing.T) {
+	const graphs, workers = 10000, 8
+	m := testMembership(1, placementWorkers(workers)...)
+	primary := map[string]int{}
+	for _, set := range replicaSets(m, graphs) {
+		primary[set[0]]++
+	}
+	for _, u := range placementWorkers(workers) {
+		if n := primary[u]; n < 1125 || n > 1375 {
+			t.Errorf("%s is primary for %d graphs, want 1250 ± 10 %%", u, n)
+		}
+	}
+}
+
+// TestRegisterAcksReplicasFirst: with R = 2 and three workers hosting g, a
+// replica's registration ack names the other replica first, so a
+// rejoining replica catches up from the peer that took its writes rather
+// than from a host outside the replica set.
+func TestRegisterAcksReplicasFirst(t *testing.T) {
+	m := testMembership(1)
+	for _, u := range []string{wA, wB, wC} {
+		m.register(u, []string{"g"}, t0)
+	}
+	all, _ := m.replicas("g")
+	if len(all) != 2 || !slices.Contains(all, wC) {
+		t.Fatalf("replicas(g) = %v, want 2 including %s, so that URL order would ack the third host first", all, wC)
+	}
+	for i, u := range all {
+		if peers := m.register(u, []string{"g"}, t0)["g"]; len(peers) != 2 || peers[0] != all[1-i] {
+			t.Errorf("replica %s acked peers %v, want %s first", u, peers, all[1-i])
+		}
+	}
+}
+
+// BenchmarkReplicas is the router's per-request placement cost: 3 workers
+// hosting the graph, R = 3.
+func BenchmarkReplicas(b *testing.B) {
+	m := testMembership(1, wA, wB, wC)
+	m.cfg.Replication = 3
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.replicas("g")
 	}
 }

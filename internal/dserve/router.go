@@ -37,9 +37,6 @@ type RouterConfig struct {
 	// below 1 mean 1; values at or above the worker count replicate to
 	// every worker (full read fan-out — the hot-graph configuration).
 	Replication int
-	// VirtualNodes is the consistent-hash ring's virtual-node count per
-	// worker (default 64).
-	VirtualNodes int
 	// ProbeInterval is the health-probe period for healthy workers
 	// (default 1s). Ejected workers are probed on their backoff schedule.
 	ProbeInterval time.Duration
@@ -77,9 +74,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.Replication < 1 {
 		c.Replication = 1
 	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
@@ -114,7 +108,7 @@ func (c RouterConfig) withDefaults() RouterConfig {
 
 // Router is the stateless front of the distributed serving tier: it owns
 // no graph state, only the (rebuildable) worker table, and proxies the
-// /v1/* API onto consistent-hash replica sets with health-checked
+// /v1/* API onto rendezvous-hashed replica sets with health-checked
 // failover. Create with NewRouter, expose with Handler or Start, stop
 // with Shutdown.
 type Router struct {
@@ -427,7 +421,7 @@ func (rt *Router) graphMu(graph string) *sync.Mutex {
 // fanoutWrite applies one /v1/mutate body to every replica of the graph
 // at once, under the graph's write lock, so concurrent writes to one
 // graph still reach every replica in the same epoch order. The first
-// success in ring order is relayed and any replica that missed the write
+// success in placement order is relayed and any replica that missed the write
 // counts one router_mutate_partial; with no success, a deterministic
 // rejection (4xx — bad batch, unknown graph, read-only graph) is relayed
 // as-is, and transport/5xx failures everywhere answer 502. Replicas that

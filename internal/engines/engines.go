@@ -2,7 +2,7 @@
 // of this module imports it. It stays only for the benchmark module's
 // engines.dispatch_overhead_us row (perf/wl_cold.go times a solve through
 // Lookup beside a direct algorithms.SolveCtx call), and it goes with that
-// row (ROADMAP 3(c)). /v1/query calls algorithms.SolveCtx directly.
+// row (ROADMAP 1(c)). /v1/query calls algorithms.SolveCtx directly.
 package engines
 
 import (
