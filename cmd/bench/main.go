@@ -34,14 +34,43 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/bench"
 	"graphpulse/internal/graph/gen"
+	"graphpulse/internal/profile"
 )
+
+// options is everything the command line decides; run fills in the rest
+// of bench.Options (Tier, Datasets, Algorithms, Out, Progress).
+type options struct {
+	exp, tier, datasets, algs string
+	list, progress            bool
+	cpuProf, memProf          string
+	bench                     bench.Options
+}
+
+// parseFlagSet defines bench's flags on fs and parses args with it.
+func parseFlagSet(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	b := &o.bench
+	fs.StringVar(&o.exp, "exp", "", "comma-separated experiment ids (default: all)")
+	fs.StringVar(&o.tier, "tier", "tiny", "workload scale: "+gen.TierList())
+	fs.StringVar(&o.datasets, "datasets", "", "comma-separated Table IV abbreviations (WG,FB,WK,LJ,TW)")
+	fs.StringVar(&o.algs, "algs", "", "comma-separated algorithms of "+algorithms.NamesList()+" (default: "+strings.Join(bench.AlgorithmNames, ",")+")")
+	fs.BoolVar(&o.list, "list", false, "list experiment ids and exit")
+	fs.StringVar(&b.CSVPath, "csv", "", "also write the engine sweep as CSV to this path")
+	fs.IntVar(&b.Parallel, "parallel", 0, "workers running the simulated runs: sweep jobs and slicing/ablation variants (0 = GOMAXPROCS)")
+	fs.BoolVar(&o.progress, "progress", false, "print per-cell completion lines with elapsed time to stderr")
+	fs.StringVar(&b.TelemetryPath, "telemetry", "", "write the timeline experiment's series to PREFIX.csv and PREFIX.trace.json")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the harness to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile to this file at exit")
+	fs.DurationVar(&b.Timeout, "timeout", 0, "wall-clock limit per simulated run (0 = unbounded)")
+	fs.StringVar(&b.Manifest, "manifest", "", "maintain a resumable run manifest (JSON, rewritten atomically after each sweep job)")
+	fs.BoolVar(&b.Resume, "resume", false, "restore completed jobs from the -manifest file instead of re-running them")
+	return o, fs.Parse(args)
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -53,91 +82,40 @@ func main() {
 // run is main's body, returning instead of exiting so the profile defers
 // execute on a failed sweep too.
 func run(args []string, stdout, stderr io.Writer) (err error) {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	var (
-		expFlag      = fs.String("exp", "", "comma-separated experiment ids (default: all)")
-		tierFlag     = fs.String("tier", "tiny", "workload scale: "+gen.TierList())
-		datasetFlag  = fs.String("datasets", "", "comma-separated Table IV abbreviations (WG,FB,WK,LJ,TW)")
-		algFlag      = fs.String("algs", "", "comma-separated algorithms of "+algorithms.NamesList()+" (default: "+strings.Join(bench.AlgorithmNames, ",")+")")
-		listFlag     = fs.Bool("list", false, "list experiment ids and exit")
-		csvFlag      = fs.String("csv", "", "also write the engine sweep as CSV to this path")
-		parallelFlag = fs.Int("parallel", 0, "workers running the simulated runs: sweep jobs and slicing/ablation variants (0 = GOMAXPROCS)")
-		progressFlag = fs.Bool("progress", false, "print per-cell completion lines with elapsed time to stderr")
-		telFlag      = fs.String("telemetry", "", "write the timeline experiment's series to PREFIX.csv and PREFIX.trace.json")
-		cpuProfFlag  = fs.String("cpuprofile", "", "write a CPU profile of the harness to this file")
-		memProfFlag  = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		timeoutFlag  = fs.Duration("timeout", 0, "wall-clock limit per simulated run (0 = unbounded)")
-		manifestFlag = fs.String("manifest", "", "maintain a resumable run manifest (JSON, rewritten atomically after each sweep job)")
-		resumeFlag   = fs.Bool("resume", false, "restore completed jobs from the -manifest file instead of re-running them")
-	)
-	fs.Parse(args) // ExitOnError: like the tier check, exits 2 before anything is deferred
+	o, _ := parseFlagSet(flag.NewFlagSet("bench", flag.ExitOnError), args) // ExitOnError: like the tier check, exits 2 before anything is deferred
 
-	if *listFlag {
+	if o.list {
 		for _, e := range bench.Experiments() {
 			fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Title)
 		}
 		return nil
 	}
 
-	tier, err := gen.ParseTier(*tierFlag)
+	tier, err := gen.ParseTier(o.tier)
 	if err != nil {
 		fmt.Fprintf(stderr, "bench: %v\n", err)
 		os.Exit(2)
 	}
 
-	if *cpuProfFlag != "" {
-		f, err := os.Create(*cpuProfFlag)
-		if err != nil {
-			return err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return err
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}()
-	}
-	if *memProfFlag != "" {
-		defer func() {
-			if perr := writeHeapProfile(*memProfFlag); err == nil {
-				err = perr
-			}
-		}()
-	}
-
-	opt := bench.Options{
-		Tier:          tier,
-		Datasets:      splitList(*datasetFlag),
-		Algorithms:    splitList(*algFlag),
-		Out:           stdout,
-		CSVPath:       *csvFlag,
-		Parallel:      *parallelFlag,
-		TelemetryPath: *telFlag,
-		Timeout:       *timeoutFlag,
-		Manifest:      *manifestFlag,
-		Resume:        *resumeFlag,
-	}
-	if *progressFlag {
-		opt.Progress = stderr
-	}
-	return bench.RunExperiments(splitList(*expFlag), opt)
-}
-
-func writeHeapProfile(path string) error {
-	runtime.GC()
-	f, err := os.Create(path)
+	stop, err := profile.Start(o.cpuProf, o.memProf)
 	if err != nil {
 		return err
 	}
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
+	defer func() {
+		if perr := stop(); err == nil {
+			err = perr
+		}
+	}()
+
+	opt := o.bench
+	opt.Tier = tier
+	opt.Datasets = splitList(o.datasets)
+	opt.Algorithms = splitList(o.algs)
+	opt.Out = stdout
+	if o.progress {
+		opt.Progress = stderr
 	}
-	return f.Close()
+	return bench.RunExperiments(splitList(o.exp), opt)
 }
 
 func splitList(s string) []string {

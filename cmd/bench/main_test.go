@@ -3,11 +3,16 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"graphpulse/internal/bench"
+	"graphpulse/internal/sim/telemetry/lintdoc"
 )
 
 // TestProfilesSurviveFailure runs an experiment that fails and checks both
@@ -36,6 +41,42 @@ func TestProfilesSurviveFailure(t *testing.T) {
 		if err != nil || n == 0 {
 			t.Errorf("%s: %d profile bytes, err %v", path, n, err)
 		}
+	}
+}
+
+// TestDocsNameRealFlags: every flag README.md and EXPERIMENTS.md pass to
+// bench is one the command defines, and every id they give -exp is an
+// experiment (a <placeholder> aside).
+func TestDocsNameRealFlags(t *testing.T) {
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+	if _, err := parseFlagSet(fs, nil); err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string]bool{}
+	for _, e := range bench.Experiments() {
+		ids[e.ID] = true
+	}
+	cites, err := lintdoc.CommandCites("bench", "../../README.md", "../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := 0
+	for _, c := range cites {
+		if fs.Lookup(c.Flag) == nil {
+			t.Errorf("%s: bench -%s is not a flag bench defines", c.Where, c.Flag)
+		}
+		if c.Flag != "exp" || strings.HasPrefix(c.Value, "<") {
+			continue
+		}
+		for _, id := range splitList(c.Value) {
+			exps++
+			if !ids[id] {
+				t.Errorf("%s: bench -exp %s: no experiment %q", c.Where, c.Value, id)
+			}
+		}
+	}
+	if exps == 0 {
+		t.Fatal("the docs pass bench -exp no experiment id")
 	}
 }
 

@@ -7,6 +7,7 @@
 //	graphpulse -alg pr -engine ligra -rmat 16x12          # host software baseline
 //	graphpulse -alg cc -engine graphicionado -rmat 14x8   # BSP accelerator model
 //	graphpulse -alg bfs -engine solve -graph wg.graphpack # reference worklist solver
+//	graphpulse -alg pr -rmat 20x16 -timeout 5m            # wall-clock bound
 //
 // Graphs come from -graph or -rmat SCALExEDGEFACTOR (deterministic
 // synthetic). -graph takes a graphpack container (cmd/graphpack; sniffed by
@@ -18,22 +19,18 @@
 // graphicionado) every 512 cycles and writes PREFIX.csv plus
 // PREFIX.trace.json — the latter loads in chrome://tracing and Perfetto
 // (see METRICS.md and EXPERIMENTS.md "Time-resolved figures").
-// -cpuprofile/-memprofile write Go pprof profiles of the simulator itself.
-//
-// Resumable runs (README "Event-conservation watchdog and resumable runs"):
-//
-//	graphpulse -alg sssp -rmat 16x12 -checkpoint run.ck        # periodic checkpoints
-//	graphpulse -alg sssp -rmat 16x12 -resume run.ck            # continue from one
-//	graphpulse -alg pr -rmat 20x16 -timeout 5m                 # wall-clock bound
+// -cpuprofile/-memprofile write Go pprof profiles of the simulator itself;
+// both are written whether or not the run succeeds. -timeout bounds the
+// simulated engines by wall clock; a run is not resumable mid-way (cmd/bench
+// -manifest resumes a sweep job by job).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,181 +40,165 @@ import (
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/graph/gen"
 	"graphpulse/internal/graph/ooc"
+	"graphpulse/internal/profile"
 )
 
+// options is everything the command line decides.
+type options struct {
+	graphPath, rmat, alg, engine, telemetry, cpuProf, memProf string
+	seed                                                      int64
+	root                                                      uint
+	slices, top                                               int
+	stats                                                     bool
+	timeout                                                   time.Duration
+}
+
+// parseFlagSet defines graphpulse's flags on fs and parses args with it.
+func parseFlagSet(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.graphPath, "graph", "", "graph source: graphpack container, edge-list file, or ABBREV:tier")
+	fs.StringVar(&o.rmat, "rmat", "", "generate an R-MAT graph, format SCALExEDGEFACTOR (e.g. 16x12)")
+	fs.Int64Var(&o.seed, "seed", 42, "generator seed")
+	fs.StringVar(&o.alg, "alg", "pr", "algorithm: "+algorithms.NamesList())
+	fs.UintVar(&o.root, "root", 0, "root vertex for rooted algorithms")
+	fs.StringVar(&o.engine, "engine", "accel", "engine: accel|accel-base|ligra|graphicionado|solve")
+	fs.IntVar(&o.slices, "slices", 1, "force partitioned accelerator execution into N slices")
+	fs.IntVar(&o.top, "top", 5, "print the N highest-valued vertices")
+	fs.BoolVar(&o.stats, "stats", true, "print architecture measurements")
+	fs.StringVar(&o.telemetry, "telemetry", "", "write time-series telemetry to PREFIX.csv and PREFIX.trace.json (simulated engines only)")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the simulator to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile to this file at exit")
+	fs.DurationVar(&o.timeout, "timeout", 0, "wall-clock limit for simulated engines (0 = unbounded)")
+	return o, fs.Parse(args)
+}
+
 func main() {
-	var (
-		graphPath = flag.String("graph", "", "graph source: graphpack container, edge-list file, or ABBREV:tier")
-		rmat      = flag.String("rmat", "", "generate an R-MAT graph, format SCALExEDGEFACTOR (e.g. 16x12)")
-		seed      = flag.Int64("seed", 42, "generator seed")
-		algName   = flag.String("alg", "pr", "algorithm: "+algorithms.NamesList())
-		root      = flag.Uint("root", 0, "root vertex for rooted algorithms")
-		engine    = flag.String("engine", "accel", "engine: accel|accel-base|ligra|graphicionado|solve")
-		slices    = flag.Int("slices", 1, "force partitioned accelerator execution into N slices")
-		top       = flag.Int("top", 5, "print the N highest-valued vertices")
-		stats     = flag.Bool("stats", true, "print architecture measurements")
-		telPrefix = flag.String("telemetry", "", "write time-series telemetry to PREFIX.csv and PREFIX.trace.json (simulated engines only)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the simulator to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		ckPath    = flag.String("checkpoint", "", "periodically write a restartable checkpoint to this file (accel engines only)")
-		ckEvery   = flag.Uint64("checkpoint-every", 1_000_000, "cycles between checkpoints (with -checkpoint)")
-		resumeCk  = flag.String("resume", "", "resume an accel run from a checkpoint file (same graph/alg/config required)")
-		timeout   = flag.Duration("timeout", 0, "wall-clock limit for simulated engines (0 = unbounded)")
-	)
-	flag.Parse()
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-		defer pprof.StopCPUProfile()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "graphpulse: %v\n", err)
+		os.Exit(1)
 	}
+}
 
-	g, err := loadGraph(*graphPath, *rmat, *seed)
+// run is main's body, returning instead of exiting so the profile defers
+// execute on a failed run too.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	o, _ := parseFlagSet(flag.NewFlagSet("graphpulse", flag.ExitOnError), args) // ExitOnError: exits 2 on a bad flag
+
+	stop, err := profile.Start(o.cpuProf, o.memProf)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	alg, err := makeAlg(*algName, graphpulse.VertexID(*root), g)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("graph: %d vertices, %d edges; algorithm: %s; engine: %s\n",
-		g.NumVertices(), g.NumEdges(), alg.Name(), *engine)
+	defer func() {
+		if perr := stop(); err == nil {
+			err = perr
+		}
+	}()
 
-	opts := graphpulse.RunOptions{}
-	if *timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	g, err := loadGraph(o.graphPath, o.rmat, o.seed)
+	if err != nil {
+		return err
+	}
+	alg, err := makeAlg(o.alg, graphpulse.VertexID(o.root), g)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "graph: %d vertices, %d edges; algorithm: %s; engine: %s\n",
+		g.NumVertices(), g.NumEdges(), alg.Name(), o.engine)
+
+	ctx := context.Background()
+	if o.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 		defer cancel()
-		opts.Ctx = ctx
 	}
 
 	var values []float64
-	switch *engine {
+	var tel *graphpulse.Telemetry // a simulated engine's series under -telemetry
+	var clockHz float64
+	switch o.engine {
 	case "accel", "accel-base":
 		cfg := graphpulse.OptimizedConfig()
-		if *engine == "accel-base" {
+		if o.engine == "accel-base" {
 			cfg = graphpulse.BaselineConfig()
 		}
-		if *slices > 1 {
-			cfg.QueueCapacity = (g.NumVertices() + *slices - 1) / *slices
+		if o.slices > 1 {
+			cfg.QueueCapacity = (g.NumVertices() + o.slices - 1) / o.slices
 		}
-		if *telPrefix != "" {
+		if o.telemetry != "" {
 			cfg.Telemetry = graphpulse.DefaultTelemetryConfig()
 		}
-		if *ckPath != "" {
-			opts.CheckpointEvery = *ckEvery
-			opts.OnCheckpoint = func(ck *graphpulse.Checkpoint) error {
-				return graphpulse.WriteCheckpoint(*ckPath, ck)
-			}
-		}
-		var res *graphpulse.Result
-		if *resumeCk != "" {
-			ck, err := graphpulse.ReadCheckpoint(*resumeCk)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Printf("resuming from %s: cycle %d, round %d, %d queued + %d spilled events\n",
-				*resumeCk, ck.Cycle, ck.Round, len(ck.Queue), spillTotal(ck))
-			res, err = graphpulse.ResumeFromCheckpoint(cfg, g, alg, ck, opts)
-			if err != nil {
-				fail(err)
-			}
-		} else {
-			if res, err = graphpulse.RunWith(cfg, g, alg, opts); err != nil {
-				fail(err)
-			}
+		res, err := graphpulse.RunCtx(ctx, cfg, g, alg)
+		if err != nil {
+			return err
 		}
 		values = res.Values
-		if *stats {
-			fmt.Printf("cycles: %d (%.3f ms at 1 GHz); rounds: %d; slices: %d\n",
+		if o.stats {
+			fmt.Fprintf(stdout, "cycles: %d (%.3f ms at 1 GHz); rounds: %d; slices: %d\n",
 				res.Cycles, res.Seconds*1e3, res.Rounds, res.Slices)
-			fmt.Printf("events: processed %d, emitted %d, coalesced %d (%.1f%%)\n",
+			fmt.Fprintf(stdout, "events: processed %d, emitted %d, coalesced %d (%.1f%%)\n",
 				res.EventsProcessed, res.EventsEmitted, res.EventsCoalesced,
 				100*float64(res.EventsCoalesced)/float64(res.EventsEmitted+1))
-			fmt.Printf("off-chip: %d reads, %d writes, %.1f%% of bytes utilized\n",
+			fmt.Fprintf(stdout, "off-chip: %d reads, %d writes, %.1f%% of bytes utilized\n",
 				res.MemReads, res.MemWrites, 100*res.Utilization)
 		}
-		if *telPrefix != "" {
-			writeTelemetry(res.Telemetry, *telPrefix, cfg.ClockHz)
-		}
+		tel, clockHz = res.Telemetry, cfg.ClockHz
 	case "ligra":
 		start := time.Now()
 		res := graphpulse.RunLigra(graphpulse.DefaultLigraConfig(), g, alg)
 		wall := time.Since(start)
 		values = res.Values
-		if *stats {
-			fmt.Printf("wall time: %v; iterations: %d (push %d / pull %d); edges traversed: %d\n",
+		if o.stats {
+			fmt.Fprintf(stdout, "wall time: %v; iterations: %d (push %d / pull %d); edges traversed: %d\n",
 				wall, res.Iterations, res.PushIterations, res.PullIterations, res.EdgesTraversed)
 		}
 	case "graphicionado":
 		gcfg := graphpulse.DefaultGraphicionadoConfig()
-		if *telPrefix != "" {
+		if o.telemetry != "" {
 			gcfg.Telemetry = graphpulse.DefaultTelemetryConfig()
 		}
-		res, err := graphpulse.RunGraphicionadoCtx(opts.Ctx, gcfg, g, alg)
+		res, err := graphpulse.RunGraphicionadoCtx(ctx, gcfg, g, alg)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		values = res.Values
-		if *stats {
-			fmt.Printf("cycles: %d (%.3f ms at 1 GHz); iterations: %d; edge reads: %d\n",
+		if o.stats {
+			fmt.Fprintf(stdout, "cycles: %d (%.3f ms at 1 GHz); iterations: %d; edge reads: %d\n",
 				res.Cycles, res.Seconds*1e3, res.Iterations, res.MemReads)
 		}
-		if *telPrefix != "" {
-			writeTelemetry(res.Telemetry, *telPrefix, gcfg.ClockHz)
-		}
+		tel, clockHz = res.Telemetry, gcfg.ClockHz
 	case "solve":
 		start := time.Now()
 		res := graphpulse.Solve(g, alg)
 		wall := time.Since(start)
 		values = res.Values
-		if *stats {
-			fmt.Printf("wall time: %v; activations: %d; emitted: %d\n", wall, res.Activations, res.Emitted)
+		if o.stats {
+			fmt.Fprintf(stdout, "wall time: %v; activations: %d; emitted: %d\n", wall, res.Activations, res.Emitted)
 		}
 	default:
-		fail(fmt.Errorf("unknown engine %q", *engine))
+		return fmt.Errorf("unknown engine %q", o.engine)
 	}
-	if *telPrefix != "" && (*engine == "ligra" || *engine == "solve") {
-		fmt.Fprintf(os.Stderr, "graphpulse: -telemetry is ignored for the host-native %s engine\n", *engine)
+	if tel != nil {
+		if err := writeTelemetry(stdout, tel, o.telemetry, clockHz); err != nil {
+			return err
+		}
+	} else if o.telemetry != "" {
+		fmt.Fprintf(stderr, "graphpulse: -telemetry is ignored for the host-native %s engine\n", o.engine)
 	}
 
-	printTop(values, *top)
-
-	if *memProf != "" {
-		runtime.GC()
-		f, err := os.Create(*memProf)
-		if err != nil {
-			fail(err)
-		}
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fail(err)
-		}
-		f.Close()
-	}
+	printTop(stdout, values, o.top)
+	return nil
 }
 
 // writeTelemetry exports a run's sampled series (Recorder.WriteFiles) and
 // reports where they went.
-func writeTelemetry(rec *graphpulse.Telemetry, prefix string, clockHz float64) {
+func writeTelemetry(w io.Writer, rec *graphpulse.Telemetry, prefix string, clockHz float64) error {
 	csvPath, tracePath, err := rec.WriteFiles(prefix, clockHz)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Printf("telemetry: %d series × %d samples (%d-cycle interval) → %s, %s\n",
+	fmt.Fprintf(w, "telemetry: %d series × %d samples (%d-cycle interval) → %s, %s\n",
 		len(rec.Series()), rec.SampleCount(), rec.Interval(), csvPath, tracePath)
-}
-
-// spillTotal counts a checkpoint's spilled events across slices.
-func spillTotal(ck *graphpulse.Checkpoint) int {
-	n := 0
-	for _, s := range ck.Spill {
-		n += len(s)
-	}
-	return n
+	return nil
 }
 
 func loadGraph(path, rmat string, seed int64) (*graphpulse.Graph, error) {
@@ -255,7 +236,7 @@ func makeAlg(name string, root graphpulse.VertexID, g *graphpulse.Graph) (graphp
 	return algorithms.ByName(name, root)
 }
 
-func printTop(values []float64, n int) {
+func printTop(w io.Writer, values []float64, n int) {
 	if n <= 0 {
 		return
 	}
@@ -271,13 +252,8 @@ func printTop(values []float64, n int) {
 	if n > len(all) {
 		n = len(all)
 	}
-	fmt.Printf("top %d vertices:\n", n)
+	fmt.Fprintf(w, "top %d vertices:\n", n)
 	for _, e := range all[:n] {
-		fmt.Printf("  v%-10d %g\n", e.v, e.x)
+		fmt.Fprintf(w, "  v%-10d %g\n", e.v, e.x)
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "graphpulse: %v\n", err)
-	os.Exit(1)
 }

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,7 +20,69 @@ import (
 	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/ooc"
 	"graphpulse/internal/serve"
+	"graphpulse/internal/sim/telemetry/lintdoc"
 )
+
+// TestProfilesSurviveFailure fails one run on an expired -timeout and one
+// on an out-of-range -root, and checks both profiles were still flushed
+// and closed: pprof files are gzip streams, so reading one to EOF
+// verifies its trailer.
+func TestProfilesSurviveFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want error
+	}{
+		{"timeout", []string{"-rmat", "8x4", "-alg", "pr", "-timeout", "1ns"}, graphpulse.ErrCanceled},
+		{"root", []string{"-rmat", "6x2", "-alg", "sssp", "-root", "1000"}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+			var out bytes.Buffer
+			err := run(append(tc.args, "-cpuprofile", cpu, "-memprofile", mem), &out, io.Discard)
+			if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
+				t.Fatalf("err = %v, want a failure (%v); output:\n%s", err, tc.want, out.String())
+			}
+			for _, path := range []string{cpu, mem} {
+				f, err := os.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				zr, err := gzip.NewReader(f)
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				n, err := io.Copy(io.Discard, zr)
+				f.Close()
+				if err != nil || n == 0 {
+					t.Errorf("%s: %d profile bytes, err %v", path, n, err)
+				}
+			}
+		})
+	}
+}
+
+// TestDocsNameRealFlags: every flag README.md and EXPERIMENTS.md pass to
+// graphpulse is one the command defines.
+func TestDocsNameRealFlags(t *testing.T) {
+	fs := flag.NewFlagSet("graphpulse", flag.ContinueOnError)
+	if _, err := parseFlagSet(fs, nil); err != nil {
+		t.Fatal(err)
+	}
+	cites, err := lintdoc.CommandCites("graphpulse", "../../README.md", "../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cites) == 0 {
+		t.Fatal("the docs pass graphpulse no flag")
+	}
+	for _, c := range cites {
+		if fs.Lookup(c.Flag) == nil {
+			t.Errorf("%s: graphpulse -%s is not a flag graphpulse defines", c.Where, c.Flag)
+		}
+	}
+}
 
 func TestLoadGraphRMAT(t *testing.T) {
 	g, err := loadGraph("", "8x4", 1)

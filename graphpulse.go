@@ -187,46 +187,17 @@ func BaselineConfig() Config { return core.BaselineConfig() }
 
 // Run simulates the GraphPulse accelerator executing alg over g.
 func Run(cfg Config, g *Graph, alg Algorithm) (*Result, error) {
+	return RunCtx(nil, cfg, g, alg)
+}
+
+// RunCtx runs like Run with wall-clock cancellation (nil ctx = no
+// cancellation).
+func RunCtx(ctx context.Context, cfg Config, g *Graph, alg Algorithm) (*Result, error) {
 	a, err := core.New(cfg, g, alg)
 	if err != nil {
 		return nil, err
 	}
-	return a.Run()
-}
-
-// RunOptions adds run control to an accelerator simulation: wall-clock
-// cancellation via a context, and periodic checkpoints taken at scheduler
-// round barriers.
-type RunOptions = core.RunOptions
-
-// RunWith simulates like Run with cancellation and checkpointing.
-func RunWith(cfg Config, g *Graph, alg Algorithm, opts RunOptions) (*Result, error) {
-	a, err := core.New(cfg, g, alg)
-	if err != nil {
-		return nil, err
-	}
-	return a.RunWithOptions(opts)
-}
-
-// Checkpoint is a restartable snapshot of an accelerator run, taken at a
-// scheduler round barrier (see RunOptions.CheckpointEvery).
-type Checkpoint = core.Checkpoint
-
-// WriteCheckpoint atomically serializes a checkpoint to path.
-func WriteCheckpoint(path string, ck *Checkpoint) error { return core.WriteCheckpoint(path, ck) }
-
-// ReadCheckpoint loads a checkpoint written by WriteCheckpoint.
-func ReadCheckpoint(path string) (*Checkpoint, error) { return core.ReadCheckpoint(path) }
-
-// ResumeFromCheckpoint continues a checkpointed run to completion. Config,
-// graph, and algorithm must match the original run. The resumed run
-// converges to the same values as the uninterrupted one.
-func ResumeFromCheckpoint(cfg Config, g *Graph, alg Algorithm, ck *Checkpoint, opts RunOptions) (*Result, error) {
-	a, err := core.NewFromCheckpoint(cfg, g, alg, ck)
-	if err != nil {
-		return nil, err
-	}
-	return a.RunWithOptions(opts)
+	return a.RunCtx(ctx)
 }
 
 // ConservationError reports an event-conservation violation detected by the
@@ -238,7 +209,7 @@ type ConservationError = core.ConservationError
 var (
 	// ErrDeadline: the simulation exceeded Config.MaxCycles.
 	ErrDeadline = sim.ErrDeadline
-	// ErrCanceled: the run context expired (RunOptions.Ctx).
+	// ErrCanceled: the run context expired (RunCtx, RunGraphicionadoCtx).
 	ErrCanceled = sim.ErrCanceled
 	// ErrConservation: events were lost or double-counted (the watchdog
 	// tripped); errors.As to *ConservationError for the audit.

@@ -2,6 +2,8 @@ package graphpulse_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -32,6 +34,23 @@ func TestFacadeQuickstart(t *testing.T) {
 		if math.Abs(res.Values[v]-want.Values[v]) > tol {
 			t.Fatalf("vertex %d: %g vs reference %g", v, res.Values[v], want.Values[v])
 		}
+	}
+}
+
+// TestFacadeRunCanceled: both simulated engines stop on an already
+// canceled context with an error that is ErrCanceled.
+func TestFacadeRunCanceled(t *testing.T) {
+	g, err := graphpulse.GenerateGrid(8, 8, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := graphpulse.RunCtx(ctx, graphpulse.OptimizedConfig(), g, graphpulse.NewSSSP(0)); !errors.Is(err, graphpulse.ErrCanceled) {
+		t.Errorf("RunCtx: err = %v, want ErrCanceled", err)
+	}
+	if _, err := graphpulse.RunGraphicionadoCtx(ctx, graphpulse.DefaultGraphicionadoConfig(), g, graphpulse.NewSSSP(0)); !errors.Is(err, graphpulse.ErrCanceled) {
+		t.Errorf("RunGraphicionadoCtx: err = %v, want ErrCanceled", err)
 	}
 }
 

@@ -3,9 +3,9 @@
 // the target only after the write (and an fsync) succeeds. A reader never
 // observes a half-written file, and an interrupted writer leaves the
 // previous version of the target intact — the property the bench sweep's
-// resume manifest, checkpoints, worker snapshots, and every CSV/JSON/chart
-// export rely on. WriteJSON and ReadJSON are the one codec of the JSON state
-// files among those.
+// resume manifest, worker snapshots, and every CSV/JSON/chart export rely
+// on. WriteJSON and ReadJSON are the one codec of the JSON state files
+// among those.
 package atomicio
 
 import (

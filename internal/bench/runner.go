@@ -85,7 +85,7 @@ func runSim(cfg core.Config, w *Workload, opt Options) (res *core.Result, err er
 	}
 	ctx, cancel := opt.jobContext()
 	defer cancel()
-	return a.RunWithOptions(core.RunOptions{Ctx: ctx})
+	return a.RunCtx(ctx)
 }
 
 // runLigraJob measures the software baseline: the analytic 12-core-Xeon

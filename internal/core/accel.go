@@ -119,11 +119,6 @@ type Accelerator struct {
 	wdStrikes       int
 	wdErr           *ConservationError
 
-	// Run-control state (RunWithOptions).
-	opts           RunOptions
-	lastCheckpoint uint64
-	ckErr          error
-
 	// Figure 13 accounting, indexed by stage: cycles accrued and events
 	// that completed the stage.
 	stageCycles [numStages]int64
@@ -361,7 +356,7 @@ func (a *Accelerator) Tick(cycle uint64) {
 		}
 	}
 	a.xbar.deliver(a.queue, drainedBin)
-	a.transition(cycle)
+	a.transition()
 	a.watchdogCheck(cycle)
 }
 
@@ -493,7 +488,7 @@ func (a *Accelerator) quiescent() bool {
 // (Section IV-C): after a full pass over the bins it waits for all units to
 // go idle — the guarantee that at most one event per vertex is in flight —
 // then starts the next round, switches slices, or terminates.
-func (a *Accelerator) transition(cycle uint64) {
+func (a *Accelerator) transition() {
 	switch a.phase {
 	case phaseQuiesce:
 		if !a.quiescent() {
@@ -515,7 +510,6 @@ func (a *Accelerator) transition(cycle uint64) {
 				a.discardedEvents += int64(len(a.spill.take(i)))
 			}
 		}
-		a.maybeCheckpoint(cycle)
 		switch {
 		case a.queue.population > 0:
 			a.startRound()
@@ -586,44 +580,24 @@ func (a *Accelerator) endRound() {
 	a.round++
 }
 
-// RunOptions controls one accelerator run beyond the Config: wall-clock
-// cancellation and periodic checkpointing. The zero value runs to
-// termination exactly like Run.
-type RunOptions struct {
-	// Ctx cancels the run by wall clock: when it is done, Run returns an
-	// error wrapping sim.ErrCanceled. nil disables cancellation.
-	Ctx context.Context
-	// CheckpointEvery requests a checkpoint at the first scheduler round
-	// barrier after this many cycles elapse since the previous one
-	// (0 = never). Round barriers are the quiescent points — every event is
-	// in the queue or a spill buffer — so the snapshot is exact.
-	CheckpointEvery uint64
-	// OnCheckpoint receives each checkpoint (e.g. WriteCheckpoint to disk).
-	// A non-nil error aborts the run and is returned by RunWithOptions.
-	OnCheckpoint func(*Checkpoint) error
-}
-
 // Run simulates to termination and returns the result. It fails with
 // sim.ErrDeadline if MaxCycles elapses first (a lost-event bug, not a slow
 // graph: termination is guaranteed for monotone algorithms and
 // threshold-bounded for the rest) and with an error wrapping
 // ErrConservation if the event-conservation watchdog trips.
 func (a *Accelerator) Run() (*Result, error) {
-	return a.RunWithOptions(RunOptions{})
+	return a.RunCtx(nil)
 }
 
-// RunWithOptions runs like Run with cancellation and checkpointing.
-func (a *Accelerator) RunWithOptions(opts RunOptions) (*Result, error) {
-	a.opts = opts
-	a.lastCheckpoint = a.engine.Cycle()
-	err := a.engine.RunUntil(opts.Ctx, func() bool {
-		return a.phase == phaseDone || a.wdErr != nil || a.ckErr != nil
+// RunCtx runs like Run with wall-clock cancellation: when ctx is done the
+// simulation stops with an error wrapping sim.ErrCanceled. A nil ctx
+// disables cancellation.
+func (a *Accelerator) RunCtx(ctx context.Context) (*Result, error) {
+	err := a.engine.RunUntil(ctx, func() bool {
+		return a.phase == phaseDone || a.wdErr != nil
 	}, a.cfg.MaxCycles)
 	if a.wdErr != nil {
 		return nil, a.wdErr
-	}
-	if a.ckErr != nil {
-		return nil, fmt.Errorf("core: checkpoint: %w", a.ckErr)
 	}
 	if err != nil {
 		return nil, err

@@ -23,7 +23,7 @@ func TestRunCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := a.RunWithOptions(RunOptions{Ctx: ctx}); !errors.Is(err, sim.ErrCanceled) {
+	if _, err := a.RunCtx(ctx); !errors.Is(err, sim.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }

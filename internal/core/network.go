@@ -127,9 +127,6 @@ func (s *spillBuffers) take(slice int) []Event {
 	return out
 }
 
-// count returns events spilled for slice s.
-func (s *spillBuffers) count(slice int) int { return len(s.perSlice[slice]) }
-
 // nextNonEmpty returns the first slice index after `from` (cyclically) with
 // spilled events, or -1 if none anywhere.
 func (s *spillBuffers) nextNonEmpty(from int) int {

@@ -187,24 +187,6 @@ func (q *coalescingQueue) binPopulation(bin int) int {
 	return total
 }
 
-// snapshot returns every resident event (local vertex ids) without
-// mutating the queue; checkpointing uses it where drainAll would destroy
-// the live state.
-func (q *coalescingQueue) snapshot() []Event {
-	out := make([]Event, 0, q.population)
-	for slot, occ := range q.occupied {
-		if !occ {
-			continue
-		}
-		v := graph.VertexID(slot)
-		out = append(out, Event{Target: v, Delta: q.delta[slot], Lookahead: q.look[slot]})
-		if q.coalesceDisabled {
-			out = append(out, q.overflow[slot]...)
-		}
-	}
-	return out
-}
-
 // drainAll empties the queue in bin/row order; used when swapping a slice
 // out to memory (Section IV-F: "the bins are drained to the buffer").
 func (q *coalescingQueue) drainAll() []Event {

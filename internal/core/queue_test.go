@@ -274,8 +274,8 @@ func TestSpillBuffers(t *testing.T) {
 	s.add(1, Event{Target: 10})
 	s.add(1, Event{Target: 11})
 	s.add(2, Event{Target: 20})
-	if s.total != 3 || s.count(1) != 2 {
-		t.Fatalf("total=%d count(1)=%d", s.total, s.count(1))
+	if s.total != 3 || len(s.perSlice[1]) != 2 {
+		t.Fatalf("total=%d perSlice[1]=%d", s.total, len(s.perSlice[1]))
 	}
 	if got := s.nextNonEmpty(0); got != 1 {
 		t.Errorf("nextNonEmpty(0) = %d, want 1", got)

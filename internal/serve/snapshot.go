@@ -14,15 +14,14 @@ import (
 const SnapshotVersion = 1
 
 // Snapshot is a warm-restart image of one resident graph: the live edge
-// set and epoch, plus every converged result cached at that epoch. It is
-// the serving-tier analogue of core.Checkpoint — like the accelerator
-// checkpoint it stores float state as raw IEEE-754 bits so ±Inf values
-// (unreachable vertices under SSSP-style algorithms) and bit-exact
-// round-tripping survive JSON — but it snapshots the *service* state
-// (graph version + solved fixed points), not a mid-flight event
-// population. The distributed tier (internal/dserve) persists snapshots
-// for warm worker restart and ships them between replicas so a rejoining
-// worker resynchronizes without a cold re-solve.
+// set and epoch, plus every converged result cached at that epoch. It
+// stores float state as raw IEEE-754 bits so ±Inf values (unreachable
+// vertices under SSSP-style algorithms) and bit-exact round-tripping
+// survive JSON. It snapshots the *service* state (graph version + solved
+// fixed points), never a mid-flight event population. The distributed
+// tier (internal/dserve) persists snapshots for warm worker restart and
+// ships them between replicas so a rejoining worker resynchronizes
+// without a cold re-solve.
 type Snapshot struct {
 	Version     int    `json:"version"`
 	Graph       string `json:"graph"`

@@ -92,16 +92,6 @@ func (e *Engine) RunUntil(ctx context.Context, done func() bool, maxCycles uint6
 	return nil
 }
 
-// FastForward advances the cycle counter without ticking components.
-// Checkpoint resume uses it to restore the clock of a restored run so that
-// cycle-derived outputs (Seconds, telemetry timestamps) stay on the
-// original timeline.
-func (e *Engine) FastForward(toCycle uint64) {
-	if toCycle > e.cycle {
-		e.cycle = toCycle
-	}
-}
-
 // SecondsAt converts the elapsed cycle count to seconds at the given clock
 // frequency in Hz (the paper's accelerator runs at 1 GHz).
 func (e *Engine) SecondsAt(hz float64) float64 { return float64(e.cycle) / hz }

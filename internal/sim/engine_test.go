@@ -116,18 +116,6 @@ func TestEngineNilContext(t *testing.T) {
 	}
 }
 
-func TestFastForward(t *testing.T) {
-	e := NewEngine()
-	e.FastForward(1000)
-	if e.Cycle() != 1000 {
-		t.Fatalf("Cycle = %d, want 1000", e.Cycle())
-	}
-	e.FastForward(500) // never rewinds
-	if e.Cycle() != 1000 {
-		t.Fatalf("Cycle rewound to %d", e.Cycle())
-	}
-}
-
 func TestSecondsAt(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 1000; i++ {

@@ -18,7 +18,9 @@
 //     deleted counter.
 //
 // Both run as this package's tests, in CI and locally:
-// `go test ./internal/sim/telemetry/lintdoc`.
+// `go test ./internal/sim/telemetry/lintdoc`. CommandCites reads the
+// command lines of the prose docs for the commands' own tests, which
+// check every cited flag against the command's FlagSet.
 package lintdoc
 
 import (
