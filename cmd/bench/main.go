@@ -30,6 +30,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -75,14 +76,20 @@ func parseFlagSet(fs *flag.FlagSet, args []string) (options, error) {
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
+// usageError is a bad flag value; main exits 2 for it, as flag parsing does.
+type usageError struct{ error }
+
 // run is main's body, returning instead of exiting so the profile defers
 // execute on a failed sweep too.
 func run(args []string, stdout, stderr io.Writer) (err error) {
-	o, _ := parseFlagSet(flag.NewFlagSet("bench", flag.ExitOnError), args) // ExitOnError: like the tier check, exits 2 before anything is deferred
+	o, _ := parseFlagSet(flag.NewFlagSet("bench", flag.ExitOnError), args) // ExitOnError: exits 2 on a bad flag
 
 	if o.list {
 		for _, e := range bench.Experiments() {
@@ -93,8 +100,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 
 	tier, err := gen.ParseTier(o.tier)
 	if err != nil {
-		fmt.Fprintf(stderr, "bench: %v\n", err)
-		os.Exit(2)
+		return usageError{err}
 	}
 
 	stop, err := profile.Start(o.cpuProf, o.memProf)

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -44,9 +46,22 @@ func TestProfilesSurviveFailure(t *testing.T) {
 	}
 }
 
-// TestDocsNameRealFlags: every flag README.md and EXPERIMENTS.md pass to
-// bench is one the command defines, and every id they give -exp is an
-// experiment (a <placeholder> aside).
+// TestBadTierIsAUsageError: an unknown -tier comes back from run as a
+// usageError (main's exit status 2) naming the tier, with nothing run.
+func TestBadTierIsAUsageError(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-tier", "huge", "-exp", "fig11"}, &out, io.Discard)
+	if !errors.As(err, new(usageError)) || !strings.Contains(fmt.Sprint(err), `"huge"`) {
+		t.Errorf("run -tier huge = %v, want a usageError naming the tier", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("run -tier huge printed %q", out.String())
+	}
+}
+
+// TestDocsNameRealFlags: every flag README.md, EXPERIMENTS.md and the
+// verify skill pass to bench is one the command defines, and every id they
+// give -exp is an experiment (a <placeholder> aside).
 func TestDocsNameRealFlags(t *testing.T) {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	if _, err := parseFlagSet(fs, nil); err != nil {
@@ -56,7 +71,8 @@ func TestDocsNameRealFlags(t *testing.T) {
 	for _, e := range bench.Experiments() {
 		ids[e.ID] = true
 	}
-	cites, err := lintdoc.CommandCites("bench", "../../README.md", "../../EXPERIMENTS.md")
+	cites, err := lintdoc.CommandCites("bench", "../../README.md", "../../EXPERIMENTS.md",
+		"../../.claude/skills/verify/SKILL.md")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,14 +63,15 @@ func TestProfilesSurviveFailure(t *testing.T) {
 	}
 }
 
-// TestDocsNameRealFlags: every flag README.md and EXPERIMENTS.md pass to
-// graphpulse is one the command defines.
+// TestDocsNameRealFlags: every flag README.md, EXPERIMENTS.md and the
+// verify skill pass to graphpulse is one the command defines.
 func TestDocsNameRealFlags(t *testing.T) {
 	fs := flag.NewFlagSet("graphpulse", flag.ContinueOnError)
 	if _, err := parseFlagSet(fs, nil); err != nil {
 		t.Fatal(err)
 	}
-	cites, err := lintdoc.CommandCites("graphpulse", "../../README.md", "../../EXPERIMENTS.md")
+	cites, err := lintdoc.CommandCites("graphpulse", "../../README.md", "../../EXPERIMENTS.md",
+		"../../.claude/skills/verify/SKILL.md")
 	if err != nil {
 		t.Fatal(err)
 	}

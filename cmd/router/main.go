@@ -52,13 +52,11 @@ func parseFlagSet(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&o.addr, "addr", ":8090", "listen address")
 	fs.IntVar(&c.Replication, "replication", 1, "workers owning each graph (writes fan out to all, reads rotate)")
 	fs.DurationVar(&c.ProbeInterval, "probe-interval", time.Second, "health-probe period for healthy workers")
-	fs.DurationVar(&c.ProbeTimeout, "probe-timeout", 2*time.Second, "per-probe timeout")
 	fs.IntVar(&c.FailAfter, "fail-after", 2, "consecutive failures before a worker is ejected")
 	fs.IntVar(&c.RetryBudget, "retry-budget", 2, "extra replicas a failed read is retried on (0 disables retries)")
 	fs.DurationVar(&c.BackoffBase, "backoff", 500*time.Millisecond, "base re-probe backoff for ejected workers")
 	fs.DurationVar(&c.BackoffMax, "backoff-max", 15*time.Second, "cap on the ejected-worker re-probe backoff")
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "shutdown drain budget for in-flight requests")
-	fs.Uint64Var(&c.Seed, "seed", 1, "seed for backoff jitter (and any other router randomness)")
 	fs.DurationVar(&c.AntiEntropyInterval, "antientropy", 5*time.Second, "anti-entropy divergence-check period (0 disables)")
 	fs.Func("worker", "seed worker base URL (repeatable; workers can also self-register)", func(v string) error {
 		c.Workers = append(c.Workers, v)

@@ -2,14 +2,12 @@ package main
 
 import (
 	"flag"
-	"os"
 	"reflect"
-	"regexp"
-	"strings"
 	"testing"
 	"time"
 
 	"graphpulse/internal/dserve"
+	"graphpulse/internal/sim/telemetry/lintdoc"
 )
 
 // TestOffAtZero pins the flag→config mapping for -retry-budget and
@@ -34,9 +32,9 @@ func TestOffAtZero(t *testing.T) {
 // flags included.
 func TestParseFlags(t *testing.T) {
 	o, err := parseFlags([]string{
-		"-addr", "127.0.0.1:9090", "-replication", "3", "-probe-interval", "3s", "-probe-timeout", "4s",
+		"-addr", "127.0.0.1:9090", "-replication", "3", "-probe-interval", "3s",
 		"-fail-after", "5", "-retry-budget", "0", "-backoff", "6s", "-backoff-max", "7s",
-		"-drain", "8s", "-seed", "9", "-antientropy", "0",
+		"-drain", "8s", "-antientropy", "0",
 		"-worker", "http://a:1", "-worker", "http://b:1",
 	})
 	if err != nil {
@@ -44,9 +42,9 @@ func TestParseFlags(t *testing.T) {
 	}
 	want := dserve.RouterConfig{
 		Workers:     []string{"http://a:1", "http://b:1"},
-		Replication: 3, ProbeInterval: 3 * time.Second, ProbeTimeout: 4 * time.Second,
+		Replication: 3, ProbeInterval: 3 * time.Second,
 		FailAfter: 5, RetryBudget: -1, BackoffBase: 6 * time.Second, BackoffMax: 7 * time.Second,
-		Seed: 9, AntiEntropyInterval: -1,
+		AntiEntropyInterval: -1,
 	}
 	if o.addr != "127.0.0.1:9090" || o.drain != 8*time.Second || !reflect.DeepEqual(o.router, want) {
 		t.Errorf("addr %q drain %s RouterConfig %+v, want %+v", o.addr, o.drain, o.router, want)
@@ -60,38 +58,36 @@ func TestOperationsFlagTable(t *testing.T) {
 	if _, err := parseFlagSet(fs, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range docFlags(t, "Flag (router)") {
+	names, err := lintdoc.TableFlags("../../OPERATIONS.md", "Flag (router)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
 		if fs.Lookup(name) == nil {
 			t.Errorf("OPERATIONS.md documents -%s, which router does not define", name)
 		}
 	}
 }
 
-var docFlagRE = regexp.MustCompile("`-([a-z0-9-]+)`")
-
-// docFlags returns, in order, the flags named in the first column of the
-// OPERATIONS.md table whose header row starts with header.
-func docFlags(t *testing.T, header string) []string {
-	t.Helper()
-	raw, err := os.ReadFile("../../OPERATIONS.md")
+// TestDocsNameRealFlags: every flag README.md, EXPERIMENTS.md,
+// OPERATIONS.md and the verify skill pass to router is one the command
+// defines.
+func TestDocsNameRealFlags(t *testing.T) {
+	fs := flag.NewFlagSet("router", flag.ContinueOnError)
+	if _, err := parseFlagSet(fs, nil); err != nil {
+		t.Fatal(err)
+	}
+	cites, err := lintdoc.CommandCites("router", "../../README.md", "../../EXPERIMENTS.md",
+		"../../OPERATIONS.md", "../../.claude/skills/verify/SKILL.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, table, ok := strings.Cut(string(raw), "\n| "+header+" |")
-	if !ok {
-		t.Fatalf("OPERATIONS.md has no %q table", header)
+	if len(cites) == 0 {
+		t.Fatal("the docs pass router no flag")
 	}
-	var names []string
-	for _, line := range strings.Split(table, "\n")[1:] {
-		if !strings.HasPrefix(line, "|") {
-			break
-		}
-		for _, m := range docFlagRE.FindAllStringSubmatch(strings.Split(line, "|")[1], -1) {
-			names = append(names, m[1])
+	for _, c := range cites {
+		if fs.Lookup(c.Flag) == nil {
+			t.Errorf("%s: router -%s is not a flag router defines", c.Where, c.Flag)
 		}
 	}
-	if len(names) == 0 {
-		t.Fatalf("OPERATIONS.md's %q table names no flag", header)
-	}
-	return names
 }

@@ -7,7 +7,7 @@
 //
 //	serve -addr :8080 -graph wg=WG:tiny                 # Table IV stand-in
 //	serve -graph web=crawl.el -graph social=fb.el       # edge-list files
-//	serve -graph wg=WG:mini -workers 8 -queue 128
+//	serve -graph wg=WG:mini -workers 8
 //	serve -graph big=wg.graphpack -resident-bytes 33554432
 //
 // A .graphpack source (cmd/graphpack) is served out-of-core and
@@ -65,14 +65,7 @@ func parseFlagSet(fs *flag.FlagSet, args []string) (options, error) {
 	c := &o.serve
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&c.Workers, "workers", 0, "compute worker pool size (0 = GOMAXPROCS)")
-	fs.IntVar(&c.QueueDepth, "queue", 64, "admission queue depth; full queue answers 429")
-	fs.IntVar(&c.CacheEntries, "cache-entries", 128, "result cache capacity (LRU)")
-	fs.DurationVar(&c.DefaultTimeout, "request-timeout", 5*time.Second, "default per-request deadline")
-	fs.DurationVar(&c.MaxTimeout, "max-timeout", 60*time.Second, "cap on client-requested deadlines")
-	fs.DurationVar(&c.ComputeTimeout, "compute-timeout", 120*time.Second, "bound on one pooled computation")
-	fs.IntVar(&c.MutationHistory, "history", 8, "mutation batches retained per graph for warm starts")
 	resideB := fs.Int64("resident-bytes", 0, "out-of-core residency budget in bytes applied to every .graphpack -graph (0 = unlimited)")
-	fs.Float64Var(&c.MaxConeFraction, "cone-fraction", 0, "deletion-cone size cap as a fraction of vertices before falling back to a full replay (0 = default)")
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "shutdown drain budget for in-flight requests")
 	fs.BoolVar(&c.EnablePprof, "pprof", true, "mount /debug/pprof")
 
@@ -83,9 +76,7 @@ func parseFlagSet(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&w.Advertise, "advertise", "", "base URL the router and peers reach this worker at (default: derived from the bound address)")
 	fs.StringVar(&w.SnapshotDir, "snapshot-dir", "", "directory for per-graph snapshot files (worker mode; empty disables persistence)")
 	fs.DurationVar(&w.SnapshotEvery, "snapshot-every", 30*time.Second, "snapshot persist period (worker mode)")
-	fs.DurationVar(&w.Heartbeat, "heartbeat", 5*time.Second, "router re-registration period (worker mode)")
 	fs.StringVar(&w.WALDir, "wal-dir", "", "directory for per-graph mutation WALs (worker mode; empty disables the WAL)")
-	fs.Int64Var(&w.WALSegmentBytes, "wal-segment-bytes", 0, "WAL segment rotation size in bytes (0 = default 1MiB)")
 	fs.Func("graph", "resident graph as name=SOURCE; SOURCE is ABBREV:tier (e.g. WG:tiny) or a graph file (repeatable)", func(v string) error {
 		spec, err := serve.ParseGraphArg(v)
 		if err == nil {

@@ -2,11 +2,10 @@ package main
 
 import (
 	"flag"
-	"os"
-	"regexp"
-	"strings"
 	"testing"
 	"time"
+
+	"graphpulse/internal/sim/telemetry/lintdoc"
 )
 
 // TestParseFlags pins the flag-to-Config mapping — all that is left in this
@@ -14,8 +13,7 @@ import (
 func TestParseFlags(t *testing.T) {
 	o, err := parseFlags([]string{
 		"-addr", "127.0.0.1:9001", "-graph", "wg=WG:tiny", "-graph", "crawl.el",
-		"-workers", "3", "-queue", "5", "-cache-entries", "7", "-history", "2",
-		"-resident-bytes", "4096", "-drain", "3s", "-pprof=false",
+		"-workers", "3", "-resident-bytes", "4096", "-drain", "3s", "-pprof=false",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -24,11 +22,8 @@ func TestParseFlags(t *testing.T) {
 	if o.addr != "127.0.0.1:9001" || o.drain != 3*time.Second || o.worker != nil {
 		t.Errorf("addr %q drain %s worker %v", o.addr, o.drain, o.worker)
 	}
-	if c.Workers != 3 || c.QueueDepth != 5 || c.CacheEntries != 7 || c.MutationHistory != 2 || c.EnablePprof {
+	if c.Workers != 3 || c.EnablePprof {
 		t.Errorf("serve.Config = %+v", c)
-	}
-	if c.DefaultTimeout != 5*time.Second || c.MaxTimeout != time.Minute || c.ComputeTimeout != 2*time.Minute {
-		t.Errorf("defaults not carried: %+v", c)
 	}
 	if len(c.Graphs) != 2 || c.Graphs[0].Name != "wg" || c.Graphs[0].Source != "WG:tiny" || c.Graphs[1].Name != "crawl.el" {
 		t.Fatalf("graphs = %+v", c.Graphs)
@@ -46,8 +41,7 @@ func TestParseFlags(t *testing.T) {
 func TestParseFlagsWorkerMode(t *testing.T) {
 	o, err := parseFlags([]string{
 		"-worker", "-router", "http://127.0.0.1:8090", "-addr", ":8081", "-graph", "wg=WG:tiny",
-		"-snapshot-dir", "/var/snap", "-snapshot-every", "2s", "-heartbeat", "1s",
-		"-wal-dir", "/var/wal", "-wal-segment-bytes", "4096",
+		"-snapshot-dir", "/var/snap", "-snapshot-every", "2s", "-wal-dir", "/var/wal",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +51,7 @@ func TestParseFlagsWorkerMode(t *testing.T) {
 		t.Fatal("-worker did not produce a WorkerConfig")
 	}
 	if w.RouterURL != "http://127.0.0.1:8090" || w.SnapshotDir != "/var/snap" || w.WALDir != "/var/wal" ||
-		w.SnapshotEvery != 2*time.Second || w.Heartbeat != time.Second || w.WALSegmentBytes != 4096 {
+		w.SnapshotEvery != 2*time.Second {
 		t.Errorf("WorkerConfig = %+v", *w)
 	}
 	if w.Advertise != "http://127.0.0.1:8081" {
@@ -79,38 +73,36 @@ func TestOperationsFlagTable(t *testing.T) {
 	if _, err := parseFlagSet(fs, []string{"-graph", "wg=WG:tiny"}); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range docFlags(t, "Flag (worker)") {
+	names, err := lintdoc.TableFlags("../../OPERATIONS.md", "Flag (worker)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
 		if fs.Lookup(name) == nil {
 			t.Errorf("OPERATIONS.md documents -%s, which serve does not define", name)
 		}
 	}
 }
 
-var docFlagRE = regexp.MustCompile("`-([a-z0-9-]+)`")
-
-// docFlags returns, in order, the flags named in the first column of the
-// OPERATIONS.md table whose header row starts with header.
-func docFlags(t *testing.T, header string) []string {
-	t.Helper()
-	raw, err := os.ReadFile("../../OPERATIONS.md")
+// TestDocsNameRealFlags: every flag README.md, EXPERIMENTS.md,
+// OPERATIONS.md and the verify skill pass to serve is one the command
+// defines.
+func TestDocsNameRealFlags(t *testing.T) {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	if _, err := parseFlagSet(fs, []string{"-graph", "wg=WG:tiny"}); err != nil {
+		t.Fatal(err)
+	}
+	cites, err := lintdoc.CommandCites("serve", "../../README.md", "../../EXPERIMENTS.md",
+		"../../OPERATIONS.md", "../../.claude/skills/verify/SKILL.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, table, ok := strings.Cut(string(raw), "\n| "+header+" |")
-	if !ok {
-		t.Fatalf("OPERATIONS.md has no %q table", header)
+	if len(cites) == 0 {
+		t.Fatal("the docs pass serve no flag")
 	}
-	var names []string
-	for _, line := range strings.Split(table, "\n")[1:] {
-		if !strings.HasPrefix(line, "|") {
-			break
-		}
-		for _, m := range docFlagRE.FindAllStringSubmatch(strings.Split(line, "|")[1], -1) {
-			names = append(names, m[1])
+	for _, c := range cites {
+		if fs.Lookup(c.Flag) == nil {
+			t.Errorf("%s: serve -%s is not a flag serve defines", c.Where, c.Flag)
 		}
 	}
-	if len(names) == 0 {
-		t.Fatalf("OPERATIONS.md's %q table names no flag", header)
-	}
-	return names
 }

@@ -99,7 +99,7 @@ func (rt *Router) antiEntropyCheck(graphName string) {
 
 // fetchDigest asks one worker for one graph's (epoch, digest) pair.
 func (rt *Router) fetchDigest(worker, graphName string) (info serve.DigestInfo, err error) {
-	ctx, cancel := context.WithTimeout(rt.ctx, rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(rt.ctx, probeTimeout)
 	defer cancel()
 	err = callJSON(ctx, rt.cfg.Client, http.MethodGet,
 		worker+"/internal/digest?graph="+url.QueryEscape(graphName), nil, &info, 1<<20)

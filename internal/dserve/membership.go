@@ -54,7 +54,7 @@ func newMembership(cfg RouterConfig, metrics *serve.Metrics, logf func(string, .
 		metrics: metrics,
 		logf:    logf,
 		workers: make(map[string]*workerEntry),
-		rng:     rand.New(rand.NewSource(int64(cfg.Seed))),
+		rng:     rand.New(rand.NewSource(jitterSeed)),
 	}
 }
 
@@ -78,8 +78,8 @@ func (m *membership) add(u string, graphs []string) *workerEntry {
 
 // jittered spreads a backoff by up to 25% of itself, drawn from the seeded
 // RNG — ejected workers sharing one outage re-probe staggered instead of
-// in lockstep, and the same Seed reproduces the same schedule. Callers
-// hold m.mu.
+// in lockstep, and every router draws the same schedule (jitterSeed).
+// Callers hold m.mu.
 func (m *membership) jittered(d time.Duration) time.Duration {
 	if d <= 0 {
 		return d

@@ -21,14 +21,13 @@ const (
 	wC = "http://c:1"
 )
 
-func testMembership(seed uint64, workers ...string) *membership {
+func testMembership(workers ...string) *membership {
 	cfg := RouterConfig{
 		Replication:   2,
 		ProbeInterval: time.Second,
 		FailAfter:     3,
 		BackoffBase:   400 * time.Millisecond,
 		BackoffMax:    time.Second,
-		Seed:          seed,
 	}.withDefaults()
 	m := newMembership(cfg, serve.NewMetricsCatalog(routerCounters, nil), func(string, ...any) {})
 	for _, u := range workers {
@@ -73,7 +72,7 @@ func TestMembershipStateMachine(t *testing.T) {
 		{"third ejects and schedules the re-probe itself", reqFail, 5800 * ms, false, 3, 400 * ms, 400 * ms},
 		{"registration readmits", register, 6000 * ms, true, 0, 0, time.Second},
 	}
-	m := testMembership(1, wA)
+	m := testMembership(wA)
 	w := m.workers[wA]
 	boom := errors.New("boom")
 	for _, s := range steps {
@@ -129,12 +128,12 @@ func TestMembershipStateMachine(t *testing.T) {
 	}
 }
 
-// TestMembershipSeededSchedule: the same Seed reproduces the same re-probe
-// schedule across a fleet-wide outage, workers of one outage are spread
-// rather than in lockstep, and another Seed gives another schedule.
+// TestMembershipSeededSchedule: every membership reproduces the same
+// re-probe schedule across a fleet-wide outage, and workers of one outage
+// are spread rather than in lockstep.
 func TestMembershipSeededSchedule(t *testing.T) {
-	schedule := func(seed uint64) []time.Time {
-		m := testMembership(seed, wA, wB, wC)
+	schedule := func() []time.Time {
+		m := testMembership(wA, wB, wC)
 		var out []time.Time
 		for round := 0; round < 6; round++ {
 			now := t0.Add(time.Duration(round) * time.Second)
@@ -145,12 +144,9 @@ func TestMembershipSeededSchedule(t *testing.T) {
 		}
 		return out
 	}
-	a, b, c := schedule(7), schedule(7), schedule(8)
+	a, b := schedule(), schedule()
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed produced different re-probe schedules")
-	}
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced the identical re-probe schedule")
+		t.Fatal("two memberships produced different re-probe schedules")
 	}
 	last := a[len(a)-3:]
 	if last[0].Equal(last[1]) && last[1].Equal(last[2]) {
@@ -162,7 +158,7 @@ func TestMembershipSeededSchedule(t *testing.T) {
 // stable under health flips and drains, and live/peers apply the one
 // healthy-and-not-draining predicate.
 func TestMembershipRouting(t *testing.T) {
-	m := testMembership(1)
+	m := testMembership()
 	for _, u := range []string{wA, wB, wC} {
 		if peers := m.register(u, []string{"g"}, t0); len(peers["g"]) != len(m.workers)-1 {
 			t.Fatalf("registering %s returned peers %v with %d workers known", u, peers, len(m.workers))
@@ -247,9 +243,9 @@ func without(set []string, u string) []string {
 // which fails to host the graph.
 func TestPlacementSets(t *testing.T) {
 	ws := placementWorkers(5)
-	m := testMembership(1, ws...)
+	m := testMembership(ws...)
 	m.cfg.Replication = 3
-	reversed := testMembership(2)
+	reversed := testMembership()
 	reversed.cfg.Replication = 3
 	for i := len(ws) - 1; i >= 0; i-- {
 		reversed.add(ws[i], nil)
@@ -296,7 +292,7 @@ func TestPlacementMovement(t *testing.T) {
 	const graphs = 2000
 	ws := placementWorkers(9)
 	build := func(members []string) map[string][]string {
-		m := testMembership(1, members...)
+		m := testMembership(members...)
 		m.cfg.Replication = 3
 		return replicaSets(m, graphs)
 	}
@@ -345,7 +341,7 @@ func TestPlacementMovement(t *testing.T) {
 // worker is primary for 1,250 graphs ± 10 %.
 func TestPlacementSpread(t *testing.T) {
 	const graphs, workers = 10000, 8
-	m := testMembership(1, placementWorkers(workers)...)
+	m := testMembership(placementWorkers(workers)...)
 	primary := map[string]int{}
 	for _, set := range replicaSets(m, graphs) {
 		primary[set[0]]++
@@ -362,7 +358,7 @@ func TestPlacementSpread(t *testing.T) {
 // rejoining replica catches up from the peer that took its writes rather
 // than from a host outside the replica set.
 func TestRegisterAcksReplicasFirst(t *testing.T) {
-	m := testMembership(1)
+	m := testMembership()
 	for _, u := range []string{wA, wB, wC} {
 		m.register(u, []string{"g"}, t0)
 	}
@@ -380,7 +376,7 @@ func TestRegisterAcksReplicasFirst(t *testing.T) {
 // BenchmarkReplicas is the router's per-request placement cost: 3 workers
 // hosting the graph, R = 3.
 func BenchmarkReplicas(b *testing.B) {
-	m := testMembership(1, wA, wB, wC)
+	m := testMembership(wA, wB, wC)
 	m.cfg.Replication = 3
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

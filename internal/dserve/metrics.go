@@ -41,7 +41,7 @@ var workerCounters = []string{
 	// Durable mutation WAL (see wal.go).
 	"wal_appends",            // mutation epochs durably appended (fsynced)
 	"wal_append_errors",      // appends that failed (mutation still acknowledged; divergence risk)
-	"wal_segments_rotated",   // segment rotations at WALSegmentBytes
+	"wal_segments_rotated",   // segment rotations at walSegmentBytes
 	"wal_segments_truncated", // segments retired as covered by a persisted snapshot
 	"wal_replayed_batches",   // logged epochs re-applied at startup (Worker.Start)
 	"wal_replay_errors",      // replay stops: gap, hole, or corrupt record

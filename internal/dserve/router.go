@@ -25,6 +25,12 @@ const (
 	maxProxyRespBody    = 64 << 20
 )
 
+// Fixed router values (OPERATIONS.md "Fixed limits").
+const (
+	probeTimeout = 2 * time.Second // bounds one health probe or anti-entropy digest read
+	jitterSeed   = 1               // keys the backoff-jitter RNG: every router draws one schedule
+)
+
 // RouterConfig describes a Router. The zero value of every field except
 // Workers is replaced by the documented default.
 type RouterConfig struct {
@@ -39,28 +45,28 @@ type RouterConfig struct {
 	Replication int
 	// ProbeInterval is the health-probe period for healthy workers
 	// (default 1s). Ejected workers are probed on their backoff schedule.
+	// Settable because the fleet tests probe every 20-50ms.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (default 2s).
-	ProbeTimeout time.Duration
 	// FailAfter is how many consecutive failures (probes or request-path
 	// attempts) eject a worker (default 2).
+	// Settable because the retry tests keep a flaky worker in with 100.
 	FailAfter int
 	// RetryBudget is how many additional replicas a read is retried on
 	// after a failed attempt (default 2). Negative disables retries.
+	// Settable because router -retry-budget 0 and its test turn them off.
 	RetryBudget int
 	// BackoffBase and BackoffMax bound the ejected-worker re-probe
 	// backoff: base, 2×base, 4×base, … capped at max (defaults 500ms, 15s).
 	// Each scheduled re-probe adds up to 25% seeded jitter so a fleet
 	// ejected by one shared outage does not re-probe in lockstep.
+	// Settable because the fleet and readmission tests use 20-100ms.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Seed keys the router's deterministic RNG (probe-backoff jitter);
-	// the default 1 keeps tests reproducible.
-	Seed uint64
 	// AntiEntropyInterval is the period of the divergence check: every
 	// interval the router compares (epoch, state digest) across each
 	// graph's healthy replicas and asks laggards to repair from the most
 	// advanced peer (default 5s). Negative disables the loop.
+	// Settable because the repair tests run it every 10-50ms.
 	AntiEntropyInterval time.Duration
 	// Client overrides the HTTP client for all outbound traffic: proxied
 	// requests, write fan-outs, health probes and anti-entropy (default:
@@ -77,9 +83,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 2
 	}
@@ -93,9 +96,6 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 15 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.AntiEntropyInterval == 0 {
 		c.AntiEntropyInterval = 5 * time.Second
@@ -200,7 +200,7 @@ func (rt *Router) probeLoop() {
 
 // probeOne health-checks one worker and updates its state.
 func (rt *Router) probeOne(u string) {
-	ctx, cancel := context.WithTimeout(rt.ctx, rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(rt.ctx, probeTimeout)
 	defer cancel()
 	if err := callJSON(ctx, rt.cfg.Client, http.MethodGet, u+"/healthz", nil, nil, 4096); err != nil {
 		rt.members.fail(u, err, true, time.Now())

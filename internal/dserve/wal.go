@@ -20,7 +20,7 @@ import (
 // acknowledges it, so a crash between snapshot ticks loses nothing — on
 // restart the worker replays the log tail past its last snapshot
 // (Worker.Start), and the anti-entropy loop ships a laggard replica
-// the WAL suffix it missed. Segments rotate at WALSegmentBytes and are
+// the WAL suffix it missed. Segments rotate at walSegmentBytes and are
 // truncated once a snapshot covers them (TruncateThrough), bounding
 // retention at roughly one snapshot interval of mutations.
 
@@ -62,9 +62,6 @@ type WAL struct {
 // and repairs a torn tail: a final record cut mid-write by a crash is
 // dropped (counted in TailDropped), everything before it is kept.
 func openWAL(dir string, segBytes int64) (*WAL, error) {
-	if segBytes <= 0 {
-		segBytes = 1 << 20
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}

@@ -19,6 +19,12 @@ import (
 	"graphpulse/internal/stream"
 )
 
+// Fixed worker values (OPERATIONS.md "Fixed limits").
+const (
+	heartbeatPeriod = 5 * time.Second // re-registration period; also the first registration's retry period
+	walSegmentBytes = 1 << 20         // WAL segment rotation threshold
+)
+
 // WorkerConfig describes a Worker wrapping one serve.Server.
 type WorkerConfig struct {
 	// Server is the wrapped single-process serving instance. Required.
@@ -35,6 +41,7 @@ type WorkerConfig struct {
 	// persistence.
 	SnapshotDir string
 	// SnapshotEvery is the persist period (default 30s).
+	// Settable because drills persist every 2s; the tests need one longer than they run.
 	SnapshotEvery time.Duration
 	// WALDir enables the durable mutation WAL: one directory per graph
 	// (<dir>/<graph>/, graph name path-escaped) of JSON-lines segments.
@@ -43,13 +50,6 @@ type WorkerConfig struct {
 	// past the last snapshot, and the anti-entropy loop ships suffixes to
 	// lagging peers. Empty disables the WAL.
 	WALDir string
-	// WALSegmentBytes is the segment rotation threshold (default 1 MiB).
-	// Segments fully covered by a persisted snapshot are deleted.
-	WALSegmentBytes int64
-	// Heartbeat is the re-registration period (default 5s). Heartbeats keep
-	// a restarted router's worker table warm and double as a readmission
-	// signal after an ejection.
-	Heartbeat time.Duration
 	// Client overrides the HTTP client for all outbound traffic:
 	// registration heartbeats and the repair ladder's digest, WAL-suffix
 	// and snapshot fetches (default: 30s timeout).
@@ -81,12 +81,6 @@ func (c WorkerConfig) withDefaults() (WorkerConfig, error) {
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 30 * time.Second
-	}
-	if c.WALSegmentBytes <= 0 {
-		c.WALSegmentBytes = 1 << 20
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 5 * time.Second
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
@@ -130,7 +124,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.WALDir != "" {
 		wk.wals = make(map[string]*WAL)
 		for _, name := range cfg.Server.GraphNames() {
-			w, err := openWAL(filepath.Join(cfg.WALDir, url.PathEscape(name)), cfg.WALSegmentBytes)
+			w, err := openWAL(filepath.Join(cfg.WALDir, url.PathEscape(name)), walSegmentBytes)
 			if err != nil {
 				return nil, fmt.Errorf("dserve: open wal for graph %q: %w", name, err)
 			}
@@ -585,7 +579,7 @@ func (wk *Worker) run(ctx context.Context) {
 		}
 		wk.catchUp(ctx, peers)
 	}
-	heartbeat := time.NewTicker(wk.cfg.Heartbeat)
+	heartbeat := time.NewTicker(heartbeatPeriod)
 	defer heartbeat.Stop()
 	persist := time.NewTicker(wk.cfg.SnapshotEvery)
 	defer persist.Stop()
@@ -624,7 +618,7 @@ func (wk *Worker) registerUntilAck(ctx context.Context) map[string][]string {
 		select {
 		case <-ctx.Done():
 			return nil
-		case <-time.After(wk.cfg.Heartbeat):
+		case <-time.After(heartbeatPeriod):
 		}
 	}
 }

@@ -17,10 +17,7 @@ import (
 // wraps it in a Worker with the given config overrides.
 func buildWorker(t *testing.T, mut func(*WorkerConfig)) *Worker {
 	t.Helper()
-	s, err := serve.New(serve.Config{
-		Graphs:         []serve.GraphSpec{{Name: "g", Graph: testGraph(t)}},
-		DefaultTimeout: 5 * time.Second,
-	})
+	s, err := serve.New(serve.Config{Graphs: []serve.GraphSpec{{Name: "g", Graph: testGraph(t)}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ type QueryRequest struct {
 	Alpha     *float64 `json:"alpha,omitempty"`
 	Threshold *float64 `json:"threshold,omitempty"`
 	// TimeoutMS overrides the server's default per-request deadline,
-	// capped by Config.MaxTimeout.
+	// capped at 60s (maxTimeout).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Top asks for the N highest finite values, ties broken by lower
 	// vertex id: 0 (or absent) means 10, a negative value omits the list,

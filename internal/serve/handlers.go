@@ -169,12 +169,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Per-request deadline, propagated into the solver through context
 	// cancellation (algorithms.SolveCtx).
-	timeout := s.cfg.DefaultTimeout
+	timeout := defaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
+		timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, maxTimeout)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
@@ -233,7 +230,7 @@ func (s *Server) joinOrLead(series string, epoch uint64, rg *residentGraph, g gr
 		s.flightMu.Unlock()
 		return f, false, nil
 	}
-	cctx, cancel := context.WithTimeout(context.Background(), s.cfg.ComputeTimeout)
+	cctx, cancel := context.WithTimeout(context.Background(), computeTimeout)
 	f := &flight{done: make(chan struct{}), cancel: cancel}
 	f.join()
 	s.flights[key] = f
@@ -285,7 +282,7 @@ func (s *Server) compute(ctx context.Context, rg *residentGraph, g graph.Adjacen
 	csr, mutable := g.(*graph.CSR)
 	if prior, priorEpoch, ok := s.cache.latestBefore(series, epoch); ok && mutable {
 		if base, added, removed, ok := rg.since(priorEpoch, epoch); ok {
-			alg, mode = stream.Restart(alg, base, csr, added, removed, prior.Values, s.cfg.MaxConeFraction)
+			alg, mode = stream.Restart(alg, base, csr, added, removed, prior.Values, maxConeFraction)
 			if mode == stream.Cold && len(removed) > 0 {
 				s.metrics.Add("stream_replay_fallbacks", 1)
 			}

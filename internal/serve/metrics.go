@@ -29,7 +29,7 @@ var serveCounters = []string{
 	"mutate_delete_missed",    // delete ops that matched no live edge
 	"mutate_errors",           // rejected mutation batches
 	"stream_cone_starts",      // queries warm-started via deletion-cone reset
-	"stream_replay_fallbacks", // cone exceeded MaxConeFraction; cold replay
+	"stream_replay_fallbacks", // cone exceeded maxConeFraction; cold replay
 }
 
 // serveHistograms are the latency distributions, in microseconds.

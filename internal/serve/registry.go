@@ -71,7 +71,7 @@ type residentGraph struct {
 	hook MutationHook
 }
 
-func loadResident(spec GraphSpec, histMax int) (*residentGraph, error) {
+func loadResident(spec GraphSpec) (*residentGraph, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("serve: graph spec needs a name")
 	}
@@ -96,7 +96,7 @@ func loadResident(spec GraphSpec, histMax int) (*residentGraph, error) {
 	if g.NumVertices() == 0 {
 		return nil, fmt.Errorf("serve: graph %q is empty", spec.Name)
 	}
-	return &residentGraph{name: spec.Name, sg: stream.NewGraph(g, histMax)}, nil
+	return &residentGraph{name: spec.Name, sg: stream.NewGraph(g, mutationHistory)}, nil
 }
 
 // snapshot returns a consistent (graph, epoch) pair. The graph is nil for

@@ -26,7 +26,7 @@
 // Mutations cover the full streaming story (internal/stream): insertions
 // warm-start from the prior fixed point via correction seeding, deletions
 // re-initialize only the dependency cone of the removed contributions
-// (degrading to a full replay past Config.MaxConeFraction).
+// (degrading to a full replay past maxConeFraction).
 package serve
 
 import (
@@ -42,39 +42,15 @@ import (
 	"graphpulse/internal/stream"
 )
 
-// Config describes a Server. The zero value of every field is replaced by
-// the documented default; only Graphs is required.
+// Config describes a Server. Only Graphs is required.
 type Config struct {
 	// Graphs lists the resident graphs loaded at startup.
 	Graphs []GraphSpec
 	// Workers sizes the compute worker pool (default GOMAXPROCS).
+	// Settable because serve -workers sizes it and the admission test pins 1.
 	Workers int
-	// QueueDepth bounds the number of admitted-but-unstarted computations;
-	// submissions beyond it are rejected with 429 (default 64).
-	QueueDepth int
-	// CacheEntries bounds the result cache, evicting least-recently-used
-	// entries (default 128).
-	CacheEntries int
-	// DefaultTimeout is the per-request deadline when the client does not
-	// send timeout_ms (default 5s).
-	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested deadlines (default 60s).
-	MaxTimeout time.Duration
-	// ComputeTimeout bounds one computation on the worker pool. It is
-	// deliberately independent of any single request deadline: a coalesced
-	// computation keeps running while at least one waiter remains
-	// (default 120s).
-	ComputeTimeout time.Duration
-	// MutationHistory is how many recent mutation batches each graph
-	// retains for warm-starting queries whose cached state predates the
-	// current epoch (default 8).
-	MutationHistory int
-	// MaxConeFraction caps selective re-initialization after deletions:
-	// when the dependency cone of a deletion batch exceeds this fraction
-	// of the vertex set, the warm start degrades to a full replay (cold
-	// solve) instead (default stream.DefaultMaxConeFraction).
-	MaxConeFraction float64
 	// EnablePprof mounts net/http/pprof under /debug/pprof.
+	// Settable because cmd/serve mounts it and the perf/ servers do not.
 	EnablePprof bool
 	// Logf, when non-nil, receives one line per lifecycle event (startup,
 	// shutdown). Request logging is deliberately absent — /metrics is the
@@ -82,33 +58,19 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 128
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 5 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 60 * time.Second
-	}
-	if c.ComputeTimeout <= 0 {
-		c.ComputeTimeout = 120 * time.Second
-	}
-	if c.MutationHistory <= 0 {
-		c.MutationHistory = 8
-	}
-	if c.MaxConeFraction <= 0 {
-		c.MaxConeFraction = stream.DefaultMaxConeFraction
-	}
-	return c
-}
+// Fixed service limits (OPERATIONS.md "Fixed limits"). Clients still pick
+// a deadline with timeout_ms.
+const (
+	queueDepth      = 64                            // admitted-but-unstarted computations; a full queue answers 429
+	cacheEntries    = 128                           // result cache capacity (LRU)
+	defaultTimeout  = 5 * time.Second               // request deadline without timeout_ms
+	maxTimeout      = 60 * time.Second              // cap on a client's timeout_ms
+	mutationHistory = 8                             // mutation batches kept per graph for warm starts
+	maxConeFraction = stream.DefaultMaxConeFraction // deletion-cone share of vertices above which a warm start replays cold
+	// computeTimeout bounds one pooled computation, independent of any
+	// request deadline: a coalesced computation runs while a waiter remains.
+	computeTimeout = 120 * time.Second
+)
 
 // ErrBusy is returned by the admission queue when it is full; the HTTP
 // layer maps it to 429 with a Retry-After header.
@@ -146,21 +108,23 @@ type Server struct {
 // pool, and returns ready to serve. It does not open a listener — use
 // Start, or mount Handler on a server of your own.
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Workers <= 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
 	if len(cfg.Graphs) == 0 {
 		return nil, errors.New("serve: no graphs configured")
 	}
 	s := &Server{
 		cfg:     cfg,
 		graphs:  make(map[string]*residentGraph),
-		cache:   newResultCache(cfg.CacheEntries),
+		cache:   newResultCache(cacheEntries),
 		metrics: NewMetrics(),
 		flights: make(map[cacheKey]*flight),
-		jobs:    make(chan func(), cfg.QueueDepth),
+		jobs:    make(chan func(), queueDepth),
 		started: time.Now(),
 	}
 	for _, spec := range cfg.Graphs {
-		rg, err := loadResident(spec, cfg.MutationHistory)
+		rg, err := loadResident(spec)
 		if err != nil {
 			return nil, fmt.Errorf("serve: load graph %q: %w", spec.Name, err)
 		}

@@ -33,10 +33,7 @@ func testGraph(t testing.TB) *graph.CSR {
 // so no handler can hit a closed jobs channel.
 func newTestServer(t testing.TB, mut func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
-	cfg := Config{
-		Graphs:         []GraphSpec{{Name: "g", Graph: testGraph(t)}},
-		DefaultTimeout: 5 * time.Second,
-	}
+	cfg := Config{Graphs: []GraphSpec{{Name: "g", Graph: testGraph(t)}}}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -183,7 +180,9 @@ type stallGate struct {
 
 func newStallGate(s *Server) *stallGate {
 	g := &stallGate{
-		entered: make(chan struct{}, 64),
+		// Room for every computation TestAdmissionControl starts: one
+		// running, a full queue, and the recovery query.
+		entered: make(chan struct{}, queueDepth+2),
 		release: make(chan struct{}),
 	}
 	s.testComputeStall = func(ctx context.Context) {
@@ -244,14 +243,12 @@ func waitCounter(t *testing.T, m *Metrics, name string, want int64) {
 	}
 }
 
-// TestAdmissionControl saturates a 1-worker/1-slot pool and asserts the
-// overflow request is rejected with 429 + Retry-After instead of queuing
-// or hanging, and that the server recovers afterwards.
+// TestAdmissionControl saturates a 1-worker pool and its queueDepth-slot
+// queue and asserts the overflow request is rejected with 429 +
+// Retry-After instead of queuing or hanging, and that the server recovers
+// afterwards.
 func TestAdmissionControl(t *testing.T) {
-	s, ts := newTestServer(t, func(c *Config) {
-		c.Workers = 1
-		c.QueueDepth = 1
-	})
+	s, ts := newTestServer(t, func(c *Config) { c.Workers = 1 })
 	gate := newStallGate(s)
 
 	var wg sync.WaitGroup
@@ -269,12 +266,16 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	startQuery(1) // occupies the worker
 	<-gate.entered
-	startQuery(2) // occupies the queue slot
-	waitQueueLen(t, s, 1)
+	for root := uint32(2); root < 2+queueDepth; root++ {
+		startQuery(root) // distinct roots: each takes its own queue slot
+	}
+	waitQueueLen(t, s, queueDepth)
 
-	// The pool is saturated: one executing, one queued. Next is bounced.
+	// The pool is saturated: one executing, queueDepth queued. The next
+	// distinct query is bounced.
+	overflow := uint32(2 + queueDepth)
 	code, body, hdr := postJSON(t, ts.URL+"/v1/query", QueryRequest{
-		Graph: "g", Algorithm: "sssp", Root: ptr(uint32(3)),
+		Graph: "g", Algorithm: "sssp", Root: &overflow,
 	})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("saturated query: HTTP %d (%s), want 429", code, body)
@@ -289,7 +290,7 @@ func TestAdmissionControl(t *testing.T) {
 	close(gate.release)
 	wg.Wait()
 	// Recovered: the previously rejected query now succeeds.
-	resp := doQuery(t, ts.URL, QueryRequest{Graph: "g", Algorithm: "sssp", Root: ptr(uint32(3))})
+	resp := doQuery(t, ts.URL, QueryRequest{Graph: "g", Algorithm: "sssp", Root: &overflow})
 	if resp.Mode != "cold" {
 		t.Errorf("post-saturation query mode = %q, want cold", resp.Mode)
 	}
@@ -618,31 +619,33 @@ func TestLoadDatasetSource(t *testing.T) {
 }
 
 // TestWarmPathWindow checks warm-start bookkeeping across several
-// mutations: a fixed point cached two epochs back still warm-starts, and
-// one beyond the history window falls back to a cold solve.
+// mutations: a fixed point cached mutationHistory epochs back still
+// warm-starts, and one a batch beyond the history window falls back to a
+// cold solve.
 func TestWarmPathWindow(t *testing.T) {
-	_, ts := newTestServer(t, func(c *Config) { c.MutationHistory = 2 })
-	mutate := func(src, dst uint32) {
-		code, body, _ := postJSON(t, ts.URL+"/v1/mutate", MutateRequest{
-			Graph: "g", Edges: []EdgeJSON{{Src: src, Dst: dst, Weight: 1}},
-		})
-		if code != http.StatusOK {
-			t.Fatalf("mutate: HTTP %d: %s", code, body)
+	_, ts := newTestServer(t, nil)
+	edge := uint32(0)
+	mutate := func(batches int) {
+		for ; batches > 0; batches-- {
+			code, body, _ := postJSON(t, ts.URL+"/v1/mutate", MutateRequest{
+				Graph: "g", Edges: []EdgeJSON{{Src: edge, Dst: edge + 1, Weight: 1}},
+			})
+			if code != http.StatusOK {
+				t.Fatalf("mutate: HTTP %d: %s", code, body)
+			}
+			edge++
 		}
 	}
 	doQuery(t, ts.URL, QueryRequest{Graph: "g", Algorithm: "cc"}) // cold at epoch 0
-	mutate(0, 1)
-	mutate(1, 2) // epoch 2; history holds both batches
+	mutate(mutationHistory)                                       // history holds every batch since epoch 0
 	r := doQuery(t, ts.URL, QueryRequest{Graph: "g", Algorithm: "cc"})
 	if r.Mode != "warm" {
-		t.Errorf("query across 2-batch gap: mode %q, want warm (history=2)", r.Mode)
+		t.Errorf("query across %d-batch gap: mode %q, want warm (history=%d)", mutationHistory, r.Mode, mutationHistory)
 	}
-	mutate(2, 3)
-	mutate(3, 4)
-	mutate(4, 5) // epoch 5; the epoch-2 fixed point is out of the window
+	mutate(mutationHistory + 1) // the previous fixed point is one batch out of the window
 	r = doQuery(t, ts.URL, QueryRequest{Graph: "g", Algorithm: "cc"})
 	if r.Mode != "cold" {
-		t.Errorf("query past history window: mode %q, want cold", r.Mode)
+		t.Errorf("query across %d-batch gap: mode %q, want cold (history=%d)", mutationHistory+1, r.Mode, mutationHistory)
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"testing"
@@ -20,6 +21,27 @@ func sparseGraph(t *testing.T) *graph.CSR {
 	g, err := graph.FromEdges(200, []graph.Edge{
 		{Src: 10, Dst: 11, Weight: 1}, {Src: 11, Dst: 12, Weight: 1},
 	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// ladderGraph is a weighted directed ladder on 200 vertices: i→i+1 at
+// weight 1 and i→i+2 at weight 3. Deleting i→i+1 leaves every vertex
+// still reachable from below, and its deletion cone (the vertices
+// reachable from i+1) is exactly {i+1, …, 199}: below maxConeFraction of
+// the vertices for i ≥ 100, above it for i < 99.
+func ladderGraph(t *testing.T) *graph.CSR {
+	t.Helper()
+	var edges []graph.Edge
+	for i := graph.VertexID(0); i+1 < 200; i++ {
+		edges = append(edges, graph.Edge{Src: i, Dst: i + 1, Weight: 1})
+		if i+2 < 200 {
+			edges = append(edges, graph.Edge{Src: i, Dst: i + 2, Weight: 3})
+		}
+	}
+	g, err := graph.FromEdges(200, edges, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +140,12 @@ func TestNoEffectBatchKeepsEpoch(t *testing.T) {
 }
 
 // TestDeleteThenQueryConeStarts covers the deletion warm path end to end:
-// converge, delete a live edge, and re-query — the answer must come from
-// a cone-restricted warm start ("cone" mode) and still match a
-// from-scratch solve on the post-delete graph.
+// converge, delete a live edge whose cone (49 of 200 vertices) is under
+// maxConeFraction, and re-query — the answer must come from a
+// cone-restricted warm start ("cone" mode) and still match a from-scratch
+// solve on the post-delete graph.
 func TestDeleteThenQueryConeStarts(t *testing.T) {
-	s, ts := newTestServer(t, func(c *Config) { c.MaxConeFraction = 1.0 })
+	s, ts := newTestServer(t, func(c *Config) { c.Graphs[0].Graph = ladderGraph(t) })
 	g, _ := s.graphs["g"].snapshot()
 	all := vertexRange(g.NumVertices())
 
@@ -131,10 +154,9 @@ func TestDeleteThenQueryConeStarts(t *testing.T) {
 		t.Fatalf("first query mode = %q, want cold", cold.Mode)
 	}
 
-	victim := g.Edges()[0]
 	code, body, _ := postJSON(t, ts.URL+"/v1/mutate", MutateRequest{
 		Graph:   "g",
-		Deletes: []EdgeJSON{{Src: uint32(victim.Src), Dst: uint32(victim.Dst)}},
+		Deletes: []EdgeJSON{{Src: 150, Dst: 151}}, // cone {151, …, 199}
 	})
 	if code != http.StatusOK {
 		t.Fatalf("delete: HTTP %d: %s", code, body)
@@ -157,18 +179,17 @@ func TestDeleteThenQueryConeStarts(t *testing.T) {
 	}
 }
 
-// TestConeReplayFallback pins the degradation path: with MaxConeFraction
-// near zero every deletion cone is "too big", so the re-query falls back
-// to a cold replay (and says so in the counter) instead of warm-starting.
+// TestConeReplayFallback pins the degradation path: a deletion whose cone
+// (189 of 200 vertices) exceeds maxConeFraction is "too big", so the
+// re-query falls back to a cold replay (and says so in the counter)
+// instead of warm-starting.
 func TestConeReplayFallback(t *testing.T) {
-	s, ts := newTestServer(t, func(c *Config) { c.MaxConeFraction = 1e-9 })
-	g, _ := s.graphs["g"].snapshot()
+	s, ts := newTestServer(t, func(c *Config) { c.Graphs[0].Graph = ladderGraph(t) })
 
 	doQuery(t, ts.URL, QueryRequest{Graph: "g", Algorithm: "cc"})
-	victim := g.Edges()[0]
 	code, body, _ := postJSON(t, ts.URL+"/v1/mutate", MutateRequest{
 		Graph:   "g",
-		Deletes: []EdgeJSON{{Src: uint32(victim.Src), Dst: uint32(victim.Dst)}},
+		Deletes: []EdgeJSON{{Src: 10, Dst: 11}}, // cone {11, …, 199}
 	})
 	if code != http.StatusOK {
 		t.Fatalf("delete: HTTP %d: %s", code, body)
@@ -188,16 +209,12 @@ func TestConeReplayFallback(t *testing.T) {
 
 // TestQueryModeIsStreamRestart drives insert / delete epochs through
 // /v1/mutate, the last one a multi-edge delete, querying across gaps of one,
-// two and (past the history) three epochs, and checks the HTTP mode is
+// two and (past the history) mutationHistory+1 epochs, and checks the HTTP mode is
 // exactly what stream.Restart decides for the same change on a mirror
 // stream.Graph — the serving path and the harness path are one function.
 func TestQueryModeIsStreamRestart(t *testing.T) {
-	const histMax = 2
-	s, ts := newTestServer(t, func(c *Config) {
-		c.Graphs[0].Graph = sparseGraph(t)
-		c.MutationHistory = histMax
-	})
-	mirror := stream.NewGraph(sparseGraph(t), histMax)
+	_, ts := newTestServer(t, func(c *Config) { c.Graphs[0].Graph = sparseGraph(t) })
+	mirror := stream.NewGraph(sparseGraph(t), mutationHistory)
 	mk := func() algorithms.Algorithm { return algorithms.NewSSSP(10) }
 	root := uint32(10)
 
@@ -221,7 +238,7 @@ func TestQueryModeIsStreamRestart(t *testing.T) {
 		t.Helper()
 		want := stream.Cold
 		if base, added, removed, ok := mirror.Since(prevEpoch); ok && prevState != nil {
-			_, want = stream.Restart(mk(), base, mirror.CSR(), added, removed, prevState, s.cfg.MaxConeFraction)
+			_, want = stream.Restart(mk(), base, mirror.CSR(), added, removed, prevState, maxConeFraction)
 		}
 		resp := doQuery(t, ts.URL, QueryRequest{Graph: "g", Algorithm: "sssp", Root: &root})
 		if resp.Epoch != mirror.Epoch() {
@@ -252,7 +269,10 @@ func TestQueryModeIsStreamRestart(t *testing.T) {
 	mutate([]graph.Edge{{Src: 10, Dst: 20, Weight: 1}}, nil)
 	mutate([]graph.Edge{{Src: 20, Dst: 21, Weight: 1}}, nil)
 	mutate([]graph.Edge{{Src: 21, Dst: 22, Weight: 1}}, nil)
-	query("gap 3, past the history")
+	for v := graph.VertexID(100); v < 100+mutationHistory-2; v++ {
+		mutate([]graph.Edge{{Src: v, Dst: v + 1, Weight: 1}}, nil) // out of the root's reach
+	}
+	query(fmt.Sprintf("gap %d, past the history", mutationHistory+1))
 	if ch := mutate(nil, []graph.Edge{{Src: 13, Dst: 14}, {Src: 10, Dst: 20}, {Src: 20, Dst: 21}, {Src: 21, Dst: 22}}); len(ch.Removed) != 4 {
 		t.Fatalf("mirror delete removed %d edges, want the 4 live inserts", len(ch.Removed))
 	}

@@ -19,8 +19,9 @@
 //
 // Both run as this package's tests, in CI and locally:
 // `go test ./internal/sim/telemetry/lintdoc`. CommandCites reads the
-// command lines of the prose docs for the commands' own tests, which
-// check every cited flag against the command's FlagSet.
+// command lines of the prose docs, and TableFlags a doc's flag table, for
+// the commands' own tests, which check every flag against the command's
+// FlagSet.
 package lintdoc
 
 import (
