@@ -5,8 +5,12 @@
 // Usage:
 //
 //	graphgen -kind rmat -scale 16 -edgefactor 12 -weighted -o web.el
-//	graphgen -kind dataset -dataset LJ -tier mini -o lj.el
+//	graphgen -o lj.el LJ:mini
 //	graphgen -kind grid -width 512 -height 512 -o road.el
+//
+// A positional argument is a gen.Load source, the one graph-source string
+// graphpack, serve -graph and graphpulse -graph take; -kind then does not
+// apply.
 package main
 
 import (
@@ -19,24 +23,52 @@ import (
 	"graphpulse/internal/graph/gen"
 )
 
-func main() {
-	var (
-		kind     = flag.String("kind", "rmat", "generator: rmat|er|grid|dataset")
-		scale    = flag.Int("scale", 14, "rmat: log2 vertex count")
-		ef       = flag.Int("edgefactor", 12, "rmat: edges per vertex")
-		n        = flag.Int("n", 10000, "er: vertex count")
-		m        = flag.Int("m", 100000, "er: edge count")
-		width    = flag.Int("width", 256, "grid: width")
-		height   = flag.Int("height", 256, "grid: height")
-		dataset  = flag.String("dataset", "LJ", "dataset: Table IV abbreviation")
-		tierName = flag.String("tier", "mini", "dataset: "+gen.TierList())
-		weighted = flag.Bool("weighted", true, "attach edge weights")
-		seed     = flag.Int64("seed", 42, "generator seed")
-		out      = flag.String("o", "", "output edge-list path; default stdout")
-	)
-	flag.Parse()
+// options is one invocation: a generator kind and its parameters, or a
+// gen.Load source (kind "dataset").
+type options struct {
+	kind, source                   string
+	scale, ef, n, m, width, height int
+	weighted                       bool
+	seed                           int64
+	out                            string
+}
 
-	g, err := generate(*kind, *scale, *ef, *n, *m, *width, *height, *dataset, *tierName, *weighted, *seed)
+func parseFlagSet(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	fs.StringVar(&o.kind, "kind", "rmat", "generator: rmat|er|grid; a positional ABBREV:tier source ("+gen.TierList()+") loads a Table IV stand-in instead")
+	fs.IntVar(&o.scale, "scale", 14, "rmat: log2 vertex count")
+	fs.IntVar(&o.ef, "edgefactor", 12, "rmat: edges per vertex")
+	fs.IntVar(&o.n, "n", 10000, "er: vertex count")
+	fs.IntVar(&o.m, "m", 100000, "er: edge count")
+	fs.IntVar(&o.width, "width", 256, "grid: width")
+	fs.IntVar(&o.height, "height", 256, "grid: height")
+	fs.BoolVar(&o.weighted, "weighted", true, "attach edge weights")
+	fs.Int64Var(&o.seed, "seed", 42, "generator seed")
+	fs.StringVar(&o.out, "o", "", "output edge-list path; default stdout")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	switch fs.NArg() {
+	case 0:
+	case 1:
+		kindSet := false
+		fs.Visit(func(f *flag.Flag) { kindSet = kindSet || f.Name == "kind" })
+		if kindSet {
+			return o, fmt.Errorf("a source argument takes no -kind")
+		}
+		o.kind, o.source = "dataset", fs.Arg(0)
+	default:
+		return o, fmt.Errorf("want at most one source argument, got %d", fs.NArg())
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlagSet(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fail(err)
+	}
+	g, err := generate(o)
 	if err != nil {
 		fail(err)
 	}
@@ -45,10 +77,10 @@ func main() {
 		st.Vertices, st.Edges, st.MaxOutDegree, st.AvgOutDegree)
 
 	var w *bufio.Writer
-	if *out == "" {
+	if o.out == "" {
 		w = bufio.NewWriter(os.Stdout)
 	} else {
-		f, err := os.Create(*out)
+		f, err := os.Create(o.out)
 		if err != nil {
 			fail(err)
 		}
@@ -64,30 +96,22 @@ func main() {
 	}
 }
 
-func generate(kind string, scale, ef, n, m, width, height int, dataset, tierName string, weighted bool, seed int64) (*graphpulse.Graph, error) {
-	switch kind {
+func generate(o options) (*graphpulse.Graph, error) {
+	switch o.kind {
 	case "rmat":
 		return graphpulse.GenerateRMAT(graphpulse.RMATParams{
 			A: 0.57, B: 0.19, C: 0.19, D: 0.05,
-			Scale: scale, EdgeFactor: ef, Weighted: weighted, Seed: seed,
+			Scale: o.scale, EdgeFactor: o.ef, Weighted: o.weighted, Seed: o.seed,
 			NoiseAmount: 0.1,
 		})
 	case "er":
-		return graphpulse.GenerateErdosRenyi(n, m, weighted, seed)
+		return graphpulse.GenerateErdosRenyi(o.n, o.m, o.weighted, o.seed)
 	case "grid":
-		return graphpulse.GenerateGrid(width, height, weighted, seed)
+		return graphpulse.GenerateGrid(o.width, o.height, o.weighted, o.seed)
 	case "dataset":
-		spec, err := graphpulse.DatasetByAbbrev(dataset)
-		if err != nil {
-			return nil, err
-		}
-		tier, err := gen.ParseTier(tierName)
-		if err != nil {
-			return nil, err
-		}
-		return spec.Generate(tier)
+		return gen.Load(o.source, gen.Default)
 	default:
-		return nil, fmt.Errorf("unknown generator %q", kind)
+		return nil, fmt.Errorf("unknown generator %q", o.kind)
 	}
 }
 

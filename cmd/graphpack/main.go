@@ -1,6 +1,6 @@
 // Command graphpack converts graphs into the out-of-core graphpack
 // container (delta/varint-compressed CSR slices behind an mmap-backed lazy
-// store, README "Out-of-core graphs").
+// store, OPERATIONS.md "Out-of-core graphs").
 //
 // Usage:
 //
@@ -34,13 +34,19 @@ type options struct {
 }
 
 func parseFlags(args []string) (options, error) {
-	fs := flag.NewFlagSet("graphpack", flag.ExitOnError)
+	return parseFlagSet(flag.NewFlagSet("graphpack", flag.ExitOnError), args)
+}
+
+// parseFlagSet defines graphpack's flags on fs and parses args with it.
+func parseFlagSet(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
 	fs.StringVar(&o.out, "o", "", "output container path")
 	fs.IntVar(&o.write.Level, "level", ooc.LevelDelta, "compression level: 0 raw, 1 varint, 2 delta")
 	fs.IntVar(&o.write.Slices, "slices", 16, "slice count (residency granularity)")
 	fs.IntVar(&o.write.Refine, "refine", 1, "partition boundary-refinement passes")
-	fs.Parse(args) // ExitOnError
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
 	if fs.NArg() != 1 {
 		return o, fmt.Errorf("want exactly one input argument, got %d", fs.NArg())
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"path/filepath"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/ooc"
 	"graphpulse/internal/psolve"
+	"graphpulse/internal/sim/telemetry/lintdoc"
 )
 
 // TestParseFlags pins the flag-to-options mapping.
@@ -28,6 +30,18 @@ func TestParseFlags(t *testing.T) {
 		if _, err := parseFlags(bad); err == nil {
 			t.Errorf("parseFlags(%v) accepted", bad)
 		}
+	}
+}
+
+// TestDocsNameRealFlags: every flag the docs pass to graphpack is one it
+// defines.
+func TestDocsNameRealFlags(t *testing.T) {
+	fs := flag.NewFlagSet("graphpack", flag.ContinueOnError)
+	if _, err := parseFlagSet(fs, []string{"-o", "x", "WG:tiny"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lintdoc.CheckFlags("../..", "graphpack", fs); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -63,25 +63,15 @@ func TestProfilesSurviveFailure(t *testing.T) {
 	}
 }
 
-// TestDocsNameRealFlags: every flag README.md, EXPERIMENTS.md and the
-// verify skill pass to graphpulse is one the command defines.
+// TestDocsNameRealFlags: every flag the docs pass to graphpulse is one it
+// defines.
 func TestDocsNameRealFlags(t *testing.T) {
 	fs := flag.NewFlagSet("graphpulse", flag.ContinueOnError)
 	if _, err := parseFlagSet(fs, nil); err != nil {
 		t.Fatal(err)
 	}
-	cites, err := lintdoc.CommandCites("graphpulse", "../../README.md", "../../EXPERIMENTS.md",
-		"../../.claude/skills/verify/SKILL.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cites) == 0 {
-		t.Fatal("the docs pass graphpulse no flag")
-	}
-	for _, c := range cites {
-		if fs.Lookup(c.Flag) == nil {
-			t.Errorf("%s: graphpulse -%s is not a flag graphpulse defines", c.Where, c.Flag)
-		}
+	if _, err := lintdoc.CheckFlags("../..", "graphpulse", fs); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -69,25 +69,14 @@ func TestOperationsFlagTable(t *testing.T) {
 	}
 }
 
-// TestDocsNameRealFlags: every flag README.md, EXPERIMENTS.md,
-// OPERATIONS.md and the verify skill pass to router is one the command
+// TestDocsNameRealFlags: every flag the docs pass to router is one it
 // defines.
 func TestDocsNameRealFlags(t *testing.T) {
 	fs := flag.NewFlagSet("router", flag.ContinueOnError)
 	if _, err := parseFlagSet(fs, nil); err != nil {
 		t.Fatal(err)
 	}
-	cites, err := lintdoc.CommandCites("router", "../../README.md", "../../EXPERIMENTS.md",
-		"../../OPERATIONS.md", "../../.claude/skills/verify/SKILL.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cites) == 0 {
-		t.Fatal("the docs pass router no flag")
-	}
-	for _, c := range cites {
-		if fs.Lookup(c.Flag) == nil {
-			t.Errorf("%s: router -%s is not a flag router defines", c.Where, c.Flag)
-		}
+	if _, err := lintdoc.CheckFlags("../..", "router", fs); err != nil {
+		t.Error(err)
 	}
 }

@@ -1,7 +1,7 @@
 // Command serve runs the graph analytics service: resident graphs
 // answering algorithm queries over HTTP/JSON, with batched edge
 // insertions warm-starting reconvergence from the previous fixed point
-// (README "Serving").
+// (OPERATIONS.md "Serving one process").
 //
 // Usage:
 //

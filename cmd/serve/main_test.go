@@ -84,25 +84,14 @@ func TestOperationsFlagTable(t *testing.T) {
 	}
 }
 
-// TestDocsNameRealFlags: every flag README.md, EXPERIMENTS.md,
-// OPERATIONS.md and the verify skill pass to serve is one the command
+// TestDocsNameRealFlags: every flag the docs pass to serve is one it
 // defines.
 func TestDocsNameRealFlags(t *testing.T) {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	if _, err := parseFlagSet(fs, []string{"-graph", "wg=WG:tiny"}); err != nil {
 		t.Fatal(err)
 	}
-	cites, err := lintdoc.CommandCites("serve", "../../README.md", "../../EXPERIMENTS.md",
-		"../../OPERATIONS.md", "../../.claude/skills/verify/SKILL.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cites) == 0 {
-		t.Fatal("the docs pass serve no flag")
-	}
-	for _, c := range cites {
-		if fs.Lookup(c.Flag) == nil {
-			t.Errorf("%s: serve -%s is not a flag serve defines", c.Where, c.Flag)
-		}
+	if _, err := lintdoc.CheckFlags("../..", "serve", fs); err != nil {
+		t.Error(err)
 	}
 }

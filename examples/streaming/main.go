@@ -5,7 +5,7 @@
 // epoch, and the next query warm-starts from the previous fixed point —
 // seeding only the correction events the new edges introduce — instead of
 // recomputing from scratch (the paper's delta-accumulative model run as a
-// service; see README "Serving").
+// service; see OPERATIONS.md "Serving one process").
 //
 //	go run ./examples/streaming
 package main

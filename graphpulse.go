@@ -272,7 +272,7 @@ func RunGraphicionadoCtx(ctx context.Context, cfg GraphicionadoConfig, g *Graph,
 
 // ServeConfig configures the graph analytics service: resident graphs,
 // worker pool and admission queue sizing, deadlines, result cache, and
-// warm-start history (README "Serving").
+// warm-start history (OPERATIONS.md "Serving one process").
 type ServeConfig = serve.Config
 
 // ServeGraphSpec names one resident graph and its source: a Table IV

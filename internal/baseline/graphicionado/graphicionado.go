@@ -431,19 +431,7 @@ func (e *engine) edgeLineDone(idx uint64) {
 }
 
 func (e *engine) edgeLineUseful(line uint64, start uint64, deg int) uint64 {
-	lo := edgeBase + start*e.edgeBytes
-	hi := edgeBase + (start+uint64(deg))*e.edgeBytes
-	a, b := line, line+mem.LineBytes
-	if lo > a {
-		a = lo
-	}
-	if hi < b {
-		b = hi
-	}
-	if b <= a {
-		return 0
-	}
-	return b - a
+	return mem.LineOverlap(line, edgeBase+start*e.edgeBytes, edgeBase+(start+uint64(deg))*e.edgeBytes)
 }
 
 // relax processes one edge: propagate and reduce into the on-chip temp

@@ -259,19 +259,7 @@ func (a *Accelerator) edgeAddr(i uint64) uint64 {
 // edgeLineUseful computes how many bytes of the 64-byte line at `line` the
 // task will actually consume.
 func (a *Accelerator) edgeLineUseful(line uint64, t *genTask) uint64 {
-	start := a.edgeAddr(t.edgeStart)
-	end := a.edgeAddr(t.edgeStart + uint64(t.degree))
-	lo, hi := line, line+mem.LineBytes
-	if start > lo {
-		lo = start
-	}
-	if end < hi {
-		hi = end
-	}
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
+	return mem.LineOverlap(line, a.edgeAddr(t.edgeStart), a.edgeAddr(t.edgeStart+uint64(t.degree)))
 }
 
 // writebackVertexLine writes an evicted dirty scratchpad line; dirty counts

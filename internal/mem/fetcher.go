@@ -119,3 +119,14 @@ func (f *Fetcher) Idle() bool { return f.pending.Len() == 0 }
 
 // PendingLines returns the number of staged-but-unissued lines.
 func (f *Fetcher) PendingLines() int { return f.pending.Len() }
+
+// LineOverlap returns how many bytes of the line at line fall inside the
+// byte range [lo, hi): the useful bytes of an edge line that a record
+// range only partly covers.
+func LineOverlap(line, lo, hi uint64) uint64 {
+	lo, hi = max(lo, line), min(hi, line+LineBytes)
+	if hi <= lo {
+		return 0
+	}
+	return hi - lo
+}

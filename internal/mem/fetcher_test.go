@@ -308,3 +308,25 @@ func TestFetcherRecyclesGroups(t *testing.T) {
 		t.Errorf("steady-state fetch allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// TestLineOverlap pins the one line-overlap rule both simulators use for
+// an edge line's useful bytes: the range clamped to the line, 0 when they
+// do not meet.
+func TestLineOverlap(t *testing.T) {
+	for _, c := range []struct{ line, lo, hi, want uint64 }{
+		{64, 64, 128, 64}, // range is the line
+		{64, 0, 1024, 64}, // range covers the line
+		{64, 80, 96, 16},  // range inside the line
+		{64, 32, 72, 8},   // range ends in the line
+		{64, 120, 200, 8}, // range starts in the line
+		{64, 128, 192, 0}, // range starts at the next line
+		{64, 0, 64, 0},    // range ends where the line starts
+		{64, 100, 100, 0}, // empty range
+		{64, 110, 90, 0},  // inverted range
+		{0, 0, 4, 4},      // first line
+	} {
+		if got := LineOverlap(c.line, c.lo, c.hi); got != c.want {
+			t.Errorf("LineOverlap(%d, %d, %d) = %d, want %d", c.line, c.lo, c.hi, got, c.want)
+		}
+	}
+}

@@ -11,17 +11,19 @@
 //   - both ways, on METRICS.md's counter-struct tables: each table's first
 //     column lists exactly its struct's exported fields, so a field
 //     renamed, added or deleted without a doc edit fails;
-//   - reverse, on METRICS.md and OPERATIONS.md: every backticked
+//   - reverse, on every prose doc (Docs): every backticked
 //     metric-shaped token (`router_*`, `worker_*`, `query_*`, …) must
-//     name a metric the build can actually emit — so neither the
-//     catalogue nor the troubleshooting table can keep a renamed or
-//     deleted counter.
+//     name a metric the build can actually emit — so no doc can keep a
+//     renamed or deleted counter.
 //
-// Both run as this package's tests, in CI and locally:
-// `go test ./internal/sim/telemetry/lintdoc`. CommandCites reads the
-// command lines of the prose docs, and TableFlags a doc's flag table, for
-// the commands' own tests, which check every flag against the command's
-// FlagSet.
+// They run as this package's tests, in CI and locally:
+// `go test ./internal/sim/telemetry/lintdoc`. So do the checks on the
+// other names the prose docs (Docs) cite: every HTTP endpoint must be one
+// the serving tier registers, every Test/Benchmark/Fuzz name must be
+// defined, and every cross-doc link or section reference must name an
+// existing file and heading. CheckFlags reads the docs' command lines,
+// and TableFlags a doc's flag table, for the commands' own tests, which
+// check every flag against the command's FlagSet.
 package lintdoc
 
 import (
@@ -229,7 +231,7 @@ func check(docPath string) error {
 // ending in a `*` glob.
 var metricTokenRE = regexp.MustCompile(`^(router|worker|query|mutate|stream|compute|psolve|wal|antientropy|ooc)_[a-z0-9_]+\*?$`)
 
-// checkOps is the reverse check (METRICS.md, OPERATIONS.md): every
+// checkOps is the reverse check (every doc in Docs): every
 // backticked token shaped like a metric name must be a metric the
 // build can emit. A trailing `*` in the doc is a glob and is satisfied by
 // any emitted name with that prefix.
