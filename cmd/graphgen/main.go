@@ -24,7 +24,7 @@ import (
 )
 
 // options is one invocation: a generator kind and its parameters, or a
-// gen.Load source (kind "dataset").
+// gen.Load source.
 type options struct {
 	kind, source                   string
 	scale, ef, n, m, width, height int
@@ -56,7 +56,7 @@ func parseFlagSet(fs *flag.FlagSet, args []string) (options, error) {
 		if kindSet {
 			return o, fmt.Errorf("a source argument takes no -kind")
 		}
-		o.kind, o.source = "dataset", fs.Arg(0)
+		o.source = fs.Arg(0)
 	default:
 		return o, fmt.Errorf("want at most one source argument, got %d", fs.NArg())
 	}
@@ -97,6 +97,9 @@ func main() {
 }
 
 func generate(o options) (*graphpulse.Graph, error) {
+	if o.source != "" {
+		return gen.Load(o.source, gen.Default)
+	}
 	switch o.kind {
 	case "rmat":
 		return graphpulse.GenerateRMAT(graphpulse.RMATParams{
@@ -108,8 +111,6 @@ func generate(o options) (*graphpulse.Graph, error) {
 		return graphpulse.GenerateErdosRenyi(o.n, o.m, o.weighted, o.seed)
 	case "grid":
 		return graphpulse.GenerateGrid(o.width, o.height, o.weighted, o.seed)
-	case "dataset":
-		return gen.Load(o.source, gen.Default)
 	default:
 		return nil, fmt.Errorf("unknown generator %q", o.kind)
 	}

@@ -18,39 +18,41 @@ func TestGenerateKinds(t *testing.T) {
 		{kind: "rmat", wantN: 1 << 8},
 		{kind: "er", wantN: 100},
 		{kind: "grid", wantN: 16},
-		{kind: "dataset", source: "WG:tiny", wantN: 1 << 12},
+		{source: "WG:tiny", wantN: 1 << 12},
 		{kind: "bogus", wantErr: true},
+		{kind: "dataset", wantErr: true},
 	}
 	for _, tc := range cases {
 		o := base
 		o.kind, o.source = tc.kind, tc.source
+		name := tc.kind + tc.source
 		g, err := generate(o)
 		if tc.wantErr {
 			if err == nil {
-				t.Errorf("%s: expected error", tc.kind)
+				t.Errorf("%s: expected error", name)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("%s: %v", tc.kind, err)
+			t.Errorf("%s: %v", name, err)
 			continue
 		}
 		if g.NumVertices() != tc.wantN {
-			t.Errorf("%s: %d vertices, want %d", tc.kind, g.NumVertices(), tc.wantN)
+			t.Errorf("%s: %d vertices, want %d", name, g.NumVertices(), tc.wantN)
 		}
 	}
 }
 
 func TestGenerateDatasetValidation(t *testing.T) {
 	for _, source := range []string{"XX:tiny", "WG:huge"} {
-		if _, err := generate(options{kind: "dataset", source: source}); err == nil {
+		if _, err := generate(options{source: source}); err == nil {
 			t.Errorf("source %q accepted", source)
 		}
 	}
 }
 
-// TestParseFlags: a positional argument is a gen.Load source and selects
-// the dataset kind; it cannot be combined with -kind or another source.
+// TestParseFlags: a positional argument is a gen.Load source, which
+// replaces the -kind generator; it cannot be combined with -kind or another source.
 func TestParseFlags(t *testing.T) {
 	parse := func(args ...string) (options, error) {
 		fs := flag.NewFlagSet("graphgen", flag.ContinueOnError)
@@ -58,7 +60,7 @@ func TestParseFlags(t *testing.T) {
 		return parseFlagSet(fs, args)
 	}
 	o, err := parse("-o", "lj.el", "LJ:mini")
-	if err != nil || o.kind != "dataset" || o.source != "LJ:mini" || o.out != "lj.el" {
+	if err != nil || o.source != "LJ:mini" || o.out != "lj.el" {
 		t.Errorf("source argument: %+v, %v", o, err)
 	}
 	if o, err := parse("-kind", "grid", "-width", "8"); err != nil || o.kind != "grid" || o.width != 8 || o.source != "" {

@@ -9,7 +9,7 @@ import (
 
 // TestCommandCites pins what counts as a command line: the flags after
 // cmd/<cmd>, a "`<cmd> -" code span, or a fenced-block line that opens
-// with "<cmd> -" or "<path>/<cmd> -" (bin/, /tmp/), up to the code span's
+// with "<cmd> -", "./<cmd> -" or "<path>/<cmd> -" (bin/, /tmp/), up to the code span's
 // end, a # comment or a shell separator, continued past a trailing " \"
 // and past the line end of a code span that wraps, with the word each
 // flag is given.
@@ -28,14 +28,15 @@ func TestCommandCites(t *testing.T) {
 		"  -tier tiny \\\n" + // 11
 		"  -csv out.csv   # -notaflag \\\n" + // 12
 		"  -notacontinuation\n" + // 13
-		"  bin/bench -list\n" + // 14
-		"/tmp/bench -parallel 2 &\n" + // 15
-		"/tmp/benchmark -x; mybench -x; bench list -x\n" + // 16
-		"```\n" + // 17
-		"bench -outsideafence\n" + // 18
-		"Run `cmd/graphpulse -alg pr\n" + // 19
-		"-telemetry out/run` and `cmd/bench\n" + // 20
-		"-tier mini`, not -later\n" // 21
+		"  ./bench -list\n" + // 14
+		"  bin/bench -list\n" + // 15
+		"/tmp/bench -parallel 2 &\n" + // 16
+		"/tmp/benchmark -x; mybench -x; bench list -x\n" + // 17
+		"```\n" + // 18
+		"bench -outsideafence\n" + // 19
+		"Run `cmd/graphpulse -alg pr\n" + // 20
+		"-telemetry out/run` and `cmd/bench\n" + // 21
+		"-tier mini`, not -later\n" // 22
 	if err := os.WriteFile(doc, []byte(lines), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +53,15 @@ func TestCommandCites(t *testing.T) {
 			{"DOC.md:6", "exp", "fig11,fig12"},
 			{"DOC.md:10", "exp", "fig4"}, {"DOC.md:11", "tier", "tiny"}, {"DOC.md:12", "csv", "out.csv"},
 			{"DOC.md:14", "list", ""},
-			{"DOC.md:15", "parallel", "2"},
-			{"DOC.md:21", "tier", "mini"},
+			{"DOC.md:15", "list", ""},
+			{"DOC.md:16", "parallel", "2"},
+			{"DOC.md:22", "tier", "mini"},
 		}},
 		{"graphpulse", []Cite{
 			{"DOC.md:2", "resume", ""},
 			{"DOC.md:5", "alg", "pr"},
 			{"DOC.md:8", "checkpoint", "PATH"}, {"DOC.md:9", "resume", "PATH"},
-			{"DOC.md:19", "alg", "pr"}, {"DOC.md:20", "telemetry", "out/run"},
+			{"DOC.md:20", "alg", "pr"}, {"DOC.md:21", "telemetry", "out/run"},
 		}},
 	} {
 		got, err := CommandCites(c.cmd, doc)

@@ -34,9 +34,9 @@ func where(doc, text string, off int) string {
 	return fmt.Sprintf("%s:%d", filepath.Base(doc), strings.Count(text[:off], "\n")+1)
 }
 
-// Endpoint is one HTTP endpoint a doc cites; Method is "" when the doc
+// endpoint is one HTTP endpoint a doc cites; Method is "" when the doc
 // gives none (a bare `/v1/query` or a curl URL).
-type Endpoint struct {
+type endpoint struct {
 	Where, Method, Path string
 }
 
@@ -46,13 +46,13 @@ var (
 	urlPathRE    = regexp.MustCompile(`https?://[A-Za-z0-9.-]*:[0-9]+(/[A-Za-z0-9_/.-]*)`)
 )
 
-// Endpoints returns every HTTP endpoint the docs cite: "GET|POST /path",
+// endpoints returns every HTTP endpoint the docs cite: "GET|POST /path",
 // a code span that opens with a /v1/, /internal/ or /debug/ path (not a
 // family such as `/v1/*`), /healthz
 // or /metrics, and the path of a URL with a port (a local server). A query
 // string is not part of the path.
-func Endpoints(docs ...string) ([]Endpoint, error) {
-	var eps []Endpoint
+func endpoints(docs ...string) ([]endpoint, error) {
+	var eps []endpoint
 	for _, doc := range docs {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -60,11 +60,11 @@ func Endpoints(docs ...string) ([]Endpoint, error) {
 		}
 		text := string(raw)
 		for _, m := range methodPathRE.FindAllStringSubmatchIndex(text, -1) {
-			eps = append(eps, Endpoint{where(doc, text, m[0]), text[m[2]:m[3]], text[m[4]:m[5]]})
+			eps = append(eps, endpoint{where(doc, text, m[0]), text[m[2]:m[3]], text[m[4]:m[5]]})
 		}
 		for _, re := range []*regexp.Regexp{spanPathRE, urlPathRE} {
 			for _, m := range re.FindAllStringSubmatchIndex(text, -1) {
-				eps = append(eps, Endpoint{where(doc, text, m[0]), "", text[m[2]:m[3]]})
+				eps = append(eps, endpoint{where(doc, text, m[0]), "", text[m[2]:m[3]]})
 			}
 		}
 	}
@@ -75,7 +75,7 @@ func Endpoints(docs ...string) ([]Endpoint, error) {
 // resolves to a registered pattern other than a catch-all "/". An
 // endpoint cited without a method resolves under GET or POST.
 func checkEndpoints(docs []string, muxes ...*http.ServeMux) error {
-	eps, err := Endpoints(docs...)
+	eps, err := endpoints(docs...)
 	if err != nil {
 		return err
 	}
@@ -184,9 +184,8 @@ func checkTestNames(root string, docs []string) error {
 
 var (
 	linkRE    = regexp.MustCompile(`\]\(([^)\s]+)\)`)
-	sectionRE = regexp.MustCompile(`\b([A-Z][A-Z_]*)(\.md)?\s+(§\s*)?(?:"([^"]{1,80})"|(\d+)\b)`)
+	sectionRE = regexp.MustCompile(`\b([A-Z][A-Z_]*\.md)\s+§\s+"([^"]{1,80})"`)
 	headingRE = regexp.MustCompile(`(?m)^#{1,6}\s+(.+?)\s*$`)
-	numberRE  = regexp.MustCompile(`^\d+\.\s+`)
 )
 
 // headings returns the heading texts of the markdown file at path, with
@@ -226,11 +225,9 @@ func anchor(heading string) string {
 
 // checkRefs fails on every cross-doc pointer that dangles: a relative
 // markdown link whose file (relative to the citing doc) does not exist or
-// whose #anchor names no heading of it, and a `FILE.md § "Heading"`,
-// `FILE.md "Heading"` or `FILE.md §N` reference (".md" optional after §)
-// whose root-level file has no such heading. A numbered heading
-// ("3. Per-experiment index") answers to its number and to its text, and
-// a heading's trailing parenthetical may be left out.
+// whose #anchor names no heading of it, and a `FILE.md § "Heading"`
+// reference whose root-level file has no heading of exactly that text
+// (whitespace collapsed, so a reference may wrap).
 func checkRefs(root string, docs []string) error {
 	cache := map[string][]string{}
 	headingsOf := func(path string) ([]string, error) {
@@ -280,18 +277,8 @@ func checkRefs(root string, docs []string) error {
 			}
 		}
 		for _, m := range sectionRE.FindAllStringSubmatchIndex(text, -1) {
-			ext, section := m[4] >= 0, m[6] >= 0
-			quoted := m[8] >= 0
-			if !ext && !section || !quoted && !section {
-				continue // not a doc reference: a bare word, or "FILE.md 12"
-			}
-			file := text[m[2]:m[3]] + ".md"
-			want := ""
-			if quoted {
-				want = strings.Join(strings.Fields(text[m[8]:m[9]]), " ")
-			} else {
-				want = text[m[10]:m[11]]
-			}
+			file := text[m[2]:m[3]]
+			want := strings.Join(strings.Fields(text[m[4]:m[5]]), " ")
 			hs, err := headingsOf(filepath.Join(root, file))
 			if os.IsNotExist(err) {
 				bad = append(bad, where(doc, text, m[0])+": no file "+file)
@@ -301,12 +288,7 @@ func checkRefs(root string, docs []string) error {
 			}
 			found := false
 			for _, h := range hs {
-				short, _, _ := strings.Cut(h, " (")
-				for _, c := range []string{h, short, numberRE.ReplaceAllString(h, ""), numberRE.ReplaceAllString(short, "")} {
-					found = found || quoted && c == want
-				}
-				num, _, _ := strings.Cut(h, ".")
-				found = found || !quoted && numberRE.MatchString(h) && num == want
+				found = found || h == want
 			}
 			if !found {
 				bad = append(bad, fmt.Sprintf("%s: no section %q in %s", where(doc, text, m[0]), want, file))

@@ -73,10 +73,10 @@ func TestCheckEndpoints(t *testing.T) {
 		"OK.md": "`GET /internal/digest`, `/v1/query` and\n" +
 			"curl -s http://127.0.0.1:8090/internal/wal?after=3 and https://ui.perfetto.dev/x\n",
 	})
-	eps, err := Endpoints(filepath.Join(root, "OK.md"))
-	want := []Endpoint{{"OK.md:1", "GET", "/internal/digest"}, {"OK.md:1", "", "/v1/query"}, {"OK.md:2", "", "/internal/wal"}}
+	eps, err := endpoints(filepath.Join(root, "OK.md"))
+	want := []endpoint{{"OK.md:1", "GET", "/internal/digest"}, {"OK.md:1", "", "/v1/query"}, {"OK.md:2", "", "/internal/wal"}}
 	if err != nil || len(eps) != len(want) {
-		t.Fatalf("Endpoints = %q, %v; want %q", eps, err, want)
+		t.Fatalf("endpoints = %q, %v; want %q", eps, err, want)
 	}
 	for i := range want {
 		if eps[i] != want[i] {
@@ -136,20 +136,21 @@ func TestDocRefsResolve(t *testing.T) {
 }
 
 // TestCheckRefs: links resolve against the citing doc's directory and
-// anchors against the target's headings; section references resolve
-// against the root, by quoted heading (parenthetical optional) or number.
+// anchors against the target's headings; a `FILE.md § "Heading"`
+// reference resolves against the root by the heading's exact text, and
+// may wrap across a line break.
 func TestCheckRefs(t *testing.T) {
 	files := map[string]string{
 		"A.md": "# A\n\n## 3. Per-experiment index\n\n## Serving metrics (`/metrics`)\n\n```\n## Not a heading\n```\n",
 		"sub/B.md": "# B\n\nSee [a](../A.md#3-per-experiment-index), [b](#b) and [c](https://x.test/#nope),\n" +
-			"A.md § \"Per-experiment index\", A.md §3, A § \"Serving\nmetrics\", A.md \"A\" and ROADMAP item 12.\n",
+			"A.md § \"3. Per-experiment\nindex\", A.md § \"Serving metrics (`/metrics`)\" and ROADMAP item 12.\n",
 	}
 	if err := checkRefs(writeTree(t, files), []string{"sub/B.md"}); err != nil {
 		t.Errorf("resolving refs rejected: %v", err)
 	}
 	for _, stale := range []string{
-		"[x](../C.md)", "[x](../A.md#gone)", "[x](#a)",
-		`A.md § "Gone"`, "A.md §4", `C.md § "A"`, `A.md "Not a heading"`,
+		"[x](../C.md)", "[x](../A.md#gone)", "[x](#a)", `A.md § "Gone"`, `C.md § "A"`,
+		`A.md § "Not a heading"`, `A.md § "Per-experiment index"`, `A.md § "Serving metrics"`,
 	} {
 		files["sub/B.md"] = "# B\n\n" + stale + "\n"
 		if err := checkRefs(writeTree(t, files), []string{"sub/B.md"}); err == nil {
