@@ -348,6 +348,6 @@ func (r *ReliablePath) InitialEvents(graph.Adjacency) []InitialEvent {
 func (r *ReliablePath) Changed(old, new Value) bool { return new > old }
 
 // SeedInsertions implements InsertionSeeder.
-func (r *ReliablePath) SeedInsertions(old *graph.CSR, added []graph.Edge, state []Value) []InitialEvent {
+func (r *ReliablePath) SeedInsertions(old graph.Adjacency, added []graph.Edge, state []Value) []InitialEvent {
 	return monotoneSeed(r, old, added, state, countDegreeDelta(added))
 }

@@ -24,12 +24,12 @@ import (
 // correction events for adding `added` edges to old (the pre-update graph)
 // given the converged pre-update state.
 type InsertionSeeder interface {
-	SeedInsertions(old *graph.CSR, added []graph.Edge, state []Value) []InitialEvent
+	SeedInsertions(old graph.Adjacency, added []graph.Edge, state []Value) []InitialEvent
 }
 
 // monotoneSeed covers every reduce-min/max algorithm: the new edge simply
 // offers the source's converged value, propagated across it.
-func monotoneSeed(alg Algorithm, old *graph.CSR, added []graph.Edge, state []Value, degreeDelta map[graph.VertexID]int) []InitialEvent {
+func monotoneSeed(alg Algorithm, old graph.Adjacency, added []graph.Edge, state []Value, degreeDelta map[graph.VertexID]int) []InitialEvent {
 	var out []InitialEvent
 	for _, e := range added {
 		src := state[e.Src]
@@ -55,27 +55,27 @@ func countDegreeDelta(added []graph.Edge) map[graph.VertexID]int {
 
 // SeedInsertions implements InsertionSeeder: offer the converged distance
 // across each new edge.
-func (s *SSSP) SeedInsertions(old *graph.CSR, added []graph.Edge, state []Value) []InitialEvent {
+func (s *SSSP) SeedInsertions(old graph.Adjacency, added []graph.Edge, state []Value) []InitialEvent {
 	return monotoneSeed(s, old, added, state, countDegreeDelta(added))
 }
 
 // SeedInsertions implements InsertionSeeder.
-func (b *BFS) SeedInsertions(old *graph.CSR, added []graph.Edge, state []Value) []InitialEvent {
+func (b *BFS) SeedInsertions(old graph.Adjacency, added []graph.Edge, state []Value) []InitialEvent {
 	return monotoneSeed(b, old, added, state, countDegreeDelta(added))
 }
 
 // SeedInsertions implements InsertionSeeder.
-func (r *Reach) SeedInsertions(old *graph.CSR, added []graph.Edge, state []Value) []InitialEvent {
+func (r *Reach) SeedInsertions(old graph.Adjacency, added []graph.Edge, state []Value) []InitialEvent {
 	return monotoneSeed(r, old, added, state, countDegreeDelta(added))
 }
 
 // SeedInsertions implements InsertionSeeder.
-func (s *SSWP) SeedInsertions(old *graph.CSR, added []graph.Edge, state []Value) []InitialEvent {
+func (s *SSWP) SeedInsertions(old graph.Adjacency, added []graph.Edge, state []Value) []InitialEvent {
 	return monotoneSeed(s, old, added, state, countDegreeDelta(added))
 }
 
 // SeedInsertions implements InsertionSeeder.
-func (c *ConnectedComponents) SeedInsertions(old *graph.CSR, added []graph.Edge, state []Value) []InitialEvent {
+func (c *ConnectedComponents) SeedInsertions(old graph.Adjacency, added []graph.Edge, state []Value) []InitialEvent {
 	return monotoneSeed(c, old, added, state, countDegreeDelta(added))
 }
 
@@ -91,7 +91,7 @@ func (c *ConnectedComponents) SeedInsertions(old *graph.CSR, added []graph.Edge,
 // added: the seed order is the order the solver sums them in, so any other
 // order (a map range) would make the warm fixed point differ run to run in
 // its last bits.
-func (p *PageRankDelta) SeedInsertions(old *graph.CSR, added []graph.Edge, state []Value) []InitialEvent {
+func (p *PageRankDelta) SeedInsertions(old graph.Adjacency, added []graph.Edge, state []Value) []InitialEvent {
 	dd := countDegreeDelta(added)
 	var out []InitialEvent
 	seen := make(map[graph.VertexID]bool, len(dd))

@@ -74,7 +74,8 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg Algorithm) (*SolveResu
 type solver struct {
 	ctx    context.Context
 	g      graph.Adjacency
-	csr    *graph.CSR // g when it is an in-RAM CSR, else nil
+	csr    *graph.CSR   // g when it is an in-RAM CSR, else nil
+	paged  *graph.Paged // g when it is a mutated graph's paged epoch, else nil
 	state  []Value
 	acc    []Value
 	inList []bool
@@ -98,6 +99,7 @@ func (s *solver) init(ctx context.Context, g graph.Adjacency, alg Algorithm) {
 		wl:     NewWorklist(g, 0, graph.VertexID(n)),
 	}
 	s.csr, _ = g.(*graph.CSR)
+	s.paged, _ = g.(*graph.Paged)
 	id := alg.Identity()
 	for v := 0; v < n; v++ {
 		s.state[v] = alg.InitState(graph.VertexID(v))
@@ -152,10 +154,14 @@ func (s *solver) canceled() bool {
 }
 
 // row returns v's out-edges: read straight from the arrays of an in-RAM
-// CSR, or through one Row call on any other graph.Adjacency.
+// CSR or a paged epoch, or through one Row call on any other
+// graph.Adjacency.
 func (s *solver) row(v graph.VertexID) ([]graph.VertexID, []float32) {
 	if s.csr != nil {
 		return s.csr.Row(v)
+	}
+	if s.paged != nil {
+		return s.paged.Row(v)
 	}
 	return s.g.Row(v)
 }

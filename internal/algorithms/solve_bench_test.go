@@ -6,6 +6,7 @@ import (
 	"graphpulse/internal/algorithms"
 	"graphpulse/internal/graph"
 	"graphpulse/internal/graph/gen"
+	"graphpulse/internal/stream"
 )
 
 // wgMini is the cold-query workload's graph shape: the Web-Google stand-in
@@ -25,13 +26,20 @@ func wgMini(b *testing.B) *graph.CSR {
 
 // BenchmarkSolve times one serial solve of every algorithm on a WG-shape
 // mini graph, once through the kernel loop and once, as
-// <name>/reference, through the interface loop. ns/edge is elapsed time
-// per emitted edge delta, the unit of the solver's target (at most 2x a
-// plain CSR row scan); allocs/op is per solve and must not depend on how
-// many activations the solve performs.
+// <name>/reference, through the interface loop; pr and sssp also run, as
+// <name>/paged, on the paged epoch a one-edge insert makes of that graph
+// (stream.Graph), so the row cost of a mutated graph has its own number.
+// ns/edge is elapsed time per emitted edge delta, the unit of the solver's
+// target (at most 2x a plain CSR row scan); allocs/op is per solve and
+// must not depend on how many activations the solve performs.
 func BenchmarkSolve(b *testing.B) {
 	g := wgMini(b)
 	normalized := g.NormalizeInbound() // adsorption converges only on inbound-normalized weights
+	sg := stream.NewGraph(g, 1)
+	if _, _, _, err := sg.Apply([]graph.Edge{{Src: 1, Dst: 2, Weight: 1}}, nil); err != nil {
+		b.Fatal(err)
+	}
+	paged := sg.Adjacency()
 	for _, name := range algorithms.Names() {
 		alg, err := algorithms.ByName(name, 0)
 		if err != nil {
@@ -43,10 +51,13 @@ func BenchmarkSolve(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) { benchSolve(b, on, alg) })
 		b.Run(name+"/reference", func(b *testing.B) { benchSolve(b, on, opaque{alg}) })
+		if name == "pr" || name == "sssp" {
+			b.Run(name+"/paged", func(b *testing.B) { benchSolve(b, paged, alg) })
+		}
 	}
 }
 
-func benchSolve(b *testing.B, g *graph.CSR, alg algorithms.Algorithm) {
+func benchSolve(b *testing.B, g graph.Adjacency, alg algorithms.Algorithm) {
 	b.ReportAllocs()
 	var emitted int64
 	for i := 0; i < b.N; i++ {

@@ -44,7 +44,7 @@ const toleranceSafety = 8
 // Tolerance returns the maximum acceptable per-vertex absolute difference
 // when comparing converged values for alg on g. 0 means exact agreement is
 // required.
-func Tolerance(alg algorithms.Algorithm, g *graph.CSR) float64 {
+func Tolerance(alg algorithms.Algorithm, g graph.Adjacency) float64 {
 	n := float64(g.NumVertices())
 	switch a := alg.(type) {
 	case *algorithms.PageRankDelta:

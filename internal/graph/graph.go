@@ -1,7 +1,9 @@
 // Package graph provides the graph substrate shared by every engine in this
 // repository: an immutable Compressed Sparse Row (CSR) representation with
 // optional edge weights, builders, transposition, relabeling, and
-// degree/statistics helpers.
+// degree/statistics helpers, plus Paged, the page-table form a mutated
+// graph's epochs take so that each epoch shares its untouched rows with
+// the one before.
 //
 // All engines (the GraphPulse accelerator model, the Ligra-style software
 // baseline, and the Graphicionado model) consume the same CSR so that
@@ -103,8 +105,9 @@ func (g *CSR) EdgeWeight(i uint64) float32 {
 // partitioner and the serving tier consume: vertex and edge counts and
 // per-vertex neighbor rows. The in-RAM *CSR satisfies it directly; the
 // out-of-core slice store (internal/graph/ooc) satisfies it by decoding
-// compressed slices on demand. The cycle simulators model DRAM reads of
-// RowPtr and Dst, so they take a *CSR instead.
+// compressed slices on demand, and a mutated graph's *Paged epochs by one
+// page-table lookup. The cycle simulators model DRAM reads of RowPtr and
+// Dst, so they take a *CSR instead.
 //
 // Row, Neighbors and NeighborWeights return slices the caller must not
 // modify; for out-of-core stores they remain valid after the backing slice

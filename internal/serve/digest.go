@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 
+	"graphpulse/internal/graph"
 	"graphpulse/internal/stream"
 )
 
@@ -83,13 +84,14 @@ func (s *Server) StateDigest(name string) (DigestInfo, error) {
 	binary.LittleEndian.PutUint64(buf[:], weighted)
 	h.Write(buf[:8])
 	for v := 0; v < g.NumVertices(); v++ {
-		for i := g.RowPtr[v]; i < g.RowPtr[v+1]; i++ {
+		dst, wt := g.Row(graph.VertexID(v))
+		for i, d := range dst {
 			w := float32(0)
-			if g.Weight != nil {
-				w = g.Weight[i]
+			if wt != nil {
+				w = wt[i]
 			}
 			binary.LittleEndian.PutUint32(buf[:], uint32(v))
-			binary.LittleEndian.PutUint32(buf[4:], g.Dst[i])
+			binary.LittleEndian.PutUint32(buf[4:], d)
 			binary.LittleEndian.PutUint32(buf[8:], math.Float32bits(w))
 			h.Write(buf[:])
 		}

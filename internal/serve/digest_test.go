@@ -11,7 +11,7 @@ import (
 // after an insert and a delete and for one unweighted multigraph: replicas
 // running different versions must agree on (epoch, digest), so the hashed
 // stream may not change. ExportSnapshot must list the same edges, in CSR
-// order, as graph.CSR.Edges.
+// order, as graph.CSR.Edges (of the paged epoch materialised).
 func TestStateDigestPinned(t *testing.T) {
 	s, ts := newTestServer(t, func(c *Config) {
 		unweighted, err := graph.FromEdges(6, []graph.Edge{
@@ -47,7 +47,11 @@ func TestStateDigestPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		edges := g.Edges()
+		csr, ok := g.(*graph.CSR)
+		if !ok {
+			csr = g.(*graph.Paged).CSR()
+		}
+		edges := csr.Edges()
 		if len(snap.Edges) != len(edges) {
 			t.Fatalf("%s: snapshot has %d edges, graph %d", want.Graph, len(snap.Edges), len(edges))
 		}

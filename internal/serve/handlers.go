@@ -278,11 +278,10 @@ func (s *Server) compute(ctx context.Context, rg *residentGraph, g graph.Adjacen
 	}
 	start := time.Now()
 	mode := stream.Cold
-	// Only mutable residents have a history, and their view is a *CSR.
-	csr, mutable := g.(*graph.CSR)
-	if prior, priorEpoch, ok := s.cache.latestBefore(series, epoch); ok && mutable {
+	// Only a mutable resident still at epoch has a history (rg.since).
+	if prior, priorEpoch, ok := s.cache.latestBefore(series, epoch); ok {
 		if base, added, removed, ok := rg.since(priorEpoch, epoch); ok {
-			alg, mode = stream.Restart(alg, base, csr, added, removed, prior.Values, maxConeFraction)
+			alg, mode = stream.Restart(alg, base, g, added, removed, prior.Values, maxConeFraction)
 			if mode == stream.Cold && len(removed) > 0 {
 				s.metrics.Add("stream_replay_fallbacks", 1)
 			}

@@ -51,7 +51,7 @@ func ParseGraphArg(arg string) (GraphSpec, error) {
 	return GraphSpec{Name: name, Source: source}, nil
 }
 
-// residentGraph is one registry entry: a stream.Graph (CSR, epoch,
+// residentGraph is one registry entry: a stream.Graph (graph, epoch,
 // mutation history) behind a lock, or a read-only out-of-core store.
 // Snapshots are consistent (graph, epoch) pairs; mutations serialize on
 // the write lock.
@@ -99,20 +99,20 @@ func loadResident(spec GraphSpec) (*residentGraph, error) {
 	return &residentGraph{name: spec.Name, sg: stream.NewGraph(g, mutationHistory)}, nil
 }
 
-// snapshot returns a consistent (graph, epoch) pair. The graph is nil for
-// out-of-core residents — paths that need a materialized CSR (digest,
-// snapshot export, stream accounting) guard on it; compute paths use view.
-func (r *residentGraph) snapshot() (*graph.CSR, uint64) {
+// snapshot returns a consistent (graph, epoch) pair of a mutable resident.
+// The graph is nil for out-of-core residents — paths only a mutable graph
+// supports (digest, snapshot export) guard on it; compute paths use view.
+func (r *residentGraph) snapshot() (graph.Adjacency, uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if r.sg == nil {
 		return nil, 0
 	}
-	return r.sg.CSR(), r.sg.Epoch()
+	return r.sg.Adjacency(), r.sg.Epoch()
 }
 
 // view returns the graph to compute on and its epoch: the out-of-core store
-// (pinned at epoch 0) for graphpack residents, the current CSR snapshot
+// (pinned at epoch 0) for graphpack residents, the current snapshot
 // otherwise.
 func (r *residentGraph) view() (graph.Adjacency, uint64) {
 	if r.store != nil {
@@ -168,8 +168,8 @@ func (r *residentGraph) applyBatch(ins, dels []graph.Edge) (out MutateResponse, 
 			Skipped:     skipped,
 			Deleted:     len(ch.Removed),
 			Missed:      missed,
-			NumVertices: sg.CSR().NumVertices(),
-			NumEdges:    sg.CSR().NumEdges(),
+			NumVertices: sg.Adjacency().NumVertices(),
+			NumEdges:    sg.Adjacency().NumEdges(),
 		}
 		return ch, err
 	})
@@ -179,7 +179,7 @@ func (r *residentGraph) applyBatch(ins, dels []graph.Edge) (out MutateResponse, 
 // since is stream.Graph.Since pinned to a snapshot: it also fails when
 // toEpoch is no longer the current epoch (the snapshot raced past a newer
 // mutation — the caller cold-solves instead).
-func (r *residentGraph) since(fromEpoch, toEpoch uint64) (base *graph.CSR, added, removed []graph.Edge, ok bool) {
+func (r *residentGraph) since(fromEpoch, toEpoch uint64) (base graph.Adjacency, added, removed []graph.Edge, ok bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if r.sg == nil || r.sg.Epoch() != toEpoch {

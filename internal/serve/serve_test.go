@@ -96,7 +96,7 @@ func vertexRange(n int) []uint32 {
 // solver for a sum-based and a monotone algorithm.
 func TestQueryMatchesOracle(t *testing.T) {
 	s, ts := newTestServer(t, nil)
-	g, _ := s.graphs["g"].snapshot()
+	g := s.graphs["g"].sg.CSR() // epoch 0: the registered CSR
 	all := vertexRange(g.NumVertices())
 
 	for _, tc := range []struct {
@@ -398,7 +398,7 @@ func TestDrainOnShutdown(t *testing.T) {
 // fixed point yet matches a from-scratch solve on the mutated graph.
 func TestMutateThenQueryWarmStarts(t *testing.T) {
 	s, ts := newTestServer(t, nil)
-	g, _ := s.graphs["g"].snapshot()
+	g := s.graphs["g"].sg.CSR() // epoch 0: the registered CSR
 	all := vertexRange(g.NumVertices())
 
 	cold := doQuery(t, ts.URL, QueryRequest{Graph: "g", Algorithm: "pr", Vertices: all})

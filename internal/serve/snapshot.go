@@ -78,10 +78,11 @@ func (s *Server) ExportSnapshot(name string) (*Snapshot, error) {
 		Edges:       make([]SnapshotEdge, 0, g.NumEdges()),
 	}
 	for v := 0; v < g.NumVertices(); v++ {
-		for i := g.RowPtr[v]; i < g.RowPtr[v+1]; i++ {
-			e := SnapshotEdge{Src: uint32(v), Dst: g.Dst[i]}
-			if g.Weight != nil {
-				e.Weight = g.Weight[i]
+		dst, wt := g.Row(graph.VertexID(v))
+		for i, d := range dst {
+			e := SnapshotEdge{Src: uint32(v), Dst: d}
+			if wt != nil {
+				e.Weight = wt[i]
 			}
 			snap.Edges = append(snap.Edges, e)
 		}

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -36,24 +35,29 @@ var ErrStale = errors.New("stream: snapshot is older than resident state")
 // step is one history entry: a Change and the graph it was applied to.
 type step struct {
 	Change
-	base *graph.CSR
+	base graph.Adjacency
 }
 
-// Graph is one versioned mutable graph: the immutable CSR that is the live
-// edge set, the epoch counting applied changes, and a bounded history of
-// recent changes — what lets a fixed point converged several epochs ago be
-// warm-restarted (Since + Restart) instead of re-solved. The vertex set is
-// fixed at construction. Every epoch-advancing path — live batches,
+// Graph is one versioned mutable graph: the immutable graph that is the
+// live edge set, the epoch counting applied changes, and a bounded history
+// of recent changes — what lets a fixed point converged several epochs ago
+// be warm-restarted (Since + Restart) instead of re-solved. The vertex set
+// is fixed at construction. Every epoch-advancing path — live batches,
 // logged-record replay — goes through it, so the serving tier, the
 // write-ahead log and the differential test harness all run the same state
-// machine. Each epoch splices the next CSR from the current one instead of
-// rebuilding it.
+// machine.
+//
+// Each epoch is a graph.Paged spliced from the one before: it rebuilds
+// only the pages that hold a touched source and shares the rest, so an
+// epoch and the history steps cost O(batch), not O(graph). The first
+// epoch's untouched pages alias the registered *graph.CSR, which stays
+// epoch 0.
 //
 // A Graph is not concurrency-safe; callers serialise through their own
-// lock. The CSRs it hands out are immutable and stay valid after later
+// lock. The graphs it hands out are immutable and stay valid after later
 // changes.
 type Graph struct {
-	cur     *graph.CSR
+	cur     graph.Adjacency // a *graph.CSR (epoch 0, a Reset, or materialised by CSR) or a *graph.Paged
 	epoch   uint64
 	histMax int
 	history []step
@@ -65,8 +69,21 @@ func NewGraph(base *graph.CSR, histMax int) *Graph {
 	return &Graph{cur: base, histMax: histMax}
 }
 
-// CSR returns the current materialised graph.
-func (g *Graph) CSR() *graph.CSR { return g.cur }
+// Adjacency returns the current graph.
+func (g *Graph) Adjacency() graph.Adjacency { return g.cur }
+
+// CSR returns the current graph as a CSR. A paged epoch is materialised
+// once, in O(graph), and the copy becomes the epoch's graph: later calls
+// return the same *graph.CSR, and the next epoch's untouched pages alias
+// it. Only callers that need CSR arrays (the Replayer, whose engines
+// include the cycle simulators) call it; it moves no epoch but replaces
+// the current graph, so it needs the same exclusion as Apply.
+func (g *Graph) CSR() *graph.CSR {
+	if p, ok := g.cur.(*graph.Paged); ok {
+		g.cur = p.CSR()
+	}
+	return g.cur.(*graph.CSR)
+}
 
 // Epoch returns the number of changes applied (0 = the base graph).
 func (g *Graph) Epoch() uint64 { return g.epoch }
@@ -74,7 +91,7 @@ func (g *Graph) Epoch() uint64 { return g.epoch }
 // checkBatch rejects edges referencing vertices outside g's vertex set,
 // and, on a weighted graph, inserts with a negative or NaN weight: the
 // min-plus algorithms never converge over a negative cycle.
-func checkBatch(g *graph.CSR, ins, dels []graph.Edge) error {
+func checkBatch(g graph.Adjacency, ins, dels []graph.Edge) error {
 	n := g.NumVertices()
 	for _, batch := range [][]graph.Edge{ins, dels} {
 		for _, e := range batch {
@@ -113,18 +130,18 @@ func (g *Graph) Apply(ins, dels []graph.Edge) (ch Change, skipped, missed int, e
 	for _, e := range dels {
 		want[[2]graph.VertexID{e.Src, e.Dst}] = true
 	}
-	var drop []int
-	g.scanRows(dels, added, func(pos int, e graph.Edge) {
-		if k := [2]graph.VertexID{e.Src, e.Dst}; want[k] {
+	edits, removed := g.edit(dels, added, func(e graph.Edge) bool {
+		k := [2]graph.VertexID{e.Src, e.Dst}
+		if want[k] {
 			hit[k] = true
-			drop = append(drop, pos)
 		}
+		return want[k]
 	})
 	missed = len(want) - len(hit)
-	if len(added) == 0 && len(drop) == 0 {
+	if len(added) == 0 && len(removed) == 0 {
 		return Change{}, skipped, missed, nil
 	}
-	return g.advance(added, drop), skipped, missed, nil
+	return g.advance(Change{Added: added, Removed: removed}, edits), skipped, missed, nil
 }
 
 // ApplyExact replays one logged Change: a record at or below the current
@@ -150,32 +167,51 @@ func (g *Graph) ApplyExact(ch Change) (Change, error) {
 	for _, e := range ch.Removed {
 		need[e]++
 	}
-	var drop []int
-	g.scanRows(ch.Removed, added, func(pos int, e graph.Edge) {
-		if need[e] > 0 {
-			need[e]--
-			drop = append(drop, pos)
+	edits, removed := g.edit(ch.Removed, added, func(e graph.Edge) bool {
+		if need[e] == 0 {
+			return false
 		}
+		need[e]--
+		return true
 	})
-	return g.advance(added, drop), nil
+	return g.advance(Change{Added: added, Removed: removed}, edits), nil
 }
 
-// scanRows visits, for each distinct source of keys in ascending order,
-// its current row and then its edges in add, in order, with each edge's
-// position: its index into the current Dst, or NumEdges()+j for add[j].
-// No other row is read.
-func (g *Graph) scanRows(keys, add []graph.Edge, visit func(pos int, e graph.Edge)) {
-	m := g.cur.NumEdges()
-	for _, s := range sources(keys) {
-		for i := g.cur.RowPtr[s]; i < g.cur.RowPtr[s+1]; i++ {
-			visit(int(i), graph.Edge{Src: s, Dst: g.cur.Dst[i], Weight: g.cur.EdgeWeight(i)})
-		}
-		for j, e := range add {
-			if e.Src == s {
-				visit(m+j, e)
+// edit visits, for each distinct source of keys and add in ascending
+// order, its current row and then its edges in add, in batch order, and
+// drops each edge drop accepts. It returns the row edits that make the
+// next epoch, each row keeping its survivors in order and then appending
+// its surviving additions, and the dropped edges in visit order. No other
+// row is read.
+func (g *Graph) edit(keys, add []graph.Edge, drop func(graph.Edge) bool) (edits []graph.RowEdit, removed []graph.Edge) {
+	for _, s := range sources(keys, add) {
+		ed := graph.RowEdit{Src: s}
+		dst, wt := g.cur.Row(s)
+		for i, d := range dst {
+			e := graph.Edge{Src: s, Dst: d, Weight: 1}
+			if wt != nil {
+				e.Weight = wt[i]
+			}
+			if drop(e) {
+				ed.Drop = append(ed.Drop, i)
+				removed = append(removed, e)
 			}
 		}
+		for _, e := range add {
+			if e.Src != s {
+				continue
+			}
+			if drop(e) {
+				removed = append(removed, e)
+			} else {
+				ed.Add = append(ed.Add, e)
+			}
+		}
+		if len(ed.Drop) > 0 || len(ed.Add) > 0 {
+			edits = append(edits, ed)
+		}
 	}
+	return edits, removed
 }
 
 // sources returns the distinct sources of the edges in batches, ascending.
@@ -190,69 +226,20 @@ func sources(batches ...[]graph.Edge) []graph.VertexID {
 	return slices.Compact(srcs)
 }
 
-// advance moves to the next epoch. Its CSR, freshly allocated as readers
-// may hold the current one, is the current one plus add minus the
-// positions in drop (numbered as scanRows does): runs of untouched rows
-// are bulk-copied with their row pointers shifted, and a touched row keeps
-// its surviving edges in order, then appends its surviving new ones in
-// batch order. The Change, whose Removed are the dropped edges in CSR
-// order, joins the bounded history.
-func (g *Graph) advance(add []graph.Edge, drop []int) Change {
-	cur, m, n := g.cur, g.cur.NumEdges(), g.cur.NumVertices()
-	size := m + len(add) - len(drop)
-	ch := Change{Epoch: g.epoch + 1, Added: add}
-	slices.Sort(drop)
-	k, _ := slices.BinarySearch(drop, m)
-	drop, dropAdd := drop[:k], drop[k:]
-	order := make([]int, len(add)) // positions of add grouped by source, batch order within one
-	for j := range order {
-		order[j] = m + j
+// advance moves to epoch+1 by splicing edits into the current graph (a
+// CSR's pages alias its arrays) and records ch, stamped with that epoch,
+// in the bounded history.
+func (g *Graph) advance(ch Change, edits []graph.RowEdit) Change {
+	cur, ok := g.cur.(*graph.Paged)
+	if !ok {
+		cur = g.cur.(*graph.CSR).Paged()
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(add[a-m].Src, add[b-m].Src) })
-
-	next := &graph.CSR{RowPtr: make([]uint64, n+1), Dst: make([]graph.VertexID, size)}
-	if cur.Weighted() {
-		next.Weight = make([]float32, size)
+	ch.Epoch = g.epoch + 1
+	g.history = append(g.history, step{Change: ch, base: g.cur})
+	if over := len(g.history) - g.histMax; over > 0 {
+		g.history = slices.Delete(g.history, 0, over)
 	}
-	// cur's edges from span on are pending; they land in next from out on.
-	span, out := 0, 0
-	flush := func(end int) {
-		copy(next.Dst[out:], cur.Dst[span:end])
-		if next.Weight != nil {
-			copy(next.Weight[out:], cur.Weight[span:end])
-		}
-		out, span = out+end-span, end
-	}
-	for v := 0; v < n; v++ {
-		hi := int(cur.RowPtr[v+1])
-		next.RowPtr[v] = uint64(out + int(cur.RowPtr[v]) - span)
-		for ; len(drop) > 0 && drop[0] < hi; drop = drop[1:] {
-			i := drop[0]
-			flush(i)
-			span = i + 1
-			ch.Removed = append(ch.Removed, graph.Edge{Src: graph.VertexID(v), Dst: cur.Dst[i], Weight: cur.EdgeWeight(uint64(i))})
-		}
-		for ; len(order) > 0 && int(add[order[0]-m].Src) == v; order = order[1:] {
-			flush(hi)
-			e := add[order[0]-m]
-			if slices.Contains(dropAdd, order[0]) {
-				ch.Removed = append(ch.Removed, e)
-				continue
-			}
-			next.Dst[out] = e.Dst
-			if next.Weight != nil {
-				next.Weight[out] = e.Weight
-			}
-			out++
-		}
-	}
-	flush(m)
-	next.RowPtr[n] = uint64(out)
-	g.history = append(g.history, step{Change: ch, base: cur})
-	if len(g.history) > g.histMax {
-		g.history = g.history[len(g.history)-g.histMax:]
-	}
-	g.cur, g.epoch = next, ch.Epoch
+	g.cur, g.epoch = cur.Splice(edits), ch.Epoch
 	return ch
 }
 
@@ -282,7 +269,7 @@ func (g *Graph) Reset(numVertices int, weighted bool, edges []graph.Edge, epoch 
 // every edge added and removed since, in order. ok is false when
 // fromEpoch is not in the past or the history no longer reaches back that
 // far — the caller cold-solves.
-func (g *Graph) Since(fromEpoch uint64) (base *graph.CSR, added, removed []graph.Edge, ok bool) {
+func (g *Graph) Since(fromEpoch uint64) (base graph.Adjacency, added, removed []graph.Edge, ok bool) {
 	if fromEpoch >= g.epoch || g.epoch-fromEpoch > uint64(len(g.history)) {
 		return nil, nil, nil, false
 	}
@@ -350,16 +337,16 @@ const (
 //     fallback, the only way a change with removals restarts Cold short
 //     of malformed input.
 //
-// It never touches state and takes no lock: callers run it on immutable
-// CSR snapshots outside any write path.
-func Restart(alg algorithms.Algorithm, base, cur *graph.CSR, added, removed []graph.Edge, state []float64, maxConeFrac float64) (algorithms.Algorithm, Mode) {
+// It never writes state and takes no lock: callers run it on immutable
+// graph snapshots outside any write path. The warm path reads state in
+// place (the solver copies it once); the cone path writes a copy.
+func Restart(alg algorithms.Algorithm, base, cur graph.Adjacency, added, removed []graph.Edge, state []float64, maxConeFrac float64) (algorithms.Algorithm, Mode) {
 	if len(removed) == 0 {
 		seeder, ok := alg.(algorithms.InsertionSeeder)
 		if !ok {
 			return alg, Cold
 		}
-		warm := append([]float64(nil), state...)
-		return algorithms.WarmStart(alg, warm, seeder.SeedInsertions(base, added, warm)), Warm
+		return algorithms.WarmStart(alg, state, seeder.SeedInsertions(base, added, state)), Warm
 	}
 	plan, err := PlanRestart(alg, cur, added, removed, state, maxConeFrac)
 	if err != nil || plan.Replay {

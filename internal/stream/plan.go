@@ -58,7 +58,7 @@ type Plan struct {
 //
 // maxConeFrac (≤0 means DefaultMaxConeFraction) caps the cone: above
 // maxConeFrac·n the plan is a replay.
-func PlanRestart(alg algorithms.Algorithm, newG *graph.CSR, added, removed []graph.Edge, state []float64, maxConeFrac float64) (*Plan, error) {
+func PlanRestart(alg algorithms.Algorithm, newG graph.Adjacency, added, removed []graph.Edge, state []float64, maxConeFrac float64) (*Plan, error) {
 	n := newG.NumVertices()
 	if len(state) != n {
 		return nil, fmt.Errorf("stream: state has %d entries for %d vertices", len(state), n)
@@ -121,9 +121,8 @@ func PlanRestart(alg algorithms.Algorithm, newG *graph.CSR, added, removed []gra
 			// unreached source would fabricate reachability).
 			continue
 		}
-		deg := newG.OutDegree(uid)
-		nbrs := newG.Neighbors(uid)
-		weights := newG.NeighborWeights(uid)
+		nbrs, weights := newG.Row(uid)
+		deg := len(nbrs)
 		for i, v := range nbrs {
 			if !inCone[v] {
 				continue

@@ -111,6 +111,68 @@ func diffSequence(t *testing.T, seed int64, weighted bool, epochs int) {
 	}
 }
 
+// TestPagedEpochsMatchLogReference applies seeded 16-edge batches, each
+// inserting and deleting, to WG:tiny (16 pages) through Graph and the
+// log-based reference. It reads only rows in between, so every epoch
+// after the first is spliced from a paged one. Each epoch's rows, and a
+// replica's fed only the Change records, must equal the reference's
+// rebuild, and every history base must still equal the reference's graph
+// at its epoch.
+func TestPagedEpochsMatchLogReference(t *testing.T) {
+	const epochs, histMax = 24, 4
+	base := wgGraph(t, gen.Tiny)
+	ins, dels := insertBatches(base, epochs), deleteBatches(base)
+	live, ref, replica := NewGraph(base, histMax), newRefGraph(base), NewGraph(base, 0)
+	past := []*graph.CSR{base}
+	for ep := range epochs {
+		in, del := ins[ep], dels[ep]
+		if ep%3 == 0 {
+			del = append(slices.Clone(del), in[0]) // inserted and deleted in one batch
+		}
+		got, gs, gm, err := live.Apply(in, del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ws, wm, err := ref.Apply(in, del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gs != ws || gm != wm || got.Epoch != want.Epoch ||
+			!slices.Equal(got.Added, want.Added) || !sameMultiset(got.Removed, want.Removed) {
+			t.Fatalf("epoch %d: change %+v (%d/%d), reference %+v (%d/%d)", ep, got, gs, gm, want, ws, wm)
+		}
+		if _, err := replica.ApplyExact(got); err != nil {
+			t.Fatal(err)
+		}
+		past = append(past, ref.CSR())
+		if !sameGraph(live.Adjacency(), ref.CSR()) || !sameGraph(replica.Adjacency(), ref.CSR()) {
+			t.Fatalf("epoch %d: the live graph or the replica differs from the reference rebuild", ep)
+		}
+		for k := uint64(1); k <= histMax && k <= got.Epoch; k++ {
+			b, _, _, ok := live.Since(got.Epoch - k)
+			if !ok || !sameGraph(b, past[got.Epoch-k]) {
+				t.Fatalf("epoch %d: the base %d epochs back differs from the reference's", ep, k)
+			}
+		}
+	}
+}
+
+// sameGraph reports whether a and b have the same vertices, weight mode and
+// rows, edge for edge.
+func sameGraph(a, b graph.Adjacency) bool {
+	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() || a.Weighted() != b.Weighted() {
+		return false
+	}
+	for v := range a.NumVertices() {
+		ad, aw := a.Row(graph.VertexID(v))
+		bd, bw := b.Row(graph.VertexID(v))
+		if !slices.Equal(ad, bd) || !slices.Equal(aw, bw) {
+			return false
+		}
+	}
+	return true
+}
+
 func sameMultiset(a, b []graph.Edge) bool {
 	order := func(x, y graph.Edge) int {
 		return cmp.Or(cmp.Compare(x.Src, y.Src), cmp.Compare(x.Dst, y.Dst), cmp.Compare(x.Weight, y.Weight))
@@ -122,14 +184,14 @@ func sameMultiset(a, b []graph.Edge) bool {
 }
 
 // wgGraph is the mutate-churn workload's graph shape: the Web-Google
-// stand-in (weighted RMAT), at the given tier.
+// stand-in (weighted RMAT), at the given tier, built once per process.
 func wgGraph(tb testing.TB, tier gen.Tier) *graph.CSR {
 	tb.Helper()
 	spec, err := gen.DatasetByAbbrev("WG")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	g, err := spec.Generate(tier)
+	g, err := gen.Default.Generate(spec, tier)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -173,17 +235,18 @@ func deleteBatches(g *graph.CSR) [][]graph.Edge {
 	return out
 }
 
-// TestApplyAllocatesOnlyTheNextCSR: a Graph costs only its CSR, so
+// TestApplyAllocatesOnlyTouchedPages: a Graph costs only its graph, so
 // NewGraph allocates O(1) bytes, not O(edges), and one 16-edge insert or
-// delete allocates the next CSR plus O(batch): a copy of the whole edge
-// list (12 B/edge) or any per-edge side array per epoch fails it.
-// TotalAlloc is process-wide, so another goroutine allocating inside a
-// window inflates one reading; each figure is the minimum over several
-// measured calls, each on a fresh Graph.
-func TestApplyAllocatesOnlyTheNextCSR(t *testing.T) {
+// delete allocates the pages that hold a touched source, the page table
+// and O(batch) — a copy of the whole graph per epoch fails it. Every
+// untouched page is shared with the epoch before: its rows read the same
+// storage. Eight epochs in a row on WG:tiny allocate less than one CSR in
+// total; each batch's sources share one page, since 16 uniform sources
+// touch most of a 16-page graph. TotalAlloc is process-wide, so another
+// goroutine allocating inside a window inflates one reading; each figure
+// is the minimum over several measured calls, each on a fresh Graph.
+func TestApplyAllocatesOnlyTouchedPages(t *testing.T) {
 	const tries = 5
-	base := wgGraph(t, gen.Tiny)
-	ins, dels := insertBatches(base, 1), deleteBatches(base)
 	allocated := func(f func()) int {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -191,35 +254,142 @@ func TestApplyAllocatesOnlyTheNextCSR(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return int(after.TotalAlloc - before.TotalAlloc)
 	}
+	tiny := wgGraph(t, gen.Tiny)
 	var g *Graph
 	got := math.MaxInt
 	for range tries {
-		got = min(got, allocated(func() { g = NewGraph(base, 4) }))
+		got = min(got, allocated(func() { g = NewGraph(tiny, 4) }))
 	}
 	if got > 1<<10 {
-		t.Errorf("NewGraph allocated %d B over %d edges; want O(1)", got, base.NumEdges())
+		t.Errorf("NewGraph allocated %d B over %d edges; want O(1)", got, tiny.NumEdges())
 	}
-	const slack = 64 << 10 // the batch's maps, sort scratch and Change
+
+	base := wgGraph(t, gen.Mini)
+	ins, dels := insertBatches(base, 2), deleteBatches(base)
+	const (
+		slack      = 64 << 10 // the batch's maps, row edits and Change
+		pageHeader = 72       // a page table entry: three slice headers
+	)
+	pages := (base.NumVertices() + graph.PageVertices - 1) / graph.PageVertices
 	for _, c := range []struct {
-		name      string
-		ins, dels []graph.Edge
-	}{{"insert", ins[0], nil}, {"delete", nil, dels[0]}} {
+		name  string
+		first bool // the epoch after the registered CSR, which builds one more table to alias it
+		ins   [][]graph.Edge
+		dels  [][]graph.Edge
+	}{
+		{"insert", true, ins[:1], [][]graph.Edge{nil}},
+		{"delete", true, [][]graph.Edge{nil}, dels[:1]},
+		{"insert after insert", false, ins[:2], [][]graph.Edge{nil, nil}},
+		{"delete after delete", false, [][]graph.Edge{nil, nil}, dels[:2]},
+	} {
+		last := len(c.ins) - 1
+		var prev graph.Adjacency
 		got := math.MaxInt
 		for range tries {
 			g = NewGraph(base, 4)
-			var ch Change
-			var err error
-			got = min(got, allocated(func() { ch, _, _, err = g.Apply(c.ins, c.dels) }))
-			if err != nil || ch.Epoch == 0 {
-				t.Fatalf("%s: epoch %d, err %v", c.name, ch.Epoch, err)
+			for i := range last {
+				mustApply(t, g, c.ins[i], c.dels[i])
+			}
+			prev = g.Adjacency()
+			got = min(got, allocated(func() { mustApply(t, g, c.ins[last], c.dels[last]) }))
+		}
+		next, touched := g.Adjacency(), touchedPages(c.ins[last], c.dels[last])
+		bound := slack + pageHeader*pages + pageBytes(next, touched)
+		if c.first {
+			bound += pageHeader * pages
+		}
+		if got > bound {
+			t.Errorf("%s allocated %d B; %d touched pages, the page table and slack are %d B on %d edges",
+				c.name, got, len(touched), bound, next.NumEdges())
+		}
+		for p := range pages {
+			if v := graph.VertexID(p * graph.PageVertices); !touched[v] && !sameRows(prev, next, v) {
+				t.Errorf("%s: untouched page %d does not share its rows with the epoch before", c.name, p)
 			}
 		}
-		next := g.CSR()
-		csr := 8*len(next.RowPtr) + 4*len(next.Dst) + 4*len(next.Weight)
-		if got > csr+slack {
-			t.Errorf("%s allocated %d B; the next CSR is %d B (+%d slack) on %d edges", c.name, got, csr, slack, next.NumEdges())
+	}
+
+	const steps = 8
+	local := make([][]graph.Edge, steps)
+	rng := rand.New(rand.NewSource(3))
+	for i := range local {
+		page := i * graph.PageVertices
+		for range batchEdges {
+			local[i] = append(local[i], graph.Edge{
+				Src:    graph.VertexID(page + rng.Intn(graph.PageVertices)),
+				Dst:    graph.VertexID(rng.Intn(tiny.NumVertices())),
+				Weight: rng.Float32(),
+			})
 		}
 	}
+	csr := 8*len(tiny.RowPtr) + 4*len(tiny.Dst) + 4*len(tiny.Weight)
+	got = math.MaxInt
+	for range tries {
+		g = NewGraph(tiny, steps)
+		got = min(got, allocated(func() {
+			for _, batch := range local {
+				mustApply(t, g, batch, nil)
+			}
+		}))
+	}
+	if got >= csr {
+		t.Errorf("%d epochs allocated %d B; one CSR is %d B", steps, got, csr)
+	}
+}
+
+func mustApply(t *testing.T, g *Graph, ins, dels []graph.Edge) {
+	if ch, _, _, err := g.Apply(ins, dels); err != nil || ch.Epoch == 0 {
+		t.Fatalf("epoch %d, err %v", ch.Epoch, err)
+	}
+}
+
+// touchedPages returns the first vertex of every page that holds a source
+// in the batches.
+func touchedPages(batches ...[]graph.Edge) map[graph.VertexID]bool {
+	out := map[graph.VertexID]bool{}
+	for _, v := range sources(batches...) {
+		out[v/graph.PageVertices*graph.PageVertices] = true
+	}
+	return out
+}
+
+// pageBytes is the size of g's pages that start at the given vertices:
+// row pointers, destinations and weights.
+func pageBytes(g graph.Adjacency, firsts map[graph.VertexID]bool) int {
+	edge := 4
+	if g.Weighted() {
+		edge = 8
+	}
+	total := 0
+	for first := range firsts {
+		last := min(int(first)+graph.PageVertices, g.NumVertices())
+		total += 8 * (last - int(first) + 1)
+		for v := int(first); v < last; v++ {
+			total += edge * g.OutDegree(graph.VertexID(v))
+		}
+	}
+	return total
+}
+
+// sameRows reports whether the page starting at first reads the same
+// storage in a and b: its rows are equal and the first non-empty one
+// starts at the same address.
+func sameRows(a, b graph.Adjacency, first graph.VertexID) bool {
+	last := min(int(first)+graph.PageVertices, a.NumVertices())
+	shared := false
+	for v := first; int(v) < last; v++ {
+		x, y := a.Neighbors(v), b.Neighbors(v)
+		if !slices.Equal(x, y) {
+			return false
+		}
+		if len(x) > 0 && !shared {
+			if &x[0] != &y[0] {
+				return false
+			}
+			shared = true
+		}
+	}
+	return shared
 }
 
 // BenchmarkGraphApply times one 16-edge insert and one 16-edge delete

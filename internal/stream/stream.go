@@ -19,7 +19,8 @@
 //
 // The pieces:
 //
-//   - Graph — the versioned mutable graph: current CSR + epoch + bounded
+//   - Graph — the versioned mutable graph: current graph (a paged epoch
+//     that shares untouched pages with the one before) + epoch + bounded
 //     change history. Apply (a live batch), ApplyExact (logged-record
 //     replay) and Reset (snapshot adoption) are the only ways its epoch
 //     moves; each returns
