@@ -6,7 +6,7 @@ func Example() {
 	main()
 	// Output:
 	// network: 8192 nodes, 49152 links; source hub: 3402
-	// cold start: epoch 0, mode "cold", 23784 activations
+	// cold start: epoch 0, mode "cold", 22622 activations
 	//
 	// batch 1: +50 links → epoch 1; served mode "warm", 115 activations; max divergence vs fresh solve 0.0e+00
 	// batch 2: +50 links → epoch 2; served mode "warm", 93 activations; max divergence vs fresh solve 0.0e+00

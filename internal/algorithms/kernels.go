@@ -93,12 +93,11 @@ func weightAt(wt []float32, i int) float64 {
 // class resets the pending delta to the class's identity, reduces it into
 // the state and tests Changed; per changed row, the case picks k's edge op.
 func (s *solver) run(k kernel) {
-	state, acc, inList, wl := s.state, s.acc, s.inList, s.wl
+	state, acc, wl := s.state, s.acc, s.wl
 	alpha, threshold := k.alpha, k.threshold
 	for s.more() {
-		// next's pop, written out so that Worklist.Pop inlines here
+		// next, written out so that an activation makes one call (Pop)
 		v := wl.Pop()
-		inList[v] = false
 		s.res.Activations++
 		delta := acc[v]
 		old := state[v]
@@ -117,18 +116,12 @@ func (s *solver) run(k kernel) {
 				out := alpha * delta / float64(len(dst))
 				for _, d := range dst {
 					acc[d] += out
-					if !inList[d] {
-						inList[d] = true
-						wl.Push(d)
-					}
+					wl.Push(d)
 				}
 			case scaleWeight:
 				for i, d := range dst {
 					acc[d] += float64(alpha * weightAt(wt, i) * delta)
-					if !inList[d] {
-						inList[d] = true
-						wl.Push(d)
-					}
+					wl.Push(d)
 				}
 			}
 		case reduceMin:
@@ -144,10 +137,7 @@ func (s *solver) run(k kernel) {
 			case addWeight:
 				for i, d := range dst {
 					acc[d] = min(acc[d], weightAt(wt, i)+delta)
-					if !inList[d] {
-						inList[d] = true
-						wl.Push(d)
-					}
+					wl.Push(d)
 				}
 			case addOne, zero:
 				out := delta + 1
@@ -156,10 +146,7 @@ func (s *solver) run(k kernel) {
 				}
 				for _, d := range dst {
 					acc[d] = min(acc[d], out)
-					if !inList[d] {
-						inList[d] = true
-						wl.Push(d)
-					}
+					wl.Push(d)
 				}
 			}
 		default:
@@ -175,26 +162,17 @@ func (s *solver) run(k kernel) {
 			case forward:
 				for _, d := range dst {
 					acc[d] = max(acc[d], delta)
-					if !inList[d] {
-						inList[d] = true
-						wl.Push(d)
-					}
+					wl.Push(d)
 				}
 			case capWeight:
 				for i, d := range dst {
 					acc[d] = max(acc[d], min(delta, weightAt(wt, i)))
-					if !inList[d] {
-						inList[d] = true
-						wl.Push(d)
-					}
+					wl.Push(d)
 				}
 			case mulWeight:
 				for i, d := range dst {
 					acc[d] = max(acc[d], delta*weightAt(wt, i))
-					if !inList[d] {
-						inList[d] = true
-						wl.Push(d)
-					}
+					wl.Push(d)
 				}
 			}
 		}

@@ -63,8 +63,9 @@ func sameValue(a, b Value) bool {
 // state old and pending delta δ, every sink's pending delta being acc, and
 // compares what the loop wrote with alg's methods: state[0] with
 // Reduce(old, δ), the emitted count with Changed, acc[0] with Identity, and
-// each sink's pending delta with Reduce(acc, Propagate(δ, edge)). The sinks
-// are marked queued, so the loop folds into them without activating them.
+// each sink's pending delta with Reduce(acc, Propagate(δ, edge)). The sinks'
+// occupancy bits are set without counting them in Len, so the loop folds
+// into them as queued vertices and stops before activating them.
 func checkKernel(alg Algorithm, g *graph.CSR, old, delta, acc Value) error {
 	k, ok := kernelFor(alg)
 	if !ok {
@@ -73,16 +74,16 @@ func checkKernel(alg Algorithm, g *graph.CSR, old, delta, acc Value) error {
 	n := g.NumVertices()
 	s := solver{
 		g: g, csr: g,
-		state:  make([]Value, n),
-		acc:    make([]Value, n),
-		inList: make([]bool, n),
-		wl:     NewWorklist(g, 0, graph.VertexID(n)),
+		state: make([]Value, n),
+		acc:   make([]Value, n),
+		wl:    NewWorklist(g, 0, graph.VertexID(n)),
 	}
 	s.state[0], s.acc[0] = old, delta
 	for d := 1; d < n; d++ {
-		s.acc[d], s.inList[d] = acc, true
+		s.acc[d] = acc
+		s.wl.queued[d>>6] |= 1 << (d & 63)
 	}
-	s.enqueue(0)
+	s.wl.Push(0)
 	s.run(k)
 
 	next := alg.Reduce(old, delta)

@@ -25,11 +25,11 @@ const ctxPollInterval = 1024
 
 // Solve runs alg to convergence with a sequential vertex-coalescing
 // worklist — the software embodiment of Algorithm 1 from the paper with
-// per-vertex coalescing and a Worklist queue: a FIFO for in-RAM graphs, a
-// slice-by-slice sweep (Section IV-F) for out-of-core stores. It is exact
-// (not approximate) given the algorithm's algebraic laws, and serves as the
-// golden model that every engine (accelerator, Ligra-style,
-// Graphicionado-style) is tested against.
+// per-vertex coalescing and a Worklist queue, the occupancy bit-vector
+// drained in ascending rounds, slice by slice (Section IV-F) on
+// out-of-core stores. It is exact (not approximate) given the algorithm's
+// algebraic laws, and serves as the golden model that every engine
+// (accelerator, Ligra-style, Graphicionado-style) is tested against.
 func Solve(g graph.Adjacency, alg Algorithm) *SolveResult {
 	res, _ := SolveCtx(nil, g, alg)
 	return res
@@ -68,20 +68,19 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg Algorithm) (*SolveResu
 }
 
 // solver is one solve's working set: the vertex state, the delta pending
-// at each vertex (acc) and whether the vertex is queued (inList). The
-// reference loop and the kernel loop share it, and with it the
+// at each vertex (acc) and the worklist of queued vertices. The reference
+// loop and the kernel loop share it, and with it the
 // initialization, the worklist order and the cancellation polling.
 type solver struct {
-	ctx    context.Context
-	g      graph.Adjacency
-	csr    *graph.CSR   // g when it is an in-RAM CSR, else nil
-	paged  *graph.Paged // g when it is a mutated graph's paged epoch, else nil
-	state  []Value
-	acc    []Value
-	inList []bool
-	wl     *Worklist
-	res    SolveResult
-	err    error
+	ctx   context.Context
+	g     graph.Adjacency
+	csr   *graph.CSR   // g when it is an in-RAM CSR, else nil
+	paged *graph.Paged // g when it is a mutated graph's paged epoch, else nil
+	state []Value
+	acc   []Value
+	wl    *Worklist
+	res   SolveResult
+	err   error
 }
 
 // init sets the state from alg's InitState and every pending delta to
@@ -91,12 +90,11 @@ type solver struct {
 func (s *solver) init(ctx context.Context, g graph.Adjacency, alg Algorithm) {
 	n := g.NumVertices()
 	*s = solver{
-		ctx:    ctx,
-		g:      g,
-		state:  make([]Value, n),
-		acc:    make([]Value, n),
-		inList: make([]bool, n),
-		wl:     NewWorklist(g, 0, graph.VertexID(n)),
+		ctx:   ctx,
+		g:     g,
+		state: make([]Value, n),
+		acc:   make([]Value, n),
+		wl:    NewWorklist(g, 0, graph.VertexID(n)),
 	}
 	s.csr, _ = g.(*graph.CSR)
 	s.paged, _ = g.(*graph.Paged)
@@ -107,15 +105,7 @@ func (s *solver) init(ctx context.Context, g graph.Adjacency, alg Algorithm) {
 	}
 	for _, ev := range alg.InitialEvents(g) {
 		s.acc[ev.Vertex] = alg.Reduce(s.acc[ev.Vertex], ev.Delta)
-		s.enqueue(ev.Vertex)
-	}
-}
-
-// enqueue queues v unless it is already queued.
-func (s *solver) enqueue(v graph.VertexID) {
-	if !s.inList[v] {
-		s.inList[v] = true
-		s.wl.Push(v)
+		s.wl.Push(ev.Vertex)
 	}
 }
 
@@ -133,7 +123,6 @@ func (s *solver) next() (graph.VertexID, bool) {
 		return 0, false
 	}
 	v := s.wl.Pop()
-	s.inList[v] = false
 	s.res.Activations++
 	return v, true
 }
@@ -197,7 +186,7 @@ func (s *solver) reference(alg Algorithm) {
 			})
 			s.res.Emitted++
 			acc[d] = alg.Reduce(acc[d], out)
-			s.enqueue(d)
+			s.wl.Push(d)
 		}
 	}
 }

@@ -1,112 +1,152 @@
 package algorithms
 
-import "graphpulse/internal/graph"
+import (
+	"math/bits"
+	"sort"
 
-// Worklist is the coalescing solvers' vertex queue: one fixed-capacity ring
-// FIFO per graph slice, all over a single backing array covering the owner's
-// vertex range [lo, hi). Callers keep the inList discipline — a vertex is
-// pushed only while it is not queued — so each vertex occupies at most one
-// slot and a slice's ring never needs more slots than the slice has
-// vertices. (A `worklist = worklist[1:]` pop would pin the consumed prefix
-// of the backing array for the whole solve and force append to grow a fresh
-// array once the tail passes cap.)
+	"graphpulse/internal/graph"
+)
+
+// Worklist is the coalescing solvers' vertex queue, the software form of
+// the paper's occupancy bit-vector (Sections IV-B to IV-D): one bit per
+// vertex of the owner's range [lo, hi), read in ascending order the way
+// the priority encoder reads it and drained in rounds. The occupancy bit
+// is also the coalescing test: Push reports false for a vertex already
+// queued, whose pending delta the caller has just reduced in place.
 //
-// Pop sweeps the slices cyclically, the paper's Section IV-F schedule:
-// events for the resident slice are processed, events for other slices
-// wait. From each slice it takes only what was queued when the sweep
-// arrived; entries pushed into the current slice during its visit wait for
-// the next sweep, so an out-of-core store swaps each slice in once per
-// sweep instead of once per activation, and no slice is starved. Slice
-// boundaries come from the graph (graph.SliceBoundaries). A graph that is
-// not sliced — every in-RAM *graph.CSR — gets one ring, which is a plain
-// FIFO.
+// Pop sweeps the graph's slices cyclically, the paper's Section IV-F
+// schedule: a visit pops, in ascending vertex order, what its slice held
+// when the sweep arrived. A vertex pushed into the slice being visited is
+// marked held and waits for the next visit, so an out-of-core store swaps
+// each slice in once per sweep instead of once per activation, and no
+// slice is starved. Slice boundaries come from the graph
+// (graph.SliceBoundaries). A graph that is not sliced — every in-RAM
+// *graph.CSR — is one slice, so each round pops every vertex queued when
+// the round began, lowest id first, and reads the rows nearly in order.
 type Worklist struct {
-	buf    []graph.VertexID // backing array of every ring, hi-lo slots
-	rings  []ring           // one per slice, ascending
-	lo     graph.VertexID   // first vertex of the owner's range
-	ringAt []uint32         // ring index of vertex lo+i; nil with one ring
-	cur    int              // ring the sweep is visiting
-	quota  int              // entries still to take from cur on this visit
-	total  int
-}
-
-// ring is one slice's FIFO: the slots buf[base : base+size] serve the
-// slice's vertices [lo+base, lo+base+size), lo being the worklist's.
-type ring struct {
-	base, size, head, count int
+	queued []uint64 // bit i: vertex lo+i is queued
+	held   []uint64 // bit i: vertex lo+i was pushed during its slice's visit
+	// bit j: queued[j] is not zero. The priority encoder's second level:
+	// a sparse round finds its next vertex without reading every word.
+	nonzero []uint64
+	lo      graph.VertexID
+	cuts    []int // slice starts as offsets from lo, ascending, then hi-lo
+	// The slice being visited is [start, end), offsets from lo; before the
+	// first Pop no slice is visited. The sweep's cursor is in word, and
+	// ready holds that word's vertices still to pop on this visit.
+	start, end, word int
+	ready            uint64
+	total            int
 }
 
 // NewWorklist returns an empty worklist for the vertices [lo, hi) of g.
 func NewWorklist(g graph.Adjacency, lo, hi graph.VertexID) *Worklist {
 	// The graph's boundaries inside (lo, hi) cut the owner's range; a graph
 	// that is not sliced contributes none.
-	cuts := []graph.VertexID{lo}
+	cuts := make([]int, 1, 2)
 	for _, b := range graph.SliceBoundaries(g) {
 		if b > lo && b < hi {
-			cuts = append(cuts, b)
+			cuts = append(cuts, int(b-lo))
 		}
 	}
-	w := &Worklist{buf: make([]graph.VertexID, hi-lo), rings: make([]ring, len(cuts)), lo: lo}
-	if len(cuts) > 1 {
-		// A container may hold up to 2^20 slices, so the per-vertex index
-		// is what keeps Push O(1); a one-ring worklist needs none.
-		w.ringAt = make([]uint32, hi-lo)
+	words := (int(hi-lo) + 63) / 64
+	bitmaps := make([]uint64, 2*words+(words+63)/64)
+	return &Worklist{
+		queued:  bitmaps[:words:words],
+		held:    bitmaps[words : 2*words : 2*words],
+		nonzero: bitmaps[2*words:],
+		lo:      lo,
+		cuts:    append(cuts, int(hi-lo)),
 	}
-	for i, c := range cuts {
-		end := hi
-		if i+1 < len(cuts) {
-			end = cuts[i+1]
-		}
-		w.rings[i] = ring{base: int(c - lo), size: int(end - c)}
-		if w.ringAt != nil {
-			at := w.ringAt[c-lo : end-lo]
-			for j := range at {
-				at[j] = uint32(i)
-			}
-		}
-	}
-	w.cur = len(w.rings) - 1 // the first Pop advances the sweep to slice 0
-	return w
 }
 
 // Len returns the number of queued vertices.
 func (w *Worklist) Len() int { return w.total }
 
-// ringOf returns the ring of the slice containing v.
-func (w *Worklist) ringOf(v graph.VertexID) *ring {
-	if w.ringAt == nil {
-		return &w.rings[0]
+// Push queues v, which must lie in [lo, hi), and reports whether it was not
+// queued already.
+func (w *Worklist) Push(v graph.VertexID) bool {
+	i := int(v - w.lo)
+	bit := uint64(1) << (i & 63)
+	if w.queued[i>>6]&bit != 0 {
+		return false
 	}
-	return &w.rings[w.ringAt[v-w.lo]]
-}
-
-// Push queues v, which must lie in [lo, hi) and not already be queued.
-func (w *Worklist) Push(v graph.VertexID) {
-	r := w.ringOf(v)
-	tail := r.head + r.count
-	if tail >= r.size {
-		tail -= r.size
-	}
-	w.buf[r.base+tail] = v
-	r.count++
+	w.queued[i>>6] |= bit
+	w.nonzero[i>>12] |= 1 << (i >> 6 & 63)
 	w.total++
+	if uint(i-w.start) < uint(w.end-w.start) {
+		w.held[i>>6] |= bit
+	}
+	return true
 }
 
-// Pop removes the next vertex of the sweep. The worklist must not be empty.
+// Pop removes the next vertex of the sweep: the lowest queued, unheld
+// vertex past the cursor in the slice being visited. The worklist must not
+// be empty.
 func (w *Worklist) Pop() graph.VertexID {
-	for w.quota == 0 {
-		if w.cur++; w.cur == len(w.rings) {
-			w.cur = 0
-		}
-		w.quota = w.rings[w.cur].count
+	for w.ready == 0 {
+		w.refill()
 	}
-	r := &w.rings[w.cur]
-	v := w.buf[r.base+r.head]
-	if r.head++; r.head == r.size {
-		r.head = 0
+	bit := w.ready & -w.ready
+	w.ready ^= bit
+	if w.queued[w.word] ^= bit; w.queued[w.word] == 0 {
+		w.nonzero[w.word>>6] &^= 1 << (w.word & 63)
 	}
-	r.count--
-	w.quota--
 	w.total--
-	return v
+	return w.lo + graph.VertexID(w.word<<6+bits.TrailingZeros64(bit))
+}
+
+// refill moves the cursor on to the next nonzero word of the visited
+// slice, or ends the visit at the slice's end.
+func (w *Worklist) refill() {
+	if j := nextSet(w.nonzero, w.word+1); j >= 0 && j<<6 < w.end {
+		w.word, w.ready = j, w.unheld(j)
+	} else {
+		w.advance()
+	}
+}
+
+// advance ends the visit: it releases the visited slice's held vertices
+// and moves the sweep to the slice of the first queued vertex past this
+// slice, cyclically, with the cursor on that vertex's word.
+func (w *Worklist) advance() {
+	// Held vertices are queued, so only nonzero words hold any.
+	for j := nextSet(w.nonzero, w.start>>6); j >= 0 && j<<6 < w.end; j = nextSet(w.nonzero, j+1) {
+		w.held[j] = 0
+	}
+	i, j := w.end, w.end>>6
+	if j >= len(w.queued) || w.queued[j]>>(i&63) == 0 {
+		if j = nextSet(w.nonzero, j+1); j < 0 {
+			j = nextSet(w.nonzero, 0)
+		}
+		i = j << 6
+	}
+	i += bits.TrailingZeros64(w.queued[j] >> (i & 63))
+	s := sort.SearchInts(w.cuts, i+1) - 1
+	w.start, w.end, w.word = w.cuts[s], w.cuts[s+1], j
+	w.ready = w.unheld(j) >> (i & 63) << (i & 63) // none below i is queued in the slice
+}
+
+// unheld returns word wi's queued, unheld bits below the visited slice's
+// end; the bits below its start are the caller's to mask.
+func (w *Worklist) unheld(wi int) uint64 {
+	word := w.queued[wi] &^ w.held[wi]
+	if top := wi<<6 + 64; top > w.end {
+		word &= ^uint64(0) >> (top - w.end)
+	}
+	return word
+}
+
+// nextSet returns the lowest set bit of b at or past i, or -1.
+func nextSet(b []uint64, i int) int {
+	for j := i >> 6; j < len(b); j++ {
+		word := b[j]
+		if j == i>>6 {
+			word &= ^uint64(0) << (i & 63)
+		}
+		if word != 0 {
+			return j<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
 }

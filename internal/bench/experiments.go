@@ -357,7 +357,8 @@ func runFig13(opt Options, in *shared) error {
 	for _, s := range core.StageNames {
 		fmt.Fprintf(tw, "\t%s", s)
 	}
-	fmt.Fprintln(tw)
+	// The non-prefetching baseline's vertex read, beside the optimized one.
+	fmt.Fprintln(tw, "\tbase vtx_mem")
 	for _, c := range sweep.Cells {
 		if c.Failed() {
 			failedRow(tw, c)
@@ -367,7 +368,7 @@ func runFig13(opt Options, in *shared) error {
 		for _, s := range core.StageNames {
 			fmt.Fprintf(tw, "\t%.1f", c.Opt.StageMeans[s])
 		}
-		fmt.Fprintln(tw)
+		fmt.Fprintf(tw, "\t%.1f\n", c.Base.StageMeans["vtx_mem"])
 	}
 	return tw.Flush()
 }

@@ -30,7 +30,8 @@ type Store struct {
 	bounds []graph.VertexID // k+1 slice boundaries
 	budget int64            // resident-byte budget; <=0 means unlimited
 
-	slices []residentSlice
+	slices    []residentSlice
+	lastSlice atomic.Int32 // the slice sliceOf returned last
 
 	mu            sync.Mutex // guards the two gauges below and eviction
 	residentBytes int64
@@ -318,11 +319,19 @@ func (s *Store) mustLoad(i int) *sliceData {
 	return d
 }
 
-// sliceOf returns the index of the slice containing v.
+// sliceOf returns the index of the slice containing v, trying the slice of
+// the previous lookup first: a solver's visit reads one slice's rows in a
+// row.
 func (s *Store) sliceOf(v graph.VertexID) int {
-	return sort.Search(len(s.dir), func(i int) bool {
+	i := int(s.lastSlice.Load())
+	if e := s.dir[i]; uint64(v) >= e.lo && uint64(v) < e.hi {
+		return i
+	}
+	i = sort.Search(len(s.dir), func(i int) bool {
 		return graph.VertexID(s.dir[i].hi) > v
 	})
+	s.lastSlice.Store(int32(i))
+	return i
 }
 
 // NumVertices returns the vertex count.

@@ -187,12 +187,10 @@ type worker struct {
 	idx    int
 	lo, hi graph.VertexID
 
-	// wl queues the shard's activated vertices (slice-ordered when the
-	// graph is a sliced store); inList guarantees each owned vertex is
-	// queued at most once.
-	wl     *algorithms.Worklist
-	inList []bool
-	acc    []float64
+	// wl queues the shard's activated vertices, each at most once
+	// (slice-ordered when the graph is a sliced store).
+	wl  *algorithms.Worklist
+	acc []float64
 
 	inbox chan batch
 	// Remote-delta coalescing store: racc accumulates deltas headed to
@@ -254,14 +252,12 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg algorithms.Algorithm, 
 	}
 	s.workers = make([]*worker, w)
 	for i, sl := range part.Slices {
-		size := sl.NumVertices()
 		wk := &worker{
 			idx:     i,
 			lo:      sl.Lo,
 			hi:      sl.Hi,
 			wl:      algorithms.NewWorklist(g, sl.Lo, sl.Hi),
-			inList:  make([]bool, size),
-			acc:     make([]float64, size),
+			acc:     make([]float64, sl.NumVertices()),
 			inbox:   make(chan batch, 4*w),
 			racc:    make([]float64, n),
 			rqueued: make([]bool, n),
@@ -407,16 +403,13 @@ func (s *solver) cancel(w *worker) {
 		sim.ErrCanceled, w.activations, w.idx, s.ctx.Err()))
 }
 
-// pushLocal coalesces a delta into an owned vertex and enqueues it if not
-// already queued. Called only by the owning worker (or single-threaded
-// seeding).
+// pushLocal coalesces a delta into an owned vertex and queues the vertex
+// (a no-op when it is queued already). Called only by the owning worker
+// (or single-threaded seeding).
 func (w *worker) pushLocal(s *solver, v graph.VertexID, d float64) {
 	off := v - w.lo
 	w.acc[off] = s.alg.Reduce(w.acc[off], d)
-	if !w.inList[off] {
-		w.inList[off] = true
-		w.wl.Push(v)
-	}
+	w.wl.Push(v)
 }
 
 // bufferRemote coalesces a delta headed to another shard into the dense
@@ -512,7 +505,6 @@ func (w *worker) processChunk(s *solver) bool {
 		}
 		v := w.wl.Pop()
 		off := v - w.lo
-		w.inList[off] = false
 		d := w.acc[off]
 		old := s.state[v]
 		next := s.alg.Reduce(old, d)
