@@ -81,6 +81,12 @@ type solver struct {
 	wl    *Worklist
 	res   SolveResult
 	err   error
+
+	// g when it is an out-of-core Sliced store, else nil, and the slice
+	// read last: rows holds the rows of [lo, lo+n).
+	sliced graph.Sliced
+	lo, n  graph.VertexID
+	rows   *graph.CSR
 }
 
 // init sets the state from alg's InitState and every pending delta to
@@ -98,6 +104,7 @@ func (s *solver) init(ctx context.Context, g graph.Adjacency, alg Algorithm) {
 	}
 	s.csr, _ = g.(*graph.CSR)
 	s.paged, _ = g.(*graph.Paged)
+	s.sliced, _ = g.(graph.Sliced)
 	id := alg.Identity()
 	for v := 0; v < n; v++ {
 		s.state[v] = alg.InitState(graph.VertexID(v))
@@ -143,14 +150,23 @@ func (s *solver) canceled() bool {
 }
 
 // row returns v's out-edges: read straight from the arrays of an in-RAM
-// CSR or a paged epoch, or through one Row call on any other
-// graph.Adjacency.
+// CSR or a paged epoch, from the rows of v's slice on a Sliced store, or
+// through one Row call on any other graph.Adjacency. A Sliced store is
+// asked for v's slice only when v leaves the slice read last, about once
+// per visit, since the worklist pops a visit's vertices from one slice.
 func (s *solver) row(v graph.VertexID) ([]graph.VertexID, []float32) {
 	if s.csr != nil {
 		return s.csr.Row(v)
 	}
 	if s.paged != nil {
 		return s.paged.Row(v)
+	}
+	if s.sliced != nil {
+		if v-s.lo >= s.n { // v < lo wraps past n
+			s.lo, s.rows = s.sliced.Slice(v)
+			s.n = graph.VertexID(s.rows.NumVertices())
+		}
+		return s.rows.Row(v - s.lo)
 	}
 	return s.g.Row(v)
 }

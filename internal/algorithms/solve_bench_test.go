@@ -72,20 +72,29 @@ func benchSolve(b *testing.B, g graph.Adjacency, alg algorithms.Algorithm) {
 	}
 }
 
-// BenchmarkSolveChain stresses the ring's wraparound: a long chain with a
-// rooted algorithm activates vertices in strict sequence, lapping the ring
-// once per wavefront hop.
-func BenchmarkSolveChain(b *testing.B) {
-	g, err := gen.Chain(1<<12, true)
+// BenchmarkSolveSparse times the rooted solves whose worklist rounds are
+// sparse: bfs and sssp on a 65,536-vertex chain and a 256x256 grid, where
+// a round pops a few scattered vertices of a wavefront. ns/edge is as in
+// BenchmarkSolve, so it compares with the WG-shape solves directly.
+func BenchmarkSolveSparse(b *testing.B) {
+	chain, err := gen.Chain(1<<16, true)
 	if err != nil {
 		b.Fatal(err)
 	}
-	alg := algorithms.NewSSSP(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res := algorithms.Solve(g, alg)
-		if res.Activations == 0 {
-			b.Fatal("solve performed no activations")
+	grid, err := gen.Grid2D(256, 256, true, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.CSR
+	}{{"chain", chain}, {"grid", grid}} {
+		for _, name := range []string{"bfs", "sssp"} {
+			alg, err := algorithms.ByName(name, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(c.name+"/"+name, func(b *testing.B) { benchSolve(b, c.g, alg) })
 		}
 	}
 }

@@ -141,13 +141,19 @@ var _ Adjacency = (*CSR)(nil)
 // these slices and the parallel solver aligns its shards to them.
 type Sliced interface {
 	SliceBoundaries() []VertexID
+	// Slice returns the slice holding v as a CSR over the local ids
+	// [0, hi-lo) whose Dst holds global ids, and the slice's first vertex
+	// lo: v's row is rows.Row(v-lo). The serial solver reads a visit's rows
+	// through one Slice call. rows follows Row's aliasing rules.
+	Slice(v VertexID) (lo VertexID, rows *CSR)
 }
 
-// SliceBoundaries returns g's slice boundaries when g is Sliced and the
-// list is usable — starts at 0, ends at NumVertices, strictly increasing —
-// and nil otherwise, in which case callers treat g as a single slice.
+// SliceBoundaries returns g's slice boundaries when g has them (a Sliced
+// store has) and the list is usable — starts at 0, ends at NumVertices,
+// strictly increasing — and nil otherwise, in which case callers treat g as
+// a single slice.
 func SliceBoundaries(g Adjacency) []VertexID {
-	sl, ok := g.(Sliced)
+	sl, ok := g.(interface{ SliceBoundaries() []VertexID })
 	if !ok {
 		return nil
 	}

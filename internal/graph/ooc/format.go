@@ -13,9 +13,9 @@
 // The Store is also a graph.Sliced: the native solvers (algorithms.SolveCtx,
 // psolve) order their worklists by its slice boundaries and sweep them
 // cyclically, so a budgeted store decodes each slice at most once per sweep
-// instead of once per activation, and they read each activated vertex's
-// row with one Row call — one slice search and one residency touch, which
-// every vertex-indexed accessor shares.
+// instead of once per activation. A decoded slice is a graph.CSR over the
+// slice's local ids; the serial solver reads a visit's rows from it through
+// one Slice call, psolve each row through one Row call.
 //
 // Container layout (all integers little-endian):
 //
@@ -217,12 +217,11 @@ func encodeSegment(g *graph.CSR, lo, hi graph.VertexID, level int) []byte {
 	return buf
 }
 
-// sliceData is one decoded (resident) slice: a local CSR over [lo, hi).
+// sliceData is one decoded (resident) slice: a CSR over the local ids
+// [0, hi-lo) whose Dst holds global ids.
 type sliceData struct {
-	rowPtr []uint64 // len hi-lo+1, local edge offsets from 0
-	dst    []graph.VertexID
-	wt     []float32 // nil when the container is unweighted
-	bytes  int64     // decoded footprint charged against the budget
+	graph.CSR       // Weight is nil when the container is unweighted
+	bytes     int64 // decoded footprint charged against the budget
 }
 
 // decodeSegment decodes one slice's segment. expectEdges is the edge count
@@ -230,6 +229,12 @@ type sliceData struct {
 // garbage is an error. Allocations are bounded by len(data): a well-formed
 // vertex costs at least one byte and an edge at least one byte (four at
 // LevelRaw), and those invariants are enforced before allocating.
+//
+// The arrays are allocated at expectEdges and written by index through one
+// bounds-checked window per row. One-byte degrees and one- and two-byte
+// neighbor varints, nearly all of them on a locality-ordered graph, are
+// read inline (and the zigzag undone inline); longer ones go through
+// binary.Uvarint.
 func decodeSegment(data []byte, lo, hi graph.VertexID, n int, level int, weighted bool, expectEdges uint64) (*sliceData, error) {
 	nv := int(hi - lo)
 	minEdge := uint64(1)
@@ -243,84 +248,86 @@ func decodeSegment(data []byte, lo, hi graph.VertexID, n int, level int, weighte
 		return nil, fmt.Errorf("ooc: segment for [%d,%d) is %d bytes, below floor for %d edges",
 			lo, hi, len(data), expectEdges)
 	}
-	d := &sliceData{
-		rowPtr: make([]uint64, nv+1),
-		dst:    make([]graph.VertexID, 0, expectEdges),
-	}
+	d := &sliceData{CSR: graph.CSR{RowPtr: make([]uint64, nv+1), Dst: make([]graph.VertexID, expectEdges)}}
 	if weighted {
-		d.wt = make([]float32, 0, expectEdges)
+		d.Weight = make([]float32, expectEdges)
 	}
-	pos := 0
+	rest, edges, un := data, uint64(0), uint64(n) // rest: the bytes not read yet
 	for v := lo; v < hi; v++ {
-		deg, l := binary.Uvarint(data[pos:])
-		if l <= 0 {
+		deg, ok := uint64(0), true
+		if len(rest) > 0 && rest[0] < 0x80 {
+			deg, rest = uint64(rest[0]), rest[1:]
+		} else if deg, rest, ok = uvarint(rest); !ok {
 			return nil, fmt.Errorf("ooc: bad degree varint at vertex %d", v)
 		}
-		pos += l
-		if uint64(len(d.dst))+deg > expectEdges {
+		if deg > expectEdges-edges {
 			return nil, fmt.Errorf("ooc: slice [%d,%d) exceeds directory edge count %d", lo, hi, expectEdges)
 		}
-		switch level {
-		case LevelRaw:
-			if pos+4*int(deg) > len(data) {
+		row := d.Dst[edges : edges+deg]
+		if level == LevelRaw {
+			if uint64(len(rest)) < 4*deg {
 				return nil, fmt.Errorf("ooc: truncated raw neighbors at vertex %d", v)
 			}
-			for j := uint64(0); j < deg; j++ {
-				id := binary.LittleEndian.Uint32(data[pos:])
-				pos += 4
-				if int(id) >= n {
-					return nil, fmt.Errorf("ooc: edge %d->%d out of range [0,%d)", v, id, n)
+			src := rest[:4*deg]
+			for j := range row {
+				if row[j] = binary.LittleEndian.Uint32(src[4*j:]); uint64(row[j]) >= un {
+					return nil, fmt.Errorf("ooc: edge %d->%d out of range [0,%d)", v, row[j], n)
 				}
-				d.dst = append(d.dst, graph.VertexID(id))
 			}
-		case LevelVarint:
-			for j := uint64(0); j < deg; j++ {
-				id, l := binary.Uvarint(data[pos:])
-				if l <= 0 {
-					return nil, fmt.Errorf("ooc: bad neighbor varint at vertex %d", v)
+			rest = rest[len(src):]
+		} else {
+			prev := int64(v) // LevelDelta's predecessor
+			for j := range row {
+				var x uint64
+				if len(rest) > 1 && rest[0] < 0x80 {
+					x, rest = uint64(rest[0]), rest[1:]
+				} else if len(rest) > 1 && rest[1] < 0x80 {
+					x, rest = uint64(rest[0]&0x7f)|uint64(rest[1])<<7, rest[2:]
+				} else if x, rest, ok = uvarint(rest); !ok {
+					return nil, fmt.Errorf("ooc: bad neighbor varint at vertex %d (level %d)", v, level)
 				}
-				pos += l
-				if id >= uint64(n) {
-					return nil, fmt.Errorf("ooc: edge %d->%d out of range [0,%d)", v, id, n)
+				if level == LevelDelta {
+					x = uint64(prev + (int64(x>>1) ^ -int64(x&1))) // undo the zigzag
+					prev = int64(x)
 				}
-				d.dst = append(d.dst, graph.VertexID(id))
-			}
-		case LevelDelta:
-			prev := int64(v)
-			for j := uint64(0); j < deg; j++ {
-				delta, l := binary.Varint(data[pos:])
-				if l <= 0 {
-					return nil, fmt.Errorf("ooc: bad neighbor delta at vertex %d", v)
+				if x >= un {
+					return nil, fmt.Errorf("ooc: edge %d->%d out of range [0,%d)", v, int64(x), n)
 				}
-				pos += l
-				id := prev + delta
-				if id < 0 || id >= int64(n) {
-					return nil, fmt.Errorf("ooc: edge %d->%d out of range [0,%d)", v, id, n)
-				}
-				prev = id
-				d.dst = append(d.dst, graph.VertexID(id))
+				row[j] = graph.VertexID(x)
 			}
 		}
 		if weighted {
-			if pos+4*int(deg) > len(data) {
+			if uint64(len(rest)) < 4*deg {
 				return nil, fmt.Errorf("ooc: truncated weights at vertex %d", v)
 			}
-			for j := uint64(0); j < deg; j++ {
-				d.wt = append(d.wt, floatFromBits(binary.LittleEndian.Uint32(data[pos:])))
-				pos += 4
+			wt, src := d.Weight[edges:edges+deg], rest[:4*deg]
+			for j := range wt {
+				wt[j] = floatFromBits(binary.LittleEndian.Uint32(src[4*j:]))
 			}
+			rest = rest[len(src):]
 		}
-		d.rowPtr[int(v-lo)+1] = uint64(len(d.dst))
+		edges += deg
+		d.RowPtr[int(v-lo)+1] = edges
 	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("ooc: %d trailing bytes after slice [%d,%d)", len(data)-pos, lo, hi)
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("ooc: %d trailing bytes after slice [%d,%d)", len(rest), lo, hi)
 	}
-	if uint64(len(d.dst)) != expectEdges {
+	if edges != expectEdges {
 		return nil, fmt.Errorf("ooc: slice [%d,%d) decoded %d edges, directory says %d",
-			lo, hi, len(d.dst), expectEdges)
+			lo, hi, edges, expectEdges)
 	}
-	d.bytes = int64(len(d.rowPtr))*8 + int64(len(d.dst))*4 + int64(len(d.wt))*4
+	d.bytes = int64(len(d.RowPtr))*8 + int64(len(d.Dst))*4 + int64(len(d.Weight))*4
 	return d, nil
+}
+
+// uvarint is binary.Uvarint returning the bytes after the varint; ok is
+// false for a truncated or overflowing varint.
+func uvarint(b []byte) (x uint64, rest []byte, ok bool) {
+	x, l := binary.Uvarint(b)
+	if l <= 0 {
+		return 0, nil, false
+	}
+	return x, b[l:], true
 }
 
 // parseHeader decodes and sanity-checks the fixed header against the file

@@ -3,6 +3,7 @@ package ooc
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -232,6 +233,104 @@ func TestStoreConcurrentReaders(t *testing.T) {
 	}
 }
 
+// rowPath is a store without its Slice method: the worklist still sweeps
+// its slices, and the solver reads every row through Row.
+type rowPath struct {
+	graph.Adjacency
+	bounds []graph.VertexID
+}
+
+func (r rowPath) SliceBoundaries() []graph.VertexID { return r.bounds }
+
+// The solver's slice view changes how rows are looked up, nothing else: a
+// solve on a store equals a solve on the same store through Row, value
+// bits, activations, emitted deltas, decodes and evictions alike, at an
+// unlimited and a quarter budget. Only the lookups (hits) fall.
+func TestSliceViewMatchesRowPath(t *testing.T) {
+	g := testGraph(t, true).NormalizeInbound() // adsorption converges only on inbound-normalized weights
+	root := graph.BestRoot(g)
+	for _, budget := range []int64{0, decodedBytes(g) / 4} {
+		view := pack(t, g, WriteOptions{Slices: 16}, budget)
+		rows := pack(t, g, WriteOptions{Slices: 16}, budget)
+		for _, name := range algorithms.Names() {
+			alg, err := algorithms.ByName(name, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			view.ResetCounters()
+			rows.ResetCounters()
+			got := algorithms.Solve(view, alg)
+			want := algorithms.Solve(rowPath{rows, rows.SliceBoundaries()}, alg)
+			gc, wc := view.Counters(), rows.Counters()
+			t.Logf("budget %d %s: %d activations, %d decodes, lookups %d (Row path %d)",
+				budget, name, got.Activations, gc.Decodes, gc.Hits+gc.Decodes, wc.Hits+wc.Decodes)
+			if !slices.EqualFunc(got.Values, want.Values, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+				t.Errorf("budget %d %s: values differ from the Row path", budget, name)
+			}
+			if got.Activations != want.Activations || got.Emitted != want.Emitted ||
+				gc.Decodes != wc.Decodes || gc.Evictions != wc.Evictions {
+				t.Errorf("budget %d %s: activations/emitted/decodes/evictions %d/%d/%d/%d, Row path %d/%d/%d/%d",
+					budget, name, got.Activations, got.Emitted, gc.Decodes, gc.Evictions,
+					want.Activations, want.Emitted, wc.Decodes, wc.Evictions)
+			}
+			if gc.Hits > wc.Hits {
+				t.Errorf("budget %d %s: %d hits, more than the Row path's %d", budget, name, gc.Hits, wc.Hits)
+			}
+		}
+	}
+}
+
+// Readers hold a slice view across a whole slice's rows while the other
+// readers and a solve make a quarter-budget store evict: every view stays
+// correct, since eviction drops the store's reference, not the reader's.
+func TestSliceViewConcurrentReaders(t *testing.T) {
+	g := testGraph(t, true)
+	s := pack(t, g, WriteOptions{Slices: 16}, decodedBytes(g)/4)
+	s.ResetCounters()
+	bounds := s.SliceBoundaries()
+	k := len(bounds) - 1
+	root := graph.BestRoot(g)
+	want := algorithms.Solve(g, algorithms.NewSSSP(root))
+	const readers, sweeps = 4, 3
+	errs := make(chan error, readers+1)
+	for r := 0; r < readers; r++ {
+		go func(r int) {
+			for i := 0; i < sweeps*k; i++ {
+				j := (i + r*k/readers) % k
+				lo, rows := s.Slice(bounds[j])
+				if lo != bounds[j] || rows.NumVertices() != int(bounds[j+1]-lo) {
+					errs <- fmt.Errorf("reader %d: Slice(%d) = [%d,+%d), want [%d,%d)", r, bounds[j], lo, rows.NumVertices(), bounds[j], bounds[j+1])
+					return
+				}
+				for v := lo; v < bounds[j+1]; v++ {
+					dst, wt := rows.Row(v - lo)
+					if !slices.Equal(dst, g.Neighbors(v)) || !slices.Equal(wt, g.NeighborWeights(v)) {
+						errs <- fmt.Errorf("reader %d: row %d = %v, %v, want %v, %v", r, v, dst, wt, g.Neighbors(v), g.NeighborWeights(v))
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(r)
+	}
+	go func() {
+		got := algorithms.Solve(s, algorithms.NewSSSP(root))
+		if !slices.Equal(got.Values, want.Values) {
+			errs <- fmt.Errorf("sssp on the evicting store differs from the in-RAM solve")
+			return
+		}
+		errs <- nil
+	}()
+	for r := 0; r <= readers; r++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if c := s.Counters(); c.Evictions == 0 {
+		t.Errorf("no evictions at a quarter budget: %+v", c)
+	}
+}
+
 // benchGraph is a larger RMAT instance for the per-layer benchmarks.
 func benchGraph(b *testing.B) *graph.CSR {
 	b.Helper()
@@ -272,7 +371,8 @@ func BenchmarkStoreRow(b *testing.B) {
 }
 
 // BenchmarkDecodeSegment decodes every segment of a container at each
-// compression level; MB/s counts decoded bytes, as ooc.decode_mb_per_s does.
+// compression level; MB/s counts decoded bytes, as ooc.decode_mb_per_s does,
+// and ns/edge is elapsed time per decoded edge.
 func BenchmarkDecodeSegment(b *testing.B) {
 	g := benchGraph(b)
 	for level := LevelRaw; level <= LevelDelta; level++ {
@@ -296,6 +396,7 @@ func BenchmarkDecodeSegment(b *testing.B) {
 					}
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(g.NumEdges())), "ns/edge")
 		})
 	}
 }

@@ -56,8 +56,10 @@ type Counters struct {
 	Decodes int64
 	// Evictions counts budget-driven slice drops.
 	Evictions int64
-	// Hits counts row reads served by an already-resident slice: one per
-	// Row (or per-field accessor) call.
+	// Hits counts slice lookups served by an already-resident slice: one
+	// per Row (or per-field accessor) or Slice call, so one per visit of a
+	// slice for the serial solver, which reads a visit's rows through one
+	// Slice call.
 	Hits int64
 	// ResidentBytes is the decoded bytes currently charged against the
 	// budget.
@@ -75,6 +77,27 @@ type Counters struct {
 // way every segment is verification-decoded once before Open returns, so a
 // corrupt or truncated container fails here rather than mid-solve.
 func Open(path string, residentBytes int64) (*Store, error) {
+	s, err := open(path, residentBytes)
+	if err != nil {
+		return nil, err
+	}
+	// Verification pass: decode every segment once through the normal
+	// residency path. This bounds memory by the budget (each slice the scan
+	// just left is evicted as it advances), leaves the head of the slice set
+	// resident for the first sweep, and guarantees later decodes of a
+	// well-formed file cannot fail.
+	for i := range s.dir {
+		if _, err := s.load(i); err != nil {
+			s.Close()
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// open maps the container at path and parses its header and directory,
+// decoding no segment.
+func open(path string, residentBytes int64) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("ooc: %w", err)
@@ -119,11 +142,17 @@ func IsPack(path string) bool {
 // resident, so the decode never holds the container's slices beside the
 // CSR it builds, and a torn or corrupt container fails as it does in Open.
 func ReadCSR(path string) (*graph.CSR, error) {
-	s, err := Open(path, 1)
+	s, err := open(path, 1)
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
+	return s.csr()
+}
+
+// csr decodes each slice once, in order, appending it to one CSR; this
+// decode is also the container's verification.
+func (s *Store) csr() (*graph.CSR, error) {
 	g := &graph.CSR{
 		RowPtr: make([]uint64, 1, s.hdr.n+1),
 		Dst:    make([]graph.VertexID, 0, s.hdr.m),
@@ -137,19 +166,18 @@ func ReadCSR(path string) (*graph.CSR, error) {
 			return nil, err
 		}
 		base := uint64(len(g.Dst))
-		for _, off := range d.rowPtr[1:] {
+		for _, off := range d.RowPtr[1:] {
 			g.RowPtr = append(g.RowPtr, base+off)
 		}
-		g.Dst = append(g.Dst, d.dst...)
+		g.Dst = append(g.Dst, d.Dst...)
 		if g.Weight != nil {
-			g.Weight = append(g.Weight, d.wt...)
+			g.Weight = append(g.Weight, d.Weight...)
 		}
 	}
 	return g, nil
 }
 
-// init parses the container's header and directory and verification-decodes
-// every segment.
+// init parses the container's header and directory.
 func (s *Store) init(size int64) error {
 	hdr, err := parseHeader(s.f, size)
 	if err != nil {
@@ -166,16 +194,6 @@ func (s *Store) init(size int64) error {
 		s.bounds[i] = graph.VertexID(e.lo)
 	}
 	s.bounds[len(dir)] = graph.VertexID(hdr.n)
-	// Verification pass: decode every segment once through the normal
-	// residency path. This bounds memory by the budget (each slice the scan
-	// just left is evicted as it advances), leaves the head of the slice set
-	// resident for the first sweep, and guarantees later decodes of a
-	// well-formed file cannot fail.
-	for i := range dir {
-		if _, err := s.load(i); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -343,32 +361,29 @@ func (s *Store) NumEdges() int { return int(s.hdr.m) }
 // Weighted reports whether the container carries edge weights.
 func (s *Store) Weighted() bool { return s.hdr.weighted() }
 
-// row is the one vertex-indexed lookup every accessor below shares: one
-// slice search and one residency touch, returning the slice's decoded data
-// and v's edge range [lo, hi) inside it.
-func (s *Store) row(v graph.VertexID) (d *sliceData, lo, hi uint64) {
+// Slice returns the slice holding v as a CSR over local ids whose Dst holds
+// global ids, and the slice's first vertex: v's row is rows.Row(v-lo). It is
+// the one vertex-indexed lookup every accessor below shares — one slice
+// search and one residency touch — and it makes the store a graph.Sliced.
+// rows aliases the resident decode buffer and must not be modified; it stays
+// valid after eviction (eviction drops the store's reference, not the
+// caller's).
+func (s *Store) Slice(v graph.VertexID) (lo graph.VertexID, rows *graph.CSR) {
 	i := s.sliceOf(v)
-	d = s.mustLoad(i)
-	off := int(v - graph.VertexID(s.dir[i].lo))
-	return d, d.rowPtr[off], d.rowPtr[off+1]
+	return graph.VertexID(s.dir[i].lo), &s.mustLoad(i).CSR
 }
 
 // Row returns the out-neighbors of v and their weights (nil for unweighted
-// containers) from a single residency touch. The slices alias the resident
-// decode buffer and must not be modified; they stay valid after eviction
-// (eviction drops the store's reference, not the caller's).
+// containers) from a single residency touch. Same aliasing rules as Slice.
 func (s *Store) Row(v graph.VertexID) (dst []graph.VertexID, wt []float32) {
-	d, lo, hi := s.row(v)
-	if !s.hdr.weighted() {
-		return d.dst[lo:hi], nil
-	}
-	return d.dst[lo:hi], d.wt[lo:hi]
+	lo, rows := s.Slice(v)
+	return rows.Row(v - lo)
 }
 
 // OutDegree returns the out-degree of v.
 func (s *Store) OutDegree(v graph.VertexID) int {
-	_, lo, hi := s.row(v)
-	return int(hi - lo)
+	lo, rows := s.Slice(v)
+	return rows.OutDegree(v - lo)
 }
 
 // Neighbors returns the out-neighbors of v. Same aliasing rules as Row.
@@ -387,4 +402,7 @@ func (s *Store) NeighborWeights(v graph.VertexID) []float32 {
 	return wt
 }
 
-var _ graph.Adjacency = (*Store)(nil)
+var (
+	_ graph.Adjacency = (*Store)(nil)
+	_ graph.Sliced    = (*Store)(nil)
+)
