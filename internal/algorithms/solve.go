@@ -3,6 +3,7 @@ package algorithms
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"graphpulse/internal/graph"
 	"graphpulse/internal/sim"
@@ -59,6 +60,10 @@ func SolveCtx(ctx context.Context, g graph.Adjacency, alg Algorithm) (*SolveResu
 	} else {
 		s.reference(alg)
 	}
+	select {
+	case accFree <- s.acc:
+	default:
+	}
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -89,25 +94,46 @@ type solver struct {
 	rows   *graph.CSR
 }
 
-// init sets the state from alg's InitState and every pending delta to
-// alg's identity, and queues alg's initial events. A warm start's
-// InitState and InitialEvents come from the wrapper, so warm and cone
-// restarts begin exactly where the wrapper says.
+// accFree recycles pending-delta arrays, one per processor (as many solves
+// as run at once), where a sync.Pool would drop some under the race
+// detector and TestSolveAllocations' count with them.
+var accFree = make(chan []Value, runtime.GOMAXPROCS(0))
+
+// init sets the state from alg's InitState (in one copy from a warm start's
+// prior state), every pending delta to alg's identity in a recycled array,
+// and queues alg's initial events, which a warm start's wrapper supplies.
 func (s *solver) init(ctx context.Context, g graph.Adjacency, alg Algorithm) {
 	n := g.NumVertices()
+	var acc []Value
+	select {
+	case acc = <-accFree:
+	default:
+	}
+	if cap(acc) < n {
+		acc = make([]Value, n)
+	}
 	*s = solver{
 		ctx:   ctx,
 		g:     g,
 		state: make([]Value, n),
-		acc:   make([]Value, n),
+		acc:   acc[:n],
 		wl:    NewWorklist(g, 0, graph.VertexID(n)),
 	}
 	s.csr, _ = g.(*graph.CSR)
 	s.paged, _ = g.(*graph.Paged)
 	s.sliced, _ = g.(graph.Sliced)
+	switch w := alg.(type) {
+	case *warmStart:
+		copy(s.state, w.state[:n])
+	case *warmStartProg:
+		copy(s.state, w.state[:n])
+	default:
+		for v := range s.state {
+			s.state[v] = alg.InitState(graph.VertexID(v))
+		}
+	}
 	id := alg.Identity()
-	for v := 0; v < n; v++ {
-		s.state[v] = alg.InitState(graph.VertexID(v))
+	for v := range s.acc {
 		s.acc[v] = id
 	}
 	for _, ev := range alg.InitialEvents(g) {

@@ -28,7 +28,9 @@ func wgMini(b *testing.B) *graph.CSR {
 // mini graph, once through the kernel loop and once, as
 // <name>/reference, through the interface loop; pr and sssp also run, as
 // <name>/paged, on the paged epoch a one-edge insert makes of that graph
-// (stream.Graph), so the row cost of a mutated graph has its own number.
+// (stream.Graph), so the row cost of a mutated graph has its own number,
+// and, as <name>/warm0, as a warm start from their own fixed point with no
+// seeds: no activation, only the fixed cost every warm re-query pays.
 // ns/edge is elapsed time per emitted edge delta, the unit of the solver's
 // target (at most 2x a plain CSR row scan); allocs/op is per solve and
 // must not depend on how many activations the solve performs.
@@ -53,6 +55,7 @@ func BenchmarkSolve(b *testing.B) {
 		b.Run(name+"/reference", func(b *testing.B) { benchSolve(b, on, opaque{alg}) })
 		if name == "pr" || name == "sssp" {
 			b.Run(name+"/paged", func(b *testing.B) { benchSolve(b, paged, alg) })
+			b.Run(name+"/warm0", func(b *testing.B) { benchWarm0(b, g, alg) })
 		}
 	}
 }
@@ -69,6 +72,17 @@ func benchSolve(b *testing.B, g graph.Adjacency, alg algorithms.Algorithm) {
 	}
 	if emitted > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(emitted), "ns/edge")
+	}
+}
+
+func benchWarm0(b *testing.B, g graph.Adjacency, alg algorithms.Algorithm) {
+	warm := algorithms.WarmStart(alg, algorithms.Solve(g, alg).Values, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := algorithms.Solve(g, warm); res.Activations != 0 {
+			b.Fatalf("a seedless warm start performed %d activations", res.Activations)
+		}
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // cachedResult is one converged computation, published read-only: the
-// Values slice and the summary are never written after construction, so
-// handlers and warm-start seeding may read them concurrently without
-// copying.
+// Values slice and the summary are never written after construction, but
+// for wide, written once under wideOnce, so handlers and warm-start
+// seeding may read them concurrently without copying.
 type cachedResult struct {
 	Values      []float64
 	Epoch       uint64
@@ -19,48 +19,20 @@ type cachedResult struct {
 	Activations int64
 	ComputeSecs float64
 
-	// The summary every answer projects from, reduced once when the result
-	// is built — like a queue bin coalescing at insert, a request never
-	// pays for it again. sum adds the finite values in index order; top
-	// holds the maxTopN best finite (vertex, value) pairs, value
-	// descending, ties by ascending vertex id.
-	sum float64
-	top []VertexValue
+	// The summary every answer projects from, built with the result: sum
+	// adds the finite values in index order; top holds the defaultTopN best
+	// finite pairs, value descending, ties by ascending vertex id. wide holds
+	// the maxTopN best, built on first use by a wider request.
+	sum      float64
+	top      []VertexValue
+	wideOnce sync.Once
+	wide     []VertexValue
 }
 
 // newCachedResult is the only constructor of a cachedResult: it takes
-// ownership of values and reduces the summary in one pass, keeping the
-// best maxTopN pairs in a bounded min-heap (root = worst kept), so no
-// n-sized index is built and nothing n-sized is sorted.
+// ownership of values and reduces the summary in one O(n) pass.
 func newCachedResult(values []float64, epoch uint64, mode string, activations int64, computeSecs float64) *cachedResult {
-	sum := 0.0
-	top := make([]VertexValue, 0, min(len(values), maxTopN))
-	for i, v := range values {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			continue
-		}
-		sum += v
-		vv := VertexValue{Vertex: uint32(i), Value: v}
-		switch {
-		case len(top) < cap(top):
-			top = append(top, vv)
-			if len(top) == cap(top) {
-				heapify(top)
-			}
-		case ranksBefore(vv, top[0]):
-			top[0] = vv
-			siftDown(top, 0)
-		}
-	}
-	if len(top) < cap(top) {
-		heapify(top) // fewer finite values than slots: not a heap yet
-	}
-	// Heapsort in place: the worst kept pair moves to the end each round,
-	// leaving the slice in rank order.
-	for end := len(top) - 1; end > 0; end-- {
-		top[0], top[end] = top[end], top[0]
-		siftDown(top[:end], 0)
-	}
+	top, sum := rank(values, defaultTopN)
 	return &cachedResult{
 		Values:      values,
 		Epoch:       epoch,
@@ -70,6 +42,50 @@ func newCachedResult(values []float64, epoch uint64, mode string, activations in
 		sum:         sum,
 		top:         top,
 	}
+}
+
+// ranking returns the best min(k, maxTopN) finite pairs in answer order: a
+// prefix of top, or past defaultTopN of wide, which every wide k shares.
+func (r *cachedResult) ranking(k int) []VertexValue {
+	if k > len(r.top) && len(r.top) == defaultTopN {
+		r.wideOnce.Do(func() { r.wide, _ = rank(r.Values, maxTopN) })
+		return r.wide[:min(k, len(r.wide))]
+	}
+	return r.top[:min(k, len(r.top))]
+}
+
+// rank returns the best k finite pairs in answer order, from a min-heap
+// whose root is the worst kept, and the finite values' sum in index order.
+// A non-finite value adds +0 (a sum begun at +0 keeps its bits) and compares
+// as -Inf or NaN, so sssp's and bfs's scattered infinities cost no branch.
+func rank(values []float64, k int) ([]VertexValue, float64) {
+	top := make([]VertexValue, 0, min(len(values), k))
+	sum, worst := 0.0, math.Inf(-1)
+	for i, v := range values {
+		b := math.Float64bits(v)
+		nonFinite := (b>>52&0x7ff + 1) >> 11 // 1 iff the exponent is 0x7ff
+		sum += math.Float64frombits(b &^ -nonFinite)
+		if !(math.Float64frombits(b|nonFinite<<63) > worst) {
+			continue
+		}
+		if len(top) < cap(top) {
+			if top = append(top, VertexValue{Vertex: uint32(i), Value: v}); len(top) < cap(top) {
+				continue
+			}
+			heapify(top)
+		} else {
+			top[0] = VertexValue{Vertex: uint32(i), Value: v}
+			siftDown(top, 0)
+		}
+		worst = top[0].Value
+	}
+	heapify(top) // fewer finite values than slots leave it short
+	// Heapsort in place: each round moves the worst kept pair to the end.
+	for end := len(top) - 1; end > 0; end-- {
+		top[0], top[end] = top[end], top[0]
+		siftDown(top[:end], 0)
+	}
+	return top, sum
 }
 
 // ranksBefore is the answer order: higher value first, ties by lower

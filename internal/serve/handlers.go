@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -21,6 +22,7 @@ const (
 	maxQueryBody  = 1 << 20  // 1 MiB
 	maxMutateBody = 64 << 20 // 64 MiB
 	maxTopN       = 1000
+	defaultTopN   = 10 // a query's top when it names none
 )
 
 // Handler returns the server's HTTP routing table. Mount it anywhere; the
@@ -300,9 +302,9 @@ func (s *Server) compute(ctx context.Context, rg *residentGraph, g graph.Adjacen
 
 // buildResponse projects a cached result onto the slice of the answer the
 // request asked for. Sum and Top come from the result's summary — Top is a
-// prefix of its ranking (which holds maxTopN pairs, so the prefix is also
-// the clamp), shared, not copied: both are immutable and the response only
-// ever gets encoded — so the cost is O(top + vertices), whatever n is.
+// prefix of its ranking (cut at maxTopN, so the prefix is also the clamp),
+// shared, not copied: both are immutable and the response only ever gets
+// encoded — so past a wide ranking's one build the cost is O(top + vertices).
 func buildResponse(req *QueryRequest, g graph.Adjacency, algKey string, res *cachedResult, fromCache, coalesced bool) *QueryResponse {
 	mode := res.Mode
 	if fromCache {
@@ -322,12 +324,8 @@ func buildResponse(req *QueryRequest, g graph.Adjacency, algKey string, res *cac
 		ComputeSecs: res.ComputeSecs,
 		Sum:         res.sum,
 	}
-	topN := req.Top
-	if topN == 0 {
-		topN = 10
-	}
-	if topN > 0 {
-		resp.Top = res.top[:min(topN, len(res.top))]
+	if req.Top >= 0 {
+		resp.Top = res.ranking(cmp.Or(req.Top, defaultTopN))
 	}
 	if len(req.Vertices) > 0 {
 		resp.Values = make([]VertexValue, 0, len(req.Vertices))

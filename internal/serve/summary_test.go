@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"graphpulse/internal/graph/gen"
@@ -121,7 +122,7 @@ func TestSummaryMatchesSortOracle(t *testing.T) {
 				if math.Float64bits(res.sum) != math.Float64bits(wantSum) {
 					t.Errorf("%s n=%d seed=%d: sum %v, want %v", in.name, n, seed, res.sum, wantSum)
 				}
-				if want := topVertices(values, maxTopN); !sameVertexValues(res.top, want) {
+				if want := topVertices(values, maxTopN); !sameVertexValues(res.ranking(maxTopN), want) {
 					t.Fatalf("%s n=%d seed=%d: summary top diverges from the sort oracle", in.name, n, seed)
 				}
 
@@ -149,6 +150,46 @@ func TestSummaryMatchesSortOracle(t *testing.T) {
 }
 
 func head(vs []VertexValue) []VertexValue { return vs[:min(len(vs), 4)] }
+
+// TestRankingBuiltOnce: 8 goroutines ask one cached entry for the top 10,
+// 100 and 1000 at once, so the first wide requests race to build the wide
+// ranking. Every answer must be the sort oracle's, and every wide answer a
+// prefix of one shared ranking. CI runs it under -race 20 times.
+func TestRankingBuiltOnce(t *testing.T) {
+	g := testGraph(t)
+	values := fillValues(1, 4096, fillNormal)
+	res := newCachedResult(values, 1, "cold", 1, 0)
+	ks := []int{10, 100, 1000}
+	wide := make([][]*VertexValue, 8)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range wide {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for j := range ks {
+				k := ks[(i+j)%len(ks)]
+				top := buildResponse(&QueryRequest{Graph: "g", Top: k}, g, "pr", res, true, false).Top
+				if !sameVertexValues(top, topVertices(values, k)) {
+					t.Errorf("goroutine %d top=%d: got %d rows %v, want the sort oracle's", i, k, len(top), head(top))
+				}
+				if k > defaultTopN && len(top) > 0 {
+					wide[i] = append(wide[i], &top[0])
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, firsts := range wide {
+		for _, p := range firsts {
+			if p != wide[0][0] {
+				t.Fatalf("goroutine %d read a wide ranking other than goroutine 0's: built more than once", i)
+			}
+		}
+	}
+}
 
 // newSummaryServer serves one n-vertex graph "g" whose pr series is a
 // seeded random vector adopted through a snapshot: a cache hit at any n
